@@ -1,12 +1,19 @@
 PYTHON ?= python
 
-.PHONY: install test conformance bench bench-backends bench-backends-baseline mp-smoke mp-scaling mp-faults tier-smoke figures examples all clean
+.PHONY: install test fuzz conformance bench bench-backends bench-backends-baseline mp-smoke mp-scaling mp-faults tier-smoke figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Open-ended property search (tier-1 itself is derandomised, see
+# tests/conftest.py): every hypothesis test file, once, under fresh
+# entropy.  Commit what it finds as an explicit @example.
+fuzz:
+	HYPOTHESIS_PROFILE=fuzz PYTHONPATH=src $(PYTHON) -m pytest -q \
+		$$(grep -rl "^from hypothesis" tests --include='test_*.py')
 
 # Backend conformance suite against the numpy reference, all backends.
 conformance:

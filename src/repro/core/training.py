@@ -243,9 +243,7 @@ class Trainer:
             m.counter("tier_rejected").labels(**labels).inc(delta.rejected)
             m.counter("tier_overhead_s").labels(**labels).inc(delta.overhead_s)
             m.gauge("tier_hit_rate").labels(**labels).set(table.stats.hit_rate)
-            m.gauge("tier_hot_rows").labels(**labels).set(
-                len(table.hot) * table.chunk_rows
-            )
+            m.gauge("tier_hot_rows").labels(**labels).set(table.hot_rows)
 
     def train(
         self,

@@ -58,27 +58,42 @@ class FreqStats:
     def record(self, items: np.ndarray) -> None:
         """Fold one batch of accesses (in stream order) into the stats."""
         items = np.asarray(items, dtype=np.int64).ravel()
-        n = len(items)
-        if n == 0:
-            return
-        if items.min() < 0 or items.max() >= self.num_items:
+        if len(items) and (items.min() < 0 or items.max() >= self.num_items):
             raise IndexError(
                 f"items must be in [0, {self.num_items}), "
                 f"got range [{items.min()}, {items.max()}]"
             )
-        positions = self.pos + 1 + np.arange(n, dtype=np.int64)
-        np.add.at(self.counts, items, 1)
+        self._fold(items)
 
-        # EMA: group this batch's accesses by item (stable sort keeps
-        # stream order within each group).  For item r with in-batch
-        # positions q_1 < ... < q_k and previous state (f, q_old):
+    def _fold(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`record` for an int64 stream known to be in range (the
+        store's chunk ids of checked rows), returning the batch grouped by
+        item: ``uniq`` the distinct items ascending, ``order`` the batch
+        positions sorted by (item, position), ``start`` the offset of each
+        item's group in ``order``."""
+        n = len(items)
+        if n == 0:
+            return items, items, items
+        # Group the batch by item, stream order kept within each group.
+        # Packing the batch position into the low bits makes every key
+        # unique, so one plain sort *is* the stable sort by item.
+        shift = n.bit_length()
+        assert self.num_items.bit_length() + shift < 63, "sort key overflows int64"
+        key = (items << shift) | np.arange(n, dtype=np.int64)
+        key.sort()
+        s_items = key >> shift
+        order = key & ((1 << shift) - 1)
+        start = np.flatnonzero(np.diff(s_items, prepend=-1))  # ids are >= 0
+        uniq = s_items[start]
+        counts = np.diff(start, append=n)
+        self.counts[uniq] += counts
+
+        # EMA: for item r with in-batch positions q_1 < ... < q_k and
+        # previous state (f, q_old):
         #   f_new = f * d^(q_k - q_old) + sum_j d^(q_k - q_j)
         # Exponents are taken relative to q_k, so they never overflow;
         # long gaps underflow to 0.0, which is the correct limit.
-        order = np.argsort(items, kind="stable")
-        s_items = items[order]
-        s_pos = positions[order]
-        uniq, start, counts = np.unique(s_items, return_index=True, return_counts=True)
+        s_pos = self.pos + 1 + order
         last = s_pos[start + counts - 1]
         with np.errstate(under="ignore"):
             weights = self.decay ** (np.repeat(last, counts) - s_pos).astype(np.float64)
@@ -105,9 +120,10 @@ class FreqStats:
             if valid.any():
                 np.add.at(self.win_counts, old[valid], -1)
             self._ring[idx] = items
-            np.add.at(self.win_counts, items, 1)
+            self.win_counts[uniq] += counts
             self._ring_pos = (self._ring_pos + n) % w
         self.pos += n
+        return uniq, start, order
 
     def scores(self, items: np.ndarray | None = None) -> np.ndarray:
         """Decayed access frequency, re-referenced to the current position.

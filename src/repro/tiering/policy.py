@@ -6,6 +6,9 @@ embedding store's hot tier (:class:`repro.tiering.store.TieredEmbeddingTable`)
 are both built on :class:`PolicyCache`, so eviction semantics, hit/miss
 accounting, and the warm/raw hit-rate bracket are written (and
 cross-validated against :mod:`repro.tiering.analytic`) exactly once.
+(For ``"freq"`` the store replays a whole lookup stream in one batched
+pass instead of calling in per access; this per-access implementation is
+the reference ``tests/test_tiering.py`` holds that pass equal to.)
 
 Policies:
 
@@ -81,10 +84,6 @@ class PolicyCache:
         self._freq: dict[int, int] = {}
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
-        # "freq" victim memo: (victim, score), valid while neither the
-        # store membership nor the external scores have changed — so a
-        # run of rejected misses costs one scan, not one scan each.
-        self._victim_memo: tuple[int, float] | None = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -127,12 +126,6 @@ class PolicyCache:
         self._store.clear()
         self._freq.clear()
         self._heap.clear()
-        self._victim_memo = None
-
-    def note_scores_changed(self) -> None:
-        """Invalidate the cached "freq" victim after the external scorer's
-        state moved (call once per stats update, not per access)."""
-        self._victim_memo = None
 
     # -- internals ----------------------------------------------------------
 
@@ -160,12 +153,10 @@ class PolicyCache:
 
     def _freq_victim(self) -> tuple[int, float]:
         """Lowest-scored cached key (ties broken by smallest key)."""
-        if self._victim_memo is None:
-            cached = self.keys()
-            scores = np.asarray(self.scorer(cached), dtype=np.float64)
-            idx = int(np.lexsort((cached, scores))[0])
-            self._victim_memo = (int(cached[idx]), float(scores[idx]))
-        return self._victim_memo
+        cached = self.keys()
+        scores = np.asarray(self.scorer(cached), dtype=np.float64)
+        idx = int(np.lexsort((cached, scores))[0])
+        return int(cached[idx]), float(scores[idx])
 
     # -- access primitives ---------------------------------------------------
 
@@ -187,16 +178,12 @@ class PolicyCache:
                 self._seen.add(key)
         return hit
 
-    def insert(
-        self, key: int, payload: object = None, score: float | None = None
-    ) -> tuple[bool, int | None]:
+    def insert(self, key: int, payload: object = None) -> tuple[bool, int | None]:
         """Admit a (missing) key; returns ``(inserted, evicted_key)``.
 
         LRU/LFU always admit (insert-on-miss); "freq" only admits when the
         key outscores the coldest cached key, otherwise the insert is
-        rejected and nothing moves.  ``score`` optionally supplies the
-        key's already-computed scorer value (must equal ``scorer([key])``)
-        so batch callers skip the per-miss scorer round trip.
+        rejected and nothing moves.
         """
         if self.capacity == 0:
             return False, None
@@ -204,9 +191,7 @@ class PolicyCache:
         if len(self._store) >= self.capacity:
             if self.policy == "freq":
                 victim, victim_score = self._freq_victim()
-                if score is None:
-                    score = float(np.asarray(self.scorer(np.array([key])))[0])
-                if score <= victim_score:
+                if float(np.asarray(self.scorer(np.array([key])))[0]) <= victim_score:
                     self.rejections += 1
                     return False, None
                 del self._store[victim]
@@ -215,7 +200,6 @@ class PolicyCache:
                 evicted = self._evict_one()
             self.evictions += 1
         self._store[key] = payload
-        self._victim_memo = None
         if self.policy == "lfu":
             self._freq[key] = self._freq.get(key, 0) + 1
             self._lfu_push(key)

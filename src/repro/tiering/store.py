@@ -11,16 +11,19 @@ training-time access-frequency statistics to decide placement.
 the flat table at every precision: all rows live in the one flat weight
 array, so forward/backward/optimizer numerics never change — only the
 *simulated cost* of each access depends on tier placement.  Rows are
-grouped into fixed-size chunks (the migration granule); a
-:class:`~repro.tiering.policy.PolicyCache` over chunk ids decides which
-chunks are hot, scored by a per-chunk decayed access frequency
-(:class:`~repro.tiering.freq.FreqStats`); and a
+grouped into fixed-size chunks (the migration granule); the semantics of
+:class:`~repro.tiering.policy.PolicyCache` over chunk ids decide which
+chunks are hot — for the default ``"freq"`` policy scored by a per-chunk
+decayed access frequency (:class:`~repro.tiering.freq.FreqStats`) and
+applied to a whole lookup stream in one batched pass; and a
 :class:`~repro.tiering.costs.TierCostModel` prices every hit, miss and
 chunk migration into :class:`TierStats`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -81,17 +84,26 @@ class TieredStoreConfig:
 
 @dataclass
 class TierStats:
-    """Simulated-cost accounting of one tiered table's access stream."""
+    """Simulated-cost accounting of one tiered table's access stream.
+
+    Only the three counters accumulate; every time is a counter times one
+    of the table's unit costs, so deltas of any window add up exactly to
+    the whole run's.
+    """
 
     hot_hits: int = 0
     cold_misses: int = 0
     #: Chunk migrations into the hot tier (each priced as a read + write).
     promotions: int = 0
-    #: Misses whose chunk failed frequency admission — served cold, no move.
-    rejected: int = 0
-    hot_time_s: float = 0.0
-    cold_time_s: float = 0.0
-    move_time_s: float = 0.0
+    #: Seconds per row served hot, per row served cold, per chunk migrated.
+    hot_access_s: float = 0.0
+    cold_access_s: float = 0.0
+    chunk_move_s: float = 0.0
+
+    @property
+    def rejected(self) -> int:
+        """Misses whose chunk was not admitted — served cold, no move."""
+        return self.cold_misses - self.promotions
 
     @property
     def accesses(self) -> int:
@@ -102,42 +114,39 @@ class TierStats:
         return self.hot_hits / self.accesses if self.accesses else 0.0
 
     @property
+    def hot_time_s(self) -> float:
+        return self.hot_hits * self.hot_access_s
+
+    @property
+    def cold_time_s(self) -> float:
+        return self.cold_misses * self.cold_access_s
+
+    @property
+    def move_time_s(self) -> float:
+        return self.promotions * self.chunk_move_s
+
+    @property
     def total_time_s(self) -> float:
         return self.hot_time_s + self.cold_time_s + self.move_time_s
 
     @property
     def overhead_s(self) -> float:
         """Simulated time in excess of an all-hot (pure DRAM) run."""
-        if not self.accesses:
-            return 0.0
-        hot_access_s = self.hot_time_s / self.hot_hits if self.hot_hits else 0.0
-        if self.hot_hits:
-            all_hot = self.accesses * hot_access_s
-            return self.total_time_s - all_hot
-        # Degenerate all-miss window: charge the full cold+move time.
-        return self.cold_time_s + self.move_time_s
+        return (
+            self.cold_misses * (self.cold_access_s - self.hot_access_s)
+            + self.move_time_s
+        )
 
     def snapshot(self) -> "TierStats":
-        return TierStats(
-            hot_hits=self.hot_hits,
-            cold_misses=self.cold_misses,
-            promotions=self.promotions,
-            rejected=self.rejected,
-            hot_time_s=self.hot_time_s,
-            cold_time_s=self.cold_time_s,
-            move_time_s=self.move_time_s,
-        )
+        return replace(self)
 
     def delta(self, since: "TierStats") -> "TierStats":
         """Accounting accrued after ``since`` (a prior :meth:`snapshot`)."""
-        return TierStats(
+        return replace(
+            self,
             hot_hits=self.hot_hits - since.hot_hits,
             cold_misses=self.cold_misses - since.cold_misses,
             promotions=self.promotions - since.promotions,
-            rejected=self.rejected - since.rejected,
-            hot_time_s=self.hot_time_s - since.hot_time_s,
-            cold_time_s=self.cold_time_s - since.cold_time_s,
-            move_time_s=self.move_time_s - since.move_time_s,
         )
 
     def as_dict(self) -> dict[str, float]:
@@ -192,61 +201,116 @@ class TieredEmbeddingTable(EmbeddingTable):
         self._chunk_freq = FreqStats(
             self.num_chunks, decay=cfg.ema_decay, window=cfg.window
         )
-        self.hot = PolicyCache(
-            self.capacity_chunks, cfg.policy, scorer=self._chunk_freq.scores
-        )
+        # Hot-tier residency.  "freq" admission is replayed per lookup
+        # stream (see _admit) over a flag per chunk; lru/lfu recency
+        # state is inherently sequential and lives in a PolicyCache.
+        freq = cfg.policy == "freq"
+        self._resident = np.zeros(self.num_chunks, dtype=bool) if freq else None
+        self._cache = None if freq else PolicyCache(self.capacity_chunks, cfg.policy)
         self.cost_model = TierCostModel(hot=cfg.hot_tier, cold=cfg.cold_tier)
-        self.stats = TierStats()
+        row_b = self.bytes_per_row()
+        self.stats = TierStats(
+            hot_access_s=self.cost_model.hot_access_s(row_b),
+            cold_access_s=self.cost_model.cold_access_s(row_b),
+            chunk_move_s=self.cost_model.chunk_move_s(row_b * self.chunk_rows),
+        )
 
     @property
     def hot_capacity_rows(self) -> int:
         return self.capacity_chunks * self.chunk_rows
 
-    def chunk_of(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64) // self.chunk_rows
+    @property
+    def hot_chunks(self) -> np.ndarray:
+        """Ids of the chunks now in the hot tier, ascending."""
+        if self._cache is None:
+            return np.flatnonzero(self._resident)
+        return np.sort(self._cache.keys())
+
+    @property
+    def hot_rows(self) -> int:
+        return len(self.hot_chunks) * self.chunk_rows
 
     def record_accesses(self, rows: np.ndarray) -> None:
         """Fold one prepared lookup stream into stats, cache and pricing.
 
         This is the whole tiering mechanism: frequency bookkeeping, the
-        chunk-id pass through the hot-tier cache (hits stay hot, misses
-        are served cold and considered for promotion), and the simulated
+        chunk-id pass through the hot tier (hits stay hot, misses are
+        served cold and considered for promotion), and the simulated
         cost of each outcome.  ``forward_batched`` calls it on the
         training path; the tier sweep drives it directly.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         if len(rows) == 0:
             return
-        self.freq.record(rows)
-        chunks = self.chunk_of(rows)
-        self._chunk_freq.record(chunks)
-        row_b = self.bytes_per_row()
-        chunk_b = row_b * self.chunk_rows
-        hot_s = self.cost_model.hot_access_s(row_b)
-        cold_s = self.cost_model.cold_access_s(row_b)
-        move_s = self.cost_model.chunk_move_s(chunk_b)
-        stats = self.stats
-        hot = self.hot
-        # Chunk scores are frozen for the rest of this batch (the stats
-        # update above was the only one), so score every touched chunk in
-        # one vectorized pass and let the cache memoize its victim.
-        hot.note_scores_changed()
-        chunk_scores = dict(
-            zip(chunks.tolist(), self._chunk_freq.scores(chunks).tolist())
-        )
-        for chunk in chunks.tolist():
-            if hot.touch(chunk):
-                stats.hot_hits += 1
-                stats.hot_time_s += hot_s
-            else:
-                stats.cold_misses += 1
-                stats.cold_time_s += cold_s
-                inserted, _evicted = hot.insert(chunk, score=chunk_scores[chunk])
-                if inserted:
-                    stats.promotions += 1
-                    stats.move_time_s += move_s
-                else:
-                    stats.rejected += 1
+        self.freq.record(rows)  # the one bounds check: chunks inherit it
+        chunks = rows // self.chunk_rows
+        uniq, start, order = self._chunk_freq._fold(chunks)
+        if self._cache is None:
+            hits, promotions = self._admit(uniq, start, order)
+        else:
+            before = self._cache.insertions
+            hits = self._cache.access(chunks)
+            promotions = self._cache.insertions - before
+        self.stats.hot_hits += hits
+        self.stats.cold_misses += len(rows) - hits
+        self.stats.promotions += promotions
+
+    def _admit(
+        self, uniq: np.ndarray, start: np.ndarray, order: np.ndarray
+    ) -> tuple[int, int]:
+        """One stream through "freq" admission; ``(hits, promotions)``.
+
+        Exactly ``PolicyCache("freq")`` driven access by access, at one
+        heap operation per distinct missing chunk.  Scores are frozen for
+        the whole stream (the stats were updated before it), which makes
+        the per-access loop a streaming top-``capacity`` filter: the
+        victim's score never decreases, so a chunk is admitted at most
+        once, evicted at most once, and never re-admitted after being
+        evicted or rejected.  Each touched chunk therefore hits exactly
+        on the accesses strictly between its admission and its eviction.
+        """
+        n = len(order)
+        was_hot = self._resident[uniq]
+        # Stream position of the miss that promotes each touched chunk
+        # (-1: hot on entry, n: never) and of the miss that evicts it.
+        admit = np.where(was_hot, -1, n)
+        evict = np.full(len(uniq), n)
+        promotions = 0
+        missing = np.flatnonzero(~was_hot)
+        if len(missing) and self.capacity_chunks:
+            score_of = self._chunk_freq.scores
+            hot = np.flatnonzero(self._resident)
+            # (score, chunk) tuples order like the per-access victim scan:
+            # lowest score first, then smallest id.
+            heap = list(zip(score_of(hot).tolist(), hot.tolist()))
+            walk = missing[np.argsort(order[start[missing]])]  # by first occurrence
+            chunks = uniq[walk]
+            entries = zip(walk.tolist(), score_of(chunks).tolist(), chunks.tolist())
+            admitted: list[int] = []  # indices into uniq, in admission order
+            victims: list[int] = []  # chunk ids, one per admission once full
+            free = self.capacity_chunks - len(heap)
+            for j, score, chunk in itertools.islice(entries, free):
+                heap.append((score, chunk))
+                admitted.append(j)
+            heapq.heapify(heap)
+            for j, score, chunk in entries:
+                if score > heap[0][0]:
+                    victims.append(heapq.heapreplace(heap, (score, chunk))[1])
+                    admitted.append(j)
+            promotions = len(admitted)
+            promoted = np.asarray(admitted, dtype=np.int64)
+            gone = np.asarray(victims, dtype=np.int64)
+            admit[promoted] = order[start[promoted]]
+            self._resident[uniq[promoted]] = True
+            self._resident[gone] = False  # after: a victim may be a promotee
+            # Victims this stream touches stop hitting where they left.
+            at = np.minimum(np.searchsorted(uniq, gone), len(uniq) - 1)
+            touched = uniq[at] == gone
+            evict[at[touched]] = admit[promoted[promotions - len(gone) :][touched]]
+        # `order` lists stream positions chunk group by chunk group.
+        group = np.repeat(np.arange(len(uniq)), np.diff(start, append=n))
+        hits = np.count_nonzero((order > admit[group]) & (order < evict[group]))
+        return int(hits), promotions
 
     def plan_forward(
         self, features: list[RaggedIndices], *, training: bool = True

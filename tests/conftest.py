@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import (
     InteractionType,
@@ -12,6 +15,14 @@ from repro.core import (
     uniform_tables,
 )
 from repro.data import SyntheticDataGenerator
+
+# Tier-1 is a gate, so its property tests draw the same examples on every
+# run.  Open-ended search is `make fuzz`: fresh entropy each run (plus the
+# example database), and 10x the examples wherever a test does not pin
+# its own count.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", max_examples=1000, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

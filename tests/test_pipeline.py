@@ -30,12 +30,14 @@ from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tab
 from repro.data import SyntheticDataGenerator
 from repro.distributed.mp.allreduce import GradReducer
 from repro.distributed.mp.channels import ChannelClosed
+from repro.obs import Tracer
 from repro.pipeline import (
     PipelineConfig,
     PrefetchPipeline,
     as_pipeline_config,
 )
 from repro.runtime import reserved_cores
+from repro.tiering import TieredStoreConfig
 
 common = settings(
     max_examples=25, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -146,21 +148,25 @@ def _arch(draw):
     )
 
 
-def _train_state(config, batches, *, pipeline):
-    model = DLRM(config, rng=0)
+def _train_state(config, batches, *, pipeline, tiering=None):
+    model = DLRM(config, rng=0, tiering=tiering)
+    tracer = Tracer()
     trainer = Trainer(
         model,
         lambda m: Adagrad(
             m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
         ),
         pipeline=pipeline,
+        tracer=tracer,
     )
     result = trainer.train(iter(batches), max_steps=len(batches))
     params = [np.array(p.value, copy=True) for p in model.dense_parameters()]
     tables = {
         t.spec.name: np.array(t.weight, copy=True) for t in model.embedding_tables()
     }
-    return result, params, tables
+    # Per-step, per-table tier accounting as the Trainer published it.
+    tier = [s.attributes for s in tracer.spans if s.name == "tier"]
+    return result, params, tables, tier
 
 
 class TestTrainerBitIdentity:
@@ -177,9 +183,16 @@ class TestTrainerBitIdentity:
         seed = data.draw(st.integers(min_value=0, max_value=10_000))
         gen = SyntheticDataGenerator(config, rng=seed, seed_teacher=True)
         batches = [gen.batch(batch_size) for _ in range(steps)]
+        tiering = data.draw(st.sampled_from([
+            None, TieredStoreConfig(hot_fraction=0.25, chunk_rows=2),
+        ]))
 
-        inline, params_i, tables_i = _train_state(config, batches, pipeline=False)
-        piped, params_p, tables_p = _train_state(config, batches, pipeline=True)
+        inline, params_i, tables_i, tier_i = _train_state(
+            config, batches, pipeline=False, tiering=tiering
+        )
+        piped, params_p, tables_p, tier_p = _train_state(
+            config, batches, pipeline=True, tiering=tiering
+        )
 
         assert inline.loss_history == piped.loss_history
         assert inline.final_loss == piped.final_loss
@@ -190,6 +203,9 @@ class TestTrainerBitIdentity:
             assert np.array_equal(tables_i[name], tables_p[name])
         assert inline.pipeline is None
         assert piped.pipeline is not None
+        # The prep thread runs ahead, yet each batch reports its own delta.
+        assert tier_i == tier_p
+        assert len(tier_i) == (steps * len(config.tables) if tiering else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DLRM, Adagrad, MLPSpec, ModelConfig, Trainer, uniform_tables
 from repro.core.config import InteractionType, TableSpec
@@ -264,7 +266,8 @@ class TestTieredTable:
         assert s.accesses == 500
         assert s.hot_hits + s.cold_misses == 500
         assert s.promotions <= s.cold_misses
-        assert len(table.hot) <= table.capacity_chunks
+        assert table.hot_rows == len(table.hot_chunks) * table.chunk_rows
+        assert table.hot_rows <= table.hot_capacity_rows
         assert s.total_time_s > 0 and s.overhead_s >= 0
         assert table.freq.pos == 500
 
@@ -291,12 +294,44 @@ class TestTieredTable:
 
     def test_stats_delta_roundtrip(self):
         s = TierStats(hot_hits=10, cold_misses=5, promotions=2,
-                      hot_time_s=1.0, cold_time_s=2.0, move_time_s=0.5)
+                      hot_access_s=0.1, cold_access_s=0.4, chunk_move_s=0.25)
+        assert (s.hot_time_s, s.cold_time_s, s.move_time_s) == (1.0, 2.0, 0.5)
+        assert s.rejected == 3
         snap = s.snapshot()
         s.hot_hits += 3
         s.cold_misses += 1
         d = s.delta(snap)
         assert d.hot_hits == 3 and d.cold_misses == 1 and d.promotions == 0
+        assert d.overhead_s == pytest.approx(0.4 - 0.1)
+
+    @pytest.mark.parametrize("hot_fraction", [0.0, 0.05, 1.0])
+    def test_step_overheads_add_up_to_the_run(self, hot_fraction):
+        # overhead = misses * (cold - hot) + promotions * move in *every*
+        # window, zero-hit ones included, so per-step deltas sum to the run.
+        spec = TableSpec("t", hash_size=400, dim=4, mean_lookups=2.0)
+        table = TieredEmbeddingTable(
+            spec, np.random.default_rng(0),
+            tiering=TieredStoreConfig(hot_fraction=hot_fraction, chunk_rows=4),
+        )
+        rng = np.random.default_rng(3)
+        steps = []
+        for n in (1, 40, 0, 200, 3):  # tiny steps: zero-hit windows happen
+            before = table.stats.snapshot()
+            table.record_accesses(rng.integers(0, 400, size=n))
+            steps.append(table.stats.delta(before))
+        run = table.stats
+        penalty = table.cost_model.miss_penalty_s(table.bytes_per_row())
+        move = table.cost_model.chunk_move_s(table.bytes_per_row() * 4)
+        for d in steps + [run]:
+            assert d.overhead_s == pytest.approx(
+                d.cold_misses * penalty + d.promotions * move, rel=1e-12, abs=0
+            )
+        assert any(d.accesses and not d.hot_hits for d in steps)
+        for field in ("hot_hits", "cold_misses", "promotions", "rejected"):
+            assert sum(getattr(d, field) for d in steps) == getattr(run, field)
+        assert sum(d.overhead_s for d in steps) == pytest.approx(
+            run.overhead_s, rel=1e-12, abs=0
+        )
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("hot_fraction", [0.0, 0.1, 1.0])
@@ -322,6 +357,63 @@ class TestTieredTable:
         model.predict_proba(gen.batch(16))
         for t in model.embedding_tables():
             assert t.stats.accesses == 0
+
+
+class TestBatchedAdmission:
+    """``record_accesses`` replays a whole stream through "freq" admission
+    in one pass; the per-access :class:`PolicyCache` loop it replaced is
+    the reference, and counters and hot set must agree after every call."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_equals_the_per_access_loop(self, data):
+        chunk_rows = data.draw(st.integers(1, 8), label="chunk_rows")
+        hash_size = data.draw(st.integers(1, 96), label="hash_size")
+        num_chunks = -(-hash_size // chunk_rows)
+        hot_chunks = data.draw(
+            st.sampled_from([0, 1, max(1, num_chunks // 3), num_chunks + 1]),
+            label="hot_chunks",
+        )
+        decay = data.draw(st.sampled_from([1.0, 0.5, 0.999]), label="ema_decay")
+        streams = data.draw(
+            st.lists(
+                st.lists(st.integers(0, hash_size - 1), max_size=80),
+                min_size=1, max_size=6,
+            ),
+            label="streams",
+        )
+        spec = TableSpec("t", hash_size=hash_size, dim=4, mean_lookups=1.0)
+        row_bytes = 4 * 8
+        table = TieredEmbeddingTable(
+            spec, np.random.default_rng(0),
+            tiering=TieredStoreConfig(
+                hot_fraction=None, hot_bytes=hot_chunks * chunk_rows * row_bytes,
+                chunk_rows=chunk_rows, policy="freq", ema_decay=decay,
+            ),
+        )
+        assert table.capacity_chunks == min(hot_chunks, num_chunks)
+
+        scores = FreqStats(num_chunks, decay=decay, window=table.tiering.window)
+        cache = PolicyCache(table.capacity_chunks, "freq", scorer=scores.scores)
+        hits = misses = promotions = rejected = 0
+        for rows in streams:
+            table.record_accesses(np.array(rows, dtype=np.int64))
+            chunks = np.array(rows, dtype=np.int64) // chunk_rows
+            scores.record(chunks)
+            for chunk in chunks.tolist():
+                if cache.touch(chunk):
+                    hits += 1
+                elif cache.insert(chunk)[0]:
+                    misses += 1
+                    promotions += 1
+                else:
+                    misses += 1
+                    rejected += 1
+            s = table.stats
+            assert (s.hot_hits, s.cold_misses, s.promotions, s.rejected) == (
+                hits, misses, promotions, rejected
+            )
+            assert table.hot_chunks.tolist() == sorted(cache.keys().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ placement must not depend on that framing.  These properties pin:
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -111,3 +112,10 @@ def test_topk_deterministic_tiebreak(stream, k):
     if len(top) not in (0, 16):
         rest = np.setdiff1d(np.arange(16), top)
         assert scores[rest].max() <= scores[top[-1]]
+
+
+def test_fold_refuses_ids_too_wide_for_the_sort_key():
+    f = FreqStats(16)
+    f.num_items = 1 << 60  # a table this long cannot pack (item, position) in int64
+    with pytest.raises(AssertionError, match="sort key"):
+        f._fold(np.zeros(8, dtype=np.int64))
