@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test fuzz conformance bench bench-backends bench-backends-baseline mp-smoke mp-scaling mp-faults tier-smoke figures examples all clean
+.PHONY: install test fuzz conformance bench bench-backends bench-backends-baseline mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -49,6 +49,17 @@ mp-faults:
 tier-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro tier train --steps 4 --batch 48
 	PYTHONPATH=src $(PYTHON) -m repro tier sweep
+
+# perfbench (BENCHMARK.json): the absolute end-to-end numbers of all 7
+# workloads, ~100 s.  Claims need >= 10 alternating parent/change pairs.
+perfbench:
+	$(PYTHON) perfbench/run.py
+
+# Tiny shapes, plumbing only (~10 s): every workload runs, and the digest
+# cross-checks (train_emb_pipe = train_emb, tiered = flat, hybrid_w2_pipe =
+# hybrid_w2) must hold.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --smoke && $(PYTHON) -m pytest perfbench/tests -q
 
 figures:
 	$(PYTHON) -m repro figures

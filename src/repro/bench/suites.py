@@ -42,6 +42,7 @@ from repro.core import (
     dense_kernels,
     kernels,
     known_backends,
+    resolve_backend,
 )
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, TableSpec
 
@@ -362,8 +363,7 @@ def bench_adagrad_sparse(reps: int) -> dict:
     rows = np.sort(rng.choice(100_000, size=20_000, replace=False))
     values = rng.standard_normal((20_000, 64))
     ws = Workspace()
-    t = ws.get_rows("t", len(rows), (64,), weight.dtype)
-    u = ws.get_rows("u", len(rows), (64,), weight.dtype)
+    fused = resolve_backend("fused")
     old = best_of(
         lambda: dense_kernels.naive_adagrad_sparse_step(
             weight, state, rows, values, 0.01, 1e-10
@@ -371,8 +371,8 @@ def bench_adagrad_sparse(reps: int) -> dict:
         reps,
     )
     new = best_of(
-        lambda: dense_kernels.adagrad_sparse_step(
-            weight, state, rows, values, 0.01, 1e-10, t, u
+        lambda: fused.adagrad_sparse_step(
+            weight, state, rows, values, 0.01, 1e-10, ws
         ),
         reps,
     )

@@ -154,13 +154,16 @@ class FusedBackend(Backend):
             ws.get("opt.u", value.shape, value.dtype),
         )
 
+    @staticmethod
+    def _block_bufs(ws, values, slots):
+        """The sparse steps' reused block buffers (one fixed shape per row
+        width, so the arena never regrows them)."""
+        shape = (dk.sparse_block_rows(values), *values.shape[1:])
+        return [ws.get(("opt.rows", slot), shape, values.dtype) for slot in slots]
+
     def adagrad_sparse_step(self, weight, state, rows, values, lr, eps, ws):
-        trailing = values.shape[1:]
-        dk.adagrad_sparse_step(
-            weight, state, rows, values, lr, eps,
-            ws.get_rows("opt.rows.t", len(rows), trailing, values.dtype),
-            ws.get_rows("opt.rows.u", len(rows), trailing, values.dtype),
-        )
+        bufs = self._block_bufs(ws, values, "stu")
+        dk.adagrad_sparse_step(weight, state, rows, values, lr, eps, *bufs)
 
     def sgd_dense_step(self, value, grad, lr, ws, *, weight_decay=0.0,
                        momentum=0.0, velocity=None):
@@ -171,6 +174,5 @@ class FusedBackend(Backend):
         )
 
     def sgd_sparse_step(self, weight, rows, values, lr, ws):
-        u = ws.get_rows("opt.rows.u", len(rows), values.shape[1:], values.dtype)
-        np.multiply(values, lr, out=u)
-        weight[rows] -= u
+        bufs = self._block_bufs(ws, values, "su")
+        dk.sgd_sparse_step(weight, rows, values, lr, *bufs)

@@ -41,6 +41,11 @@ __all__ = [
 _HASH_MULTIPLIER = np.uint64(2654435761)
 _HASH_SHIFT = np.uint64(16)
 
+#: Elements drawn per block of table initialisation: a 512 KiB float64
+#: transient (1024 rows at dim 64) that malloc recycles; from 2 MB up every
+#: block is mmapped afresh and costs what the one-shot draw did.
+_INIT_BLOCK_ELEMS = 1 << 16
+
 
 def hash_raw_ids(raw_ids: np.ndarray, hash_size: int) -> np.ndarray:
     """Map arbitrary non-negative integer ids into ``[0, hash_size)``.
@@ -179,8 +184,9 @@ class TablePlan:
     prepared: tuple[RaggedIndices, ...]
     #: Per-feature per-sample lookup counts (MEAN divisors / backward).
     lengths: tuple[np.ndarray, ...]
-    #: Per-feature backward coalesce plans (stable argsort precomputed).
-    grad_plans: tuple[kernels.CoalescePlan, ...]
+    #: Per-feature backward coalesce plans (stable argsort precomputed);
+    #: ``None`` for an inference plan, which nothing will backpropagate.
+    grad_plans: tuple[kernels.CoalescePlan, ...] | None
     #: Fused CSR layout over all features (the single gather dispatch).
     all_values: np.ndarray
     all_offsets: np.ndarray
@@ -200,6 +206,8 @@ class TablePlan:
         union.  Weight-independent, so the hybrid trainer can exchange the
         next batch's row plan while the current batch is still computing.
         """
+        if self.grad_plans is None:
+            raise RuntimeError("an inference plan (training=False) has no grad plans")
         nonempty = [g.rows for g in self.grad_plans if len(g.rows)]
         if not nonempty:
             return np.empty(0, dtype=np.int64)
@@ -228,8 +236,14 @@ class EmbeddingTable:
         self.spec = spec
         self.pooling = pooling
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(spec.dim)
-        weight = rng.uniform(-scale, scale, size=(spec.hash_size, spec.dim))
-        self.weight = weight.astype(np.dtype(dtype), copy=False)
+        # Drawn block by block into the final-dtype array (no table-sized
+        # float64 transient to fault in and unmap); ``uniform`` consumes the
+        # bit stream per element, so weights and rng state equal one draw.
+        self.weight = np.empty((spec.hash_size, spec.dim), dtype=dtype)
+        step = max(1, _INIT_BLOCK_ELEMS // spec.dim)
+        for a in range(0, spec.hash_size, step):
+            block = self.weight[a : a + step]
+            block[...] = rng.uniform(-scale, scale, size=block.shape)
         # A stack of forward contexts: shared tables are looked up once per
         # feature, and the collection walks features in reverse on backward.
         self._saved: list[tuple[RaggedIndices, np.ndarray, kernels.CoalescePlan]] = []
@@ -287,15 +301,18 @@ class EmbeddingTable:
         Truncation, bounds validation, the fused multi-feature CSR layout,
         per-sample lengths and the backward coalesce plans are all pure
         functions of the *indices* — this is the work the prefetch pipeline
-        (:mod:`repro.pipeline`) moves off the critical path.  ``training``
-        is unused here but part of the signature so stat-keeping subclasses
-        (the tiered store) can restrict accounting to training streams.
+        (:mod:`repro.pipeline`) moves off the critical path.  An inference
+        plan (``training=False``) skips the coalesce plans, a sort per
+        feature that only :meth:`backward` reads; stat-keeping subclasses
+        (the tiered store) account training streams only.
         """
         # _prepare validates bounds (or accepts the safe_bound certificate),
         # so the pooled product may skip its own check.
         prepared = [self._prepare(ind) for ind in features]
         lengths = tuple(p.lengths() for p in prepared)
-        grad_plans = tuple(kernels.coalesce_plan(p.values) for p in prepared)
+        grad_plans = None
+        if training:
+            grad_plans = tuple(kernels.coalesce_plan(p.values) for p in prepared)
         if len(prepared) == 1:
             all_values = prepared[0].values
             all_offsets = prepared[0].offsets
@@ -354,14 +371,14 @@ class EmbeddingTable:
         else:
             splits = np.split(pooled_cat, plan.split_bounds)
         outs: list[np.ndarray] = []
-        for p, lengths, gplan, pooled in zip(
-            plan.prepared, plan.lengths, plan.grad_plans, splits
+        for i, (p, lengths, pooled) in enumerate(
+            zip(plan.prepared, plan.lengths, splits)
         ):
             if self.pooling is PoolingType.MEAN:
                 divisor = np.maximum(lengths, 1).astype(pooled.dtype)
                 pooled = pooled / divisor[:, None]
             if training:
-                self._saved.append((p, lengths, gplan))
+                self._saved.append((p, lengths, plan.grad_plans[i]))
             outs.append(pooled)
         return outs
 

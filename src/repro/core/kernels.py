@@ -236,18 +236,29 @@ def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
     Pure function of the index stream: two plans built from equal indices
     are bit-identical, and applying a plan reproduces
     :func:`coalesce_rows` exactly (same kernel, same accumulation order).
+
+    Packing the stream position into the low bits of each id makes every
+    key unique, so one plain (SIMD) ``sort`` *is* the stable sort by id —
+    several times faster than a stable merge argsort.  Ids that are
+    negative or leave no room for the position bits raise ``ValueError``.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) == 0:
+    n = len(indices)
+    if n == 0:
         zero = np.zeros(1, dtype=np.int64)
         return CoalescePlan(rows=indices[:0], order=indices[:0], indptr=zero)
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
+    shift = n.bit_length()
+    # As uint64 a negative id is huge: one comparison rejects both.
+    if int(indices.view(np.uint64).max()) >> (63 - shift):
+        raise ValueError(f"cannot pack {n} ids: they must lie in [0, 2**{63 - shift})")
+    key = indices << shift
+    key |= np.arange(n, dtype=np.int64)
+    key.sort()
+    order = key & ((1 << shift) - 1)
+    key >>= shift  # the sorted ids
     # group starts: positions where the sorted row id changes
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    rows = sorted_idx[starts]
-    indptr = np.concatenate([starts, [len(indices)]])
-    return CoalescePlan(rows=rows, order=order, indptr=indptr)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return CoalescePlan(rows=key[starts], order=order, indptr=np.append(starts, n))
 
 
 def coalesce_apply(plan: CoalescePlan, grads: np.ndarray) -> np.ndarray:

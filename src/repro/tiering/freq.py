@@ -14,14 +14,17 @@ now*.  :class:`FreqStats` tracks three signals over the row-access stream:
 
 The EMA uses *lazy decay*: each row stores its value as of its own last
 access position; :meth:`scores` re-references values to the current stream
-position on demand.  Updates are fully vectorized (stable sort + segmented
-reduction), so recording a batch costs O(L log L) regardless of how many
-distinct rows it touches.
+position on demand.  Updates are fully vectorized (the stable grouping of
+:func:`repro.core.kernels.coalesce_plan` + segmented reduction), so
+recording a batch costs O(L log L) regardless of how many distinct rows it
+touches.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.kernels import CoalescePlan, coalesce_plan
 
 __all__ = ["FreqStats"]
 
@@ -63,29 +66,19 @@ class FreqStats:
                 f"items must be in [0, {self.num_items}), "
                 f"got range [{items.min()}, {items.max()}]"
             )
-        self._fold(items)
+        self.fold(items, coalesce_plan(items))
 
-    def _fold(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`record` for an int64 stream known to be in range (the
-        store's chunk ids of checked rows), returning the batch grouped by
-        item: ``uniq`` the distinct items ascending, ``order`` the batch
-        positions sorted by (item, position), ``start`` the offset of each
-        item's group in ``order``."""
+    def fold(self, items: np.ndarray, plan: CoalescePlan) -> None:
+        """:meth:`record` for an int64 stream known to be in range whose
+        grouping ``plan = coalesce_plan(items)`` the caller already holds
+        (a tiered table's lookup plan carries it), so nothing is sorted
+        here: ``plan.rows`` are the distinct items ascending,
+        ``plan.order`` the batch positions sorted by (item, position)."""
         n = len(items)
         if n == 0:
-            return items, items, items
-        # Group the batch by item, stream order kept within each group.
-        # Packing the batch position into the low bits makes every key
-        # unique, so one plain sort *is* the stable sort by item.
-        shift = n.bit_length()
-        assert self.num_items.bit_length() + shift < 63, "sort key overflows int64"
-        key = (items << shift) | np.arange(n, dtype=np.int64)
-        key.sort()
-        s_items = key >> shift
-        order = key & ((1 << shift) - 1)
-        start = np.flatnonzero(np.diff(s_items, prepend=-1))  # ids are >= 0
-        uniq = s_items[start]
-        counts = np.diff(start, append=n)
+            return
+        uniq, order, start = plan.rows, plan.order, plan.indptr[:-1]
+        counts = np.diff(plan.indptr)
         self.counts[uniq] += counts
 
         # EMA: for item r with in-batch positions q_1 < ... < q_k and
@@ -123,7 +116,6 @@ class FreqStats:
             self.win_counts[uniq] += counts
             self._ring_pos = (self._ring_pos + n) % w
         self.pos += n
-        return uniq, start, order
 
     def scores(self, items: np.ndarray | None = None) -> np.ndarray:
         """Decayed access frequency, re-referenced to the current position.

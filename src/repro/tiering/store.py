@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..core import kernels
 from ..core.config import PoolingType, TableSpec
 from ..core.embedding import EmbeddingTable, RaggedIndices, TablePlan
 from ..hardware.memory import DRAM_TIER, SCM_TIER, MemoryTierSpec
@@ -240,13 +241,20 @@ class TieredEmbeddingTable(EmbeddingTable):
         training path; the tier sweep drives it directly.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
+        kernels.check_bounds(rows, self.hash_size, what="rows")  # chunks inherit it
+        self._account(rows, kernels.coalesce_plan(rows))
+
+    def _account(self, rows: np.ndarray, row_plan: kernels.CoalescePlan) -> None:
+        """:meth:`record_accesses` for a checked stream whose coalesce plan
+        the caller holds: rows sort once (that plan), chunks once (here)."""
         if len(rows) == 0:
             return
-        self.freq.record(rows)  # the one bounds check: chunks inherit it
+        self.freq.fold(rows, row_plan)
         chunks = rows // self.chunk_rows
-        uniq, start, order = self._chunk_freq._fold(chunks)
+        plan = kernels.coalesce_plan(chunks)
+        self._chunk_freq.fold(chunks, plan)
         if self._cache is None:
-            hits, promotions = self._admit(uniq, start, order)
+            hits, promotions = self._admit(plan.rows, plan.indptr[:-1], plan.order)
         else:
             before = self._cache.insertions
             hits = self._cache.access(chunks)
@@ -325,7 +333,8 @@ class TieredEmbeddingTable(EmbeddingTable):
         plan = super().plan_forward(features, training=training)
         if training:
             before = self.stats.snapshot()
-            for p in plan.prepared:
-                self.record_accesses(p.values)
+            # grad_plans[i] already groups exactly the stream it prices.
+            for p, row_plan in zip(plan.prepared, plan.grad_plans):
+                self._account(p.values, row_plan)
             plan = replace(plan, tier_delta=self.stats.delta(before))
         return plan

@@ -356,3 +356,54 @@ def test_sgd_sparse_step_conforms(spec, num_rows, touched, dim, seed, dtype):
     reference().sgd_sparse_step(w_ref, rows, values, 0.05, None)
     be.sgd_sparse_step(weight, rows, values, 0.05, make_workspace(be))
     assert_backend_matches(be, weight, w_ref, "sparse sgd weight")
+
+
+@backend_specs
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dim", [1, 16, 64])
+def test_sparse_steps_conform_across_block_boundaries(spec, dim, dtype):
+    """The fused sparse steps walk the rows in cache-sized blocks: row
+    counts on every side of a block edge must equal the unblocked
+    reference bit for bit."""
+    be = make_backend(spec)
+    block = dense_kernels.sparse_block_rows(np.empty((0, dim), dtype))
+    ws = make_workspace(be)
+    for touched in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        num_rows = touched + 13
+        rng = np.random.default_rng(touched)
+        weight = rng.standard_normal((num_rows, dim)).astype(dtype)
+        state = np.abs(rng.standard_normal((num_rows, dim))).astype(dtype)
+        rows = np.sort(rng.choice(num_rows, size=touched, replace=False))
+        values = rng.standard_normal((touched, dim)).astype(dtype)
+        w_ref, s_ref = weight.copy(), state.copy()
+        reference().adagrad_sparse_step(w_ref, s_ref, rows, values, 0.05, 1e-10, None)
+        be.adagrad_sparse_step(weight, state, rows, values, 0.05, 1e-10, ws)
+        assert_backend_matches(be, weight, w_ref, f"sparse adagrad weight, {touched} rows")
+        assert_backend_matches(be, state, s_ref, f"sparse adagrad state, {touched} rows")
+        reference().sgd_sparse_step(w_ref, rows, values, 0.05, None)
+        be.sgd_sparse_step(weight, rows, values, 0.05, ws)
+        assert_backend_matches(be, weight, w_ref, f"sparse sgd weight, {touched} rows")
+
+
+@backend_specs
+def test_sparse_steps_refuse_out_of_range_row_before_writing(spec):
+    """A row past the table raises ``IndexError`` — never a clipped
+    update — and leaves weight and state untouched, even when it sits in
+    the last of several blocks."""
+    be = make_backend(spec)
+    dim, dtype = 64, np.float64
+    touched = 2 * dense_kernels.sparse_block_rows(np.empty((0, dim), dtype)) + 5
+    rng = np.random.default_rng(0)
+    weight = rng.standard_normal((touched + 3, dim)).astype(dtype)
+    state = np.abs(rng.standard_normal(weight.shape)).astype(dtype)
+    rows = np.arange(touched)
+    rows[-1] = len(weight)
+    values = rng.standard_normal((touched, dim)).astype(dtype)
+    w0, s0 = weight.copy(), state.copy()
+    ws = make_workspace(be)
+    with pytest.raises(IndexError):
+        be.adagrad_sparse_step(weight, state, rows, values, 0.05, 1e-10, ws)
+    with pytest.raises(IndexError):
+        be.sgd_sparse_step(weight, rows, values, 0.05, ws)
+    np.testing.assert_array_equal(weight, w0)
+    np.testing.assert_array_equal(state, s0)

@@ -10,6 +10,7 @@ from repro.core import (
     RaggedIndices,
     SparseGrad,
     TableSpec,
+    embedding,
     hash_raw_ids,
     uniform_tables,
 )
@@ -170,6 +171,34 @@ class TestEmbeddingTable:
     def test_backward_without_forward_raises(self, rng):
         with pytest.raises(RuntimeError):
             self._table(rng).backward(np.zeros((1, 3)))
+
+    def test_inference_plan_carries_no_grad_plans(self, rng):
+        table = self._table(rng)
+        features = [simple_ragged([[0, 1], [5]]), simple_ragged([[2], [2, 3]])]
+        plan = table.plan_forward(features, training=False)
+        assert plan.grad_plans is None
+        with pytest.raises(RuntimeError, match="inference plan"):
+            plan.touched_rows()
+        trained = table.forward_batched(features, training=True)
+        table._saved.clear()
+        served = table.forward_batched(features, training=False, plan=plan)
+        assert not table._saved
+        for a, b in zip(served, trained):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", [0.5, 1, 2.5])
+    def test_blocked_init_equals_one_shot_draw(self, dtype, blocks):
+        dim = 8
+        hash_size = int(blocks * embedding._INIT_BLOCK_ELEMS // dim)
+        spec = TableSpec("t", hash_size=hash_size, dim=dim)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        table = EmbeddingTable(spec, rng, dtype=dtype)
+        scale = 1.0 / np.sqrt(dim)
+        one_shot = ref.uniform(-scale, scale, size=(hash_size, dim)).astype(dtype)
+        assert table.weight.dtype == one_shot.dtype
+        np.testing.assert_array_equal(table.weight, one_shot)
+        assert rng.random() == ref.random()  # generator left in the same state
 
     def test_pop_grad_empty_returns_none(self, rng):
         assert self._table(rng).pop_grad() is None

@@ -71,6 +71,20 @@ class TestDLRMForward:
         probs = model.predict_proba(tiny_generator.batch(32))
         assert np.all((probs > 0) & (probs < 1))
 
+    def test_predict_proba_equals_training_forward_bitwise(
+        self, tiny_config, tiny_generator
+    ):
+        """Inference plans skip the backward-only sorts; the numbers may
+        not move."""
+        from repro.core.loss import sigmoid
+
+        model = DLRM(tiny_config, rng=0)
+        batch = tiny_generator.batch(32)
+        expected = sigmoid(model.forward(batch, training=True))
+        model._discard_forward_state()
+        np.testing.assert_array_equal(model.predict_proba(batch), expected)
+        assert all(len(t._saved) == 0 for t in model.embeddings.tables.values())
+
     def test_repeated_inference_does_not_leak_state(self, tiny_config, tiny_generator):
         model = DLRM(tiny_config, rng=0)
         for _ in range(3):

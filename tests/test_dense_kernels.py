@@ -106,22 +106,6 @@ def test_workspace_reuse_counters_and_ownership():
     )
 
 
-def test_workspace_get_rows_high_water_mark():
-    ws = Workspace()
-    first = ws.get_rows("r", 10, (4,), np.float64)
-    assert first.shape == (10, 4)
-    base = first.base
-    # shrinking reuses the same backing buffer
-    small = ws.get_rows("r", 3, (4,), np.float64)
-    assert small.shape == (3, 4) and small.base is base
-    # growth reallocates (geometric), then holds
-    big = ws.get_rows("r", 11, (4,), np.float64)
-    assert big.base is not base and big.base.shape[0] >= 20
-    again = ws.get_rows("r", 15, (4,), np.float64)
-    assert again.base is big.base
-    assert ws.owns(small) and ws.owns(big)
-
-
 def test_workspace_pickling_drops_buffers():
     ws = Workspace()
     ws.get("x", (128, 128), np.float64)

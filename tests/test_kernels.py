@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DLRM,
@@ -61,6 +63,31 @@ class TestSegmentOps:
             kernels.segment_sum(np.zeros((3, 2)), np.array([0, 1]))
 
 
+def _pack_bound(n: int) -> int:
+    """Smallest id ``coalesce_plan`` cannot pack beside ``n`` positions."""
+    return 1 << (63 - n.bit_length())
+
+
+@st.composite
+def _id_streams(draw):
+    """Index streams of the shapes the sort must get right: uniform,
+    Zipf-skewed (long runs of duplicates), all-equal, already sorted, and
+    ids right up to the packing bound."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    kind = draw(st.sampled_from(["uniform", "zipf", "equal", "sorted", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if kind == "zipf":
+        ids = rng.zipf(1.3, size=n) % 1000
+    elif kind == "equal":
+        ids = np.full(n, rng.integers(0, 1000))
+    elif kind == "wide":
+        ids = rng.integers(0, _pack_bound(n), size=n)
+    else:
+        ids = rng.integers(0, 50, size=n)
+    ids = ids.astype(np.int64)
+    return np.sort(ids) if kind == "sorted" else ids
+
+
 class TestCoalesce:
     def test_deterministic_across_runs(self):
         # The cache + parallel-sweep contract needs run-to-run bit identity.
@@ -83,6 +110,34 @@ class TestCoalesce:
             np.empty(0, dtype=np.int64), np.empty((0, 3))
         )
         assert len(rows) == 0 and summed.shape == (0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_id_streams())
+    @example(np.empty(0, dtype=np.int64))
+    @example(np.array([7]))
+    @example(np.full(9, 3))
+    @example(np.arange(33))
+    @example(np.array([0, _pack_bound(3) - 1, 5]))  # largest packable id
+    def test_plan_equals_stable_argsort_construction(self, ids):
+        """The packed-key sort is the stable argsort, field for field."""
+        plan = kernels.coalesce_plan(ids)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids >= 0
+        expected = (sorted_ids[starts], order, np.concatenate([starts, [len(ids)]]))
+        for got, want in zip((plan.rows, plan.order, plan.indptr), expected):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 1000])
+    def test_plan_rejects_ids_it_cannot_pack(self, n):
+        ids = np.zeros(n, dtype=np.int64)
+        ids[-1] = _pack_bound(n) - 1
+        assert kernels.coalesce_plan(ids).rows[-1] == _pack_bound(n) - 1
+        for bad in (_pack_bound(n), -1, np.iinfo(np.int64).min):
+            ids[-1] = bad
+            with pytest.raises(ValueError, match="cannot pack"):
+                kernels.coalesce_plan(ids)
 
 
 class TestGatherPool:

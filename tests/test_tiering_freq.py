@@ -117,5 +117,6 @@ def test_topk_deterministic_tiebreak(stream, k):
 def test_fold_refuses_ids_too_wide_for_the_sort_key():
     f = FreqStats(16)
     f.num_items = 1 << 60  # a table this long cannot pack (item, position) in int64
-    with pytest.raises(AssertionError, match="sort key"):
-        f._fold(np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="cannot pack"):
+        f.record(np.full(8, 1 << 59, dtype=np.int64))
+    assert f.pos == 0 and not f.counts.any()  # refused before anything moved
