@@ -31,9 +31,11 @@ bench-backends:
 bench-backends-baseline:
 	PYTHONPATH=src $(PYTHON) -m repro.bench --quick --out BENCH_backends.json
 
-# 2-worker hybrid-parallel run, bitwise-verified against the serial trainer.
+# 2-worker hybrid-parallel run, bitwise-verified against the serial
+# trainer, with the prep stage inline and on its prefetch thread.
 mp-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify
+	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify --pipeline
 
 # Measured multi-process scaling curve vs the simulator's prediction.
 mp-scaling:

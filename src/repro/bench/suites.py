@@ -646,8 +646,8 @@ def run_pipeline(quick: bool) -> dict:
 
     Two comparisons on the prep-heavy config: the single-process Trainer
     (prefetch hides generation + planning behind compute) and the hybrid
-    trainer (additionally overlaps the id-plan and sparse-value exchanges
-    with compute on the reducer's comm thread).  Both pipelined rows are
+    trainer (the same: its sparse exchanges overlap compute on the
+    reducer's comm thread with or without the prefetch).  Both pipelined rows are
     bit-identical to their unpipelined baselines by construction — these
     rows bench the *overlap*, the determinism suite pins the numerics.
 

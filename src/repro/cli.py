@@ -916,9 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="train: also run the serial reference and compare")
     p.add_argument("--pipeline", action="store_true",
-                   help="train: prefetched data path — batch prep on a "
-                        "background thread, next step's id-plan exchange "
-                        "overlapped with compute (bit-identical result)")
+                   help="train: batch prep (generation + lookup planning) "
+                        "on a background thread (bit-identical result)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    dest="checkpoint_every",

@@ -4,7 +4,7 @@ Every op is the historical naive implementation — one temporary per
 operation, no workspace, no fusion.  This is the ground truth the
 conformance suite (``tests/conformance/``) validates every other
 backend against, and the opt-out path selected by
-``ModelConfig(fused_dense=False)`` or ``ModelConfig(backend="numpy")``.
+``ModelConfig(backend="numpy")``.
 """
 
 from __future__ import annotations

@@ -167,20 +167,15 @@ class ModelConfig:
     #: ``"float32"`` matches the paper's production precision (§VI) and
     #: halves memory bandwidth on the embedding/MLP hot paths.
     compute_dtype: str = "float64"
-    #: Run the fused dense-path kernels (:mod:`repro.core.dense_kernels`)
-    #: through a per-model workspace arena: ``Linear``/``ReLU``/interaction
-    #: forward+backward and the fused BCE write into reused buffers, so the
-    #: steady-state train step performs zero fresh large dense allocations.
-    #: Bit-identical to the naive path in both compute dtypes; set ``False``
-    #: to fall back for debugging.
-    fused_dense: bool = True
     #: Compute backend for the dense path (see :mod:`repro.core.backends`):
-    #: ``"numpy"`` (naive reference), ``"fused"`` (allocation-free arena
-    #: kernels, bit-identical to the reference — the default) or
-    #: ``"threaded"`` (fused + thread-parallel GEMMs, tolerance-bounded,
-    #: auto-falling back to ``"fused"`` on single-core hosts).  Any name
-    #: registered via :func:`repro.core.backends.register_backend` is
-    #: accepted.  ``fused_dense=False`` overrides this to ``"numpy"``.
+    #: ``"numpy"`` (naive reference, for debugging), ``"fused"`` (the
+    #: default: :mod:`repro.core.dense_kernels` through a per-model
+    #: workspace arena, so the steady-state train step performs zero fresh
+    #: large dense allocations; bit-identical to the reference in both
+    #: compute dtypes) or ``"threaded"`` (fused + thread-parallel GEMMs,
+    #: tolerance-bounded, auto-falling back to ``"fused"`` on single-core
+    #: hosts).  Any name registered via
+    #: :func:`repro.core.backends.register_backend` is accepted.
     backend: str = "fused"
 
     def __post_init__(self) -> None:
@@ -218,12 +213,6 @@ class ModelConfig:
         import numpy as np
 
         return np.dtype(self.compute_dtype)
-
-    @property
-    def effective_backend(self) -> str:
-        """The backend the model actually runs: :attr:`backend`, unless
-        ``fused_dense=False`` forces the naive ``"numpy"`` reference."""
-        return self.backend if self.fused_dense else "numpy"
 
     @property
     def num_sparse(self) -> int:

@@ -46,8 +46,8 @@ order as the reference expression.  Two details worth calling out:
   so ``1/(1+e)`` and ``e/(1+e)`` reproduce the two branches of
   :func:`stable_sigmoid` exactly.
 
-Opt-out: set ``ModelConfig(fused_dense=False)`` to fall back to the naive
-layer implementations for debugging (the optimizers take ``fused=False``).
+Opt-out: ``backend="numpy"`` (on ``ModelConfig`` and the optimizers) falls
+back to the naive layer implementations for debugging.
 """
 
 from __future__ import annotations

@@ -119,18 +119,16 @@ class DLRM:
         )
         self._feature_order = [t.name for t in config.tables]
         #: The compute backend of the dense path (see
-        #: :mod:`repro.core.backends`): ``config.effective_backend`` unless
+        #: :mod:`repro.core.backends`): ``config.backend`` unless
         #: overridden by the ``backend`` argument (a registered name or a
         #: :class:`Backend` instance, no availability fallback applied to
         #: explicit instances).  ``"fused"`` is bit-identical to the
         #: ``"numpy"`` reference; ``"threaded"`` is tolerance-bounded.
         self.backend: Backend = resolve_backend(
-            backend
-            if backend is not None
-            else getattr(config, "effective_backend", "fused")
+            backend if backend is not None else config.backend
         )
         #: Buffer arena of the workspace-backed backends; ``None`` under the
-        #: naive ``"numpy"`` reference (``config.fused_dense=False``).
+        #: naive ``"numpy"`` reference.
         self.workspace: Workspace | None = (
             Workspace() if self.backend.uses_workspace else None
         )
@@ -178,16 +176,29 @@ class DLRM:
             return out.copy()
         return out
 
-    def backward(self, grad_logits: np.ndarray) -> None:
-        """Backpropagate ``dLoss/dlogits`` of shape ``(batch, 1)`` or ``(batch,)``."""
+    def backward(self, grad_logits: np.ndarray, stage_hook=None) -> None:
+        """Backpropagate ``dLoss/dlogits`` of shape ``(batch, 1)`` or ``(batch,)``.
+
+        ``stage_hook(stage)`` fires as each part of the backward completes:
+        ``"top"`` (scorer + top-MLP gradients final), ``"embeddings"``
+        (every table's sparse gradient exists) and ``"bottom"`` (bottom-MLP
+        gradients final) — the hybrid trainer starts each gradient
+        exchange from there, so it overlaps the rest of the backward.
+        """
         grad = np.asarray(grad_logits, dtype=self.dtype).reshape(-1, 1)
         grad = self.scorer.backward(grad)
         grad = self.top_mlp.backward(grad)
+        if stage_hook is not None:
+            stage_hook("top")
         grad_dense, grad_embs = self.interaction.backward(grad)
         self.embeddings.backward(
             {name: g for name, g in zip(self._feature_order, grad_embs)}
         )
+        if stage_hook is not None:
+            stage_hook("embeddings")
         self.bottom_mlp.backward(grad_dense)
+        if stage_hook is not None:
+            stage_hook("bottom")
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         """Click probabilities via the inference fast path.

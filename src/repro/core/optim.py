@@ -26,12 +26,11 @@ class _OptimizerBase:
     """Shared bookkeeping: the optimizer owns dense params and sparse tables.
 
     Updates route through the compute-backend seam
-    (:mod:`repro.core.backends`).  ``fused=True`` (default) selects the
-    ``"fused"`` backend — the allocation-free update kernels of
-    :mod:`repro.core.dense_kernels` through a private buffer arena,
-    bit-identical to the naive path — and ``fused=False`` the ``"numpy"``
-    reference (kept for debugging).  ``backend`` overrides either with an
-    explicit registered name or instance (e.g. the model's own backend).
+    (:mod:`repro.core.backends`): ``backend`` is a registered name or an
+    instance (e.g. the model's own).  The default ``"fused"`` runs the
+    allocation-free update kernels of :mod:`repro.core.dense_kernels`
+    through a private buffer arena, bit-identical to the ``"numpy"``
+    reference (kept for debugging).
     """
 
     def __init__(
@@ -39,18 +38,14 @@ class _OptimizerBase:
         dense_params: list[Parameter],
         tables: list[EmbeddingTable] | None = None,
         lr: float = 0.01,
-        fused: bool = True,
-        backend: Backend | str | None = None,
+        backend: Backend | str = "fused",
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.dense_params = list(dense_params)
         self.tables = list(tables or [])
         self.lr = lr
-        if backend is None:
-            backend = "fused" if fused else "numpy"
         self.backend: Backend = resolve_backend(backend)
-        self.fused = self.backend.uses_workspace
         self.workspace: Workspace | None = (
             Workspace() if self.backend.uses_workspace else None
         )
@@ -110,10 +105,9 @@ class SGD(_OptimizerBase):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        fused: bool = True,
-        backend: Backend | str | None = None,
+        backend: Backend | str = "fused",
     ) -> None:
-        super().__init__(dense_params, tables, lr, fused=fused, backend=backend)
+        super().__init__(dense_params, tables, lr, backend=backend)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
@@ -157,10 +151,9 @@ class Adagrad(_OptimizerBase):
         lr: float = 0.01,
         eps: float = 1e-10,
         initial_accumulator: float = 0.0,
-        fused: bool = True,
-        backend: Backend | str | None = None,
+        backend: Backend | str = "fused",
     ) -> None:
-        super().__init__(dense_params, tables, lr, fused=fused, backend=backend)
+        super().__init__(dense_params, tables, lr, backend=backend)
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         if initial_accumulator < 0:

@@ -82,7 +82,7 @@ class Trainer:
         loss: BCEWithLogitsLoss | None = None,
         tracer: Tracer | NullTracer | None = None,
         metrics: "MetricsRegistry | None" = None,
-        pipeline: "bool | object" = False,
+        pipeline: bool = False,
     ) -> None:
         self.model = model
         self.optimizer = optimizer_factory(model)
@@ -120,15 +120,15 @@ class Trainer:
         self._tier_snapshots = {
             t.spec.name: t.stats.snapshot() for t in self._tiered_tables
         }
-        #: Opt-in prefetch pipelining (``True`` or a
-        #: :class:`repro.pipeline.PipelineConfig`): :meth:`train` runs all
+        #: Opt-in prefetch pipelining: :meth:`train` runs all
         #: model-state-independent batch preparation on a background thread
-        #: behind a double buffer.  Bit-identical to inline training —
-        #: pinned by ``tests/test_pipeline.py``.  Lazy import: repro.core
-        #: must not depend on repro.pipeline at module level.
-        from ..pipeline import as_pipeline_config
-
-        self.pipeline_config = as_pipeline_config(pipeline)
+        #: behind a double buffer (:mod:`repro.pipeline`).  Bit-identical to
+        #: inline training — pinned by ``tests/test_pipeline.py``.
+        if not isinstance(pipeline, bool):
+            raise TypeError(
+                f"pipeline must be a bool, got {type(pipeline).__name__}"
+            )
+        self.pipeline = pipeline
         #: Stall ledger of the most recent pipelined :meth:`train` call.
         self.pipeline_stats = None
         self._step_index = 0
@@ -259,14 +259,14 @@ class Trainer:
 
         With ``pipeline=`` enabled on the trainer, batch preparation runs
         on a prefetch thread (see :mod:`repro.pipeline`): results are
-        bit-identical, but the source iterator is pulled up to
-        ``depth + 1`` batches ahead of the consuming step — callers
+        bit-identical, but the source iterator is pulled up to three
+        batches ahead of the consuming step (two buffered, one in prep) — callers
         sharing one iterator across multiple ``train`` calls (checkpoint
         resume) should account for the lookahead.
         """
         if max_examples is None and max_steps is None:
             raise ValueError("provide max_examples and/or max_steps")
-        if self.pipeline_config is not None:
+        if self.pipeline:
             from ..pipeline import PrefetchPipeline
 
             embeddings = self.model.embeddings
@@ -274,9 +274,7 @@ class Trainer:
             def plan_fn(batch: Batch):
                 return embeddings.plan_batch(batch.sparse)
 
-            prefetch = PrefetchPipeline(
-                iter(batches), plan_fn, self.pipeline_config, tracer=self.tracer
-            )
+            prefetch = PrefetchPipeline(iter(batches), plan_fn, tracer=self.tracer)
             with prefetch:
                 result = self._train_loop(prefetch, max_examples, max_steps)
             self.pipeline_stats = prefetch.stats

@@ -221,7 +221,7 @@ def exchange_frames(
 ) -> list[bytearray]:
     """Concurrently send framed messages and receive one frame per channel.
 
-    Used for variable-size payloads (pickled sparse gradients).  Two
+    Used for variable-size payloads (sparse-exchange frames).  Two
     rounds: first every side exchanges fixed 8-byte size headers (too small
     to fill any socket buffer, so the round always completes), then one
     :func:`transfer` moves all payloads with both sides knowing every size

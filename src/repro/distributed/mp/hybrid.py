@@ -51,18 +51,17 @@ import numpy as np
 
 from ...core import DLRM, Adagrad, Batch
 from ...core.config import ModelConfig
-from ...core.embedding import RaggedIndices, SparseGrad, TablePlan
-from ...core.kernels import CoalescePlan, coalesce_apply, coalesce_plan
+from ...core.embedding import RaggedIndices
 from ...core.loss import BCEWithLogitsLoss
-from ...core.mlp import Linear
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER
-from ...pipeline import PipelineConfig, PrefetchPipeline
+from ...pipeline import PrefetchPipeline, PreparedBatch
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import GradReducer
 from .channels import Channel, exchange_frames
 from .shards import ShardPlan, TableShards
+from .sparse_exchange import SparseExchange
 from .timeouts import get_timeouts
 
 __all__ = [
@@ -98,13 +97,14 @@ class HybridRunConfig:
     ``drain_timeout_s`` — ``collect_timeout_s`` remains only the
     no-progress backstop.
 
-    ``pipeline`` turns on the prefetched data path: batch generation and
-    lookup planning move to a prep thread
-    (:class:`~repro.pipeline.PrefetchPipeline`), the next step's sparse
-    id-plan exchange overlaps this step's compute, and the sparse value
-    exchange overlaps the bottom-MLP backward — all on the reducer's
-    communication thread, so the result stays bit-identical to the
-    unpipelined ``"ordered"`` run (and to :func:`run_hybrid_serial`).
+    ``pipeline`` moves the prep stage — batch generation and lookup
+    planning — from the step loop to a prep thread
+    (:class:`~repro.pipeline.PrefetchPipeline`) and reports its stall
+    ledger.  Nothing else depends on it: either way the next step's sparse
+    id exchange overlaps this step's compute and the sparse value exchange
+    overlaps the bottom-MLP backward (:mod:`.sparse_exchange`, on the
+    reducer's communication thread), bit-identical to
+    :func:`run_hybrid_serial`.
     """
 
     workers: int = 2
@@ -153,8 +153,8 @@ class KillSpec:
 
     ``rank`` dies during global step ``step`` at ``phase``:
 
-    * ``"loss"`` — right after the loss forward (the legacy ``_crash``
-      injection point; no rank has applied the step yet);
+    * ``"loss"`` — right after the loss forward (no rank has applied the
+      step yet);
     * ``"allreduce"`` — right after submitting the first dense gradient
       bucket, so peers observe the death *inside* the ring protocol;
     * ``"checkpoint"`` — between a checkpoint file's temp-write and its
@@ -420,274 +420,6 @@ def _dense_digest(model: DLRM) -> str:
     return h.hexdigest()
 
 
-def _backward_overlapped(
-    model: DLRM, grad_logits: np.ndarray, submit, after_embeddings=None
-) -> None:
-    """DLRM.backward with gradient-exchange hooks.
-
-    Operation order is identical to :meth:`repro.core.DLRM.backward`
-    (bit-identity depends on it).  ``submit`` receives two fixed buckets:
-    the top-of-net gradients (scorer + top MLP) the moment that half's
-    backward completes — so its allreduce overlaps the interaction /
-    embedding / bottom backward — and the bottom-MLP gradients at the end.
-    Two buckets per step keeps the hop count (and the per-hop scheduling
-    overhead on an oversubscribed host) low while still overlapping the
-    larger half of the exchange.
-
-    ``after_embeddings`` fires once the embedding backward has produced
-    every table's sparse gradients but before the bottom-MLP backward —
-    the pipelined trainer ships the sparse values from right there, so
-    their exchange overlaps the remaining dense compute.
-    """
-    grad = np.asarray(grad_logits, dtype=model.dtype).reshape(-1, 1)
-    grad = model.scorer.backward(grad)
-    top_bucket = [model.scorer.weight.grad, model.scorer.bias.grad]
-    for layer in reversed(model.top_mlp.layers):
-        grad = layer.backward(grad)
-        if isinstance(layer, Linear):
-            top_bucket.extend((layer.weight.grad, layer.bias.grad))
-    submit(top_bucket)
-    grad_dense, grad_embs = model.interaction.backward(grad)
-    model.embeddings.backward(
-        {name: g for name, g in zip(model._feature_order, grad_embs)}
-    )
-    if after_embeddings is not None:
-        after_embeddings()
-    bottom_bucket = []
-    for layer in reversed(model.bottom_mlp.layers):
-        grad_dense = layer.backward(grad_dense)
-        if isinstance(layer, Linear):
-            bottom_bucket.extend((layer.weight.grad, layer.bias.grad))
-    submit(bottom_bucket)
-
-
-def _pack_sparse(grads: dict[str, SparseGrad | None]) -> bytes:
-    return pickle.dumps(
-        {
-            name: (None if g is None else (g.rows, g.values))
-            for name, g in grads.items()
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def _unpack_sparse(payload) -> dict[str, SparseGrad | None]:
-    raw = pickle.loads(bytes(payload))
-    return {
-        name: (None if t is None else SparseGrad(rows=t[0], values=t[1]))
-        for name, t in raw.items()
-    }
-
-
-def _merge_rank_order(parts: list[SparseGrad | None]) -> SparseGrad | None:
-    """Merge per-rank contributions exactly like ``EmbeddingTable.pop_grad``:
-    single contribution passes through untouched, several concatenate in
-    rank order and coalesce once."""
-    present = [g for g in parts if g is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    rows = np.concatenate([g.rows for g in present])
-    vals = np.concatenate([g.values for g in present])
-    return SparseGrad.coalesce(rows, vals)
-
-
-def _exchange_sparse(
-    rank: int,
-    world: int,
-    plan: ShardPlan,
-    local: dict[str, SparseGrad | None],
-    mesh: dict[int, Channel],
-) -> dict[str, SparseGrad | None]:
-    """Ship local sparse grads to table owners; returns merged grads for
-    the tables this rank owns.
-
-    W-1 rounds of simultaneous framed exchange: in round ``off`` rank r
-    sends to ``(r+off) % W`` and receives from ``(r-off) % W`` — a
-    permutation per round, so no two ranks ever block on each other.
-    Contributions are merged in **rank order** regardless of arrival.
-    """
-    by_rank: list[dict[str, SparseGrad | None] | None] = [None] * world
-    by_rank[rank] = local
-    for off in range(1, world):
-        dst = (rank + off) % world
-        src = (rank - off) % world
-        outbound = _pack_sparse(
-            {name: local[name] for name in plan.owned(dst)}
-        )
-        (payload,) = exchange_frames(
-            [(mesh[dst], outbound)], [mesh[src]]
-        )
-        by_rank[src] = _unpack_sparse(payload)
-    merged: dict[str, SparseGrad | None] = {}
-    for name in plan.owned(rank):
-        merged[name] = _merge_rank_order(
-            [
-                by_rank[r][name] if by_rank[r] is not None and name in by_rank[r]
-                else (local[name] if r == rank else None)
-                for r in range(world)
-            ]
-        )
-    return merged
-
-
-class _SparsePipeline:
-    """Prefetched sparse exchange for one pipelined worker.
-
-    Splits :func:`_exchange_sparse` into two halves that both run as
-    generic jobs on the :class:`~.allreduce.GradReducer` communication
-    thread, FIFO with the dense buckets — so the mesh channels are only
-    ever touched by one thread per process, and every rank's per-step wire
-    traffic interleaves in the same global order::
-
-        [idplan g+1] [top bucket g] [values g] [bottom bucket g]
-
-    * The **id-plan exchange** for step ``g`` ships each table's touched
-      row ids (known at *plan* time — no weights involved, see
-      :meth:`~repro.core.embedding.TablePlan.touched_rows`) to the table's
-      owner one step ahead, overlapping step ``g-1``'s barrier and step
-      ``g``'s forward/loss/backward.  The owner pre-builds the rank-order
-      merge (a :class:`~repro.core.kernels.CoalescePlan` over the
-      concatenated ids) while it waits.
-    * The **value exchange** for step ``g`` then ships only the raw
-      gradient value matrices (sizes already known to both sides from the
-      id plans, so no pickling), overlapping the bottom-MLP backward; the
-      owner merges with the prepared plan — the exact association
-      :func:`_merge_rank_order` uses, so the result is bit-identical.
-
-    ``_ctx`` is comm-thread-only state; ``_merged`` is written by the comm
-    thread and read by the main thread strictly after ``reducer.flush()``
-    (the queue join is the synchronization point).
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        world: int,
-        plan: ShardPlan,
-        mesh: dict[int, Channel],
-        table_dims: dict[str, int],
-        dtype,
-    ) -> None:
-        self.rank = rank
-        self.world = world
-        self.plan = plan
-        self.mesh = mesh
-        self.table_dims = table_dims
-        self.dtype = np.dtype(dtype)
-        self._ctx: dict[int, dict] = {}
-        self._merged: dict[int, dict[str, SparseGrad | None]] = {}
-
-    def submit_idplan(
-        self, reducer: GradReducer, gstep: int, plans: dict[str, TablePlan]
-    ) -> None:
-        reducer.submit_job(
-            lambda: self._idplan_job(gstep, plans), stage="idplan_exchange"
-        )
-
-    def submit_values(
-        self, reducer: GradReducer, gstep: int, local: dict[str, SparseGrad | None]
-    ) -> None:
-        reducer.submit_job(
-            lambda: self._values_job(gstep, local), stage="sparse_values"
-        )
-
-    def take_merged(self, gstep: int) -> dict[str, SparseGrad | None]:
-        """Collect step ``gstep``'s merged owner grads (call after flush)."""
-        return self._merged.pop(gstep)
-
-    def _idplan_job(self, gstep: int, plans: dict[str, TablePlan]) -> None:
-        rank, world = self.rank, self.world
-        rows_local = {name: plans[name].touched_rows() for name in plans}
-        by_rank: list[dict[str, np.ndarray] | None] = [None] * world
-        by_rank[rank] = rows_local
-        for off in range(1, world):
-            dst = (rank + off) % world
-            src = (rank - off) % world
-            outbound = pickle.dumps(
-                {name: rows_local[name] for name in self.plan.owned(dst)},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            (payload,) = exchange_frames(
-                [(self.mesh[dst], outbound)], [self.mesh[src]]
-            )
-            by_rank[src] = pickle.loads(bytes(payload))
-        ctx: dict[str, tuple] = {}
-        for name in self.plan.owned(rank):
-            parts = [
-                by_rank[r].get(name) if by_rank[r] is not None else None
-                for r in range(world)
-            ]
-            present = [
-                r for r in range(world) if parts[r] is not None and len(parts[r])
-            ]
-            merge: CoalescePlan | None = None
-            if len(present) > 1:
-                # Same rank-order concatenation _merge_rank_order feeds to
-                # SparseGrad.coalesce — precomputing its plan here moves
-                # the merge argsort off the critical path too.
-                merge = coalesce_plan(
-                    np.concatenate([parts[r] for r in present])
-                )
-            ctx[name] = (present, parts, merge)
-        self._ctx[gstep] = ctx
-
-    def _values_job(
-        self, gstep: int, local: dict[str, SparseGrad | None]
-    ) -> None:
-        rank, world = self.rank, self.world
-        itemsize = self.dtype.itemsize
-        ctx = self._ctx.pop(gstep)
-        recv_vals: dict[tuple[int, str], np.ndarray] = {}
-        for off in range(1, world):
-            dst = (rank + off) % world
-            src = (rank - off) % world
-            # Raw value bytes in the owner's fixed table order; each side
-            # knows every size from the id plans, so no framing per table.
-            outbound = b"".join(
-                memoryview(np.ascontiguousarray(local[name].values)).cast("B")
-                for name in self.plan.owned(dst)
-                if local[name] is not None
-            )
-            (payload,) = exchange_frames(
-                [(self.mesh[dst], outbound)], [self.mesh[src]]
-            )
-            offset = 0
-            for name in self.plan.owned(rank):
-                present, parts, _ = ctx[name]
-                if src not in present:
-                    continue
-                count = len(parts[src]) * self.table_dims[name]
-                recv_vals[(src, name)] = np.frombuffer(
-                    payload, dtype=self.dtype, count=count, offset=offset
-                ).reshape(len(parts[src]), self.table_dims[name])
-                offset += count * itemsize
-        merged: dict[str, SparseGrad | None] = {}
-        for name in self.plan.owned(rank):
-            present, parts, merge = ctx[name]
-            if not present:
-                merged[name] = None
-            elif len(present) == 1:
-                q = present[0]
-                merged[name] = (
-                    local[name]
-                    if q == rank
-                    else SparseGrad(rows=parts[q], values=recv_vals[(q, name)])
-                )
-            else:
-                vals = np.concatenate(
-                    [
-                        local[name].values if q == rank else recv_vals[(q, name)]
-                        for q in present
-                    ]
-                )
-                merged[name] = SparseGrad(
-                    rows=merge.rows, values=coalesce_apply(merge, vals)
-                )
-        self._merged[gstep] = merged
-
-
 def _watch_ctrl(ctrl: Channel, barrier, channels, finished, draining) -> None:
     """Worker watcher thread: block on the control channel; on a poison
     frame (or parent death), abort the step barrier and shut down every
@@ -721,7 +453,6 @@ def _worker_main(
     shards: TableShards,
     fabric: _Fabric,
     barrier,
-    crash: tuple[int, int] | None,
     kills: list[KillSpec] | None = None,
     resume: ckpt.ResumeState | None = None,
 ) -> None:
@@ -756,25 +487,22 @@ def _worker_main(
         for slot, value in zip(optimizer._dense_state, resume.opt_dense):
             slot[...] = value
 
+    # One step program: every step consumes a PreparedBatch (batch + lookup
+    # plans) from one source.  The ``pipeline`` flag only decides where the
+    # prep stage runs — on a prep thread behind a double buffer, or inline
+    # when the loop pulls the next batch.  batch_stream consumes the rng exactly
+    # like generating all ``run.steps`` batches and dropping the replayed
+    # prefix, so a resumed run sees the uninterrupted run's data order.
     gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", rank))
-    pipelined = run.pipeline
-    prefetch: PrefetchPipeline | None = None
-    sparse_pipe: _SparsePipeline | None = None
-    if pipelined:
-        # Lazy stream + prep thread: batch_stream consumes the rng exactly
-        # like the eager pre-generation below (skipped prefix included),
-        # so the data order is identical to the unpipelined run.
-        prefetch = PrefetchPipeline(
-            gen.batch_stream(run.local_batch, run.steps, skip=start),
-            lambda b: model.embeddings.plan_batch(b.sparse),
-            PipelineConfig(),
-        )
-        batches = None
+    stream = gen.batch_stream(run.local_batch, run.steps, skip=start)
+
+    def plan_fn(batch):
+        return model.embeddings.plan_batch(batch.sparse)
+
+    if run.pipeline:
+        source = PrefetchPipeline(stream, plan_fn)
     else:
-        # Generate the full stream and skip the replayed prefix, so data
-        # order is identical to the uninterrupted run (PR 3 restore
-        # contract).
-        batches = [gen.batch(run.local_batch) for _ in range(run.steps)][start:]
+        source = (PreparedBatch(b, plan_fn(b)) for b in stream)
 
     max_elems = sum(p.grad.size for p in model.dense_parameters())
     reducer = GradReducer(
@@ -783,12 +511,21 @@ def _worker_main(
     )
     mesh = fabric.mesh(rank)
     table_names = [t.name for t in config.tables]
-    if pipelined:
-        sparse_pipe = _SparsePipeline(
-            rank, world, plan, mesh,
-            {n: model.embeddings.tables[n].weight.shape[1] for n in table_names},
-            model.dtype,
-        )
+    sparse = SparseExchange(
+        rank, world, plan, mesh,
+        {n: model.embeddings.tables[n].weight.shape[1] for n in table_names},
+        model.dtype,
+    )
+
+    def grads(*layers):
+        return [p.grad for layer in layers for p in layer.parameters()]
+
+    # Two fixed dense buckets per step, in backward order: two keeps the
+    # hop count (and the per-hop scheduling overhead on an oversubscribed
+    # host) low while the top half's allreduce still overlaps the
+    # interaction / embedding / bottom backward.
+    top_bucket = grads(model.scorer, *reversed(model.top_mlp.layers))
+    bottom_bucket = grads(*reversed(model.bottom_mlp.layers))
     my_kills = {
         (k.step, k.phase): k for k in (kills or []) if k.rank == rank
     }
@@ -872,25 +609,28 @@ def _worker_main(
         # checkpoint exactly when it became restorable.
         conn.send(("ckpt", rank, completed, time.perf_counter() - t0))
 
+    def submit_ids(gstep: int, prepared: PreparedBatch) -> None:
+        plans = prepared.plans
+        reducer.submit_job(
+            lambda: sparse.exchange_ids(
+                gstep, {name: plans[name].touched_rows() for name in plans}
+            ),
+            stage="idplan_exchange",
+        )
+
     try:
-        if pipelined:
-            prefetch.start()  # prep overlaps the spawn barrier already
+        batches = iter(source)  # a prep thread starts here, under the spawn barrier
         barrier.wait(timeout=run.barrier_timeout_s)
-        next_prepared = None
-        if pipelined:
-            # First batch + its id-plan exchange: from here on the plans
-            # for step g+1 are always on the wire while step g computes.
-            next_prepared = timed("prep_wait", prefetch.__next__)
-            sparse_pipe.submit_idplan(reducer, start, next_prepared.plans)
+        # First batch + its id exchange: from here on the ids of step g+1
+        # are always on the wire while step g computes.
+        batch = timed("prep_wait", next, batches)
+        submit_ids(start, batch)
         for gstep in range(start, run.steps):
-            batch = next_prepared if pipelined else batches[gstep - start]
             t_step = time.perf_counter()
             model.zero_grad()
             optimizer.zero_grad()
             logits = timed("forward", model.forward, batch)
             loss_val = timed("loss", loss_fn.forward, logits, batch.labels)
-            if crash is not None and crash == (rank, gstep):
-                os._exit(41)  # simulated hard crash (tests only)
             loss_kill = my_kills.get((gstep, "loss"))
             if loss_kill is not None:
                 _execute_kill(loss_kill)
@@ -901,41 +641,37 @@ def _worker_main(
             # with identical rounding on every path.
             grad *= inv_world
             ar_kill = my_kills.get((gstep, "allreduce"))
-            if ar_kill is None:
-                submit = reducer.submit
-            else:
-                def submit(bucket, _spec=ar_kill):
-                    reducer.submit(bucket)
-                    _execute_kill(_spec)
-            if pipelined:
-                def _ship_sparse(_gstep=gstep):
-                    # Fires inside the backward, right after the embedding
-                    # grads exist: their exchange overlaps the bottom-MLP
-                    # backward on the comm thread (the owner-side merge
-                    # plan was prefetched with the id-plan exchange).
+
+            def on_stage(stage: str) -> None:
+                # Each gradient exchange starts the moment the backward has
+                # produced its inputs, so it overlaps the rest of the
+                # backward on the comm thread (the owner-side merge plan
+                # went ahead with the id exchange).
+                if stage == "top":
+                    reducer.submit(top_bucket)
+                    if ar_kill is not None:
+                        _execute_kill(ar_kill)
+                elif stage == "embeddings":
+                    t0 = time.perf_counter()
                     local = {
                         name: model.embeddings.tables[name].pop_grad()
                         for name in table_names
                     }
-                    sparse_pipe.submit_values(reducer, _gstep, local)
+                    reducer.submit_job(
+                        lambda: sparse.exchange_values(gstep, local),
+                        stage="sparse_values",
+                    )
+                    # the main thread's share of the exchange, taken out of
+                    # the enclosing "backward" so the phases stay disjoint
+                    spent = time.perf_counter() - t0
+                    phase_s["sparse_exchange"] += spent
+                    phase_s["backward"] -= spent
+                else:
+                    reducer.submit(bottom_bucket)
 
-                timed(
-                    "backward", _backward_overlapped, model, grad, submit,
-                    _ship_sparse,
-                )
-                timed("dense_wait", reducer.flush)
-                merged = sparse_pipe.take_merged(gstep)
-            else:
-                timed("backward", _backward_overlapped, model, grad, submit)
-                local = {
-                    name: model.embeddings.tables[name].pop_grad()
-                    for name in table_names
-                }
-                merged = timed(
-                    "sparse_exchange", _exchange_sparse, rank, world, plan,
-                    local, mesh,
-                )
-                timed("dense_wait", reducer.flush)
+            timed("backward", model.backward, grad, on_stage)
+            timed("dense_wait", reducer.flush)
+            merged = sparse.take_merged(gstep)
 
             def _apply():
                 optimizer.dense_step()
@@ -955,17 +691,16 @@ def _worker_main(
                     "checkpoint", write_checkpoint,
                     gstep + 1, my_kills.get((gstep, "checkpoint")),
                 )
-            if pipelined and gstep + 1 < run.steps:
+            if gstep + 1 < run.steps:
                 # Pull the next prepared batch (prep_wait is this rank's
-                # residual data stall) and enqueue its id-plan exchange so
-                # it overlaps the barrier and the next forward/backward.
-                # Strictly after the checkpoint: the comm thread and the
-                # checkpoint's mesh gather must never interleave sends on
-                # a socket.
-                next_prepared = timed("prep_wait", prefetch.__next__)
-                sparse_pipe.submit_idplan(
-                    reducer, gstep + 1, next_prepared.plans
-                )
+                # data stall: the whole prep stage when it runs inline, the
+                # residual wait on the prep thread otherwise) and enqueue
+                # its id exchange so it overlaps the barrier and the next
+                # forward/backward.  Strictly after the checkpoint: the
+                # comm thread and the checkpoint's mesh gather must never
+                # interleave sends on a socket.
+                batch = timed("prep_wait", next, batches)
+                submit_ids(gstep + 1, batch)
             # All shard writes must land before any rank's next forward.
             timed("barrier", barrier.wait, run.barrier_timeout_s)
             step_s.append(time.perf_counter() - t_step)
@@ -979,7 +714,7 @@ def _worker_main(
             comm_s=reducer.comm_seconds,
             dense_digest=_dense_digest(model),
             pid=os.getpid(),
-            pipeline=prefetch.stats.as_dict() if prefetch is not None else None,
+            pipeline=source.stats.as_dict() if run.pipeline else None,
         )))
         conn.close()
     except _DRAIN_EXC as err:
@@ -1001,8 +736,7 @@ def _worker_main(
         except OSError:  # pragma: no cover - parent is gone too
             pass
     finally:
-        if prefetch is not None:
-            prefetch.close()
+        source.close()  # joins the prep thread; a no-op on the inline generator
         for ch in mesh.values():
             ch.close()
         if fabric.left(rank) is not None:
@@ -1185,7 +919,6 @@ def run_hybrid(
     config: ModelConfig,
     run: HybridRunConfig | None = None,
     tracer=None,
-    _crash: tuple[int, int] | None = None,
     *,
     kills: list[KillSpec] | None = None,
     resume: ckpt.ResumeState | None = None,
@@ -1230,7 +963,7 @@ def run_hybrid(
         ctx.Process(
             target=_worker_main,
             args=(rank, world, config, run, plan, shards, fabric, barrier,
-                  _crash, kills, resume),
+                  kills, resume),
             name=f"mp-worker-{rank}",
         )
         for rank in range(world)

@@ -9,7 +9,7 @@ primitive the cluster simulator is built from:
 * **Compute** — ``world`` sub-batch jobs on ``min(world, cores)`` core
   resources.  Each job costs the *measured* single-process step time at
   the local batch size **plus** that rank's communication CPU (sparse
-  gradient framing is real compute: pickle, concat, coalesce), because on
+  gradient framing is real compute: encode, decode, coalesce), because on
   an oversubscribed host comm CPU serializes with model compute instead of
   hiding behind it.  ``cores < world`` then degenerates to time-sharing —
   exactly what the OS scheduler does to the worker processes.
@@ -29,17 +29,18 @@ barrier cost all come from :func:`probe_comm` on the host being predicted.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ...core.config import ModelConfig
+from ...core.embedding import SparseGrad
 from ...runtime.runner import available_cores
 from ..simulator import Resource
 from .allreduce import GradReducer
 from .channels import Channel
+from .sparse_exchange import decode_ids, decode_values, encode_ids, encode_values
 from .timeouts import get_timeouts
 
 __all__ = ["CommProfile", "StepPrediction", "probe_comm", "predict_step_time"]
@@ -55,8 +56,8 @@ class CommProfile:
     ``hop_overhead_s`` is the cost of one allreduce hop measured with a
     communication thread running against main-thread compute (the
     trainer's actual structure); ``frame_fixed_s``/``frame_byte_s`` model
-    pickling + unpickling one sparse-gradient frame; ``barrier_s`` is one
-    two-process barrier wait.
+    encoding + decoding one sparse-exchange round (id frame and value
+    frame); ``barrier_s`` is one two-process barrier wait.
     """
 
     latency_s: float
@@ -190,22 +191,26 @@ def _probe_hop_overhead(trials: int = 3) -> float:
 
 
 def _probe_frame_cost() -> tuple[float, float]:
-    """Fixed + per-byte cost of pickling and unpickling one sparse frame."""
+    """Fixed + per-byte CPU cost of one sparse exchange round: encoding and
+    decoding an id frame and a value frame (:mod:`.sparse_exchange`)."""
+    names = [f"table_{i}" for i in range(4)]
+    dtype = np.dtype(np.float32)
 
     def cost(rows: int, dim: int, reps: int = 30) -> tuple[float, int]:
         rng = np.random.default_rng(0)
-        frame = {
-            f"table_{i}": (
-                rng.integers(0, 10_000, size=rows),
-                rng.standard_normal((rows, dim)).astype(np.float32),
-            )
-            for i in range(4)
+        ids = {name: rng.integers(0, 10_000, size=rows) for name in names}
+        grads = {
+            name: SparseGrad(ids[name], rng.standard_normal((rows, dim)).astype(dtype))
+            for name in names
         }
-        blob = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
+        dims = dict.fromkeys(names, dim)
         t0 = time.perf_counter()
         for _ in range(reps):
-            pickle.loads(pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
-        return (time.perf_counter() - t0) / reps, len(blob)
+            id_frame = encode_ids(ids, names)
+            value_frame = encode_values(grads, names)
+            decode_values(value_frame, decode_ids(id_frame), dims, dtype)
+        elapsed = (time.perf_counter() - t0) / reps
+        return elapsed, len(id_frame) + len(value_frame)
 
     small_s, small_b = cost(8, 16)
     large_s, large_b = cost(1024, 16)
@@ -317,9 +322,9 @@ def predict_step_time(
         if world > 1
         else 0.0
     )
-    # Sparse-exchange CPU per rank: each of the W-1 rounds pickles one
-    # outbound frame and unpickles one inbound frame (the probe measures
-    # the dumps+loads pair), and the owner merges the received parts.
+    # Sparse-exchange CPU per rank: each of the W-1 rounds encodes one
+    # outbound and decodes one inbound id + value frame (the probe measures
+    # the encode+decode pair), and the owner merges the received parts.
     sparse_cpu_rank = (world - 1) * (
         comm.frame_fixed_s + round_bytes * comm.frame_byte_s
     )

@@ -53,51 +53,18 @@ from .core.model import Batch
 from .obs.tracer import NULL_TRACER
 from .runtime.runner import release_core, reserve_core
 
-__all__ = [
-    "PipelineConfig",
-    "PipelineStats",
-    "PreparedBatch",
-    "PrefetchPipeline",
-    "as_pipeline_config",
-]
+__all__ = ["PipelineStats", "PreparedBatch", "PrefetchPipeline"]
 
 #: Chrome-trace thread lane for prep-thread spans (consumer spans stay on 0).
 PREP_TID = 1
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Tuning knobs of the prefetch stage.
-
-    ``depth`` is the bounded buffer's slot count — 2 is classic double
-    buffering: one batch being consumed, one being prepared, and the
-    producer blocks rather than running unboundedly ahead (which would
-    both hoard memory and, for tiered tables, let frequency stats drift
-    arbitrarily far ahead of the step consuming them).
-    """
-
-    depth: int = 2
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"pipeline depth must be >= 1, got {self.depth}")
-
-
-def as_pipeline_config(
-    pipeline: "bool | PipelineConfig | None",
-) -> PipelineConfig | None:
-    """Normalize the ``pipeline=`` argument accepted across the repo:
-    ``False``/``None`` -> off, ``True`` -> default config, or an explicit
-    :class:`PipelineConfig`."""
-    if pipeline is None or pipeline is False:
-        return None
-    if pipeline is True:
-        return PipelineConfig()
-    if isinstance(pipeline, PipelineConfig):
-        return pipeline
-    raise TypeError(
-        f"pipeline must be bool or PipelineConfig, got {type(pipeline).__name__}"
-    )
+#: Slots in the prep -> consumer buffer.  Two is classic double buffering:
+#: one batch being consumed, one being prepared, and the producer blocks
+#: rather than running unboundedly ahead (which would both hoard memory and,
+#: for tiered tables, let frequency stats drift arbitrarily far ahead of the
+#: step consuming them).
+_DEPTH = 2
 
 
 @dataclass
@@ -268,17 +235,15 @@ class PrefetchPipeline:
         self,
         source: Iterator[Batch],
         plan_fn: Callable[[Batch], dict[str, TablePlan]] | None = None,
-        config: PipelineConfig | None = None,
         tracer=None,
         stage: str = "prep",
     ) -> None:
-        self.config = config if config is not None else PipelineConfig()
         self.stats = PipelineStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stage = stage
         self._source = iter(source)
         self._plan_fn = plan_fn
-        self._buffer = _Buffer(self.config.depth)
+        self._buffer = _Buffer(_DEPTH)
         # Prep-thread span records; the Tracer is single-threaded (strict
         # nesting stack), so the prep thread logs (name, t0, dur, attrs)
         # tuples and the consumer replays them onto lane PREP_TID.  Both

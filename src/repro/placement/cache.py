@@ -24,19 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.config import ModelConfig, TableSpec
-
-# Compatibility re-exports: the analytic implementations (and their
-# private helpers, kept importable for historical callers) moved to
-# repro.tiering.analytic.
-from ..tiering.analytic import (  # noqa: F401
-    _CHE_DENSE_LIMIT,
-    _EXACT_HARMONIC_LIMIT,
-    _che_popularities,
-    _generalized_harmonic,
-    _validate_cache_args,
-    lru_hit_rate,
-    zipf_hit_rate,
-)
+from ..tiering.analytic import lru_hit_rate, zipf_hit_rate
 
 __all__ = ["zipf_hit_rate", "lru_hit_rate", "CachePlan", "plan_cache"]
 

@@ -77,7 +77,6 @@ def test_model_config_pickle_round_trips_backend():
         )
         clone = pickle.loads(pickle.dumps(config))
         assert clone.backend == name
-        assert clone.effective_backend == config.effective_backend
 
 
 @pytest.mark.parametrize("spec", BACKEND_SPECS)

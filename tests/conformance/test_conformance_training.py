@@ -1,15 +1,13 @@
 """End-to-end training conformance: full Trainer runs per backend.
 
-* The legacy ``fused_dense``-flag construction (fused model/optimizer/loss
-  vs all-naive) stays pinned bit-for-bit, both dtypes, both optimizers.
 * The generalized per-backend run compares every backend spec against a
   ``"numpy"`` model trained on the same batches — bit-identically for
   bit-identical backends, within tolerance otherwise.
+* Default construction (no backend named anywhere) is the fused backend
+  and stays pinned bit-for-bit to ``"numpy"``, both dtypes, both optimizers.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +106,7 @@ def test_concat_interaction_training_conforms(spec):
 
 
 # ---------------------------------------------------------------------------
-# legacy fused_dense-flag path (pre-seam construction), pinned bit-for-bit
+# default construction: nobody names a backend, and it is still the reference
 # ---------------------------------------------------------------------------
 
 
@@ -118,29 +116,24 @@ def test_end_to_end_training_bit_identical(dtype_name, optimizer):
     config = _train_config(dtype_name)
     batches = [make_batch(config, 32, seed=s) for s in range(6)]
 
-    def run(fused: bool):
-        model = DLRM(replace(config, fused_dense=fused), rng=0)
+    def run(**backend):
+        model = DLRM(config, rng=0, **backend)
+        params = (model.dense_parameters(), model.embedding_tables())
         if optimizer == "adagrad":
-            factory = lambda m: Adagrad(  # noqa: E731
-                m.dense_parameters(), m.embedding_tables(), lr=0.05, fused=fused
-            )
+            opt = Adagrad(*params, lr=0.05, **backend)
         else:
-            factory = lambda m: SGD(  # noqa: E731
-                m.dense_parameters(), m.embedding_tables(),
-                lr=0.05, momentum=0.9, weight_decay=1e-4, fused=fused,
-            )
-        trainer = Trainer(model, factory)
-        losses = [trainer.train_step(b) for b in batches]
-        return losses, model
+            opt = SGD(*params, lr=0.05, momentum=0.9, weight_decay=1e-4, **backend)
+        trainer = Trainer(model, lambda m: opt)
+        return [trainer.train_step(b) for b in batches], model, opt
 
-    losses_f, model_f = run(True)
-    losses_n, model_n = run(False)
-    assert losses_f == losses_n
-    for a, b in zip(model_f.get_dense_state(), model_n.get_dense_state()):
+    losses_d, model_d, opt_d = run()
+    losses_n, model_n, _ = run(backend="numpy")
+    assert model_d.backend.name == opt_d.backend.name == "fused"
+    assert losses_d == losses_n
+    for a, b in zip(model_d.get_dense_state(), model_n.get_dense_state()):
         assert np.array_equal(a, b)
-    for ta, tb in zip(model_f.embedding_tables(), model_n.embedding_tables()):
+    for ta, tb in zip(model_d.embedding_tables(), model_n.embedding_tables()):
         assert np.array_equal(ta.weight, tb.weight)
-    # and inference agrees too
-    preds_f = model_f.predict_proba(batches[0])
-    preds_n = model_n.predict_proba(batches[0])
-    assert np.array_equal(preds_f, preds_n)
+    assert np.array_equal(
+        model_d.predict_proba(batches[0]), model_n.predict_proba(batches[0])
+    )

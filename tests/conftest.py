@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,23 @@ from repro.data import SyntheticDataGenerator
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("fuzz", max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_mp_resources(request):
+    """The multi-process and pipeline tests must leave the process tree,
+    the thread list and /dev/shm as they found them — also after the
+    crash-injection tests, whose parent-side cleanup is the thing at stake."""
+    yield
+    module = request.module.__name__.rpartition(".")[2]
+    if not module.startswith(("test_mp", "test_pipeline")):
+        return
+    assert not glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*")
+    assert not multiprocessing.active_children()
+    assert not [
+        t.name for t in threading.enumerate()
+        if t.name.startswith(("mp-reducer-", "mp-drain-watch-", "pipeline-"))
+    ]
 
 
 @pytest.fixture

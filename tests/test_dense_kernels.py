@@ -6,7 +6,7 @@ which runs them against every registered backend.  What remains is
 internal to the fused path itself:
 
 * the shared stable-sigmoid implementation (dtype preservation),
-* the ``fused_dense`` config flag wiring,
+* the backend selector's workspace wiring,
 * the workspace arena contract (reuse counters, ownership, row slabs,
   pickling),
 * the zero-steady-state-allocation contract (workspace counters +
@@ -59,7 +59,7 @@ def test_sigmoid_single_implementation_and_dtypes():
 
 
 # ---------------------------------------------------------------------------
-# config flag wiring
+# backend selector wiring
 # ---------------------------------------------------------------------------
 
 
@@ -75,10 +75,10 @@ def _train_config(dtype_name: str) -> ModelConfig:
     )
 
 
-def test_fused_dense_flag_disables_workspace():
+def test_numpy_backend_has_no_workspace():
     config = _train_config("float64")
     assert DLRM(config, rng=0).workspace is not None
-    assert DLRM(replace(config, fused_dense=False), rng=0).workspace is None
+    assert DLRM(replace(config, backend="numpy"), rng=0).workspace is None
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +165,12 @@ def test_steady_state_allocations_tracemalloc():
     )
     batches = [make_batch(config, 256, seed=s) for s in range(2)]
 
-    def peak_step_bytes(fused: bool) -> int:
-        model = DLRM(replace(config, fused_dense=fused), rng=0)
+    def peak_step_bytes(backend: str) -> int:
+        model = DLRM(replace(config, backend=backend), rng=0)
         trainer = Trainer(
             model,
             lambda m: Adagrad(
-                m.dense_parameters(), m.embedding_tables(), lr=0.05, fused=fused
+                m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=backend
             ),
         )
         for _ in range(3):  # warm the arena to steady state
@@ -187,8 +187,8 @@ def test_steady_state_allocations_tracemalloc():
             tracemalloc.stop()
         return peak - current0
 
-    fused_peak = peak_step_bytes(True)
-    naive_peak = peak_step_bytes(False)
+    fused_peak = peak_step_bytes("fused")
+    naive_peak = peak_step_bytes("numpy")
     # The naive path allocates ~every (256 x 64) activation and optimizer
     # temporary per step; the fused path's remaining allocations are the
     # logits copy and the shared sparse-path bookkeeping.

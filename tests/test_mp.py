@@ -10,6 +10,8 @@ ground truth for that claim, in both float64 and float32.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,31 +51,36 @@ def assert_bit_identical(a, b) -> None:
     assert a.state_digest() == b.state_digest()
 
 
+def assert_matches_serial(config, run) -> None:
+    """``pipeline`` only moves the prep stage to a thread: the inline and the
+    prefetched run are one step program and both equal the serial reference."""
+    got = run_hybrid(config, run)
+    assert_bit_identical(got, run_hybrid_serial(config, run))
+    assert got.phase_s["prep_wait"] > 0  # inline: the whole prep stage
+    assert (got.pipeline is not None) == run.pipeline
+
+
 class TestOrderedDeterminism:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_two_workers_bitwise_vs_serial(self, dtype):
-        config = small_config(dtype)
         run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7)
-        assert_bit_identical(run_hybrid(config, run), run_hybrid_serial(config, run))
+        assert_matches_serial(small_config(dtype), run)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_four_workers_bitwise_vs_serial(self, dtype):
-        config = small_config(dtype)
         run = HybridRunConfig(workers=4, steps=2, batch_size=32, seed=3)
-        assert_bit_identical(run_hybrid(config, run), run_hybrid_serial(config, run))
+        assert_matches_serial(small_config(dtype), run)
+        assert_matches_serial(small_config(dtype), replace(run, pipeline=True))
 
     def test_single_worker_degenerate(self):
-        config = small_config()
         run = HybridRunConfig(workers=1, steps=2, batch_size=16)
-        assert_bit_identical(run_hybrid(config, run), run_hybrid_serial(config, run))
+        assert_matches_serial(small_config(), run)
+        assert_matches_serial(small_config(), replace(run, pipeline=True))
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_two_workers_pipelined_bitwise_vs_serial(self, dtype):
-        # the prefetched data path + overlapped sparse exchange must not
-        # change a bit relative to the unpipelined serial reference
-        config = small_config(dtype)
         run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7, pipeline=True)
-        assert_bit_identical(run_hybrid(config, run), run_hybrid_serial(config, run))
+        assert_matches_serial(small_config(dtype), run)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_pipelined_equals_unpipelined_multiprocess(self, dtype):

@@ -4,9 +4,9 @@
 ``multiprocessing.shared_memory`` segment per (table, kind).  The owner
 process must unlink all of them exactly once — on clean exit AND when a
 worker dies mid-step — or segments pile up in /dev/shm until reboot.
-The crash tests use the trainer's fault-injection hook (``_crash``)
-which calls ``os._exit`` inside a worker, the harshest death available
-short of SIGKILL (no atexit, no finally blocks in the child).
+The crash tests inject a ``KillSpec(action="exit")``, which calls
+``os._exit`` inside a worker — the harshest death available short of
+SIGKILL (no atexit, no finally blocks in the child) — or a real SIGKILL.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TestHybridLifecycle:
             run_hybrid(
                 small_config(),
                 HybridRunConfig(workers=2, steps=3, batch_size=16),
-                _crash=(1, 1),
+                kills=[KillSpec(rank=1, step=1, action="exit")],
             )
         err = exc_info.value
         # the injected death (os._exit(41) in rank 1) is blamed, not the
@@ -102,7 +102,7 @@ class TestHybridLifecycle:
             run_hybrid(
                 small_config(),
                 HybridRunConfig(workers=2, steps=2, batch_size=16),
-                _crash=(0, 0),
+                kills=[KillSpec(rank=0, step=0, action="exit")],
             )
         assert exc_info.value.rank == 0
         assert exc_info.value.exitcode == 41
@@ -150,12 +150,12 @@ run = HybridRunConfig(workers=2, steps=2, batch_size=16)
 if mode == "clean":
     run_hybrid(small_config(), run)
 else:
-    kwargs = (
-        {"_crash": (1, 0)} if mode == "crash"
-        else {"kills": [KillSpec(rank=1, step=0, phase="allreduce")]}
+    kill = (
+        KillSpec(rank=1, step=0, action="exit") if mode == "crash"
+        else KillSpec(rank=1, step=0, phase="allreduce")
     )
     try:
-        run_hybrid(small_config(), run, **kwargs)
+        run_hybrid(small_config(), run, kills=[kill])
     except WorkerCrashError:
         pass
     else:

@@ -31,11 +31,7 @@ from repro.data import SyntheticDataGenerator
 from repro.distributed.mp.allreduce import GradReducer
 from repro.distributed.mp.channels import ChannelClosed
 from repro.obs import Tracer
-from repro.pipeline import (
-    PipelineConfig,
-    PrefetchPipeline,
-    as_pipeline_config,
-)
+from repro.pipeline import PrefetchPipeline
 from repro.runtime import reserved_cores
 from repro.tiering import TieredStoreConfig
 
@@ -278,25 +274,16 @@ class TestLifecycle:
         assert pipe.stats.batches == 7
 
     def test_close_is_idempotent_and_early(self):
-        pipe = PrefetchPipeline(iter(range(100)), config=PipelineConfig(depth=2))
+        pipe = PrefetchPipeline(iter(range(100)))
         pipe.start()
         next(pipe)
         pipe.close()
         pipe.close()
         assert reserved_cores() == 0
 
-    def test_depth_validated(self):
-        with pytest.raises(ValueError, match="depth"):
-            PipelineConfig(depth=0)
-
-    def test_as_pipeline_config_normalization(self):
-        assert as_pipeline_config(None) is None
-        assert as_pipeline_config(False) is None
-        assert as_pipeline_config(True) == PipelineConfig()
-        cfg = PipelineConfig(depth=3)
-        assert as_pipeline_config(cfg) is cfg
+    def test_trainer_pipeline_must_be_bool(self):
         with pytest.raises(TypeError, match="pipeline"):
-            as_pipeline_config(3)
+            Trainer(DLRM(_tiny_config(), rng=0), lambda m: None, pipeline=3)
 
 
 class TestErrorPropagation:
