@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test fuzz conformance bench bench-backends bench-backends-baseline mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
+.PHONY: install test fuzz conformance bench mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -21,15 +21,6 @@ conformance:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# CI-sized unified benchmark run (kernels + dense + backends suites),
-# gated against the committed baseline.
-bench-backends:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --quick --check BENCH_backends.json
-
-# Refresh the committed baseline (run on a quiet machine, then commit).
-bench-backends-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --quick --out BENCH_backends.json
 
 # 2-worker hybrid-parallel run, bitwise-verified against the serial
 # trainer, with the prep stage inline and on its prefetch thread.

@@ -2,7 +2,7 @@
 
 See :mod:`repro.core.backends.base` for the protocol and the registry;
 ``tests/conformance/`` validates every registered backend against the
-``"numpy"`` reference, and ``python -m repro.bench`` benchmarks them.
+``"numpy"`` reference.
 """
 
 from .base import (

@@ -11,19 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dense_kernels import (
-    naive_adagrad_dense_step,
-    naive_adagrad_sparse_step,
-    naive_bce_backward,
-    naive_bce_forward,
-    naive_dot_backward,
-    naive_dot_forward,
-    naive_linear_backward,
-    naive_linear_forward,
-    naive_relu_backward,
-    naive_relu_forward,
-    naive_sgd_dense_step,
-)
+from ..dense_kernels import stable_sigmoid
 from ..kernels import naive_segment_sum
 from .base import Backend
 
@@ -40,44 +28,56 @@ class NumpyBackend(Backend):
     # -- linear --------------------------------------------------------------
 
     def linear_forward(self, x, weight, bias, ws, key):
-        return naive_linear_forward(x, weight, bias)
+        return x @ weight.T + bias
 
     def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key):
-        dw, db, dx = naive_linear_backward(grad_out, x, weight)
-        weight_grad += dw
-        bias_grad += db
-        return dx
+        weight_grad += grad_out.T @ x
+        bias_grad += grad_out.sum(axis=0)
+        return grad_out @ weight
 
     # -- relu ----------------------------------------------------------------
 
     def relu_forward(self, x, ws, key, *, training=True):
         if not training:
             return np.maximum(x, 0.0), None
-        y, mask = naive_relu_forward(x)
-        return y, mask
+        mask = x > 0
+        return np.where(mask, x, 0.0), mask
 
     def relu_backward(self, grad_out, ctx, ws, key):
-        return naive_relu_backward(grad_out, ctx)
+        return np.where(ctx, grad_out, 0.0)
 
     # -- bce loss ------------------------------------------------------------
 
     def bce_forward(self, logits, labels, ws):
-        return naive_bce_forward(logits, labels), None
+        # stable BCE: max(x,0) - x*y + log1p(exp(-|x|))
+        per_example = (
+            np.maximum(logits, 0.0)
+            - logits * labels
+            + np.log1p(np.exp(-np.abs(logits)))
+        )
+        return float(per_example.mean()), None
 
     def bce_backward(self, logits, labels, ctx, ws):
-        return naive_bce_backward(logits, labels)
+        return (stable_sigmoid(logits) - labels) / len(logits)
 
     # -- feature interaction -------------------------------------------------
 
     def dot_forward(self, dense, embs, tril, flat_tril, ws, key, *, training=True):
         stack = np.stack([dense] + list(embs), axis=1)  # (B, n+1, d)
-        return naive_dot_forward(stack, tril, dense), stack
+        gram = stack @ stack.transpose(0, 2, 1)
+        pairs = gram[:, tril[0], tril[1]]
+        return np.concatenate([dense, pairs], axis=1), stack
 
     def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key):
-        num_sparse = stack.shape[1] - 1
+        batch, n_vec, _ = stack.shape
+        num_sparse = n_vec - 1
         grad_dense_direct = grad_out[:, :dim]
         grad_pairs = grad_out[:, dim:]
-        grad_stack = naive_dot_backward(stack, tril, grad_pairs)
+        # dense zeros + scatter + symmetrize + batched GEMM
+        gram_grad = np.zeros((batch, n_vec, n_vec), dtype=stack.dtype)
+        gram_grad[:, tril[0], tril[1]] = grad_pairs
+        gram_grad = gram_grad + gram_grad.transpose(0, 2, 1)
+        grad_stack = gram_grad @ stack
         grad_dense = grad_stack[:, 0, :] + grad_dense_direct
         grad_embs = [grad_stack[:, i + 1, :] for i in range(num_sparse)]
         return grad_dense, grad_embs
@@ -104,17 +104,27 @@ class NumpyBackend(Backend):
     # -- optimizer steps -----------------------------------------------------
 
     def adagrad_dense_step(self, value, grad, state, lr, eps, ws):
-        naive_adagrad_dense_step(value, grad, state, lr, eps)
+        state += grad * grad
+        value -= lr * grad / (np.sqrt(state) + eps)
 
     def adagrad_sparse_step(self, weight, state, rows, values, lr, eps, ws):
-        naive_adagrad_sparse_step(weight, state, rows, values, lr, eps)
+        # the historical three-pass update: gather state, write it back,
+        # then a second gather/scatter round trip through weight[rows] -= ...
+        state_rows = state[rows]
+        state_rows += values * values
+        state[rows] = state_rows
+        weight[rows] -= lr * values / (np.sqrt(state_rows) + eps)
 
     def sgd_dense_step(self, value, grad, lr, ws, *, weight_decay=0.0,
                        momentum=0.0, velocity=None):
-        naive_sgd_dense_step(
-            value, grad, lr,
-            weight_decay=weight_decay, momentum=momentum, velocity=velocity,
-        )
+        if weight_decay:
+            grad = grad + weight_decay * value
+        if velocity is not None:
+            velocity *= momentum
+            velocity += grad
+            value -= lr * velocity
+        else:
+            value -= lr * grad
 
     def sgd_sparse_step(self, weight, rows, values, lr, ws):
         weight[rows] -= lr * values

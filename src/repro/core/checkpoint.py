@@ -17,7 +17,7 @@ embedding rows are cold between checkpoints).
 
 from __future__ import annotations
 
-import io
+import os
 import pathlib
 
 import numpy as np
@@ -55,17 +55,34 @@ def _state_arrays(model: DLRM, optimizer: Adagrad | None) -> dict[str, np.ndarra
     return arrays
 
 
+def _write_npz(path: str | pathlib.Path, arrays: dict[str, np.ndarray]) -> int:
+    """Write ``arrays`` as ``.npz`` at ``path``; returns the bytes on disk.
+
+    Streamed into a temp file beside ``path``, made durable, then renamed
+    over it: a write that dies part-way leaves the previous checkpoint at
+    ``path`` intact instead of a truncated zip.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path.stat().st_size
+
+
 def save_checkpoint(
     path: str | pathlib.Path,
     model: DLRM,
     optimizer: Adagrad | None = None,
 ) -> int:
     """Write a full checkpoint; returns the byte size written."""
-    path = pathlib.Path(path)
-    arrays = _state_arrays(model, optimizer)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    return path.stat().st_size
+    return _write_npz(path, _state_arrays(model, optimizer))
 
 
 def load_checkpoint(
@@ -169,11 +186,9 @@ def save_partial_checkpoint(
         arrays[f"values/{i}"] = table.weight[rows] if len(rows) else np.empty(
             (0, table.weight.shape[1])
         )
-    path = pathlib.Path(path)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    size = _write_npz(path, arrays)
     tracker.clear()
-    return path.stat().st_size
+    return size
 
 
 def apply_partial_checkpoint(path: str | pathlib.Path, model: DLRM) -> None:

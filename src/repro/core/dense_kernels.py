@@ -28,7 +28,8 @@ This module provides the same treatment for our numpy training step:
 
 Numerical contract
 ------------------
-Every fused kernel is **bit-identical** to its ``naive_*`` reference (the
+Every fused kernel is **bit-identical** to the ``"numpy"`` backend's op of
+the same name (:class:`repro.core.backends.numpy_ref.NumpyBackend`, the
 historical implementation), in both float64 and float32 compute modes, in
 the :func:`numpy.array_equal` sense used by :mod:`repro.core.kernels`'s
 fused sparse paths.  The fusions only (a) reuse output storage via
@@ -47,7 +48,7 @@ order as the reference expression.  Two details worth calling out:
   :func:`stable_sigmoid` exactly.
 
 Opt-out: ``backend="numpy"`` (on ``ModelConfig`` and the optimizers) falls
-back to the naive layer implementations for debugging.
+back to that reference backend for debugging.
 """
 
 from __future__ import annotations
@@ -63,27 +64,16 @@ __all__ = [
     "Workspace",
     "stable_sigmoid",
     "linear_forward",
-    "naive_linear_forward",
     "linear_backward",
-    "naive_linear_backward",
     "relu_forward",
-    "naive_relu_forward",
     "relu_backward",
-    "naive_relu_backward",
     "bce_forward",
-    "naive_bce_forward",
     "bce_backward",
-    "naive_bce_backward",
     "dot_forward",
-    "naive_dot_forward",
     "dot_backward",
-    "naive_dot_backward",
     "adagrad_dense_step",
-    "naive_adagrad_dense_step",
     "sgd_dense_step",
-    "naive_sgd_dense_step",
     "adagrad_sparse_step",
-    "naive_adagrad_sparse_step",
     "sgd_sparse_step",
     "sparse_block_rows",
 ]
@@ -217,13 +207,6 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def naive_linear_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Reference: ``y = x @ W.T + b`` with fresh output/temporary."""
-    return x @ weight.T + bias
-
-
 def linear_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -235,13 +218,6 @@ def linear_forward(
     np.matmul(x, weight.T, out=out)
     out += bias
     return out
-
-
-def naive_linear_backward(
-    grad_out: np.ndarray, x: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference: returns ``(dW, db, dx)`` as fresh arrays."""
-    return grad_out.T @ x, grad_out.sum(axis=0), grad_out @ weight
 
 
 def linear_backward(
@@ -275,12 +251,6 @@ def linear_backward(
 # ---------------------------------------------------------------------------
 
 
-def naive_relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference: returns ``(y, mask)`` the way the historical layer did."""
-    mask = x > 0
-    return np.where(mask, x, 0.0), mask
-
-
 def relu_forward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fused: ``np.maximum(x, 0, out=out)`` — ``out`` may be ``x`` itself
     (in-place) when the caller owns the storage.
@@ -291,11 +261,6 @@ def relu_forward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     recovers activity from the *output* sign (``y > 0  ⇔  x > 0``).
     """
     return np.maximum(x, 0.0, out=out)
-
-
-def naive_relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Reference: ``np.where(mask, grad_out, 0.0)`` with a fresh output."""
-    return np.where(mask, grad_out, 0.0)
 
 
 def relu_backward(
@@ -318,21 +283,6 @@ def relu_backward(
 # ---------------------------------------------------------------------------
 # Sigmoid + BCE (fused loss)
 # ---------------------------------------------------------------------------
-
-
-def naive_bce_forward(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Reference: stable BCE ``max(x,0) - x·y + log1p(exp(-|x|))``."""
-    per_example = (
-        np.maximum(logits, 0.0)
-        - logits * labels
-        + np.log1p(np.exp(-np.abs(logits)))
-    )
-    return float(per_example.mean())
-
-
-def naive_bce_backward(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Reference: ``(sigmoid(x) - y) / batch`` with its own sigmoid pass."""
-    return (stable_sigmoid(logits) - labels) / len(logits)
 
 
 def bce_forward(
@@ -394,15 +344,6 @@ def bce_backward(
 # ---------------------------------------------------------------------------
 
 
-def naive_dot_forward(
-    stack: np.ndarray, tril: tuple[np.ndarray, np.ndarray], dense: np.ndarray
-) -> np.ndarray:
-    """Reference: fresh gram matrix, fancy-index gather, concatenate."""
-    gram = stack @ stack.transpose(0, 2, 1)
-    pairs = gram[:, tril[0], tril[1]]
-    return np.concatenate([dense, pairs], axis=1)
-
-
 def dot_forward(
     stack: np.ndarray,
     flat_tril: np.ndarray,
@@ -429,19 +370,6 @@ def dot_forward(
     out[:, :dim] = dense
     out[:, dim:] = pairs_buf
     return out
-
-
-def naive_dot_backward(
-    stack: np.ndarray,
-    tril: tuple[np.ndarray, np.ndarray],
-    grad_pairs: np.ndarray,
-) -> np.ndarray:
-    """Reference: dense zeros + scatter + symmetrize + batched GEMM."""
-    batch, n_vec, _ = stack.shape
-    gram_grad = np.zeros((batch, n_vec, n_vec), dtype=stack.dtype)
-    gram_grad[:, tril[0], tril[1]] = grad_pairs
-    gram_grad = gram_grad + gram_grad.transpose(0, 2, 1)
-    return gram_grad @ stack
 
 
 def symmetric_pair_map(n_vec: int, tril: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -498,14 +426,6 @@ def dot_backward(
 # ---------------------------------------------------------------------------
 
 
-def naive_adagrad_dense_step(
-    value: np.ndarray, grad: np.ndarray, state: np.ndarray, lr: float, eps: float
-) -> None:
-    """Reference Adagrad update (temporary-per-operation)."""
-    state += grad * grad
-    value -= lr * grad / (np.sqrt(state) + eps)
-
-
 def adagrad_dense_step(
     value: np.ndarray,
     grad: np.ndarray,
@@ -529,25 +449,6 @@ def adagrad_dense_step(
     np.multiply(grad, lr, out=u_buf)
     np.divide(u_buf, t_buf, out=u_buf)
     value -= u_buf
-
-
-def naive_sgd_dense_step(
-    value: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    weight_decay: float = 0.0,
-    momentum: float = 0.0,
-    velocity: np.ndarray | None = None,
-) -> None:
-    """Reference SGD update (temporary-per-operation)."""
-    if weight_decay:
-        grad = grad + weight_decay * value
-    if velocity is not None:
-        velocity *= momentum
-        velocity += grad
-        value -= lr * velocity
-    else:
-        value -= lr * grad
 
 
 def sgd_dense_step(
@@ -578,23 +479,6 @@ def sgd_dense_step(
     else:
         np.multiply(grad, lr, out=t_buf)
         value -= t_buf
-
-
-def naive_adagrad_sparse_step(
-    weight: np.ndarray,
-    state: np.ndarray,
-    rows: np.ndarray,
-    values: np.ndarray,
-    lr: float,
-    eps: float,
-) -> None:
-    """Reference row-sparse Adagrad (the historical three-pass update):
-    gather state, write it back, then a second gather/scatter round trip
-    through ``weight[rows] -= ...`` plus five elementwise temporaries."""
-    state_rows = state[rows]
-    state_rows += values * values
-    state[rows] = state_rows
-    weight[rows] -= lr * values / (np.sqrt(state_rows) + eps)
 
 
 #: Bytes per block buffer of the row-sparse optimizer steps: three buffers

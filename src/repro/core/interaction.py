@@ -38,11 +38,6 @@ class ConcatInteraction:
         self.workspace: Workspace | None = None
         self._ws_key = "concat"
 
-    def set_workspace(self, workspace: Workspace | None, key: str | None = None) -> None:
-        self.workspace = workspace
-        if key is not None:
-            self._ws_key = key
-
     def set_backend(
         self,
         backend: Backend | str,
@@ -108,13 +103,6 @@ class DotInteraction:
         self.backend: Backend = get_backend("fused")
         self.workspace: Workspace | None = None
         self._ws_key = "dot"
-
-    def set_workspace(self, workspace: Workspace | None, key: str | None = None) -> None:
-        """Attach a buffer arena; forward/backward then run the fused
-        kernels of :mod:`repro.core.dense_kernels` (bit-identical)."""
-        self.workspace = workspace
-        if key is not None:
-            self._ws_key = key
 
     def set_backend(
         self,

@@ -50,8 +50,7 @@ themselves are deterministic:
 identical inputs produce identical bits on every run and in every worker
 process, which is what the runtime cache and the parallel-equals-serial
 sweep contract rely on.  The ``naive_*`` reference implementations of the
-replaced code paths are kept here for equivalence tests and the old-vs-new
-benchmark (``python -m repro.bench --suite kernels``).
+replaced code paths are kept here for the equivalence tests.
 """
 
 from __future__ import annotations

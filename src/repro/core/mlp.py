@@ -75,13 +75,6 @@ class Linear:
         self.workspace: Workspace | None = None
         self._ws_key = name
 
-    def set_workspace(self, workspace: Workspace | None, key: str | None = None) -> None:
-        """Attach a buffer arena; forward/backward then run the fused
-        allocation-free kernels (bit-identical to the naive path)."""
-        self.workspace = workspace
-        if key is not None:
-            self._ws_key = key
-
     def set_backend(
         self,
         backend: Backend | str,
@@ -157,11 +150,6 @@ class ReLU:
         self.backend: Backend = get_backend("fused")
         self.workspace: Workspace | None = None
         self._ws_key = "relu"
-
-    def set_workspace(self, workspace: Workspace | None, key: str | None = None) -> None:
-        self.workspace = workspace
-        if key is not None:
-            self._ws_key = key
 
     def set_backend(
         self,
@@ -256,21 +244,11 @@ class MLP:
         self.in_features = in_features
         self.out_features = prev
 
-    def set_workspace(self, workspace: Workspace | None) -> None:
-        """Attach a buffer arena to every layer (fused allocation-free path).
-
-        Layer keys derive from the stack name and position, so one arena can
-        serve several MLPs (e.g. a DLRM's bottom/top stacks) without buffer
-        aliasing.
-        """
-        for idx, layer in enumerate(self.layers):
-            if hasattr(layer, "set_workspace"):
-                layer.set_workspace(workspace, key=f"{self.name}[{idx}]")
-
     def set_backend(self, backend: Backend | str, workspace: Workspace | None = None) -> None:
         """Select the compute backend (and arena) on every layer of the
-        stack; keys derive from the stack name and position as in
-        :meth:`set_workspace`."""
+        stack.  Layer keys derive from the stack name and position, so one
+        arena can serve several MLPs (e.g. a DLRM's bottom/top stacks)
+        without buffer aliasing."""
         for idx, layer in enumerate(self.layers):
             if hasattr(layer, "set_backend"):
                 layer.set_backend(backend, workspace, key=f"{self.name}[{idx}]")

@@ -86,24 +86,21 @@ class Trainer:
     ) -> None:
         self.model = model
         self.optimizer = optimizer_factory(model)
-        #: The model's compute backend (``None`` for models predating the
-        #: backend seam); the default loss shares it and trace spans carry
-        #: its name.
-        self.backend = getattr(model, "backend", None)
+        #: The model's compute backend; the default loss shares it and
+        #: trace spans carry its name.
+        self.backend = model.backend
         # The default loss joins the model's backend and workspace arena so
         # e.g. the fused sigmoid+BCE kernel runs allocation-free
         # (bit-identical either way).
         self.loss = loss or BCEWithLogitsLoss(
-            workspace=getattr(model, "workspace", None),
+            workspace=model.workspace,
             backend=self.backend,
         )
         #: Whether the model runs a workspace-backed (fused-style) dense
         #: path (annotated on trace spans so Chrome traces distinguish
         #: fast-path slices).
-        self.fused = getattr(model, "workspace", None) is not None
-        self._backend_name = getattr(
-            self.backend, "name", "fused" if self.fused else "numpy"
-        )
+        self.fused = model.workspace is not None
+        self._backend_name = self.backend.name
         #: Observability hook (see :mod:`repro.obs`); defaults to the no-op
         #: tracer, so instrumentation costs nothing unless opted in.
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -301,9 +301,10 @@ def predict_step_time(
     """Predict one hybrid step from a measured sub-batch compute time.
 
     ``sub_batch_step_s`` is the measured single-process full train-step
-    time at ``local_batch`` (the experiment gets it from the bench
-    harness's ``timed_train``); everything else is composed from simulator
-    resources parameterized by the :func:`probe_comm` measurements.
+    time at ``local_batch`` (the experiment gets it from
+    ``ext_mp_scaling._measure_sub_batch``); everything else is composed
+    from simulator resources parameterized by the :func:`probe_comm`
+    measurements.
     ``dense_buckets`` mirrors the trainer's two-bucket gradient exchange.
     """
     cores = available_cores() if cores is None else cores

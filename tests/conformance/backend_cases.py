@@ -41,17 +41,9 @@ _INSTANCES: dict[str, Backend] = {}
 
 def make_backend(spec: str) -> Backend:
     """The backend instance under test for a spec (cached — the forced
-    threaded instance keeps one pool for the whole suite).
-
-    ``REPRO_BENCH_FORCE_THREADED`` (the same switch the benchmark suite
-    honors) upgrades the plain ``"threaded"`` spec to the explicit
-    2-worker instance, so the CI ``threaded`` matrix row exercises the
-    row-split path instead of silently resolving to fused on
-    single-core runners.
-    """
+    threaded instance keeps one pool for the whole suite)."""
     if spec not in _INSTANCES:
-        force = bool(os.environ.get("REPRO_BENCH_FORCE_THREADED"))
-        if spec == "threaded-forced" or (spec == "threaded" and force):
+        if spec == "threaded-forced":
             _INSTANCES[spec] = ThreadedBackend(workers=2, min_rows=4)
         else:
             _INSTANCES[spec] = get_backend(spec)

@@ -1,12 +1,6 @@
-"""Layer-level backend conformance: each layer under backend X vs "numpy".
-
-Two families:
-
-* the historical ``set_workspace``-only construction path (default
-  ``"fused"`` backend + arena attached, exactly how pre-seam code set up
-  the fast path) — kept verbatim so the legacy entry point stays pinned;
-* the generalized ``set_backend`` path, parametrized over every
-  registered backend plus the forced-split threaded instance.
+"""Layer-level backend conformance: each layer under backend X vs "numpy",
+through ``set_backend``, parametrized over every registered backend plus
+the forced-split threaded instance.
 """
 
 from __future__ import annotations
@@ -114,66 +108,6 @@ def test_bce_loss_conforms(spec):
         be, subject.forward(logits, labels), ref.forward(logits, labels), "bce loss"
     )
     assert_backend_matches(be, subject.backward(), ref.backward(), "bce grad")
-
-
-# ---------------------------------------------------------------------------
-# legacy set_workspace path (default backend + arena, pre-seam API)
-# ---------------------------------------------------------------------------
-
-
-@all_dtypes
-def test_linear_layer_fused_matches_naive(dtype):
-    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
-    fused = Linear(7, 5, rng_a, dtype=dtype)
-    naive = Linear(7, 5, rng_b, dtype=dtype)
-    fused.set_workspace(Workspace())
-    x = rand(1, (11, 7), dtype)
-    g = rand(2, (11, 5), dtype)
-    assert np.array_equal(fused.forward(x), naive.forward(x))
-    assert np.array_equal(fused.backward(g), naive.backward(g))
-    assert np.array_equal(fused.weight.grad, naive.weight.grad)
-    assert np.array_equal(fused.bias.grad, naive.bias.grad)
-
-
-@all_dtypes
-def test_relu_layer_fused_matches_naive(dtype):
-    fused, naive = ReLU(), ReLU()
-    fused.set_workspace(Workspace())
-    x = rand(3, (9, 6), dtype)
-    g = rand(4, (9, 6), dtype)
-    assert np.array_equal(fused.forward(x.copy()), naive.forward(x))
-    assert np.array_equal(fused.backward(g), naive.backward(g))
-
-
-@all_dtypes
-def test_mlp_fused_matches_naive(dtype):
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    fused = MLP(6, MLPSpec((8, 4)), rng_a, dtype=dtype)
-    naive = MLP(6, MLPSpec((8, 4)), rng_b, dtype=dtype)
-    fused.set_workspace(Workspace())
-    x = rand(6, (13, 6), dtype)
-    g = rand(7, (13, 4), dtype)
-    assert np.array_equal(fused.forward(x), naive.forward(x))
-    assert np.array_equal(fused.backward(g), naive.backward(g))
-
-
-@all_dtypes
-@pytest.mark.parametrize("cls", [DotInteraction, ConcatInteraction])
-def test_interaction_fused_matches_naive(cls, dtype):
-    num_sparse, dim, batch = 4, 5, 7
-    fused, naive = cls(num_sparse, dim), cls(num_sparse, dim)
-    fused.set_workspace(Workspace())
-    dense = rand(8, (batch, dim), dtype)
-    embs = [rand(9 + i, (batch, dim), dtype) for i in range(num_sparse)]
-    out_f = fused.forward(dense, embs)
-    out_n = naive.forward(dense, embs)
-    assert np.array_equal(out_f, out_n)
-    g = rand(20, out_n.shape, dtype)
-    gd_f, ge_f = fused.backward(g)
-    gd_n, ge_n = naive.backward(g)
-    assert np.array_equal(gd_f, gd_n)
-    for a, b in zip(ge_f, ge_n):
-        assert np.array_equal(a, b)
 
 
 def test_bce_loss_fused_matches_naive():

@@ -134,3 +134,51 @@ class TestPartialCheckpoint:
         full = save_checkpoint(tmp_path / "full.npz", model)
         partial = save_partial_checkpoint(tmp_path / "part.npz", model, tracker)
         assert partial < full
+
+
+_WRITERS = {
+    "full": (lambda path, model, tracker: save_checkpoint(path, model), load_checkpoint),
+    "partial": (save_partial_checkpoint, apply_partial_checkpoint),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_failed_save_keeps_previous_checkpoint(
+    kind, tiny_config, tiny_generator, tmp_path, monkeypatch
+):
+    """A save that dies mid-write must leave the last good checkpoint
+    loadable at ``path`` and no temp file behind."""
+    save, load = _WRITERS[kind]
+    model = DLRM(tiny_config, rng=0)
+    trainer = _trainer(model)
+    tracker = DirtyRowTracker(model)
+    path = tmp_path / "ckpt.npz"
+
+    def step():
+        batch = tiny_generator.batch(32)
+        tracker.record_batch(batch)
+        trainer.train_step(batch)
+
+    step()
+    save(path, model, tracker)
+    good = DLRM(tiny_config, rng=99)
+    load(path, good)
+
+    step()  # the state the failing save tries to write
+
+    def torn_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 half a zip")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError):
+        save(path, model, tracker)
+    monkeypatch.undo()
+
+    assert not list(tmp_path.glob("*.tmp"))
+    after = DLRM(tiny_config, rng=99)
+    load(path, after)
+    for a, b in zip(good.dense_parameters(), after.dense_parameters()):
+        np.testing.assert_array_equal(a.value, b.value)
+    for ta, tb in zip(good.embedding_tables(), after.embedding_tables()):
+        np.testing.assert_array_equal(ta.weight, tb.weight)

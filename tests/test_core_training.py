@@ -13,6 +13,7 @@ from repro.core import (
     grid_search,
     random_search,
 )
+from repro.obs import Tracer
 
 
 def _trainer(config, lr=0.05, rng=0):
@@ -63,6 +64,21 @@ class TestTrainer:
         t = Trainer(model, lambda m: SGD(m.dense_parameters(), m.embedding_tables(), lr=0.05))
         result = t.train(tiny_generator.batches(64), max_steps=40)
         assert np.isfinite(result.final_loss)
+
+    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    def test_trainer_reads_backend_off_the_model(self, backend, tiny_config, tiny_generator):
+        model = DLRM(tiny_config, rng=0, backend=backend)
+        tracer = Tracer()
+        t = Trainer(
+            model,
+            lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), backend=m.backend),
+            tracer=tracer,
+        )
+        assert t.backend is model.backend
+        assert t.fused == (model.workspace is not None)
+        t.train_step(tiny_generator.batch(8))
+        (step,) = [s for s in tracer.spans if s.name == "train_step"]
+        assert step.attributes["backend"] == model.backend.name == backend
 
 
 class TestTrainerBudgetAccounting:
