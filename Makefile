@@ -23,10 +23,12 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # 2-worker hybrid-parallel run, bitwise-verified against the serial
-# trainer, with the prep stage inline and on its prefetch thread.
+# trainer, with the prep stage inline and on its prefetch thread; then
+# world 1 through the same worker path.
 mp-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify --pipeline
+	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 1 --steps 3 --batch 64 --verify
 
 # Measured multi-process scaling curve vs the simulator's prediction.
 mp-scaling:

@@ -66,10 +66,9 @@ class _OptimizerBase:
     def dense_step(self) -> None:
         """Apply the dense half of :meth:`step` only.
 
-        The hybrid-parallel trainer (:mod:`repro.distributed.mp`) sequences
-        the two halves itself: dense parameters update on every replica
-        after the allreduce, while sparse updates run only on each shard's
-        owner from gradients merged across workers (:meth:`sparse_update`).
+        :meth:`step` is this plus the sparse loop, and every trainer under
+        ``src/`` calls :meth:`step`; the only outside caller of the two
+        halves is ``perfbench/layers.py``, which times them apart.
         """
         for i, p in enumerate(self.dense_params):
             self._dense_step(i, p)
@@ -78,8 +77,7 @@ class _OptimizerBase:
         """Apply one explicit sparse update to table ``idx``.
 
         Unlike :meth:`step`, the gradient is supplied by the caller rather
-        than popped off the table — the mp shard owner passes the
-        rank-order-merged gradient of all workers' contributions here.
+        than popped off the table (see :meth:`dense_step` for who calls it).
         """
         self._sparse_step(idx, self.tables[idx], grad)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.registry import MetricsRegistry
+from .training import TrainResult, _train_loop
 
 __all__ = ["MetricsLogger", "MetricSeries", "InstrumentedTrainer"]
 
@@ -154,13 +155,11 @@ class InstrumentedTrainer:
         self._step += 1
         return loss
 
-    def train(self, batches, max_examples: int) -> None:
-        if max_examples < 1:
-            raise ValueError("max_examples must be >= 1")
-        for batch in batches:
-            if self._examples >= max_examples:
-                break
-            self.train_step(batch)
+    def train(self, batches, max_examples: int) -> TrainResult:
+        """Train ``max_examples`` more examples through :class:`Trainer`'s
+        budget loop (same contract: no batch is pulled past the budget, and
+        an empty budget or a stream that ends short of it raises)."""
+        return _train_loop(self.train_step, batches, max_examples, None)
 
     def registry(self) -> MetricsRegistry:
         """This run's metrics as a mergeable registry (see

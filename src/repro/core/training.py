@@ -1,9 +1,10 @@
-"""Single-node training loop and evaluation harness.
+"""The training step every trainer in the repo runs, and the evaluation harness.
 
-This is the functional training path used by the accuracy experiments
-(Figure 15): train a numpy DLRM on synthetic click data for a fixed example
-budget, evaluate normalized entropy on a held-out set, and compare across
-batch sizes / sync modes.
+:meth:`Trainer.train_step` is the one place that sequences zero-grad ->
+forward -> loss -> backward -> optimizer: the accuracy experiments (Figure
+15) drive it over synthetic click data for a fixed example budget, and the
+hybrid-parallel workers of :mod:`repro.distributed.mp` hang their gradient
+exchanges off the same step through the seam documented on :class:`Trainer`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,21 @@ class Trainer:
 
     The optimizer is built by ``optimizer_factory(model)`` so hyper-parameter
     sweeps (:mod:`repro.core.tuning`) can rebuild fresh state per trial.
+
+    The seam for a model that is one of ``world`` replicas sharing each step
+    (the :mod:`repro.distributed.mp` worker) is a subclass setting two
+    members.  ``world``: the loss gradient is scaled by ``1 / world`` — the
+    same constant on every replica, so the summed gradients are the
+    global-batch gradient with identical rounding on every path.
+    ``on_stage(self, stage)``: fired at ``"loss"`` (loss forward done), at
+    ``"top"`` / ``"embeddings"`` / ``"bottom"`` (:meth:`DLRM.backward`'s stage
+    hook: those gradients are final and may be shipped) and at ``"grads"``
+    (right before ``optimizer.step()``: the gradients it is to apply must be
+    in place on return).  The base has no callback and ``world = 1``.
     """
+
+    world = 1
+    on_stage: Callable[[str], None] | None = None
 
     def __init__(
         self,
@@ -100,7 +115,6 @@ class Trainer:
         #: path (annotated on trace spans so Chrome traces distinguish
         #: fast-path slices).
         self.fused = model.workspace is not None
-        self._backend_name = self.backend.name
         #: Observability hook (see :mod:`repro.obs`); defaults to the no-op
         #: tracer, so instrumentation costs nothing unless opted in.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -178,10 +192,11 @@ class Trainer:
         """One forward/backward/update; returns the batch loss."""
         tracer = self.tracer
         fused = self.fused
+        on_stage = self.on_stage
         with tracer.span(
             "train_step", "iteration",
             step=self._step_index, batch=batch.size, fused=fused,
-            backend=self._backend_name,
+            backend=self.backend.name,
         ):
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
@@ -189,11 +204,17 @@ class Trainer:
                     logits = self.model.forward(batch)
                 with tracer.span("loss_forward", "compute"):
                     loss_value = self.loss.forward(logits, batch.labels)
+                if on_stage is not None:
+                    on_stage("loss")
             with tracer.span("backward", "compute", fused=fused):
                 with tracer.span("loss_backward", "compute"):
                     grad = self.loss.backward()
+                    if self.world > 1:
+                        grad *= 1.0 / self.world
                 with tracer.span("model_backward", "compute"):
-                    self.model.backward(grad)
+                    self.model.backward(grad, on_stage)
+            if on_stage is not None:
+                on_stage("grads")
             with tracer.span("optimizer_step", "compute", fused=fused):
                 self.optimizer.step()
             if self._tiered_tables:
@@ -273,7 +294,7 @@ class Trainer:
 
             prefetch = PrefetchPipeline(iter(batches), plan_fn, tracer=self.tracer)
             with prefetch:
-                result = self._train_loop(prefetch, max_examples, max_steps)
+                result = _train_loop(self.train_step, prefetch, max_examples, max_steps)
             self.pipeline_stats = prefetch.stats
             result.pipeline = prefetch.stats.as_dict()
             if self.metrics is not None:
@@ -287,67 +308,53 @@ class Trainer:
                     prefetch.stats.overlap_fraction
                 )
             return result
-        return self._train_loop(batches, max_examples, max_steps)
+        return _train_loop(self.train_step, batches, max_examples, max_steps)
 
-    def _train_loop(
-        self,
-        batches: Iterator[Batch],
-        max_examples: int | None,
-        max_steps: int | None,
-    ) -> TrainResult:
-        budget = " and ".join(
-            part
-            for part in (
-                f"max_examples={max_examples}" if max_examples is not None else "",
-                f"max_steps={max_steps}" if max_steps is not None else "",
-            )
-            if part
-        )
-        history: list[float] = []
-        examples = 0
-        steps = 0
-        stream_ended = False
-        batches = iter(batches)
-        # Check budgets *before* pulling from the stream: the iterator may
-        # be shared (e.g. resuming after a checkpoint restore), and pulling
-        # a batch that is then discarded would silently skip data.
-        while True:
-            if max_steps is not None and steps >= max_steps:
-                break
-            if max_examples is not None and examples >= max_examples:
-                break
-            try:
-                batch = next(batches)
-            except StopIteration:
-                stream_ended = True
-                break
-            history.append(self.train_step(batch))
-            steps += 1
-            # The final batch may overshoot the example budget; every one of
-            # its examples contributed to the last gradient, so all of them
-            # count toward ``examples_seen`` (it can exceed ``max_examples``
-            # by at most one batch).
-            examples += batch.size
-        if steps == 0:
-            if stream_ended:
+
+def _train_loop(
+    step: Callable[[Batch], float],
+    batches: Iterator[Batch],
+    max_examples: int | None,
+    max_steps: int | None,
+) -> TrainResult:
+    """The one budget loop: feed ``batches`` to ``step`` until a budget is met."""
+    budget = f"max_examples={max_examples}, max_steps={max_steps}"
+    history: list[float] = []
+    examples = 0
+    batches = iter(batches)
+    # Check budgets *before* pulling from the stream: the iterator may
+    # be shared (e.g. resuming after a checkpoint restore), and pulling
+    # a batch that is then discarded would silently skip data.
+    while True:
+        if max_steps is not None and len(history) >= max_steps:
+            break
+        if max_examples is not None and examples >= max_examples:
+            break
+        try:
+            batch = next(batches)
+        except StopIteration:
+            # The stream is only pulled while every budget is still open, so
+            # it ran dry early; silently returning would misreport the run
+            # as having consumed its budget.
+            if not history:
                 raise ValueError(
                     f"batch stream was empty before the first step (budget: {budget})"
-                )
-            raise ValueError(f"budget permits no training steps (budget: {budget})")
-        if stream_ended:
-            # Either budget being met counts as completion; otherwise the
-            # stream ran dry early and silently returning would misreport
-            # the run as having consumed its budget.
-            steps_met = max_steps is not None and steps >= max_steps
-            examples_met = max_examples is not None and examples >= max_examples
-            if not (steps_met or examples_met):
-                raise ValueError(
-                    f"batch stream ended after {examples} examples ({steps} steps), "
-                    f"short of the training budget ({budget})"
-                )
-        return TrainResult(
-            steps=steps,
-            examples_seen=examples,
-            final_loss=history[-1],
-            loss_history=history,
-        )
+                ) from None
+            raise ValueError(
+                f"batch stream ended after {examples} examples ({len(history)} steps), "
+                f"short of the training budget ({budget})"
+            ) from None
+        history.append(step(batch))
+        # The final batch may overshoot the example budget; every one of
+        # its examples contributed to the last gradient, so all of them
+        # count toward ``examples_seen`` (it can exceed ``max_examples``
+        # by at most one batch).
+        examples += batch.size
+    if not history:
+        raise ValueError(f"budget permits no training steps (budget: {budget})")
+    return TrainResult(
+        steps=len(history),
+        examples_seen=examples,
+        final_loss=history[-1],
+        loss_history=history,
+    )

@@ -14,11 +14,17 @@ realized with OS processes instead of an analytic model:
   layer k's exchange overlapped against layer k-1's backward by a
   dedicated communication thread.
 
+The training step is not in this module: each worker runs
+:meth:`repro.core.training.Trainer.train_step` with its gradient exchanges
+hung off the step's stage callback; the worker's own loop only orders the
+next-batch pull, checkpoint and barrier around it.
+
 Determinism contract (pinned by ``tests/test_mp.py``): with the
 ``"ordered"`` reduction an N-worker run is **bit-identical** — losses,
 dense parameters, and embedding shards — to :func:`run_hybrid_serial`,
-the single-process trainer walking the same fixed partition and seeded
-per-rank data split, in float64 *and* float32.  Against a plain
+the single-process reference walking the same fixed partition and seeded
+per-rank data split, in float64 *and* float32 — and at one worker to the
+plain :class:`~repro.core.training.Trainer` itself.  Against a plain
 full-batch serial trainer the match is tolerance-bounded (chunked
 sub-batch GEMMs sum in a different order than one full-batch GEMM).
 
@@ -49,12 +55,12 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from ...core import DLRM, Adagrad, Batch
+from ...core import DLRM, Adagrad, Batch, Trainer
 from ...core.config import ModelConfig
 from ...core.embedding import RaggedIndices
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
-from ...obs.tracer import NULL_TRACER
+from ...obs.tracer import NULL_TRACER, Tracer
 from ...pipeline import PrefetchPipeline, PreparedBatch
 from ...runtime.runner import derive_seed
 from . import ckpt
@@ -76,6 +82,10 @@ __all__ = [
 
 _PHASES = ("forward", "loss", "backward", "sparse_exchange", "dense_wait",
            "optimizer", "checkpoint", "prep_wait", "barrier")
+#: :meth:`Trainer.train_step` spans whose phase is not their own name.
+_SPAN_PHASE = dict(model_forward="forward", loss_forward="loss",
+                   loss_backward="backward", model_backward="backward",
+                   optimizer_step="optimizer")
 
 #: What a worker's main thread treats as "a peer is gone — drain":
 #: channel EOFs (ChannelClosed is a ConnectionError), socket errors from
@@ -98,7 +108,7 @@ class HybridRunConfig:
     no-progress backstop.
 
     ``pipeline`` moves the prep stage — batch generation and lookup
-    planning — from the step loop to a prep thread
+    planning — from the worker's main thread to a prep thread
     (:class:`~repro.pipeline.PrefetchPipeline`) and reports its stall
     ledger.  Nothing else depends on it: either way the next step's sparse
     id exchange overlaps this step's compute and the sparse value exchange
@@ -187,7 +197,9 @@ class KillSpec:
             raise ValueError(f"attempt must be >= 0, got {self.attempt}")
 
 
-def _execute_kill(spec: KillSpec) -> None:
+def _execute_kill(spec: KillSpec | None) -> None:
+    if spec is None:
+        return
     if spec.action == "exit":
         os._exit(spec.exit_code)
     os.kill(os.getpid(), signal.SIGKILL)
@@ -203,7 +215,6 @@ class WorkerReport:
     phase_s: dict[str, float]
     comm_s: float
     dense_digest: str
-    pid: int
     #: stall ledger of the prep pipeline (``PipelineStats.as_dict()``),
     #: ``None`` when the run was not pipelined.
     pipeline: dict[str, float] | None = None
@@ -226,7 +237,6 @@ class HybridResult:
     dense_digest: str  # sha256 over the dense parameters (rank 0 replica)
     table_digests: dict[str, str]  # sha256 over each embedding shard
     plan: ShardPlan | None = None
-    per_rank_phase_s: list[dict[str, float]] = field(default_factory=list)
     #: committed checkpoints as ``(global step, max write seconds)``.
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     #: global step this run resumed from (0 = trained from scratch).
@@ -406,18 +416,27 @@ class _Fabric:
 # ---------------------------------------------------------------------------
 
 
-def _build_replica(config: ModelConfig, run: HybridRunConfig):
-    """The per-process model/loss pair; identical on every rank by seed."""
-    model = DLRM(config, rng=derive_seed(run.seed, "model"))
-    loss = BCEWithLogitsLoss(workspace=model.workspace, backend=model.backend)
-    return model, loss
-
-
 def _dense_digest(model: DLRM) -> str:
     h = hashlib.sha256()
     for p in model.dense_parameters():
         h.update(np.ascontiguousarray(p.value).tobytes())
     return h.hexdigest()
+
+
+def _fold_spans(tracer: Tracer, phase_s: dict[str, float]) -> None:
+    """Add every span's *self* time (duration minus its child spans) to its
+    phase and drop the spans — the worker's one timing mechanism, in bounded
+    memory.  Call with no span open."""
+    spans = tracer.spans
+    covered = [0.0] * len(spans)
+    for s in spans:
+        if s.parent is not None:
+            covered[s.parent] += s.duration
+    for s, child_s in zip(spans, covered):
+        phase = _SPAN_PHASE.get(s.name, s.name)
+        if phase in phase_s:  # "train_step" itself is no phase
+            phase_s[phase] += s.duration - child_s
+    spans.clear()
 
 
 def _watch_ctrl(ctrl: Channel, barrier, channels, finished, draining) -> None:
@@ -459,7 +478,7 @@ def _worker_main(
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
-    model, loss_fn = _build_replica(config, run)
+    model = DLRM(config, rng=derive_seed(run.seed, "model"))  # same on every rank
     # Zero-copy shard adoption: every rank reads all tables straight out of
     # shared memory; only owned tables are ever written by this rank.
     for name in (t.name for t in config.tables):
@@ -475,22 +494,22 @@ def _worker_main(
         optimizer.adopt_table_state(i, shards.view(name, "accum"))
 
     start = 0
-    loss_prefix: list[float] = []
+    losses: list[float] = []
     if resume is not None:
         # Shard weights/accums were seeded by the parent when it created
         # the shared segments; the replicated dense state is overwritten
         # here, bit-exactly, on every rank.
         start = resume.step
-        loss_prefix = list(resume.per_rank_losses[rank])
+        losses = list(resume.per_rank_losses[rank])  # one entry per resumed step
         for p, value in zip(model.dense_parameters(), resume.dense):
             p.value[...] = value
         for slot, value in zip(optimizer._dense_state, resume.opt_dense):
             slot[...] = value
 
-    # One step program: every step consumes a PreparedBatch (batch + lookup
-    # plans) from one source.  The ``pipeline`` flag only decides where the
-    # prep stage runs — on a prep thread behind a double buffer, or inline
-    # when the loop pulls the next batch.  batch_stream consumes the rng exactly
+    # Every step consumes a PreparedBatch (batch + lookup plans) from one
+    # source.  The ``pipeline`` flag only decides where the prep stage runs
+    # — on a prep thread behind a double buffer, or inline when the loop
+    # pulls the next batch.  batch_stream consumes the rng exactly
     # like generating all ``run.steps`` batches and dropping the replayed
     # prefix, so a resumed run sees the uninterrupted run's data order.
     gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", rank))
@@ -530,8 +549,6 @@ def _worker_main(
         (k.step, k.phase): k for k in (kills or []) if k.rank == rank
     }
     ckpt_dir = pathlib.Path(run.checkpoint_dir) if run.checkpoint_dir else None
-    inv_world = 1.0 / world
-    losses: list[float] = []
     step_s: list[float] = []
     phase_s = dict.fromkeys(_PHASES, 0.0)
 
@@ -546,21 +563,56 @@ def _worker_main(
     )
     watcher.start()
 
-    def timed(phase: str, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        phase_s[phase] += time.perf_counter() - t0
-        return out
+    tracer = Tracer()
+
+    class ReplicaTrainer(Trainer):
+        """:meth:`Trainer.train_step` over this rank's replica.  Each
+        gradient exchange starts the moment the backward has produced its
+        inputs, so it overlaps the rest of the backward on the comm thread
+        (the owner-side merge plan went ahead with the id exchange)."""
+
+        world = fabric.world
+
+        def on_stage(self, stage: str) -> None:
+            gstep = start + self.step_index
+            if stage == "loss":
+                _execute_kill(my_kills.get((gstep, "loss")))
+            elif stage == "top":
+                reducer.submit(top_bucket)
+                _execute_kill(my_kills.get((gstep, "allreduce")))
+            elif stage == "embeddings":
+                # the main thread's share of the exchange: a child span, so
+                # it is not part of the enclosing backward's self time
+                with tracer.span("sparse_exchange", "comm"):
+                    local = {
+                        name: model.embeddings.tables[name].pop_grad()
+                        for name in table_names
+                    }
+                    reducer.submit_job(
+                        lambda: sparse.exchange_values(gstep, local),
+                        stage="sparse_values",
+                    )
+            elif stage == "bottom":
+                reducer.submit(bottom_bucket)
+            elif stage == "grads":
+                with tracer.span("dense_wait", "comm"):
+                    reducer.flush()
+                # Each owned table gets the rank-order merge of all workers'
+                # rows as its one gradient, the other tables were emptied
+                # above: the update is the ordinary optimizer.step().
+                for name, grad in sparse.take_merged(gstep).items():
+                    if grad is not None:
+                        model.embeddings.tables[name].sparse_grads.append(grad)
+
+    trainer = ReplicaTrainer(model, lambda _: optimizer, tracer=tracer)
 
     def write_checkpoint(completed: int, kill_spec: KillSpec | None) -> None:
         """Persist this rank's shard for ``completed`` global steps and,
         on rank 0, gather digests and commit the manifest atomically."""
-        hook = (
-            (lambda: _execute_kill(kill_spec)) if kill_spec is not None else None
-        )
-        arrays: dict[str, np.ndarray] = {
-            "losses": np.asarray(loss_prefix + losses, dtype=np.float64)
-        }
+        def hook() -> None:
+            _execute_kill(kill_spec)
+
+        arrays: dict[str, np.ndarray] = {"losses": np.asarray(losses, dtype=np.float64)}
         for name in owned:
             arrays[f"weight/{name}"] = shards.view(name, "weight")
             arrays[f"accum/{name}"] = shards.view(name, "accum")
@@ -623,74 +675,20 @@ def _worker_main(
         barrier.wait(timeout=run.barrier_timeout_s)
         # First batch + its id exchange: from here on the ids of step g+1
         # are always on the wire while step g computes.
-        batch = timed("prep_wait", next, batches)
+        with tracer.span("prep_wait", "pipeline"):
+            batch = next(batches)
         submit_ids(start, batch)
         for gstep in range(start, run.steps):
             t_step = time.perf_counter()
-            model.zero_grad()
-            optimizer.zero_grad()
-            logits = timed("forward", model.forward, batch)
-            loss_val = timed("loss", loss_fn.forward, logits, batch.labels)
-            loss_kill = my_kills.get((gstep, "loss"))
-            if loss_kill is not None:
-                _execute_kill(loss_kill)
-            grad = loss_fn.backward()
-            # Exact global-batch normalization: every rank (and the serial
-            # reference) scales its local mean-loss gradient by the same
-            # 1/W constant, so the allreduced sum is the global gradient
-            # with identical rounding on every path.
-            grad *= inv_world
-            ar_kill = my_kills.get((gstep, "allreduce"))
-
-            def on_stage(stage: str) -> None:
-                # Each gradient exchange starts the moment the backward has
-                # produced its inputs, so it overlaps the rest of the
-                # backward on the comm thread (the owner-side merge plan
-                # went ahead with the id exchange).
-                if stage == "top":
-                    reducer.submit(top_bucket)
-                    if ar_kill is not None:
-                        _execute_kill(ar_kill)
-                elif stage == "embeddings":
-                    t0 = time.perf_counter()
-                    local = {
-                        name: model.embeddings.tables[name].pop_grad()
-                        for name in table_names
-                    }
-                    reducer.submit_job(
-                        lambda: sparse.exchange_values(gstep, local),
-                        stage="sparse_values",
-                    )
-                    # the main thread's share of the exchange, taken out of
-                    # the enclosing "backward" so the phases stay disjoint
-                    spent = time.perf_counter() - t0
-                    phase_s["sparse_exchange"] += spent
-                    phase_s["backward"] -= spent
-                else:
-                    reducer.submit(bottom_bucket)
-
-            timed("backward", model.backward, grad, on_stage)
-            timed("dense_wait", reducer.flush)
-            merged = sparse.take_merged(gstep)
-
-            def _apply():
-                optimizer.dense_step()
-                for i, name in enumerate(owned):
-                    g = merged[name]
-                    if g is not None:
-                        optimizer.sparse_update(i, g)
-
-            timed("optimizer", _apply)
+            loss_val = trainer.train_step(batch)
             losses.append(loss_val)
             conn.send(("step", rank, gstep + 1, loss_val))
             if run.checkpoint_every and (gstep + 1) % run.checkpoint_every == 0:
                 # After the optimizer, before the barrier: every rank
                 # serializes only state it wrote itself this step, so the
                 # snapshot is consistent without an extra barrier.
-                timed(
-                    "checkpoint", write_checkpoint,
-                    gstep + 1, my_kills.get((gstep, "checkpoint")),
-                )
+                with tracer.span("checkpoint", "io"):
+                    write_checkpoint(gstep + 1, my_kills.get((gstep, "checkpoint")))
             if gstep + 1 < run.steps:
                 # Pull the next prepared batch (prep_wait is this rank's
                 # data stall: the whole prep stage when it runs inline, the
@@ -699,10 +697,13 @@ def _worker_main(
                 # forward/backward.  Strictly after the checkpoint: the
                 # comm thread and the checkpoint's mesh gather must never
                 # interleave sends on a socket.
-                batch = timed("prep_wait", next, batches)
+                with tracer.span("prep_wait", "pipeline"):
+                    batch = next(batches)
                 submit_ids(gstep + 1, batch)
             # All shard writes must land before any rank's next forward.
-            timed("barrier", barrier.wait, run.barrier_timeout_s)
+            with tracer.span("barrier", "comm"):
+                barrier.wait(run.barrier_timeout_s)
+            _fold_spans(tracer, phase_s)
             step_s.append(time.perf_counter() - t_step)
         reducer.shutdown()
         finished.set()
@@ -713,7 +714,6 @@ def _worker_main(
             phase_s=phase_s,
             comm_s=reducer.comm_seconds,
             dense_digest=_dense_digest(model),
-            pid=os.getpid(),
             pipeline=source.stats.as_dict() if run.pipeline else None,
         )))
         conn.close()
@@ -729,7 +729,7 @@ def _worker_main(
         suspect = getattr(err, "peer", None)
         try:
             conn.send(
-                ("drained", rank, start + len(losses), list(losses),
+                ("drained", rank, len(losses), list(losses),
                  suspect, repr(err))
             )
             conn.close()
@@ -950,7 +950,7 @@ def run_hybrid(
             accums={name: resume.table_accums[name] for name in order},
         )
     else:
-        init_model, _ = _build_replica(config, run)
+        init_model = DLRM(config, rng=derive_seed(run.seed, "model"))
         shards = TableShards.create(
             {name: init_model.embeddings.tables[name].weight for name in order}
         )
@@ -990,12 +990,7 @@ def run_hybrid(
         fabric.close_all()
         shards.close()
 
-    if resume is not None:
-        per_rank = [
-            resume.per_rank_losses[r.rank] + r.losses for r in reports
-        ]
-    else:
-        per_rank = [r.losses for r in reports]
+    per_rank = [r.losses for r in reports]  # a resumed rank reports its whole history
     executed = run.steps - start
     # representative step time: per step take the max across ranks (the
     # barrier makes the slowest rank the step's wall time), then the best
@@ -1051,7 +1046,6 @@ def run_hybrid(
         dense_digest=reports[0].dense_digest,
         table_digests=table_digests,
         plan=plan,
-        per_rank_phase_s=[r.phase_s for r in reports],
         checkpoints=checkpoints,
         resumed_from=start,
         pipeline=pipeline_agg,
@@ -1078,7 +1072,8 @@ def run_hybrid_serial(
     """
     run = run or HybridRunConfig()
     world = run.workers
-    model, loss_fn = _build_replica(config, run)
+    model = DLRM(config, rng=derive_seed(run.seed, "model"))
+    loss_fn = BCEWithLogitsLoss(workspace=model.workspace, backend=model.backend)
     optimizer = Adagrad(
         model.dense_parameters(),
         model.embedding_tables(),

@@ -81,6 +81,51 @@ class TestTrainer:
         assert step.attributes["backend"] == model.backend.name == backend
 
 
+def _state_bytes(model):
+    return [p.value.tobytes() for p in model.dense_parameters()] + [
+        t.weight.tobytes() for t in model.embedding_tables()
+    ]
+
+
+class TestStageContract:
+    """The seam the hybrid workers train through (``Trainer.on_stage``)."""
+
+    def test_stages_fire_in_order_and_change_nothing(self, tiny_config, tiny_generator):
+        class Recording(Trainer):
+            def on_stage(self, stage):
+                self.seen.append(stage)
+                if stage == "grads":
+                    self.state_at_grads = _state_bytes(self.model)
+
+        def build(cls):
+            return cls(
+                DLRM(tiny_config, rng=0),
+                lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
+            )
+
+        base, recording = build(Trainer), build(Recording)
+        for batch in [tiny_generator.batch(16) for _ in range(3)]:
+            recording.seen = []
+            before = _state_bytes(recording.model)
+            assert recording.train_step(batch) == base.train_step(batch)
+            assert recording.seen == ["loss", "top", "embeddings", "bottom", "grads"]
+            assert recording.state_at_grads == before  # optimizer not yet run
+            assert _state_bytes(recording.model) == _state_bytes(base.model) != before
+
+    def test_base_trainer_passes_no_stage_hook(self, tiny_config, tiny_generator, monkeypatch):
+        hooks = []
+        backward = DLRM.backward
+
+        def spy(self, grad, stage_hook="unset"):
+            hooks.append(stage_hook)
+            return backward(self, grad, stage_hook)
+
+        monkeypatch.setattr(DLRM, "backward", spy)
+        assert Trainer.world == 1 and Trainer.on_stage is None
+        _trainer(tiny_config).train_step(tiny_generator.batch(16))
+        assert hooks == [None]
+
+
 class TestTrainerBudgetAccounting:
     """The partial-final-batch and stream-exhaustion contracts."""
 

@@ -10,6 +10,8 @@ ground truth for that claim, in both float64 and float32.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +60,13 @@ def assert_matches_serial(config, run) -> None:
     assert_bit_identical(got, run_hybrid_serial(config, run))
     assert got.phase_s["prep_wait"] > 0  # inline: the whole prep stage
     assert (got.pipeline is not None) == run.pipeline
+    # the phase ledger is span self time folded per step: nine disjoint phases
+    assert set(got.phase_s) == {
+        "forward", "loss", "backward", "sparse_exchange", "dense_wait",
+        "optimizer", "checkpoint", "prep_wait", "barrier",
+    }
+    assert all(math.isfinite(v) and v >= 0 for v in got.phase_s.values())
+    assert min(got.phase_s[ph] for ph in ("forward", "backward", "optimizer")) > 0
 
 
 class TestOrderedDeterminism:
@@ -76,6 +85,32 @@ class TestOrderedDeterminism:
         run = HybridRunConfig(workers=1, steps=2, batch_size=16)
         assert_matches_serial(small_config(), run)
         assert_matches_serial(small_config(), replace(run, pipeline=True))
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_single_worker_is_the_plain_trainer(self, dtype, pipeline):
+        """Serial = world 1: one worker process is bit-identical to the plain
+        :class:`Trainer` on the same seeds — it runs the same ``train_step``."""
+        config = small_config(dtype)
+        run = HybridRunConfig(workers=1, steps=3, batch_size=16, seed=11, pipeline=pipeline)
+        got = run_hybrid(config, run)
+        trainer = Trainer(
+            model := DLRM(config, rng=derive_seed(run.seed, "model")),
+            lambda m: Adagrad(
+                m.dense_parameters(), m.embedding_tables(), lr=run.lr, backend=m.backend
+            ),
+        )
+        gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", 0))
+        ref = trainer.train(gen.batches(run.local_batch), max_steps=run.steps)
+        assert got.losses == ref.loss_history
+        dense = hashlib.sha256()
+        for p in model.dense_parameters():
+            dense.update(np.ascontiguousarray(p.value).tobytes())
+        assert got.dense_digest == dense.hexdigest()
+        assert got.table_digests == {
+            name: hashlib.sha256(table.weight.tobytes()).hexdigest()
+            for name, table in model.embeddings.tables.items()
+        }
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_two_workers_pipelined_bitwise_vs_serial(self, dtype):

@@ -70,6 +70,13 @@ class TestMetricsLogger:
         assert s["first"] == 3.0 and s["last"] == 2.0
 
 
+def _adagrad_trainer(config):
+    return Trainer(
+        DLRM(config, rng=0),
+        lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
+    )
+
+
 class TestInstrumentedTrainer:
     def test_logs_training_run(self, tiny_config, tiny_generator):
         model = DLRM(tiny_config, rng=0)
@@ -93,3 +100,25 @@ class TestInstrumentedTrainer:
         )
         with pytest.raises(ValueError):
             InstrumentedTrainer(trainer).train(tiny_generator.batches(8), max_examples=0)
+
+    def test_shared_iterator_is_not_pulled_past_the_budget(self, tiny_config, tiny_generator):
+        pulled = []
+
+        def counting():
+            for batch in tiny_generator.batches(8):
+                pulled.append(batch)
+                yield batch
+
+        stream = counting()
+        inst = InstrumentedTrainer(_adagrad_trainer(tiny_config))
+        inst.train(stream, max_examples=16)
+        assert len(inst.logger.series("loss")) == len(pulled) == 2
+        inst.train(stream, max_examples=8)  # the next call resumes at batch 3
+        assert len(inst.logger.series("loss")) == len(pulled) == 3
+        assert inst.logger.series("examples_seen").latest() == 24
+
+    def test_short_stream_rejected(self, tiny_config, tiny_generator):
+        inst = InstrumentedTrainer(_adagrad_trainer(tiny_config))
+        with pytest.raises(ValueError, match="short of the training budget"):
+            inst.train([tiny_generator.batch(8) for _ in range(2)], max_examples=64)
+        assert len(inst.logger.series("loss")) == 2
