@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test fuzz conformance bench mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
+.PHONY: install test fuzz conformance bench alloc-smoke mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -21,6 +21,12 @@ conformance:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Fresh interpreter, reduced train_emb shape: minor page faults per
+# steady-state step must stay under a bound that per-call result
+# allocation in the embedding kernels misses by 10x (Linux only).
+alloc-smoke:
+	PYTHONPATH=src $(PYTHON) benchmarks/alloc_smoke.py
 
 # 2-worker hybrid-parallel run, bitwise-verified against the serial
 # trainer, with the prep stage inline and on its prefetch thread; then

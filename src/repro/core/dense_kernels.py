@@ -91,6 +91,15 @@ class Workspace:
     bounded by the number of distinct shapes seen, which for a training run
     is the per-layer activation set times the number of batch sizes.
 
+    Lifetime contract: a buffer belongs to its key's *next* ``get`` — a
+    layer's output lives until that layer's next forward, an input
+    gradient until its next backward — so whoever keeps a result across
+    steps copies it (``DLRM.forward`` peels the logits off for that
+    reason).  The embedding tables draw from the same arena through
+    :meth:`get_rows` (their row counts move from step to step) and state
+    what that means for pooled outputs and pending sparse gradients in
+    :mod:`repro.core.embedding`.
+
     The arena is observable: ``dense.workspace.hits`` / ``.misses``
     counters tick on every ``get`` (a *miss* is a fresh allocation), so a
     steady-state train step shows only hits.
@@ -128,6 +137,37 @@ class Workspace:
         else:
             self._hits.value += 1.0
         return buf
+
+    def get_rows(
+        self, key, rows: int, width: tuple[int, ...], dtype, fill=None
+    ) -> np.ndarray:
+        """The first ``rows`` rows of ``key``'s grow-only ``(capacity,
+        *width)`` buffer.
+
+        For results whose row count is data-dependent (the unique rows of a
+        sparse gradient): exact-shape :meth:`get` would mint a buffer per
+        distinct count.  A request within capacity is a hit; a larger one
+        replaces the buffer (contents are not carried over) with one 1/16
+        above the request, so a count that wanders around its mean misses
+        once, not at every new maximum, while the pages ever touched — the
+        resident footprint — stay at the high-water mark.  ``fill``
+        initialises each new buffer for callers that never write it (the
+        all-ones vector); otherwise contents are unspecified.
+        """
+        slot = (key, "rows", width, np.dtype(dtype))
+        buf = self._buffers.get(slot)
+        if buf is None or len(buf) < rows:
+            if buf is not None:
+                self._owned.discard(id(buf))
+            buf = np.empty((rows + (rows >> 4), *width), dtype=dtype)
+            if fill is not None:
+                buf.fill(fill)
+            self._buffers[slot] = buf
+            self._owned.add(id(buf))
+            self._misses.value += 1.0
+        else:
+            self._hits.value += 1.0
+        return buf[:rows]
 
     # -- introspection -------------------------------------------------------
 

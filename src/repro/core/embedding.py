@@ -16,6 +16,17 @@ Hot paths (pooling, coalescing, truncation, bounds checks) are implemented
 by the vectorized kernels in :mod:`repro.core.kernels`; features sharing a
 physical table are gathered in **one** batched pass
 (:meth:`EmbeddingTable.forward_batched`).
+
+A table on a workspace-backed backend (:meth:`EmbeddingTable.set_backend`,
+which :class:`~repro.core.model.DLRM` calls as it does for every dense
+layer) has the kernels write into the model's arena
+(:class:`~repro.core.dense_kernels.Workspace`), under the arena's lifetime
+contract: the pooled outputs returned by ``forward`` live until the table's
+next forward; a pending :class:`SparseGrad` 's ``values`` live until the
+first ``backward`` after the pending list was emptied — by ``zero_grad``, or
+by ``pop_grad``, whose caller must be done with (or have copied) what it
+popped by then.  Gradients pending together never share a buffer.  A table
+without a workspace returns fresh arrays, bit-identical ones.
 """
 
 from __future__ import annotations
@@ -25,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .backends import Backend, get_backend
 from .config import PoolingType, TableSpec
+from .dense_kernels import Workspace
 
 __all__ = [
     "RaggedIndices",
@@ -45,6 +58,12 @@ _HASH_SHIFT = np.uint64(16)
 #: transient (1024 rows at dim 64) that malloc recycles; from 2 MB up every
 #: block is mmapped afresh and costs what the one-shot draw did.
 _INIT_BLOCK_ELEMS = 1 << 16
+
+#: Arena keys shared by every table of a model: the indicator's all-ones
+#: vector (never written after its fill) and the contiguous copy of a
+#: backward's incoming gradient (consumed before ``backward`` returns).
+_ONES_KEY = "emb.ones"
+_GRAD_IN_KEY = "emb.grad_in"
 
 
 def hash_raw_ids(raw_ids: np.ndarray, hash_size: int) -> np.ndarray:
@@ -248,6 +267,29 @@ class EmbeddingTable:
         # feature, and the collection walks features in reverse on backward.
         self._saved: list[tuple[RaggedIndices, np.ndarray, kernels.CoalescePlan]] = []
         self.sparse_grads: list[SparseGrad] = []
+        self.workspace: Workspace | None = None
+        self._ws_key = spec.name
+
+    def set_backend(
+        self,
+        backend: Backend | str,
+        workspace: Workspace | None = None,
+        key: str | None = None,
+    ) -> None:
+        """Attach the model's arena (kept only under a backend that uses
+        one, so the ``"numpy"`` reference goes on allocating); see the
+        module docstring for how long results then live."""
+        backend = backend if isinstance(backend, Backend) else get_backend(backend)
+        self.workspace = workspace if backend.uses_workspace else None
+        if key is not None:
+            self._ws_key = key
+
+    def _rows(self, key, rows: int, width: tuple[int, ...] = (), fill=None):
+        """``rows`` rows of an arena buffer in the table's dtype, or
+        ``None`` (the kernels then allocate) without an arena."""
+        if self.workspace is None:
+            return None
+        return self.workspace.get_rows(key, rows, width, self.weight.dtype, fill)
 
     @property
     def dim(self) -> int:
@@ -309,10 +351,13 @@ class EmbeddingTable:
         # _prepare validates bounds (or accepts the safe_bound certificate),
         # so the pooled product may skip its own check.
         prepared = [self._prepare(ind) for ind in features]
-        lengths = tuple(p.lengths() for p in prepared)
+        # tuple(list), not tuple(generator): the latter over-allocates and
+        # shrinks, which parks one tuple per call on the interpreter's free
+        # list until the next full GC (perfbench's alloc.steady_kb_per_step)
+        lengths = tuple([p.lengths() for p in prepared])
         grad_plans = None
         if training:
-            grad_plans = tuple(kernels.coalesce_plan(p.values) for p in prepared)
+            grad_plans = tuple([kernels.coalesce_plan(p.values) for p in prepared])
         if len(prepared) == 1:
             all_values = prepared[0].values
             all_offsets = prepared[0].offsets
@@ -364,7 +409,12 @@ class EmbeddingTable:
         if plan is None:
             plan = self.plan_forward(features, training=training)
         pooled_cat = kernels.gather_pool(
-            self.weight, plan.all_values, plan.all_offsets, check=False
+            self.weight,
+            plan.all_values,
+            plan.all_offsets,
+            check=False,
+            out=self._rows((self._ws_key, "out"), len(plan.all_offsets) - 1, (self.dim,)),
+            ones=self._rows(_ONES_KEY, len(plan.all_values), fill=1),
         )
         if plan.split_bounds is None:
             splits = [pooled_cat]
@@ -376,7 +426,7 @@ class EmbeddingTable:
         ):
             if self.pooling is PoolingType.MEAN:
                 divisor = np.maximum(lengths, 1).astype(pooled.dtype)
-                pooled = pooled / divisor[:, None]
+                pooled /= divisor[:, None]
             if training:
                 self._saved.append((p, lengths, plan.grad_plans[i]))
             outs.append(pooled)
@@ -397,7 +447,22 @@ class EmbeddingTable:
         if self.pooling is PoolingType.MEAN:
             divisor = np.maximum(lengths, 1).astype(self.weight.dtype)[:, None]
             grad_out = grad_out / divisor
-        summed = kernels.expand_apply(gplan, lengths, grad_out)
+        elif not grad_out.flags.c_contiguous and self.workspace is not None:
+            # a column slice of the interaction's gradient: the kernel
+            # wants it contiguous, and would make a fresh copy itself
+            staged = self._rows(_GRAD_IN_KEY, len(grad_out), (self.dim,))
+            np.copyto(staged, grad_out)
+            grad_out = staged
+        # One buffer per gradient pending on this table, so the backwards
+        # of a shared table or of several sub-batches never alias.
+        slot = len(self.sparse_grads)
+        summed = kernels.expand_apply(
+            gplan,
+            lengths,
+            grad_out,
+            out=self._rows((self._ws_key, "grad", slot), gplan.num_rows, (self.dim,)),
+            ones=self._rows(_ONES_KEY, len(indices.values), fill=1),
+        )
         self.sparse_grads.append(SparseGrad(rows=gplan.rows, values=summed))
 
     def adopt_weight(self, storage: np.ndarray) -> None:
@@ -483,6 +548,14 @@ class EmbeddingBagCollection:
         for feature in self.feature_names:
             by_table.setdefault(self.feature_to_table[feature], []).append(feature)
         self._table_groups = list(by_table.items())
+
+    def set_backend(
+        self, backend: Backend | str, workspace: Workspace | None = None
+    ) -> None:
+        """Put every table on ``backend``'s arena, keyed by table name (as
+        ``MLP.set_backend`` keys its layers by position)."""
+        for name, table in self.tables.items():
+            table.set_backend(backend, workspace, key=f"emb[{name}]")
 
     def plan_batch(
         self, batch: dict[str, RaggedIndices], *, training: bool = True

@@ -10,24 +10,26 @@ O(batch) interpreter round trips per feature per step.
 This module replaces them with contiguous, single-dispatch kernels:
 
 * :func:`segment_sum` / :func:`segment_mean` — pooled reduction over a CSR
-  ragged layout expressed as a sparse-matrix product ``S @ data`` where
-  ``S`` is the (segments x lookups) indicator matrix sharing the ragged
-  offsets as its ``indptr``.  SciPy's CSR matmat kernel runs one C loop
-  with a dense inner loop over the embedding dim — an order of magnitude
+  ragged layout expressed as the product ``S @ data`` where ``S`` is the
+  (segments x lookups) indicator matrix sharing the ragged offsets as its
+  ``indptr``.  ``S`` is never built: :func:`_indicator_matmul` hands the
+  index arrays as they are to SciPy's compiled ``csr_matvecs`` routine —
+  the one its CSR class's ``@`` dispatches to — which runs one C loop
+  with a dense inner loop over the embedding dim, an order of magnitude
   faster than both ``np.add.at`` and ``np.add.reduceat`` (whose inner loop
   is not vectorized across the trailing axis).  ``np.add.reduceat`` remains
   as the fallback when SciPy is unavailable or dtypes are exotic;
 * :func:`gather_pool` — the *fused* embedding-bag forward: pooled lookup
-  as ``S @ weight`` where the lookup indices are the sparse matrix's
-  column indices.  The ``(total_lookups, dim)`` gathered-row temporary of
-  the gather-then-pool formulation is never materialized — the CSR kernel
+  as ``S @ weight`` where the lookup indices are ``S``'s column indices.
+  The ``(total_lookups, dim)`` gathered-row temporary of the
+  gather-then-pool formulation is never materialized — the CSR kernel
   streams rows of ``weight`` straight into the pooled output, which is
   what makes small batches fast (the temporaries, not the FLOPs, dominate
   there);
 * :func:`coalesce_rows` — duplicate-row gradient summation via a stable
-  sort + the same indicator-matrix product (the matrix's column order
-  performs the permutation, so the sorted gradient copy is never
-  materialized) instead of ``np.unique`` + ``np.add.at``;
+  sort + the same indicator product (the column order performs the
+  permutation, so the sorted gradient copy is never materialized) instead
+  of ``np.unique`` + ``np.add.at``;
 * :func:`expand_coalesce` — the fused embedding-bag backward: for pooled
   bags every lookup in sample ``i`` receives ``grad_out[i]``, so the
   per-row gradient sums are ``T @ grad_out`` with ``T[r, sample_of[j]]
@@ -51,6 +53,14 @@ identical inputs produce identical bits on every run and in every worker
 process, which is what the runtime cache and the parallel-equals-serial
 sweep contract rely on.  The ``naive_*`` reference implementations of the
 replaced code paths are kept here for the equivalence tests.
+
+Results land where the caller says: :func:`segment_sum`,
+:func:`gather_pool`, :func:`coalesce_apply` and :func:`expand_apply` take
+``out=`` (a C-contiguous array of exactly the result's shape and dtype,
+overwritten and returned) and the two the embedding tables call every
+step also ``ones=`` (the indicator's all-ones data vector), so a table
+holding a :class:`~repro.core.dense_kernels.Workspace` runs its step
+without a fresh result per call; ``None`` allocates, as before.
 """
 
 from __future__ import annotations
@@ -60,14 +70,17 @@ from dataclasses import dataclass
 import numpy as np
 
 try:  # scipy is a normal dependency (repro.core.tuning uses scipy.special),
-    # but the kernels degrade gracefully to pure-numpy without it.
-    import scipy.sparse as _sparse
+    # but the kernels degrade gracefully to pure-numpy without it — and
+    # without the private module the routine lives in (the differential
+    # tests in tests/test_kernels.py pin it against the public product).
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = None
+    _csr_matvecs = None
 
 #: Dtypes routed through the sparse-matmul fast path; anything else falls
 #: back to ``np.add.reduceat``.
 _MATMUL_DTYPES = (np.float32, np.float64, np.int32, np.int64)
+_INDEX_DTYPES = (np.int32, np.int64)
 
 __all__ = [
     "segment_sum",
@@ -93,57 +106,139 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _result(out: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """The zeroed array a kernel accumulates into: fresh, or the caller's
+    ``out`` once it is known to be exactly that array's shape and dtype."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype != dtype
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writeable C-contiguous {np.dtype(dtype)} array of "
+            f"shape {shape}, got {out!r:.80}"
+        )
+    out.fill(0)
+    return out
+
+
 def _indicator_matmul(
-    cols: np.ndarray, indptr: np.ndarray, data: np.ndarray, num_rows: int
+    cols: np.ndarray,
+    indptr: np.ndarray,
+    data: np.ndarray,
+    num_rows: int,
+    out: np.ndarray | None = None,
+    ones: np.ndarray | None = None,
 ) -> np.ndarray:
     """``S @ data`` for the CSR indicator matrix ``S[r, cols[j]] = 1``.
 
     One fused permute-and-reduce: row ``r`` of the result is the sum of
     ``data[cols[indptr[r]:indptr[r+1]]]`` accumulated in column order,
     i.e. exactly the scalar-accumulation order of ``np.add.at``.
+
+    A direct call of the routine scipy's own CSR ``@`` ends in, minus the
+    matrix object.  The routine reads raw pointers and checks nothing,
+    so everything it assumes about layout is established here first (each
+    violation a ``ValueError`` naming the argument); that ``cols`` lies in
+    ``[0, len(data))`` and ``indptr`` is non-decreasing stays the caller's
+    proof, as it was for the matrix constructor (:func:`check_bounds`).
+    ``ones``, when given, is the caller's promise of ``len(cols)`` ones of
+    ``data``'s dtype.
     """
-    ones = np.ones(len(cols), dtype=data.dtype)
-    matrix = _sparse.csr_matrix(
-        (ones, cols, indptr), shape=(num_rows, data.shape[0])
+    if (
+        data.ndim != 2
+        or not data.flags.c_contiguous
+        or data.dtype.type not in _MATMUL_DTYPES
+    ):
+        raise ValueError(
+            "data must be a C-contiguous 2-D float32/float64/int32/int64 "
+            f"array, got {data.dtype} {data.shape}"
+        )
+    for name, index in (("cols", cols), ("indptr", indptr)):
+        if (
+            index.ndim != 1
+            or index.dtype != cols.dtype
+            or index.dtype.type not in _INDEX_DTYPES
+            or not index.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{name} must be a contiguous 1-D int32/int64 array, the same "
+                f"dtype as cols ({cols.dtype}); got {index.dtype} {index.shape}"
+            )
+    if len(indptr) != num_rows + 1:
+        raise ValueError(
+            f"indptr must have num_rows + 1 = {num_rows + 1} entries, "
+            f"got {len(indptr)}"
+        )
+    if indptr[0] != 0 or indptr[-1] != len(cols):
+        raise ValueError(
+            f"indptr must run from 0 to len(cols) = {len(cols)}, "
+            f"got {indptr[0]} .. {indptr[-1]}"
+        )
+    if ones is None:
+        ones = np.ones(len(cols), dtype=data.dtype)
+    elif (
+        ones.shape != cols.shape
+        or ones.dtype != data.dtype
+        or not ones.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"ones must be a contiguous {data.dtype} array of shape {cols.shape}, "
+            f"got {ones.dtype} {ones.shape}"
+        )
+    out = _result(out, (num_rows, data.shape[1]), data.dtype)
+    _csr_matvecs(
+        num_rows, data.shape[0], data.shape[1],
+        indptr, cols, ones, data.ravel(), out.ravel(),
     )
-    return matrix @ data
+    return out
 
 
 def _use_matmul(data: np.ndarray) -> bool:
     return (
-        _sparse is not None
+        _csr_matvecs is not None
         and data.ndim == 2
         and data.dtype.type in _MATMUL_DTYPES
     )
 
 
-def segment_sum(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def segment_sum(
+    data: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum ``data[offsets[i]:offsets[i+1]]`` for every segment ``i``.
 
     ``data`` has shape ``(total, ...)`` and ``offsets`` is the CSR offset
     array of shape ``(num_segments + 1,)`` with ``offsets[-1] == total``.
-    Empty segments produce zeros.
+    Empty segments produce zeros.  ``out``, when given, receives the
+    result and is returned.
 
-    Fast path: the reduction is one sparse-matrix product with the
-    indicator matrix whose ``indptr`` *is* ``offsets`` — no scatter, no
-    per-segment dispatch, dense SIMD inner loop over the trailing dim.
+    Fast path: the reduction is one CSR product with the indicator matrix
+    whose ``indptr`` *is* ``offsets`` — no scatter, no per-segment
+    dispatch, dense SIMD inner loop over the trailing dim.
     Fallback (no scipy / exotic dtype / ndim != 2): ``np.add.reduceat``
     over the non-empty segment starts (empty segments have zero width, so
     the non-empty starts partition ``data`` exactly).
     """
     data = np.asarray(data)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     num_segments = len(offsets) - 1
     if offsets[-1] != data.shape[0]:
         raise ValueError(
             f"offsets[-1]={offsets[-1]} must equal data length {data.shape[0]}"
         )
+    shape = (num_segments,) + data.shape[1:]
     if data.shape[0] == 0 or num_segments == 0:
-        return np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
+        return _result(out, shape, data.dtype)
     if _use_matmul(data):
         cols = np.arange(data.shape[0], dtype=np.int64)
-        return _indicator_matmul(cols, offsets, data, num_segments)
-    out = np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
+        return _indicator_matmul(
+            cols, offsets, np.ascontiguousarray(data), num_segments, out
+        )
+    out = _result(out, shape, data.dtype)
     starts = offsets[:-1]
     nonempty = offsets[1:] > starts
     if nonempty.all():
@@ -169,18 +264,21 @@ def gather_pool(
     offsets: np.ndarray,
     *,
     check: bool = True,
+    out: np.ndarray | None = None,
+    ones: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused pooled lookup: ``segment_sum(weight[values], offsets)`` without
     the gathered-row temporary.
 
     ``weight`` is ``(num_rows, dim)``, ``values`` the flat lookup indices,
     ``offsets`` the CSR segment boundaries.  Returns ``(num_segments, dim)``
-    pooled sums; empty segments produce zeros.
+    pooled sums; empty segments produce zeros.  ``out`` receives the
+    result; ``ones`` spares the fast path its ``len(values)`` ones.
 
-    Fast path: one CSR matrix-matrix product ``S @ weight`` where
-    ``values`` are the column indices and ``offsets`` the ``indptr`` — the
-    C kernel reads each referenced weight row once and accumulates it
-    directly into the output, in the same element order as the
+    Fast path: one CSR product ``S @ weight`` where ``values`` are the
+    column indices and ``offsets`` the ``indptr`` — the C kernel reads each
+    referenced weight row once and accumulates it directly into the
+    output, in the same element order as the
     gather-then-:func:`segment_sum` formulation (bit-identical results).
     Fallback (no scipy / exotic dtype): materialized gather + reduceat.
 
@@ -190,8 +288,8 @@ def gather_pool(
     so the default revalidates rather than risk reading out of bounds.
     """
     weight = np.asarray(weight)
-    values = np.asarray(values, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     num_segments = len(offsets) - 1
     if offsets[-1] != len(values):
         raise ValueError(
@@ -200,10 +298,12 @@ def gather_pool(
     if check:
         check_bounds(values, weight.shape[0])
     if len(values) == 0 or num_segments == 0:
-        return np.zeros((num_segments,) + weight.shape[1:], dtype=weight.dtype)
+        return _result(out, (num_segments,) + weight.shape[1:], weight.dtype)
     if _use_matmul(weight):
-        return _indicator_matmul(values, offsets, weight, num_segments)
-    return segment_sum(weight[values], offsets)
+        return _indicator_matmul(
+            values, offsets, np.ascontiguousarray(weight), num_segments, out, ones
+        )
+    return segment_sum(weight[values], offsets, out)
 
 
 @dataclass(frozen=True)
@@ -260,46 +360,65 @@ def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
     return CoalescePlan(rows=key[starts], order=order, indptr=np.append(starts, n))
 
 
-def coalesce_apply(plan: CoalescePlan, grads: np.ndarray) -> np.ndarray:
+def coalesce_apply(
+    plan: CoalescePlan, grads: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum duplicate-row contributions using a precomputed plan.
 
     ``grads[j]`` is the contribution of occurrence ``j`` of the index
     stream the plan was built from.  Bit-identical to the summed half of
-    ``coalesce_rows(indices, grads)``.
+    ``coalesce_rows(indices, grads)``.  ``out`` receives the
+    ``(plan.num_rows, ...)`` result.
     """
     grads = np.asarray(grads)
     if not np.issubdtype(grads.dtype, np.floating):
         grads = grads.astype(np.float64)
     if plan.num_rows == 0:
-        return grads[:0]
+        return _result(out, (0,) + grads.shape[1:], grads.dtype)
+    order = np.ascontiguousarray(plan.order, dtype=np.int64)
+    indptr = np.ascontiguousarray(plan.indptr, dtype=np.int64)
     if _use_matmul(grads):
         # The indicator matrix's columns are the stable-sorted occurrence
         # positions, so the product permutes *and* group-reduces in one C
         # pass — ``grads[order]`` is never materialized.
-        return _indicator_matmul(plan.order, plan.indptr, grads, plan.num_rows)
-    return np.add.reduceat(grads[plan.order], plan.indptr[:-1], axis=0)
+        return _indicator_matmul(
+            order, indptr, np.ascontiguousarray(grads), plan.num_rows, out
+        )
+    out = _result(out, (plan.num_rows,) + grads.shape[1:], grads.dtype)
+    return np.add.reduceat(grads[order], indptr[:-1], axis=0, out=out)
 
 
 def expand_apply(
-    plan: CoalescePlan, lengths: np.ndarray, grad_out: np.ndarray
+    plan: CoalescePlan,
+    lengths: np.ndarray,
+    grad_out: np.ndarray,
+    out: np.ndarray | None = None,
+    ones: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pooled-bag backward against a precomputed plan.
 
     Bit-identical to the summed half of ``expand_coalesce(indices,
     lengths, grad_out)`` for the index stream the plan was built from
-    (``lengths`` must be that stream's per-sample lengths).
+    (``lengths`` must be that stream's per-sample lengths).  ``out``
+    receives the ``(plan.num_rows, dim)`` result; ``ones`` spares the fast
+    path its one-per-lookup ones.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     grad_out = np.asarray(grad_out)
     if not np.issubdtype(grad_out.dtype, np.floating):
         grad_out = grad_out.astype(np.float64)
     if plan.num_rows == 0:
-        return grad_out[:0]
+        return _result(out, (0,) + grad_out.shape[1:], grad_out.dtype)
     if not _use_matmul(grad_out):
-        return coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0))
+        return coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0), out)
     sample_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     return _indicator_matmul(
-        sample_of[plan.order], plan.indptr, grad_out, plan.num_rows
+        sample_of[plan.order],
+        np.ascontiguousarray(plan.indptr, dtype=np.int64),
+        np.ascontiguousarray(grad_out),
+        plan.num_rows,
+        out,
+        ones,
     )
 
 
@@ -393,8 +512,9 @@ def check_bounds(values: np.ndarray, upper: int, *, what: str = "indices") -> No
 
 
 # ---------------------------------------------------------------------------
-# reference (pre-optimization) implementations — kept for equivalence tests
-# and the old-vs-new benchmark; do not use on hot paths.
+# reference (pre-optimization) implementations — what the ``"numpy"``
+# backend pools with and what the equivalence tests compare against; do
+# not use on hot paths.
 # ---------------------------------------------------------------------------
 
 

@@ -133,6 +133,7 @@ class DLRM:
             Workspace() if self.backend.uses_workspace else None
         )
         self.bottom_mlp.set_backend(self.backend, self.workspace)
+        self.embeddings.set_backend(self.backend, self.workspace)
         self.top_mlp.set_backend(self.backend, self.workspace)
         self.scorer.set_backend(self.backend, self.workspace, key="scorer")
         self.interaction.set_backend(self.backend, self.workspace, key="interaction")

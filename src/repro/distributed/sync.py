@@ -27,6 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import ModelConfig
+from ..core.embedding import SparseGrad
 from ..core.loss import BCEWithLogitsLoss
 from ..core.model import Batch, DLRM
 from ..core.optim import Adagrad
@@ -286,7 +287,12 @@ class DelayedGradientTrainer:
         self.model.backward(self.loss.backward())
         # Capture freshly-computed gradients.
         dense_grads = [p.grad.copy() for p in self.model.dense_parameters()]
-        sparse_grads = [t.pop_grad() for t in self.model.embedding_tables()]
+        # Copies, like the dense ones: a popped gradient's values sit in the
+        # model's arena only until the table's next backward.
+        sparse_grads = [
+            g if g is None else SparseGrad(rows=g.rows, values=g.values.copy())
+            for g in (t.pop_grad() for t in self.model.embedding_tables())
+        ]
         self._pending.append(dense_grads)
         self._pending_sparse.append(sparse_grads)
         if len(self._pending) > self.staleness:

@@ -10,10 +10,12 @@ from repro.core import (
     RaggedIndices,
     SparseGrad,
     TableSpec,
+    Workspace,
     embedding,
     hash_raw_ids,
     uniform_tables,
 )
+from repro.tiering import TieredEmbeddingTable, TieredStoreConfig
 
 from helpers import numeric_grad_scalar, simple_ragged
 
@@ -257,3 +259,120 @@ class TestEmbeddingBagCollection:
         specs = uniform_tables(2, 10, dim=3)
         coll = EmbeddingBagCollection(specs, rng)
         assert coll.total_bytes == 2 * 10 * 3 * 8  # float64 in-memory
+
+
+class TestArenaLifetime:
+    """A table writing into a workspace arena against the same table
+    without one: every result inside its stated lifetime is the fresh
+    array's, bit for bit."""
+
+    SPEC = TableSpec("t", hash_size=40, dim=3, mean_lookups=3.0)
+
+    def _pair(self, factory=EmbeddingTable, **kwargs):
+        plain, arena = (
+            factory(self.SPEC, np.random.default_rng(3), **kwargs) for _ in range(2)
+        )
+        arena.set_backend("fused", Workspace())
+        assert plain.workspace is None and arena.workspace is not None
+        return plain, arena
+
+    @staticmethod
+    def _stream(seed, batch=6):
+        rng = np.random.default_rng(seed)
+        ids = [rng.integers(0, 40, size=rng.integers(0, 6)) for _ in range(batch)]
+        return RaggedIndices.from_lists(ids), rng.standard_normal((batch, 3))
+
+    @staticmethod
+    def _assert_same_pending(plain, arena):
+        assert len(plain.sparse_grads) == len(arena.sparse_grads)
+        for want, got in zip(plain.sparse_grads, arena.sparse_grads):
+            np.testing.assert_array_equal(got.rows, want.rows)
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("pooling", [PoolingType.SUM, PoolingType.MEAN])
+    def test_two_backwards_before_one_step(self, pooling):
+        """The ``run_hybrid_serial`` shape: K sub-batches, one update."""
+        plain, arena = self._pair(pooling=pooling)
+        for seed in (0, 1, 2):
+            indices, grad = self._stream(seed)
+            for table in (plain, arena):
+                np.testing.assert_array_equal(
+                    table.forward(indices), plain.forward(indices, training=False)
+                )
+                table.backward(grad)
+            # every earlier gradient is still what it was
+            self._assert_same_pending(plain, arena)
+        values = [g.values for g in arena.sparse_grads]
+        assert all(arena.workspace.owns(v) for v in values)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(values) for b in values[:i]
+        )
+        want, got = plain.pop_grad(), arena.pop_grad()  # > 1 pending: coalesced
+        np.testing.assert_array_equal(got.rows, want.rows)
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_gradient_lives_until_the_backward_after_zero_grad(self):
+        _, arena = self._pair()
+        indices, grad = self._stream(0)
+        arena.forward(indices)
+        arena.backward(grad)
+        first = arena.sparse_grads[0].values
+        kept = first.copy()
+        arena.zero_grad()
+        arena.forward(indices)  # a forward does not touch it ...
+        np.testing.assert_array_equal(first, kept)
+        arena.backward(2 * grad)  # ... the next backward takes the slot back
+        assert np.shares_memory(arena.sparse_grads[0].values, first)
+        np.testing.assert_array_equal(first, 2 * kept)
+
+    def test_output_lives_until_the_next_forward(self):
+        plain, arena = self._pair()
+        a, _ = self._stream(0)
+        b, _ = self._stream(1)
+        out_a = arena.forward(a, training=False)
+        np.testing.assert_array_equal(out_a, plain.forward(a, training=False))
+        out_b = arena.forward(b, training=False)
+        assert np.shares_memory(out_a, out_b)
+        np.testing.assert_array_equal(out_b, plain.forward(b, training=False))
+
+    def test_shared_table_with_two_features(self):
+        specs = uniform_tables(1, 40, dim=3, prefix="shared")
+        sharing = {"feat_a": "shared_0", "feat_b": "shared_0"}
+        plain, arena = (
+            EmbeddingBagCollection(specs, np.random.default_rng(3), feature_to_table=sharing)
+            for _ in range(2)
+        )
+        arena.set_backend("fused", Workspace())
+        (ind_a, grad_a), (ind_b, grad_b) = self._stream(0), self._stream(1)
+        batch = {"feat_a": ind_a, "feat_b": ind_b}
+        out_plain, out_arena = plain.forward(batch), arena.forward(batch)
+        for feature in batch:
+            np.testing.assert_array_equal(out_arena[feature], out_plain[feature])
+        for coll in (plain, arena):
+            coll.backward({"feat_a": grad_a, "feat_b": grad_b})
+        table = arena.tables["shared_0"]
+        assert len(table.sparse_grads) == 2
+        self._assert_same_pending(plain.tables["shared_0"], table)
+        want, got = plain.tables["shared_0"].pop_grad(), table.pop_grad()
+        np.testing.assert_array_equal(got.rows, want.rows)
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_tiered_table_inherits_the_arena(self):
+        plain, arena = self._pair(
+            TieredEmbeddingTable,
+            tiering=TieredStoreConfig(hot_fraction=0.25, chunk_rows=4),
+        )
+        for seed in (0, 1):
+            indices, grad = self._stream(seed)
+            for table in (plain, arena):
+                out = table.forward(indices)
+                table.backward(grad)
+            np.testing.assert_array_equal(out, plain.forward(indices, training=False))
+        assert arena.workspace.owns(arena.sparse_grads[1].values)
+        self._assert_same_pending(plain, arena)
+        assert arena.stats == plain.stats  # accounting is plan-side, untouched
+
+    def test_reference_backend_keeps_allocating(self):
+        table = EmbeddingTable(self.SPEC, np.random.default_rng(3))
+        table.set_backend("numpy", Workspace())
+        assert table.workspace is None

@@ -173,3 +173,74 @@ class TestDLRMState:
     def test_num_parameters_matches_config(self, tiny_config):
         model = DLRM(tiny_config, rng=0)
         assert model.num_parameters() == tiny_config.total_parameters
+
+
+class TestEmbeddingArena:
+    """The embedding tables draw from the model's workspace like every
+    other layer; training through it is the workspace-less run's twin."""
+
+    CONFIG = ModelConfig(
+        name="arena",
+        num_dense=4,
+        tables=uniform_tables(3, 4000, dim=8, mean_lookups=6.0),
+        bottom_mlp=MLPSpec((8, 8)),
+        top_mlp=MLPSpec((8,)),
+        interaction=InteractionType.DOT,
+        compute_dtype="float32",
+    )
+
+    def _trainer(self, arena: bool):
+        model = DLRM(self.CONFIG, rng=0)
+        assert all(t.workspace is model.workspace for t in model.embedding_tables())
+        if not arena:
+            for table in model.embedding_tables():
+                table.set_backend(model.backend, None)
+        optimizer = Adagrad(
+            model.dense_parameters(), model.embedding_tables(), lr=0.05,
+            backend=model.backend,
+        )
+        return model, optimizer, BCEWithLogitsLoss()
+
+    @staticmethod
+    def _step(model, optimizer, loss_fn, batch):
+        optimizer.zero_grad()
+        loss = loss_fn.forward(model.forward(batch), batch.labels)
+        model.backward(loss_fn.backward())
+        optimizer.step()
+        return loss
+
+    def test_predict_proba_between_two_train_steps(self):
+        plain, arena = self._trainer(arena=False), self._trainer(arena=True)
+        batches = [make_batch(self.CONFIG, 32, seed=s) for s in range(3)]
+        histories = [
+            [
+                self._step(*parts, batches[0]),
+                parts[0].predict_proba(batches[1]),
+                self._step(*parts, batches[2]),
+                parts[0].predict_proba(batches[1]),
+            ]
+            for parts in (plain, arena)
+        ]
+        for want, got in zip(*histories):
+            np.testing.assert_array_equal(got, want)
+        for want, got in zip(plain[0].embedding_tables(), arena[0].embedding_tables()):
+            np.testing.assert_array_equal(got.weight, want.weight)
+
+    def test_steady_state_mints_no_buffer_as_unique_rows_vary(self):
+        model, optimizer, loss_fn = self._trainer(arena=True)
+        # ~1 500 +- 15 unique rows per table per step: a new maximum now
+        # and then, all inside a grow-only buffer's 1/16 headroom
+        batches = [make_batch(self.CONFIG, 1024, seed=s) for s in range(25)]
+        table = model.embedding_tables()[0]
+        unique_rows = set()
+        for batch in batches[:5]:
+            self._step(model, optimizer, loss_fn, batch)
+        misses = model.workspace.stats()["misses"]
+        for batch in batches[5:]:
+            optimizer.zero_grad()
+            loss_fn.forward(model.forward(batch), batch.labels)
+            model.backward(loss_fn.backward())
+            unique_rows.add(table.sparse_grads[0].nnz_rows)
+            optimizer.step()
+        assert len(unique_rows) > 5  # the counts did differ
+        assert model.workspace.stats()["misses"] == misses

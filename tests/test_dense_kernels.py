@@ -106,6 +106,35 @@ def test_workspace_reuse_counters_and_ownership():
     )
 
 
+def test_workspace_get_rows_is_grow_only():
+    ws = Workspace()
+    a = ws.get_rows("g", 32, (3,), np.float32)
+    assert a.shape == (32, 3) and a.dtype == np.float32 and ws.owns(a)
+    assert ws.total_bytes() == 34 * 3 * 4  # the request plus 1/16 headroom
+    # anything up to capacity is a view of the same storage, and a hit
+    for rows in (4, 32, 34):
+        b = ws.get_rows("g", rows, (3,), np.float32)
+        assert b.shape == (rows, 3) and np.shares_memory(a, b)
+    assert ws.stats()["misses"] == 1 and ws.stats()["hits"] == 3
+    # a larger request replaces the buffer
+    c = ws.get_rows("g", 35, (3,), np.float32)
+    assert c.shape == (35, 3) and not np.shares_memory(a, c)
+    assert ws.stats()["misses"] == 2 and ws.stats()["buffers"] == 1
+    assert ws.owns(c) and not ws.owns(a)  # the retired buffer is the caller's
+    # width, dtype and key each name their own buffer; get() keys never collide
+    assert not np.shares_memory(c, ws.get_rows("g", 2, (4,), np.float32))
+    assert not np.shares_memory(c, ws.get_rows("g", 2, (3,), np.float64))
+    assert not np.shares_memory(c, ws.get("g", (3,), np.float32))
+
+
+def test_workspace_get_rows_fill_initialises_every_new_buffer():
+    ws = Workspace()
+    ones = ws.get_rows("ones", 5, (), np.float32, fill=1)
+    assert ones.shape == (5,) and np.all(ones == 1)
+    grown = ws.get_rows("ones", 50, (), np.float32, fill=1)
+    assert len(grown.base) == 53 and np.all(grown.base == 1)  # headroom included
+
+
 def test_workspace_pickling_drops_buffers():
     ws = Workspace()
     ws.get("x", (128, 128), np.float64)

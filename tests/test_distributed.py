@@ -1,5 +1,7 @@
 """Tests for repro.distributed: DES core, cluster sim, sync algorithms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,22 @@ class TestDelayedGradient:
                 "normalized_entropy"
             ]
         assert results[8] >= results[0] - 0.01
+
+    def test_held_gradients_outlive_the_arena_slot(self, tiny_config):
+        """Sparse gradients queued for ``staleness`` steps are copies: the
+        popped ones live in the model's arena only until the next backward.
+        The arena-less ``"numpy"`` backend (bit-identical otherwise) is the
+        witness."""
+        runs = {}
+        for backend in ("numpy", "fused"):
+            config = replace(tiny_config, backend=backend)
+            gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+            trainer = DelayedGradientTrainer(config, staleness=2, lr=0.05, rng=0)
+            history = trainer.train(gen.batches(16), max_examples=16 * 8)
+            runs[backend] = (history, [t.weight for t in trainer.model.embedding_tables()])
+        assert runs["fused"][0] == runs["numpy"][0]
+        for got, want in zip(runs["fused"][1], runs["numpy"][1]):
+            np.testing.assert_array_equal(got, want)
 
     def test_negative_staleness_rejected(self, tiny_config):
         with pytest.raises(ValueError):

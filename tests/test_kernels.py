@@ -88,6 +88,180 @@ def _id_streams(draw):
     return np.sort(ids) if kind == "sorted" else ids
 
 
+@st.composite
+def _indicator_cases(draw):
+    """``(cols, indptr, data, num_rows)`` of the shapes the raw kernel must
+    get right: empty stream, empty segments, a single row, duplicate-heavy
+    Zipf columns; float32 / float64 / int32 / int64 data."""
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int32, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    num_rows = draw(st.integers(min_value=0, max_value=12))
+    lengths = rng.integers(0, 9, size=num_rows) * rng.integers(0, 2, size=num_rows)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    n_data = draw(st.integers(min_value=1, max_value=40))
+    nnz = int(indptr[-1])
+    if draw(st.booleans()):
+        cols = rng.zipf(1.3, size=nnz) % n_data
+    else:
+        cols = rng.integers(0, n_data, size=nnz)
+    dim = draw(st.integers(min_value=1, max_value=5))
+    data = (rng.standard_normal((n_data, dim)) * 8).astype(dtype)
+    return cols.astype(np.int64), indptr, data, num_rows
+
+
+def _public_product(cols, indptr, data, num_rows):
+    """The same product through scipy's public API — what the kernels
+    called until they stopped building the matrix."""
+    import scipy.sparse
+
+    ones = np.ones(len(cols), dtype=data.dtype)
+    matrix = scipy.sparse.csr_matrix(
+        (ones, cols, indptr), shape=(num_rows, data.shape[0])
+    )
+    return matrix @ data
+
+
+class TestIndicatorKernel:
+    """The direct ``csr_matvecs`` call against ``csr_matrix(...) @ data``.
+
+    Also the tripwire for a scipy release that moves or changes the
+    private routine: every case here would fail, not crash."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_indicator_cases(), st.booleans())
+    @example(
+        (np.empty(0, np.int64), np.zeros(1, np.int64), np.ones((3, 2), np.float32), 0),
+        True,
+    )
+    @example(
+        (np.empty(0, np.int64), np.zeros(4, np.int64), np.ones((3, 2)), 3), False
+    )
+    @example((np.array([2, 2, 2, 0]), np.array([0, 4]), np.arange(6).reshape(3, 2), 1), True)
+    def test_equals_public_product_bit_for_bit(self, case, give_out):
+        cols, indptr, data, num_rows = case
+        want = _public_product(cols, indptr, data, num_rows)
+        out = ones = None
+        if give_out:
+            # stale contents must not leak into the result
+            out = np.full((num_rows, data.shape[1]), 7, dtype=data.dtype)
+            ones = np.ones(len(cols), dtype=data.dtype)
+        got = kernels._indicator_matmul(cols, indptr, data, num_rows, out, ones)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if give_out:
+            assert got is out
+
+    @settings(max_examples=60, deadline=None)
+    @given(_indicator_cases(), st.booleans())
+    def test_public_kernels_equal_public_product(self, case, give_out):
+        """gather_pool / segment_sum / coalesce_apply / expand_apply are
+        that product with the right index arrays, with and without out=."""
+        cols, indptr, data, num_rows = case
+        width = data.shape[1]
+
+        def call(kernel, *args, rows, dtype):
+            out = np.full((rows, width), 3, dtype=dtype) if give_out else None
+            got = kernel(*args, out=out)
+            assert out is None or got is out
+            return got
+
+        np.testing.assert_array_equal(
+            call(kernels.gather_pool, data, cols, indptr, rows=num_rows, dtype=data.dtype),
+            _public_product(cols, indptr, data, num_rows),
+        )
+        stream = data[cols]  # one row per lookup
+        np.testing.assert_array_equal(
+            call(kernels.segment_sum, stream, indptr, rows=num_rows, dtype=data.dtype),
+            _public_product(np.arange(len(cols)), indptr, stream, num_rows),
+        )
+        plan = kernels.coalesce_plan(cols)
+        grads = stream.astype(np.float64 if data.dtype.kind == "i" else data.dtype)
+        merged = call(
+            kernels.coalesce_apply, plan, grads, rows=plan.num_rows, dtype=grads.dtype
+        )
+        assert merged.shape == (plan.num_rows, width)
+        if plan.num_rows:
+            np.testing.assert_array_equal(
+                merged, _public_product(plan.order, plan.indptr, grads, plan.num_rows)
+            )
+        lengths = np.diff(indptr)
+        grad_out = np.arange(num_rows * width).reshape(num_rows, width).astype(grads.dtype)
+        np.testing.assert_array_equal(
+            call(
+                kernels.expand_apply, plan, lengths, grad_out,
+                rows=plan.num_rows, dtype=grads.dtype,
+            ),
+            kernels.coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0)),
+        )
+
+    # One case per thing the raw routine would otherwise read or write
+    # through a bad pointer.
+    _COLS = np.array([0, 2, 1], dtype=np.int64)
+    _INDPTR = np.array([0, 1, 3], dtype=np.int64)
+    _DATA = np.ones((3, 4), dtype=np.float32)
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            (dict(data=np.ones((4, 3), np.float32).T), "data must be a C-contiguous"),
+            (dict(data=np.ones((3, 4), np.float16)), "data must be a C-contiguous"),
+            (dict(data=np.ones(3, np.float32)), "data must be a C-contiguous"),
+            (dict(out=np.zeros((2, 4), np.float64)), "out must be a writeable"),
+            (dict(out=np.zeros((3, 4), np.float32)), "out must be a writeable"),
+            (dict(out=np.zeros((4, 2), np.float32).T), "out must be a writeable"),
+            (dict(cols=np.array([0, 2, 1], np.int32)), "indptr must be a contiguous"),
+            (dict(cols=np.array([0.0, 2.0, 1.0])), "cols must be a contiguous"),
+            (dict(cols=np.arange(6, dtype=np.int64)[::2]), "cols must be a contiguous"),
+            (dict(indptr=np.array([0, 1, 2, 3], np.int64)), "num_rows \\+ 1"),
+            (dict(indptr=np.array([0, 1, 2], np.int64)), "from 0 to len\\(cols\\)"),
+            (dict(indptr=np.array([1, 1, 3], np.int64)), "from 0 to len\\(cols\\)"),
+            (dict(ones=np.ones(3, np.float64)), "ones must be a contiguous"),
+            (dict(ones=np.ones(2, np.float32)), "ones must be a contiguous"),
+        ],
+    )
+    def test_rejects_what_the_routine_would_not_check(self, override, match):
+        args = dict(
+            cols=self._COLS, indptr=self._INDPTR, data=self._DATA, num_rows=2,
+            out=None, ones=None,
+        )
+        args.update(override)
+        with pytest.raises(ValueError, match=match):
+            kernels._indicator_matmul(**args)
+
+    def test_read_only_out_rejected(self):
+        out = np.zeros((2, 4), dtype=np.float32)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="out must be a writeable"):
+            kernels.gather_pool(self._DATA, self._COLS, self._INDPTR, out=out)
+
+    @pytest.mark.parametrize("give_out", [False, True])
+    def test_without_the_routine_the_reduceat_fallback_serves(
+        self, monkeypatch, give_out
+    ):
+        """No ``scipy.sparse._sparsetools``: the one fallback, not a second
+        scipy path — same values, ``out=`` still honoured."""
+        rng = np.random.default_rng(5)
+        weight = rng.standard_normal((30, 4))
+        values = rng.integers(0, 30, size=50)
+        offsets = np.array([0, 0, 20, 20, 50])
+        lengths = np.diff(offsets)
+        grad_out = rng.standard_normal((4, 4))
+        plan = kernels.coalesce_plan(values)
+        want = (
+            kernels.gather_pool(weight, values, offsets),
+            kernels.expand_apply(plan, lengths, grad_out),
+        )
+        monkeypatch.setattr(kernels, "_csr_matvecs", None)
+        outs = (np.ones((4, 4)), np.ones((plan.num_rows, 4))) if give_out else (None, None)
+        got = (
+            kernels.gather_pool(weight, values, offsets, out=outs[0]),
+            kernels.expand_apply(plan, lengths, grad_out, out=outs[1]),
+        )
+        for g, w, o in zip(got, want, outs):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            assert o is None or g is o
+
+
 class TestCoalesce:
     def test_deterministic_across_runs(self):
         # The cache + parallel-sweep contract needs run-to-run bit identity.
