@@ -66,13 +66,13 @@ figures:
 	$(PYTHON) -m repro figures
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/capacity_planning.py
-	$(PYTHON) examples/fleet_report.py
-	$(PYTHON) examples/reliability.py
-	$(PYTHON) examples/optimization_whatifs.py
-	$(PYTHON) examples/roofline_analysis.py
-	$(PYTHON) examples/batch_size_tradeoff.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/capacity_planning.py
+	PYTHONPATH=src $(PYTHON) examples/fleet_report.py
+	PYTHONPATH=src $(PYTHON) examples/reliability.py
+	PYTHONPATH=src $(PYTHON) examples/optimization_whatifs.py
+	PYTHONPATH=src $(PYTHON) examples/roofline_analysis.py
+	PYTHONPATH=src $(PYTHON) examples/batch_size_tradeoff.py
 
 all: test bench
 

@@ -81,6 +81,12 @@ class _OptimizerBase:
         """
         self._sparse_step(idx, self.tables[idx], grad)
 
+    def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+        """The persistent state a checkpoint must carry besides the
+        parameters: one array per dense parameter (in order, or none) and
+        one per table, by table name.  Live arrays, not copies."""
+        return [], {}
+
     # subclass hooks ---------------------------------------------------------
 
     def _dense_step(self, idx: int, p: Parameter) -> None:
@@ -115,6 +121,9 @@ class SGD(_OptimizerBase):
         self._velocity = (
             [np.zeros_like(p.value) for p in self.dense_params] if momentum else None
         )
+
+    def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+        return self._velocity or [], {}
 
     def _dense_step(self, idx: int, p: Parameter) -> None:
         velocity = self._velocity[idx] if self._velocity is not None else None
@@ -164,7 +173,11 @@ class Adagrad(_OptimizerBase):
             np.full_like(t.weight, initial_accumulator) for t in self.tables
         ]
 
-    def adopt_table_state(self, idx: int, state: np.ndarray) -> None:
+    def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+        names = [t.spec.name for t in self.tables]
+        return self._dense_state, dict(zip(names, self._table_state))
+
+    def adopt_accumulator(self, idx: int, state: np.ndarray) -> None:
         """Swap table ``idx``'s accumulator for externally-owned storage.
 
         Mirror of :meth:`EmbeddingTable.adopt_weight` for the optimizer

@@ -103,6 +103,9 @@ class ScheduledOptimizer:
     def zero_grad(self) -> None:
         self.optimizer.zero_grad()
 
+    def slots(self):
+        return self.optimizer.slots()
+
     def step(self) -> None:
         self.optimizer.lr = self.schedule.at(self.step_count)
         self.optimizer.step()

@@ -151,14 +151,6 @@ class Trainer:
         """Number of optimizer steps taken so far (resume cursor)."""
         return self._step_index
 
-    def _checkpointable_optimizer(self):
-        """The optimizer, when :mod:`repro.core.checkpoint` can serialize
-        its state (Adagrad-shaped); ``None`` otherwise."""
-        opt = self.optimizer
-        if hasattr(opt, "_dense_state") and hasattr(opt, "_table_state"):
-            return opt
-        return None
-
     def save_checkpoint(self, path) -> int:
         """Write model + optimizer state to ``path``; returns bytes written.
 
@@ -170,7 +162,7 @@ class Trainer:
         from .checkpoint import save_checkpoint
 
         with self.tracer.span("checkpoint_save", "checkpoint", step=self._step_index):
-            return save_checkpoint(path, self.model, self._checkpointable_optimizer())
+            return save_checkpoint(path, self.model, self.optimizer)
 
     def load_checkpoint(self, path, step_index: int | None = None) -> None:
         """Restore model + optimizer state in place.
@@ -182,7 +174,7 @@ class Trainer:
         from .checkpoint import load_checkpoint
 
         with self.tracer.span("checkpoint_restore", "checkpoint"):
-            load_checkpoint(path, self.model, self._checkpointable_optimizer())
+            load_checkpoint(path, self.model, self.optimizer)
         if step_index is not None:
             if step_index < 0:
                 raise ValueError("step_index must be >= 0")

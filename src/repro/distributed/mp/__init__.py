@@ -21,7 +21,6 @@ from .ckpt import (
     ResumeState,
     build_resume,
     latest_valid_manifest,
-    load_manifest,
 )
 from .ft import (
     CrashRecord,
@@ -67,7 +66,6 @@ __all__ = [
     "get_timeouts",
     "kills_from_plan",
     "latest_valid_manifest",
-    "load_manifest",
     "ordered_allreduce",
     "ordered_sum",
     "predict_step_time",

@@ -1,47 +1,39 @@
-"""Crash-safe sharded checkpoints for the hybrid-parallel trainer.
+"""The multi-file commit of a sharded checkpoint.
 
-Each rank persists exactly the state it owns — its ``TableShards``
-segments (weights **and** Adagrad accumulators) plus, on rank 0, one copy
-of the replicated dense parameters and their optimizer state — to a
-per-rank ``.npz`` file.  Rank 0 then commits a JSON **manifest** naming
-every shard file and its sha256.  Both writes are atomic (write a temp
-file, ``os.replace`` onto the final name), so a crash at any instant
-leaves either the previous complete checkpoint or the new complete
-checkpoint, never a torn one:
+What a checkpoint holds and how a file is written durably is
+:mod:`repro.core.checkpoint`'s business: each rank writes the state it
+owns (its tables' weights **and** accumulators, on rank 0 also the
+replicated dense half) plus its loss history through ``write_checkpoint``
+— at world 1, the file a single-process trainer writes.  This module is
+what is specific to there being several files: rank 0 commits a JSON
+**manifest** naming every shard and the sha256 its writer took, through
+the same temp + fsync + rename, so a crash at any instant leaves either
+the previous complete checkpoint or the new one:
 
 * a shard temp that never renamed is invisible to :func:`latest_valid_manifest`;
 * a manifest temp that never renamed leaves the previous manifest current;
-* a manifest naming a shard whose content doesn't hash to the recorded
-  sha256 (or is missing) is rejected and restore falls back to the
-  previous step's manifest.
+* a manifest naming a shard that is missing or does not hash to the
+  recorded sha256 is rejected; restore falls back to the previous one.
 
-Restore is **bit-exact**: weights, accumulators, dense replica and the
-per-rank loss histories all round-trip through ``.npz`` byte-for-byte
-(pinned by the hypothesis suite in ``tests/test_mp_ft.py``), which is
-what extends PR 3's kill-and-restore bit-identity contract to real
-processes.
-
-File layout under ``checkpoint_dir``::
+Restore is **bit-exact** (``tests/test_checkpoint.py``), which extends the
+kill-and-restore bit-identity contract to real processes.  Layout::
 
     shard-r<rank>-s<step>.npz   # per-rank state after <step> global steps
     manifest-s<step>.json       # commit record, written last, rank 0 only
-
-This module is deliberately independent of :mod:`.hybrid` (no circular
-import): it knows about arrays and files, not about workers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
 import pathlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from ...core.checkpoint import atomic_open, read_checkpoint
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -50,15 +42,14 @@ __all__ = [
     "ShardEntry",
     "shard_filename",
     "manifest_filename",
-    "save_shard_file",
-    "load_shard_file",
     "write_manifest",
-    "load_manifest",
     "latest_valid_manifest",
     "build_resume",
 ]
 
 MANIFEST_VERSION = 1
+#: a shard's one key beside the state schema: the rank's loss per step so far
+LOSSES = "losses"
 
 _MANIFEST_RE = re.compile(r"^manifest-s(\d+)\.json$")
 
@@ -96,27 +87,10 @@ class Manifest:
     path: str = ""
 
     def to_json(self) -> str:
+        doc = asdict(self)
+        del doc["path"]
         return json.dumps(
-            {
-                "format": "repro-mp-checkpoint",
-                "version": MANIFEST_VERSION,
-                "step": self.step,
-                "world": self.world,
-                "total_steps": self.total_steps,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-                "reduction": self.reduction,
-                "dtype": self.dtype,
-                "shards": [
-                    {
-                        "rank": e.rank,
-                        "file": e.file,
-                        "sha256": e.sha256,
-                        "tables": list(e.tables),
-                    }
-                    for e in self.shards
-                ],
-            },
+            {"format": "repro-mp-checkpoint", "version": MANIFEST_VERSION, **doc},
             indent=2,
         )
 
@@ -154,57 +128,17 @@ class Manifest:
 class ResumeState:
     """Everything a fresh worker set needs to continue from step ``step``.
 
-    Arrays are plain in-process ndarrays (the parent loads them, forked
-    children inherit them); the run loop re-generates the batch streams
+    ``arrays`` is the union of every shard's state under
+    :func:`repro.core.checkpoint.state_arrays`' keys, as plain in-process
+    ndarrays (the parent loads them, forked children inherit them and each
+    restores what it holds); the run loop re-generates the batch streams
     and slices off the first ``step`` batches, so data order is identical
     to the uninterrupted run.
     """
 
     step: int
-    dense: list[np.ndarray] = field(default_factory=list)
-    opt_dense: list[np.ndarray] = field(default_factory=list)
-    table_weights: dict[str, np.ndarray] = field(default_factory=dict)
-    table_accums: dict[str, np.ndarray] = field(default_factory=dict)
+    arrays: dict[str, np.ndarray] = field(default_factory=dict)
     per_rank_losses: list[list[float]] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# atomic file IO
-# ---------------------------------------------------------------------------
-
-
-def _atomic_write(
-    path: pathlib.Path, data: bytes, kill_hook: Callable[[], None] | None = None
-) -> None:
-    """Write-temp + rename.  ``kill_hook`` (tests only) fires between the
-    two — the window the atomicity contract must survive."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    if kill_hook is not None:
-        kill_hook()
-    os.replace(tmp, path)
-
-
-def save_shard_file(
-    path: str | pathlib.Path,
-    arrays: dict[str, np.ndarray],
-    kill_hook: Callable[[], None] | None = None,
-) -> str:
-    """Atomically persist ``arrays`` as ``.npz``; returns the file's sha256."""
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    data = buf.getvalue()
-    _atomic_write(pathlib.Path(path), data, kill_hook)
-    return hashlib.sha256(data).hexdigest()
-
-
-def load_shard_file(path: str | pathlib.Path) -> dict[str, np.ndarray]:
-    """Load a shard file back into plain in-memory arrays (bit-exact)."""
-    with np.load(path) as npz:
-        return {key: np.array(npz[key]) for key in npz.files}
 
 
 def _file_sha256(path: pathlib.Path) -> str:
@@ -215,11 +149,6 @@ def _file_sha256(path: pathlib.Path) -> str:
     return h.hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# manifests
-# ---------------------------------------------------------------------------
-
-
 def write_manifest(
     directory: str | pathlib.Path,
     manifest: Manifest,
@@ -228,22 +157,9 @@ def write_manifest(
     """Atomically commit ``manifest`` under its step-derived filename."""
     directory = pathlib.Path(directory)
     path = directory / manifest_filename(manifest.step)
-    _atomic_write(path, manifest.to_json().encode(), kill_hook)
+    with atomic_open(path, kill_hook) as fh:
+        fh.write(manifest.to_json().encode())
     return path
-
-
-def load_manifest(path: str | pathlib.Path) -> Manifest:
-    path = pathlib.Path(path)
-    return Manifest.from_json(path.read_text(), path=str(path))
-
-
-def _manifest_steps(directory: pathlib.Path) -> list[int]:
-    steps = []
-    for p in directory.iterdir():
-        m = _MANIFEST_RE.match(p.name)
-        if m:
-            steps.append(int(m.group(1)))
-    return sorted(steps)
 
 
 def latest_valid_manifest(
@@ -261,22 +177,25 @@ def latest_valid_manifest(
     directory = pathlib.Path(directory)
     if not directory.is_dir():
         return None
-    for step in reversed(_manifest_steps(directory)):
+    steps = sorted(
+        int(m.group(1)) for p in directory.iterdir()
+        if (m := _MANIFEST_RE.match(p.name))
+    )
+    for step in reversed(steps):
+        path = directory / manifest_filename(step)
         try:
-            manifest = load_manifest(directory / manifest_filename(step))
+            manifest = Manifest.from_json(path.read_text(), path=str(path))
         except (ValueError, OSError, json.JSONDecodeError):
             continue
         if world is not None and manifest.world != world:
             continue
         if len(manifest.shards) != manifest.world:
             continue
-        ok = True
-        for entry in manifest.shards:
-            shard_path = directory / entry.file
-            if not shard_path.is_file() or _file_sha256(shard_path) != entry.sha256:
-                ok = False
-                break
-        if ok:
+        if all(
+            (directory / e.file).is_file()
+            and _file_sha256(directory / e.file) == e.sha256
+            for e in manifest.shards
+        ):
             return manifest
     return None
 
@@ -285,22 +204,8 @@ def build_resume(manifest: Manifest, directory: str | pathlib.Path) -> ResumeSta
     """Materialize a :class:`ResumeState` from a verified manifest."""
     directory = pathlib.Path(directory)
     state = ResumeState(step=manifest.step)
-    state.per_rank_losses = [[] for _ in range(manifest.world)]
-    dense: dict[int, np.ndarray] = {}
-    opt_dense: dict[int, np.ndarray] = {}
     for entry in sorted(manifest.shards, key=lambda e: e.rank):
-        arrays = load_shard_file(directory / entry.file)
-        for key, value in arrays.items():
-            if key == "losses":
-                state.per_rank_losses[entry.rank] = [float(x) for x in value]
-            elif key.startswith("weight/"):
-                state.table_weights[key.split("/", 1)[1]] = value
-            elif key.startswith("accum/"):
-                state.table_accums[key.split("/", 1)[1]] = value
-            elif key.startswith("dense/"):
-                dense[int(key.split("/", 1)[1])] = value
-            elif key.startswith("opt_dense/"):
-                opt_dense[int(key.split("/", 1)[1])] = value
-    state.dense = [dense[i] for i in sorted(dense)]
-    state.opt_dense = [opt_dense[i] for i in sorted(opt_dense)]
+        arrays = read_checkpoint(directory / entry.file)
+        state.per_rank_losses.append([float(x) for x in arrays.pop(LOSSES)])
+        state.arrays.update(arrays)
     return state

@@ -45,7 +45,6 @@ import hashlib
 import multiprocessing as mp
 import os
 import pathlib
-import pickle
 import signal
 import socket
 import threading
@@ -56,6 +55,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from ...core import DLRM, Adagrad, Batch, Trainer
+from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
 from ...core.embedding import RaggedIndices
 from ...core.loss import BCEWithLogitsLoss
@@ -491,20 +491,16 @@ def _worker_main(
         backend=model.backend,
     )
     for i, name in enumerate(owned):
-        optimizer.adopt_table_state(i, shards.view(name, "accum"))
+        optimizer.adopt_accumulator(i, shards.view(name, "accum"))
 
     start = 0
     losses: list[float] = []
     if resume is not None:
-        # Shard weights/accums were seeded by the parent when it created
-        # the shared segments; the replicated dense state is overwritten
-        # here, bit-exactly, on every rank.
+        # Before the spawn barrier every rank restores what it holds: its dense
+        # replica and slots, and the shared segments of the tables it owns.
         start = resume.step
         losses = list(resume.per_rank_losses[rank])  # one entry per resumed step
-        for p, value in zip(model.dense_parameters(), resume.dense):
-            p.value[...] = value
-        for slot, value in zip(optimizer._dense_state, resume.opt_dense):
-            slot[...] = value
+        restore_arrays(resume.arrays, model, optimizer, tables=owned)
 
     # Every step consumes a PreparedBatch (batch + lookup plans) from one
     # source.  The ``pipeline`` flag only decides where the prep stage runs
@@ -606,39 +602,24 @@ def _worker_main(
 
     trainer = ReplicaTrainer(model, lambda _: optimizer, tracer=tracer)
 
-    def write_checkpoint(completed: int, kill_spec: KillSpec | None) -> None:
+    def commit_checkpoint(completed: int, kill_spec: KillSpec | None) -> None:
         """Persist this rank's shard for ``completed`` global steps and,
         on rank 0, gather digests and commit the manifest atomically."""
         def hook() -> None:
             _execute_kill(kill_spec)
 
-        arrays: dict[str, np.ndarray] = {"losses": np.asarray(losses, dtype=np.float64)}
-        for name in owned:
-            arrays[f"weight/{name}"] = shards.view(name, "weight")
-            arrays[f"accum/{name}"] = shards.view(name, "accum")
-        if rank == 0:
-            for i, p in enumerate(model.dense_parameters()):
-                arrays[f"dense/{i}"] = p.value
-            for i, slot in enumerate(optimizer._dense_state):
-                arrays[f"opt_dense/{i}"] = slot
+        arrays = state_arrays(model, optimizer, tables=owned, dense=rank == 0)
+        arrays[ckpt.LOSSES] = np.asarray(losses, dtype=np.float64)
         t0 = time.perf_counter()
-        fname = ckpt.shard_filename(rank, completed)
-        sha = ckpt.save_shard_file(
-            ckpt_dir / fname, arrays,
-            kill_hook=None if rank == 0 else hook,
+        _, sha = write_checkpoint(
+            ckpt_dir / ckpt.shard_filename(rank, completed), arrays,
+            kill_hook=None if rank == 0 else hook, sha256=True,
         )
         if rank == 0:
-            entries = [ckpt.ShardEntry(0, fname, sha, tuple(owned))]
-            if world > 1:
-                payloads = exchange_frames(
-                    [], [mesh[r] for r in range(1, world)]
-                )
-                for blob in payloads:
-                    r, peer_fname, peer_sha, tables = pickle.loads(bytes(blob))
-                    entries.append(
-                        ckpt.ShardEntry(r, peer_fname, peer_sha, tuple(tables))
-                    )
-            entries.sort(key=lambda e: e.rank)
+            # every peer reports the digest of the shard it renamed; file
+            # names and owned tables follow from the rank
+            peers = exchange_frames([], [mesh[r] for r in range(1, world)])
+            digests = [sha] + [bytes(blob).decode() for blob in peers]
             manifest = ckpt.Manifest(
                 step=completed,
                 world=world,
@@ -647,15 +628,17 @@ def _worker_main(
                 seed=run.seed,
                 reduction=run.reduction,
                 dtype=str(np.dtype(config.np_dtype)),
-                shards=tuple(entries),
+                shards=tuple(
+                    ckpt.ShardEntry(
+                        r, ckpt.shard_filename(r, completed), digest,
+                        tuple(plan.owned(r)),
+                    )
+                    for r, digest in enumerate(digests)
+                ),
             )
             ckpt.write_manifest(ckpt_dir, manifest, kill_hook=hook)
-        elif world > 1:
-            blob = pickle.dumps(
-                (rank, fname, sha, list(owned)),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            exchange_frames([(mesh[0], blob)], [])
+        else:
+            exchange_frames([(mesh[0], sha.encode())], [])
         # The "ckpt" heartbeat doubles as the commit record: rank 0 sends
         # only after the manifest rename, so the parent counts a
         # checkpoint exactly when it became restorable.
@@ -688,7 +671,7 @@ def _worker_main(
                 # serializes only state it wrote itself this step, so the
                 # snapshot is consistent without an extra barrier.
                 with tracer.span("checkpoint", "io"):
-                    write_checkpoint(gstep + 1, my_kills.get((gstep, "checkpoint")))
+                    commit_checkpoint(gstep + 1, my_kills.get((gstep, "checkpoint")))
             if gstep + 1 < run.steps:
                 # Pull the next prepared batch (prep_wait is this rank's
                 # data stall: the whole prep stage when it runs inline, the
@@ -925,9 +908,10 @@ def run_hybrid(
 ) -> HybridResult:
     """Train ``config`` across ``run.workers`` real OS processes.
 
-    Shards are created, initialized from the seeded model — or from a
-    checkpoint's :class:`~repro.distributed.mp.ckpt.ResumeState` when
-    ``resume`` is given — and **always** unlinked by the parent,
+    Shards are created, initialized from the seeded model — each worker
+    then overwrites what it owns from a checkpoint's
+    :class:`~repro.distributed.mp.ckpt.ResumeState` when ``resume`` is
+    given — and **always** unlinked by the parent,
     including when a worker crashes (the partial failure path raises
     :class:`WorkerCrashError` after cleanup).  ``kills`` injects seeded
     real-process deaths (see :class:`KillSpec`); restart orchestration
@@ -944,17 +928,11 @@ def run_hybrid(
         pathlib.Path(run.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     plan = ShardPlan.greedy(config, world)
     order = [t.name for t in config.tables]
-    if resume is not None:
-        shards = TableShards.create(
-            {name: resume.table_weights[name] for name in order},
-            accums={name: resume.table_accums[name] for name in order},
-        )
-    else:
-        init_model = DLRM(config, rng=derive_seed(run.seed, "model"))
-        shards = TableShards.create(
-            {name: init_model.embeddings.tables[name].weight for name in order}
-        )
-        del init_model
+    init_model = DLRM(config, rng=derive_seed(run.seed, "model"))
+    shards = TableShards.create(
+        {name: init_model.embeddings.tables[name].weight for name in order}
+    )
+    del init_model
     start = resume.step if resume is not None else 0
     ctx = mp.get_context("fork")
     fabric = _Fabric(world, ctx)

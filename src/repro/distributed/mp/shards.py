@@ -89,26 +89,18 @@ class TableShards:
         self._owner_pid = os.getpid()
 
     @classmethod
-    def create(
-        cls,
-        weights: dict[str, np.ndarray],
-        accums: dict[str, np.ndarray] | None = None,
-    ) -> "TableShards":
-        """Allocate and initialize segments from ``table name -> weights``.
-
-        ``accums`` optionally seeds the Adagrad accumulator segments (the
-        checkpoint-restore path); absent tables get zeroed accumulators,
-        exactly like a fresh run.
-        """
+    def create(cls, weights: dict[str, np.ndarray]) -> "TableShards":
+        """Allocate and initialize segments from ``table name -> weights``;
+        the accumulators start zeroed (a resumed run's workers restore
+        both kinds from the checkpoint, each the tables it owns)."""
         shards = cls()
-        accums = accums or {}
         run_id = next(_SEGMENT_COUNTER)
         try:
             for idx, (name, weight) in enumerate(weights.items()):
                 if shards._dtype is None:
                     shards._dtype = weight.dtype
                 shards._shapes[name] = weight.shape
-                for kind, init in (("weight", weight), ("accum", accums.get(name))):
+                for kind in ("weight", "accum"):
                     seg = shared_memory.SharedMemory(
                         create=True,
                         size=weight.nbytes,
@@ -116,10 +108,7 @@ class TableShards:
                     )
                     shards._segments[(name, kind)] = seg
                     view = np.ndarray(weight.shape, dtype=weight.dtype, buffer=seg.buf)
-                    if init is None:
-                        view.fill(0.0)
-                    else:
-                        view[...] = init
+                    view[...] = weight if kind == "weight" else 0.0
         except BaseException:
             shards.close()
             raise

@@ -2,8 +2,6 @@
 
 The contracts under test, in rough order of appearance:
 
-* shard files round-trip arbitrary arrays **bit-exactly** across dtypes
-  (hypothesis: NaN payloads, infinities, signed zeros included);
 * checkpoint commits are atomic — a writer killed between temp-write and
   rename leaves the previous manifest current, and
   ``latest_valid_manifest`` falls back past torn or corrupt commits;
@@ -18,15 +16,15 @@ The contracts under test, in rough order of appearance:
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
+from repro.core import DLRM, Adagrad, Trainer
+from repro.core.checkpoint import read_checkpoint, write_checkpoint
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.distributed.mp import (
     HybridRunConfig,
@@ -42,8 +40,10 @@ from repro.distributed.mp import (
 )
 from repro.distributed.mp import ckpt
 from repro.distributed.mp.timeouts import get_timeouts, set_timeouts
+from repro.data import SyntheticDataGenerator
 from repro.resilience.faults import ComponentKind, FaultEvent, FaultPlan
 from repro.resilience.retry import RetriesExhausted
+from repro.runtime.runner import derive_seed
 
 
 def small_config(dtype: str = "float64") -> ModelConfig:
@@ -67,70 +67,6 @@ def run_config(tmp_path=None, **overrides) -> HybridRunConfig:
 
 
 # ---------------------------------------------------------------------------
-# shard serialization: bit-exact round trips
-# ---------------------------------------------------------------------------
-
-shard_arrays = st.dictionaries(
-    st.text(
-        alphabet=st.characters(whitelist_categories=("L", "N")),
-        min_size=1,
-        max_size=8,
-    ).map(lambda s: f"weight/{s}"),
-    st.sampled_from([np.float64, np.float32, np.int64, np.int32]).flatmap(
-        lambda dt: hnp.arrays(
-            dtype=dt,
-            shape=hnp.array_shapes(max_dims=2, max_side=8),
-            elements=(
-                st.floats(
-                    allow_nan=True,
-                    allow_infinity=True,
-                    width=32 if dt == np.float32 else 64,
-                )
-                if np.issubdtype(dt, np.floating)
-                else st.integers(min_value=-(2**31), max_value=2**31 - 1)
-            ),
-        )
-    ),
-    min_size=1,
-    max_size=4,
-)
-
-
-class TestShardRoundTrip:
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(arrays=shard_arrays)
-    def test_bit_exact_across_dtypes(self, arrays, tmp_path_factory):
-        """NaNs, infinities and -0.0 must survive byte-for-byte — the
-        restore path cannot tolerate any canonicalization."""
-        path = tmp_path_factory.mktemp("shards") / "shard.npz"
-        sha = ckpt.save_shard_file(path, arrays)
-        assert len(sha) == 64
-        loaded = ckpt.load_shard_file(path)
-        assert set(loaded) == set(arrays)
-        for key, want in arrays.items():
-            got = loaded[key]
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    def test_signed_zero_and_nan_payloads(self, tmp_path):
-        a = np.array([-0.0, 0.0, np.nan, -np.inf], dtype=np.float64)
-        b = np.float32(np.nan).view(np.uint32)  # a specific NaN payload
-        arrays = {
-            "edge": a,
-            "payload": np.array([b], dtype=np.uint32).view(np.float32),
-        }
-        ckpt.save_shard_file(tmp_path / "s.npz", arrays)
-        loaded = ckpt.load_shard_file(tmp_path / "s.npz")
-        assert loaded["edge"].tobytes() == a.tobytes()
-        assert loaded["payload"].view(np.uint32)[0] == b
-
-
-# ---------------------------------------------------------------------------
 # manifest atomicity and fallback
 # ---------------------------------------------------------------------------
 
@@ -140,8 +76,9 @@ class TestManifestAtomicity:
         entries = []
         for rank in range(world):
             fname = ckpt.shard_filename(rank, step)
-            sha = ckpt.save_shard_file(
-                directory / fname, {"losses": np.arange(step, dtype=np.float64)}
+            _, sha = write_checkpoint(
+                directory / fname, {ckpt.LOSSES: np.arange(step, dtype=np.float64)},
+                sha256=True,
             )
             entries.append(ckpt.ShardEntry(rank, fname, sha, (f"t{rank}",)))
         manifest = ckpt.Manifest(
@@ -232,6 +169,62 @@ class TestManifestAtomicity:
         found = latest_valid_manifest(tmp_path, world=2)
         assert found is not None and found.step == 2
         assert not (tmp_path / "manifest-s4.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# single-process is world size 1 of the sharded format
+# ---------------------------------------------------------------------------
+
+
+class TestWorldOneIsTheSingleFile:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_shard_and_trainer_checkpoint_are_interchangeable(self, dtype, tmp_path):
+        config = small_config(dtype)
+        run = run_config(tmp_path / "mp", workers=1, batch_size=16)
+        hybrid = run_hybrid(config, run)
+        assert [step for step, _ in hybrid.checkpoints] == [2, 4, 6]
+        shard = tmp_path / "mp" / ckpt.shard_filename(0, 2)
+
+        def plain_trainer():
+            return Trainer(
+                DLRM(config, rng=derive_seed(run.seed, "model")),
+                lambda m: Adagrad(
+                    m.dense_parameters(), m.embedding_tables(), lr=run.lr,
+                    backend=m.backend,
+                ),
+            )
+
+        def stream(skip):
+            gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", 0))
+            return gen.batch_stream(run.local_batch, run.steps, skip=skip)
+
+        # the rank's shard loads into a plain Trainer, whose remaining
+        # steps end where the hybrid run ended
+        resumed = plain_trainer()
+        resumed.load_checkpoint(shard, step_index=2)
+        tail = resumed.train(stream(skip=2), max_steps=run.steps - 2)
+        assert tail.loss_history == hybrid.losses[2:]
+        dense = hashlib.sha256()
+        for p in resumed.model.dense_parameters():
+            dense.update(np.ascontiguousarray(p.value).tobytes())
+        assert hybrid.dense_digest == dense.hexdigest()
+        assert hybrid.table_digests == {
+            name: hashlib.sha256(table.weight.tobytes()).hexdigest()
+            for name, table in resumed.model.embeddings.tables.items()
+        }
+
+        # and the file a Trainer writes at that step is the shard, the
+        # rank's loss history aside
+        scratch = plain_trainer()
+        head = scratch.train(stream(skip=0), max_steps=2)
+        scratch.save_checkpoint(tmp_path / "single.npz")
+        single = read_checkpoint(tmp_path / "single.npz")
+        sharded = read_checkpoint(shard)
+        assert list(sharded.pop(ckpt.LOSSES)) == head.loss_history
+        assert list(single) == list(sharded)
+        for key, want in sharded.items():
+            assert single[key].dtype == want.dtype, key
+            assert single[key].tobytes() == want.tobytes(), key
 
 
 # ---------------------------------------------------------------------------
