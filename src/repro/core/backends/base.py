@@ -127,18 +127,27 @@ class Backend:
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, flat_tril, ws, key, *, training=True):
-        """Pairwise-dot interaction; returns ``(out, stack)`` where
-        ``stack`` is the ``(batch, n+1, d)`` feature stack the backward
-        consumes."""
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
+        """Pairwise-dot interaction over ``[dense, emb_1, ..., emb_n]``;
+        ``embs`` is the feature-major ``(n, batch, d)`` array of pooled
+        embeddings or a sequence of ``(batch, d)`` arrays.  Returns
+        ``(out, ctx)``; ``ctx`` is backend-private state the matching
+        :meth:`dot_backward` consumes."""
         raise NotImplementedError
 
-    def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key):
-        """Returns ``(grad_dense, [grad_emb_i ...])``."""
+    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key):
+        """Returns ``(grad_dense, grad_embs)``; ``grad_embs[i]`` is feature
+        ``i``'s ``(batch, d)`` gradient."""
         raise NotImplementedError
 
     def concat_forward(self, dense, embs, dim, ws, key):
-        """Concatenate ``[dense, emb_1, ..., emb_n]`` along features."""
+        """Concatenate ``[dense, emb_1, ..., emb_n]`` along features
+        (``embs`` as for :meth:`dot_forward`)."""
+        raise NotImplementedError
+
+    def concat_backward(self, grad_out, dense_width, num_sparse, dim, ws, key):
+        """Split :meth:`concat_forward` 's output gradient; returns
+        ``(grad_dense, grad_embs)`` as :meth:`dot_backward` does."""
         raise NotImplementedError
 
     # -- segment pooling (embedding bags) ------------------------------------

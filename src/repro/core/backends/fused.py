@@ -88,54 +88,57 @@ class FusedBackend(Backend):
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, flat_tril, ws, key, *, training=True):
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
         batch, dim = dense.shape
-        n_vec = len(embs) + 1
-        num_pairs = len(flat_tril)
         dt = dense.dtype
-        stack = ws.get((key, "stack"), (batch, n_vec, dim), dt)
-        stack[:, 0, :] = dense
-        for i, emb in enumerate(embs):
-            stack[:, i + 1, :] = emb
+        pooled = dk.feature_major(embs, ws, key)
+        n_vec = len(pooled) + 1
+        block = min(batch, dk.dot_block_rows(n_vec, dt))
         out = dk.dot_forward(
-            stack,
-            flat_tril,
             dense,
-            ws.get((key, "gram"), (batch, n_vec, n_vec), dt),
-            ws.get((key, "pairs"), (batch, num_pairs), dt),
-            ws.get((key, "out"), (batch, dim + num_pairs), dt),
+            pooled,
+            out_map,
+            ws.get((key, "stack"), (block, n_vec, dim), dt),
+            ws.get((key, "rows"), (block, dim + n_vec * n_vec), dt),
+            ws.get((key, "out"), (batch, len(out_map)), dt),
         )
-        return out, stack
+        # the backward re-reads both inputs block by block; neither is copied
+        return out, (dense, pooled)
 
-    def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key):
-        batch, n_vec, _ = stack.shape
-        num_sparse = n_vec - 1
-        num_pairs = grad_out.shape[1] - dim
-        dt = stack.dtype
-        grad_dense_direct = grad_out[:, :dim]
-        grad_pairs = grad_out[:, dim:]
-        # The forward's gram buffer is dead by now — reuse it for the
-        # symmetrized pair gradients.
-        grad_stack = dk.dot_backward(
-            stack,
+    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key):
+        dense, pooled = ctx
+        num_sparse, batch, _ = pooled.shape
+        n_vec = num_sparse + 1
+        dt = dense.dtype
+        block = min(batch, dk.dot_block_rows(n_vec, dt))
+        return dk.dot_backward(
+            dense,
+            pooled,
             pair_map,
-            grad_pairs,
-            ws.get((key, "pairs_ext"), (batch, num_pairs + 1), dt),
-            ws.get((key, "gram"), (batch, n_vec, n_vec), dt),
-            ws.get((key, "gstack"), (batch, n_vec, dim), dt),
+            grad_out,
+            ws.get((key, "stack"), (block, n_vec, dim), dt),
+            ws.get((key, "pairs_ext"), (block, grad_out.shape[1] - dim + 1), dt),
+            ws.get((key, "gram"), (block, n_vec, n_vec), dt),
+            ws.get((key, "gstack"), (block, n_vec, dim), dt),
+            ws.get((key, "gdense"), (batch, dim), dt),
+            ws.get((key, "gpooled"), pooled.shape, dt),
         )
-        grad_dense = ws.get((key, "gdense"), (batch, dim), dt)
-        np.add(grad_stack[:, 0, :], grad_dense_direct, out=grad_dense)
-        grad_embs = [grad_stack[:, i + 1, :] for i in range(num_sparse)]
-        return grad_dense, grad_embs
 
     def concat_forward(self, dense, embs, dim, ws, key):
         batch, w = dense.shape
-        out = ws.get((key, "out"), (batch, w + len(embs) * dim), dense.dtype)
+        pooled = dk.feature_major(embs, ws, key)
+        out = ws.get((key, "out"), (batch, w + len(pooled) * dim), dense.dtype)
         out[:, :w] = dense
-        for i, emb in enumerate(embs):
-            out[:, w + i * dim : w + (i + 1) * dim] = emb
+        out[:, w:].reshape(batch, len(pooled), dim)[...] = pooled.transpose(1, 0, 2)
         return out
+
+    def concat_backward(self, grad_out, dense_width, num_sparse, dim, ws, key):
+        batch = len(grad_out)
+        grad_pooled = ws.get((key, "gpooled"), (num_sparse, batch, dim), grad_out.dtype)
+        grad_pooled[...] = (
+            grad_out[:, dense_width:].reshape(batch, num_sparse, dim).transpose(1, 0, 2)
+        )
+        return grad_out[:, :dense_width], grad_pooled
 
     # -- segment pooling -----------------------------------------------------
 

@@ -62,7 +62,7 @@ class NumpyBackend(Backend):
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, flat_tril, ws, key, *, training=True):
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
         stack = np.stack([dense] + list(embs), axis=1)  # (B, n+1, d)
         gram = stack @ stack.transpose(0, 2, 1)
         pairs = gram[:, tril[0], tril[1]]
@@ -84,6 +84,13 @@ class NumpyBackend(Backend):
 
     def concat_forward(self, dense, embs, dim, ws, key):
         return np.concatenate([dense] + list(embs), axis=1)
+
+    def concat_backward(self, grad_out, dense_width, num_sparse, dim, ws, key):
+        w = dense_width
+        grad_embs = [
+            grad_out[:, w + i * dim : w + (i + 1) * dim] for i in range(num_sparse)
+        ]
+        return grad_out[:, :w], grad_embs
 
     # -- segment pooling -----------------------------------------------------
 

@@ -17,16 +17,30 @@ by the vectorized kernels in :mod:`repro.core.kernels`; features sharing a
 physical table are gathered in **one** batched pass
 (:meth:`EmbeddingTable.forward_batched`).
 
-A table on a workspace-backed backend (:meth:`EmbeddingTable.set_backend`,
-which :class:`~repro.core.model.DLRM` calls as it does for every dense
-layer) has the kernels write into the model's arena
-(:class:`~repro.core.dense_kernels.Workspace`), under the arena's lifetime
-contract: the pooled outputs returned by ``forward`` live until the table's
-next forward; a pending :class:`SparseGrad` 's ``values`` live until the
-first ``backward`` after the pending list was emptied — by ``zero_grad``, or
-by ``pop_grad``, whose caller must be done with (or have copied) what it
-popped by then.  Gradients pending together never share a buffer.  A table
-without a workspace returns fresh arrays, bit-identical ones.
+Hand-off to the interaction: :meth:`EmbeddingBagCollection.forward` pools
+every table straight into its slab of **one** feature-major ``(features,
+batch, dim)`` array, features in ``feature_names`` order — slab ``i`` is the
+C-contiguous ``(batch, dim)`` block the CSR kernel needs as ``out`` and the
+interaction reads the whole array (:func:`repro.core.dense_kernels.
+feature_major`), so a pooled value is written once and moved once.  The
+gradients come back the same way: the interaction's backward returns slabs
+of a second feature-major array, so :meth:`EmbeddingTable.backward` is
+handed a contiguous gradient.
+
+A collection on a workspace-backed backend (:meth:`EmbeddingBagCollection.
+set_backend`, which :class:`~repro.core.model.DLRM` calls as it does for
+every dense layer) takes that array, and its tables their gradient buffers,
+from the model's arena (:class:`~repro.core.dense_kernels.Workspace`), under
+the arena's lifetime contract: the pooled outputs returned by the
+collection's ``forward`` are slabs of one buffer that lives until the
+collection's next forward (the dot interaction's backward re-reads it, so
+none may come between a training forward and its backward); the gradient
+slabs live until the interaction's next backward; a pending
+:class:`SparseGrad` 's ``values`` live until the first ``backward`` after the
+pending list was emptied — by ``zero_grad``, or by ``pop_grad``, whose
+caller must be done with (or have copied) what it popped by then.  Gradients
+pending together never share a buffer.  Without a workspace — and from a
+table called on its own — results are fresh arrays, bit-identical ones.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ __all__ = [
     "RaggedIndices",
     "SparseGrad",
     "TablePlan",
+    "PooledFeatures",
     "EmbeddingTable",
     "EmbeddingBagCollection",
     "hash_raw_ids",
@@ -59,11 +74,11 @@ _HASH_SHIFT = np.uint64(16)
 #: block is mmapped afresh and costs what the one-shot draw did.
 _INIT_BLOCK_ELEMS = 1 << 16
 
-#: Arena keys shared by every table of a model: the indicator's all-ones
-#: vector (never written after its fill) and the contiguous copy of a
-#: backward's incoming gradient (consumed before ``backward`` returns).
+#: Arena keys: the indicator's all-ones vector, shared by every table of a
+#: model (never written after its fill), and the collection's feature-major
+#: pooled-output array.
 _ONES_KEY = "emb.ones"
-_GRAD_IN_KEY = "emb.grad_in"
+_POOLED_KEY = "emb.pooled"
 
 
 def hash_raw_ids(raw_ids: np.ndarray, hash_size: int) -> np.ndarray:
@@ -203,8 +218,9 @@ class TablePlan:
     prepared: tuple[RaggedIndices, ...]
     #: Per-feature per-sample lookup counts (MEAN divisors / backward).
     lengths: tuple[np.ndarray, ...]
-    #: Per-feature backward coalesce plans (stable argsort precomputed);
-    #: ``None`` for an inference plan, which nothing will backpropagate.
+    #: Per-feature backward coalesce plans (stable argsort and the sample
+    #: of every sorted lookup precomputed); ``None`` for an inference plan,
+    #: which nothing will backpropagate.
     grad_plans: tuple[kernels.CoalescePlan, ...] | None
     #: Fused CSR layout over all features (the single gather dispatch).
     all_values: np.ndarray
@@ -357,7 +373,9 @@ class EmbeddingTable:
         lengths = tuple([p.lengths() for p in prepared])
         grad_plans = None
         if training:
-            grad_plans = tuple([kernels.coalesce_plan(p.values) for p in prepared])
+            grad_plans = tuple(
+                [kernels.coalesce_plan(p.values, n) for p, n in zip(prepared, lengths)]
+            )
         if len(prepared) == 1:
             all_values = prepared[0].values
             all_offsets = prepared[0].offsets
@@ -384,6 +402,7 @@ class EmbeddingTable:
         *,
         training: bool = True,
         plan: TablePlan | None = None,
+        out: np.ndarray | None = None,
     ) -> list[np.ndarray]:
         """Pooled lookups for several features sharing this table in one
         fused kernel dispatch.
@@ -405,6 +424,11 @@ class EmbeddingTable:
         ``training=False`` (the inference fast path) skips pushing forward
         contexts entirely: nothing is saved, nothing needs discarding, and
         the ``_saved`` stack cannot grow across inference-only forwards.
+
+        ``out``, a C-contiguous ``(len(features) * batch, dim)`` array,
+        receives the features' pooled outputs one after another (the
+        collection passes adjacent slabs of its feature-major array); the
+        returned arrays are then views of it.
         """
         if plan is None:
             plan = self.plan_forward(features, training=training)
@@ -413,7 +437,7 @@ class EmbeddingTable:
             plan.all_values,
             plan.all_offsets,
             check=False,
-            out=self._rows((self._ws_key, "out"), len(plan.all_offsets) - 1, (self.dim,)),
+            out=out,
             ones=self._rows(_ONES_KEY, len(plan.all_values), fill=1),
         )
         if plan.split_bounds is None:
@@ -447,18 +471,11 @@ class EmbeddingTable:
         if self.pooling is PoolingType.MEAN:
             divisor = np.maximum(lengths, 1).astype(self.weight.dtype)[:, None]
             grad_out = grad_out / divisor
-        elif not grad_out.flags.c_contiguous and self.workspace is not None:
-            # a column slice of the interaction's gradient: the kernel
-            # wants it contiguous, and would make a fresh copy itself
-            staged = self._rows(_GRAD_IN_KEY, len(grad_out), (self.dim,))
-            np.copyto(staged, grad_out)
-            grad_out = staged
         # One buffer per gradient pending on this table, so the backwards
         # of a shared table or of several sub-batches never alias.
         slot = len(self.sparse_grads)
         summed = kernels.expand_apply(
             gplan,
-            lengths,
             grad_out,
             out=self._rows((self._ws_key, "grad", slot), gplan.num_rows, (self.dim,)),
             ones=self._rows(_ONES_KEY, len(indices.values), fill=1),
@@ -503,6 +520,17 @@ class EmbeddingTable:
         return grad
 
 
+class PooledFeatures(dict):
+    """What :meth:`EmbeddingBagCollection.forward` returns: feature name ->
+    its ``(batch, dim)`` pooled output, each the slab ``array[i]`` of the
+    feature-major ``(features, batch, dim)`` ``array`` the interaction
+    reads (features in ``feature_names`` order)."""
+
+    def __init__(self, names: list[str], array: np.ndarray) -> None:
+        super().__init__(zip(names, array))
+        self.array = array
+
+
 class EmbeddingBagCollection:
     """All embedding tables of a model, with optional table sharing.
 
@@ -535,6 +563,11 @@ class EmbeddingBagCollection:
             raise ValueError(f"feature_to_table references unknown tables: {unknown}")
         if table_factory is None:
             table_factory = EmbeddingTable
+        if len({s.dim for s in specs}) > 1:
+            raise ValueError(
+                "one pooled array needs one embedding dim across tables; got "
+                f"{sorted({s.dim for s in specs})}"
+            )
         self.specs = specs
         self.feature_to_table = dict(feature_to_table)
         self.tables: dict[str, EmbeddingTable] = {
@@ -542,18 +575,28 @@ class EmbeddingBagCollection:
         }
         self.feature_names = list(feature_to_table.keys())
         # Features grouped by physical table, preserving feature order within
-        # each group — the unit of the fused multi-feature gather.
-        self._table_groups: list[tuple[str, list[str]]] = []
-        by_table: dict[str, list[str]] = {}
-        for feature in self.feature_names:
-            by_table.setdefault(self.feature_to_table[feature], []).append(feature)
-        self._table_groups = list(by_table.items())
+        # each group — the unit of the fused multi-feature gather — as slab
+        # numbers of the feature-major pooled array, and the run they form
+        # there (``None`` when a shared table's features are apart).
+        by_table: dict[str, list[int]] = {}
+        for slab, feature in enumerate(self.feature_names):
+            by_table.setdefault(self.feature_to_table[feature], []).append(slab)
+        self._table_groups: list[tuple[str, list[int], slice | None]] = [
+            (name, slabs, slice(slabs[0], slabs[-1] + 1))
+            if slabs[-1] - slabs[0] == len(slabs) - 1
+            else (name, slabs, None)
+            for name, slabs in by_table.items()
+        ]
+        self.workspace: Workspace | None = None
 
     def set_backend(
         self, backend: Backend | str, workspace: Workspace | None = None
     ) -> None:
-        """Put every table on ``backend``'s arena, keyed by table name (as
-        ``MLP.set_backend`` keys its layers by position)."""
+        """Put the pooled array and every table on ``backend``'s arena,
+        tables keyed by name (as ``MLP.set_backend`` keys its layers by
+        position)."""
+        backend = backend if isinstance(backend, Backend) else get_backend(backend)
+        self.workspace = workspace if backend.uses_workspace else None
         for name, table in self.tables.items():
             table.set_backend(backend, workspace, key=f"emb[{name}]")
 
@@ -570,11 +613,12 @@ class EmbeddingBagCollection:
         missing = set(self.feature_names) - set(batch.keys())
         if missing:
             raise KeyError(f"batch is missing sparse features: {sorted(missing)}")
+        names = self.feature_names
         return {
             table_name: self.tables[table_name].plan_forward(
-                [batch[f] for f in features], training=training
+                [batch[names[i]] for i in slabs], training=training
             )
-            for table_name, features in self._table_groups
+            for table_name, slabs, _ in self._table_groups
         }
 
     def forward(
@@ -584,25 +628,36 @@ class EmbeddingBagCollection:
         training: bool = True,
         plans: dict[str, TablePlan] | None = None,
     ) -> dict[str, np.ndarray]:
-        """Look up every feature; returns feature name -> (batch, dim).
+        """Look up every feature; returns feature name -> (batch, dim), the
+        slabs of one feature-major array (:class:`PooledFeatures`).
 
         ``plans`` (from an earlier :meth:`plan_batch`) skips the per-table
         index precompute — the pipelined path.
         """
-        missing = set(self.feature_names) - set(batch.keys())
+        names = self.feature_names
+        missing = set(names) - set(batch.keys())
         if missing:
             raise KeyError(f"batch is missing sparse features: {sorted(missing)}")
-        out: dict[str, np.ndarray] = {}
-        for table_name, features in self._table_groups:
-            table = self.tables[table_name]
-            pooled = table.forward_batched(
-                [batch[f] for f in features],
+        table = next(iter(self.tables.values()))
+        shape = (len(names), batch[names[0]].batch_size, table.dim)
+        if self.workspace is None:
+            pooled = np.empty(shape, dtype=table.dtype)
+        else:
+            pooled = self.workspace.get(_POOLED_KEY, shape, table.dtype)
+        for table_name, slabs, run in self._table_groups:
+            # A table's features pool into their C-contiguous run of slabs;
+            # those of a shared table that are apart in feature order pool
+            # into a fresh array and are moved.
+            vecs = self.tables[table_name].forward_batched(
+                [batch[names[i]] for i in slabs],
                 training=training,
                 plan=None if plans is None else plans[table_name],
+                out=None if run is None else pooled[run].reshape(-1, shape[2]),
             )
-            for feature, vec in zip(features, pooled):
-                out[feature] = vec
-        return out
+            if run is None:
+                for i, vec in zip(slabs, vecs):
+                    pooled[i] = vec
+        return PooledFeatures(names, pooled)
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
         # Reverse order mirrors forward bookkeeping for shared tables.

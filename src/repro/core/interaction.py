@@ -27,16 +27,24 @@ from .dense_kernels import Workspace
 __all__ = ["ConcatInteraction", "DotInteraction", "make_interaction"]
 
 
-class ConcatInteraction:
-    """Concatenate ``[dense, emb_1, ..., emb_n]`` along the feature axis."""
+class _Interaction:
+    """What the two combiners share: the backend seam.  ``embs`` is the
+    feature-major ``(num_sparse, batch, dim)`` array of pooled embeddings
+    (what ``EmbeddingBagCollection.forward`` fills and ``DLRM`` hands over)
+    or a sequence of ``(batch, dim)`` arrays; ``backward`` returns
+    ``(grad_dense, grad_embs)``, ``grad_embs[i]`` feature ``i``'s gradient
+    — under a workspace the contiguous slabs of one feature-major arena
+    buffer that lives until the next backward."""
+
+    _ws_key = ""
 
     def __init__(self, num_sparse: int, dim: int) -> None:
         self.num_sparse = num_sparse
         self.dim = dim
-        self._dense_width: int | None = None
+        #: Forward context of the pending backward; ``None`` when there is none.
+        self._saved = None
         self.backend: Backend = get_backend("fused")
         self.workspace: Workspace | None = None
-        self._ws_key = "concat"
 
     def set_backend(
         self,
@@ -49,71 +57,70 @@ class ConcatInteraction:
         if key is not None:
             self._ws_key = key
 
+    def _backend_for(self, dense: np.ndarray, embs) -> Backend:
+        """Check the embedding count and pick the forward's backend (the
+        backward follows it): the configured one, or the reference when an
+        arena backend has no arena or the operands mix dtypes."""
+        if len(embs) != self.num_sparse:
+            raise ValueError(f"expected {self.num_sparse} embeddings, got {len(embs)}")
+        be = self.backend
+        dtypes = {embs.dtype} if isinstance(embs, np.ndarray) else {e.dtype for e in embs}
+        if be.uses_workspace and (self.workspace is None or dtypes != {dense.dtype}):
+            return reference_backend()
+        return be
+
+
+class ConcatInteraction(_Interaction):
+    """Concatenate ``[dense, emb_1, ..., emb_n]`` along the feature axis."""
+
+    _ws_key = "concat"
+
     def out_features(self, dense_width: int) -> int:
         return dense_width + self.num_sparse * self.dim
 
-    def forward(
-        self, dense: np.ndarray, embs: list[np.ndarray], *, training: bool = True
-    ) -> np.ndarray:
-        if len(embs) != self.num_sparse:
-            raise ValueError(f"expected {self.num_sparse} embeddings, got {len(embs)}")
+    def forward(self, dense: np.ndarray, embs, *, training: bool = True) -> np.ndarray:
+        be = self._backend_for(dense, embs)
         if training:
-            self._dense_width = dense.shape[1]
-        be = self.backend
-        if be.uses_workspace and (
-            self.workspace is None or any(e.dtype != dense.dtype for e in embs)
-        ):
-            be = reference_backend()
+            self._saved = (be, dense.shape[1])
         return be.concat_forward(dense, embs, self.dim, self.workspace, self._ws_key)
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._dense_width is None:
+    def backward(self, grad_out: np.ndarray):
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        w = self._dense_width
-        self._dense_width = None
-        grad_dense = grad_out[:, :w]
-        grad_embs = [
-            grad_out[:, w + i * self.dim : w + (i + 1) * self.dim]
-            for i in range(self.num_sparse)
-        ]
-        return grad_dense, grad_embs
+        be, dense_width = self._saved
+        self._saved = None
+        return be.concat_backward(
+            grad_out, dense_width, self.num_sparse, self.dim,
+            self.workspace, self._ws_key,
+        )
 
 
-class DotInteraction:
+class DotInteraction(_Interaction):
     """Pairwise dot products among ``[dense, emb_1, ..., emb_n]``.
 
     The output is ``concat(dense, lower_triangle(T @ T^T))`` where ``T`` is
     the ``(batch, n+1, d)`` stack of feature vectors; the strictly-lower
     triangle has ``(n+1) * n / 2`` entries.
+
+    Between a training forward and its backward it keeps what the forward's
+    backend returned: the reference's ``(batch, n+1, d)`` stack, or — fused
+    — only references to ``dense`` and the feature-major pooled array, which
+    the blocked backward re-reads, so both must still hold the forward's
+    values then (they do under the arena's contract: no forward of the
+    bottom MLP or the embedding collection comes between the two).
     """
 
+    _ws_key = "dot"
+
     def __init__(self, num_sparse: int, dim: int) -> None:
-        self.num_sparse = num_sparse
-        self.dim = dim
+        super().__init__(num_sparse, dim)
         n_vec = num_sparse + 1
         self._tril = np.tril_indices(n_vec, k=-1)
-        #: Flat offsets ``i * n + j`` of the strict lower triangle — the
-        #: fused forward gathers them with ``np.take`` on the flattened
-        #: gram matrix (no fancy-index temporary).
-        self._flat_tril = (self._tril[0] * n_vec + self._tril[1]).astype(np.intp)
-        #: Symmetrized gather map of the fused backward (see
-        #: :func:`repro.core.dense_kernels.symmetric_pair_map`).
+        #: Gather maps of the fused kernels (see
+        #: :func:`repro.core.dense_kernels.dot_out_map` /
+        #: :func:`~repro.core.dense_kernels.symmetric_pair_map`).
+        self._out_map = dense_kernels.dot_out_map(dim, n_vec, self._tril)
         self._pair_map = dense_kernels.symmetric_pair_map(n_vec, self._tril)
-        self._stack: np.ndarray | None = None
-        self.backend: Backend = get_backend("fused")
-        self.workspace: Workspace | None = None
-        self._ws_key = "dot"
-
-    def set_backend(
-        self,
-        backend: Backend | str,
-        workspace: Workspace | None = None,
-        key: str | None = None,
-    ) -> None:
-        self.backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace
-        if key is not None:
-            self._ws_key = key
 
     @property
     def num_pairs(self) -> int:
@@ -128,40 +135,27 @@ class DotInteraction:
             )
         return self.dim + self.num_pairs
 
-    def forward(
-        self, dense: np.ndarray, embs: list[np.ndarray], *, training: bool = True
-    ) -> np.ndarray:
-        if len(embs) != self.num_sparse:
-            raise ValueError(f"expected {self.num_sparse} embeddings, got {len(embs)}")
+    def forward(self, dense: np.ndarray, embs, *, training: bool = True) -> np.ndarray:
+        be = self._backend_for(dense, embs)
         if dense.shape[1] != self.dim:
             raise ValueError(
                 f"dense width {dense.shape[1]} != embedding dim {self.dim}"
             )
-        be = self.backend
-        if be.uses_workspace and (
-            self.workspace is None or any(e.dtype != dense.dtype for e in embs)
-        ):
-            be = reference_backend()
-        out, stack = be.dot_forward(
-            dense, embs, self._tril, self._flat_tril,
+        out, ctx = be.dot_forward(
+            dense, embs, self._tril, self._out_map,
             self.workspace, self._ws_key, training=training,
         )
         if training:
-            self._stack = stack
+            self._saved = (be, ctx)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._stack is None:
+    def backward(self, grad_out: np.ndarray):
+        if self._saved is None:
             raise RuntimeError("backward called before forward")
-        stack = self._stack
-        self._stack = None
-        be = self.backend
-        if be.uses_workspace and (
-            self.workspace is None or grad_out.dtype != stack.dtype
-        ):
-            be = reference_backend()
+        be, ctx = self._saved
+        self._saved = None
         return be.dot_backward(
-            stack, grad_out, self.dim, self._tril, self._pair_map,
+            ctx, grad_out, self.dim, self._tril, self._pair_map,
             self.workspace, self._ws_key,
         )
 

@@ -317,20 +317,31 @@ class CoalescePlan:
     :func:`coalesce_apply` / :func:`expand_apply`.  ``rows`` are the unique
     row ids sorted ascending; ``order`` is the stable argsort of the input
     stream; ``indptr[k]:indptr[k+1]`` delimits the occurrence positions
-    (into ``order``) contributing to ``rows[k]``.
+    (into ``order``) contributing to ``rows[k]``.  A plan built with the
+    stream's per-sample ``lengths`` also carries ``sample_of_sorted``, the
+    sample each sorted occurrence belongs to — the indicator columns of
+    :func:`expand_apply`, index data like the rest of the plan.
     """
 
     rows: np.ndarray  # int64, shape (k,) — unique row ids, ascending
     order: np.ndarray  # int64, shape (total,) — stable argsort of indices
     indptr: np.ndarray  # int64, shape (k + 1,) — group boundaries in order
+    sample_of_sorted: np.ndarray | None = None  # int64, shape (total,)
 
     @property
     def num_rows(self) -> int:
         return len(self.rows)
 
 
-def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
+def coalesce_plan(
+    indices: np.ndarray, lengths: np.ndarray | None = None
+) -> CoalescePlan:
     """Precompute the stable sort + group starts of a coalesce.
+
+    ``lengths`` (the stream's per-sample lookup counts) makes it the plan
+    of a pooled-bag backward: :func:`expand_apply` needs the sample of
+    every sorted occurrence, two lookup-sized index passes that belong
+    with the sort, not in each backward.
 
     Pure function of the index stream: two plans built from equal indices
     are bit-identical, and applying a plan reproduces
@@ -345,7 +356,8 @@ def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
     n = len(indices)
     if n == 0:
         zero = np.zeros(1, dtype=np.int64)
-        return CoalescePlan(rows=indices[:0], order=indices[:0], indptr=zero)
+        empty = indices[:0]
+        return CoalescePlan(empty, empty, zero, None if lengths is None else empty)
     shift = n.bit_length()
     # As uint64 a negative id is huge: one comparison rejects both.
     if int(indices.view(np.uint64).max()) >> (63 - shift):
@@ -357,7 +369,11 @@ def coalesce_plan(indices: np.ndarray) -> CoalescePlan:
     key >>= shift  # the sorted ids
     # group starts: positions where the sorted row id changes
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    return CoalescePlan(rows=key[starts], order=order, indptr=np.append(starts, n))
+    sample_of_sorted = None
+    if lengths is not None:
+        sample_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        sample_of_sorted = sample_of[order]
+    return CoalescePlan(key[starts], order, np.append(starts, n), sample_of_sorted)
 
 
 def coalesce_apply(
@@ -390,7 +406,6 @@ def coalesce_apply(
 
 def expand_apply(
     plan: CoalescePlan,
-    lengths: np.ndarray,
     grad_out: np.ndarray,
     out: np.ndarray | None = None,
     ones: np.ndarray | None = None,
@@ -398,27 +413,27 @@ def expand_apply(
     """Pooled-bag backward against a precomputed plan.
 
     Bit-identical to the summed half of ``expand_coalesce(indices,
-    lengths, grad_out)`` for the index stream the plan was built from
-    (``lengths`` must be that stream's per-sample lengths).  ``out``
-    receives the ``(plan.num_rows, dim)`` result; ``ones`` spares the fast
-    path its one-per-lookup ones.
+    lengths, grad_out)`` for the index stream and per-sample lengths the
+    plan was built from (``coalesce_plan(indices, lengths)``); builds
+    nothing lookup-sized itself.  ``out`` receives the ``(plan.num_rows,
+    dim)`` result; ``ones`` spares the fast path its one-per-lookup ones.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
+    cols = plan.sample_of_sorted
+    if cols is None:
+        raise ValueError("expand_apply needs a plan built with the stream's lengths")
     grad_out = np.asarray(grad_out)
     if not np.issubdtype(grad_out.dtype, np.floating):
         grad_out = grad_out.astype(np.float64)
     if plan.num_rows == 0:
         return _result(out, (0,) + grad_out.shape[1:], grad_out.dtype)
+    indptr = np.ascontiguousarray(plan.indptr, dtype=np.int64)
     if not _use_matmul(grad_out):
-        return coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0), out)
-    sample_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        # grad_out[cols] is the sorted per-lookup expansion coalesce_apply
+        # would reduce
+        out = _result(out, (plan.num_rows,) + grad_out.shape[1:], grad_out.dtype)
+        return np.add.reduceat(grad_out[cols], indptr[:-1], axis=0, out=out)
     return _indicator_matmul(
-        sample_of[plan.order],
-        np.ascontiguousarray(plan.indptr, dtype=np.int64),
-        np.ascontiguousarray(grad_out),
-        plan.num_rows,
-        out,
-        ones,
+        cols, indptr, np.ascontiguousarray(grad_out), plan.num_rows, out, ones
     )
 
 
@@ -457,8 +472,8 @@ def expand_coalesce(
     Implemented as :func:`coalesce_plan` + :func:`expand_apply` (see
     :func:`coalesce_rows` on why the split exists).
     """
-    plan = coalesce_plan(indices)
-    return plan.rows, expand_apply(plan, lengths, grad_out)
+    plan = coalesce_plan(indices, lengths)
+    return plan.rows, expand_apply(plan, grad_out)
 
 
 def position_in_segment(offsets: np.ndarray) -> np.ndarray:

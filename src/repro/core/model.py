@@ -162,11 +162,12 @@ class DLRM:
         # Prefetch-pipelined batches (repro.pipeline.PreparedBatch) carry the
         # precomputed per-table lookup plans; plain batches don't, and the
         # collection rebuilds them inline from the same code path.
-        emb_out = self.embeddings.forward(
+        pooled = self.embeddings.forward(
             batch.sparse, training=training, plans=getattr(batch, "plans", None)
         )
-        embs = [emb_out[name] for name in self._feature_order]
-        interacted = self.interaction.forward(dense_out, embs, training=training)
+        # The collection's features are the config's tables, in order, so
+        # its feature-major array goes to the interaction as it is.
+        interacted = self.interaction.forward(dense_out, pooled.array, training=training)
         top_out = self.top_mlp.forward(interacted, training=training)
         logits = self.scorer.forward(top_out, training=training)
         out = logits.reshape(-1)
@@ -192,9 +193,7 @@ class DLRM:
         if stage_hook is not None:
             stage_hook("top")
         grad_dense, grad_embs = self.interaction.backward(grad)
-        self.embeddings.backward(
-            {name: g for name, g in zip(self._feature_order, grad_embs)}
-        )
+        self.embeddings.backward(dict(zip(self._feature_order, grad_embs)))
         if stage_hook is not None:
             stage_hook("embeddings")
         self.bottom_mlp.backward(grad_dense)
@@ -227,10 +226,7 @@ class DLRM:
         """
         for table in self.embeddings.tables.values():
             table._saved.clear()
-        if hasattr(self.interaction, "_stack"):
-            self.interaction._stack = None
-        if hasattr(self.interaction, "_dense_width"):
-            self.interaction._dense_width = None
+        self.interaction._saved = None
 
     # -- parameter access ----------------------------------------------------
 

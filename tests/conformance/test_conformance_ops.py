@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import dense_kernels
+from repro.core import Workspace, dense_kernels
 
 from backend_cases import (
     BACKEND_SPECS,
@@ -182,46 +182,143 @@ def test_bce_conforms(spec, batch, seed, scale):
 # ---------------------------------------------------------------------------
 
 
-@backend_specs
-@settings(max_examples=25, deadline=None)
-@given(shape=dot_shapes(), seed=seeds, dtype=dtypes)
-def test_dot_interaction_conforms(spec, shape, seed, dtype):
-    be = make_backend(spec)
+def _dot_case(shape, seed, dtype):
     batch, n_vec, dim = shape
     dense = rand(seed, (batch, dim), dtype)
     embs = [rand(seed + 1 + i, (batch, dim), dtype) for i in range(n_vec - 1)]
     tril = np.tril_indices(n_vec, k=-1)
-    num_pairs = len(tril[0])
-    flat_tril = (tril[0] * n_vec + tril[1]).astype(np.intp)
+    grad_out = rand(seed + 50, (batch, dim + len(tril[0])), dtype)
+    out_map = dense_kernels.dot_out_map(dim, n_vec, tril)
     pair_map = dense_kernels.symmetric_pair_map(n_vec, tril)
+    return dense, embs, tril, grad_out, out_map, pair_map
 
-    out_ref, stack_ref = reference().dot_forward(dense, embs, tril, flat_tril, None, "d")
-    ws = make_workspace(be)
-    out, stack = be.dot_forward(dense, embs, tril, flat_tril, ws, "d")
-    assert_backend_matches(be, out, out_ref, "dot_forward")
 
-    grad_out = rand(seed + 50, (batch, dim + num_pairs), dtype)
+def _emb_layouts(embs):
+    """The three things a caller may hand over as ``embs``: separate
+    arrays, the feature-major array, and a list of that array's slabs."""
+    whole = np.stack(embs)
+    return {"list": embs, "array": whole, "slabs": list(whole)}
+
+
+@backend_specs
+@settings(max_examples=25, deadline=None)
+@given(shape=dot_shapes(), seed=seeds, dtype=dtypes)
+@example(shape=(3, 61, 16), seed=7, dtype=np.float32)  # perfbench train_dot
+@example(shape=(5, 9, 32), seed=8, dtype=np.float32)  # perfbench hybrid_w2
+@example(shape=(4, 9, 32), seed=9, dtype=np.float64)
+def test_dot_interaction_conforms(spec, shape, seed, dtype):
+    be = make_backend(spec)
+    dim = shape[2]
+    dense, embs, tril, grad_out, out_map, pair_map = _dot_case(shape, seed, dtype)
+    out_ref, ctx_ref = reference().dot_forward(dense, embs, tril, out_map, None, "d")
     gd_ref, ge_ref = reference().dot_backward(
-        stack_ref, grad_out, dim, tril, pair_map, None, "d"
+        ctx_ref, grad_out, dim, tril, pair_map, None, "d"
     )
-    gd, ge = be.dot_backward(stack, grad_out, dim, tril, pair_map, ws, "d")
-    assert_backend_matches(be, gd, gd_ref, "dot_backward grad_dense")
-    assert len(ge) == len(ge_ref)
-    for i, (a, r) in enumerate(zip(ge, ge_ref)):
-        assert_backend_matches(be, a, r, f"dot_backward grad_emb[{i}]")
+    for layout, given_embs in _emb_layouts(embs).items():
+        ws = make_workspace(be)
+        out, ctx = be.dot_forward(dense, given_embs, tril, out_map, ws, "d")
+        assert_backend_matches(be, out, out_ref, f"dot_forward ({layout})")
+        gd, ge = be.dot_backward(ctx, grad_out, dim, tril, pair_map, ws, "d")
+        assert_backend_matches(be, gd, gd_ref, f"dot_backward grad_dense ({layout})")
+        assert len(ge) == len(ge_ref)
+        for i, (a, r) in enumerate(zip(ge, ge_ref)):
+            assert_backend_matches(be, a, r, f"dot_backward grad_emb[{i}] ({layout})")
+            # an arena backend hands every table a contiguous gradient
+            assert not be.uses_workspace or a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "shape", [(7, 5, 3), (1, 2, 1), (6, 61, 16), (11, 9, 32), (9, 8, 6)]
+)
+def test_dot_kernels_do_not_depend_on_the_block(shape, dtype):
+    """``dense_kernels.dot_forward`` / ``dot_backward`` driven directly
+    with block buffers of 1, 2, batch - 1, batch and batch + 3 rows
+    (block of one, ragged tail, single block) equal the reference bit for
+    bit — the fused backend's 512 KiB budget never splits shapes this
+    small."""
+    assert make_backend("fused").bit_identical
+    batch, n_vec, dim = shape
+    dense, embs, tril, grad_out, out_map, pair_map = _dot_case(shape, 3, dtype)
+    pooled = np.stack(embs)
+    num_pairs = len(tril[0])
+    out_ref, ctx_ref = reference().dot_forward(dense, embs, tril, out_map, None, "d")
+    gd_ref, ge_ref = reference().dot_backward(
+        ctx_ref, grad_out, dim, tril, pair_map, None, "d"
+    )
+    for block in sorted({1, 2, max(1, batch - 1), batch, batch + 3}):
+        def buf(*width):
+            return np.full((block, *width), np.nan, dtype=dtype)
+
+        out = dense_kernels.dot_forward(
+            dense, pooled, out_map, buf(n_vec, dim), buf(dim + n_vec * n_vec),
+            np.full((batch, dim + num_pairs), np.nan, dtype=dtype),
+        )
+        np.testing.assert_array_equal(out, out_ref, err_msg=f"block {block}")
+        gd, gp = dense_kernels.dot_backward(
+            dense, pooled, pair_map, grad_out,
+            buf(n_vec, dim), buf(num_pairs + 1), buf(n_vec, n_vec), buf(n_vec, dim),
+            np.full((batch, dim), np.nan, dtype=dtype), np.full_like(pooled, np.nan),
+        )
+        np.testing.assert_array_equal(gd, gd_ref, err_msg=f"block {block}")
+        np.testing.assert_array_equal(gp, np.stack(ge_ref), err_msg=f"block {block}")
+
+
+def test_dot_block_rows_follow_the_byte_budget():
+    budget = dense_kernels._DOT_BLOCK_BYTES
+    assert dense_kernels.dot_block_rows(61, np.float32) == budget // (61 * 61 * 4)
+    assert dense_kernels.dot_block_rows(9, np.float64) == budget // (9 * 9 * 8)
+    assert dense_kernels.dot_block_rows(4096, np.float64) == 1  # never zero
 
 
 @backend_specs
 @settings(max_examples=15, deadline=None)
 @given(shape=dot_shapes(), seed=seeds, dtype=dtypes)
+@example(shape=(3, 13, 64), seed=7, dtype=np.float32)  # perfbench train_emb
 def test_concat_forward_conforms(spec, shape, seed, dtype):
+    """``concat_forward`` and the gradient split that undoes it."""
     be = make_backend(spec)
     batch, n_vec, dim = shape
-    dense = rand(seed, (batch, dim), dtype)
+    width = dim + 2  # CONCAT does not tie the dense width to the embedding dim
+    dense = rand(seed, (batch, width), dtype)
     embs = [rand(seed + 1 + i, (batch, dim), dtype) for i in range(n_vec - 1)]
+    grad_out = rand(seed + 50, (batch, width + (n_vec - 1) * dim), dtype)
     ref = reference().concat_forward(dense, embs, dim, None, "c")
-    out = be.concat_forward(dense, embs, dim, make_workspace(be), "c")
-    assert_backend_matches(be, out, ref, "concat_forward")
+    gd_ref, ge_ref = reference().concat_backward(
+        grad_out, width, n_vec - 1, dim, None, "c"
+    )
+    for layout, given_embs in _emb_layouts(embs).items():
+        ws = make_workspace(be)
+        out = be.concat_forward(dense, given_embs, dim, ws, "c")
+        assert_backend_matches(be, out, ref, f"concat_forward ({layout})")
+        gd, ge = be.concat_backward(grad_out, width, n_vec - 1, dim, ws, "c")
+        assert_backend_matches(be, gd, gd_ref, f"concat_backward grad_dense ({layout})")
+        assert len(ge) == len(ge_ref)
+        for i, (a, r) in enumerate(zip(ge, ge_ref)):
+            assert_backend_matches(be, a, r, f"concat_backward grad_emb[{i}] ({layout})")
+            assert not be.uses_workspace or a.flags.c_contiguous
+
+
+def test_feature_major_recognises_its_own_slabs():
+    """A list of one array's slabs, in order, is that array (no copy);
+    anything else is copied into the arena, once."""
+    ws = Workspace()
+    whole = rand(0, (4, 5, 3), np.float32)
+    assert dense_kernels.feature_major(whole, ws, "k") is whole
+    assert dense_kernels.feature_major(list(whole), ws, "k") is whole
+    assert ws.stats()["buffers"] == 0
+    rows = whole.reshape(-1, 3)
+    for embs in (
+        list(whole)[::-1],                                 # out of order
+        [whole[0], whole[0], whole[2], whole[3]],          # one twice
+        [rows[0:5], rows[4:9], rows[10:15], rows[15:20]],  # one shifted a row
+        list(whole[:, :, :2]),                             # not whole slabs
+        list(whole)[:3],                                   # not all of them
+        [s.copy() for s in whole],                         # separate arrays
+    ):
+        got = dense_kernels.feature_major(embs, ws, "k")
+        assert got is not whole and ws.owns(got)
+        np.testing.assert_array_equal(got, np.stack(embs))
 
 
 # ---------------------------------------------------------------------------

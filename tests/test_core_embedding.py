@@ -326,14 +326,38 @@ class TestArenaLifetime:
         np.testing.assert_array_equal(first, 2 * kept)
 
     def test_output_lives_until_the_next_forward(self):
-        plain, arena = self._pair()
-        a, _ = self._stream(0)
-        b, _ = self._stream(1)
+        """The collection's pooled outputs are slabs of one arena array;
+        a table called on its own answers with a fresh one."""
+        specs = uniform_tables(3, 40, dim=3)
+        plain, arena = (
+            EmbeddingBagCollection(specs, np.random.default_rng(3)) for _ in range(2)
+        )
+        ws = Workspace()
+        arena.set_backend("fused", ws)
+        a = {s.name: self._stream(i)[0] for i, s in enumerate(specs)}
+        b = {s.name: self._stream(i + 3)[0] for i, s in enumerate(specs)}
         out_a = arena.forward(a, training=False)
-        np.testing.assert_array_equal(out_a, plain.forward(a, training=False))
+        assert ws.owns(out_a.array) and out_a.array.shape == (3, 6, 3)
+        for i, s in enumerate(specs):
+            assert np.shares_memory(out_a[s.name], out_a.array[i])
+            assert out_a[s.name].flags.c_contiguous
+            np.testing.assert_array_equal(
+                out_a[s.name], plain.forward(a, training=False)[s.name]
+            )
         out_b = arena.forward(b, training=False)
-        assert np.shares_memory(out_a, out_b)
-        np.testing.assert_array_equal(out_b, plain.forward(b, training=False))
+        assert out_b.array is out_a.array
+        for s in specs:
+            np.testing.assert_array_equal(
+                out_b[s.name], plain.forward(b, training=False)[s.name]
+            )
+        # no per-table output buffer is left in the arena
+        assert not any("out" in str(key) for key in ws._buffers)
+        name = specs[0].name
+        alone = arena.tables[name].forward(a[name], training=False)
+        assert not ws.owns(alone)
+        np.testing.assert_array_equal(
+            alone, plain.tables[name].forward(a[name], training=False)
+        )
 
     def test_shared_table_with_two_features(self):
         specs = uniform_tables(1, 40, dim=3, prefix="shared")

@@ -11,8 +11,12 @@ from repro.core import (
     InteractionType,
     MLPSpec,
     ModelConfig,
+    PoolingType,
+    RaggedIndices,
+    dense_kernels,
     uniform_tables,
 )
+from repro.tiering import TieredStoreConfig
 
 from helpers import make_batch, numeric_grad_scalar
 
@@ -193,8 +197,8 @@ class TestEmbeddingArena:
         model = DLRM(self.CONFIG, rng=0)
         assert all(t.workspace is model.workspace for t in model.embedding_tables())
         if not arena:
-            for table in model.embedding_tables():
-                table.set_backend(model.backend, None)
+            model.embeddings.set_backend(model.backend, None)
+            assert model.embeddings.workspace is None
         optimizer = Adagrad(
             model.dense_parameters(), model.embedding_tables(), lr=0.05,
             backend=model.backend,
@@ -244,3 +248,163 @@ class TestEmbeddingArena:
             optimizer.step()
         assert len(unique_rows) > 5  # the counts did differ
         assert model.workspace.stats()["misses"] == misses
+
+
+class TestFeatureMajorHandOff:
+    """Tables pool into one feature-major arena array, the interaction
+    reads it and hands the gradients back the same way: through all of it
+    ``fused`` is the ``numpy`` reference's twin, bit for bit."""
+
+    @staticmethod
+    def _config(interaction, dtype, backend):
+        return ModelConfig(
+            name="handoff",
+            num_dense=5,
+            tables=uniform_tables(4, 300, dim=8, mean_lookups=3.0),
+            bottom_mlp=MLPSpec((16, 8)),
+            top_mlp=MLPSpec((16, 8)),
+            interaction=interaction,
+            compute_dtype=dtype,
+            backend=backend,
+        )
+
+    @staticmethod
+    def _without_lookups(batch: Batch, feature: str) -> Batch:
+        sparse = dict(batch.sparse)
+        sparse[feature] = RaggedIndices(
+            values=np.empty(0, dtype=np.int64),
+            offsets=np.zeros(batch.size + 1, dtype=np.int64),
+        )
+        return Batch(batch.dense, sparse, batch.labels)
+
+    def _history(self, backend, interaction, dtype, pooling, tiering):
+        config = self._config(interaction, dtype, backend)
+        model = DLRM(config, rng=0, pooling=pooling, tiering=tiering)
+        assert model.backend.name == backend
+        optimizer = Adagrad(
+            model.dense_parameters(), model.embedding_tables(), lr=0.05,
+            backend=model.backend,
+        )
+        loss_fn = BCEWithLogitsLoss()
+        big = [make_batch(config, 24, seed=s) for s in range(3)]
+        # a ragged final batch, one of whose tables sees no lookup at all
+        small = self._without_lookups(make_batch(config, 10, seed=9), config.tables[2].name)
+        out = []
+
+        def rounds(*batches):
+            optimizer.zero_grad()
+            for batch in batches:
+                out.append(loss_fn.forward(model.forward(batch), batch.labels))
+                model.backward(loss_fn.backward())
+            optimizer.step()
+
+        rounds(big[0])
+        out.append(model.predict_proba(small))  # inference between two steps
+        rounds(small)
+        rounds(big[1], small)  # run_hybrid_serial: two backwards, one step
+        out.append(model.predict_proba(big[0]))
+        rounds(big[2])  # two batch sizes interleaved
+        out += [p.value for p in model.dense_parameters()]
+        out += [t.weight for t in model.embedding_tables()]
+        return model, out
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("interaction", [InteractionType.DOT, InteractionType.CONCAT])
+    @pytest.mark.parametrize(
+        "pooling, tiering",
+        [
+            (PoolingType.SUM, None),
+            (PoolingType.MEAN, None),
+            (PoolingType.SUM, TieredStoreConfig(hot_fraction=0.1, chunk_rows=4)),
+        ],
+        ids=["sum", "mean", "tiered"],
+    )
+    def test_fused_is_the_reference_bit_for_bit(self, interaction, dtype, pooling, tiering):
+        _, want = self._history("numpy", interaction, dtype, pooling, tiering)
+        model, got = self._history("fused", interaction, dtype, pooling, tiering)
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(g, w, err_msg=f"history entry {i}")
+        # one pooled array per batch size, no per-table output buffer
+        keys = [key for key, *_ in model.workspace._buffers]
+        assert keys.count("emb.pooled") == 2
+        assert not [k for k in keys if isinstance(k, tuple) and k[0].startswith("emb[") and k[1] == "out"]
+
+    def test_several_blocks_per_batch_change_no_bit(self, monkeypatch):
+        """The same history with the dot kernels' byte budget cut to three
+        samples per block (24 = 8 blocks, 10 = 3 full + a ragged one)."""
+        args = (InteractionType.DOT, "float32", PoolingType.SUM, None)
+        _, want = self._history("numpy", *args)
+        monkeypatch.setattr(dense_kernels, "_DOT_BLOCK_BYTES", 3 * 5 * 5 * 4)
+        assert dense_kernels.dot_block_rows(5, np.float32) == 3
+        model, got = self._history("fused", *args)
+        for i, (g, w) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(g, w, err_msg=f"history entry {i}")
+        slot = (("interaction", "gram"), (3, 5, 5), np.dtype(np.float32))
+        assert slot in model.workspace._buffers  # both batch sizes walked 3 at a time
+
+
+class TestDotFootprint:
+    """perfbench's ``train_dot`` shape (60 tables x dim 16, batch 2048: 61
+    vectors, 1 830 pairs): nothing but the interaction's output is sized
+    ``batch x pairs`` or ``batch x n_vec^2`` any more — the gram, the pair
+    staging buffers and their ~57 MB exist one L2-sized block at a time —
+    and a steady-state step mints no buffer."""
+
+    BATCH = 2048
+
+    def test_no_batch_sized_gram_or_pairs_buffer(self):
+        config = ModelConfig(
+            name="dot-footprint",
+            num_dense=16,
+            tables=uniform_tables(60, 1000, dim=16, mean_lookups=1.0),
+            bottom_mlp=MLPSpec((32, 16)),
+            top_mlp=MLPSpec((64,)),
+            interaction=InteractionType.DOT,
+            compute_dtype="float32",
+            backend="fused",
+        )
+        model = DLRM(config, rng=0)
+        optimizer = Adagrad(
+            model.dense_parameters(), model.embedding_tables(), lr=0.01,
+            backend=model.backend,
+        )
+        loss_fn = BCEWithLogitsLoss()
+        batches = [make_batch(config, self.BATCH, seed=s) for s in range(4)]
+
+        def step(batch):
+            optimizer.zero_grad()
+            loss_fn.forward(model.forward(batch), batch.labels)
+            model.backward(loss_fn.backward())
+            optimizer.step()
+
+        # every batch once: the tables' grow-only row buffers (sized by the
+        # data, not by this change) have then seen their maxima
+        for batch in batches:
+            step(batch)
+        n_vec, pairs = 61, 61 * 60 // 2
+        big = min(self.BATCH * pairs, self.BATCH * n_vec * n_vec)
+        allowed = {
+            ("interaction", "out"),  # the interaction's result
+            ("top[0]", "gin"),  # the top MLP's gradient w.r.t. it
+        }
+        oversized = {
+            key: buf.shape
+            for (key, *_), buf in model.workspace._buffers.items()
+            if buf.size >= big and key not in allowed
+        }
+        assert not oversized
+        rows = dense_kernels.dot_block_rows(n_vec, np.float32)
+        assert 3 * rows <= self.BATCH  # the batch does span several blocks
+        for name in ("stack", "rows", "gram", "pairs_ext", "gstack"):
+            shapes = [
+                buf.shape for (key, *_), buf in model.workspace._buffers.items()
+                if key == ("interaction", name)
+            ]
+            assert len(shapes) == 1 and shapes[0][0] == rows, (name, shapes)
+        stats = model.workspace.stats()
+        for i in range(10):
+            step(batches[i % 4])
+        after = model.workspace.stats()
+        assert after["misses"] == stats["misses"]
+        assert after["bytes"] == stats["bytes"] < 60e6

@@ -186,9 +186,10 @@ class TestIndicatorKernel:
             )
         lengths = np.diff(indptr)
         grad_out = np.arange(num_rows * width).reshape(num_rows, width).astype(grads.dtype)
+        bag_plan = kernels.coalesce_plan(cols, lengths)
         np.testing.assert_array_equal(
             call(
-                kernels.expand_apply, plan, lengths, grad_out,
+                kernels.expand_apply, bag_plan, grad_out,
                 rows=plan.num_rows, dtype=grads.dtype,
             ),
             kernels.coalesce_apply(plan, np.repeat(grad_out, lengths, axis=0)),
@@ -246,16 +247,16 @@ class TestIndicatorKernel:
         offsets = np.array([0, 0, 20, 20, 50])
         lengths = np.diff(offsets)
         grad_out = rng.standard_normal((4, 4))
-        plan = kernels.coalesce_plan(values)
+        plan = kernels.coalesce_plan(values, lengths)
         want = (
             kernels.gather_pool(weight, values, offsets),
-            kernels.expand_apply(plan, lengths, grad_out),
+            kernels.expand_apply(plan, grad_out),
         )
         monkeypatch.setattr(kernels, "_csr_matvecs", None)
         outs = (np.ones((4, 4)), np.ones((plan.num_rows, 4))) if give_out else (None, None)
         got = (
             kernels.gather_pool(weight, values, offsets, out=outs[0]),
-            kernels.expand_apply(plan, lengths, grad_out, out=outs[1]),
+            kernels.expand_apply(plan, grad_out, out=outs[1]),
         )
         for g, w, o in zip(got, want, outs):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)

@@ -70,12 +70,15 @@ class TestPlanKernels:
         rng = np.random.default_rng(total + dim)
         indices = rng.integers(0, 16, size=total)
         grad_out = rng.normal(size=(len(lengths), dim))
-        plan = kernels.coalesce_plan(indices)
+        plan = kernels.coalesce_plan(indices, lengths)
         rows_ref, vals_ref = kernels.expand_coalesce(indices, lengths, grad_out)
         assert np.array_equal(plan.rows, rows_ref)
-        assert np.array_equal(
-            kernels.expand_apply(plan, lengths, grad_out), vals_ref
-        )
+        assert np.array_equal(kernels.expand_apply(plan, grad_out), vals_ref)
+        # the plan carries what the backward used to rebuild per call
+        sample_of = np.repeat(np.arange(len(lengths)), lengths)
+        assert np.array_equal(plan.sample_of_sorted, sample_of[plan.order])
+        with pytest.raises(ValueError, match="lengths"):
+            kernels.expand_apply(kernels.coalesce_plan(indices + 1), grad_out)
 
     @common
     @given(index_streams)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ConcatInteraction,
+    DotInteraction,
     EmbeddingBagCollection,
+    RaggedIndices,
     TableSpec,
+    Workspace,
     merge_shared_tables,
     uniform_tables,
 )
@@ -96,3 +100,61 @@ class TestSharedCollectionTraining:
         coll.backward({k: np.ones((2, 4)) for k in batch})
         grad = table.pop_grad()
         assert set(grad.rows) == {1, 2, 3}
+
+
+class TestSharedTableThroughTheHandOff:
+    """A shared table whose features are *not* adjacent in feature order
+    (``f_0`` and ``f_2`` on one table, ``f_1`` between them) cannot pool
+    into one run of the feature-major array; pooled outputs, interaction
+    output and every table's gradient still equal the reference's."""
+
+    DIM = 4
+
+    def _side(self, backend, interaction_cls):
+        # merge_shared_tables lists a group's features together; a mapping
+        # written by hand need not
+        specs = uniform_tables(4, 60, dim=self.DIM, mean_lookups=2, prefix="f")
+        physical = tuple(s for s in specs if s.name != "f_2")
+        mapping = {"f_0": "f_0", "f_1": "f_1", "f_2": "f_0", "f_3": "f_3"}
+        coll = EmbeddingBagCollection(
+            physical, np.random.default_rng(5), feature_to_table=mapping
+        )
+        interaction = interaction_cls(num_sparse=4, dim=self.DIM)
+        ws = Workspace() if backend == "fused" else None
+        coll.set_backend(backend, ws)
+        interaction.set_backend(backend, ws, key="interaction")
+        return coll, interaction
+
+    @staticmethod
+    def _batch(seed, size):
+        rng = np.random.default_rng(seed)
+        return {
+            f"f_{i}": RaggedIndices.from_lists(
+                [rng.integers(0, 60, size=rng.integers(0, 4)) for _ in range(size)]
+            )
+            for i in range(4)
+        }
+
+    @pytest.mark.parametrize("interaction_cls", [DotInteraction, ConcatInteraction])
+    def test_fused_equals_reference(self, interaction_cls):
+        sides = [self._side(b, interaction_cls) for b in ("numpy", "fused")]
+        assert sides[1][0]._table_groups[0] == ("f_0", [0, 2], None)  # no run of slabs
+        for seed, size in ((0, 7), (1, 3), (2, 7)):  # two sizes interleaved
+            batch = self._batch(seed, size)
+            rng = np.random.default_rng(seed + 10)
+            dense = rng.standard_normal((size, self.DIM))
+            seen = []
+            for coll, interaction in sides:
+                pooled = coll.forward(batch)
+                out = interaction.forward(dense, pooled.array)
+                grad_out = np.random.default_rng(seed + 20).standard_normal(out.shape)
+                grad_dense, grad_embs = interaction.backward(grad_out)
+                coll.backward(dict(zip(coll.feature_names, grad_embs)))
+                grads = [t.pop_grad() for t in coll.tables.values()]
+                seen.append(
+                    [pooled.array, out, grad_dense]
+                    + [g.rows for g in grads]
+                    + [g.values for g in grads]
+                )
+            for i, (want, got) in enumerate(zip(*seen)):
+                np.testing.assert_array_equal(got, want, err_msg=f"seed {seed} item {i}")
