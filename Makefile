@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test fuzz conformance bench alloc-smoke mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
+.PHONY: install test fuzz fuzz-replay conformance bench alloc-smoke mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -15,7 +15,15 @@ fuzz:
 	HYPOTHESIS_PROFILE=fuzz PYTHONPATH=src $(PYTHON) -m pytest -q \
 		$$(grep -rl "^from hypothesis" tests --include='test_*.py')
 
-# Backend conformance suite against the numpy reference, all backends.
+# ROADMAP item 1's acceptance instrument: 1 500 architectures from
+# random.Random(1) over the conformance property test's own draws, fused
+# against numpy; prints each differing case, exits non-zero if any.  Not
+# a CI gate until item 1's fix lands (it reads 10 today).
+fuzz-replay:
+	PYTHONPATH=src:tests $(PYTHON) tests/conformance/fuzz_replay.py
+
+# Backend conformance suite against the numpy reference, all backends
+# (tier-1 runs it too; this is the directory shortcut).
 conformance:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/conformance -q
 

@@ -29,11 +29,9 @@ from .embedding import (
 from . import backends, dense_kernels, kernels
 from .backends import (
     Backend,
-    available_backends,
     get_backend,
     known_backends,
     register_backend,
-    resolve_backend,
 )
 from .dense_kernels import Workspace, stable_sigmoid
 from .interaction import ConcatInteraction, DotInteraction, make_interaction
@@ -83,8 +81,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "known_backends",
-    "available_backends",
-    "resolve_backend",
     "Workspace",
     "stable_sigmoid",
     "FP32_BYTES",

@@ -8,34 +8,28 @@ See :mod:`repro.core.backends.base` for the protocol and the registry;
 from .base import (
     DEFAULT_BACKEND,
     Backend,
-    available_backends,
+    bind_backend,
     get_backend,
     known_backends,
     reference_backend,
     register_backend,
-    resolve_backend,
 )
 from .fused import FusedBackend
 from .numpy_ref import NumpyBackend
-from .threaded import ThreadedBackend
 
 __all__ = [
     "Backend",
     "NumpyBackend",
     "FusedBackend",
-    "ThreadedBackend",
     "register_backend",
     "get_backend",
     "known_backends",
-    "available_backends",
+    "bind_backend",
     "reference_backend",
-    "resolve_backend",
     "DEFAULT_BACKEND",
 ]
 
-# The registration order is the conformance/benchmark iteration order:
-# reference first, then the claims-bit-identity fused path, then the
-# tolerance-bounded threaded path.
+# The registration order is the conformance iteration order: the
+# reference first, then the fused path that claims bit-identity with it.
 register_backend(NumpyBackend())
 register_backend(FusedBackend())
-register_backend(ThreadedBackend())

@@ -4,26 +4,29 @@ The paper's core method is running the *same* DLRM workload across
 hardware/software configurations and comparing training efficiency
 (§II, §VI).  Our functional model mirrors that by routing every hot
 dense-path operation — GEMM/linear forward+backward, ReLU, the fused
-sigmoid+BCE loss, the dot-product feature interaction, segment pooling
-and the optimizer update steps — through a small :class:`Backend`
-protocol, selected per :class:`repro.core.config.ModelConfig` via its
-``backend`` field.
+sigmoid+BCE loss, the two feature interactions and the optimizer update
+steps — through a small :class:`Backend` protocol.  (The embedding tables
+call :mod:`repro.core.kernels` under every backend; there a backend only
+decides where results are stored.)
 
-Three backends register here:
+Two backends register here:
 
 * ``"numpy"`` — the naive reference implementations (the historical
   layer code, one temporary per operation).  Every other backend is
   validated *against* this one by the conformance suite
   (``tests/conformance/``).
 * ``"fused"`` — the allocation-free kernels of
-  :mod:`repro.core.dense_kernels` / :mod:`repro.core.kernels` running
-  through a :class:`~repro.core.dense_kernels.Workspace` arena.
+  :mod:`repro.core.dense_kernels` running through a
+  :class:`~repro.core.dense_kernels.Workspace` arena.
   Bit-identical to ``"numpy"`` in both float64 and float32.
-* ``"threaded"`` — the fused kernels with the large GEMMs
-  row-partitioned across a thread pool (numpy releases the GIL inside
-  ``matmul``).  Tolerance-bounded rather than bit-identical: BLAS may
-  select different micro-kernels per block shape.  Falls back to
-  ``"fused"`` when fewer than two cores are available.
+
+Which kernel runs is decided once.  ``ModelConfig.backend`` (or
+``DLRM(backend=)``) goes through one lookup, :func:`get_backend`, and the
+model binds the result — with its arena — into every layer, the loss and
+the optimizer (:func:`bind_backend`); no ``forward`` / ``backward``
+chooses again.  Intra-op GEMM parallelism is the BLAS library's thread
+count (``OPENBLAS_NUM_THREADS`` and friends), a deployment setting, not a
+backend.
 
 A new backend is validated by registration alone: the conformance suite
 parametrizes over :func:`known_backends` and asserts every op against
@@ -33,21 +36,18 @@ backend claims :attr:`Backend.bit_identical`, within
 
 Pickling contract (``SweepRunner`` process pools): registered backends
 reduce to ``get_backend(name)``, so a model shipped to a worker process
-re-resolves the *worker's* registered instance — thread pools and other
-unpicklable state never cross the process boundary.
+re-resolves the *worker's* registered instance — backend-private
+state never crosses the process boundary.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = [
     "Backend",
     "register_backend",
     "get_backend",
     "known_backends",
-    "available_backends",
-    "resolve_backend",
+    "bind_backend",
     "reference_backend",
     "DEFAULT_BACKEND",
 ]
@@ -63,8 +63,8 @@ class Backend:
 
     Subclasses set the class attributes and implement every op.  Ops
     that take ``ws``/``key`` may use the workspace arena for buffer
-    reuse (``uses_workspace=True`` backends are only dispatched with an
-    arena attached); reference-style backends ignore both.
+    reuse (:func:`bind_backend` refuses a ``uses_workspace=True`` backend
+    without one); reference-style backends ignore both.
 
     ``linear_backward`` / the optimizer steps mutate their gradient /
     parameter arguments in place, matching the layer contract.
@@ -78,16 +78,6 @@ class Backend:
     bit_identical: bool = False
     #: True if the backend's ops require a :class:`Workspace` arena.
     uses_workspace: bool = False
-    #: Name of the backend :func:`resolve_backend` falls back to when
-    #: :meth:`available` is False (``None`` = no fallback).
-    fallback: str | None = None
-
-    # -- capability ----------------------------------------------------------
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run on the current machine."""
-        return True
 
     def tolerance(self, dtype) -> tuple[float, float]:
         """``(rtol, atol)`` bound vs the reference for non-bit-identical
@@ -150,17 +140,6 @@ class Backend:
         ``(grad_dense, grad_embs)`` as :meth:`dot_backward` does."""
         raise NotImplementedError
 
-    # -- segment pooling (embedding bags) ------------------------------------
-
-    def segment_pool(self, weight, values, offsets):
-        """Pooled sum lookup: ``segment_sum(weight[values], offsets)``."""
-        raise NotImplementedError
-
-    def segment_pool_backward(self, values, lengths, grad_out):
-        """Coalesced row gradients of a pooled lookup; returns
-        ``(unique_rows, summed)``."""
-        raise NotImplementedError
-
     # -- optimizer steps -----------------------------------------------------
 
     def adagrad_dense_step(self, value, grad, state, lr, eps, ws):
@@ -180,8 +159,7 @@ class Backend:
 
     def __reduce__(self):
         # Registered instances reduce to a name lookup so process-pool
-        # workers re-resolve their own instance (satellite fix: sweeps
-        # round-trip the selected backend; thread pools never pickle).
+        # workers re-resolve their own instance.
         if _REGISTRY.get(self.name) is self:
             return (get_backend, (self.name,))
         return super().__reduce__()
@@ -199,8 +177,7 @@ def register_backend(backend: Backend, *, overwrite: bool = False) -> Backend:
     """Register ``backend`` under its :attr:`~Backend.name`.
 
     Registration is all a new backend needs to be picked up by
-    ``ModelConfig(backend=...)``, the conformance suite and the unified
-    benchmark harness.
+    ``ModelConfig(backend=...)`` and the conformance suite.
     """
     if not backend.name:
         raise ValueError("backend must set a non-empty name")
@@ -215,19 +192,17 @@ def known_backends() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def get_backend(name: str) -> Backend:
-    """The registered backend instance for ``name`` (no fallback)."""
+def get_backend(spec: "str | Backend | None") -> Backend:
+    """The backend a config value selects: a registered name, ``None``
+    (:data:`DEFAULT_BACKEND`) or an instance, which passes through."""
+    if isinstance(spec, Backend):
+        return spec
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[DEFAULT_BACKEND if spec is None else spec]
     except KeyError:
         raise ValueError(
-            f"unknown backend {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown backend {spec!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_backends() -> tuple[Backend, ...]:
-    """Registered backends whose :meth:`~Backend.available` is True."""
-    return tuple(b for b in _REGISTRY.values() if b.available())
 
 
 def reference_backend() -> Backend:
@@ -235,23 +210,18 @@ def reference_backend() -> Backend:
     return get_backend("numpy")
 
 
-def resolve_backend(spec: "str | Backend | None") -> Backend:
-    """Resolve a config value to a usable backend instance.
-
-    ``None`` means :data:`DEFAULT_BACKEND`; instances pass through;
-    names resolve via the registry, walking each backend's
-    :attr:`~Backend.fallback` chain while :meth:`~Backend.available`
-    is False (e.g. ``"threaded"`` → ``"fused"`` on a single-core host).
-    """
-    if isinstance(spec, Backend):
-        return spec
-    backend = get_backend(spec if spec is not None else DEFAULT_BACKEND)
-    seen: set[str] = set()
-    while not backend.available():
-        if backend.fallback is None or backend.name in seen:
-            raise RuntimeError(
-                f"backend {backend.name!r} is unavailable and has no fallback"
-            )
-        seen.add(backend.name)
-        backend = get_backend(backend.fallback)
-    return backend
+def bind_backend(spec: "str | Backend | None", workspace):
+    """Bind time: ``(backend, arena)`` for a layer that will compute with
+    ``spec`` through ``workspace``.  ``arena`` is ``workspace`` under a
+    backend that uses one and ``None`` otherwise, so a bound layer holds an
+    arena exactly when its kernels write into it; an arena backend without
+    an arena is refused here, once, not worked around per call."""
+    backend = get_backend(spec)
+    if not backend.uses_workspace:
+        return backend, None
+    if workspace is None:
+        raise ValueError(
+            f"backend {backend.name!r} computes through a Workspace arena; "
+            f"pass one, or select {reference_backend().name!r}"
+        )
+    return backend, workspace

@@ -1,10 +1,10 @@
 """The ``"fused"`` backend: allocation-free kernels through the arena.
 
-Every op routes to :mod:`repro.core.dense_kernels` /
-:mod:`repro.core.kernels`, acquiring its scratch and output buffers from
-the caller's :class:`~repro.core.dense_kernels.Workspace` under the same
-``(key, slot)`` scheme the layers historically used — so a steady-state
-train step performs zero fresh large dense allocations.
+Every op routes to :mod:`repro.core.dense_kernels`, acquiring its scratch
+and output buffers from the caller's
+:class:`~repro.core.dense_kernels.Workspace` under the same ``(key, slot)``
+scheme the layers historically used — so a steady-state train step
+performs zero fresh large dense allocations.
 
 Bit-identical to the ``"numpy"`` reference in both float64 and float32;
 see the numerical contract in :mod:`repro.core.dense_kernels` for the
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dense_kernels as dk
-from ..kernels import expand_coalesce, gather_pool
 from .base import Backend
 
 __all__ = ["FusedBackend"]
@@ -139,14 +138,6 @@ class FusedBackend(Backend):
             grad_out[:, dense_width:].reshape(batch, num_sparse, dim).transpose(1, 0, 2)
         )
         return grad_out[:, :dense_width], grad_pooled
-
-    # -- segment pooling -----------------------------------------------------
-
-    def segment_pool(self, weight, values, offsets):
-        return gather_pool(weight, values, offsets)
-
-    def segment_pool_backward(self, values, lengths, grad_out):
-        return expand_coalesce(values, lengths, grad_out)
 
     # -- optimizer steps -----------------------------------------------------
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense_kernels import stable_sigmoid
-from ..kernels import naive_segment_sum
 from .base import Backend
 
 __all__ = ["NumpyBackend"]
@@ -91,22 +90,6 @@ class NumpyBackend(Backend):
             grad_out[:, w + i * dim : w + (i + 1) * dim] for i in range(num_sparse)
         ]
         return grad_out[:, :w], grad_embs
-
-    # -- segment pooling -----------------------------------------------------
-
-    def segment_pool(self, weight, values, offsets):
-        values = np.asarray(values, dtype=np.int64)
-        return naive_segment_sum(np.asarray(weight)[values], offsets)
-
-    def segment_pool_backward(self, values, lengths, grad_out):
-        per_lookup = np.repeat(grad_out, lengths, axis=0)
-        rows, inverse = np.unique(
-            np.asarray(values, dtype=np.int64), return_inverse=True
-        )
-        summed = np.zeros((len(rows),) + per_lookup.shape[1:], dtype=per_lookup.dtype)
-        if per_lookup.shape[0]:
-            np.add.at(summed, inverse, per_lookup)
-        return rows, summed
 
     # -- optimizer steps -----------------------------------------------------
 

@@ -168,14 +168,13 @@ class ModelConfig:
     #: halves memory bandwidth on the embedding/MLP hot paths.
     compute_dtype: str = "float64"
     #: Compute backend for the dense path (see :mod:`repro.core.backends`):
-    #: ``"numpy"`` (naive reference, for debugging), ``"fused"`` (the
+    #: ``"numpy"`` (naive reference, for debugging) or ``"fused"`` (the
     #: default: :mod:`repro.core.dense_kernels` through a per-model
     #: workspace arena, so the steady-state train step performs zero fresh
     #: large dense allocations; bit-identical to the reference in both
-    #: compute dtypes) or ``"threaded"`` (fused + thread-parallel GEMMs,
-    #: tolerance-bounded, auto-falling back to ``"fused"`` on single-core
-    #: hosts).  Any name registered via
-    #: :func:`repro.core.backends.register_backend` is accepted.
+    #: compute dtypes).  Any name registered via
+    #: :func:`repro.core.backends.register_backend` is accepted.  GEMM
+    #: threading is the BLAS library's thread count, not a backend.
     backend: str = "fused"
 
     def __post_init__(self) -> None:

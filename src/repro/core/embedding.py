@@ -295,8 +295,7 @@ class EmbeddingTable:
         """Attach the model's arena (kept only under a backend that uses
         one, so the ``"numpy"`` reference goes on allocating); see the
         module docstring for how long results then live."""
-        backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace if backend.uses_workspace else None
+        self.workspace = workspace if get_backend(backend).uses_workspace else None
         if key is not None:
             self._ws_key = key
 
@@ -595,8 +594,7 @@ class EmbeddingBagCollection:
         """Put the pooled array and every table on ``backend``'s arena,
         tables keyed by name (as ``MLP.set_backend`` keys its layers by
         position)."""
-        backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace if backend.uses_workspace else None
+        self.workspace = workspace if get_backend(backend).uses_workspace else None
         for name, table in self.tables.items():
             table.set_backend(backend, workspace, key=f"emb[{name}]")
 

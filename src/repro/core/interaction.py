@@ -13,7 +13,7 @@ Two combiners are implemented, matching the paper:
 The compute routes through the backend seam (:mod:`repro.core.backends`):
 the ``"numpy"`` reference materializes fresh temporaries, the ``"fused"``
 path runs the allocation-free kernels of :mod:`repro.core.dense_kernels`
-through the attached workspace arena (bit-identical).
+through the bound workspace arena (bit-identical).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dense_kernels
-from .backends import Backend, get_backend, reference_backend
+from .backends import Backend, bind_backend, reference_backend
 from .dense_kernels import Workspace
 
 __all__ = ["ConcatInteraction", "DotInteraction", "make_interaction"]
@@ -43,7 +43,8 @@ class _Interaction:
         self.dim = dim
         #: Forward context of the pending backward; ``None`` when there is none.
         self._saved = None
-        self.backend: Backend = get_backend("fused")
+        #: A stand-alone combiner runs the reference; a model binds its own.
+        self.backend: Backend = reference_backend()
         self.workspace: Workspace | None = None
 
     def set_backend(
@@ -52,22 +53,24 @@ class _Interaction:
         workspace: Workspace | None = None,
         key: str | None = None,
     ) -> None:
-        self.backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace
+        self.backend, self.workspace = bind_backend(backend, workspace)
         if key is not None:
             self._ws_key = key
 
-    def _backend_for(self, dense: np.ndarray, embs) -> Backend:
-        """Check the embedding count and pick the forward's backend (the
-        backward follows it): the configured one, or the reference when an
-        arena backend has no arena or the operands mix dtypes."""
+    def _check(self, dense: np.ndarray, embs) -> None:
+        """The embedding count, and under an arena backend one dtype: its
+        kernels write into buffers of ``dense``'s dtype and would cast
+        mismatched embeddings in silence (the reference promotes)."""
         if len(embs) != self.num_sparse:
             raise ValueError(f"expected {self.num_sparse} embeddings, got {len(embs)}")
-        be = self.backend
+        if self.workspace is None:
+            return
         dtypes = {embs.dtype} if isinstance(embs, np.ndarray) else {e.dtype for e in embs}
-        if be.uses_workspace and (self.workspace is None or dtypes != {dense.dtype}):
-            return reference_backend()
-        return be
+        if dtypes != {dense.dtype}:
+            raise TypeError(
+                f"{self._ws_key}: embeddings are {sorted(map(str, dtypes))}, "
+                f"dense is {dense.dtype}; cast at the model boundary"
+            )
 
 
 class ConcatInteraction(_Interaction):
@@ -79,17 +82,19 @@ class ConcatInteraction(_Interaction):
         return dense_width + self.num_sparse * self.dim
 
     def forward(self, dense: np.ndarray, embs, *, training: bool = True) -> np.ndarray:
-        be = self._backend_for(dense, embs)
+        self._check(dense, embs)
         if training:
-            self._saved = (be, dense.shape[1])
-        return be.concat_forward(dense, embs, self.dim, self.workspace, self._ws_key)
+            self._saved = dense.shape[1]
+        return self.backend.concat_forward(
+            dense, embs, self.dim, self.workspace, self._ws_key
+        )
 
     def backward(self, grad_out: np.ndarray):
         if self._saved is None:
             raise RuntimeError("backward called before forward")
-        be, dense_width = self._saved
+        dense_width = self._saved
         self._saved = None
-        return be.concat_backward(
+        return self.backend.concat_backward(
             grad_out, dense_width, self.num_sparse, self.dim,
             self.workspace, self._ws_key,
         )
@@ -136,25 +141,25 @@ class DotInteraction(_Interaction):
         return self.dim + self.num_pairs
 
     def forward(self, dense: np.ndarray, embs, *, training: bool = True) -> np.ndarray:
-        be = self._backend_for(dense, embs)
+        self._check(dense, embs)
         if dense.shape[1] != self.dim:
             raise ValueError(
                 f"dense width {dense.shape[1]} != embedding dim {self.dim}"
             )
-        out, ctx = be.dot_forward(
+        out, ctx = self.backend.dot_forward(
             dense, embs, self._tril, self._out_map,
             self.workspace, self._ws_key, training=training,
         )
         if training:
-            self._saved = (be, ctx)
+            self._saved = ctx
         return out
 
     def backward(self, grad_out: np.ndarray):
         if self._saved is None:
             raise RuntimeError("backward called before forward")
-        be, ctx = self._saved
+        ctx = self._saved
         self._saved = None
-        return be.dot_backward(
+        return self.backend.dot_backward(
             ctx, grad_out, self.dim, self._tril, self._pair_map,
             self.workspace, self._ws_key,
         )

@@ -5,7 +5,8 @@ cross-entropy; model quality is tracked as *normalized entropy* (paper §VI-C).
 The loss here is binary cross-entropy computed directly from logits in a
 numerically stable form.
 
-With a :class:`~repro.core.dense_kernels.Workspace` attached,
+Bound to the fused backend and its
+:class:`~repro.core.dense_kernels.Workspace` (as :class:`Trainer` binds it),
 :class:`BCEWithLogitsLoss` runs the fused sigmoid+BCE kernel: one
 ``exp(-|x|)`` pass serves both the loss value and the logit gradient (the
 naive pair evaluates the sigmoid's exponential twice), and every temporary
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import Backend, get_backend, reference_backend
+from .backends import Backend, bind_backend, reference_backend
 from .dense_kernels import Workspace, stable_sigmoid
 
 __all__ = ["BCEWithLogitsLoss", "sigmoid"]
@@ -45,6 +46,11 @@ class BCEWithLogitsLoss:
     (the historical contract: a float32 model still gets a float64 loss
     scalar and logit gradient, which :meth:`repro.core.model.DLRM.backward`
     casts back down).
+
+    Stand-alone (``BCEWithLogitsLoss()``) it runs the reference backend;
+    :class:`~repro.core.training.Trainer` binds the model's backend and
+    arena.  Naming an arena backend without a ``workspace`` raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -53,15 +59,11 @@ class BCEWithLogitsLoss:
         backend: Backend | str | None = None,
     ) -> None:
         self._saved: tuple[np.ndarray, np.ndarray] | None = None
-        #: Optional buffer arena enabling the fused sigmoid+BCE kernel.
-        self.workspace = workspace
-        if backend is None:
-            backend = "fused"
-        self.backend: Backend = (
-            backend if isinstance(backend, Backend) else get_backend(backend)
-        )
+        # No backend named: the default one given an arena, else the reference.
+        if backend is None and workspace is None:
+            backend = reference_backend()
+        self.backend, self.workspace = bind_backend(backend, workspace)
         self._ctx: np.ndarray | None = None
-        self._ctx_backend: Backend | None = None
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
         logits = np.asarray(logits, dtype=np.float64).reshape(-1)
@@ -73,13 +75,7 @@ class BCEWithLogitsLoss:
         if labels.min() < 0 or labels.max() > 1:
             raise ValueError("labels must lie in [0, 1]")
         self._saved = (logits, labels)
-        be = self.backend
-        if be.uses_workspace and self.workspace is None:
-            be = reference_backend()
-        loss, ctx = be.bce_forward(logits, labels, self.workspace)
-        self._ctx = ctx
-        # The backward must consume ctx with the backend that made it.
-        self._ctx_backend = be
+        loss, self._ctx = self.backend.bce_forward(logits, labels, self.workspace)
         return loss
 
     def backward(self) -> np.ndarray:
@@ -88,9 +84,7 @@ class BCEWithLogitsLoss:
             raise RuntimeError("backward called before forward")
         logits, labels = self._saved
         self._saved = None
-        be = self._ctx_backend or reference_backend()
         ctx = self._ctx
         self._ctx = None
-        self._ctx_backend = None
-        grad = be.bce_backward(logits, labels, ctx, self.workspace)
+        grad = self.backend.bce_backward(logits, labels, ctx, self.workspace)
         return grad.reshape(-1, 1)

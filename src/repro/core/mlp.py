@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MLPSpec
-from .backends import Backend, get_backend, reference_backend
+from .backends import Backend, bind_backend, reference_backend
 from .dense_kernels import Workspace, stable_sigmoid
 
 __all__ = ["Parameter", "Linear", "ReLU", "Sigmoid", "MLP"]
@@ -71,7 +71,8 @@ class Linear:
         )
         self.bias = Parameter(np.zeros(out_features), f"{name}.bias", dtype=dtype)
         self._input: np.ndarray | None = None
-        self.backend: Backend = get_backend("fused")
+        #: A stand-alone layer runs the reference; a model binds its own.
+        self.backend: Backend = reference_backend()
         self.workspace: Workspace | None = None
         self._ws_key = name
 
@@ -81,11 +82,22 @@ class Linear:
         workspace: Workspace | None = None,
         key: str | None = None,
     ) -> None:
-        """Select the compute backend (and its arena, if it uses one)."""
-        self.backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace
+        """Bind the compute backend and, if it uses one, its arena
+        (:func:`~repro.core.backends.bind_backend`: an arena backend
+        without an arena raises ``ValueError``)."""
+        self.backend, self.workspace = bind_backend(backend, workspace)
         if key is not None:
             self._ws_key = key
+
+    def _check_dtype(self, what: str, dtype: np.dtype) -> None:
+        """The arena kernels write into buffers of the weight dtype, so
+        under them numpy would cast a mismatched operand down in silence;
+        the reference (no arena) keeps numpy's promotion."""
+        if self.workspace is not None and dtype != self.weight.value.dtype:
+            raise TypeError(
+                f"{self._ws_key}: {what} is {dtype}, weights are "
+                f"{self.weight.value.dtype}; cast at the model boundary"
+            )
 
     @property
     def in_features(self) -> int:
@@ -100,32 +112,20 @@ class Linear:
             raise ValueError(
                 f"expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
+        self._check_dtype("input", x.dtype)
         if training:
             self._input = x
-        be = self.backend
-        if be.uses_workspace and (
-            self.workspace is None or x.dtype != self.weight.value.dtype
-        ):
-            be = reference_backend()
-        return be.linear_forward(
+        return self.backend.linear_forward(
             x, self.weight.value, self.bias.value, self.workspace, self._ws_key
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
+        self._check_dtype("grad_out", grad_out.dtype)
         x = self._input
         self._input = None
-        dtype = self.weight.value.dtype
-        be = self.backend
-        if be.uses_workspace and (
-            self.workspace is None
-            or grad_out.dtype != dtype
-            or x.dtype != dtype
-            or grad_out.ndim != 2
-        ):
-            be = reference_backend()
-        return be.linear_backward(
+        return self.backend.linear_backward(
             grad_out, x, self.weight.value,
             self.weight.grad, self.bias.grad, self.workspace, self._ws_key,
         )
@@ -137,7 +137,7 @@ class Linear:
 class ReLU:
     """Rectified linear activation.
 
-    With a workspace attached the fused path runs ``np.maximum`` in place
+    Bound to the fused backend it runs ``np.maximum`` in place
     on arena-owned inputs and recovers activity in the backward from the
     *output* sign (``y > 0  ⇔  x > 0``) — no boolean mask array is saved.
     Bit-identical to the mask-based path (see
@@ -145,9 +145,9 @@ class ReLU:
     """
 
     def __init__(self) -> None:
+        #: What the training forward's backend saved for its backward.
         self._ctx: np.ndarray | None = None
-        self._ctx_backend: Backend | None = None
-        self.backend: Backend = get_backend("fused")
+        self.backend: Backend = reference_backend()
         self.workspace: Workspace | None = None
         self._ws_key = "relu"
 
@@ -157,30 +157,24 @@ class ReLU:
         workspace: Workspace | None = None,
         key: str | None = None,
     ) -> None:
-        self.backend = backend if isinstance(backend, Backend) else get_backend(backend)
-        self.workspace = workspace
+        self.backend, self.workspace = bind_backend(backend, workspace)
         if key is not None:
             self._ws_key = key
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        be = self.backend
-        if be.uses_workspace and self.workspace is None:
-            be = reference_backend()
-        y, ctx = be.relu_forward(x, self.workspace, self._ws_key, training=training)
+        y, ctx = self.backend.relu_forward(
+            x, self.workspace, self._ws_key, training=training
+        )
         if training:
             self._ctx = ctx
-            # The backward must consume ctx with the backend that made it.
-            self._ctx_backend = be
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        be = self._ctx_backend
-        if be is None:
+        if self._ctx is None:
             raise RuntimeError("backward called before forward")
         ctx = self._ctx
         self._ctx = None
-        self._ctx_backend = None
-        return be.relu_backward(grad_out, ctx, self.workspace, self._ws_key)
+        return self.backend.relu_backward(grad_out, ctx, self.workspace, self._ws_key)
 
     def parameters(self) -> list[Parameter]:
         return []
@@ -245,7 +239,7 @@ class MLP:
         self.out_features = prev
 
     def set_backend(self, backend: Backend | str, workspace: Workspace | None = None) -> None:
-        """Select the compute backend (and arena) on every layer of the
+        """Bind the compute backend (and arena) into every layer of the
         stack.  Layer keys derive from the stack name and position, so one
         arena can serve several MLPs (e.g. a DLRM's bottom/top stacks)
         without buffer aliasing."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import Backend, resolve_backend
+from .backends import Backend, get_backend
 from .config import InteractionType, ModelConfig, PoolingType
 from .dense_kernels import Workspace
 from .embedding import EmbeddingBagCollection, RaggedIndices
@@ -121,10 +121,10 @@ class DLRM:
         #: The compute backend of the dense path (see
         #: :mod:`repro.core.backends`): ``config.backend`` unless
         #: overridden by the ``backend`` argument (a registered name or a
-        #: :class:`Backend` instance, no availability fallback applied to
-        #: explicit instances).  ``"fused"`` is bit-identical to the
-        #: ``"numpy"`` reference; ``"threaded"`` is tolerance-bounded.
-        self.backend: Backend = resolve_backend(
+        #: :class:`Backend` instance).  Looked up once, here, and bound —
+        #: with the arena — into every layer below; ``"fused"`` is
+        #: bit-identical to the ``"numpy"`` reference.
+        self.backend: Backend = get_backend(
             backend if backend is not None else config.backend
         )
         #: Buffer arena of the workspace-backed backends; ``None`` under the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import Backend, resolve_backend
+from .backends import Backend, get_backend
 from .dense_kernels import Workspace
 from .embedding import EmbeddingTable, SparseGrad
 from .mlp import Parameter
@@ -45,7 +45,7 @@ class _OptimizerBase:
         self.dense_params = list(dense_params)
         self.tables = list(tables or [])
         self.lr = lr
-        self.backend: Backend = resolve_backend(backend)
+        self.backend: Backend = get_backend(backend)
         self.workspace: Workspace | None = (
             Workspace() if self.backend.uses_workspace else None
         )

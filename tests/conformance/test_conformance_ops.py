@@ -15,17 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Workspace, dense_kernels
+from repro.core import Workspace, dense_kernels, get_backend
+from repro.core.backends import reference_backend as reference
 
 from backend_cases import (
     BACKEND_SPECS,
     DTYPES,
     assert_backend_matches,
     assert_scalar_matches,
-    make_backend,
     make_workspace,
     rand,
-    reference,
 )
 
 # ---------------------------------------------------------------------------
@@ -53,24 +52,6 @@ def dot_shapes(draw):
     )
 
 
-@st.composite
-def ragged_layout(draw):
-    """(lengths, offsets) of a CSR ragged batch with empty segments."""
-    num_segments = draw(st.integers(min_value=0, max_value=10))
-    lengths = np.array(
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=6),
-                min_size=num_segments,
-                max_size=num_segments,
-            )
-        ),
-        dtype=np.int64,
-    )
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return lengths, offsets
-
-
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dtypes = st.sampled_from(DTYPES)
 backend_specs = pytest.mark.parametrize("spec", BACKEND_SPECS)
@@ -85,7 +66,7 @@ backend_specs = pytest.mark.parametrize("spec", BACKEND_SPECS)
 @settings(max_examples=25, deadline=None)
 @given(shape=mat_shapes(), seed=seeds, dtype=dtypes)
 def test_linear_forward_conforms(spec, shape, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     batch, fin, fout = shape
     x = rand(seed, (batch, fin), dtype)
     w = rand(seed + 1, (fout, fin), dtype)
@@ -99,7 +80,7 @@ def test_linear_forward_conforms(spec, shape, seed, dtype):
 @settings(max_examples=25, deadline=None)
 @given(shape=mat_shapes(), seed=seeds, dtype=dtypes)
 def test_linear_backward_conforms(spec, shape, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     batch, fin, fout = shape
     x = rand(seed, (batch, fin), dtype)
     w = rand(seed + 1, (fout, fin), dtype)
@@ -124,7 +105,7 @@ def test_linear_backward_conforms(spec, shape, seed, dtype):
 @settings(max_examples=25, deadline=None)
 @given(shape=mat_shapes(), seed=seeds, dtype=dtypes)
 def test_relu_conforms_including_zero_signs(spec, shape, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     batch, fin, _ = shape
     x = rand(seed, (batch, fin), dtype)
     x.reshape(-1)[0] = 0.0  # force an exact-zero pre-activation
@@ -144,7 +125,7 @@ def test_relu_conforms_including_zero_signs(spec, shape, seed, dtype):
 
 @backend_specs
 def test_relu_inference_mode_has_no_ctx(spec):
-    be = make_backend(spec)
+    be = get_backend(spec)
     x = rand(0, (5, 3), np.float64)
     y, ctx = be.relu_forward(x, make_workspace(be), "r", training=False)
     assert ctx is None
@@ -164,7 +145,7 @@ def test_relu_inference_mode_has_no_ctx(spec):
     scale=st.floats(min_value=0.1, max_value=50.0),
 )
 def test_bce_conforms(spec, batch, seed, scale):
-    be = make_backend(spec)
+    be = get_backend(spec)
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal(batch) * scale  # include saturating logits
     labels = rng.integers(0, 2, size=batch).astype(np.float64)
@@ -207,7 +188,7 @@ def _emb_layouts(embs):
 @example(shape=(5, 9, 32), seed=8, dtype=np.float32)  # perfbench hybrid_w2
 @example(shape=(4, 9, 32), seed=9, dtype=np.float64)
 def test_dot_interaction_conforms(spec, shape, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     dim = shape[2]
     dense, embs, tril, grad_out, out_map, pair_map = _dot_case(shape, seed, dtype)
     out_ref, ctx_ref = reference().dot_forward(dense, embs, tril, out_map, None, "d")
@@ -237,7 +218,7 @@ def test_dot_kernels_do_not_depend_on_the_block(shape, dtype):
     (block of one, ragged tail, single block) equal the reference bit for
     bit — the fused backend's 512 KiB budget never splits shapes this
     small."""
-    assert make_backend("fused").bit_identical
+    assert get_backend("fused").bit_identical
     batch, n_vec, dim = shape
     dense, embs, tril, grad_out, out_map, pair_map = _dot_case(shape, 3, dtype)
     pooled = np.stack(embs)
@@ -277,7 +258,7 @@ def test_dot_block_rows_follow_the_byte_budget():
 @example(shape=(3, 13, 64), seed=7, dtype=np.float32)  # perfbench train_emb
 def test_concat_forward_conforms(spec, shape, seed, dtype):
     """``concat_forward`` and the gradient split that undoes it."""
-    be = make_backend(spec)
+    be = get_backend(spec)
     batch, n_vec, dim = shape
     width = dim + 2  # CONCAT does not tie the dense width to the embedding dim
     dense = rand(seed, (batch, width), dtype)
@@ -322,40 +303,6 @@ def test_feature_major_recognises_its_own_slabs():
 
 
 # ---------------------------------------------------------------------------
-# segment pooling (embedding bags)
-# ---------------------------------------------------------------------------
-
-
-@backend_specs
-@settings(max_examples=25, deadline=None)
-@given(layout=ragged_layout(), seed=seeds, dtype=dtypes)
-def test_segment_pool_conforms(spec, layout, seed, dtype):
-    be = make_backend(spec)
-    lengths, offsets = layout
-    rng = np.random.default_rng(seed)
-    weight = rng.standard_normal((9, 3)).astype(dtype)
-    values = rng.integers(0, 9, size=int(offsets[-1]))
-    ref = reference().segment_pool(weight, values, offsets)
-    out = be.segment_pool(weight, values, offsets)
-    assert_backend_matches(be, out, ref, "segment_pool")
-
-
-@backend_specs
-@settings(max_examples=25, deadline=None)
-@given(layout=ragged_layout(), seed=seeds, dtype=dtypes)
-def test_segment_pool_backward_conforms(spec, layout, seed, dtype):
-    be = make_backend(spec)
-    lengths, offsets = layout
-    rng = np.random.default_rng(seed)
-    values = rng.integers(0, 6, size=int(offsets[-1]))
-    grad_out = rng.standard_normal((len(lengths), 3)).astype(dtype)
-    rows_ref, summed_ref = reference().segment_pool_backward(values, lengths, grad_out)
-    rows, summed = be.segment_pool_backward(values, lengths, grad_out)
-    assert np.array_equal(rows, rows_ref)
-    assert_backend_matches(be, summed, summed_ref, "segment_pool_backward")
-
-
-# ---------------------------------------------------------------------------
 # optimizer steps
 # ---------------------------------------------------------------------------
 
@@ -364,7 +311,7 @@ def test_segment_pool_backward_conforms(spec, layout, seed, dtype):
 @settings(max_examples=25, deadline=None)
 @given(shape=mat_shapes(), seed=seeds, dtype=dtypes)
 def test_adagrad_dense_step_conforms(spec, shape, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     rows, cols, _ = shape
     value = rand(seed, (rows, cols), dtype)
     grad = rand(seed + 1, (rows, cols), dtype)
@@ -386,7 +333,7 @@ def test_adagrad_dense_step_conforms(spec, shape, seed, dtype):
     weight_decay=st.sampled_from([0.0, 1e-3]),
 )
 def test_sgd_dense_step_conforms(spec, shape, seed, dtype, momentum, weight_decay):
-    be = make_backend(spec)
+    be = get_backend(spec)
     rows, cols, _ = shape
     value = rand(seed, (rows, cols), dtype)
     grad = rand(seed + 1, (rows, cols), dtype)
@@ -419,7 +366,7 @@ def test_adagrad_sparse_step_conforms(spec, num_rows, touched, dim, seed, dtype)
     """The single-gather/single-scatter sparse Adagrad must match the
     historical three-pass update on coalesced (duplicate-free sorted)
     rows — the form ``SparseGrad`` guarantees."""
-    be = make_backend(spec)
+    be = get_backend(spec)
     touched = min(touched, num_rows)
     rng = np.random.default_rng(seed)
     weight = rng.standard_normal((num_rows, dim)).astype(dtype)
@@ -443,7 +390,7 @@ def test_adagrad_sparse_step_conforms(spec, num_rows, touched, dim, seed, dtype)
     dtype=dtypes,
 )
 def test_sgd_sparse_step_conforms(spec, num_rows, touched, dim, seed, dtype):
-    be = make_backend(spec)
+    be = get_backend(spec)
     touched = min(touched, num_rows)
     rng = np.random.default_rng(seed)
     weight = rng.standard_normal((num_rows, dim)).astype(dtype)
@@ -462,7 +409,7 @@ def test_sparse_steps_conform_across_block_boundaries(spec, dim, dtype):
     """The fused sparse steps walk the rows in cache-sized blocks: row
     counts on every side of a block edge must equal the unblocked
     reference bit for bit."""
-    be = make_backend(spec)
+    be = get_backend(spec)
     block = dense_kernels.sparse_block_rows(np.empty((0, dim), dtype))
     ws = make_workspace(be)
     for touched in (0, 1, block - 1, block, block + 1, 3 * block + 7):
@@ -487,7 +434,7 @@ def test_sparse_steps_refuse_out_of_range_row_before_writing(spec):
     """A row past the table raises ``IndexError`` — never a clipped
     update — and leaves weight and state untouched, even when it sits in
     the last of several blocks."""
-    be = make_backend(spec)
+    be = get_backend(spec)
     dim, dtype = 64, np.float64
     touched = 2 * dense_kernels.sparse_block_rows(np.empty((0, dim), dtype)) + 5
     rng = np.random.default_rng(0)

@@ -13,48 +13,59 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DLRM, Adagrad, InteractionType, MLPSpec, ModelConfig, SGD, Trainer, uniform_tables
+from repro.core import (
+    DLRM, Adagrad, InteractionType, MLPSpec, ModelConfig, SGD, Trainer, get_backend,
+    uniform_tables,
+)
 
-from backend_cases import BACKEND_SPECS, assert_backend_matches, make_backend
+from backend_cases import BACKEND_SPECS, assert_backend_matches
 from helpers import make_batch
+
+
+def draw_case(integer, choice):
+    """(config, batch_size) spanning small but adversarial architectures,
+    drawn through ``integer(lo, hi)`` / ``choice(seq)``: hypothesis below,
+    ``random.Random`` in ``fuzz_replay.py``."""
+    dim = integer(1, 6)
+    config = ModelConfig(
+        name="prop",
+        num_dense=integer(1, 8),
+        tables=uniform_tables(
+            integer(1, 4), choice([16, 50]), dim=dim, mean_lookups=choice([1.0, 2.5])
+        ),
+        # the bottom stack must end at the embedding dim for DOT
+        bottom_mlp=MLPSpec((integer(2, 8), dim)),
+        top_mlp=MLPSpec((integer(1, 6),)),
+        interaction=choice([InteractionType.DOT, InteractionType.CONCAT]),
+        compute_dtype=choice(["float64", "float32"]),
+    )
+    return config, integer(1, 24)
+
+
+OPTIMIZERS = ["adagrad", "sgd"]
+MAX_SEED = 2**31 - 1
 
 
 @st.composite
 def model_cases(draw):
-    """(config, batch_size) spanning small but adversarial architectures."""
-    dim = draw(st.integers(min_value=1, max_value=6))
-    config = ModelConfig(
-        name="prop",
-        num_dense=draw(st.integers(min_value=1, max_value=8)),
-        tables=uniform_tables(
-            draw(st.integers(min_value=1, max_value=4)),
-            draw(st.sampled_from([16, 50])),
-            dim=dim,
-            mean_lookups=draw(st.sampled_from([1.0, 2.5])),
-        ),
-        # the bottom stack must end at the embedding dim for DOT
-        bottom_mlp=MLPSpec((draw(st.integers(min_value=2, max_value=8)), dim)),
-        top_mlp=MLPSpec((draw(st.integers(min_value=1, max_value=6)),)),
-        interaction=draw(
-            st.sampled_from([InteractionType.DOT, InteractionType.CONCAT])
-        ),
-        compute_dtype=draw(st.sampled_from(["float64", "float32"])),
+    return draw_case(
+        lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)),
+        lambda seq: draw(st.sampled_from(seq)),
     )
-    return config, draw(st.integers(min_value=1, max_value=24))
 
 
 @settings(max_examples=12, deadline=None)
 @given(
     case=model_cases(),
     spec=st.sampled_from(BACKEND_SPECS),
-    optimizer=st.sampled_from(["adagrad", "sgd"]),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    optimizer=st.sampled_from(OPTIMIZERS),
+    seed=st.integers(min_value=0, max_value=MAX_SEED),
 )
 def test_trainer_step_matches_reference_for_any_architecture(
     case, spec, optimizer, seed
 ):
     config, batch_size = case
-    be = make_backend(spec)
+    be = get_backend(spec)
     batch = make_batch(config, batch_size, seed=seed)
 
     def run(backend):

@@ -5,10 +5,9 @@ results vs the historical ``np.add.at`` / Python-loop implementations
 (which live on as ``naive_*`` references inside the kernels module).
 Hypothesis generates adversarial ragged layouts — empty segments, empty
 batches, duplicate indices — and we assert exact equality (stronger than
-the 1e-12 budget the contract allows).  These are the ``"fused"``
-backend's :meth:`segment_pool` / :meth:`segment_pool_backward`
-implementations; the per-backend generalization lives in
-``test_conformance_ops.py``.
+the 1e-12 budget the contract allows).  The embedding tables call these
+kernels under every backend, so they are held against the naive
+references here and not per backend.
 """
 
 from __future__ import annotations
@@ -136,38 +135,51 @@ class TestOutParameterAgainstNaive:
         np.testing.assert_allclose(summed, summed_n, rtol=1e-12, atol=1e-12)
 
 
+float_dtypes = st.sampled_from([np.float64, np.float32])
+
+
 class TestGatherPoolEquivalence:
     """The fused forward: ``S @ weight`` vs materialized gather + pool."""
 
-    @given(ragged_layout(), st.integers(min_value=0, max_value=2**31 - 1))
+    @given(ragged_layout(), st.integers(min_value=0, max_value=2**31 - 1), float_dtypes)
     @settings(max_examples=60, deadline=None)
-    def test_matches_gather_then_segment_sum(self, layout, seed):
+    def test_matches_gather_then_segment_sum(self, layout, seed, dtype):
         data, offsets = layout
         rng = np.random.default_rng(seed)
-        weight = rng.standard_normal((9, 3))
+        weight = rng.standard_normal((9, 3)).astype(dtype)
         values = rng.integers(0, 9, size=int(offsets[-1]))
         fused = kernels.gather_pool(weight, values, offsets)
-        unfused = kernels.segment_sum(weight[values], offsets)
         assert fused.dtype == weight.dtype
-        np.testing.assert_array_equal(fused, unfused)  # bit-identical
+        # bit-identical to the unfused fast kernel and to the naive reference
+        np.testing.assert_array_equal(fused, kernels.segment_sum(weight[values], offsets))
+        np.testing.assert_array_equal(
+            fused, kernels.naive_segment_sum(weight[values], offsets)
+        )
 
 
 class TestExpandCoalesceEquivalence:
     """The fused backward: ``T @ grad_out`` vs repeat + coalesce."""
 
-    @given(ragged_layout(), st.integers(min_value=0, max_value=2**31 - 1))
+    @given(ragged_layout(), st.integers(min_value=0, max_value=2**31 - 1), float_dtypes)
     @settings(max_examples=60, deadline=None)
-    def test_matches_repeat_then_coalesce(self, layout, seed):
+    def test_matches_repeat_then_coalesce(self, layout, seed, dtype):
         _, offsets = layout
         lengths = np.diff(offsets)
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 6, size=int(offsets[-1]))
-        grad_out = rng.standard_normal((len(lengths), 3))
+        grad_out = rng.standard_normal((len(lengths), 3)).astype(dtype)
         rows_f, summed_f = kernels.expand_coalesce(values, lengths, grad_out)
         per_lookup = np.repeat(grad_out, lengths, axis=0)
         rows_u, summed_u = kernels.coalesce_rows(values, per_lookup)
-        assert np.array_equal(rows_f, rows_u)
+        rows_n, summed_n = kernels.naive_coalesce_rows(values, per_lookup)
+        assert np.array_equal(rows_f, rows_u) and np.array_equal(rows_f, rows_n)
+        assert summed_f.dtype == dtype
+        if dtype is np.float32:
+            # naive_coalesce_rows sums in float64; the exact oracle here is in float32
+            summed_n = np.zeros(summed_n.shape, dtype=dtype)
+            np.add.at(summed_n, np.searchsorted(rows_n, values), per_lookup)
         np.testing.assert_array_equal(summed_f, summed_u)  # bit-identical
+        np.testing.assert_array_equal(summed_f, summed_n)
 
 
 class TestTruncateEquivalence:

@@ -3,8 +3,8 @@
 The satellite fix this pins: models (and their workspaces/backends) must
 survive the process boundary of a :class:`~repro.runtime.SweepRunner`
 pool — registered backends re-resolve to the worker's own registered
-instance, thread pools never pickle, and a parallel sweep under
-``backend="fused"`` reproduces serial ``"numpy"`` results bit-for-bit.
+instance, and a parallel sweep under ``backend="fused"`` reproduces
+serial ``"numpy"`` results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from repro.core import (
     known_backends,
     uniform_tables,
 )
-from repro.core.backends.threaded import ThreadedBackend
 from repro.runtime import SweepRunner
 
-from backend_cases import BACKEND_SPECS, assert_backend_matches, make_backend
+from backend_cases import BACKEND_SPECS, assert_backend_matches
 from helpers import backend_sweep_point, make_batch
 
 
@@ -41,27 +40,6 @@ def test_registered_backends_pickle_to_singletons():
         be = get_backend(name)
         clone = pickle.loads(pickle.dumps(be))
         assert clone is be  # name-reduced: the registry instance comes back
-
-
-def test_custom_threaded_instance_pickles_state_without_pool():
-    be = ThreadedBackend(workers=2, min_rows=4)
-    be._get_pool()  # materialize a live pool
-    clone = pickle.loads(pickle.dumps(be))
-    assert clone is not be
-    assert clone.workers == 2 and clone.min_rows == 4
-    assert clone._pool is None and clone._pool_pid is None
-    # the clone still computes (lazily recreating its pool)
-    x = np.random.default_rng(0).standard_normal((16, 3))
-    w = np.random.default_rng(1).standard_normal((5, 3))
-    b = np.zeros(5)
-    from repro.core import Workspace
-
-    out = clone._matmul_rows(x, w.T, np.empty((16, 5)))
-    np.testing.assert_allclose(out, x @ w.T, rtol=1e-12, atol=1e-12)
-    ws = Workspace()
-    np.testing.assert_allclose(
-        clone.linear_forward(x, w, b, ws, "k"), x @ w.T + b, rtol=1e-12, atol=1e-12
-    )
 
 
 def test_model_config_pickle_round_trips_backend():
@@ -81,7 +59,7 @@ def test_model_config_pickle_round_trips_backend():
 
 @pytest.mark.parametrize("spec", BACKEND_SPECS)
 def test_model_pickle_round_trips_backend_and_workspace(spec):
-    be = make_backend(spec)
+    be = get_backend(spec)
     config = ModelConfig(
         name="pickle-model",
         num_dense=4,
@@ -94,7 +72,7 @@ def test_model_pickle_round_trips_backend_and_workspace(spec):
     batch = make_batch(config, 8, seed=3)
     before = model.forward(batch, training=False)
     clone = pickle.loads(pickle.dumps(model))
-    assert clone.backend.name == model.backend.name
+    assert clone.backend is get_backend(spec)  # re-resolved by name
     assert (clone.workspace is None) == (model.workspace is None)
     # the clone's layers dispatch through its own backend/workspace pair
     after = clone.forward(batch, training=False)
@@ -125,26 +103,3 @@ def test_sweep_pool_fused_equals_serial_numpy_bit_for_bit():
     for p, s in zip(parallel, serial):
         assert p["losses"] == s["losses"]
         assert np.array_equal(p["preds"], s["preds"])
-
-
-def test_sweep_pool_round_trips_threaded_backend_selection():
-    """A sweep over the ``"threaded"`` spec must re-resolve in the worker
-    (falling back to ``"fused"`` on single-core machines) and still match
-    the reference within the backend's tolerance."""
-    import os
-
-    seeds = [0, 1]  # two points, so the runner actually opens a pool
-    runner = SweepRunner(workers=2, mp_context=multiprocessing.get_context("fork"))
-    points = runner.map(
-        backend_sweep_point,
-        [{"backend": "threaded", "batch_seed": s} for s in seeds],
-        namespace="conformance-threaded-sweep",
-        use_cache=False,
-    )
-    expected = "threaded" if (os.cpu_count() or 1) >= 2 else "fused"
-    rtol, atol = get_backend("threaded").tolerance(np.float64)
-    for seed, point in zip(seeds, points):
-        assert point["backend"] == expected
-        ref = backend_sweep_point(backend="numpy", batch_seed=seed)
-        np.testing.assert_allclose(point["losses"], ref["losses"], rtol=rtol, atol=atol)
-        np.testing.assert_allclose(point["preds"], ref["preds"], rtol=rtol, atol=atol)

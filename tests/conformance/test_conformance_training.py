@@ -20,10 +20,11 @@ from repro.core import (
     ModelConfig,
     SGD,
     Trainer,
+    get_backend,
     uniform_tables,
 )
 
-from backend_cases import BACKEND_SPECS, assert_backend_matches, make_backend
+from backend_cases import BACKEND_SPECS, assert_backend_matches
 from helpers import make_batch
 
 
@@ -64,7 +65,7 @@ def _run_training(config: ModelConfig, batches, backend, optimizer: str):
 @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
 @pytest.mark.parametrize("optimizer", ["adagrad", "sgd"])
 def test_end_to_end_training_conforms(spec, dtype_name, optimizer):
-    be = make_backend(spec)
+    be = get_backend(spec)
     config = _train_config(dtype_name)
     batches = [make_batch(config, 32, seed=s) for s in range(4)]
 
@@ -89,7 +90,7 @@ def test_end_to_end_training_conforms(spec, dtype_name, optimizer):
 
 @pytest.mark.parametrize("spec", BACKEND_SPECS)
 def test_concat_interaction_training_conforms(spec):
-    be = make_backend(spec)
+    be = get_backend(spec)
     config = _train_config("float64", interaction=InteractionType.CONCAT)
     batches = [make_batch(config, 24, seed=s) for s in range(3)]
     losses_b, model_b = _run_training(config, batches, be, "adagrad")
