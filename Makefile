@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test fuzz fuzz-replay conformance bench alloc-smoke mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke figures examples all clean
+.PHONY: install test fuzz fuzz-replay conformance bench alloc-smoke mp-smoke mp-scaling mp-faults tier-smoke perfbench perfbench-smoke perf-pairs figures examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -69,6 +69,13 @@ perfbench:
 # hybrid_w2) must hold.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --smoke && $(PYTHON) -m pytest perfbench/tests -q
+
+# N alternating parent/change perfbench pairs and the per-pair table a
+# perf claim rests on: make perf-pairs PARENT=<checkout> WORKLOAD=<name> N=10
+# (no WORKLOAD: the full suite per run).
+N ?= 10
+perf-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) -n $(N) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 figures:
 	$(PYTHON) -m repro figures

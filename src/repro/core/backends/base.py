@@ -90,9 +90,13 @@ class Backend:
         """``y = x @ W.T + b`` — returns ``(batch, out_features)``."""
         raise NotImplementedError
 
-    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key):
+    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key,
+                        *, dx=True):
         """Accumulate ``dW``/``db`` into ``weight_grad``/``bias_grad`` in
-        place and return ``dx``."""
+        place and return ``dx`` — or, with ``dx=False`` (the layer's input
+        is data, nobody reads its gradient), compute no ``dx``, hold no
+        buffer for one and return ``None``; ``dW``/``db`` are the same bits
+        either way."""
         raise NotImplementedError
 
     # -- relu ----------------------------------------------------------------

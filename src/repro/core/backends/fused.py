@@ -34,9 +34,11 @@ class FusedBackend(Backend):
         out = ws.get((key, "out"), (x.shape[0], weight.shape[0]), x.dtype)
         return dk.linear_forward(x, weight, bias, out)
 
-    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key):
+    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key,
+                        *, dx=True):
         dtype = weight.dtype
-        grad_in = ws.get((key, "gin"), (grad_out.shape[0], weight.shape[1]), dtype)
+        gin_shape = (grad_out.shape[0], weight.shape[1])
+        grad_in = ws.get((key, "gin"), gin_shape, dtype) if dx else None
         wg = ws.get((key, "wg"), weight.shape, dtype)
         bg = ws.get((key, "bg"), bias_grad.shape, dtype)
         return dk.linear_backward(
@@ -141,12 +143,15 @@ class FusedBackend(Backend):
 
     # -- optimizer steps -----------------------------------------------------
 
+    @staticmethod
+    def _dense_bufs(ws, dtype, slots):
+        """The dense steps' block buffers: one fixed shape per dtype,
+        whatever the parameter — the optimizer's arena holds no copy of one."""
+        return [ws.get(("opt.block", s), (dk.DENSE_STEP_BLOCK,), dtype) for s in slots]
+
     def adagrad_dense_step(self, value, grad, state, lr, eps, ws):
-        dk.adagrad_dense_step(
-            value, grad, state, lr, eps,
-            ws.get("opt.t", value.shape, value.dtype),
-            ws.get("opt.u", value.shape, value.dtype),
-        )
+        bufs = self._dense_bufs(ws, value.dtype, "tu")
+        dk.adagrad_dense_step(value, grad, state, lr, eps, *bufs)
 
     @staticmethod
     def _block_bufs(ws, values, slots):
@@ -162,8 +167,7 @@ class FusedBackend(Backend):
     def sgd_dense_step(self, value, grad, lr, ws, *, weight_decay=0.0,
                        momentum=0.0, velocity=None):
         dk.sgd_dense_step(
-            value, grad, lr,
-            ws.get("opt.t", value.shape, value.dtype),
+            value, grad, lr, *self._dense_bufs(ws, value.dtype, "t"),
             weight_decay=weight_decay, momentum=momentum, velocity=velocity,
         )
 

@@ -29,10 +29,11 @@ class NumpyBackend(Backend):
     def linear_forward(self, x, weight, bias, ws, key):
         return x @ weight.T + bias
 
-    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key):
+    def linear_backward(self, grad_out, x, weight, weight_grad, bias_grad, ws, key,
+                        *, dx=True):
         weight_grad += grad_out.T @ x
         bias_grad += grad_out.sum(axis=0)
-        return grad_out @ weight
+        return grad_out @ weight if dx else None
 
     # -- relu ----------------------------------------------------------------
 

@@ -29,8 +29,10 @@ This module provides the same treatment for our numpy training step:
   gathered — resp. scattered once into both halves, no dense
   zeros+symmetrize round trip — while the block's gram matrices are still
   in L2; nothing ``batch x n_vec^2`` or ``batch x pairs`` is ever
-  materialized but the output), and fused in-place Adagrad/SGD steps with
-  no ``grad*grad`` / ``sqrt`` temporaries.
+  materialized but the output), and fused in-place Adagrad/SGD steps that
+  walk each parameter once, a cache-sized block at a time, through two
+  block-sized scratch buffers (no ``grad*grad`` / ``sqrt`` temporaries, no
+  second copy of the parameter).
 * :func:`feature_major` — the embedding -> interaction hand-off: one
   ``(features, batch, dim)`` array the tables pool into slab by slab and
   the interaction kernels read, and the one place a list of separate
@@ -47,9 +49,9 @@ fused sparse paths.  The fusions only (a) reuse output storage via
 of where the result lands — and (b) re-associate nothing: every fused
 sequence applies the exact same elementwise operations in the exact same
 order as the reference expression; blocking (the dot interaction over
-samples, the sparse optimizer steps over rows) regroups independent items
-and leaves each one's operations as they were.  Two details worth calling
-out:
+samples, the sparse optimizer steps over rows, the dense ones over
+elements) regroups independent items and leaves each one's operations as
+they were.  Two details worth calling out:
 
 * the sign-based ReLU backward multiplies by a boolean mask, which maps a
   negative gradient at an inactive unit to ``-0.0`` where ``np.where``
@@ -90,6 +92,7 @@ __all__ = [
     "dot_backward",
     "adagrad_dense_step",
     "sgd_dense_step",
+    "DENSE_STEP_BLOCK",
     "adagrad_sparse_step",
     "sgd_sparse_step",
     "sparse_block_rows",
@@ -283,24 +286,27 @@ def linear_backward(
     weight: np.ndarray,
     weight_grad: np.ndarray,
     bias_grad: np.ndarray,
-    grad_in: np.ndarray,
+    grad_in: np.ndarray | None,
     wg_buf: np.ndarray,
     bg_buf: np.ndarray,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Fused: accumulate ``dW``/``db`` into the parameter gradients through
     reused scratch buffers (no fresh ``grad_out.T @ x`` temporary) and write
-    ``dx`` into ``grad_in``.
+    ``dx`` into ``grad_in`` — or, with ``grad_in=None`` (a layer whose input
+    is data), skip that GEMM and return ``None``.
 
     Bit-identity: ``+=`` of the buffered GEMM result matches ``+=`` of a
     fresh temporary holding the same values; ``np.sum(..., out=)`` and
     ``np.matmul(..., out=)`` likewise only change where results land.
+    ``dW``/``db`` read nothing ``dx`` writes, so dropping it changes neither.
     """
     np.matmul(grad_out.T, x, out=wg_buf)
     weight_grad += wg_buf
     np.sum(grad_out, axis=0, out=bg_buf)
     bias_grad += bg_buf
-    np.matmul(grad_out, weight, out=grad_in)
-    return grad_in
+    if grad_in is None:
+        return None
+    return np.matmul(grad_out, weight, out=grad_in)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +576,42 @@ def dot_backward(
 # ---------------------------------------------------------------------------
 
 
+#: Elements per block of the dense optimizer steps: a block of ``value``,
+#: ``grad``, ``state`` and the two scratch buffers (640 KiB in f32) stays in
+#: L2 across the step's seven passes.  Over ``train_mlp``'s 2.9 M f32
+#: parameters 32 K and 64 K elements measure the same (5.3 ms), 16 K 9 %,
+#: 128 K 13 % and 8 K 34 % slower, whole arrays 7.3 ms; f64 is flat from
+#: 16 K to 64 K.
+DENSE_STEP_BLOCK = 32 * 1024
+
+
+def _flat_blocks(bufs: tuple[np.ndarray, ...], **arrays: np.ndarray):
+    """The one walker of the dense optimizer steps: the named arrays as
+    flat views, ``len(bufs[0])`` elements at a time, each block a tuple of
+    the arrays' slices followed by the equally long heads of ``bufs``.
+
+    Every array must be C-contiguous and of the first one's shape — checked
+    here, before the caller writes anything: ``reshape(-1)`` of a strided
+    array is a copy, and the update written through it would be lost.
+    """
+    shape = np.shape(next(iter(arrays.values())))
+    for name, arr in arrays.items():
+        if (
+            not isinstance(arr, np.ndarray)
+            or arr.shape != shape
+            or not arr.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"{name} must be a C-contiguous array of shape {shape}, "
+                f"got {arr!r:.80}"
+            )
+    flats = [arr.reshape(-1) for arr in arrays.values()]
+    block = len(bufs[0])
+    for a in range(0, flats[0].size, block):
+        views = [f[a : a + block] for f in flats]
+        yield (*views, *(b[: len(views[0])] for b in bufs))
+
+
 def adagrad_dense_step(
     value: np.ndarray,
     grad: np.ndarray,
@@ -579,20 +621,25 @@ def adagrad_dense_step(
     t_buf: np.ndarray,
     u_buf: np.ndarray,
 ) -> None:
-    """Fused Adagrad: both temporaries replaced by reused scratch buffers.
+    """Fused Adagrad, cache-blocked: the parameter is walked once,
+    ``len(t_buf)`` elements at a time (:data:`DENSE_STEP_BLOCK`), and both
+    temporaries live in the two block-sized scratch buffers — no full-size
+    copy of the parameter exists beside ``value`` / ``grad`` / ``state``.
 
     Bit-identity: the reference evaluates ``(lr * grad) / (sqrt(state) +
     eps)`` — numerator first — and the fused sequence preserves exactly
     that association (``u = grad * lr``; ``u /= t``), so no rounding
-    differs.
+    differs; elements are independent, so blocking only regroups them.
     """
-    np.multiply(grad, grad, out=t_buf)
-    state += t_buf
-    np.sqrt(state, out=t_buf)
-    np.add(t_buf, eps, out=t_buf)
-    np.multiply(grad, lr, out=u_buf)
-    np.divide(u_buf, t_buf, out=u_buf)
-    value -= u_buf
+    blocks = _flat_blocks((t_buf, u_buf), value=value, grad=grad, state=state)
+    for v, g, s, t, u in blocks:
+        np.multiply(g, g, out=t)
+        s += t
+        np.sqrt(s, out=t)
+        np.add(t, eps, out=t)
+        np.multiply(g, lr, out=u)
+        np.divide(u, t, out=u)
+        v -= u
 
 
 def sgd_dense_step(
@@ -604,25 +651,29 @@ def sgd_dense_step(
     momentum: float = 0.0,
     velocity: np.ndarray | None = None,
 ) -> None:
-    """Fused SGD: the ``weight_decay * value``, effective-gradient and
-    ``lr * v`` temporaries all land in one reused scratch buffer.
+    """Fused SGD, blocked like :func:`adagrad_dense_step`: the
+    ``weight_decay * value``, effective-gradient and ``lr * v`` temporaries
+    all land in one block-sized scratch buffer.
 
     Bit-identity: each fused line computes the same scalar expression in
     the same order as the reference (``wd*value`` then ``grad + ·``;
     ``v*m`` in place then ``+ grad``; ``lr * g`` then subtract).
     """
-    if weight_decay:
-        np.multiply(value, weight_decay, out=t_buf)
-        np.add(grad, t_buf, out=t_buf)
-        grad = t_buf
+    arrays = {"value": value, "grad": grad}
     if velocity is not None:
-        velocity *= momentum
-        velocity += grad
-        np.multiply(velocity, lr, out=t_buf)
-        value -= t_buf
-    else:
-        np.multiply(grad, lr, out=t_buf)
-        value -= t_buf
+        arrays["velocity"] = velocity
+    for v, g, *vel, t in _flat_blocks((t_buf,), **arrays):
+        if weight_decay:
+            np.multiply(v, weight_decay, out=t)
+            np.add(g, t, out=t)
+            g = t
+        if vel:
+            (m,) = vel
+            m *= momentum
+            m += g
+            g = m
+        np.multiply(g, lr, out=t)
+        v -= t
 
 
 #: Bytes per block buffer of the row-sparse optimizer steps: three buffers

@@ -50,7 +50,11 @@ class Parameter:
 
 
 class Linear:
-    """Fully-connected layer ``y = x @ W.T + b``."""
+    """Fully-connected layer ``y = x @ W.T + b``.
+
+    ``input_grad=False`` states that the layer's input is data: ``backward``
+    accumulates ``dW``/``db``, computes no ``dx`` and returns ``None``.
+    """
 
     def __init__(
         self,
@@ -59,6 +63,7 @@ class Linear:
         rng: np.random.Generator,
         name: str = "linear",
         dtype: np.dtype | type = np.float64,
+        input_grad: bool = True,
     ) -> None:
         if in_features < 1 or out_features < 1:
             raise ValueError("Linear dimensions must be positive")
@@ -70,6 +75,7 @@ class Linear:
             dtype=dtype,
         )
         self.bias = Parameter(np.zeros(out_features), f"{name}.bias", dtype=dtype)
+        self.input_grad = input_grad
         self._input: np.ndarray | None = None
         #: A stand-alone layer runs the reference; a model binds its own.
         self.backend: Backend = reference_backend()
@@ -119,7 +125,7 @@ class Linear:
             x, self.weight.value, self.bias.value, self.workspace, self._ws_key
         )
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         self._check_dtype("grad_out", grad_out.dtype)
@@ -128,6 +134,7 @@ class Linear:
         return self.backend.linear_backward(
             grad_out, x, self.weight.value,
             self.weight.grad, self.bias.grad, self.workspace, self._ws_key,
+            dx=self.input_grad,
         )
 
     def parameters(self) -> list[Parameter]:
@@ -213,7 +220,9 @@ class MLP:
     """A stack of ``Linear`` + ``ReLU`` layers described by an :class:`MLPSpec`.
 
     ``final_activation=False`` leaves the last layer linear, which is how the
-    top stack feeds the scoring logit.
+    top stack feeds the scoring logit.  ``input_grad=False`` says the stack's
+    input is data (a model's bottom stack): its first layer computes no
+    ``dx`` and :meth:`backward` returns ``None``.
     """
 
     def __init__(
@@ -224,13 +233,19 @@ class MLP:
         final_activation: bool = True,
         name: str = "mlp",
         dtype: np.dtype | type = np.float64,
+        input_grad: bool = True,
     ) -> None:
         self.spec = spec
         self.name = name
         self.layers: list[object] = []
         prev = in_features
         for i, width in enumerate(spec.layer_sizes):
-            self.layers.append(Linear(prev, width, rng, name=f"{name}.{i}", dtype=dtype))
+            self.layers.append(
+                Linear(
+                    prev, width, rng, name=f"{name}.{i}", dtype=dtype,
+                    input_grad=input_grad or i > 0,
+                )
+            )
             is_last = i == len(spec.layer_sizes) - 1
             if final_activation or not is_last:
                 self.layers.append(ReLU())
@@ -255,7 +270,9 @@ class MLP:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
+        """The gradient w.r.t. the stack's input (``None`` when it was
+        built with ``input_grad=False``)."""
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
         return grad_out

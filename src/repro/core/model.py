@@ -87,8 +87,11 @@ class DLRM:
         self.config = config
         #: Compute precision for weights/activations (``config.compute_dtype``).
         self.dtype = config.np_dtype
+        # The bottom stack's input is the batch's dense features: no layer
+        # reads a gradient w.r.t. them, so layer 0 computes none.
         self.bottom_mlp = MLP(
-            config.num_dense, config.bottom_mlp, rng, name="bottom", dtype=self.dtype
+            config.num_dense, config.bottom_mlp, rng, name="bottom", dtype=self.dtype,
+            input_grad=False,
         )
         #: With a :class:`repro.tiering.store.TieredStoreConfig`, embedding
         #: tables become two-tier stores — numerically identical, but every

@@ -96,6 +96,27 @@ def test_linear_backward_conforms(spec, shape, seed, dtype):
     assert_backend_matches(be, bg, bg_ref, "linear_backward db accumulation")
 
 
+@backend_specs
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_linear_backward_without_dx_conforms(spec, dtype):
+    """``dx=False`` (a layer whose input is data) drops the ``dx`` GEMM and
+    nothing else: ``dW``/``db`` accumulate to the bits of the with-``dx``
+    call, the return is ``None`` and the arena holds no ``gin`` buffer."""
+    be = get_backend(spec)
+    x = rand(0, (7, 5), dtype)
+    w = rand(1, (3, 5), dtype)
+    g = rand(2, (7, 3), dtype)
+    wg_with, bg_with = rand(3, (3, 5), dtype), rand(4, (3,), dtype)
+    wg, bg = wg_with.copy(), bg_with.copy()
+    assert be.linear_backward(g, x, w, wg_with, bg_with, make_workspace(be), "lin") is not None
+    ws = make_workspace(be)
+    assert be.linear_backward(g, x, w, wg, bg, ws, "lin", dx=False) is None
+    np.testing.assert_array_equal(wg, wg_with)
+    np.testing.assert_array_equal(bg, bg_with)
+    if ws is not None:
+        assert {key for key, *_ in ws._buffers} == {("lin", "wg"), ("lin", "bg")}
+
+
 # ---------------------------------------------------------------------------
 # relu
 # ---------------------------------------------------------------------------
@@ -350,6 +371,52 @@ def test_sgd_dense_step_conforms(spec, shape, seed, dtype, momentum, weight_deca
     )
     assert_backend_matches(be, value, v_ref, "sgd value")
     if vel is not None:
+        assert_backend_matches(be, vel, vel_ref, "sgd velocity")
+
+
+#: Parameter sizes on both sides of the dense steps' block boundary.
+_BLOCK = dense_kernels.DENSE_STEP_BLOCK
+BLOCK_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+@backend_specs
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_adagrad_dense_step_conforms_across_blocks(spec, size, dtype):
+    be = get_backend(spec)
+    value, grad = rand(0, (size,), dtype), rand(1, (size,), dtype)
+    state = np.abs(rand(2, (size,), dtype))
+    v_ref, s_ref = value.copy(), state.copy()
+    ws = make_workspace(be)
+    for _ in range(2):  # the second step reads the first one's state
+        reference().adagrad_dense_step(v_ref, grad, s_ref, 0.05, 1e-10, None)
+        be.adagrad_dense_step(value, grad, state, 0.05, 1e-10, ws)
+    assert_backend_matches(be, value, v_ref, "adagrad value")
+    assert_backend_matches(be, state, s_ref, "adagrad state")
+
+
+@backend_specs
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("momentum, weight_decay", [(0.0, 0.0), (0.9, 0.0), (0.0, 1e-3), (0.9, 1e-3)])
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_sgd_dense_step_conforms_across_blocks(spec, size, dtype, momentum, weight_decay):
+    be = get_backend(spec)
+    value, grad = rand(0, (size,), dtype), rand(1, (size,), dtype)
+    vel = rand(2, (size,), dtype) if momentum else None
+    v_ref = value.copy()
+    vel_ref = vel.copy() if momentum else None
+    ws = make_workspace(be)
+    for _ in range(2):
+        reference().sgd_dense_step(
+            v_ref, grad, 0.1, None,
+            weight_decay=weight_decay, momentum=momentum, velocity=vel_ref,
+        )
+        be.sgd_dense_step(
+            value, grad, 0.1, ws,
+            weight_decay=weight_decay, momentum=momentum, velocity=vel,
+        )
+    assert_backend_matches(be, value, v_ref, "sgd value")
+    if momentum:
         assert_backend_matches(be, vel, vel_ref, "sgd velocity")
 
 

@@ -156,3 +156,18 @@ class TestMLP:
         out = mlp.forward(x)
         grad_in = mlp.backward(2 * out)
         np.testing.assert_allclose(grad_in, expected, rtol=1e-4, atol=1e-6)
+
+    def test_input_grad_off_skips_only_dx(self, rng):
+        """``input_grad=False`` (the stack's input is data): ``backward``
+        returns ``None``, every parameter gradient is the default stack's."""
+        stacks = [
+            MLP(3, MLPSpec((5, 2)), np.random.default_rng(7), **kw)
+            for kw in ({}, {"input_grad": False})
+        ]
+        assert [l.input_grad for l in stacks[1].layers[::2]] == [False, True]
+        x = rng.normal(size=(4, 3))
+        returned = [mlp.backward(2 * mlp.forward(x)) for mlp in stacks]
+        assert returned[0].shape == x.shape and returned[1] is None
+        for p, q in zip(*(mlp.parameters() for mlp in stacks)):
+            assert p.grad.any()
+            np.testing.assert_array_equal(q.grad, p.grad)

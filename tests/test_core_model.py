@@ -13,6 +13,7 @@ from repro.core import (
     ModelConfig,
     PoolingType,
     RaggedIndices,
+    Trainer,
     dense_kernels,
     uniform_tables,
 )
@@ -342,6 +343,76 @@ class TestFeatureMajorHandOff:
             np.testing.assert_array_equal(g, w, err_msg=f"history entry {i}")
         slot = (("interaction", "gram"), (3, 5, 5), np.dtype(np.float32))
         assert slot in model.workspace._buffers  # both batch sizes walked 3 at a time
+
+
+class TestBottomStackInputGradient:
+    """``DLRM`` builds its bottom stack with ``input_grad=False`` — its
+    input is data — so layer 0 computes no ``dx`` and holds no buffer for
+    one; nothing a step produces changes by a bit."""
+
+    @staticmethod
+    def _step(interaction, dtype, backend, input_grad):
+        """One ``Trainer.train_step``: the gradients ``optimizer.step()`` was
+        handed, the loss, and all state after it."""
+        config = TestFeatureMajorHandOff._config(interaction, dtype, backend)
+        model = DLRM(config, rng=0)
+        first = model.bottom_mlp.layers[0]
+        assert first.input_grad is False
+        assert all(l.input_grad for l in model.top_mlp.layers[::2] + [model.scorer])
+        first.input_grad = input_grad
+        trainer = Trainer(
+            model,
+            lambda m: Adagrad(
+                m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
+            ),
+        )
+        out = {}
+
+        def grads(stage):
+            if stage == "grads":
+                out["dense"] = [p.grad.copy() for p in model.dense_parameters()]
+                pending = [t.sparse_grads for t in model.embedding_tables()]
+                assert all(len(g) == 1 for g in pending)
+                out["sparse"] = [a.copy() for (g,) in pending for a in (g.rows, g.values)]
+
+        trainer.on_stage = grads
+        out["loss"] = trainer.train_step(make_batch(config, 24, seed=3))
+        dense_slots, accumulators = trainer.optimizer.slots()
+        out["state"] = (
+            [p.value for p in model.dense_parameters()]
+            + [t.weight for t in model.embedding_tables()]
+            + dense_slots
+            + list(accumulators.values())
+        )
+        return model, out
+
+    @pytest.mark.parametrize("backend", ["fused", "numpy"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("interaction", [InteractionType.CONCAT, InteractionType.DOT])
+    def test_a_step_is_the_step_with_input_gradients_on(self, interaction, dtype, backend):
+        _, want = self._step(interaction, dtype, backend, input_grad=True)
+        model, got = self._step(interaction, dtype, backend, input_grad=False)
+        assert got["loss"] == want["loss"]
+        assert any(g.any() for g in got["dense"][:2])  # bottom layer 0 did learn
+        for part in ("dense", "sparse", "state"):
+            assert len(got[part]) == len(want[part])
+            for i, (g, w) in enumerate(zip(got[part], want[part])):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w, err_msg=f"{part}[{i}]")
+        if model.workspace is not None:
+            keys = {key for key, *_ in model.workspace._buffers}
+            assert ("bottom[0]", "gin") not in keys
+            assert {("bottom[0]", "wg"), ("bottom[2]", "gin"), ("top[0]", "gin")} <= keys
+
+    @pytest.mark.parametrize("backend", ["fused", "numpy"])
+    def test_bottom_backward_returns_none(self, backend):
+        config = TestFeatureMajorHandOff._config(InteractionType.CONCAT, "float32", backend)
+        model = DLRM(config, rng=0)
+        x = make_batch(config, 6, seed=0).dense.astype(np.float32)
+        out = model.bottom_mlp.forward(x)
+        assert model.bottom_mlp.backward(np.ones_like(out)) is None
+        out = model.top_mlp.forward(np.ones((6, model.top_mlp.in_features), np.float32))
+        assert model.top_mlp.backward(np.ones_like(out)).shape == (6, model.top_mlp.in_features)
 
 
 class TestDotFootprint:

@@ -10,7 +10,9 @@ internal to the fused path itself:
 * the workspace arena contract (reuse counters, ownership, row slabs,
   pickling),
 * the zero-steady-state-allocation contract (workspace counters +
-  ``tracemalloc``).
+  ``tracemalloc``),
+* the blocked dense optimizer steps' argument contract (contiguity and
+  shape are verified, not assumed) and the optimizer arena's footprint.
 """
 
 from __future__ import annotations
@@ -20,18 +22,22 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.core import (
     DLRM,
+    SGD,
     Adagrad,
     InteractionType,
     MLPSpec,
     ModelConfig,
     Trainer,
     Workspace,
+    dense_kernels,
     stable_sigmoid,
     uniform_tables,
 )
+from repro.core.backends import reference_backend
 from repro.core.loss import sigmoid as loss_sigmoid
 from repro.core.mlp import Sigmoid
 
@@ -222,3 +228,105 @@ def test_steady_state_allocations_tracemalloc():
     # temporary per step; the fused path's remaining allocations are the
     # logits copy and the shared sparse-path bookkeeping.
     assert fused_peak < naive_peak / 3, (fused_peak, naive_peak)
+
+
+# ---------------------------------------------------------------------------
+# blocked dense optimizer steps
+# ---------------------------------------------------------------------------
+
+
+def _strided(kind: str, seed: int) -> np.ndarray:
+    """A ``(4, 3)`` array that is not C-contiguous: ``reshape(-1)`` of it
+    is a copy, so a walker that flattened without checking would update the
+    copy and lose the step."""
+    base = np.random.default_rng(seed).standard_normal((4, 6)) + 2.0
+    return base[:, ::2] if kind == "column-slice" else np.asfortranarray(base[:, :3])
+
+
+def _step_args(strided: str, kind: str) -> dict[str, np.ndarray]:
+    names = ("value", "grad", "state", "velocity")
+    return {
+        name: _strided(kind, i) if name == strided
+        else np.ascontiguousarray(_strided(kind, i))
+        for i, name in enumerate(names)
+    }
+
+
+@pytest.mark.parametrize("kind", ["column-slice", "fortran"])
+@pytest.mark.parametrize("strided", ["value", "grad", "state"])
+def test_adagrad_dense_step_rejects_a_strided_argument_before_writing(strided, kind):
+    a = _step_args(strided, kind)
+    before = {name: arr.copy() for name, arr in a.items()}
+    bufs = np.empty((2, 8))
+    with pytest.raises(ValueError, match=f"^{strided} must be a C-contiguous"):
+        dense_kernels.adagrad_dense_step(
+            a["value"], a["grad"], a["state"], 0.05, 1e-10, *bufs
+        )
+    for name, arr in a.items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["column-slice", "fortran"])
+@pytest.mark.parametrize("strided", ["value", "grad", "velocity"])
+def test_sgd_dense_step_rejects_a_strided_argument_before_writing(strided, kind):
+    a = _step_args(strided, kind)
+    before = {name: arr.copy() for name, arr in a.items()}
+    with pytest.raises(ValueError, match=f"^{strided} must be a C-contiguous"):
+        dense_kernels.sgd_dense_step(
+            a["value"], a["grad"], 0.1, np.empty(8),
+            weight_decay=1e-3, momentum=0.9, velocity=a["velocity"],
+        )
+    for name, arr in a.items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
+def test_dense_steps_reject_a_shape_mismatch_naming_the_argument():
+    value, state = np.ones((4, 3)), np.ones((4, 3))
+    bufs = np.empty((2, 8))
+    with pytest.raises(ValueError, match=r"^grad must be .* shape \(4, 3\)"):
+        dense_kernels.adagrad_dense_step(value, np.ones((3, 4)), state, 0.05, 1e-10, *bufs)
+    with pytest.raises(ValueError, match="^state must be"):
+        dense_kernels.adagrad_dense_step(value, np.ones((4, 3)), state[:2], 0.05, 1e-10, *bufs)
+    with pytest.raises(ValueError, match="^velocity must be"):
+        dense_kernels.sgd_dense_step(
+            value, np.ones((4, 3)), 0.1, bufs[0], momentum=0.9, velocity=np.ones(12)
+        )
+    np.testing.assert_array_equal(value, np.ones((4, 3)))
+    np.testing.assert_array_equal(state, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (0,), (0, 5), (3, 0)], ids=str)
+def test_dense_steps_take_zero_d_and_zero_size_parameters(shape, dtype):
+    ref = reference_backend()
+    rng = np.random.default_rng(0)
+    value, grad, vel = (np.asarray(rng.standard_normal(shape), dtype=dtype) for _ in range(3))
+    state = np.full(shape, 0.25, dtype)
+    want, vel_want, state_want = value.copy(), vel.copy(), state.copy()
+    bufs = np.empty((2, 8), dtype=dtype)
+    dense_kernels.sgd_dense_step(value, grad, 0.1, bufs[0], 1e-3, 0.9, vel)
+    dense_kernels.adagrad_dense_step(value, grad, state, 0.05, 1e-10, *bufs)
+    ref.sgd_dense_step(want, grad, 0.1, None, weight_decay=1e-3, momentum=0.9, velocity=vel_want)
+    ref.adagrad_dense_step(want, grad, state_want, 0.05, 1e-10, None)
+    for got, expected in ((value, want), (vel, vel_want), (state, state_want)):
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, expected)
+    if value.size:
+        assert state != 0.25  # the 0-d parameter was stepped, not skipped
+
+
+@pytest.mark.parametrize("dtype_name", ["float32", "float64"])
+@pytest.mark.parametrize("make", [Adagrad, lambda p: SGD(p, momentum=0.9, weight_decay=1e-3)],
+                         ids=["adagrad", "sgd"])
+def test_optimizer_arena_is_two_blocks_whatever_the_parameter_count(make, dtype_name):
+    """The dense steps' scratch is two block buffers, not a second and
+    third copy of every parameter."""
+    config = replace(_train_config(dtype_name), bottom_mlp=MLPSpec((512, 256, 4)))
+    model = DLRM(config, rng=0)
+    params = model.dense_parameters()
+    block_bytes = dense_kernels.DENSE_STEP_BLOCK * model.dtype.itemsize
+    assert sum(p.value.nbytes for p in params) > 4 * block_bytes
+    optimizer = make(params)
+    for _ in range(2):
+        optimizer.dense_step()
+    assert 0 < optimizer.workspace.total_bytes() <= 2 * block_bytes
