@@ -680,7 +680,7 @@ def _cmd_mp(args: argparse.Namespace) -> int:
     print(
         f"step {result.step_time_s * 1e3:.2f} ms (best) / "
         f"{result.mean_step_s * 1e3:.2f} ms (mean) | "
-        f"allreduce {result.comm_s * 1e3:.2f} ms total"
+        f"comm {result.comm_s * 1e3:.2f} ms total"
     )
     if result.plan is not None:
         mb = [f"{b / 1e6:.1f}MB" for b in result.plan.owner_bytes(config)]

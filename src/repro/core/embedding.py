@@ -238,8 +238,7 @@ class TablePlan:
         features with no lookups contribute nothing (their backward is
         skipped), a single contributing feature passes its already-unique
         rows through, and multiple contributors coalesce to the sorted
-        union.  Weight-independent, so the hybrid trainer can exchange the
-        next batch's row plan while the current batch is still computing.
+        union.  Weight-independent: known at plan time, before the forward.
         """
         if self.grad_plans is None:
             raise RuntimeError("an inference plan (training=False) has no grad plans")

@@ -181,27 +181,14 @@ class DLRM:
             return out.copy()
         return out
 
-    def backward(self, grad_logits: np.ndarray, stage_hook=None) -> None:
-        """Backpropagate ``dLoss/dlogits`` of shape ``(batch, 1)`` or ``(batch,)``.
-
-        ``stage_hook(stage)`` fires as each part of the backward completes:
-        ``"top"`` (scorer + top-MLP gradients final), ``"embeddings"``
-        (every table's sparse gradient exists) and ``"bottom"`` (bottom-MLP
-        gradients final) — the hybrid trainer starts each gradient
-        exchange from there, so it overlaps the rest of the backward.
-        """
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backpropagate ``dLoss/dlogits`` of shape ``(batch, 1)`` or ``(batch,)``."""
         grad = np.asarray(grad_logits, dtype=self.dtype).reshape(-1, 1)
         grad = self.scorer.backward(grad)
         grad = self.top_mlp.backward(grad)
-        if stage_hook is not None:
-            stage_hook("top")
         grad_dense, grad_embs = self.interaction.backward(grad)
         self.embeddings.backward(dict(zip(self._feature_order, grad_embs)))
-        if stage_hook is not None:
-            stage_hook("embeddings")
         self.bottom_mlp.backward(grad_dense)
-        if stage_hook is not None:
-            stage_hook("bottom")
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         """Click probabilities via the inference fast path.

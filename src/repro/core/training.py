@@ -80,11 +80,10 @@ class Trainer:
     members.  ``world``: the loss gradient is scaled by ``1 / world`` — the
     same constant on every replica, so the summed gradients are the
     global-batch gradient with identical rounding on every path.
-    ``on_stage(self, stage)``: fired at ``"loss"`` (loss forward done), at
-    ``"top"`` / ``"embeddings"`` / ``"bottom"`` (:meth:`DLRM.backward`'s stage
-    hook: those gradients are final and may be shipped) and at ``"grads"``
-    (right before ``optimizer.step()``: the gradients it is to apply must be
-    in place on return).  The base has no callback and ``world = 1``.
+    ``on_stage(self, stage)``: fired at ``"loss"`` (loss forward done) and
+    at ``"grads"`` (backward done, right before ``optimizer.step()``: the
+    gradients it is to apply must be in place on return — where a replica
+    exchanges them).  The base has no callback and ``world = 1``.
     """
 
     world = 1
@@ -204,7 +203,7 @@ class Trainer:
                     if self.world > 1:
                         grad *= 1.0 / self.world
                 with tracer.span("model_backward", "compute"):
-                    self.model.backward(grad, on_stage)
+                    self.model.backward(grad)
             if on_stage is not None:
                 on_stage("grads")
             with tracer.span("optimizer_step", "compute", fused=fused):

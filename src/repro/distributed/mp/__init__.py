@@ -2,12 +2,12 @@
 
 See :mod:`repro.distributed.mp.hybrid` for the execution model: embedding
 tables model-parallel in shared memory, MLPs data-parallel with a real
-ring/ordered allreduce over socketpairs, dense gradient exchange
-overlapped with backward compute.
+ring/ordered allreduce over socketpairs, one sparse exchange and one
+dense allreduce per step on the worker's main thread.
 """
 
 from .allreduce import (
-    GradReducer,
+    PackedAllreduce,
     ordered_allreduce,
     ordered_sum,
     ring_allreduce,
@@ -48,12 +48,12 @@ __all__ = [
     "CommProfile",
     "CrashRecord",
     "FtResult",
-    "GradReducer",
     "HybridResult",
     "HybridRunConfig",
     "KillSpec",
     "Manifest",
     "MpTimeouts",
+    "PackedAllreduce",
     "RestartPolicy",
     "ResumeState",
     "ShardPlan",

@@ -21,20 +21,16 @@ deterministic allreduce must *declare* its reduction order.  Two modes:
     tolerance-bounded against the serial reference in general and
     bit-identical at W = 2 (two-term sums are order-insensitive).
 
-:class:`GradReducer` runs either mode on a dedicated communication thread
-so layer k's gradient exchange overlaps layer k-1's backward compute
-(sockets and BLAS both release the GIL).
+:class:`PackedAllreduce` is what the trainer calls: a step's dense gradient
+arrays travel as one packed buffer, so a step costs one allreduce whatever
+the number of layers.  Everything here runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-
 import numpy as np
 
-from .channels import Channel, ChannelClosed, transfer
-from .timeouts import get_timeouts
+from .channels import Channel, transfer
 
 __all__ = [
     "tree_sum",
@@ -43,7 +39,7 @@ __all__ = [
     "ring_chunks",
     "ordered_allreduce",
     "ring_allreduce",
-    "GradReducer",
+    "PackedAllreduce",
 ]
 
 
@@ -173,45 +169,21 @@ ALLREDUCE_MODES = {"ordered": ordered_allreduce, "ring": ring_allreduce}
 
 
 # ---------------------------------------------------------------------------
-# the overlap engine
+# the trainer's entry point: pack -> reduce -> unpack
 # ---------------------------------------------------------------------------
 
-_SHUTDOWN = object()
 
+class PackedAllreduce:
+    """In-place allreduce of a fixed list of arrays as one wire payload.
 
-class _Job:
-    """A generic callable queued FIFO between allreduce buckets.
-
-    The pipelined trainer uses these to run mesh-channel exchanges (id
-    plans for the next step, sparse gradient values for this one) on the
-    same communication thread as the dense buckets — one thread, one FIFO,
-    so every rank's wire traffic interleaves identically and overlapped
-    stages can never race each other on a socket.
-    """
-
-    __slots__ = ("fn", "stage")
-
-    def __init__(self, fn, stage: str | None) -> None:
-        self.fn = fn
-        self.stage = stage
-
-
-class GradReducer:
-    """Asynchronous gradient allreduce on a dedicated communication thread.
-
-    The backward pass submits each dense layer's gradient buffers as soon
-    as they are computed; the thread reduces them in place (FIFO, so every
-    rank's wire traffic lines up) while the main thread keeps running the
-    remaining backward.  ``flush()`` blocks until all submitted buckets are
-    reduced, re-raising any communication error.
-
-    :meth:`submit_job` enqueues arbitrary communication work (e.g. the
-    pipelined sparse exchanges) into the same FIFO; ``flush()`` covers jobs
-    too.
-
-    The ring channels are owned exclusively by this thread between
-    construction and :meth:`shutdown` — the main thread must not touch
-    them (the sparse exchange uses the separate mesh channels).
+    Calling it copies ``arrays`` into one contiguous buffer, reduces that
+    buffer over the ring in ``mode``'s declared order and copies the sums
+    back — 2(W-1) hops for the whole list instead of per array.  Packing
+    cannot change a bit under ``"ordered"``: the reduction is element-wise,
+    so an element's association does not depend on where it sits in the
+    pack (``"ring"`` chunks the pack, so its rotation does).  Every rank
+    must pass arrays of the same sizes in the same order.  A peer's death
+    surfaces as :class:`~.channels.ChannelClosed` naming it.
     """
 
     def __init__(
@@ -220,9 +192,8 @@ class GradReducer:
         world: int,
         left: Channel | None,
         right: Channel | None,
+        arrays: list[np.ndarray],
         mode: str = "ordered",
-        max_elems: int = 0,
-        dtype: np.dtype | type = np.float64,
     ) -> None:
         if mode not in ALLREDUCE_MODES:
             raise ValueError(f"unknown allreduce mode {mode!r}; use {sorted(ALLREDUCE_MODES)}")
@@ -230,124 +201,24 @@ class GradReducer:
         self.world = world
         self.left = left
         self.right = right
-        self.mode = mode
+        self.arrays = arrays
         self._algo = ALLREDUCE_MODES[mode]
-        self._scratch = np.empty(max(1, max_elems), dtype=dtype)
-        self._queue: queue.Queue = queue.Queue()
-        self._errors: list[BaseException] = []
-        self.comm_seconds = 0.0
-        self._thread: threading.Thread | None = None
-        if world > 1:
-            self._thread = threading.Thread(
-                target=self._run, name=f"mp-reducer-{rank}", daemon=True
-            )
-            self._thread.start()
+        bounds = np.cumsum([0] + [a.size for a in arrays])
+        self._pack = np.empty(bounds[-1], dtype=arrays[0].dtype)
+        self._scratch = np.empty_like(self._pack)
+        #: each array's place in the pack, in the array's own shape
+        self._slots = [
+            self._pack[lo:hi].reshape(a.shape)
+            for a, lo, hi in zip(arrays, bounds, bounds[1:])
+        ]
 
-    def submit(self, arrays: list[np.ndarray]) -> None:
-        """Enqueue gradient buffers for in-place allreduce."""
-        if self.world == 1 or not arrays:
-            return
-        self._queue.put(arrays)
-
-    def submit_job(self, fn, stage: str | None = None) -> None:
-        """Enqueue a callable to run on the communication thread, FIFO with
-        the buckets.  Errors it raises surface at the next :meth:`flush`,
-        tagged with ``stage``.  Runs inline when there is no thread
-        (single-worker world)."""
-        if self._thread is None:
-            fn()
-            return
-        self._queue.put(_Job(fn, stage))
-
-    def flush(self) -> None:
-        """Wait until every submitted bucket has been reduced."""
+    def __call__(self) -> None:
         if self.world == 1:
             return
-        self._queue.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def shutdown(self) -> None:
-        if self._thread is None:
-            return
-        self._queue.put(_SHUTDOWN)
-        self._thread.join(timeout=get_timeouts().join_s)
-        self._thread = None
-
-    def _run(self) -> None:
-        import time
-
-        pack = np.empty(0, dtype=self._scratch.dtype)
-        bucket_id = -1
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _SHUTDOWN:
-                    return
-                if isinstance(item, _Job):
-                    t0 = time.perf_counter()
-                    try:
-                        item.fn()
-                    except ChannelClosed as err:
-                        self._errors.append(
-                            ChannelClosed(
-                                f"comm job on rank {self.rank} aborted: {err}",
-                                peer=err.peer,
-                                bucket=err.bucket,
-                                stage=item.stage,
-                            )
-                        )
-                    except BaseException as err:  # noqa: BLE001 - via flush()
-                        if item.stage is not None and hasattr(err, "add_note"):
-                            err.add_note(f"raised in comm job stage {item.stage!r}")
-                        self._errors.append(err)
-                    finally:
-                        self.comm_seconds += time.perf_counter() - t0
-                    continue
-                bucket_id += 1
-                t0 = time.perf_counter()
-                # Pack the bucket's arrays into one contiguous buffer so the
-                # whole bucket costs one allreduce (2(W-1) hops) instead of
-                # one per array.  Safe for bit-determinism: the reduction is
-                # element-wise, so each element's association is unchanged
-                # by where it sits in the pack.  Bucket boundaries are fixed
-                # by the submission protocol (every rank submits the same
-                # buckets in the same order), so wire sizes always agree.
-                if len(item) == 1:
-                    buf = item[0].reshape(-1)
-                else:
-                    total = sum(a.size for a in item)
-                    if pack.size < total or pack.dtype != item[0].dtype:
-                        pack = np.empty(total, dtype=item[0].dtype)
-                    buf = pack[:total]
-                    off = 0
-                    for a in item:
-                        buf[off : off + a.size] = a.reshape(-1)
-                        off += a.size
-                if buf.size > self._scratch.size or buf.dtype != self._scratch.dtype:
-                    self._scratch = np.empty(buf.size, dtype=buf.dtype)
-                self._algo(
-                    self.rank, self.world, self.left, self.right, buf, self._scratch
-                )
-                if len(item) > 1:
-                    off = 0
-                    for a in item:
-                        a.reshape(-1)[...] = buf[off : off + a.size]
-                        off += a.size
-                self.comm_seconds += time.perf_counter() - t0
-            except ChannelClosed as err:
-                # A peer died mid-reduction: name it and the in-flight
-                # bucket, so attribution from inside an allreduce matches
-                # the parent's exitcode-based attribution.
-                self._errors.append(
-                    ChannelClosed(
-                        f"allreduce bucket {bucket_id} on rank {self.rank} "
-                        f"aborted: {err}",
-                        peer=err.peer,
-                        bucket=bucket_id,
-                    )
-                )
-            except BaseException as err:  # noqa: BLE001 - surfaced via flush()
-                self._errors.append(err)
-            finally:
-                self._queue.task_done()
+        for a, slot in zip(self.arrays, self._slots):
+            slot[...] = a
+        self._algo(
+            self.rank, self.world, self.left, self.right, self._pack, self._scratch
+        )
+        for a, slot in zip(self.arrays, self._slots):
+            a[...] = slot

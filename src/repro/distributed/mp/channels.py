@@ -31,33 +31,17 @@ class ChannelClosed(ConnectionError):
     """The peer closed its end (normally because its process died).
 
     ``peer`` carries the remote rank when the channel was tagged at fabric
-    construction, and ``bucket`` the in-flight allreduce bucket id when the
-    close surfaced inside a :class:`~repro.distributed.mp.allreduce.GradReducer`
-    — together they let crash attribution from inside a reduction name the
-    same casualty the parent's exitcode scan does.  ``stage`` names the
-    pipeline stage (``"idplan_exchange"``, ``"sparse_values"``, ...) whose
-    wire traffic was interrupted, so a pipelined run's error points at the
-    overlapped work that died, not just the socket.
+    construction, so crash attribution from inside an allreduce or a
+    sparse exchange names the same casualty the parent's exitcode scan
+    does.  Which call was interrupted is the traceback's business: every
+    wire operation runs on the worker's main thread.
     """
 
-    def __init__(
-        self,
-        message: str = "peer closed",
-        peer: int | None = None,
-        bucket: int | None = None,
-        stage: str | None = None,
-    ) -> None:
-        detail = message
+    def __init__(self, message: str = "peer closed", peer: int | None = None) -> None:
         if peer is not None:
-            detail += f" (peer rank {peer})"
-        if bucket is not None:
-            detail += f" (bucket {bucket})"
-        if stage is not None:
-            detail += f" (stage {stage})"
-        super().__init__(detail)
+            message += f" (peer rank {peer})"
+        super().__init__(message)
         self.peer = peer
-        self.bucket = bucket
-        self.stage = stage
 
 
 class Channel:

@@ -10,14 +10,17 @@ realized with OS processes instead of an analytic model:
   gradients to owners over pairwise mesh channels.
 * **MLPs are data-parallel.**  Every worker holds an identical replica
   (same seeded init) and trains on its own slice of the global batch; dense
-  gradients are allreduced over ring channels (:mod:`.allreduce`), with
-  layer k's exchange overlapped against layer k-1's backward by a
-  dedicated communication thread.
+  gradients are allreduced over ring channels (:mod:`.allreduce`) as one
+  packed bucket per step.
 
 The training step is not in this module: each worker runs
-:meth:`repro.core.training.Trainer.train_step` with its gradient exchanges
-hung off the step's stage callback; the worker's own loop only orders the
-next-batch pull, checkpoint and barrier around it.
+:meth:`repro.core.training.Trainer.train_step` and communicates once per
+step, at the ``"grads"`` stage right before the optimizer — the sparse
+exchange, then the dense allreduce, both blocking calls on the worker's
+main thread, the only thread that touches a data socket.  The worker's own
+loop only orders the next-batch pull, checkpoint and barrier around the
+step.  Besides its main thread a worker runs the drain watcher and, under
+``pipeline=True``, the prep thread.
 
 Determinism contract (pinned by ``tests/test_mp.py``): with the
 ``"ordered"`` reduction an N-worker run is **bit-identical** — losses,
@@ -64,7 +67,7 @@ from ...obs.tracer import NULL_TRACER, Tracer
 from ...pipeline import PrefetchPipeline, PreparedBatch
 from ...runtime.runner import derive_seed
 from . import ckpt
-from .allreduce import GradReducer
+from .allreduce import PackedAllreduce
 from .channels import Channel, exchange_frames
 from .shards import ShardPlan, TableShards
 from .sparse_exchange import SparseExchange
@@ -110,10 +113,8 @@ class HybridRunConfig:
     ``pipeline`` moves the prep stage — batch generation and lookup
     planning — from the worker's main thread to a prep thread
     (:class:`~repro.pipeline.PrefetchPipeline`) and reports its stall
-    ledger.  Nothing else depends on it: either way the next step's sparse
-    id exchange overlaps this step's compute and the sparse value exchange
-    overlaps the bottom-MLP backward (:mod:`.sparse_exchange`, on the
-    reducer's communication thread), bit-identical to
+    ledger.  Nothing else depends on it: either way the step and its two
+    gradient exchanges run on the worker's main thread, bit-identical to
     :func:`run_hybrid_serial`.
     """
 
@@ -165,8 +166,9 @@ class KillSpec:
 
     * ``"loss"`` — right after the loss forward (no rank has applied the
       step yet);
-    * ``"allreduce"`` — right after submitting the first dense gradient
-      bucket, so peers observe the death *inside* the ring protocol;
+    * ``"allreduce"`` — after the sparse exchange, right before this
+      rank's dense allreduce, so peers observe the death *inside* the ring
+      protocol;
     * ``"checkpoint"`` — between a checkpoint file's temp-write and its
       rename (rank 0: the manifest; others: their shard file) — the torn-
       commit window the atomicity contract must survive.
@@ -519,28 +521,17 @@ def _worker_main(
     else:
         source = (PreparedBatch(b, plan_fn(b)) for b in stream)
 
-    max_elems = sum(p.grad.size for p in model.dense_parameters())
-    reducer = GradReducer(
+    allreduce = PackedAllreduce(
         rank, world, fabric.left(rank), fabric.right(rank),
-        mode=run.reduction, max_elems=max_elems, dtype=model.dtype,
+        [p.grad for p in model.dense_parameters()], mode=run.reduction,
     )
     mesh = fabric.mesh(rank)
-    table_names = [t.name for t in config.tables]
+    tables = model.embeddings.tables
     sparse = SparseExchange(
         rank, world, plan, mesh,
-        {n: model.embeddings.tables[n].weight.shape[1] for n in table_names},
+        {name: table.weight.shape[1] for name, table in tables.items()},
         model.dtype,
     )
-
-    def grads(*layers):
-        return [p.grad for layer in layers for p in layer.parameters()]
-
-    # Two fixed dense buckets per step, in backward order: two keeps the
-    # hop count (and the per-hop scheduling overhead on an oversubscribed
-    # host) low while the top half's allreduce still overlaps the
-    # interaction / embedding / bottom backward.
-    top_bucket = grads(model.scorer, *reversed(model.top_mlp.layers))
-    bottom_bucket = grads(*reversed(model.bottom_mlp.layers))
     my_kills = {
         (k.step, k.phase): k for k in (kills or []) if k.rank == rank
     }
@@ -562,10 +553,8 @@ def _worker_main(
     tracer = Tracer()
 
     class ReplicaTrainer(Trainer):
-        """:meth:`Trainer.train_step` over this rank's replica.  Each
-        gradient exchange starts the moment the backward has produced its
-        inputs, so it overlaps the rest of the backward on the comm thread
-        (the owner-side merge plan went ahead with the id exchange)."""
+        """:meth:`Trainer.train_step` over this rank's replica: both
+        gradient exchanges happen where the optimizer needs their result."""
 
         world = fabric.world
 
@@ -573,32 +562,20 @@ def _worker_main(
             gstep = start + self.step_index
             if stage == "loss":
                 _execute_kill(my_kills.get((gstep, "loss")))
-            elif stage == "top":
-                reducer.submit(top_bucket)
-                _execute_kill(my_kills.get((gstep, "allreduce")))
-            elif stage == "embeddings":
-                # the main thread's share of the exchange: a child span, so
-                # it is not part of the enclosing backward's self time
-                with tracer.span("sparse_exchange", "comm"):
-                    local = {
-                        name: model.embeddings.tables[name].pop_grad()
-                        for name in table_names
-                    }
-                    reducer.submit_job(
-                        lambda: sparse.exchange_values(gstep, local),
-                        stage="sparse_values",
-                    )
-            elif stage == "bottom":
-                reducer.submit(bottom_bucket)
             elif stage == "grads":
+                with tracer.span("sparse_exchange", "comm"):
+                    merged = sparse.exchange(
+                        {name: table.pop_grad() for name, table in tables.items()}
+                    )
+                _execute_kill(my_kills.get((gstep, "allreduce")))
                 with tracer.span("dense_wait", "comm"):
-                    reducer.flush()
+                    allreduce()
                 # Each owned table gets the rank-order merge of all workers'
                 # rows as its one gradient, the other tables were emptied
                 # above: the update is the ordinary optimizer.step().
-                for name, grad in sparse.take_merged(gstep).items():
+                for name, grad in merged.items():
                     if grad is not None:
-                        model.embeddings.tables[name].sparse_grads.append(grad)
+                        tables[name].sparse_grads.append(grad)
 
     trainer = ReplicaTrainer(model, lambda _: optimizer, tracer=tracer)
 
@@ -644,23 +621,11 @@ def _worker_main(
         # checkpoint exactly when it became restorable.
         conn.send(("ckpt", rank, completed, time.perf_counter() - t0))
 
-    def submit_ids(gstep: int, prepared: PreparedBatch) -> None:
-        plans = prepared.plans
-        reducer.submit_job(
-            lambda: sparse.exchange_ids(
-                gstep, {name: plans[name].touched_rows() for name in plans}
-            ),
-            stage="idplan_exchange",
-        )
-
     try:
         batches = iter(source)  # a prep thread starts here, under the spawn barrier
         barrier.wait(timeout=run.barrier_timeout_s)
-        # First batch + its id exchange: from here on the ids of step g+1
-        # are always on the wire while step g computes.
         with tracer.span("prep_wait", "pipeline"):
             batch = next(batches)
-        submit_ids(start, batch)
         for gstep in range(start, run.steps):
             t_step = time.perf_counter()
             loss_val = trainer.train_step(batch)
@@ -673,29 +638,25 @@ def _worker_main(
                 with tracer.span("checkpoint", "io"):
                     commit_checkpoint(gstep + 1, my_kills.get((gstep, "checkpoint")))
             if gstep + 1 < run.steps:
-                # Pull the next prepared batch (prep_wait is this rank's
-                # data stall: the whole prep stage when it runs inline, the
-                # residual wait on the prep thread otherwise) and enqueue
-                # its id exchange so it overlaps the barrier and the next
-                # forward/backward.  Strictly after the checkpoint: the
-                # comm thread and the checkpoint's mesh gather must never
-                # interleave sends on a socket.
+                # Pull the next prepared batch before the barrier, so a
+                # rank that is ahead preps while it would otherwise wait
+                # (prep_wait is this rank's data stall: the whole prep stage
+                # when it runs inline, the residual wait on the prep thread
+                # otherwise).
                 with tracer.span("prep_wait", "pipeline"):
                     batch = next(batches)
-                submit_ids(gstep + 1, batch)
             # All shard writes must land before any rank's next forward.
             with tracer.span("barrier", "comm"):
                 barrier.wait(run.barrier_timeout_s)
             _fold_spans(tracer, phase_s)
             step_s.append(time.perf_counter() - t_step)
-        reducer.shutdown()
         finished.set()
         conn.send(("report", WorkerReport(
             rank=rank,
             losses=losses,
             step_s=step_s,
             phase_s=phase_s,
-            comm_s=reducer.comm_seconds,
+            comm_s=phase_s["sparse_exchange"] + phase_s["dense_wait"],
             dense_digest=_dense_digest(model),
             pipeline=source.stats.as_dict() if run.pipeline else None,
         )))
@@ -705,10 +666,6 @@ def _worker_main(
         # and exit cleanly instead of hanging in a blocked recv/barrier.
         finished.set()
         draining.set()
-        try:
-            reducer.shutdown()
-        except Exception:  # pragma: no cover - comm thread wedged
-            pass
         suspect = getattr(err, "peer", None)
         try:
             conn.send(
@@ -1123,10 +1080,9 @@ def concat_batches(batches: list[Batch]) -> Batch:
         for r in raggeds[1:]:
             offsets.append(np.asarray(r.offsets[1:]) + shift)
             shift += r.offsets[-1]
-        bound = min(
-            (r.safe_bound for r in raggeds if r.safe_bound is not None),
-            default=None,
-        )
+        # the join is certified only if every part is, by the widest bound
+        bounds = [r.safe_bound for r in raggeds]
+        bound = None if None in bounds else max(bounds)
         sparse[name] = RaggedIndices(
             values=values, offsets=np.concatenate(offsets), safe_bound=bound
         )

@@ -13,13 +13,17 @@ primitive the cluster simulator is built from:
   an oversubscribed host comm CPU serializes with model compute instead of
   hiding behind it.  ``cores < world`` then degenerates to time-sharing —
   exactly what the OS scheduler does to the worker processes.
-* **Dense allreduce** — per-bucket hops on a link resource.  The per-hop
-  cost under load is *measured* by :func:`probe_comm` with the real
-  :class:`~repro.distributed.mp.allreduce.GradReducer` running against a
-  compute loop (GIL handoff + scheduler wakeups dominate idle wire
-  latency on a busy host).
+* **Dense allreduce** — the step's one packed bucket, hop by hop on a
+  link resource.  The per-hop cost under load is *measured* by
+  :func:`probe_comm` with the real
+  :class:`~repro.distributed.mp.allreduce.PackedAllreduce` called after a
+  compute block, as the trainer calls it (scheduler wakeups dominate idle
+  wire latency on a busy host).
 * **Sparse exchange & barrier** — framed-round costs and the measured
   barrier wakeup, scaled by the round/waiter counts.
+
+The phases add: every exchange blocks the worker's main thread, so the
+model credits no overlap of communication with compute.
 
 Every parameter is measured, none fitted: socketpair latency/bandwidth,
 contended hop overhead, frame serialization cost (fixed + per-byte), and
@@ -38,7 +42,7 @@ from ...core.config import ModelConfig
 from ...core.embedding import SparseGrad
 from ...runtime.runner import available_cores
 from ..simulator import Resource
-from .allreduce import GradReducer
+from .allreduce import PackedAllreduce
 from .channels import Channel
 from .sparse_exchange import decode_ids, decode_values, encode_ids, encode_values
 from .timeouts import get_timeouts
@@ -53,9 +57,9 @@ class CommProfile:
     """Measured communication characteristics of this host.
 
     ``latency_s``/``bandwidth_bps`` describe an idle socketpair;
-    ``hop_overhead_s`` is the cost of one allreduce hop measured with a
-    communication thread running against main-thread compute (the
-    trainer's actual structure); ``frame_fixed_s``/``frame_byte_s`` model
+    ``hop_overhead_s`` is the cost of one allreduce hop measured between
+    two ranks that each compute, then allreduce (the trainer's actual
+    structure); ``frame_fixed_s``/``frame_byte_s`` model
     encoding + decoding one sparse-exchange round (id frame and value
     frame); ``barrier_s`` is one two-process barrier wait.
     """
@@ -78,17 +82,10 @@ class StepPrediction:
     dense_comm_s: float
     sparse_comm_s: float
     barrier_s: float
-    overlap_credit_s: float
 
     @property
     def total_s(self) -> float:
-        return (
-            self.compute_s
-            + self.dense_comm_s
-            - self.overlap_credit_s
-            + self.sparse_comm_s
-            + self.barrier_s
-        )
+        return self.compute_s + self.dense_comm_s + self.sparse_comm_s + self.barrier_s
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,6 @@ def _latency_child(chan: Channel, pings: int, payload: int, reps: int, barrier, 
 
 
 _HOP_ITERS = 20
-_HOP_BUCKETS = 2
 _HOP_ELEMS = 4096
 
 
@@ -124,26 +120,22 @@ def _hop_child(rank: int, left: Channel, right: Channel, out) -> None:
     rng = np.random.default_rng(0)
     a = rng.standard_normal((128, 64))
     b = rng.standard_normal((64, 64))
-    bufs = [np.ones(_HOP_ELEMS) * rank for _ in range(_HOP_BUCKETS)]
-    reducer = GradReducer(rank, 2, left, right, max_elems=_HOP_ELEMS)
+    allreduce = PackedAllreduce(rank, 2, left, right, [np.ones(_HOP_ELEMS) * rank])
     t0 = time.perf_counter()
     for _ in range(_HOP_ITERS):
-        for buf in bufs:
-            reducer.submit([buf])
         _hop_compute_block(a, b)
-        reducer.flush()
+        allreduce()
     out.put(time.perf_counter() - t0)
-    reducer.shutdown()
 
 
 def _probe_hop_overhead(trials: int = 3) -> float:
-    """Per-hop cost of the reducer thread under main-thread compute.
+    """Per-hop cost of an allreduce between two computing ranks.
 
-    Two forked ranks run the trainer's structure — submit buckets, compute,
-    flush — and the excess over pure time-shared compute, divided by the
-    hop count, is what one synchronization hop really costs on this host
-    (GIL handoffs and scheduler wakeups included).  Median of ``trials``
-    runs: scheduler noise makes single measurements swing several-fold.
+    Two forked ranks run the trainer's structure — compute, then one
+    synchronous allreduce — and the excess over pure time-shared compute,
+    divided by the hop count, is what one synchronization hop really costs
+    on this host (scheduler wakeups included).  Median of ``trials`` runs:
+    scheduler noise makes single measurements swing several-fold.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((128, 64))
@@ -179,7 +171,7 @@ def _probe_hop_overhead(trials: int = 3) -> float:
             p.join(timeout=timeouts.join_s)
         return elapsed
 
-    hops = _HOP_ITERS * _HOP_BUCKETS * 2  # 2(W-1) with W=2
+    hops = _HOP_ITERS * 2  # 2(W-1) with W=2
     # With two cores the ranks compute concurrently (ideal = solo); on one
     # core they time-share (ideal = 2x solo).
     share = 2 if available_cores() < 2 else 1
@@ -229,7 +221,7 @@ def probe_comm(
 
     One forked child measures idle latency/bandwidth/barrier; a second
     two-process probe measures the contended per-hop overhead with the
-    real reducer; the frame cost is measured in-process.
+    real allreduce; the frame cost is measured in-process.
     """
     ctx = mp.get_context("fork")
     parent, child = Channel.pair()
@@ -296,7 +288,6 @@ def predict_step_time(
     comm: CommProfile,
     cores: int | None = None,
     reduction: str = "ordered",
-    dense_buckets: int = 2,
 ) -> StepPrediction:
     """Predict one hybrid step from a measured sub-batch compute time.
 
@@ -305,7 +296,6 @@ def predict_step_time(
     ``ext_mp_scaling._measure_sub_batch``); everything else is composed
     from simulator resources parameterized by the :func:`probe_comm`
     measurements.
-    ``dense_buckets`` mirrors the trainer's two-bucket gradient exchange.
     """
     cores = available_cores() if cores is None else cores
     eff_cores = max(1, min(cores, world))
@@ -339,17 +329,16 @@ def predict_step_time(
     )
 
     # Per-hop synchronization: idle latency with a core per worker, the
-    # measured contended hop (reducer thread vs compute) otherwise.
+    # measured contended hop otherwise.
     hop_sync = max(comm.latency_s, comm.hop_overhead_s if oversubscribed else 0.0)
 
     dense_bytes = config.mlp_parameters * itemsize
     dense_comm_s = 0.0
     if world > 1:
         link = Resource("dense-link", rate=comm.bandwidth_bps)
-        bucket_bytes = dense_bytes / dense_buckets
-        hop_bytes = bucket_bytes if reduction == "ordered" else bucket_bytes / world
+        hop_bytes = dense_bytes if reduction == "ordered" else dense_bytes / world
         now = 0.0
-        for _ in range(dense_buckets * 2 * (world - 1)):
+        for _ in range(2 * (world - 1)):
             now = link.submit(now, hop_bytes, extra_latency=hop_sync)
         dense_comm_s = now
 
@@ -370,12 +359,6 @@ def predict_step_time(
     if world > 1:
         barrier_s = comm.barrier_s * (world - 1 if oversubscribed else 1)
 
-    # Overlap: with spare cores the reducer thread hides dense comm behind
-    # backward compute (~40% of a step); saturated hosts get no credit.
-    overlap = 0.0
-    if world > 1 and cores > world:
-        overlap = min(dense_comm_s, 0.4 * sub_batch_step_s)
-
     return StepPrediction(
         world=world,
         cores=cores,
@@ -383,5 +366,4 @@ def predict_step_time(
         dense_comm_s=dense_comm_s,
         sparse_comm_s=sparse_comm_s,
         barrier_s=barrier_s,
-        overlap_credit_s=overlap,
     )

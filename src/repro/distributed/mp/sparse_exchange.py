@@ -6,15 +6,11 @@ Every worker ships each table's local sparse gradient to the table's
 ``EmbeddingTable.pop_grad`` uses for several contributions — so the
 owner's update is bit-identical to the serial trainer's.
 
-The exchange is split so that only raw value bytes sit on a step's
-critical path.  Two frames per (step, peer), always in the destination
-owner's fixed table order (:meth:`~.shards.ShardPlan.owned`):
+Two frames per peer, always in the destination owner's fixed table order
+(:meth:`~.shards.ShardPlan.owned`):
 
-* the **id frame** (:func:`encode_ids`) — each table's touched row ids,
-  known at *plan* time (no weights involved, see
-  :meth:`~repro.core.embedding.TablePlan.touched_rows`), so it travels a
-  step ahead and the owner pre-builds the merge
-  (:class:`~repro.core.kernels.CoalescePlan`) while it waits;
+* the **id frame** (:func:`encode_ids`) — the row ids of each table's
+  gradient (none for a table this rank did not touch);
 * the **value frame** (:func:`encode_values`) — the gradient matrices of
   the tables that have any row, back to back with no header: both sides
   know every size from the id frame.
@@ -32,7 +28,6 @@ import pickle
 import numpy as np
 
 from ...core.embedding import SparseGrad
-from ...core.kernels import CoalescePlan, coalesce_apply, coalesce_plan
 from .channels import Channel, exchange_frames
 from .shards import ShardPlan
 
@@ -81,19 +76,15 @@ def decode_values(
     return out
 
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
 class SparseExchange:
     """One worker's end of the exchange, for the tables it owns.
 
-    Both halves touch the mesh channels, so a worker must run them from
-    one thread, in the same order on every rank — the hybrid trainer
-    queues them on its :class:`~.allreduce.GradReducer` communication
-    thread, FIFO with the dense buckets::
-
-        [ids g+1] [top bucket g] [values g] [bottom bucket g]
-
-    ``_pending`` and ``_merged`` are therefore exchange-thread state; the
-    caller collects :meth:`take_merged` strictly after that thread has
-    finished step ``gstep``'s :meth:`exchange_values`.
+    Stateless between steps: :meth:`exchange` is one blocking collective,
+    called by every rank once per step from the thread that owns the mesh
+    channels.
     """
 
     def __init__(
@@ -111,74 +102,45 @@ class SparseExchange:
         self.mesh = mesh
         self.table_dims = table_dims
         self.dtype = np.dtype(dtype)
-        #: step -> (id frames by rank, owned table -> (ranks with rows, merge))
-        self._pending: dict[int, tuple[list, dict]] = {}
-        self._merged: dict[int, dict[str, SparseGrad | None]] = {}
 
-    def _rounds(self):
-        for off in range(1, self.world):
-            yield (self.rank + off) % self.world, (self.rank - off) % self.world
-
-    def exchange_ids(self, gstep: int, rows_local: dict[str, np.ndarray]) -> None:
-        """Ship step ``gstep``'s touched rows to the owners and pre-build
-        the rank-order merge of every owned table."""
-        by_rank: list[dict[str, np.ndarray] | None] = [None] * self.world
-        by_rank[self.rank] = rows_local
-        for dst, src in self._rounds():
-            (payload,) = exchange_frames(
-                [(self.mesh[dst], encode_ids(rows_local, self.plan.owned(dst)))],
-                [self.mesh[src]],
-            )
-            by_rank[src] = decode_ids(payload)
-        merges: dict[str, tuple[list[int], CoalescePlan | None]] = {}
-        for name in self.plan.owned(self.rank):
-            present = [r for r in range(self.world) if len(by_rank[r][name])]
-            merge = None
-            if len(present) > 1:
-                merge = coalesce_plan(
-                    np.concatenate([by_rank[r][name] for r in present])
-                )
-            merges[name] = (present, merge)
-        self._pending[gstep] = (by_rank, merges)
-
-    def exchange_values(
-        self, gstep: int, local: dict[str, SparseGrad | None]
-    ) -> None:
-        """Ship step ``gstep``'s gradient values and merge the owned
-        tables with the plans :meth:`exchange_ids` prepared."""
-        ids, merges = self._pending.pop(gstep)
+    def exchange(
+        self, local: dict[str, SparseGrad | None]
+    ) -> dict[str, SparseGrad | None]:
+        """Ship this rank's gradient of every table to the table's owner;
+        return the rank-order merge of all ranks' gradients for each table
+        this rank owns (``None`` where no rank touched the table)."""
+        ids: list[dict[str, np.ndarray] | None] = [None] * self.world
         values: list[dict[str, np.ndarray] | None] = [None] * self.world
+        ids[self.rank] = {
+            name: _NO_ROWS if g is None else g.rows for name, g in local.items()
+        }
         values[self.rank] = {
             name: g.values for name, g in local.items() if g is not None
         }
-        for dst, src in self._rounds():
+        for off in range(1, self.world):
+            dst, src = (self.rank + off) % self.world, (self.rank - off) % self.world
+            owned = self.plan.owned(dst)
             (payload,) = exchange_frames(
-                [(self.mesh[dst], encode_values(local, self.plan.owned(dst)))],
-                [self.mesh[src]],
+                [(self.mesh[dst], encode_ids(ids[self.rank], owned))], [self.mesh[src]]
             )
-            values[src] = decode_values(
-                payload, ids[src], self.table_dims, self.dtype
+            ids[src] = decode_ids(payload)
+            (payload,) = exchange_frames(
+                [(self.mesh[dst], encode_values(local, owned))], [self.mesh[src]]
             )
+            values[src] = decode_values(payload, ids[src], self.table_dims, self.dtype)
         merged: dict[str, SparseGrad | None] = {}
-        for name, (present, merge) in merges.items():
+        for name in self.plan.owned(self.rank):
+            present = [r for r in range(self.world) if len(ids[r][name])]
             if not present:
                 merged[name] = None
             elif len(present) == 1:
                 # a single contribution passes through uncoalesced, as in
                 # EmbeddingTable.pop_grad
                 q = present[0]
-                merged[name] = (
-                    local[name]
-                    if q == self.rank
-                    else SparseGrad(rows=ids[q][name], values=values[q][name])
-                )
+                merged[name] = SparseGrad(rows=ids[q][name], values=values[q][name])
             else:
-                vals = np.concatenate([values[q][name] for q in present])
-                merged[name] = SparseGrad(
-                    rows=merge.rows, values=coalesce_apply(merge, vals)
+                merged[name] = SparseGrad.coalesce(
+                    np.concatenate([ids[q][name] for q in present]),
+                    np.concatenate([values[q][name] for q in present]),
                 )
-        self._merged[gstep] = merged
-
-    def take_merged(self, gstep: int) -> dict[str, SparseGrad | None]:
-        """Step ``gstep``'s merged gradients of the owned tables."""
-        return self._merged.pop(gstep)
+        return merged

@@ -31,10 +31,8 @@ class MpTimeouts:
     """Supervisory timeouts (seconds) for the mp package.
 
     Attributes:
-        join_s: process/thread join waits on healthy shutdown paths
-            (worker joins after reports, probe child joins, the
-            :class:`~repro.distributed.mp.allreduce.GradReducer` comm
-            thread join).
+        join_s: process join waits on healthy shutdown paths (worker
+            joins after reports, probe child joins).
         probe_s: blocking waits inside the comm probes — barrier waits in
             the probe children and queue gets in the parent.
         reap_s: post-crash joins, where the process is already believed

@@ -9,9 +9,12 @@ composition of measured sub-batch compute time and socketpair
 latency/bandwidth.  Reported per point: measured step time, predicted step
 time, relative error, and speedup over the single-process baseline.
 
-On an oversubscribed host (fewer cores than workers) the predictor models
-OS time-sharing, so the curves stay meaningful — speedup saturates at the
-core count and the relative-error bound still holds.
+The predictor adds its phases — compute, sparse exchange, dense allreduce,
+barrier: every exchange blocks the worker's main thread, so there is no
+overlap of communication with compute to credit.  A point with more
+workers than cores is oversubscription, which the model approximates as
+time-sharing but does not claim to describe: :func:`render` labels such a
+row ``oversubscribed`` instead of scoring it.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ def render(result: MpScalingResult) -> str:
             str(p.batch_size),
             f"{p.measured_step_s * 1e3:.2f}",
             f"{p.predicted_step_s * 1e3:.2f}",
-            f"{p.within:.1f}%",
+            "oversubscribed" if p.workers > result.cores else f"{p.within:.1f}%",
             f"{p.speedup:.2f}x",
             f"{p.comm_s * 1e3:.2f}",
         ]

@@ -127,15 +127,15 @@ def available_cores() -> int:
 
 
 # Cores claimed by service threads that run *concurrently with* compute —
-# the prefetch pipeline's prep thread, the GradReducer comm thread.  A
-# plain int guarded by the GIL would do, but the lock makes the
-# reserve/release pairing explicit and safe under free-threaded builds.
+# the prefetch pipeline's prep thread is the one claimant.  A plain int
+# guarded by the GIL would do, but the lock makes the reserve/release
+# pairing explicit and safe under free-threaded builds.
 _reserved_lock = threading.Lock()
 _reserved_cores = 0
 
 
 def reserve_core() -> None:
-    """Claim one core for a background service thread (prefetch/comm).
+    """Claim one core for a background service thread (the prefetch pipeline's).
 
     While reserved, :func:`default_workers` hands out one fewer worker so
     a sweep started mid-pipeline doesn't oversubscribe a small (2-core CI)

@@ -41,7 +41,7 @@ def no_leaked_mp_resources(request):
     assert not multiprocessing.active_children()
     assert not [
         t.name for t in threading.enumerate()
-        if t.name.startswith(("mp-reducer-", "mp-drain-watch-", "pipeline-"))
+        if t.name.startswith(("mp-drain-watch-", "pipeline-"))
     ]
 
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import DLRM, Adagrad, Batch, Trainer
+from repro.core import DLRM, Adagrad, Batch, RaggedIndices, Trainer
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.core.loss import BCEWithLogitsLoss
 from repro.data import SyntheticDataGenerator
@@ -80,6 +80,16 @@ class TestOrderedDeterminism:
         run = HybridRunConfig(workers=4, steps=2, batch_size=32, seed=3)
         assert_matches_serial(small_config(dtype), run)
         assert_matches_serial(small_config(dtype), replace(run, pipeline=True))
+
+    def test_three_workers_checkpointing_pipelined_bitwise_vs_serial(self, tmp_path):
+        """Two mesh rounds per rank, and the checkpoint's digest gather uses
+        the same mesh sockets as the sparse exchange — both from the
+        worker's main thread, so they cannot interleave."""
+        run = HybridRunConfig(
+            workers=3, steps=4, batch_size=48, seed=9, pipeline=True,
+            checkpoint_every=2, checkpoint_dir=str(tmp_path),
+        )
+        assert_matches_serial(small_config(), run)
 
     def test_single_worker_degenerate(self):
         run = HybridRunConfig(workers=1, steps=2, batch_size=16)
@@ -203,6 +213,44 @@ class TestAgainstPlainTrainer:
             assert ragged.offsets[-1] == sum(p.sparse[t.name].values.size for p in parts)
 
 
+    @pytest.mark.parametrize("bounds, certified", [
+        ((8, None), None),  # an uncertified part voids the certificate
+        ((8, 64), 64),      # the join holds only the widest bound
+        ((64, 8), 64),
+    ])
+    def test_concat_batches_certifies_only_what_every_part_does(self, bounds, certified):
+        config = small_config(num_tables=1)
+        name = config.tables[0].name
+        parts = []
+        for bound, ids in zip(bounds, ([1, 2], [50])):
+            ragged = RaggedIndices(
+                values=np.array(ids), offsets=np.array([0, len(ids)]), safe_bound=bound
+            )
+            parts.append(Batch(
+                dense=np.zeros((1, config.num_dense)), sparse={name: ragged},
+                labels=np.zeros(1),
+            ))
+        joined = concat_batches(parts).sparse[name]
+        assert joined.values.tolist() == [1, 2, 50]
+        assert joined.safe_bound == certified
+
+    def test_out_of_range_id_in_an_uncertified_part_is_rejected(self):
+        """The forward of a joined batch bounds-checks instead of gathering
+        out of range behind a certificate one part never had."""
+        config = small_config(num_tables=1)  # hash_size 64
+        name = config.tables[0].name
+        gen = SyntheticDataGenerator(config, rng=0)
+        good = gen.batch(2)
+        assert good.sparse[name].safe_bound == 64
+        bad = Batch(
+            dense=good.dense[:1],
+            sparse={name: RaggedIndices(values=np.array([10**9]), offsets=np.array([0, 1]))},
+            labels=good.labels[:1],
+        )
+        with pytest.raises(IndexError):
+            DLRM(config, rng=0).forward(concat_batches([good, bad]))
+
+
 class TestValidation:
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -261,16 +309,14 @@ class TestPredictor:
         )
         assert pred.compute_s >= 4 * 2e-3
 
-    def test_dedicated_cores_overlap_credit(self):
-        config = small_config()
-        comm = CommProfile(latency_s=10e-6, bandwidth_bps=4e9, barrier_s=30e-6)
-        cramped = predict_step_time(
-            config, world=4, local_batch=64, sub_batch_step_s=2e-3,
-            comm=comm, cores=4,
+    def test_oversubscribed_rows_are_labelled_not_scored(self):
+        from repro.experiments.ext_mp_scaling import MpScalingResult, ScalingPoint, render
+
+        points = tuple(
+            ScalingPoint(w, 64, 2e-3, 1e-3, 1e-3, 1.0, 0.5, 0.0) for w in (2, 4)
         )
-        roomy = predict_step_time(
-            config, world=4, local_batch=64, sub_batch_step_s=2e-3,
-            comm=comm, cores=8,
-        )
-        assert roomy.overlap_credit_s > 0
-        assert roomy.total_s <= cramped.total_s
+        text = render(MpScalingResult(
+            points, serial_step_s=2e-3, cores=2, latency_us=10.0, bandwidth_gbps=4.0,
+            barrier_us=30.0, config_name="c", mlp="16", reduction="ordered",
+        ))
+        assert text.count("oversubscribed") == 1 and text.count("50.0%") == 1

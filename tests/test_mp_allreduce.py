@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.distributed.mp import (
     Channel,
-    GradReducer,
+    ChannelClosed,
+    PackedAllreduce,
     ordered_allreduce,
     ordered_sum,
     ring_allreduce,
@@ -49,25 +50,28 @@ def make_ring(world: int):
     return ring, [c for p in pairs for c in p]
 
 
-def wire_allreduce(mode: str, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Run the real wire algorithm, one thread per rank, over sockets."""
-    world = len(arrays)
+def run_ranks(world: int, rank_main) -> None:
+    """``rank_main(rank, left, right)`` on one thread per rank, over sockets."""
     ring, channels = make_ring(world)
-    bufs = [a.copy() for a in arrays]
-    algo = ALGOS[mode]
-
-    def rank_main(rank: int):
-        left, right = ring[rank]
-        scratch = np.empty_like(bufs[rank])
-        algo(rank, world, left, right, bufs[rank], scratch)
-
     try:
         with ThreadPoolExecutor(max_workers=world) as pool:
-            for f in [pool.submit(rank_main, r) for r in range(world)]:
+            for f in [pool.submit(rank_main, r, *ring[r]) for r in range(world)]:
                 f.result(timeout=30)
     finally:
         for c in channels:
             c.close()
+
+
+def wire_allreduce(mode: str, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Run the real wire algorithm over one flat buffer per rank."""
+    world = len(arrays)
+    bufs = [a.copy() for a in arrays]
+
+    def rank_main(rank: int, left, right):
+        scratch = np.empty_like(bufs[rank])
+        ALGOS[mode](rank, world, left, right, bufs[rank], scratch)
+
+    run_ranks(world, rank_main)
     return bufs
 
 
@@ -165,10 +169,10 @@ class TestReferenceSums:
             assert a.stop == b.start
 
 
-class TestGradReducer:
+class TestPackedAllreduce:
     @pytest.mark.parametrize("mode", ["ordered", "ring"])
     def test_bucketed_packing_roundtrip(self, mode):
-        """Multi-array buckets pack into one wire payload and unpack back.
+        """A multi-array bucket packs into one wire payload and unpacks back.
 
         Bit-equality to the reference order must hold for every array in
         the bucket — packing may not change any element's association.
@@ -179,88 +183,59 @@ class TestGradReducer:
         per_rank = [
             [rng.standard_normal(s) for s in shapes] for _ in range(world)
         ]
-        # the reducer packs the whole bucket into one flat wire buffer, so
-        # the ring chunking runs over the *pack* — mirror that here
+        # the whole bucket is one flat wire buffer, so the ring chunking
+        # runs over the *pack* — mirror that here
         packed = [
             np.concatenate([a.ravel() for a in per_rank[r]]) for r in range(world)
         ]
         flat_ref = (
             ordered_sum(packed) if mode == "ordered" else ring_ordered_sum(packed)
         )
-        reference, off = [], 0
-        for s in shapes:
-            n = int(np.prod(s, dtype=int))
-            reference.append(flat_ref[off:off + n].reshape(s))
-            off += n
-        ring, channels = make_ring(world)
-        reducers = []
-        try:
-            for rank in range(world):
-                left, right = ring[rank]
-                reducers.append(GradReducer(
-                    rank, world, left, right, mode=mode,
-                    max_elems=sum(np.prod(s, dtype=int) for s in shapes),
-                ))
-            for rank, red in enumerate(reducers):
-                red.submit(per_rank[rank])
-            for red in reducers:
-                red.flush()
-            for rank in range(world):
-                for got, want in zip(per_rank[rank], reference):
-                    np.testing.assert_array_equal(got, want, strict=True)
-        finally:
-            for red in reducers:
-                red.shutdown()
-            for c in channels:
-                c.close()
+        run_ranks(world, lambda rank, left, right: PackedAllreduce(
+            rank, world, left, right, per_rank[rank], mode=mode
+        )())
+        for rank in range(world):
+            got = np.concatenate([a.ravel() for a in per_rank[rank]])
+            np.testing.assert_array_equal(got, flat_ref, strict=True)
+            assert [a.shape for a in per_rank[rank]] == shapes
 
     def test_single_rank_noop(self):
-        red = GradReducer(0, 1, None, None)
         a = np.ones(4)
-        red.submit([a])
-        red.flush()
-        red.shutdown()
+        PackedAllreduce(0, 1, None, None, [a])()
         np.testing.assert_array_equal(a, np.ones(4))
 
-    def test_flush_reraises_wire_errors(self):
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            PackedAllreduce(0, 1, None, None, [np.ones(4)], mode="tree")
+
+    def test_dead_peer_on_the_send_side_is_a_connection_error(self):
+        """Rank 0's first wire op is a send: a dead rank 1 is a broken pipe,
+        which the worker's drain handler catches like a ``ChannelClosed``."""
         ring, channels = make_ring(2)
-        left, right = ring[0]
-        red = GradReducer(0, 2, left, right, max_elems=8)
         try:
-            for c in channels[2:]:  # kill rank 1's side mid-protocol
-                c.close()
-            red.submit([np.ones(8)])
-            with pytest.raises((ConnectionError, OSError)):
-                red.flush()
+            for ch in ring[1]:
+                ch.close()
+            with pytest.raises(ConnectionError):
+                PackedAllreduce(0, 2, *ring[0], [np.ones(8)])()
         finally:
-            red.shutdown()
             for c in channels:
                 c.close()
 
-    def test_wire_error_names_peer_and_bucket(self):
-        """A ChannelClosed surfaced through flush() must carry the dead
-        neighbor's rank (from the channel's peer tag) and the in-flight
-        bucket id — the inputs crash attribution needs.  Rank 1's first
-        wire op in the ordered protocol is a recv, so closing rank 0's
-        endpoints surfaces as EOF (not a send-side broken pipe)."""
-        from repro.distributed.mp.channels import ChannelClosed
-
+    def test_dead_peer_surfaces_as_channel_closed_naming_it(self):
+        """The dead neighbor's rank (the channel's peer tag) is what crash
+        attribution reads.  Rank 1's first wire op in the ordered protocol
+        is a recv, so closing rank 0's endpoints surfaces as EOF (not a
+        send-side broken pipe)."""
         ring, channels = make_ring(2)
         left, right = ring[1]
         left.peer = right.peer = 0  # both of rank 1's neighbors are rank 0
-        red = GradReducer(1, 2, left, right, max_elems=8)
         try:
             for ch in ring[0]:  # rank 0 dies: close its left and right
                 ch.close()
-            red.submit([np.ones(8)])
             with pytest.raises(ChannelClosed) as exc_info:
-                red.flush()
-            err = exc_info.value
-            assert err.peer == 0
-            assert err.bucket == 0
-            assert "peer rank 0" in str(err)
-            assert "bucket 0" in str(err)
+                PackedAllreduce(1, 2, left, right, [np.ones(8)])()
+            assert exc_info.value.peer == 0
+            assert "peer rank 0" in str(exc_info.value)
         finally:
-            red.shutdown()
             for c in channels:
                 c.close()

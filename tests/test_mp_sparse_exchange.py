@@ -1,7 +1,7 @@
 """The hybrid trainer's one sparse exchange, over real socket meshes.
 
-Each rank runs its :class:`SparseExchange` end on a thread (as the worker
-runs it on its comm thread); every owner's merged gradient must equal the
+Each rank runs its :class:`SparseExchange` end on a thread (the worker
+calls it from its main thread); every owner's merged gradient must equal the
 rank-order oracle ``SparseGrad.coalesce(concat(rows), concat(values))``
 bit for bit — which fails if a value-frame offset or the "which ranks
 sent rows" filter is off by one.
@@ -58,12 +58,9 @@ def test_merged_owner_grads_equal_rank_order_coalesce(world, dtype):
     def rank_main(rank: int) -> None:
         try:
             sx = SparseExchange(rank, world, plan, meshes[rank], DIMS, dtype)
-            sx.exchange_ids(0, {
-                name: np.empty(0, dtype=np.int64) if g is None else g.rows
-                for name, g in local[rank].items()
-            })
-            sx.exchange_values(0, local[rank])
-            merged[rank] = sx.take_merged(0)
+            before = dict(vars(sx))
+            merged[rank] = sx.exchange(local[rank])
+            assert vars(sx) == before  # no per-step state
         except BaseException as err:  # noqa: BLE001 - reported by the assert below
             merged[rank] = err
 

@@ -6,8 +6,7 @@ about training — losses and every parameter bit-identical to the inline
 loop.  These tests pin that property-style (random architectures, dtypes
 and batch shapes), plus the pieces it is built from: plan-ahead coalesce
 kernels, ``touched_rows`` == ``pop_grad`` rows, the stall ledger, core
-reservation, error propagation with stage attribution, and the reducer's
-FIFO comm-job lane.
+reservation, and error propagation with stage attribution.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.core import (
 from repro.core import kernels
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.data import SyntheticDataGenerator
-from repro.distributed.mp.allreduce import GradReducer
-from repro.distributed.mp.channels import ChannelClosed
 from repro.obs import Tracer
 from repro.pipeline import PrefetchPipeline
 from repro.runtime import reserved_cores
@@ -310,60 +307,6 @@ class TestErrorPropagation:
         with PrefetchPipeline(iter([1]), plan_fn=bad_plan) as pipe:
             with pytest.raises(ValueError, match="bad plan"):
                 next(pipe)
-
-
-# ---------------------------------------------------------------------------
-# the reducer's comm-job lane (carries the pipelined sparse exchanges)
-# ---------------------------------------------------------------------------
-
-
-class TestSubmitJob:
-    def test_fifo_with_flush(self):
-        red = GradReducer(0, 2, None, None)
-        try:
-            order: list[int] = []
-            for i in range(20):
-                red.submit_job(lambda i=i: order.append(i), stage="idplan_exchange")
-            red.flush()
-            assert order == list(range(20))
-        finally:
-            red.shutdown()
-
-    def test_single_world_runs_inline(self):
-        red = GradReducer(0, 1, None, None)
-        ran: list[int] = []
-        red.submit_job(lambda: ran.append(1))
-        assert ran == [1]  # no thread: executed synchronously
-
-    def test_channel_closed_tagged_with_stage(self):
-        def die():
-            raise ChannelClosed("wire died", peer=1)
-
-        red = GradReducer(0, 2, None, None)
-        try:
-            red.submit_job(die, stage="sparse_values")
-            with pytest.raises(ChannelClosed) as ei:
-                red.flush()
-            assert ei.value.stage == "sparse_values"
-            assert ei.value.peer == 1
-            assert "sparse_values" in str(ei.value)
-        finally:
-            red.shutdown()
-
-    def test_generic_error_noted_with_stage(self):
-        def die():
-            raise ValueError("job exploded")
-
-        red = GradReducer(0, 2, None, None)
-        try:
-            red.submit_job(die, stage="idplan_exchange")
-            with pytest.raises(ValueError, match="job exploded") as ei:
-                red.flush()
-            assert any(
-                "idplan_exchange" in n for n in getattr(ei.value, "__notes__", [])
-            )
-        finally:
-            red.shutdown()
 
 
 # ---------------------------------------------------------------------------
