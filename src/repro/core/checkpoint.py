@@ -31,8 +31,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
+import math
 import os
 import pathlib
+import struct
+import zipfile
 from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
@@ -46,6 +50,7 @@ __all__ = [
     "atomic_open",
     "write_checkpoint",
     "read_checkpoint",
+    "checkpoint_views",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_bytes",
@@ -97,14 +102,25 @@ def _peek(source, key: str) -> tuple[tuple[int, ...], np.dtype]:
     the member's header, not by loading its data."""
     if not isinstance(source, np.lib.npyio.NpzFile):
         return source[key].shape, source[key].dtype
-    fmt = np.lib.format
     with source.zip.open(key + ".npy") as fh:
-        version = fmt.read_magic(fh)
-        read_header = (
-            fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-        )
-        shape, _, dtype = read_header(fh)
+        shape, _, dtype = _npy_header(fh, key)
     return shape, dtype
+
+
+def _npy_header(fh, name: str) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of the ``.npy`` member ``name``,
+    ``fh`` left at its first data byte.
+
+    Raises:
+        ValueError: not a ``.npy`` version this module writes (1.0, 2.0).
+    """
+    fmt = np.lib.format
+    read_header = {
+        (1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0,
+    }.get(fmt.read_magic(fh))
+    if read_header is None:
+        raise ValueError(f"unexpected .npy version in {name}")
+    return read_header(fh)
 
 
 def _partial_rows(source, key: str, hash_size: int) -> np.ndarray:
@@ -228,6 +244,66 @@ def read_checkpoint(path: str | pathlib.Path) -> dict[str, np.ndarray]:
     with np.load(path) as npz:
         _check_version(npz)
         return {key: npz[key] for key in npz.files if key != _FORMAT_KEY}
+
+
+class _MemoryFile(io.RawIOBase):
+    """A read-only, seekable file over a buffer, read without copying it
+    whole (``io.BytesIO`` would)."""
+
+    def __init__(self, buf: np.ndarray, pos: int = 0) -> None:
+        self._view = memoryview(buf)
+        self._pos = pos
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def tell(self) -> int:
+        return self._pos
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        base = (0, self._pos, len(self._view))[whence]
+        self._pos = base + offset
+        return self._pos
+
+    def readinto(self, b) -> int:
+        chunk = self._view[self._pos : self._pos + len(b)]
+        b[: len(chunk)] = chunk
+        self._pos += len(chunk)
+        return len(chunk)
+
+
+def checkpoint_views(buf: np.ndarray) -> dict[str, np.ndarray]:
+    """Every array of a checkpoint file held in memory (``buf``: its bytes,
+    ``uint8``), as views into ``buf`` — nothing is copied and no member CRC
+    is computed, so the caller must have verified the bytes (a digest).
+
+    Raises:
+        ValueError: ``buf`` is not a checkpoint this version wrote.
+    """
+    arrays = {}
+    with zipfile.ZipFile(_MemoryFile(buf)) as zf:
+        for info in zf.infolist():
+            if info.compress_type != zipfile.ZIP_STORED or not info.filename.endswith(".npy"):
+                raise ValueError(f"unexpected checkpoint member {info.filename}")
+            # The local header's name and extra lengths locate the data.
+            off = info.header_offset
+            name_len, extra_len = struct.unpack("<HH", bytes(buf[off + 26 : off + 30]))
+            fh = _MemoryFile(buf, off + 30 + name_len + extra_len)
+            shape, fortran, dtype = _npy_header(fh, info.filename)
+            start = fh.tell()
+            end = start + math.prod(shape) * dtype.itemsize
+            if dtype.hasobject or end > len(buf):
+                raise ValueError(f"corrupt checkpoint member {info.filename}")
+            flat = buf[start:end].view(dtype)
+            arrays[info.filename[:-4]] = (
+                flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
+            )
+    _check_version(arrays)
+    del arrays[_FORMAT_KEY]
+    return arrays
 
 
 def save_checkpoint(path: str | pathlib.Path, model: DLRM, optimizer=None) -> int:

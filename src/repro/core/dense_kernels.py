@@ -69,6 +69,7 @@ back to that reference backend for debugging.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -122,7 +123,9 @@ class Workspace:
 
     The arena is observable: ``dense.workspace.hits`` / ``.misses``
     counters tick on every ``get`` (a *miss* is a fresh allocation), so a
-    steady-state train step shows only hits.
+    steady-state train step shows only hits.  ``get`` and ``get_rows``
+    hold a lock, so tables on several lanes (:mod:`repro.core.lanes`) may
+    draw their own keys at once and the counters stay exact.
 
     Pickling drops the buffers (they are pure caches), so models carrying a
     workspace remain cheap to ship through :class:`repro.runtime.SweepRunner`
@@ -133,6 +136,7 @@ class Workspace:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._buffers: dict[tuple, np.ndarray] = {}
         self._owned: set[int] = set()
+        self._lock = threading.Lock()
         # ``get`` runs several times per layer per step; resolve the two
         # counters once (registry lookup per call is measurable on small
         # models) and bump ``.value`` directly on the hot path.
@@ -148,14 +152,15 @@ class Workspace:
         it); the first call allocates, subsequent calls reuse.
         """
         slot = (key, shape, np.dtype(dtype))
-        buf = self._buffers.get(slot)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[slot] = buf
-            self._owned.add(id(buf))
-            self._misses.value += 1.0
-        else:
-            self._hits.value += 1.0
+        with self._lock:
+            buf = self._buffers.get(slot)
+            if buf is None:
+                buf = np.empty(shape, dtype=dtype)
+                self._buffers[slot] = buf
+                self._owned.add(id(buf))
+                self._misses.value += 1.0
+            else:
+                self._hits.value += 1.0
         return buf
 
     def get_rows(
@@ -175,18 +180,19 @@ class Workspace:
         all-ones vector); otherwise contents are unspecified.
         """
         slot = (key, "rows", width, np.dtype(dtype))
-        buf = self._buffers.get(slot)
-        if buf is None or len(buf) < rows:
-            if buf is not None:
-                self._owned.discard(id(buf))
-            buf = np.empty((rows + (rows >> 4), *width), dtype=dtype)
-            if fill is not None:
-                buf.fill(fill)
-            self._buffers[slot] = buf
-            self._owned.add(id(buf))
-            self._misses.value += 1.0
-        else:
-            self._hits.value += 1.0
+        with self._lock:
+            buf = self._buffers.get(slot)
+            if buf is None or len(buf) < rows:
+                if buf is not None:
+                    self._owned.discard(id(buf))
+                buf = np.empty((rows + (rows >> 4), *width), dtype=dtype)
+                if fill is not None:
+                    buf.fill(fill)
+                self._buffers[slot] = buf
+                self._owned.add(id(buf))
+                self._misses.value += 1.0
+            else:
+                self._hits.value += 1.0
         return buf[:rows]
 
     # -- introspection -------------------------------------------------------
@@ -231,10 +237,12 @@ class Workspace:
         state = self.__dict__.copy()
         state["_buffers"] = {}
         state["_owned"] = set()
+        del state["_lock"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        self._lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------

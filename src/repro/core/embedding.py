@@ -53,6 +53,7 @@ from . import kernels
 from .backends import Backend, get_backend
 from .config import PoolingType, TableSpec
 from .dense_kernels import Workspace
+from .lanes import Lanes, spread
 
 __all__ = [
     "RaggedIndices",
@@ -586,6 +587,9 @@ class EmbeddingBagCollection:
             for name, slabs in by_table.items()
         ]
         self.workspace: Workspace | None = None
+        #: Lanes :meth:`forward` and :meth:`backward` spread the tables
+        #: over (:mod:`repro.core.lanes`); ``None``: one, the caller.
+        self.lanes: Lanes | None = None
 
     def set_backend(
         self, backend: Backend | str, workspace: Workspace | None = None
@@ -629,7 +633,9 @@ class EmbeddingBagCollection:
         slabs of one feature-major array (:class:`PooledFeatures`).
 
         ``plans`` (from an earlier :meth:`plan_batch`) skips the per-table
-        index precompute — the pipelined path.
+        index precompute — the pipelined path.  Under :attr:`lanes` the
+        tables gather on several threads; their plans are then all built
+        first, here, on the caller (tiered tables keep per-stream state).
         """
         names = self.feature_names
         missing = set(names) - set(batch.keys())
@@ -641,10 +647,17 @@ class EmbeddingBagCollection:
             pooled = np.empty(shape, dtype=table.dtype)
         else:
             pooled = self.workspace.get(_POOLED_KEY, shape, table.dtype)
-        for table_name, slabs, run in self._table_groups:
+        lanes = self.lanes
+        if lanes is not None and lanes.width > 1:
+            if plans is None:
+                plans = self.plan_batch(batch, training=training)
+            self._size_ones(max(len(p.all_values) for p in plans.values()))
+
+        def gather(group, lane):
             # A table's features pool into their C-contiguous run of slabs;
             # those of a shared table that are apart in feature order pool
             # into a fresh array and are moved.
+            table_name, slabs, run = group
             vecs = self.tables[table_name].forward_batched(
                 [batch[names[i]] for i in slabs],
                 training=training,
@@ -654,13 +667,47 @@ class EmbeddingBagCollection:
             if run is None:
                 for i, vec in zip(slabs, vecs):
                     pooled[i] = vec
+
+        def traffic(group):
+            table = self.tables[group[0]]
+            return len(plans[group[0]].all_values) * table.bytes_per_row()
+
+        spread(lanes, gather, self._table_groups, traffic)
         return PooledFeatures(names, pooled)
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
-        # Reverse order mirrors forward bookkeeping for shared tables.
-        for feature in reversed(self.feature_names):
-            table = self.tables[self.feature_to_table[feature]]
-            table.backward(grads[feature])
+        names = self.feature_names
+
+        def scatter(group, lane):
+            # Reverse order mirrors forward bookkeeping for shared tables.
+            table_name, slabs, _ = group
+            table = self.tables[table_name]
+            for i in reversed(slabs):
+                table.backward(grads[names[i]])
+
+        def traffic(group):
+            table_name, slabs, _ = group
+            table = self.tables[table_name]
+            return self._pending_lookups(table, len(slabs)) * table.bytes_per_row()
+
+        lanes = self.lanes
+        if lanes is not None and lanes.width > 1:
+            self._size_ones(max(
+                self._pending_lookups(self.tables[name], len(slabs))
+                for name, slabs, _ in self._table_groups
+            ))
+        spread(lanes, scatter, self._table_groups, traffic)
+
+    @staticmethod
+    def _pending_lookups(table: EmbeddingTable, features: int) -> int:
+        """Lookups of the ``features`` forward contexts the table's next
+        backwards pop."""
+        return sum(len(ctx[0].values) for ctx in table._saved[-features:])
+
+    def _size_ones(self, lookups: int) -> None:
+        """Grow the tables' shared all-ones vector to ``lookups`` on the
+        caller, so no lane regrows it under another."""
+        next(iter(self.tables.values()))._rows(_ONES_KEY, lookups, fill=1)
 
     def zero_grad(self) -> None:
         for table in self.tables.values():

@@ -17,6 +17,7 @@ import numpy as np
 from .backends import Backend, get_backend
 from .dense_kernels import Workspace
 from .embedding import EmbeddingTable, SparseGrad
+from .lanes import Lanes, spread
 from .mlp import Parameter
 
 __all__ = ["SGD", "Adagrad"]
@@ -31,7 +32,15 @@ class _OptimizerBase:
     allocation-free update kernels of :mod:`repro.core.dense_kernels`
     through a private buffer arena, bit-identical to the ``"numpy"``
     reference (kept for debugging).
+
+    The sparse loop of :meth:`step` runs on :attr:`lanes` when a trainer
+    binds them (:mod:`repro.core.lanes`), each lane drawing its row blocks
+    from its own arena (lane 0's is :attr:`workspace`).
     """
+
+    #: Row-sized arrays a sparse update reads and writes per touched row
+    #: (the weight, plus any per-row state): its traffic for the lanes.
+    _row_arrays = 1
 
     def __init__(
         self,
@@ -49,6 +58,10 @@ class _OptimizerBase:
         self.workspace: Workspace | None = (
             Workspace() if self.backend.uses_workspace else None
         )
+        #: Lanes the sparse loop of :meth:`step` is spread over; ``None``:
+        #: one, the caller.
+        self.lanes: Lanes | None = None
+        self._lane_workspaces = [self.workspace]
 
     def zero_grad(self) -> None:
         for p in self.dense_params:
@@ -58,10 +71,24 @@ class _OptimizerBase:
 
     def step(self) -> None:
         self.dense_step()
-        for i, t in enumerate(self.tables):
-            grad = t.pop_grad()
-            if grad is not None:
-                self._sparse_step(i, t, grad)
+        lanes = self.lanes
+        if lanes is not None:
+            while len(self._lane_workspaces) < lanes.width:
+                self._lane_workspaces.append(
+                    None if self.workspace is None else Workspace()
+                )
+        spread(lanes, self._table_step, list(enumerate(self.tables)), self._traffic)
+
+    def _table_step(self, item: tuple[int, EmbeddingTable], lane: int) -> None:
+        i, t = item
+        grad = t.pop_grad()
+        if grad is not None:
+            self._sparse_step(i, t, grad, self._lane_workspaces[lane])
+
+    def _traffic(self, item: tuple[int, EmbeddingTable]) -> int:
+        t = item[1]
+        rows = sum(len(g.rows) for g in t.sparse_grads)
+        return rows * self._row_arrays * t.bytes_per_row()
 
     def dense_step(self) -> None:
         """Apply the dense half of :meth:`step` only.
@@ -79,7 +106,7 @@ class _OptimizerBase:
         Unlike :meth:`step`, the gradient is supplied by the caller rather
         than popped off the table (see :meth:`dense_step` for who calls it).
         """
-        self._sparse_step(idx, self.tables[idx], grad)
+        self._sparse_step(idx, self.tables[idx], grad, self.workspace)
 
     def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         """The persistent state a checkpoint must carry besides the
@@ -92,7 +119,9 @@ class _OptimizerBase:
     def _dense_step(self, idx: int, p: Parameter) -> None:
         raise NotImplementedError
 
-    def _sparse_step(self, idx: int, table: EmbeddingTable, grad: SparseGrad) -> None:
+    def _sparse_step(
+        self, idx: int, table: EmbeddingTable, grad: SparseGrad, ws: Workspace | None
+    ) -> None:
         raise NotImplementedError
 
 
@@ -137,10 +166,10 @@ class SGD(_OptimizerBase):
             velocity=velocity,
         )
 
-    def _sparse_step(self, idx: int, table: EmbeddingTable, grad: SparseGrad) -> None:
-        self.backend.sgd_sparse_step(
-            table.weight, grad.rows, grad.values, self.lr, self.workspace
-        )
+    def _sparse_step(
+        self, idx: int, table: EmbeddingTable, grad: SparseGrad, ws: Workspace | None
+    ) -> None:
+        self.backend.sgd_sparse_step(table.weight, grad.rows, grad.values, self.lr, ws)
 
 
 class Adagrad(_OptimizerBase):
@@ -150,6 +179,8 @@ class Adagrad(_OptimizerBase):
     optimizer-state overhead that makes large models spill out of GPU HBM in
     the paper's placement analysis (§IV-B.1).
     """
+
+    _row_arrays = 2  # weight and accumulator
 
     def __init__(
         self,
@@ -199,7 +230,9 @@ class Adagrad(_OptimizerBase):
             p.value, p.grad, self._dense_state[idx], self.lr, self.eps, self.workspace
         )
 
-    def _sparse_step(self, idx: int, table: EmbeddingTable, grad: SparseGrad) -> None:
+    def _sparse_step(
+        self, idx: int, table: EmbeddingTable, grad: SparseGrad, ws: Workspace | None
+    ) -> None:
         # ``SparseGrad.rows`` are coalesced (sorted unique), so the fused
         # single-gather/single-scatter update is exact; see the conformance
         # test pinning bit-identity against the historical three-pass form.
@@ -210,7 +243,7 @@ class Adagrad(_OptimizerBase):
             grad.values,
             self.lr,
             self.eps,
-            self.workspace,
+            ws,
         )
 
     def state_bytes(self) -> int:

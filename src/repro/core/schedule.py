@@ -93,7 +93,7 @@ class ScheduledOptimizer:
     """Wrap an optimizer so its ``lr`` follows a schedule per step.
 
     Duck-compatible with the optimizers consumed by
-    :class:`~repro.core.training.Trainer` (``zero_grad`` / ``step``).
+    :class:`~repro.core.training.Trainer` (``zero_grad`` / ``step`` / ``lanes``).
     """
 
     optimizer: object
@@ -105,6 +105,15 @@ class ScheduledOptimizer:
 
     def slots(self):
         return self.optimizer.slots()
+
+    @property
+    def lanes(self):
+        """The wrapped optimizer's lanes (:mod:`repro.core.lanes`)."""
+        return self.optimizer.lanes
+
+    @lanes.setter
+    def lanes(self, lanes) -> None:
+        self.optimizer.lanes = lanes
 
     def step(self) -> None:
         self.optimizer.lr = self.schedule.at(self.step_count)

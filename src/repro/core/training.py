@@ -9,6 +9,8 @@ exchanges off the same step through the seam documented on :class:`Trainer`.
 
 from __future__ import annotations
 
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from .lanes import Lanes, lane_count
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
 from .model import Batch, DLRM
@@ -84,6 +87,14 @@ class Trainer:
     at ``"grads"`` (backward done, right before ``optimizer.step()``: the
     gradients it is to apply must be in place on return — where a replica
     exchanges them).  The base has no callback and ``world = 1``.
+
+    The sparse half of each step — the tables' lookups, their backward and
+    the optimizer's sparse loop — runs on :func:`~repro.core.lanes.
+    lane_count` ``(world)`` lanes (:mod:`repro.core.lanes`), decided at
+    the top of every :meth:`train_step`: the cores this process may use,
+    less the prefetch pipeline's, shared among the replicas.  One lane is
+    the serial loop.  The helper threads are the trainer's and stop when
+    it is collected.
     """
 
     world = 1
@@ -142,6 +153,8 @@ class Trainer:
         #: Stall ledger of the most recent pipelined :meth:`train` call.
         self.pipeline_stats = None
         self._step_index = 0
+        self._lanes = Lanes()
+        weakref.finalize(self, self._lanes.close)
 
     # -- kill-and-restore (see repro.resilience.harness) ---------------------
 
@@ -188,7 +201,7 @@ class Trainer:
             "train_step", "iteration",
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
-        ):
+        ), self._sparse_lanes():
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):
@@ -212,6 +225,25 @@ class Trainer:
                 self._publish_tier_metrics(getattr(batch, "plans", None))
         self._step_index += 1
         return loss_value
+
+    @contextmanager
+    def _sparse_lanes(self):
+        """Bind the step's lanes to the embedding collection and the
+        optimizer for the duration of the step only: outside it (inference,
+        a layer driven on its own) both run on one lane."""
+        width = lane_count(self.world)
+        if width < 2:
+            yield
+            return
+        self._lanes.width = width
+        holders = (self.model.embeddings, self.optimizer)
+        for holder in holders:
+            holder.lanes = self._lanes
+        try:
+            yield
+        finally:
+            for holder in holders:
+                holder.lanes = None
 
     def _publish_tier_metrics(self, plans=None) -> None:
         """Emit per-table tier counters/gauges and a ``tier`` trace span.

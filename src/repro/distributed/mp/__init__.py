@@ -19,6 +19,7 @@ from .channels import Channel, ChannelClosed, exchange_frames, transfer
 from .ckpt import (
     Manifest,
     ResumeState,
+    VerifiedManifest,
     build_resume,
     latest_valid_manifest,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "ShardPlan",
     "StepPrediction",
     "TableShards",
+    "VerifiedManifest",
     "WorkerCrashError",
     "build_resume",
     "concat_batches",

@@ -15,6 +15,10 @@ the previous complete checkpoint or the new one:
 * a manifest naming a shard that is missing or does not hash to the
   recorded sha256 is rejected; restore falls back to the previous one.
 
+Restore reads each shard once: :func:`latest_valid_manifest` hashes the
+buffer it then parses (the arrays are views into it) and returns them on
+a :class:`VerifiedManifest`, which :func:`build_resume` restores from.
+
 Restore is **bit-exact** (``tests/test_checkpoint.py``), which extends the
 kill-and-restore bit-identity contract to real processes.  Layout::
 
@@ -26,20 +30,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import re
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ...core.checkpoint import atomic_open, read_checkpoint
+from ...core.checkpoint import atomic_open, checkpoint_views
 
 __all__ = [
     "MANIFEST_VERSION",
     "Manifest",
     "ResumeState",
     "ShardEntry",
+    "VerifiedManifest",
     "shard_filename",
     "manifest_filename",
     "write_manifest",
@@ -124,6 +131,15 @@ class Manifest:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class VerifiedManifest(Manifest):
+    """A manifest :func:`latest_valid_manifest` found whole, with its
+    shards' arrays in ``shards`` order — views into the very bytes whose
+    sha256 it checked.  A scan result; never written back."""
+
+    arrays: tuple[dict[str, np.ndarray], ...] = field(default=(), repr=False)
+
+
 @dataclass
 class ResumeState:
     """Everything a fresh worker set needs to continue from step ``step``.
@@ -141,12 +157,23 @@ class ResumeState:
     per_rank_losses: list[list[float]] = field(default_factory=list)
 
 
-def _file_sha256(path: pathlib.Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read_verified(path: pathlib.Path, sha256: str) -> dict[str, np.ndarray] | None:
+    """The shard's arrays, views into the very buffer that hashes to
+    ``sha256`` (the file is read once) — or ``None``: missing, unreadable,
+    or not those bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+            if fh.readinto(data) != len(data):
+                return None
+    except OSError:
+        return None
+    if hashlib.sha256(data).hexdigest() != sha256:
+        return None
+    try:
+        return checkpoint_views(data)
+    except (ValueError, zipfile.BadZipFile):
+        return None
 
 
 def write_manifest(
@@ -164,8 +191,9 @@ def write_manifest(
 
 def latest_valid_manifest(
     directory: str | pathlib.Path, world: int | None = None
-) -> Manifest | None:
-    """Newest manifest whose every shard file exists and hashes correctly.
+) -> VerifiedManifest | None:
+    """Newest manifest whose every shard file exists and hashes correctly,
+    with the shards' arrays (:class:`VerifiedManifest`).
 
     Scans step-descending and *falls back* past torn or corrupt commits —
     a manifest written but pointing at a half-written (never-renamed, so
@@ -191,21 +219,30 @@ def latest_valid_manifest(
             continue
         if len(manifest.shards) != manifest.world:
             continue
-        if all(
-            (directory / e.file).is_file()
-            and _file_sha256(directory / e.file) == e.sha256
-            for e in manifest.shards
-        ):
-            return manifest
+        arrays = []
+        for e in manifest.shards:
+            shard = _read_verified(directory / e.file, e.sha256)
+            if shard is None:
+                break
+            arrays.append(shard)
+        else:
+            return VerifiedManifest(**vars(manifest), arrays=tuple(arrays))
     return None
 
 
-def build_resume(manifest: Manifest, directory: str | pathlib.Path) -> ResumeState:
-    """Materialize a :class:`ResumeState` from a verified manifest."""
-    directory = pathlib.Path(directory)
+def build_resume(manifest: VerifiedManifest, directory: str | pathlib.Path) -> ResumeState:
+    """Materialize a :class:`ResumeState` from the shards
+    :func:`latest_valid_manifest` read and verified in ``directory``; no
+    file is read again.
+
+    Raises:
+        TypeError: ``manifest`` did not come from the scan.
+    """
+    if not isinstance(manifest, VerifiedManifest):
+        raise TypeError("build_resume restores a manifest from latest_valid_manifest")
     state = ResumeState(step=manifest.step)
-    for entry in sorted(manifest.shards, key=lambda e: e.rank):
-        arrays = read_checkpoint(directory / entry.file)
+    for entry, arrays in sorted(zip(manifest.shards, manifest.arrays), key=lambda s: s[0].rank):
+        arrays = dict(arrays)
         state.per_rank_losses.append([float(x) for x in arrays.pop(LOSSES)])
         state.arrays.update(arrays)
     return state

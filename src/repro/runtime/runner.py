@@ -171,6 +171,14 @@ def default_workers(num_points: int | None = None) -> int:
     return max(1, min(cores, num_points))
 
 
+def _take_share_of_cores(workers: int) -> None:
+    """Pool-worker initializer: reserve the cores of this process's
+    ``workers - 1`` siblings, so what it sizes from the free cores (the
+    train step's sparse lanes, a nested pool) fits in its own share."""
+    for _ in range(available_cores() - max(1, available_cores() // workers)):
+        reserve_core()
+
+
 def _timed_call(fn: Callable[..., Any], kwargs: dict) -> tuple[Any, float]:
     """Execute one point and measure it (runs inside pool workers)."""
     t0 = time.perf_counter()
@@ -406,7 +414,8 @@ class SweepRunner:
         pool_broke = False
         max_workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=self._mp_context
+            max_workers=max_workers, mp_context=self._mp_context,
+            initializer=_take_share_of_cores, initargs=(max_workers,),
         ) as pool:
             futures = [(i, pool.submit(_timed_call, fn, points[i])) for i in pending]
             for i, future in futures:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import multiprocessing
 import os
@@ -30,19 +31,25 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 @pytest.fixture(autouse=True)
 def no_leaked_mp_resources(request):
-    """The multi-process and pipeline tests must leave the process tree,
-    the thread list and /dev/shm as they found them — also after the
+    """The multi-process, pipeline and lanes tests must leave the process
+    tree, the thread list and /dev/shm as they found them — also after the
     crash-injection tests, whose parent-side cleanup is the thing at stake."""
     yield
     module = request.module.__name__.rpartition(".")[2]
-    if not module.startswith(("test_mp", "test_pipeline")):
+    if not module.startswith(("test_mp", "test_pipeline", "test_lanes")):
         return
     assert not glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*")
     assert not multiprocessing.active_children()
-    assert not [
-        t.name for t in threading.enumerate()
-        if t.name.startswith(("mp-drain-watch-", "pipeline-"))
-    ]
+
+    def service_threads():
+        return [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("mp-drain-watch-", "pipeline-", "sparse-lane-"))
+        ]
+
+    if service_threads():
+        gc.collect()  # a trainer in a reference cycle stops its lanes when collected
+    assert not service_threads()
 
 
 @pytest.fixture

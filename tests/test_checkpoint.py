@@ -39,6 +39,7 @@ from repro.core import (
     uniform_tables,
 )
 from repro.core.checkpoint import (
+    checkpoint_views,
     read_checkpoint,
     restore_arrays,
     state_arrays,
@@ -291,12 +292,33 @@ class TestWriter:
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         else:
             assert digest is None
-        loaded = read_checkpoint(path)
-        assert set(loaded) == set(arrays)
-        for key, want in arrays.items():
-            assert loaded[key].dtype == want.dtype
-            assert loaded[key].shape == want.shape
-            assert loaded[key].tobytes() == want.tobytes()
+        in_memory = np.frombuffer(path.read_bytes(), dtype=np.uint8).copy()
+        for loaded in (read_checkpoint(path), checkpoint_views(in_memory)):
+            assert set(loaded) == set(arrays)
+            for key, want in arrays.items():
+                assert loaded[key].dtype == want.dtype
+                assert loaded[key].shape == want.shape
+                assert loaded[key].tobytes() == want.tobytes()
+
+    def test_views_keep_layout_and_odd_shapes(self, tmp_path):
+        """``checkpoint_views`` reads what ``read_checkpoint`` reads, as
+        views into the one buffer: Fortran order, 0-d and empty arrays."""
+        path = tmp_path / "c.npz"
+        arrays = {
+            "f": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            "scalar": np.array(3.5),
+            "empty": np.zeros((0, 5), dtype=np.float32),
+            "rows/t": np.arange(5, dtype=np.int64),
+        }
+        write_checkpoint(path, arrays)
+        buf = np.frombuffer(path.read_bytes(), dtype=np.uint8).copy()
+        views = checkpoint_views(buf)
+        want = read_checkpoint(path)
+        assert views.keys() == want.keys() == arrays.keys()
+        for key, array in want.items():
+            assert views[key].shape == array.shape and np.array_equal(views[key], array)
+            assert views[key].base is not None
+        assert views["f"].flags.f_contiguous
 
     @pytest.mark.parametrize("sha256", [False, True])
     def test_kill_between_fsync_and_rename(self, sha256, tmp_path):
@@ -329,6 +351,9 @@ class TestWriter:
                 load(tmp_path / "v1.npz", model)
         with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             read_checkpoint(tmp_path / "v1.npz")
+        with pytest.raises(ValueError, match="unrecognized checkpoint format"):
+            buf = np.frombuffer((tmp_path / "v1.npz").read_bytes(), dtype=np.uint8)
+            checkpoint_views(buf.copy())
         assert snapshot(model, None) == before
 
 

@@ -133,6 +133,21 @@ class TestManifestAtomicity:
         found = latest_valid_manifest(tmp_path)
         assert found is not None and found.step == 2
 
+    def test_restore_reads_each_shard_once(self, tmp_path):
+        """``build_resume`` restores the bytes the scan verified: a shard
+        rewritten after the scan is never read again."""
+        self._commit(tmp_path, 4, world=2)
+        found = latest_valid_manifest(tmp_path)
+        for entry in found.shards:
+            (tmp_path / entry.file).write_bytes(b"garbage")
+        resume = build_resume(found, tmp_path)
+        assert resume.per_rank_losses == [[0.0, 1.0, 2.0, 3.0]] * 2
+
+    def test_restore_takes_only_a_scanned_manifest(self, tmp_path):
+        manifest = self._commit(tmp_path, 4)
+        with pytest.raises(TypeError, match="latest_valid_manifest"):
+            build_resume(manifest, tmp_path)
+
     def test_world_mismatch_is_skipped(self, tmp_path):
         self._commit(tmp_path, 2, world=1)
         assert latest_valid_manifest(tmp_path, world=2) is None

@@ -26,11 +26,13 @@ from repro.runtime import (
     ResultCache,
     SweepPointError,
     SweepRunner,
+    available_cores,
     canonical_json,
     code_token,
     default_workers,
     derive_seed,
     fingerprint,
+    reserved_cores,
 )
 
 # Fork start method: cheap worker startup and inherited sys.modules, so the
@@ -47,6 +49,13 @@ def noisy_point(x: int, seed: int) -> float:
     """A point whose value depends only on its explicit seed (derive_seed)."""
     rng = np.random.default_rng(seed)
     return float(x + rng.standard_normal())
+
+
+def lanes_point(x: int) -> int:
+    """The sparse-lane width a train step run by this point would take."""
+    from repro.core.lanes import lane_count
+
+    return lane_count()
 
 
 def _model() -> ModelConfig:
@@ -248,6 +257,15 @@ class TestSweepRunner:
         assert labeled.value == 4
         spans = [s for s in tracer.spans if s.category == "runtime"]
         assert len(spans) == 1 and spans[0].name == "sweep:m"
+
+    def test_pool_workers_size_lanes_from_their_share(self):
+        """Each of a pool's workers keeps to its share of the cores, so a
+        point that trains does not start lanes on its siblings' cores."""
+        assert reserved_cores() == 0
+        share = max(1, available_cores() // 2)
+        runner = SweepRunner(workers=2, mp_context=FORK)
+        assert runner.map_values(lanes_point, [1, 2, 3, 4]) == [share] * 4
+        assert reserved_cores() == 0
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
