@@ -15,10 +15,9 @@ fuzz:
 	HYPOTHESIS_PROFILE=fuzz PYTHONPATH=src $(PYTHON) -m pytest -q \
 		$$(grep -rl "^from hypothesis" tests --include='test_*.py')
 
-# ROADMAP item 1's acceptance instrument: 1 500 architectures from
-# random.Random(1) over the conformance property test's own draws, fused
-# against numpy; prints each differing case, exits non-zero if any.  Not
-# a CI gate until item 1's fix lands (it reads 10 today).
+# 1 500 architectures from random.Random(1) over the conformance property
+# test's own draws, fused against numpy; prints each differing case, exits
+# non-zero if any (a CI job).
 fuzz-replay:
 	PYTHONPATH=src:tests $(PYTHON) tests/conformance/fuzz_replay.py
 

@@ -3,9 +3,10 @@
 The paper's core method is running the *same* DLRM workload across
 hardware/software configurations and comparing training efficiency
 (§II, §VI).  Our functional model mirrors that by routing every hot
-dense-path operation — GEMM/linear forward+backward, ReLU, the fused
-sigmoid+BCE loss, the two feature interactions and the optimizer update
-steps — through a small :class:`Backend` protocol.  (The embedding tables
+dense-path operation — GEMM/linear forward+backward, ReLU, an MLP stack's
+training pass, the fused sigmoid+BCE loss, the two feature interactions
+and the optimizer update steps — through a small :class:`Backend`
+protocol.  (The embedding tables
 call :mod:`repro.core.kernels` under every backend; there a backend only
 decides where results are stored.)
 
@@ -108,6 +109,25 @@ class Backend:
 
     def relu_backward(self, grad_out, ctx, ws, key):
         raise NotImplementedError
+
+    # -- MLP stacks ----------------------------------------------------------
+
+    def mlp_forward(self, layers, x, lanes):
+        """A stack's training forward: ``layers`` (``Linear`` / ``ReLU``)
+        in order on ``x``, each saving what its backward reads.  ``lanes``
+        (:class:`~repro.core.lanes.Lanes` or ``None``) may share the work;
+        the result and the saved state are the serial loop's either way."""
+        for layer in layers:
+            x = layer.forward(x)
+        return x
+
+    def mlp_backward(self, layers, grad, lanes):
+        """The stack's backward after :meth:`mlp_forward`: accumulates
+        every layer's parameter gradients and returns the input gradient
+        (``None`` when the first layer computes none)."""
+        for layer in reversed(layers):
+            grad = layer.backward(grad)
+        return grad
 
     # -- bce loss ------------------------------------------------------------
 

@@ -13,9 +13,14 @@ argument, and ``tests/conformance/`` for the enforcement.
 
 from __future__ import annotations
 
+import itertools
+from functools import partial
+
 import numpy as np
 
 from .. import dense_kernels as dk
+from .. import lanes as lanes_mod
+from ..lanes import row_block, split_is_exact
 from .base import Backend
 
 __all__ = ["FusedBackend"]
@@ -57,13 +62,82 @@ class FusedBackend(Backend):
         return out, (out if training else None)
 
     def relu_backward(self, grad_out, ctx, ws, key):
-        y = ctx
-        mask_buf = ws.get((key, "m"), y.shape, bool)
-        if ws.owns(grad_out) and grad_out.dtype == y.dtype:
-            out = grad_out  # in-place on the incoming gradient buffer
+        return dk.relu_backward(grad_out, ctx, *_relu_grad_bufs(grad_out, ctx, ws, key))
+
+    # -- MLP stacks ----------------------------------------------------------
+
+    def mlp_forward(self, layers, x, lanes):
+        """Rows of ``x`` through every layer (linear, then ReLU in place)
+        into the layers' own arena buffers: whole on the caller, or — when
+        the stack has :data:`~repro.core.lanes.LANE_MIN_FLOPS` per lane
+        (:mod:`repro.core.lanes`) — a block of batch rows per lane.  Input
+        the layers refuse goes to the layer loop, which raises."""
+        pairs = _pairs(layers)
+        first = pairs[0][0]
+        if not _fits(first, x, first.in_features):
+            return super().mlp_forward(layers, x, lanes)
+        lanes = _stack_lanes(pairs, x, lanes)
+        ws, rows = first.workspace, len(x)
+        outs = [
+            ws.get((lin._ws_key, "out"), (rows, lin.out_features), x.dtype)
+            for lin, _ in pairs
+        ]
+        ins = [x, *outs[:-1]]
+        split = [
+            lanes is not None and _splits(a, lin.weight.value.T, lanes.width, ws)
+            for a, (lin, _) in zip(ins, pairs)
+        ]
+        for run, laned in _runs(split):
+            job = partial(_forward_rows, pairs[run], ins[run.start], outs[run])
+            _on_rows(job, rows, lanes if laned else None)
+        for (lin, relu), a, out in zip(pairs, ins, outs):
+            lin._input = a
+            if relu is not None:
+                relu._ctx = out  # what relu_forward saves: its output
+        return outs[-1]
+
+    def mlp_backward(self, layers, grad, lanes):
+        """The backward after :meth:`mlp_forward`, in two passes: the
+        input-gradient chain (ReLU backward, ``dx = g @ W``) through every
+        layer by batch rows, then the weight gradients by weight rows
+        (``dW[lo:hi] = g[:, lo:hi].T @ x``) — on lanes when the forward's
+        would be.  Bias sums stay on the caller."""
+        pairs = _pairs(layers)
+        last = pairs[-1][0]
+        saved = all(
+            lin._input is not None and (relu is None or relu._ctx is not None)
+            for lin, relu in pairs
+        )
+        if not saved or not _fits(last, grad, last.out_features):
+            return super().mlp_backward(layers, grad, lanes)
+        lanes = _stack_lanes(pairs, grad, lanes)
+        ws, rows = last.workspace, len(grad)
+        chain = []  # top down: (linear, grad in, relu output, its grad, mask, dx)
+        for lin, relu in reversed(pairs):
+            y = None if relu is None else relu._ctx
+            g, mask = (grad, None) if y is None else _relu_grad_bufs(grad, y, ws, relu._ws_key)
+            dx = None
+            if lin.input_grad:
+                dx = ws.get((lin._ws_key, "gin"), (rows, lin.in_features), grad.dtype)
+            chain.append((lin, grad, y, g, mask, dx))
+            grad = dx
+        split = [
+            lanes is not None and (dx is None or _splits(g, lin.weight.value, lanes.width, ws))
+            for lin, _, _, g, _, dx in chain
+        ]
+        for run, laned in _runs(split):
+            _on_rows(partial(_chain_rows, chain[run]), rows, lanes if laned else None)
+
+        jobs, bias = _weight_jobs(chain, lanes, ws)
+        if len(jobs) > 1:
+            lanes.each(partial(_weight_rows, jobs, bias))
         else:
-            out = ws.get((key, "g"), grad_out.shape, grad_out.dtype)
-        return dk.relu_backward(grad_out, y, out, mask_buf)
+            _weight_rows(jobs, bias, 0)
+        for lin, relu in pairs:
+            lin._input = None
+            if relu is not None:
+                relu._ctx = None
+        return grad
 
     # -- bce loss ------------------------------------------------------------
 
@@ -174,3 +248,144 @@ class FusedBackend(Backend):
     def sgd_sparse_step(self, weight, rows, values, lr, ws):
         bufs = self._block_bufs(ws, values, "su")
         dk.sgd_sparse_step(weight, rows, values, lr, *bufs)
+
+
+def _relu_grad_bufs(grad_out, y, ws, key):
+    """``relu_backward`` 's result and mask buffers.  The result is the
+    incoming gradient itself only when that is a contiguous arena array:
+    the reference hands the next linear a fresh C-contiguous array, and a
+    one-wide product's summation order follows its operand's layout
+    (``concat_backward`` 's dense slice is a strided view)."""
+    mask_buf = ws.get((key, "m"), y.shape, bool)
+    if ws.owns(grad_out) and grad_out.dtype == y.dtype and grad_out.flags.c_contiguous:
+        return grad_out, mask_buf
+    return ws.get((key, "g"), grad_out.shape, grad_out.dtype), mask_buf
+
+
+# -- MLP stacks on lanes --------------------------------------------------------
+
+
+def _pairs(layers) -> list[tuple]:
+    """A stack's layers as ``(Linear, ReLU or None)`` pairs."""
+    pairs = []
+    for layer in layers:
+        if hasattr(layer, "weight"):
+            pairs.append((layer, None))
+        else:
+            pairs[-1] = (pairs[-1][0], layer)
+    return pairs
+
+
+def _fits(linear, a, cols: int) -> bool:
+    """Whether ``a`` is what ``linear`` 's side of the stack takes: a
+    ``(rows, cols)`` array of the weights' dtype."""
+    return a.ndim == 2 and a.shape[1] == cols and a.dtype == linear.weight.value.dtype
+
+
+def _stack_lanes(pairs, a, lanes):
+    """``lanes`` if a training pass of the stack over ``a`` 's rows has
+    :data:`~repro.core.lanes.LANE_MIN_FLOPS` of GEMM work per lane on
+    them, else ``None`` (the caller alone)."""
+    if lanes is None or lanes.width < 2:
+        return None
+    flops = 2 * len(a) * sum(lin.in_features * lin.out_features for lin, _ in pairs)
+    return lanes if flops >= lanes_mod.LANE_MIN_FLOPS * lanes.width else None
+
+
+def _splits(a, b, width: int, ws) -> bool:
+    """Whether ``a @ b`` runs in :func:`~repro.core.lanes.row_block` row
+    blocks of ``a``: it must have more than one, and the split must be
+    bit-identical to the whole call (:func:`~repro.core.lanes.
+    split_is_exact`).  Each time a product runs whole because the probe
+    refused its split, the arena registry's ``dense.lanes.rejected``
+    counts one."""
+    if row_block(len(a), 1, width)[0] >= len(a):
+        return False
+    if split_is_exact(a, b, width):
+        return True
+    ws.metrics.counter("dense.lanes.rejected").inc()
+    return False
+
+
+def _runs(flags):
+    """``(slice, flag)`` for each run of equal consecutive ``flags``."""
+    start = 0
+    for flag, group in itertools.groupby(flags):
+        stop = start + sum(1 for _ in group)
+        yield slice(start, stop), flag
+        start = stop
+
+
+def _on_rows(job, rows: int, lanes) -> None:
+    """``job(lo, hi)`` on every lane's row block of ``rows``; with
+    ``lanes=None`` or rows that make one block, once on the caller over
+    all of them."""
+    if lanes is None or row_block(rows, 1, lanes.width)[0] >= rows:
+        job(0, rows)
+    else:
+        lanes.each(lambda lane: job(*row_block(rows, lane, lanes.width)))
+
+
+def _forward_rows(pairs, x, outs, lo: int, hi: int) -> None:
+    """Rows ``lo:hi`` of ``x`` through linear + ReLU pairs into ``outs``:
+    ``linear_forward`` and the in-place ``relu_forward``, per row block."""
+    if lo == hi:
+        return
+    h = x[lo:hi]
+    for (lin, relu), out in zip(pairs, outs):
+        h = dk.linear_forward(h, lin.weight.value, lin.bias.value, out[lo:hi])
+        if relu is not None:
+            dk.relu_forward(h, h)
+
+
+def _chain_rows(chain, lo: int, hi: int) -> None:
+    """Rows ``lo:hi`` of the input-gradient chain: each ReLU's backward
+    and each linear's ``dx = g @ W``, per row block."""
+    if lo == hi:
+        return
+    for lin, grad, y, g, mask, dx in chain:
+        if y is not None:
+            dk.relu_backward(grad[lo:hi], y[lo:hi], g[lo:hi], mask[lo:hi])
+        if dx is not None:
+            np.matmul(g[lo:hi], lin.weight.value, out=dx[lo:hi])
+
+
+def _weight_jobs(chain, lanes, ws):
+    """Per lane, the weight-gradient blocks ``(g, x, wg, weight grad, lo,
+    hi)`` it computes — one list, the caller's, unless a helper has work —
+    and the bias sums (``(g, bg, bias grad)``, the caller's).  On lanes a
+    product that splits gives every lane a block of weight rows, one that
+    does not goes whole to the least-loaded lane."""
+    width = 1 if lanes is None else lanes.width
+    jobs: list[list[tuple]] = [[] for _ in range(width)]
+    load = [0] * width
+    whole, bias = [], []
+    for lin, _, _, g, _, _ in chain:
+        x = lin._input
+        item = (g, x, ws.get((lin._ws_key, "wg"), lin.weight.shape, g.dtype), lin.weight.grad)
+        bias.append((g, ws.get((lin._ws_key, "bg"), lin.bias.shape, g.dtype), lin.bias.grad))
+        if lanes is not None and _splits(g.T, x, width, ws):
+            for k in range(width):
+                lo, hi = row_block(lin.out_features, k, width)
+                jobs[k].append((*item, lo, hi))
+                load[k] += (hi - lo) * lin.in_features
+        else:
+            whole.append((lin.weight.size, (*item, 0, lin.out_features)))
+    for size, item in whole:
+        k = load.index(min(load))
+        jobs[k].append(item)
+        load[k] += size
+    return (jobs if any(jobs[1:]) else jobs[:1]), bias
+
+
+def _weight_rows(jobs, bias, lane: int) -> None:
+    """Lane ``lane``'s weight-gradient rows, accumulated into the
+    parameters; lane 0 (the caller) also takes every bias sum."""
+    for g, x, wg, weight_grad, lo, hi in jobs[lane]:
+        if lo < hi:
+            np.matmul(g[:, lo:hi].T, x, out=wg[lo:hi])
+            weight_grad[lo:hi] += wg[lo:hi]
+    if lane == 0:
+        for g, bg, bias_grad in bias:
+            np.sum(g, axis=0, out=bg)
+            bias_grad += bg

@@ -66,7 +66,12 @@ class NumpyBackend(Backend):
         stack = np.stack([dense] + list(embs), axis=1)  # (B, n+1, d)
         gram = stack @ stack.transpose(0, 2, 1)
         pairs = gram[:, tril[0], tril[1]]
-        return np.concatenate([dense, pairs], axis=1), stack
+        # The gather is F-ordered, and at dim 1 so is the concatenation;
+        # one C order at every dim gives the top stack's one-wide products
+        # (gemv, whose summation order follows the layout) one operand
+        # layout in every backend.
+        out = np.ascontiguousarray(np.concatenate([dense, pairs], axis=1))
+        return out, stack
 
     def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key):
         batch, n_vec, _ = stack.shape

@@ -1,37 +1,69 @@
-"""Whole-table lanes: the sparse half of a train step on more than one core.
+"""Lanes: one train step on more than one core, the sparse half and the dense.
 
-The sparse half of a step — every table's pooled lookup, its backward and
-its optimizer update — is a loop of independent, latency-bound per-table
-calls (Gupta et al., ``1906.03109``: memory-level parallelism, not FLOPs,
-bounds them).  :class:`Lanes` runs such a loop on ``width`` threads, split
-by whole tables: the caller is lane 0, lanes 1.. are helper threads.  A
-table's calls are exactly the serial loop's, and tables share no written
-state, so the result is bit-identical to one lane by construction.
+:class:`Lanes` runs a step's work on ``width`` threads: the caller is lane
+0, lanes 1.. are helper threads.  Two kinds of work go on them.
 
-Only a table whose row traffic in the phase reaches :data:`LANE_MIN_BYTES`
-takes a lane; smaller ones stay on the caller, where a thread handoff would
-cost more than it hides.  Lanes are balanced by bytes.
+*Whole tables* (the sparse half).  Every table's pooled lookup, its
+backward and its optimizer update is a loop of independent,
+latency-bound per-table calls (Gupta et al., ``1906.03109``:
+memory-level parallelism, not FLOPs, bounds them).  :meth:`Lanes.run`
+hands each item to one lane whole, so a table's calls are exactly the
+serial loop's; tables share no written state, so the result is
+bit-identical to one lane by construction.  Only an item whose traffic
+reaches :data:`LANE_MIN_BYTES` leaves the caller; lanes are balanced by
+bytes.  The dense optimizer step spreads whole parameters the same way.
+
+*Row blocks* (the dense half).  An MLP stack's GEMMs are split across
+lanes by rows of their result (:meth:`Lanes.each`, :func:`row_block`),
+the way Kalamkar et al. (``2005.04680``) split DLRM's MLP GEMMs across
+cores.  A row block of a product is not bit-identical to the whole call
+by construction — a BLAS may pick another kernel, and so another
+summation order, for another shape — so a product is split only once
+:func:`split_is_exact` has compared the split with the whole call on
+seeded operands of its exact shape, strides, dtype and width, once per
+process.  Only a stack with :data:`LANE_MIN_FLOPS` of GEMM work per lane
+takes lanes, and only while the BLAS runs a GEMM on one thread
+(:func:`blas_threads`): a threaded BLAS already puts every core on each
+GEMM, and lanes on top of it oversubscribe the cores.
 
 :func:`lane_count` is the width a step may use;
 :class:`~repro.core.training.Trainer` decides it once per step and binds
-its lanes to the model's embedding collection and its optimizer for the
-duration of :meth:`~repro.core.training.Trainer.train_step` only.
+its lanes to the model's embedding collection and its optimizer — and,
+under a one-thread BLAS, its two MLP stacks — for the duration of
+:meth:`~repro.core.training.Trainer.train_step` only.
 
-Rules for code running on a lane: it touches only its own table's state
-and the arena through :class:`~repro.core.dense_kernels.Workspace`'s
-locked ``get`` / ``get_rows`` (buffers shared by all tables are sized on
-the caller before dispatch), and it opens no tracer span — the tracer is
+Rules for code running on a lane: it writes only its own item's state or
+its own rows, draws arena buffers only through
+:class:`~repro.core.dense_kernels.Workspace`'s locked ``get`` /
+``get_rows`` (buffers shared by several items are sized on the caller
+before dispatch), and opens no tracer span — the tracer is
 single-threaded.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import threading
+from functools import cache, partial
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["LANE_MIN_BYTES", "THREAD_PREFIX", "Lanes", "lane_count", "spread"]
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+__all__ = [
+    "LANE_MIN_BYTES",
+    "LANE_MIN_FLOPS",
+    "ROW_ALIGN",
+    "THREAD_PREFIX",
+    "Lanes",
+    "blas_threads",
+    "lane_count",
+    "row_block",
+    "split_is_exact",
+    "spread",
+]
 
 T = TypeVar("T")
 
@@ -53,8 +85,29 @@ T = TypeVar("T")
 #: every phase wins in both sweeps.
 LANE_MIN_BYTES = 768 * 1024
 
+#: GEMM FLOPs per lane in one pass over an MLP stack (``2 x rows x sum of
+#: in x out`` over its layers, over the width) before the stack leaves
+#: the caller's lane.  One lane -> two, ms per training pass (forward +
+#: backward) of an f32 stack ``w -> w -> w``, median of 9 ABBA repetitions
+#: whose two-thread sgemm control read >= 1.35x, 2-core Xeon @ 2.10 GHz;
+#: per-lane MFLOP in brackets:
+#: 256 rows: w 64 (2.1) 0.22 -> 0.36; w 128 (8.4) 0.58 -> 0.71;
+#: w 192 (18.9) 1.06 -> 1.09; w 256 (33.6) 1.81 -> 1.68; w 384 (75.5) 3.66 -> 2.61;
+#: 512 rows: w 64 (4.2) 0.38 -> 0.52; w 96 (9.4) 0.67 -> 0.74;
+#: w 128 (16.8) 1.07 -> 0.99; w 192 (37.8) 2.18 -> 1.88;
+#: 1024 rows: w 32 (2.1) 0.48 -> 0.58; w 64 (8.4) 0.76 -> 0.76;
+#: w 96 (18.9) 1.34 -> 1.16; w 128 (33.6) 2.07 -> 1.69;
+#: 2048 rows: w 48 (9.4) 1.35 -> 1.06; w 64 (16.8) 1.45 -> 1.18.
+#: Below the crossover the three handoffs of a pass (~0.08 ms each) cost
+#: more than half the GEMMs saves; 16 M is the first size where 512, 1024
+#: and 2048 rows all win, 256 rows cross between 19 and 34 M.
+LANE_MIN_FLOPS = 16_000_000
+
+#: Row blocks of a split product start at multiples of this many rows.
+ROW_ALIGN = 64
+
 #: Name prefix of every helper thread (leak checks look for it).
-THREAD_PREFIX = "sparse-lane-"
+THREAD_PREFIX = "lane-"
 
 
 def lane_count(world: int = 1) -> int:
@@ -67,6 +120,114 @@ def lane_count(world: int = 1) -> int:
     return max(1, (available_cores() - reserved_cores()) // world)
 
 
+#: What OpenBLAS builds name the thread-count getter (numpy's bundled
+#: ``scipy-openblas`` first).
+_BLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+@cache
+def _blas_getter():
+    """The loaded OpenBLAS's thread-count getter, or ``None``.  The
+    library is found among this process's mapped files (Linux), so this
+    opens nothing numpy has not already loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs a GEMM on, asked of the library
+    each call (so a run-time change shows); ``None`` when no OpenBLAS can
+    be asked (another BLAS, or no ``/proc``)."""
+    getter = _blas_getter()
+    return None if getter is None else int(getter())
+
+
+def row_block(rows: int, lane: int, width: int) -> tuple[int, int]:
+    """Lane ``lane``'s rows ``[lo, hi)`` of ``rows`` split ``width`` ways:
+    equal blocks rounded up to :data:`ROW_ALIGN` rows, the last one short
+    and any beyond the rows empty."""
+    per = -(-rows // (width * ROW_ALIGN)) * ROW_ALIGN
+    lo = min(rows, lane * per)
+    return lo, min(rows, lo + per)
+
+
+# -- the split probe ----------------------------------------------------------
+
+#: ``split_is_exact`` verdicts of this process, by product signature.
+_EXACT: dict[tuple, bool] = {}
+
+
+def split_is_exact(a: np.ndarray, b: np.ndarray, width: int) -> bool:
+    """Whether ``a @ b`` computed as :func:`row_block` row blocks of ``a``
+    (into the rows of one C-ordered result) is bit-identical to the whole
+    call, for every pair of operands with ``a``'s and ``b``'s shapes,
+    strides and dtype.
+
+    That holds on a BLAS whose summation order depends on the call's
+    shape, strides and dtype, never on the values or on where the operands
+    sit in memory (the bundled OpenBLAS; the whole-call fused kernels,
+    which write into arena buffers where the reference allocates, assume
+    the same).  So one comparison on seeded random operands settles it;
+    the verdict is kept for the process.  An operand with a negative
+    stride is not split.
+    """
+    key = (a.shape, a.strides, b.shape, b.strides, a.dtype.str, width)
+    verdict = _EXACT.get(key)
+    if verdict is None:
+        verdict = _EXACT[key] = _probe(a, b, width)
+    return verdict
+
+
+def _like(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A fresh array with ``x``'s shape, strides and (float32 / float64)
+    dtype, seeded values; its buffer is filled in place, so the probe
+    holds one copy of each operand at a time."""
+    extent = sum((n - 1) * s for n, s in zip(x.shape, x.strides))
+    buf = rng.random(dtype=x.dtype, out=np.empty(-(-extent // x.itemsize) + 1, x.dtype))
+    return as_strided(buf, x.shape, x.strides)
+
+
+def _probe(a: np.ndarray, b: np.ndarray, width: int) -> bool:
+    if min(a.strides + b.strides) < 0:
+        return False
+    rng = np.random.default_rng(0)
+    a, b = _like(a, rng), _like(b, rng)
+    whole = np.matmul(a, b, out=np.empty((len(a), b.shape[1]), a.dtype))
+    block = np.empty_like(whole[: row_block(len(a), 0, width)[1]])  # lane 0's is the largest
+    for lane in range(width):
+        lo, hi = row_block(len(a), lane, width)
+        if lo < hi:
+            np.matmul(a[lo:hi], b, out=block[: hi - lo])
+            if block[: hi - lo].tobytes() != whole[lo:hi].tobytes():
+                return False
+    return True
+
+
+# -- helper threads -----------------------------------------------------------
+
+
 class _Helper:
     """One helper thread and its two queues: jobs in, outcomes out."""
 
@@ -74,26 +235,29 @@ class _Helper:
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.outbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread = threading.Thread(
-            target=_serve, args=(lane, self.inbox, self.outbox),
+            target=_serve, args=(self.inbox, self.outbox),
             name=f"{THREAD_PREFIX}{lane}", daemon=True,
         )
         self.thread.start()
 
 
-def _serve(lane: int, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
     while (job := inbox.get()) is not None:
-        outbox.put(_run_lane(lane, *job))
+        outbox.put(_attempt(job))
 
 
-def _run_lane(lane: int, fn: Callable, items: list) -> BaseException | None:
-    """``fn(item, lane)`` for each item, up to the first that raises; the
-    exception is returned, to be raised on the caller."""
+def _attempt(job: Callable[[], None]) -> BaseException | None:
+    """``job()``; its exception is returned, to be raised on the caller."""
     try:
-        for item in items:
-            fn(item, lane)
-    except BaseException as exc:  # re-raised on the caller by Lanes.run
+        job()
+    except BaseException as exc:  # re-raised on the caller by Lanes._dispatch
         return exc
     return None
+
+
+def _each_item(fn: Callable[[T, int], None], items: list[T], lane: int) -> None:
+    for item in items:
+        fn(item, lane)
 
 
 def _assign(costs: Sequence[int], width: int) -> list[list[int]]:
@@ -117,12 +281,12 @@ def _assign(costs: Sequence[int], width: int) -> list[list[int]]:
 
 
 class Lanes:
-    """``width`` lanes for per-table work: the caller and ``width - 1``
-    helper threads, started on first use, restarted in a forked child (a
-    parent's threads do not exist there) and stopped by :meth:`close`."""
+    """``width`` lanes: the caller and ``width - 1`` helper threads,
+    started on first use, restarted in a forked child (a parent's threads
+    do not exist there) and stopped by :meth:`close`."""
 
     def __init__(self) -> None:
-        #: Lanes the next :meth:`run` may use.
+        #: Lanes the next :meth:`run` / :meth:`each` may use.
         self.width = 1
         self._helpers: list[_Helper] = []
         self._pid = os.getpid()
@@ -134,16 +298,29 @@ class Lanes:
         cost: Callable[[T], int],
     ) -> None:
         """``fn(item, lane)`` for every item, each on one lane by its
-        ``cost`` in bytes.  Returns when every lane has stopped; the
-        exception of the lowest lane that raised is then raised here."""
+        ``cost`` in bytes."""
         plan = _assign([cost(item) for item in items], self.width)
-        busy = [(k, lane) for k, lane in enumerate(plan) if k and lane]
+        self._dispatch([
+            partial(_each_item, fn, [items[i] for i in lane], k) if lane else None
+            for k, lane in enumerate(plan)
+        ])
+
+    def each(self, fn: Callable[[int], None]) -> None:
+        """``fn(lane)`` on every lane at once (each picks its own share of
+        the work, e.g. a :func:`row_block`)."""
+        self._dispatch([partial(fn, k) for k in range(self.width)])
+
+    def _dispatch(self, jobs: list[Callable[[], None] | None]) -> None:
+        """``jobs[k]`` on lane ``k`` (``None``: the lane idles), lane 0's
+        on the caller.  Returns when every lane has stopped; the exception
+        of the lowest lane that raised is then raised here."""
+        busy = [k for k, job in enumerate(jobs) if k and job is not None]
         if busy:
-            self._start(max(k for k, _ in busy))
-        for k, lane in busy:
-            self._helpers[k - 1].inbox.put((fn, [items[i] for i in lane]))
-        errors = [_run_lane(0, fn, [items[i] for i in plan[0]])]
-        errors += [self._helpers[k - 1].outbox.get() for k, _ in busy]
+            self._start(max(busy))
+        for k in busy:
+            self._helpers[k - 1].inbox.put(jobs[k])
+        errors = [None if jobs[0] is None else _attempt(jobs[0])]
+        errors += [self._helpers[k - 1].outbox.get() for k in busy]
         for exc in errors:
             if exc is not None:
                 raise exc

@@ -13,6 +13,7 @@ import numpy as np
 from .config import MLPSpec
 from .backends import Backend, bind_backend, reference_backend
 from .dense_kernels import Workspace, stable_sigmoid
+from .lanes import Lanes
 
 __all__ = ["Parameter", "Linear", "ReLU", "Sigmoid", "MLP"]
 
@@ -252,6 +253,11 @@ class MLP:
             prev = width
         self.in_features = in_features
         self.out_features = prev
+        #: The layers' backend; it runs the stack's training pass.
+        self.backend: Backend = reference_backend()
+        #: Lanes the training pass may spread over (:mod:`repro.core.lanes`);
+        #: ``None``: one, the caller.
+        self.lanes: Lanes | None = None
 
     def set_backend(self, backend: Backend | str, workspace: Workspace | None = None) -> None:
         """Bind the compute backend (and arena) into every layer of the
@@ -261,21 +267,23 @@ class MLP:
         for idx, layer in enumerate(self.layers):
             if hasattr(layer, "set_backend"):
                 layer.set_backend(backend, workspace, key=f"{self.name}[{idx}]")
+        self.backend = self.layers[0].backend
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         """Run the stack; ``training=False`` is the inference fast path that
         skips caching activations entirely (nothing to discard afterwards,
-        and ``backward`` on an inference-only forward raises)."""
+        and ``backward`` on an inference-only forward raises) and runs on
+        one lane."""
+        if training:
+            return self.backend.mlp_forward(self.layers, x, self.lanes)
         for layer in self.layers:
-            x = layer.forward(x, training=training)
+            x = layer.forward(x, training=False)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         """The gradient w.r.t. the stack's input (``None`` when it was
         built with ``input_grad=False``)."""
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
+        return self.backend.mlp_backward(self.layers, grad_out, self.lanes)
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []

@@ -33,9 +33,10 @@ class _OptimizerBase:
     through a private buffer arena, bit-identical to the ``"numpy"``
     reference (kept for debugging).
 
-    The sparse loop of :meth:`step` runs on :attr:`lanes` when a trainer
-    binds them (:mod:`repro.core.lanes`), each lane drawing its row blocks
-    from its own arena (lane 0's is :attr:`workspace`).
+    Both loops of :meth:`step` — whole parameters, then whole tables — run
+    on :attr:`lanes` when a trainer binds them (:mod:`repro.core.lanes`),
+    each lane drawing its block buffers from its own arena (lane 0's is
+    :attr:`workspace`).
     """
 
     #: Row-sized arrays a sparse update reads and writes per touched row
@@ -58,10 +59,8 @@ class _OptimizerBase:
         self.workspace: Workspace | None = (
             Workspace() if self.backend.uses_workspace else None
         )
-        #: Lanes the sparse loop of :meth:`step` is spread over; ``None``:
-        #: one, the caller.
-        self.lanes: Lanes | None = None
         self._lane_workspaces = [self.workspace]
+        self._lanes: Lanes | None = None
 
     def zero_grad(self) -> None:
         for p in self.dense_params:
@@ -69,15 +68,23 @@ class _OptimizerBase:
         for t in self.tables:
             t.zero_grad()
 
+    @property
+    def lanes(self) -> Lanes | None:
+        """Lanes :meth:`step` is spread over; ``None``: one, the caller.
+        Binding them gives every lane an arena of its own."""
+        return self._lanes
+
+    @lanes.setter
+    def lanes(self, lanes: Lanes | None) -> None:
+        self._lanes = lanes
+        while lanes is not None and len(self._lane_workspaces) < lanes.width:
+            self._lane_workspaces.append(None if self.workspace is None else Workspace())
+
     def step(self) -> None:
         self.dense_step()
-        lanes = self.lanes
-        if lanes is not None:
-            while len(self._lane_workspaces) < lanes.width:
-                self._lane_workspaces.append(
-                    None if self.workspace is None else Workspace()
-                )
-        spread(lanes, self._table_step, list(enumerate(self.tables)), self._traffic)
+        spread(
+            self.lanes, self._table_step, list(enumerate(self.tables)), self._traffic
+        )
 
     def _table_step(self, item: tuple[int, EmbeddingTable], lane: int) -> None:
         i, t = item
@@ -91,14 +98,26 @@ class _OptimizerBase:
         return rows * self._row_arrays * t.bytes_per_row()
 
     def dense_step(self) -> None:
-        """Apply the dense half of :meth:`step` only.
+        """Apply the dense half of :meth:`step` only, one whole parameter
+        per item on :attr:`lanes` (parameters are independent arrays),
+        costed by its bytes.  Not by all the bytes its update moves, as a
+        table's sparse update is: a dense update streams its arrays in
+        cache-sized blocks, far faster per byte than rows are gathered, and
+        on a parameter's own bytes :data:`~repro.core.lanes.LANE_MIN_BYTES`
+        falls where the dense step's sweep crosses (docs/perf_notes.md
+        §"Two lanes for the dense half").
 
         :meth:`step` is this plus the sparse loop, and every trainer under
         ``src/`` calls :meth:`step`; the only outside caller of the two
         halves is ``perfbench/layers.py``, which times them apart.
         """
-        for i, p in enumerate(self.dense_params):
-            self._dense_step(i, p)
+        spread(
+            self.lanes, self._param_step, list(enumerate(self.dense_params)),
+            lambda item: item[1].value.nbytes,
+        )
+
+    def _param_step(self, item: tuple[int, Parameter], lane: int) -> None:
+        self._dense_step(*item, self._lane_workspaces[lane])
 
     def sparse_update(self, idx: int, grad: SparseGrad) -> None:
         """Apply one explicit sparse update to table ``idx``.
@@ -116,7 +135,7 @@ class _OptimizerBase:
 
     # subclass hooks ---------------------------------------------------------
 
-    def _dense_step(self, idx: int, p: Parameter) -> None:
+    def _dense_step(self, idx: int, p: Parameter, ws: Workspace | None) -> None:
         raise NotImplementedError
 
     def _sparse_step(
@@ -154,13 +173,13 @@ class SGD(_OptimizerBase):
     def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         return self._velocity or [], {}
 
-    def _dense_step(self, idx: int, p: Parameter) -> None:
+    def _dense_step(self, idx: int, p: Parameter, ws: Workspace | None) -> None:
         velocity = self._velocity[idx] if self._velocity is not None else None
         self.backend.sgd_dense_step(
             p.value,
             p.grad,
             self.lr,
-            self.workspace,
+            ws,
             weight_decay=self.weight_decay,
             momentum=self.momentum,
             velocity=velocity,
@@ -225,9 +244,9 @@ class Adagrad(_OptimizerBase):
             raise ValueError(f"adopted state dtype {state.dtype} != {current.dtype}")
         self._table_state[idx] = state
 
-    def _dense_step(self, idx: int, p: Parameter) -> None:
+    def _dense_step(self, idx: int, p: Parameter, ws: Workspace | None) -> None:
         self.backend.adagrad_dense_step(
-            p.value, p.grad, self._dense_state[idx], self.lr, self.eps, self.workspace
+            p.value, p.grad, self._dense_state[idx], self.lr, self.eps, ws
         )
 
     def _sparse_step(

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
-from .lanes import Lanes, lane_count
+from .lanes import Lanes, blas_threads, lane_count
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
 from .model import Batch, DLRM
@@ -88,13 +88,16 @@ class Trainer:
     gradients it is to apply must be in place on return — where a replica
     exchanges them).  The base has no callback and ``world = 1``.
 
-    The sparse half of each step — the tables' lookups, their backward and
-    the optimizer's sparse loop — runs on :func:`~repro.core.lanes.
-    lane_count` ``(world)`` lanes (:mod:`repro.core.lanes`), decided at
-    the top of every :meth:`train_step`: the cores this process may use,
-    less the prefetch pipeline's, shared among the replicas.  One lane is
-    the serial loop.  The helper threads are the trainer's and stop when
-    it is collected.
+    Each step — the tables' lookups, their backward and the optimizer's
+    sparse loop, the MLP stacks' training pass and the optimizer's dense
+    loop — runs on :func:`~repro.core.lanes.lane_count` ``(world)`` lanes
+    (:mod:`repro.core.lanes`), decided at the top of every
+    :meth:`train_step`: the cores this process may use, less the prefetch
+    pipeline's, shared among the replicas.  One lane is the serial loop.
+    The MLP stacks take lanes only while the loaded BLAS reports one thread
+    (:func:`~repro.core.lanes.blas_threads`); otherwise the BLAS's own
+    threads already run each GEMM on the cores.  The helper threads are
+    the trainer's and stop when it is collected.
     """
 
     world = 1
@@ -153,8 +156,8 @@ class Trainer:
         #: Stall ledger of the most recent pipelined :meth:`train` call.
         self.pipeline_stats = None
         self._step_index = 0
-        self._lanes = Lanes()
-        weakref.finalize(self, self._lanes.close)
+        self._step_lanes = Lanes()
+        weakref.finalize(self, self._step_lanes.close)
 
     # -- kill-and-restore (see repro.resilience.harness) ---------------------
 
@@ -201,7 +204,7 @@ class Trainer:
             "train_step", "iteration",
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
-        ), self._sparse_lanes():
+        ), self._lanes():
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):
@@ -227,18 +230,22 @@ class Trainer:
         return loss_value
 
     @contextmanager
-    def _sparse_lanes(self):
-        """Bind the step's lanes to the embedding collection and the
-        optimizer for the duration of the step only: outside it (inference,
-        a layer driven on its own) both run on one lane."""
+    def _lanes(self):
+        """Bind the step's lanes to the embedding collection, the optimizer
+        and — when the BLAS runs a GEMM on one thread — both MLP stacks,
+        for the duration of the step only: outside it (inference, a layer
+        driven on its own) all run on one lane."""
         width = lane_count(self.world)
         if width < 2:
             yield
             return
-        self._lanes.width = width
-        holders = (self.model.embeddings, self.optimizer)
+        self._step_lanes.width = width
+        model = self.model
+        holders = [model.embeddings, self.optimizer]
+        if blas_threads() == 1:  # a threaded BLAS already spreads each GEMM
+            holders += [model.bottom_mlp, model.top_mlp]
         for holder in holders:
-            holder.lanes = self._lanes
+            holder.lanes = self._step_lanes
         try:
             yield
         finally:

@@ -287,8 +287,10 @@ class PrefetchPipeline:
 
     def _prep_loop(self) -> None:
         try:
+            # t0 is taken before each pull: generating the batch is busy
+            # time, like planning it
+            t0 = time.perf_counter()
             for seq, batch in enumerate(self._source):
-                t0 = time.perf_counter()
                 plans = self._plan_fn(batch) if self._plan_fn is not None else None
                 busy = time.perf_counter() - t0
                 self.stats.prep_busy_s += busy
@@ -303,6 +305,7 @@ class PrefetchPipeline:
                     self._spans.append(
                         (f"pipeline.{self.stage}_stall", t1, stalled, {"seq": seq})
                     )
+                t0 = time.perf_counter()
         except _Closed:
             return  # consumer went away first; nothing to report
         except BaseException as exc:  # noqa: BLE001 - replayed on the consumer

@@ -1,32 +1,27 @@
-"""ROADMAP item 1's acceptance instrument (``make fuzz-replay``).
+"""``make fuzz-replay``: the conformance property test over 1 500 draws.
 
 Replays ``test_trainer_step_matches_reference_for_any_architecture`` — its
 own draws, its own assertions — over 1 500 ``random.Random(1)``
 architectures, ``fused`` against ``numpy``; prints each case that differs
 and exits non-zero if any does (tier-1 is derandomised and pins 12
-examples).  Not a CI gate until item 1's fix lands: docs/perf_notes.md.
+examples, plus the cases this replay once found as ``@example``\\ s).
 """
 
 from __future__ import annotations
 
-import random
 import sys
 
 from test_conformance_properties import (
-    MAX_SEED,
-    OPTIMIZERS,
-    draw_case,
+    replay_cases,
     test_trainer_step_matches_reference_for_any_architecture as prop,
 )
 
 
 def main(cases: int = 1500, seed: int = 1) -> int:
-    rng = random.Random(seed)
     check = prop.hypothesis.inner_test  # the test body, without hypothesis
     differing = 0
-    for i in range(cases):
-        config, batch = case = draw_case(rng.randint, rng.choice)
-        optimizer, batch_seed = rng.choice(OPTIMIZERS), rng.randint(0, MAX_SEED)
+    for i, (case, optimizer, batch_seed) in enumerate(replay_cases(cases, seed)):
+        config, batch = case
         try:
             check(case, "fused", optimizer, batch_seed)
         except AssertionError as err:

@@ -44,7 +44,7 @@ def no_leaked_mp_resources(request):
     def service_threads():
         return [
             t.name for t in threading.enumerate()
-            if t.name.startswith(("mp-drain-watch-", "pipeline-", "sparse-lane-"))
+            if t.name.startswith(("mp-drain-watch-", "pipeline-", "lane-"))
         ]
 
     if service_threads():

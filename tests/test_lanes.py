@@ -1,15 +1,24 @@
-"""The sparse half on several lanes (:mod:`repro.core.lanes`).
+"""A train step on several lanes (:mod:`repro.core.lanes`).
 
 The contract: a train step whose tables look up, backpropagate and update
-on two lanes is bit-identical to the serial step — every loss and every
-array of :func:`repro.core.checkpoint.state_arrays` — because each table's
-calls are unchanged and tables share no written state.  The size floor is
-patched to 0 here so that test-sized tables take lanes.
+on several lanes, and whose MLP stacks and dense updates are split across
+them, is bit-identical to the serial step — every loss and every array of
+:func:`repro.core.checkpoint.state_arrays`.  The sparse half holds it by
+construction (each table's calls are unchanged and tables share no written
+state), and so does the dense optimizer step (whole parameters); the MLP
+stacks hold it by the split probe, which runs a product whole unless its
+row blocks equal the whole call.  The sparse size floor is patched to 0
+where test-sized tables must take lanes; the dense tests use stacks above
+the FLOP floor, and report a one-thread BLAS (the stacks take lanes only
+under one) whatever the BLAS the tests run on.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -45,8 +54,11 @@ def every_table_takes_a_lane(monkeypatch):
     monkeypatch.setattr(lanes_mod, "LANE_MIN_BYTES", 0)
 
 
-def lanes_of(monkeypatch, width: int) -> None:
+def lanes_of(monkeypatch, width: int, blas_threads: int = 1) -> None:
+    """``width`` lanes per step, under a BLAS that reports
+    ``blas_threads`` threads (the stacks take lanes only under one)."""
     monkeypatch.setattr(training, "lane_count", lambda world=1: width)
+    monkeypatch.setattr(training, "blas_threads", lambda: blas_threads)
 
 
 def config(dtype: str) -> ModelConfig:
@@ -147,10 +159,155 @@ def test_three_lanes_equal_one(monkeypatch):
 
 
 def test_small_tables_stay_on_the_caller(monkeypatch):
-    """Below the size floor nothing is handed off: no helper starts."""
+    """Below the size floors (tables' bytes, stacks' FLOPs) nothing is
+    handed off: no helper starts."""
     lanes_of(monkeypatch, 2)
     run(make_trainer("float64", PoolingType.SUM, "adagrad", False, False), steps=2)
     assert helper_threads() == []
+
+
+# -- the dense half ------------------------------------------------------------
+
+DENSE_BATCH = 256
+
+
+def dense_config(dtype: str, interaction: InteractionType) -> ModelConfig:
+    """Both stacks above the FLOP floor at four lanes, both tables below
+    the byte floor: what goes to the helpers is the dense half."""
+    return ModelConfig(
+        name="dense-lanes",
+        num_dense=512,
+        tables=(TableSpec("t0", 60, dim=8, mean_lookups=2.0), TableSpec("t1", 40, dim=8)),
+        bottom_mlp=MLPSpec((512, 8)),
+        top_mlp=MLPSpec((512, 512)),
+        interaction=interaction,
+        compute_dtype=dtype,
+    )
+
+
+def dense_optimizer(name: str):
+    def build(m):
+        if name == "sgd":
+            return SGD(
+                m.dense_parameters(), m.embedding_tables(), lr=0.05,
+                momentum=0.9, weight_decay=1e-3, backend=m.backend,
+            )
+        return Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend)
+
+    return build
+
+
+def dense_run(
+    monkeypatch, dtype, width, backend="fused", interaction=InteractionType.CONCAT,
+    optimizer="adagrad", blas_threads=1,
+):
+    lanes_of(monkeypatch, width, blas_threads)
+    cfg = dense_config(dtype, interaction)
+    model = DLRM(cfg, rng=3, backend=backend)
+    trainer = Trainer(model, dense_optimizer(optimizer))
+    gen = SyntheticDataGenerator(cfg, rng=11, seed_teacher=True)
+    losses = [trainer.train_step(gen.batch(DENSE_BATCH)) for _ in range(3)]
+    return losses, state_arrays(model, trainer.optimizer), trainer
+
+
+def assert_same_run(got, expected):
+    assert got[0] == expected[0]
+    assert got[1].keys() == expected[1].keys()
+    for key, array in expected[1].items():
+        assert got[1][key].tobytes() == array.tobytes(), key
+
+
+def rejected(trainer) -> float:
+    return trainer.model.workspace.metrics.counter("dense.lanes.rejected").value
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads trade the interpreter lock every 10 us, so lanes (three and
+    four of them on fewer cores) interleave as finely as they can."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+@pytest.mark.parametrize("optimizer", ["adagrad", "sgd"])
+@pytest.mark.parametrize(
+    "interaction", [InteractionType.CONCAT, InteractionType.DOT], ids=["concat", "dot"]
+)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_dense_half_on_lanes_equals_numpy(monkeypatch, width, dtype, interaction, optimizer):
+    """Fused on ``width`` lanes equals the numpy backend (on one), loss
+    for loss and bit for bit: no lane reads or writes another's rows.  The
+    top stack takes either interaction's output; SGD runs with momentum
+    and weight decay."""
+    run_args = dict(interaction=interaction, optimizer=optimizer)
+    expected = dense_run(monkeypatch, dtype, 1, backend="numpy", **run_args)
+    got = dense_run(monkeypatch, dtype, width, **run_args)
+    model = got[2].model
+    for stack in (model.bottom_mlp, model.top_mlp):
+        weights = sum(p.size for p in stack.parameters() if p.value.ndim == 2)
+        assert 2 * DENSE_BATCH * weights >= 4 * lanes_mod.LANE_MIN_FLOPS
+        assert stack.lanes is None  # bound for the step only
+    assert_same_run(got, expected)
+    assert bool(helper_threads()) == (width > 1)
+
+
+def test_a_threaded_blas_keeps_the_stacks_on_the_caller(monkeypatch):
+    """Under a BLAS that runs a GEMM on two threads the stacks get no
+    lanes (the tables and the dense optimizer step still do)."""
+    handed_off = []
+    each = lanes_mod.Lanes.each
+    monkeypatch.setattr(
+        lanes_mod.Lanes, "each", lambda self, fn: handed_off.append(fn) or each(self, fn)
+    )
+    expected = dense_run(monkeypatch, "float32", 1)
+    got = dense_run(monkeypatch, "float32", 2, blas_threads=2)
+    assert handed_off == []
+    assert_same_run(got, expected)
+    dense_run(monkeypatch, "float32", 2)
+    assert handed_off  # the stacks' handoffs, under one BLAS thread
+
+
+def test_blas_threads_asks_the_loaded_library():
+    """The count is the one the OpenBLAS numpy loaded runs with: a process
+    started with ``OPENBLAS_NUM_THREADS=1`` reads 1."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas or not pathlib.Path("/proc/self/maps").exists():
+        pytest.skip(f"numpy's BLAS is {blas}")
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "from repro.core.lanes import blas_threads; print(blas_threads())"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(repo / "src"), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_a_rejected_split_runs_whole(monkeypatch):
+    """A product whose split the probe rejects runs whole on the caller:
+    the counter ticks and the step is still the serial one."""
+    expected = dense_run(monkeypatch, "float32", 1)
+    monkeypatch.setattr(lanes_mod, "_EXACT", {})
+    monkeypatch.setattr(lanes_mod, "_probe", lambda *args: False)
+    got = dense_run(monkeypatch, "float32", 2)
+    assert_same_run(got, expected)
+    assert rejected(got[2]) > 0
+    assert set(lanes_mod._EXACT.values()) == {False}
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 200, 256, 1000, 1024])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_row_blocks_cover_the_rows_from_aligned_starts(rows, width):
+    blocks = [lanes_mod.row_block(rows, lane, width) for lane in range(width)]
+    assert blocks[0][0] == 0 and blocks[-1][1] == rows
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert all(lo % lanes_mod.ROW_ALIGN == 0 or lo == rows for lo, _ in blocks)
 
 
 @pytest.mark.usefixtures("every_table_takes_a_lane")

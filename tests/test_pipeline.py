@@ -11,6 +11,8 @@ reservation, and error propagation with stage attribution.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -242,6 +244,20 @@ class TestStallLedger:
         assert ledger["prep_stall_s"] >= 0.0
         assert ledger["compute_stall_s"] >= 0.0
         assert 0.0 <= ledger["overlap_fraction"] <= 1.0
+
+    def test_batch_generation_counts_as_prep_work(self):
+        """Pulling a batch from the source is generation, which the ledger
+        counts as busy time, not only the plans built after it."""
+        nap, batches = 0.02, 4
+
+        def slow_source():
+            for i in range(batches):
+                time.sleep(nap)
+                yield i
+
+        with PrefetchPipeline(slow_source()) as pipe:
+            assert [p.batch for p in pipe] == list(range(batches))
+        assert pipe.stats.prep_busy_s >= batches * nap
 
     def test_inline_run_has_no_ledger(self):
         config = _tiny_config()
