@@ -112,13 +112,14 @@ class Backend:
 
     # -- MLP stacks ----------------------------------------------------------
 
-    def mlp_forward(self, layers, x, lanes):
-        """A stack's training forward: ``layers`` (``Linear`` / ``ReLU``)
-        in order on ``x``, each saving what its backward reads.  ``lanes``
-        (:class:`~repro.core.lanes.Lanes` or ``None``) may share the work;
-        the result and the saved state are the serial loop's either way."""
+    def mlp_forward(self, layers, x, lanes, *, training=True):
+        """A stack's forward: ``layers`` (``Linear`` / ``ReLU``) in order
+        on ``x``, each saving what its backward reads when ``training``.
+        ``lanes`` (:class:`~repro.core.lanes.Lanes` or ``None``) may share
+        the work; the result and the saved state are the serial loop's
+        either way."""
         for layer in layers:
-            x = layer.forward(x)
+            x = layer.forward(x, training=training)
         return x
 
     def mlp_backward(self, layers, grad, lanes):
@@ -141,15 +142,16 @@ class Backend:
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True, lanes=None):
         """Pairwise-dot interaction over ``[dense, emb_1, ..., emb_n]``;
         ``embs`` is the feature-major ``(n, batch, d)`` array of pooled
         embeddings or a sequence of ``(batch, d)`` arrays.  Returns
         ``(out, ctx)``; ``ctx`` is backend-private state the matching
-        :meth:`dot_backward` consumes."""
+        :meth:`dot_backward` consumes.  ``lanes`` (as for
+        :meth:`mlp_forward`) may share the work of both."""
         raise NotImplementedError
 
-    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key):
+    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key, *, lanes=None):
         """Returns ``(grad_dense, grad_embs)``; ``grad_embs[i]`` is feature
         ``i``'s ``(batch, d)`` gradient."""
         raise NotImplementedError

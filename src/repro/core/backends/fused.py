@@ -19,8 +19,7 @@ from functools import partial
 import numpy as np
 
 from .. import dense_kernels as dk
-from .. import lanes as lanes_mod
-from ..lanes import row_block, split_is_exact
+from ..lanes import block_run, dot_floor, row_block, split_is_exact, stack_floor
 from .base import Backend
 
 __all__ = ["FusedBackend"]
@@ -66,17 +65,22 @@ class FusedBackend(Backend):
 
     # -- MLP stacks ----------------------------------------------------------
 
-    def mlp_forward(self, layers, x, lanes):
+    def mlp_forward(self, layers, x, lanes, *, training=True):
         """Rows of ``x`` through every layer (linear, then ReLU in place)
         into the layers' own arena buffers: whole on the caller, or — when
         the stack has :data:`~repro.core.lanes.LANE_MIN_FLOPS` per lane
-        (:mod:`repro.core.lanes`) — a block of batch rows per lane.  Input
-        the layers refuse goes to the layer loop, which raises."""
-        pairs = _pairs(layers)
-        first = pairs[0][0]
+        (:mod:`repro.core.lanes`) — a block of batch rows per lane.  Only a
+        training pass saves what the backward reads.  Input the layers
+        refuse goes to the layer loop, which raises, and so does an
+        inference pass on the caller alone: the same kernels, less
+        dispatch."""
+        first = layers[0]
         if not _fits(first, x, first.in_features):
-            return super().mlp_forward(layers, x, lanes)
-        lanes = _stack_lanes(pairs, x, lanes)
+            return super().mlp_forward(layers, x, lanes, training=training)
+        lanes = _stack_lanes(layers, x, lanes)
+        if lanes is None and not training:
+            return super().mlp_forward(layers, x, None, training=False)
+        pairs = _pairs(layers)
         ws, rows = first.workspace, len(x)
         outs = [
             ws.get((lin._ws_key, "out"), (rows, lin.out_features), x.dtype)
@@ -90,6 +94,8 @@ class FusedBackend(Backend):
         for run, laned in _runs(split):
             job = partial(_forward_rows, pairs[run], ins[run.start], outs[run])
             _on_rows(job, rows, lanes if laned else None)
+        if not training:
+            return outs[-1]
         for (lin, relu), a, out in zip(pairs, ins, outs):
             lin._input = a
             if relu is not None:
@@ -110,7 +116,7 @@ class FusedBackend(Backend):
         )
         if not saved or not _fits(last, grad, last.out_features):
             return super().mlp_backward(layers, grad, lanes)
-        lanes = _stack_lanes(pairs, grad, lanes)
+        lanes = _stack_lanes(layers, grad, lanes)
         ws, rows = last.workspace, len(grad)
         chain = []  # top down: (linear, grad in, relu output, its grad, mask, dx)
         for lin, relu in reversed(pairs):
@@ -163,41 +169,64 @@ class FusedBackend(Backend):
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True, lanes=None):
+        """Blocked (:func:`~repro.core.dense_kernels.dot_forward`): whole on
+        the caller, or a contiguous run of whole blocks per lane, each with
+        its own scratch and its own rows of ``out``."""
         batch, dim = dense.shape
         dt = dense.dtype
         pooled = dk.feature_major(embs, ws, key)
         n_vec = len(pooled) + 1
-        block = min(batch, dk.dot_block_rows(n_vec, dt))
-        out = dk.dot_forward(
-            dense,
-            pooled,
-            out_map,
-            ws.get((key, "stack"), (block, n_vec, dim), dt),
-            ws.get((key, "rows"), (block, dim + n_vec * n_vec), dt),
-            ws.get((key, "out"), (batch, len(out_map)), dt),
-        )
+        block, width = _dot_split(batch, n_vec, dt, lanes)
+        out = ws.get((key, "out"), (batch, len(out_map)), dt)
+        scratch = [
+            (
+                ws.get(_lane_key(key, "stack", k), (block, n_vec, dim), dt),
+                ws.get(_lane_key(key, "rows", k), (block, dim + n_vec * n_vec), dt),
+            )
+            for k in range(width)
+        ]
+
+        def rows(lane):
+            lo, hi = _dot_rows(batch, block, lane, width)
+            if lo < hi:
+                dk.dot_forward(dense[lo:hi], pooled[:, lo:hi], out_map, *scratch[lane], out[lo:hi])
+
+        _on_lanes(rows, width, lanes)
         # the backward re-reads both inputs block by block; neither is copied
         return out, (dense, pooled)
 
-    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key):
+    def dot_backward(self, ctx, grad_out, dim, tril, pair_map, ws, key, *, lanes=None):
+        """Blocked as :meth:`dot_forward`; each lane writes its own rows of
+        ``gdense`` and its own batch columns of the feature-major
+        ``gpooled``."""
         dense, pooled = ctx
         num_sparse, batch, _ = pooled.shape
         n_vec = num_sparse + 1
         dt = dense.dtype
-        block = min(batch, dk.dot_block_rows(n_vec, dt))
-        return dk.dot_backward(
-            dense,
-            pooled,
-            pair_map,
-            grad_out,
-            ws.get((key, "stack"), (block, n_vec, dim), dt),
-            ws.get((key, "pairs_ext"), (block, grad_out.shape[1] - dim + 1), dt),
-            ws.get((key, "gram"), (block, n_vec, n_vec), dt),
-            ws.get((key, "gstack"), (block, n_vec, dim), dt),
-            ws.get((key, "gdense"), (batch, dim), dt),
-            ws.get((key, "gpooled"), pooled.shape, dt),
-        )
+        block, width = _dot_split(batch, n_vec, dt, lanes)
+        gdense = ws.get((key, "gdense"), (batch, dim), dt)
+        gpooled = ws.get((key, "gpooled"), pooled.shape, dt)
+        scratch = [
+            (
+                ws.get(_lane_key(key, "stack", k), (block, n_vec, dim), dt),
+                ws.get(_lane_key(key, "pairs_ext", k), (block, grad_out.shape[1] - dim + 1), dt),
+                ws.get(_lane_key(key, "gram", k), (block, n_vec, n_vec), dt),
+                ws.get(_lane_key(key, "gstack", k), (block, n_vec, dim), dt),
+            )
+            for k in range(width)
+        ]
+
+        def rows(lane):
+            lo, hi = _dot_rows(batch, block, lane, width)
+            if lo < hi:
+                dk.dot_backward(
+                    dense[lo:hi], pooled[:, lo:hi], pair_map, grad_out[lo:hi],
+                    *scratch[lane], gdense[lo:hi], gpooled[:, lo:hi],
+                )
+
+        _on_lanes(rows, width, lanes)
+        return gdense, gpooled
 
     def concat_forward(self, dense, embs, dim, ws, key):
         batch, w = dense.shape
@@ -262,6 +291,42 @@ def _relu_grad_bufs(grad_out, y, ws, key):
     return ws.get((key, "g"), grad_out.shape, grad_out.dtype), mask_buf
 
 
+# -- the dot interaction on lanes -------------------------------------------------
+
+
+def _dot_split(batch: int, n_vec: int, dtype, lanes) -> tuple[int, int]:
+    """``(block, width)``: samples per block of the blocked interaction
+    kernels, and the lanes its blocks go over — ``lanes.width`` when every
+    lane gets :data:`~repro.core.lanes.LANE_MIN_BLOCKS` whole blocks, else
+    1 (the caller)."""
+    block = min(batch, dk.dot_block_rows(n_vec, dtype))
+    if lanes is None or lanes.width < 2 or not dot_floor(batch, block, lanes.width):
+        return block, 1
+    return block, lanes.width
+
+
+def _dot_rows(batch: int, block: int, lane: int, width: int) -> tuple[int, int]:
+    """Lane ``lane``'s samples: its :func:`~repro.core.lanes.block_run` of
+    the batch's blocks (the last one short)."""
+    lo, hi = block_run(-(-batch // block), lane, width)
+    return min(batch, lo * block), min(batch, hi * block)
+
+
+def _lane_key(key, slot: str, lane: int):
+    """Lane ``lane``'s arena key for ``slot``: lane 0 (the caller) keeps
+    the one-lane key."""
+    return (key, slot) if lane == 0 else (key, slot, lane)
+
+
+def _on_lanes(job, width: int, lanes) -> None:
+    """``job(lane)`` on every lane, or ``job(0)`` on the caller alone at
+    ``width`` 1."""
+    if width > 1:
+        lanes.each(job)
+    else:
+        job(0)
+
+
 # -- MLP stacks on lanes --------------------------------------------------------
 
 
@@ -282,14 +347,14 @@ def _fits(linear, a, cols: int) -> bool:
     return a.ndim == 2 and a.shape[1] == cols and a.dtype == linear.weight.value.dtype
 
 
-def _stack_lanes(pairs, a, lanes):
-    """``lanes`` if a training pass of the stack over ``a`` 's rows has
+def _stack_lanes(layers, a, lanes):
+    """``lanes`` if a pass of the stack over ``a`` 's rows has
     :data:`~repro.core.lanes.LANE_MIN_FLOPS` of GEMM work per lane on
     them, else ``None`` (the caller alone)."""
     if lanes is None or lanes.width < 2:
         return None
-    flops = 2 * len(a) * sum(lin.in_features * lin.out_features for lin, _ in pairs)
-    return lanes if flops >= lanes_mod.LANE_MIN_FLOPS * lanes.width else None
+    weights = sum(layer.weight.value.size for layer in layers if hasattr(layer, "weight"))
+    return lanes if stack_floor(len(a), weights, lanes.width) else None
 
 
 def _splits(a, b, width: int, ws) -> bool:

@@ -62,7 +62,7 @@ class NumpyBackend(Backend):
 
     # -- feature interaction -------------------------------------------------
 
-    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True):
+    def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True, lanes=None):
         stack = np.stack([dense] + list(embs), axis=1)  # (B, n+1, d)
         gram = stack @ stack.transpose(0, 2, 1)
         pairs = gram[:, tril[0], tril[1]]
@@ -73,7 +73,7 @@ class NumpyBackend(Backend):
         out = np.ascontiguousarray(np.concatenate([dense, pairs], axis=1))
         return out, stack
 
-    def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key):
+    def dot_backward(self, stack, grad_out, dim, tril, pair_map, ws, key, *, lanes=None):
         batch, n_vec, _ = stack.shape
         num_sparse = n_vec - 1
         grad_dense_direct = grad_out[:, :dim]

@@ -46,10 +46,12 @@ table called on its own — results are fresh arrays, bit-identical ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import kernels
+from . import lanes as lanes_mod
 from .backends import Backend, get_backend
 from .config import PoolingType, TableSpec
 from .dense_kernels import Workspace
@@ -634,8 +636,9 @@ class EmbeddingBagCollection:
 
         ``plans`` (from an earlier :meth:`plan_batch`) skips the per-table
         index precompute — the pipelined path.  Under :attr:`lanes` the
-        tables gather on several threads; their plans are then all built
-        first, here, on the caller (tiered tables keep per-stream state).
+        tables gather on several threads once one table's lookups reach
+        the floor; their plans are then all built first, here, on the
+        caller (tiered tables keep per-stream state).
         """
         names = self.feature_names
         missing = set(names) - set(batch.keys())
@@ -647,11 +650,6 @@ class EmbeddingBagCollection:
             pooled = np.empty(shape, dtype=table.dtype)
         else:
             pooled = self.workspace.get(_POOLED_KEY, shape, table.dtype)
-        lanes = self.lanes
-        if lanes is not None and lanes.width > 1:
-            if plans is None:
-                plans = self.plan_batch(batch, training=training)
-            self._size_ones(max(len(p.all_values) for p in plans.values()))
 
         def gather(group, lane):
             # A table's features pool into their C-contiguous run of slabs;
@@ -668,12 +666,32 @@ class EmbeddingBagCollection:
                 for i, vec in zip(slabs, vecs):
                     pooled[i] = vec
 
-        def traffic(group):
-            table = self.tables[group[0]]
-            return len(plans[group[0]].all_values) * table.bytes_per_row()
+        def plan_all():
+            nonlocal plans
+            if plans is None:
+                plans = self.plan_batch(batch, training=training)
+            self._size_ones(max(len(p.all_values) for p in plans.values()))
 
-        spread(lanes, gather, self._table_groups, traffic)
+        traffic = partial(self._gather_traffic, batch)
+        spread(self.lanes, gather, self._table_groups, traffic, plan_all)
         return PooledFeatures(names, pooled)
+
+    def _gather_traffic(self, batch: dict[str, RaggedIndices], group) -> int:
+        """A table group's gather bytes: its features' lookups before
+        truncation (known before any plan is built) x row bytes."""
+        table_name, slabs, _ = group
+        names = self.feature_names
+        lookups = sum(batch[names[i]].total_lookups for i in slabs)
+        return lookups * self.tables[table_name].bytes_per_row()
+
+    def gathers_on_lanes(self, batch: dict[str, RaggedIndices]) -> bool:
+        """Whether :meth:`forward` of ``batch`` on lanes would hand a table
+        to one: some table's gather reaches
+        :data:`~repro.core.lanes.LANE_MIN_BYTES`."""
+        return any(
+            self._gather_traffic(batch, group) >= lanes_mod.LANE_MIN_BYTES
+            for group in self._table_groups
+        )
 
     def backward(self, grads: dict[str, np.ndarray]) -> None:
         names = self.feature_names
@@ -690,13 +708,13 @@ class EmbeddingBagCollection:
             table = self.tables[table_name]
             return self._pending_lookups(table, len(slabs)) * table.bytes_per_row()
 
-        lanes = self.lanes
-        if lanes is not None and lanes.width > 1:
+        def size_ones():
             self._size_ones(max(
                 self._pending_lookups(self.tables[name], len(slabs))
                 for name, slabs, _ in self._table_groups
             ))
-        spread(lanes, scatter, self._table_groups, traffic)
+
+        spread(self.lanes, scatter, self._table_groups, traffic, size_ones)
 
     @staticmethod
     def _pending_lookups(table: EmbeddingTable, features: int) -> int:

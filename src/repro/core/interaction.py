@@ -23,6 +23,7 @@ import numpy as np
 from . import dense_kernels
 from .backends import Backend, bind_backend, reference_backend
 from .dense_kernels import Workspace
+from .lanes import Lanes
 
 __all__ = ["ConcatInteraction", "DotInteraction", "make_interaction"]
 
@@ -46,6 +47,9 @@ class _Interaction:
         #: A stand-alone combiner runs the reference; a model binds its own.
         self.backend: Backend = reference_backend()
         self.workspace: Workspace | None = None
+        #: Lanes the dot interaction's blocks may spread over
+        #: (:mod:`repro.core.lanes`); ``None``: one, the caller.
+        self.lanes: Lanes | None = None
 
     def set_backend(
         self,
@@ -148,7 +152,7 @@ class DotInteraction(_Interaction):
             )
         out, ctx = self.backend.dot_forward(
             dense, embs, self._tril, self._out_map,
-            self.workspace, self._ws_key, training=training,
+            self.workspace, self._ws_key, training=training, lanes=self.lanes,
         )
         if training:
             self._saved = ctx
@@ -161,7 +165,7 @@ class DotInteraction(_Interaction):
         self._saved = None
         return self.backend.dot_backward(
             ctx, grad_out, self.dim, self._tril, self._pair_map,
-            self.workspace, self._ws_key,
+            self.workspace, self._ws_key, lanes=self.lanes,
         )
 
 

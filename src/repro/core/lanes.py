@@ -1,7 +1,7 @@
-"""Lanes: one train step on more than one core, the sparse half and the dense.
+"""Lanes: a model's forward, backward and update on more than one core.
 
-:class:`Lanes` runs a step's work on ``width`` threads: the caller is lane
-0, lanes 1.. are helper threads.  Two kinds of work go on them.
+:class:`Lanes` runs a pass's work on ``width`` threads: the caller is lane
+0, lanes 1.. are helper threads.  Three kinds of work go on them.
 
 *Whole tables* (the sparse half).  Every table's pooled lookup, its
 backward and its optimizer update is a loop of independent,
@@ -26,11 +26,21 @@ takes lanes, and only while the BLAS runs a GEMM on one thread
 (:func:`blas_threads`): a threaded BLAS already puts every core on each
 GEMM, and lanes on top of it oversubscribe the cores.
 
-:func:`lane_count` is the width a step may use;
-:class:`~repro.core.training.Trainer` decides it once per step and binds
-its lanes to the model's embedding collection and its optimizer — and,
-under a one-thread BLAS, its two MLP stacks — for the duration of
-:meth:`~repro.core.training.Trainer.train_step` only.
+*Whole cache blocks* (the dot interaction).  The fused interaction walks
+the batch in blocks of :func:`~repro.core.dense_kernels.dot_block_rows`
+samples; each lane takes a contiguous run of whole blocks
+(:func:`block_run`).  Each sample's gram is the same per-sample call
+whatever block or lane it lands in, so the split is bit-identical by
+construction and needs no probe.  It is taken only when every lane gets
+:data:`LANE_MIN_BLOCKS` whole blocks.
+
+:func:`lane_count` is the width a pass may use;
+:meth:`~repro.core.model.DLRM.bound_lanes` decides it on entry and binds
+the process's one :class:`Lanes` (:data:`LANES`) to a model's embedding
+collection, its interaction, any extra holder (a trainer's optimizer)
+and — under a one-thread BLAS — its two MLP stacks, for the duration of
+one :meth:`~repro.core.training.Trainer.train_step` or one
+:meth:`~repro.core.model.DLRM.predict_proba`.
 
 Rules for code running on a lane: it writes only its own item's state or
 its own rows, draws arena buffers only through
@@ -53,16 +63,21 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
+    "LANE_MIN_BLOCKS",
     "LANE_MIN_BYTES",
     "LANE_MIN_FLOPS",
+    "LANES",
     "ROW_ALIGN",
     "THREAD_PREFIX",
     "Lanes",
     "blas_threads",
+    "block_run",
+    "dot_floor",
     "lane_count",
     "row_block",
     "split_is_exact",
     "spread",
+    "stack_floor",
 ]
 
 T = TypeVar("T")
@@ -103,6 +118,22 @@ LANE_MIN_BYTES = 768 * 1024
 #: and 2048 rows all win, 256 rows cross between 19 and 34 M.
 LANE_MIN_FLOPS = 16_000_000
 
+#: Whole batch blocks of the dot interaction
+#: (:func:`~repro.core.dense_kernels.dot_block_rows`) every lane must get
+#: before the interaction leaves the caller's lane.  One lane -> two, ms
+#: per training pass (forward + backward) of the fused f32 interaction,
+#: median of 15 ABBA repetitions, 2-core Xeon @ 2.10 GHz, two-thread
+#: sgemm control before -> after in brackets; blocks per lane first:
+#: 61 vectors dim 16, 35-sample blocks (1.41 -> 1.76x): 1: 1.52 -> 1.07;
+#: 2: 3.27 -> 2.03; 3: 2.88 -> 2.71; 4: 6.57 -> 3.87; 8: 14.41 -> 7.70;
+#: 29 (``train_dot``'s 2048 rows): 53.2 -> 31.8;
+#: 27 vectors dim 16, 179-sample blocks (0.85 -> 1.79x): 1: 2.13 -> 1.53;
+#: 2: 4.96 -> 3.00; 4: 9.93 -> 7.34.
+#: A block is 512 KiB of grams, ~0.7 ms of work against ~0.08 ms per
+#: handoff, so one block per lane already wins; on a host whose second
+#: core is busy (control <= 1.0x) every size reads 0.83-1.01x.
+LANE_MIN_BLOCKS = 1
+
 #: Row blocks of a split product start at multiples of this many rows.
 ROW_ALIGN = 64
 
@@ -111,13 +142,20 @@ THREAD_PREFIX = "lane-"
 
 
 def lane_count(world: int = 1) -> int:
-    """Lanes one train step may use: the cores this process may run on,
-    less those reserved by service threads (the prefetch pipeline's prep
+    """Lanes one pass may use: the cores this process may run on, less
+    those reserved by service threads (the prefetch pipeline's prep
     thread), shared among the ``world`` replicas on this host."""
-    # repro.runtime imports repro.core (through repro.resilience)
-    from ..runtime.runner import available_cores, reserved_cores
+    runner = _runner()
+    return max(1, (runner.available_cores() - runner.reserved_cores()) // world)
 
-    return max(1, (available_cores() - reserved_cores()) // world)
+
+@cache
+def _runner():
+    # repro.runtime imports repro.core (through repro.resilience), so it is
+    # imported on first use; looked up once, not on every inference call
+    from ..runtime import runner
+
+    return runner
 
 
 #: What OpenBLAS builds name the thread-count getter (numpy's bundled
@@ -164,6 +202,19 @@ def blas_threads() -> int | None:
     return None if getter is None else int(getter())
 
 
+def stack_floor(rows: int, weights: int, width: int) -> bool:
+    """Whether a pass over ``rows`` rows of a stack with ``weights`` GEMM
+    weights (sum of in x out over its layers) has
+    :data:`LANE_MIN_FLOPS` per lane at ``width``."""
+    return 2 * rows * weights >= LANE_MIN_FLOPS * width
+
+
+def dot_floor(rows: int, block: int, width: int) -> bool:
+    """Whether ``rows`` samples in blocks of ``block`` give each of
+    ``width`` lanes :data:`LANE_MIN_BLOCKS` whole blocks."""
+    return rows // block >= width * LANE_MIN_BLOCKS
+
+
 def row_block(rows: int, lane: int, width: int) -> tuple[int, int]:
     """Lane ``lane``'s rows ``[lo, hi)`` of ``rows`` split ``width`` ways:
     equal blocks rounded up to :data:`ROW_ALIGN` rows, the last one short
@@ -171,6 +222,13 @@ def row_block(rows: int, lane: int, width: int) -> tuple[int, int]:
     per = -(-rows // (width * ROW_ALIGN)) * ROW_ALIGN
     lo = min(rows, lane * per)
     return lo, min(rows, lo + per)
+
+
+def block_run(blocks: int, lane: int, width: int) -> tuple[int, int]:
+    """Lane ``lane``'s blocks ``[lo, hi)`` of ``blocks`` split ``width``
+    ways: contiguous runs whose lengths differ by at most one, so every
+    lane gets one once ``blocks >= width``."""
+    return blocks * lane // width, blocks * (lane + 1) // width
 
 
 # -- the split probe ----------------------------------------------------------
@@ -244,6 +302,9 @@ class _Helper:
 def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
     while (job := inbox.get()) is not None:
         outbox.put(_attempt(job))
+        # An idle helper must not keep its last job's model and arrays
+        # alive: the helpers outlive every model.
+        del job
 
 
 def _attempt(job: Callable[[], None]) -> BaseException | None:
@@ -288,6 +349,9 @@ class Lanes:
     def __init__(self) -> None:
         #: Lanes the next :meth:`run` / :meth:`each` may use.
         self.width = 1
+        #: Held by the one thread the lanes are bound for; another thread
+        #: that finds it taken runs on one lane.
+        self.claim = threading.Lock()
         self._helpers: list[_Helper] = []
         self._pid = os.getpid()
 
@@ -295,11 +359,11 @@ class Lanes:
         self,
         fn: Callable[[T, int], None],
         items: Sequence[T],
-        cost: Callable[[T], int],
+        costs: Sequence[int],
     ) -> None:
-        """``fn(item, lane)`` for every item, each on one lane by its
-        ``cost`` in bytes."""
-        plan = _assign([cost(item) for item in items], self.width)
+        """``fn(item, lane)`` for every item, each on one lane by its cost
+        in bytes (``costs[i]`` for ``items[i]``)."""
+        plan = _assign(costs, self.width)
         self._dispatch([
             partial(_each_item, fn, [items[i] for i in lane], k) if lane else None
             for k, lane in enumerate(plan)
@@ -342,17 +406,31 @@ class Lanes:
             helper.thread.join(timeout=10)
 
 
+#: The process's lanes, which :meth:`~repro.core.model.DLRM.bound_lanes`
+#: binds: the width and the cores are the process's, not a model's.  Its
+#: helpers are daemon threads, started on first use (again in a forked
+#: child) and left running.
+LANES = Lanes()
+
+
 def spread(
     lanes: Lanes | None,
     fn: Callable[[T, int], None],
     items: Sequence[T],
     cost: Callable[[T], int],
+    prepare: Callable[[], None] | None = None,
 ) -> None:
     """``fn(item, 0)`` for each item in order — the serial loop — unless
-    ``lanes`` offers more than one lane (:meth:`Lanes.run`); ``cost`` is
-    only evaluated then."""
-    if lanes is None or lanes.width < 2:
-        for item in items:
-            fn(item, 0)
-    else:
-        lanes.run(fn, items, cost)
+    ``lanes`` offers more than one lane and some item's ``cost`` reaches
+    :data:`LANE_MIN_BYTES`: then ``prepare()`` (state the items share,
+    sized on the caller) and :meth:`Lanes.run`.  ``cost`` is only
+    evaluated under lanes."""
+    if lanes is not None and lanes.width > 1:
+        costs = [cost(item) for item in items]
+        if max(costs, default=0) >= LANE_MIN_BYTES:
+            if prepare is not None:
+                prepare()
+            lanes.run(fn, items, costs)
+            return
+    for item in items:
+        fn(item, 0)

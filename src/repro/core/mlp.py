@@ -253,9 +253,9 @@ class MLP:
             prev = width
         self.in_features = in_features
         self.out_features = prev
-        #: The layers' backend; it runs the stack's training pass.
+        #: The layers' backend; it runs the stack's passes.
         self.backend: Backend = reference_backend()
-        #: Lanes the training pass may spread over (:mod:`repro.core.lanes`);
+        #: Lanes the stack's passes may spread over (:mod:`repro.core.lanes`);
         #: ``None``: one, the caller.
         self.lanes: Lanes | None = None
 
@@ -270,15 +270,11 @@ class MLP:
         self.backend = self.layers[0].backend
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        """Run the stack; ``training=False`` is the inference fast path that
-        skips caching activations entirely (nothing to discard afterwards,
-        and ``backward`` on an inference-only forward raises) and runs on
-        one lane."""
-        if training:
-            return self.backend.mlp_forward(self.layers, x, self.lanes)
-        for layer in self.layers:
-            x = layer.forward(x, training=False)
-        return x
+        """Run the stack, on :attr:`lanes` when bound; ``training=False`` is
+        the inference fast path that skips caching activations entirely
+        (nothing to discard afterwards, and ``backward`` on an
+        inference-only forward raises)."""
+        return self.backend.mlp_forward(self.layers, x, self.lanes, training=training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         """The gradient w.r.t. the stack's input (``None`` when it was

@@ -16,13 +16,16 @@ that drives the systems design in the paper.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 
 from .backends import Backend, get_backend
 from .config import InteractionType, ModelConfig, PoolingType
-from .dense_kernels import Workspace
+from .dense_kernels import Workspace, dot_block_rows
 from .embedding import EmbeddingBagCollection, RaggedIndices
 from .interaction import make_interaction
+from .lanes import LANES, blas_threads, dot_floor, lane_count, stack_floor
 from .mlp import MLP, Linear, Parameter
 
 __all__ = ["Batch", "DLRM"]
@@ -140,6 +143,55 @@ class DLRM:
         self.top_mlp.set_backend(self.backend, self.workspace)
         self.scorer.set_backend(self.backend, self.workspace, key="scorer")
         self.interaction.set_backend(self.backend, self.workspace, key="interaction")
+        #: The larger stack's GEMM weights (sum of in x out over its
+        #: layers): a pass over ``rows`` is ``2 x rows x`` this many FLOPs.
+        self._stack_weights = max(
+            sum(layer.weight.value.size for layer in stack.layers if isinstance(layer, Linear))
+            for stack in (self.bottom_mlp, self.top_mlp)
+        )
+
+    @contextmanager
+    def bound_lanes(self, *holders, world: int = 1):
+        """Bind the process's lanes (:data:`~repro.core.lanes.LANES`) —
+        :func:`~repro.core.lanes.lane_count` ``(world)`` of them — to the
+        embedding collection, the interaction, any extra ``holders`` (a
+        trainer's optimizer) and, while the BLAS runs a GEMM on one thread
+        (:func:`~repro.core.lanes.blas_threads`), both MLP stacks, for the
+        duration of the block.  Outside it (a layer driven on its own)
+        every one runs on the caller.  At one lane, or while another
+        thread has the lanes bound, nothing is bound; a bound holder whose
+        work stays under its floor runs its one-lane code."""
+        width = lane_count(world)
+        if width < 2 or not LANES.claim.acquire(blocking=False):
+            yield
+            return
+        holders = [self.embeddings, self.interaction, *holders]
+        try:
+            LANES.width = width
+            if blas_threads() == 1:  # a threaded BLAS already spreads each GEMM
+                holders += [self.bottom_mlp, self.top_mlp]
+            for holder in holders:
+                holder.lanes = LANES
+            yield
+        finally:
+            for holder in holders:
+                holder.lanes = None
+            LANES.claim.release()
+
+    def _lane_work(self, batch: Batch) -> bool:
+        """Whether an inference pass over ``batch`` has anything that may
+        reach its floor (:mod:`repro.core.lanes`) at two lanes or more: a
+        stack's FLOPs, the dot interaction's whole blocks, a table's
+        lookup bytes.  Implied by each holder's own test, and cheaper than
+        binding the lanes for every holder to find nothing to move."""
+        rows = batch.size  # a wider width than 2 only raises each floor
+        if stack_floor(rows, self._stack_weights, 2):
+            return True
+        if self.config.interaction is InteractionType.DOT:
+            block = dot_block_rows(self.config.num_sparse + 1, self.dtype)
+            if dot_floor(rows, block, 2):
+                return True
+        return self.embeddings.gathers_on_lanes(batch.sparse)
 
     # -- forward / backward -------------------------------------------------
 
@@ -191,7 +243,9 @@ class DLRM:
         self.bottom_mlp.backward(grad_dense)
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Click probabilities via the inference fast path.
+        """Click probabilities via the inference fast path, on the lanes a
+        train step gets (:meth:`bound_lanes`) — unless nothing in the pass
+        can reach its floor, and then on the caller without binding them.
 
         Runs ``forward(training=False)``: activations are never cached in
         the first place (rather than cached and then discarded via
@@ -201,7 +255,8 @@ class DLRM:
         """
         from .loss import sigmoid
 
-        logits = self.forward(batch, training=False)
+        with self.bound_lanes() if self._lane_work(batch) else nullcontext():
+            logits = self.forward(batch, training=False)
         return sigmoid(logits)
 
     def _discard_forward_state(self) -> None:

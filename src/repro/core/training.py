@@ -9,8 +9,6 @@ exchanges off the same step through the seam documented on :class:`Trainer`.
 
 from __future__ import annotations
 
-import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -18,7 +16,6 @@ import numpy as np
 
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
-from .lanes import Lanes, blas_threads, lane_count
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
 from .model import Batch, DLRM
@@ -89,15 +86,17 @@ class Trainer:
     exchanges them).  The base has no callback and ``world = 1``.
 
     Each step — the tables' lookups, their backward and the optimizer's
-    sparse loop, the MLP stacks' training pass and the optimizer's dense
-    loop — runs on :func:`~repro.core.lanes.lane_count` ``(world)`` lanes
-    (:mod:`repro.core.lanes`), decided at the top of every
-    :meth:`train_step`: the cores this process may use, less the prefetch
-    pipeline's, shared among the replicas.  One lane is the serial loop.
-    The MLP stacks take lanes only while the loaded BLAS reports one thread
+    sparse loop, the MLP stacks' training pass, the dot interaction and the
+    optimizer's dense loop — runs on the process's lanes as the model binds
+    them (:meth:`~repro.core.model.DLRM.bound_lanes` with ``world``, plus
+    the optimizer): :func:`~repro.core.lanes.lane_count` ``(world)`` of them,
+    decided at the top of every :meth:`train_step` — the cores this
+    process may use, less the prefetch pipeline's, shared among the
+    replicas.  One lane is the serial loop.  The MLP stacks take lanes only
+    while the loaded BLAS reports one thread
     (:func:`~repro.core.lanes.blas_threads`); otherwise the BLAS's own
-    threads already run each GEMM on the cores.  The helper threads are
-    the trainer's and stop when it is collected.
+    threads already run each GEMM on the cores.  Inference
+    (:meth:`~repro.core.model.DLRM.predict_proba`) gets the same lanes.
     """
 
     world = 1
@@ -156,8 +155,6 @@ class Trainer:
         #: Stall ledger of the most recent pipelined :meth:`train` call.
         self.pipeline_stats = None
         self._step_index = 0
-        self._step_lanes = Lanes()
-        weakref.finalize(self, self._step_lanes.close)
 
     # -- kill-and-restore (see repro.resilience.harness) ---------------------
 
@@ -204,7 +201,7 @@ class Trainer:
             "train_step", "iteration",
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
-        ), self._lanes():
+        ), self.model.bound_lanes(self.optimizer, world=self.world):
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):
@@ -228,29 +225,6 @@ class Trainer:
                 self._publish_tier_metrics(getattr(batch, "plans", None))
         self._step_index += 1
         return loss_value
-
-    @contextmanager
-    def _lanes(self):
-        """Bind the step's lanes to the embedding collection, the optimizer
-        and — when the BLAS runs a GEMM on one thread — both MLP stacks,
-        for the duration of the step only: outside it (inference, a layer
-        driven on its own) all run on one lane."""
-        width = lane_count(self.world)
-        if width < 2:
-            yield
-            return
-        self._step_lanes.width = width
-        model = self.model
-        holders = [model.embeddings, self.optimizer]
-        if blas_threads() == 1:  # a threaded BLAS already spreads each GEMM
-            holders += [model.bottom_mlp, model.top_mlp]
-        for holder in holders:
-            holder.lanes = self._step_lanes
-        try:
-            yield
-        finally:
-            for holder in holders:
-                holder.lanes = None
 
     def _publish_tier_metrics(self, plans=None) -> None:
         """Emit per-table tier counters/gauges and a ``tier`` trace span.

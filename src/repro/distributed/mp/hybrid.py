@@ -922,6 +922,10 @@ def run_hybrid(
                 p.terminate()
         for p in procs:
             p.join(timeout=timeouts.reap_s)
+            if p.exitcode is not None:
+                # its sentinel pipes now: a crash's traceback keeps `procs`
+                # (and so the descriptors) alive for as long as it is held
+                p.close()
         fabric.close_all()
         shards.close()
 

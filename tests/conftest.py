@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import glob
 import multiprocessing
 import os
@@ -18,6 +17,7 @@ from repro.core import (
     ModelConfig,
     uniform_tables,
 )
+from repro.core.lanes import LANES
 from repro.data import SyntheticDataGenerator
 
 # Tier-1 is a gate, so its property tests draw the same examples on every
@@ -29,27 +29,58 @@ settings.register_profile("fuzz", max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
+@pytest.fixture(scope="session")
+def mp_process_helpers():
+    """multiprocessing opens some descriptors once per process, on first
+    use, and keeps them: the resource tracker's pipe and the shared heap's
+    arena (where a ``Barrier`` keeps its counters).  Opened up front, they
+    are not taken for a test's leak."""
+    from multiprocessing import heap, resource_tracker
+
+    resource_tracker.ensure_running()
+    heap.BufferWrapper(1)  # freed at once; the heap keeps its small arena
+
+
+def open_fds() -> dict[str, str]:
+    """This process's open file descriptors and what each points at
+    (empty where there is no ``/proc``)."""
+    fds = {}
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return fds
+    for fd in names:
+        try:
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return fds
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_mp_resources(request):
     """The multi-process, pipeline and lanes tests must leave the process
-    tree, the thread list and /dev/shm as they found them — also after the
-    crash-injection tests, whose parent-side cleanup is the thing at stake."""
-    yield
+    tree, the thread list, the descriptor table and /dev/shm as they found
+    them — also after the crash-injection tests, whose parent-side cleanup
+    is the thing at stake."""
     module = request.module.__name__.rpartition(".")[2]
     if not module.startswith(("test_mp", "test_pipeline", "test_lanes")):
+        yield
         return
+    request.getfixturevalue("mp_process_helpers")
+    LANES.close()  # the test starts with no helper thread
+    fds_before = open_fds()
+    yield
     assert not glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*")
     assert not multiprocessing.active_children()
-
-    def service_threads():
-        return [
-            t.name for t in threading.enumerate()
-            if t.name.startswith(("mp-drain-watch-", "pipeline-", "lane-"))
-        ]
-
-    if service_threads():
-        gc.collect()  # a trainer in a reference cycle stops its lanes when collected
-    assert not service_threads()
+    # the process's lanes keep their helpers between passes; no other may
+    LANES.close()
+    assert not [
+        t.name for t in threading.enumerate()
+        if t.name.startswith(("mp-drain-watch-", "pipeline-", "lane-"))
+    ]
+    leaked = {fd: path for fd, path in open_fds().items() if fd not in fds_before}
+    assert not leaked, f"file descriptors left open: {leaked}"
 
 
 @pytest.fixture

@@ -1,25 +1,33 @@
-"""A train step on several lanes (:mod:`repro.core.lanes`).
+"""A train step and inference on several lanes (:mod:`repro.core.lanes`).
 
 The contract: a train step whose tables look up, backpropagate and update
-on several lanes, and whose MLP stacks and dense updates are split across
-them, is bit-identical to the serial step — every loss and every array of
-:func:`repro.core.checkpoint.state_arrays`.  The sparse half holds it by
-construction (each table's calls are unchanged and tables share no written
-state), and so does the dense optimizer step (whole parameters); the MLP
-stacks hold it by the split probe, which runs a product whole unless its
-row blocks equal the whole call.  The sparse size floor is patched to 0
-where test-sized tables must take lanes; the dense tests use stacks above
-the FLOP floor, and report a one-thread BLAS (the stacks take lanes only
-under one) whatever the BLAS the tests run on.
+on several lanes, and whose MLP stacks, dot interaction and dense updates
+are split across them, is bit-identical to the serial step — every loss
+and every array of :func:`repro.core.checkpoint.state_arrays` — and so is
+every probability ``predict_proba`` returns on the same lanes.  The sparse
+half holds it by construction (each table's calls are unchanged and tables
+share no written state), and so do the dense optimizer step (whole
+parameters) and the interaction (whole blocks of per-sample calls); the
+MLP stacks hold it by the split probe, which runs a product whole unless
+its row blocks equal the whole call.  The sparse size floor is patched to
+0 where test-sized tables must take lanes, and the interaction's block
+size where a test batch must span several blocks per lane; the dense tests
+use stacks above the FLOP floor, and report a one-thread BLAS (the stacks
+take lanes only under one) whatever the BLAS the tests run on.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
 import multiprocessing
 import pathlib
+import pickle
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -36,9 +44,11 @@ from repro.core import (
     ScheduledOptimizer,
     TableSpec,
     Trainer,
+    evaluate,
 )
+from repro.core import dense_kernels
 from repro.core import lanes as lanes_mod
-from repro.core import training
+from repro.core import model as model_mod
 from repro.core.checkpoint import state_arrays
 from repro.core.embedding import EmbeddingBagCollection, SparseGrad
 from repro.data import SyntheticDataGenerator
@@ -55,10 +65,11 @@ def every_table_takes_a_lane(monkeypatch):
 
 
 def lanes_of(monkeypatch, width: int, blas_threads: int = 1) -> None:
-    """``width`` lanes per step, under a BLAS that reports
-    ``blas_threads`` threads (the stacks take lanes only under one)."""
-    monkeypatch.setattr(training, "lane_count", lambda world=1: width)
-    monkeypatch.setattr(training, "blas_threads", lambda: blas_threads)
+    """``width`` lanes per step and per inference call, under a BLAS that
+    reports ``blas_threads`` threads (the stacks take lanes only under
+    one): the model decides both (``DLRM.bound_lanes``)."""
+    monkeypatch.setattr(model_mod, "lane_count", lambda world=1: width)
+    monkeypatch.setattr(model_mod, "blas_threads", lambda: blas_threads)
 
 
 def config(dtype: str) -> ModelConfig:
@@ -81,20 +92,28 @@ def config(dtype: str) -> ModelConfig:
     )
 
 
-def make_trainer(dtype, pooling, optimizer, shared, tiered):
-    cfg = config(dtype)
+def build_model(cfg, tables="flat", backend=None, pooling=PoolingType.SUM):
+    """A model of ``cfg`` (``config()``'s four tables) whose tables are
+    ``"flat"``, ``"tiered"`` or ``"shared"`` (one table serves "t0" and
+    "t3")."""
     tiering = (
         TieredStoreConfig(hot_fraction=0.2, chunk_rows=4, policy="freq")
-        if tiered else None
+        if tables == "tiered" else None
     )
-    model = DLRM(cfg, rng=3, pooling=pooling, tiering=tiering)
-    if shared:
+    model = DLRM(cfg, rng=3, pooling=pooling, tiering=tiering, backend=backend)
+    if tables == "shared":
         model.embeddings = EmbeddingBagCollection(
             cfg.tables, np.random.default_rng(4), pooling=pooling,
             dtype=model.dtype,
             feature_to_table={"t0": "t0", "t1": "t1", "empty": "empty", "t3": "t0"},
         )
         model.embeddings.set_backend(model.backend, model.workspace)
+    return model
+
+
+def make_trainer(dtype, pooling, optimizer, shared, tiered):
+    tables = "shared" if shared else "tiered" if tiered else "flat"
+    model = build_model(config(dtype), tables, pooling=pooling)
     opt_cls = SGD if optimizer == "sgd" else Adagrad
 
     def build(m):
@@ -301,6 +320,192 @@ def test_a_rejected_split_runs_whole(monkeypatch):
     assert set(lanes_mod._EXACT.values()) == {False}
 
 
+# -- inference, and the dot interaction's blocks ---------------------------------
+
+
+@pytest.fixture
+def small_dot_blocks(monkeypatch):
+    """Dot-interaction blocks of 10 (f64) or 20 (f32) samples at five
+    vectors of dim 8, so a test batch spans several blocks per lane."""
+    monkeypatch.setattr(dense_kernels, "_DOT_BLOCK_BYTES", 25 * 8 * 10)
+
+
+def infer_config(dtype: str, interaction: InteractionType) -> ModelConfig:
+    """``config()``'s four tables at dim 8 under ``dense_config()``'s
+    stacks (both above the FLOP floor at four lanes)."""
+    tables = tuple(dataclasses.replace(t, dim=8) for t in config(dtype).tables)
+    return dataclasses.replace(dense_config(dtype, interaction), tables=tables)
+
+
+def predictions(model, batches=3):
+    gen = SyntheticDataGenerator(model.config, rng=11, seed_teacher=True)
+    batches = [gen.batch(DENSE_BATCH) for _ in range(batches)]
+    return [model.predict_proba(b).tobytes() for b in batches], evaluate(model, batches)
+
+
+INFER_CELLS = [
+    pytest.param(dtype, interaction, tables, id=f"{dtype}-{interaction.value}-{tables}")
+    for dtype in ("float64", "float32")
+    for interaction in (InteractionType.CONCAT, InteractionType.DOT)
+    for tables in ("flat", "shared", "tiered")
+]
+
+
+@pytest.mark.usefixtures("every_table_takes_a_lane", "small_dot_blocks", "short_switch_interval")
+@pytest.mark.parametrize("dtype, interaction, tables", INFER_CELLS)
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_inference_on_lanes_equals_one_lane_and_numpy(monkeypatch, width, dtype, interaction, tables):
+    """``predict_proba`` and ``evaluate`` on ``width`` lanes — tables,
+    stacks and the dot interaction's blocks all split — equal one lane
+    and the numpy backend, byte for byte."""
+    lanes_of(monkeypatch, 1)
+    reference = predictions(build_model(infer_config(dtype, interaction), tables, "numpy"))
+    assert predictions(build_model(infer_config(dtype, interaction), tables)) == reference
+    lanes_of(monkeypatch, width)
+    model = build_model(infer_config(dtype, interaction), tables)
+    assert predictions(model) == reference
+    assert bool(helper_threads()) == (width > 1)
+    holders = (model.embeddings, model.interaction, model.bottom_mlp, model.top_mlp)
+    assert all(h.lanes is None for h in holders)  # bound for the call only
+
+
+@pytest.mark.parametrize("floor", ["tables", "stacks", "interaction"])
+def test_inference_below_every_floor_binds_nothing(monkeypatch, floor):
+    """An inference batch under every floor runs on the caller without a
+    binding (not even the width is asked); one that reaches any floor —
+    a table's lookups, a stack's FLOPs, two whole dot blocks — is bound."""
+    asked = []
+    monkeypatch.setattr(model_mod, "lane_count", lambda world=1: asked.append(world) or 2)
+    model = build_model(config("float64"))
+    batch = SyntheticDataGenerator(model.config, rng=11).batch(BATCH)
+    expected = model.predict_proba(batch).tobytes()
+    assert asked == []
+    if floor == "tables":
+        monkeypatch.setattr(lanes_mod, "LANE_MIN_BYTES", 0)
+    elif floor == "stacks":
+        monkeypatch.setattr(lanes_mod, "LANE_MIN_FLOPS", BATCH * model._stack_weights)
+    else:
+        monkeypatch.setattr(dense_kernels, "_DOT_BLOCK_BYTES", 25 * 8 * BATCH // 2)
+    assert model.predict_proba(batch).tobytes() == expected
+    assert asked == [1]
+
+
+def dot_calls(monkeypatch) -> list[tuple[str, int]]:
+    """``(thread, samples)`` of every blocked dot-interaction kernel call."""
+    calls = []
+    for name in ("dot_forward", "dot_backward"):
+        kernel = getattr(dense_kernels, name)
+
+        def spy(dense, *args, kernel=kernel):
+            calls.append((threading.current_thread().name, len(dense)))
+            return kernel(dense, *args)
+
+        monkeypatch.setattr(dense_kernels, name, spy)
+    return calls
+
+
+@pytest.mark.usefixtures("small_dot_blocks", "short_switch_interval")
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("blocks_per_lane", [2.5, 1, 0.5], ids=["several", "one", "fewer"])
+def test_dot_interaction_on_lanes_equals_one_lane(monkeypatch, width, dtype, blocks_per_lane):
+    """The interaction alone on lanes (tables and stacks below their
+    floors), training and inference: a run of whole blocks per lane, the
+    batch's short last block on the last lane — or, with fewer whole
+    blocks than lanes, everything on the caller — and the serial run's
+    bits either way."""
+    block = dense_kernels.dot_block_rows(5, dtype)
+    batch = block * int(width * blocks_per_lane) + block // 2  # a short last block
+    cfg = dataclasses.replace(infer_config(dtype, InteractionType.DOT), num_dense=5,
+                              bottom_mlp=MLPSpec((8, 8)), top_mlp=MLPSpec((6,)))
+
+    def trained(width):
+        lanes_of(monkeypatch, width)
+        trainer = Trainer(build_model(cfg), dense_optimizer("adagrad"))
+        gen = SyntheticDataGenerator(cfg, rng=11, seed_teacher=True)
+        losses = [trainer.train_step(gen.batch(batch)) for _ in range(3)]
+        proba = trainer.model.predict_proba(gen.batch(batch))
+        return losses, state_arrays(trainer.model, trainer.optimizer), proba.tobytes()
+
+    expected = trained(1)
+    calls = dot_calls(monkeypatch)
+    got = trained(width)
+    assert got[0] == expected[0] and got[2] == expected[2]
+    assert all(got[1][k].tobytes() == v.tobytes() for k, v in expected[1].items())
+    if blocks_per_lane < 1:
+        assert set(calls) == {("MainThread", batch)}
+        return
+    samples = dict(calls)  # each lane takes the same samples in every pass
+    assert len(set(calls)) == width
+    last = lanes_mod.THREAD_PREFIX + str(width - 1)
+    assert samples.keys() == {"MainThread"} | {
+        lanes_mod.THREAD_PREFIX + str(k) for k in range(1, width)
+    }
+    assert sum(samples.values()) == batch
+    assert samples[last] % block == block // 2  # the short last block
+    whole = [n // block for n in samples.values()]
+    assert min(whole) >= 1 and max(whole) - min(whole) <= 1
+    assert all(n % block == 0 for name, n in samples.items() if name != last)
+
+
+@pytest.mark.usefixtures("every_table_takes_a_lane", "small_dot_blocks")
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_a_copied_model_trains_and_infers_on_lanes(monkeypatch, how):
+    """A model that has run on lanes pickles and deep-copies (the lanes
+    are the process's, not the model's), and the copy trains and infers
+    on them bit for bit as the original does."""
+    lanes_of(monkeypatch, 2)
+    cfg = infer_config("float32", InteractionType.DOT)
+    model = build_model(cfg)
+    predictions(model, batches=1)
+    twin = pickle.loads(pickle.dumps(model)) if how == "pickle" else copy.deepcopy(model)
+
+    def train_and_infer(m):
+        trainer = Trainer(m, dense_optimizer("sgd"))
+        gen = SyntheticDataGenerator(cfg, rng=12, seed_teacher=True)
+        losses = [trainer.train_step(gen.batch(DENSE_BATCH)) for _ in range(2)]
+        return losses, predictions(m)
+
+    assert train_and_infer(twin) == train_and_infer(model)
+    assert helper_threads() == [lanes_mod.THREAD_PREFIX + "1"]
+
+
+@pytest.mark.usefixtures("every_table_takes_a_lane")
+def test_an_idle_helper_keeps_no_trainer_alive(monkeypatch):
+    """The helpers outlive every model: once a trainer is dropped, its
+    last job on an idle lane no longer holds its optimizer (and through
+    it the parameters, state and tables)."""
+    lanes_of(monkeypatch, 2)
+    trainer = make_trainer("float64", PoolingType.SUM, "adagrad", False, False)
+    run(trainer, steps=1)
+    assert helper_threads()
+    optimizer = weakref.ref(trainer.optimizer)
+    del trainer
+    gc.collect()
+    assert optimizer() is None
+
+
+def test_lanes_bound_in_one_thread_leave_another_on_one_lane(monkeypatch):
+    """The lanes are bound for one thread at a time: a binding entered on
+    another thread meanwhile binds nothing, and its model runs on the
+    caller."""
+    lanes_of(monkeypatch, 2)
+    first, second = build_model(config("float64")), build_model(config("float64"))
+    seen = []
+
+    def bind(model):
+        with model.bound_lanes():
+            seen.append(model.embeddings.lanes)
+
+    with first.bound_lanes():
+        assert first.embeddings.lanes is lanes_mod.LANES
+        other = threading.Thread(target=bind, args=(second,))
+        other.start()
+        other.join()
+    bind(second)
+    assert seen == [None, lanes_mod.LANES]
+
+
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200, 256, 1000, 1024])
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_row_blocks_cover_the_rows_from_aligned_starts(rows, width):
@@ -364,10 +569,10 @@ def test_a_helper_exception_waits_for_every_lane():
     try:
         # "big" fills lane 0, "bad" lands on lane 1
         with pytest.raises(KeyError) as err:
-            lanes.run(job, ["bad", "big"], {"bad": 1 << 20, "big": 1 << 21}.get)
+            lanes.run(job, ["bad", "big"], [1 << 20, 1 << 21])
         assert err.value.args == (1,)
         assert done == [("big", 0)]
-        lanes.run(job, ["a", "b"], lambda item: 1 << 20)
+        lanes.run(job, ["a", "b"], [1 << 20, 1 << 20])
         assert sorted(done[1:]) == [("a", 0), ("b", 1)]
     finally:
         lanes.close()
