@@ -5,8 +5,9 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
 
+# Tier-1 (ROADMAP): the whole suite, stop at the first failure.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 # Open-ended property search (tier-1 itself is derandomised, see
 # tests/conftest.py): every hypothesis test file, once, under fresh
@@ -27,7 +28,7 @@ conformance:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/conformance -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Fresh interpreter, reduced train_emb shape: minor page faults per
 # steady-state step must stay under a bound that per-call result
@@ -79,7 +80,7 @@ perf-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) -n $(N) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 figures:
-	$(PYTHON) -m repro figures
+	PYTHONPATH=src $(PYTHON) -m repro figures
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

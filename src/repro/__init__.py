@@ -23,8 +23,8 @@ Subpackages
     Analytical performance model mapping (model config, platform,
     placement, batch) to iteration time, throughput and perf/watt.
 ``repro.distributed``
-    Functional EASGD / Hogwild / synchronous trainers (real numpy
-    training) and an event-level simulation of the CPU training pipeline.
+    Functional EASGD training (real numpy; each worker a ``Trainer``) and
+    an event-level simulation of the CPU training pipeline.
 ``repro.fleet``
     Fleet-scale populations: workload families, server-count allocation,
     utilization telemetry.

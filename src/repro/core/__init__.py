@@ -56,7 +56,6 @@ from .checkpoint import (
     save_partial_checkpoint,
 )
 from .gradcheck import GradCheckResult, check_gradients
-from .run_telemetry import InstrumentedTrainer, MetricSeries, MetricsLogger
 from .schedule import (
     ConstantLR,
     PolynomialDecayLR,
@@ -139,9 +138,6 @@ __all__ = [
     "WarmupLR",
     "PolynomialDecayLR",
     "ScheduledOptimizer",
-    "MetricsLogger",
-    "MetricSeries",
-    "InstrumentedTrainer",
     "GradCheckResult",
     "check_gradients",
 ]

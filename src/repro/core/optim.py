@@ -7,7 +7,8 @@ so dense embedding updates are never materialized.
 
 SGD and Adagrad are provided (Adagrad is the de-facto standard for sparse
 embedding training); EASGD's elastic update lives in
-:mod:`repro.distributed.sync` since it couples multiple workers.
+:mod:`repro.distributed.sync` since it couples multiple workers, whose
+Adagrads share each table's accumulator (:meth:`Adagrad.adopt_accumulator`).
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class Adagrad(_OptimizerBase):
         state: the mp shard owner keeps each table's Adagrad accumulator in
         the same shared-memory segment family as its weights, so a restarted
         or co-located process sees one consistent (weight, accumulator)
-        pair.  Shape/dtype must match; values are not copied.
+        pair; EASGD's workers all adopt the one accumulator per shared
+        table.  Shape/dtype must match; values are not copied.
         """
         state = np.asarray(state)
         current = self._table_state[idx]

@@ -2,9 +2,11 @@
 
 :meth:`Trainer.train_step` is the one place that sequences zero-grad ->
 forward -> loss -> backward -> optimizer: the accuracy experiments (Figure
-15) drive it over synthetic click data for a fixed example budget, and the
-hybrid-parallel workers of :mod:`repro.distributed.mp` hang their gradient
-exchanges off the same step through the seam documented on :class:`Trainer`.
+15) drive it over synthetic click data for a fixed example budget, EASGD's
+workers (:mod:`repro.distributed.sync`) take their local steps through it,
+and the hybrid-parallel workers of :mod:`repro.distributed.mp` hang their
+gradient exchanges off the same step through the seam documented on
+:class:`Trainer`.
 """
 
 from __future__ import annotations

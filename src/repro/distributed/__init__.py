@@ -11,14 +11,7 @@ from .mp import (
     run_hybrid_serial,
 )
 from .simulator import Event, Resource, Simulator
-from .sync import (
-    ClusterStalledError,
-    DelayedGradientTrainer,
-    EASGDConfig,
-    EASGDTrainer,
-    ShadowSyncTrainer,
-    SyncSGDTrainer,
-)
+from .sync import EASGDConfig, EASGDTrainer
 
 __all__ = [
     "Simulator",
@@ -26,16 +19,12 @@ __all__ = [
     "Event",
     "ClusterConfig",
     "ClusterResult",
-    "ClusterStalledError",
     "SyncMode",
     "simulate_cpu_cluster",
     "GpuServerSimResult",
     "simulate_gpu_server",
     "EASGDConfig",
     "EASGDTrainer",
-    "DelayedGradientTrainer",
-    "SyncSGDTrainer",
-    "ShadowSyncTrainer",
     "HybridRunConfig",
     "HybridResult",
     "ShardPlan",

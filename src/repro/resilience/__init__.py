@@ -17,8 +17,9 @@ stalls.  This package supplies the three ingredients every layer shares:
   recovered work into the headline **goodput** metric.
 
 Consumers: :mod:`repro.distributed.cluster` (event-level failures and
-recovery), :mod:`repro.distributed.sync` and :mod:`repro.core.training`
-(functional worker dropout and kill-and-restore), and
+recovery: the synchronous stall and the async continuation),
+:mod:`repro.distributed.sync` (EASGD worker dropout and rejoin),
+:mod:`repro.core.training` (kill-and-restore), and
 :mod:`repro.runtime.runner` (worker-process crash retries).  See
 ``docs/resilience.md`` for the full fault model and the goodput math.
 """

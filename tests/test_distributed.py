@@ -1,4 +1,4 @@
-"""Tests for repro.distributed: DES core, cluster sim, sync algorithms."""
+"""Tests for repro.distributed: DES core, cluster sim, EASGD."""
 
 from dataclasses import replace
 
@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from repro.configs import make_test_model
-from repro.core import evaluate
+from repro.core import DLRM, Adagrad, Trainer, evaluate
 from repro.data import SyntheticDataGenerator
 from repro.distributed import (
     ClusterConfig,
-    DelayedGradientTrainer,
     EASGDConfig,
     EASGDTrainer,
     Resource,
     Simulator,
-    SyncSGDTrainer,
     simulate_cpu_cluster,
 )
 from repro.perf import cpu_cluster_throughput
@@ -197,95 +195,42 @@ class TestEASGD:
         with pytest.raises(ValueError):
             trainer.round([tiny_generator.batch(8)])
 
+    def test_stream_ending_mid_budget_raises(self, tiny_config, tiny_generator):
+        """Two full rounds, then a third that gets one of its two batches:
+        the run raises, as ``Trainer.train`` does, and says what it took."""
+        trainer = EASGDTrainer(tiny_config, EASGDConfig(num_workers=2), rng=0)
+        stream = iter([tiny_generator.batch(16) for _ in range(5)])
+        with pytest.raises(ValueError, match=r"after 64 examples \(2 rounds; 16 more"):
+            trainer.train(stream, max_examples=160)
+        assert trainer.examples_seen == 64
 
-class TestDelayedGradient:
-    def test_staleness_zero_equals_sequential(self, tiny_config, tiny_generator):
-        trainer = DelayedGradientTrainer(tiny_config, staleness=0, lr=0.05, rng=0)
-        history = trainer.train(tiny_generator.batches(64), max_examples=8000)
-        assert np.mean(history[-5:]) < history[0]
-
-    def test_stale_gradients_still_converge(self, tiny_config, tiny_generator):
-        trainer = DelayedGradientTrainer(tiny_config, staleness=3, lr=0.05, rng=0)
-        history = trainer.train(tiny_generator.batches(64), max_examples=16000)
-        assert np.mean(history[-5:]) < history[0]
-
-    def test_higher_staleness_no_better(self, tiny_config):
-        """Asynchrony is a quality trade-off: heavy staleness should not
-        beat the sequential baseline on the same budget."""
-        results = {}
-        for staleness in (0, 8):
-            gen = SyntheticDataGenerator(tiny_config, rng=3, seed_teacher=True)
-            trainer = DelayedGradientTrainer(tiny_config, staleness=staleness, lr=0.05, rng=0)
-            trainer.train(gen.batches(64), max_examples=12000)
-            eval_gen = SyntheticDataGenerator(tiny_config, rng=3, seed_teacher=True)
-            results[staleness] = evaluate(trainer.model, [eval_gen.batch(1024)])[
-                "normalized_entropy"
-            ]
-        assert results[8] >= results[0] - 0.01
-
-    def test_held_gradients_outlive_the_arena_slot(self, tiny_config):
-        """Sparse gradients queued for ``staleness`` steps are copies: the
-        popped ones live in the model's arena only until the next backward.
-        The arena-less ``"numpy"`` backend (bit-identical otherwise) is the
-        witness."""
-        runs = {}
-        for backend in ("numpy", "fused"):
-            config = replace(tiny_config, backend=backend)
-            gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
-            trainer = DelayedGradientTrainer(config, staleness=2, lr=0.05, rng=0)
-            history = trainer.train(gen.batches(16), max_examples=16 * 8)
-            runs[backend] = (history, [t.weight for t in trainer.model.embedding_tables()])
-        assert runs["fused"][0] == runs["numpy"][0]
-        for got, want in zip(runs["fused"][1], runs["numpy"][1]):
-            np.testing.assert_array_equal(got, want)
-
-    def test_negative_staleness_rejected(self, tiny_config):
-        with pytest.raises(ValueError):
-            DelayedGradientTrainer(tiny_config, staleness=-1)
-
-
-class TestSyncSGD:
-    def test_converges(self, tiny_config, tiny_generator):
-        trainer = SyncSGDTrainer(tiny_config, num_workers=2, lr=0.05, rng=0)
-        history = trainer.train(tiny_generator.batches(32), max_examples=12000)
-        assert np.mean(history[-5:]) < history[0]
-
-    def test_equivalent_to_big_batch(self, tiny_config):
-        """Averaging K batches == one K-times-larger batch (same grads)."""
-        gen_a = SyntheticDataGenerator(tiny_config, rng=5, seed_teacher=True)
-        sync = SyncSGDTrainer(tiny_config, num_workers=2, lr=0.05, rng=9)
-        b1, b2 = gen_a.batch(16), gen_a.batch(16)
-        sync.step([b1, b2])
-
-        from repro.core import Adagrad, BCEWithLogitsLoss, Batch, DLRM, RaggedIndices
-
-        solo = DLRM(tiny_config, rng=9)
-        opt = Adagrad(solo.dense_parameters(), solo.embedding_tables(), lr=0.05)
-        merged_sparse = {}
-        for name in b1.sparse:
-            r1, r2 = b1.sparse[name], b2.sparse[name]
-            merged_sparse[name] = RaggedIndices(
-                values=np.concatenate([r1.values, r2.values]),
-                offsets=np.concatenate([r1.offsets, r2.offsets[1:] + r1.offsets[-1]]),
-            )
-        merged = Batch(
-            np.vstack([b1.dense, b2.dense]),
-            merged_sparse,
-            np.concatenate([b1.labels, b2.labels]),
+    @pytest.mark.parametrize("backend", ["fused", "numpy"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_worker_is_the_plain_trainer(self, tiny_config, dtype, backend):
+        """One worker that never syncs steps exactly as ``Trainer`` does."""
+        config = replace(tiny_config, compute_dtype=dtype, backend=backend)
+        easgd = EASGDTrainer(config, EASGDConfig(num_workers=1, tau=1000), lr=0.05, rng=7)
+        history = easgd.train(
+            SyntheticDataGenerator(config, rng=3).batches(24), max_examples=24 * 10
         )
-        crit = BCEWithLogitsLoss()
-        opt.zero_grad()
-        crit.forward(solo.forward(merged), merged.labels)
-        solo.backward(crit.backward())
-        opt.step()
-        for p_sync, p_solo in zip(
-            sync.model.dense_parameters(), solo.dense_parameters()
-        ):
-            np.testing.assert_allclose(p_sync.value, p_solo.value, rtol=1e-8, atol=1e-10)
-
-    def test_bad_worker_count_rejected(self, tiny_config):
-        with pytest.raises(ValueError):
-            SyncSGDTrainer(tiny_config, num_workers=0)
+        plain = Trainer(
+            DLRM(config, rng=7),
+            lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
+        )
+        result = plain.train(
+            SyntheticDataGenerator(config, rng=3).batches(24), max_examples=24 * 10
+        )
+        assert history == result.loss_history
+        worker = easgd.workers[0]
+        for got, want in zip(worker.dense_parameters(), plain.model.dense_parameters()):
+            np.testing.assert_array_equal(got.value, want.value)
+        tables = plain.model.embedding_tables()
+        accumulators = plain.optimizer.slots()[1]
+        for i, table in enumerate(easgd.center_model.embedding_tables()):
+            np.testing.assert_array_equal(table.weight, tables[i].weight)
+            np.testing.assert_array_equal(
+                easgd.accumulators[i], accumulators[table.spec.name]
+            )
 
 
 class TestStragglerInjection:
@@ -545,6 +490,30 @@ class TestEASGDMembership:
         ):
             assert np.array_equal(p.value, center)
 
+    def test_rejoin_keeps_the_shared_sparse_state(self, tiny_config, tiny_generator):
+        """The tables and their Adagrad accumulators are one shared state
+        that a rejoin leaves alone; only the worker's dense half restarts."""
+        trainer = EASGDTrainer(
+            tiny_config, EASGDConfig(num_workers=2, tau=1), lr=0.05, rng=0
+        )
+        stream = tiny_generator.batches(16)
+        trainer.round([next(stream) for _ in range(2)])
+        trainer.drop_worker(1)
+        trainer.round([next(stream)])
+        tables = trainer.center_model.embedding_tables()
+        shared = trainer.accumulators
+        before = [(t.weight.copy(), a.copy()) for t, a in zip(tables, shared)]
+        trainer.rejoin_worker(1)
+        for table, accumulator, (weight, state) in zip(tables, shared, before):
+            np.testing.assert_array_equal(table.weight, weight)
+            np.testing.assert_array_equal(accumulator, state)
+        for p, center in zip(trainer.workers[1].dense_parameters(), trainer.center_state):
+            np.testing.assert_array_equal(p.value, center)
+        assert not any(s.any() for s in trainer.trainers[1].optimizer.slots()[0])
+        for worker_trainer in trainer.trainers:
+            adopted = worker_trainer.optimizer.slots()[1].values()
+            assert all(s is a for s, a in zip(adopted, shared, strict=True))
+
     def test_membership_validation(self, tiny_config):
         trainer = EASGDTrainer(tiny_config, EASGDConfig(num_workers=2), rng=0)
         with pytest.raises(ValueError):
@@ -556,42 +525,3 @@ class TestEASGDMembership:
             trainer.drop_worker(0)  # already down
         with pytest.raises(ValueError):
             trainer.drop_worker(1)  # last active worker
-
-
-class TestSyncSGDStall:
-    """The synchronous counterpoint: one failed worker stalls every step."""
-
-    def test_step_raises_while_worker_down(self, tiny_config, tiny_generator):
-        from repro.distributed import ClusterStalledError
-
-        trainer = SyncSGDTrainer(tiny_config, num_workers=2, lr=0.05, rng=0)
-        stream = tiny_generator.batches(16)
-        trainer.step([next(stream), next(stream)])
-        trainer.drop_worker(0)
-        with pytest.raises(ClusterStalledError) as err:
-            trainer.step([next(stream), next(stream)])
-        assert err.value.dropped == [0]
-        assert trainer.stalled_steps == 1
-
-    def test_restore_clears_the_barrier(self, tiny_config, tiny_generator):
-        from repro.distributed import ClusterStalledError
-
-        trainer = SyncSGDTrainer(tiny_config, num_workers=2, lr=0.05, rng=0)
-        stream = tiny_generator.batches(16)
-        trainer.drop_worker(1)
-        with pytest.raises(ClusterStalledError):
-            trainer.step([next(stream), next(stream)])
-        trainer.restore_worker(1)
-        loss = trainer.step([next(stream), next(stream)])
-        assert np.isfinite(loss)
-        assert trainer.dropped_workers() == []
-
-    def test_membership_validation(self, tiny_config):
-        trainer = SyncSGDTrainer(tiny_config, num_workers=2, rng=0)
-        with pytest.raises(ValueError):
-            trainer.drop_worker(9)
-        with pytest.raises(ValueError):
-            trainer.restore_worker(0)  # not down
-        trainer.drop_worker(0)
-        with pytest.raises(ValueError):
-            trainer.drop_worker(0)

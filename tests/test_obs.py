@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.run_telemetry import MetricSeries, MetricsLogger
 from repro.distributed.cluster import ClusterConfig, simulate_cpu_cluster
 from repro.distributed.simulator import Resource
 from repro.distributed.sync import EASGDConfig, EASGDTrainer
@@ -394,49 +393,17 @@ class TestBreakdownTracing:
         assert "resource_queue_depth" in reg
 
 
-class TestMetricSeriesOverwrite:
-    def test_duplicate_step_overwrites_last(self):
-        s = MetricSeries("loss")
-        s.record(0, 1.0)
-        s.record(1, 0.9)
-        s.record(1, 0.5)  # checkpoint-restore replay: last writer wins
-        assert s.steps == [0, 1]
-        assert s.values == [1.0, 0.5]
-        assert s.latest() == 0.5
-
-    def test_regression_still_rejected(self):
-        s = MetricSeries("loss")
-        s.record(5, 1.0)
-        with pytest.raises(ValueError):
-            s.record(4, 1.0)
-
-
 class TestLoggerRegistryBridge:
-    def test_to_registry_builds_hist_gauge_counter(self):
-        log = MetricsLogger()
-        log.record(0, loss=1.0, lr=0.1)
-        log.record(1, loss=0.5, lr=0.1)
-        reg = log.to_registry()
-        assert reg.histogram("loss").count == 2
-        assert reg.gauge("loss:last").value == 0.5
-        assert reg.counter("telemetry_points").value == 4
-
-    def test_to_registry_skips_non_finite(self):
-        log = MetricsLogger()
-        log.record(0, lr=float("nan"))
-        log.record(1, lr=float("nan"))
-        reg = log.to_registry()
-        assert reg.histogram("lr").count == 0  # NaNs skipped, no raise
-        assert np.isnan(reg.gauge("lr:last").value)
-
     def test_per_run_registries_merge_fleet_wide(self):
         runs = []
         for i in range(3):
-            log = MetricsLogger()
-            log.record(0, loss=1.0 / (i + 1))
-            runs.append(log.to_registry())
+            reg = MetricsRegistry()
+            reg.histogram("loss").observe(1.0 / (i + 1))
+            reg.counter("telemetry_points").inc()
+            runs.append(reg)
         fleet = aggregate_run_registries(runs)
         assert fleet.histogram("loss").count == 3
+        assert fleet.histogram("loss").total == pytest.approx(1.0 + 1 / 2 + 1 / 3)
         assert fleet.counter("telemetry_points").value == 3
 
 
