@@ -14,7 +14,7 @@ import pytest
 from bench_utils import record, run_once
 
 from repro.experiments import ext_mp_scaling
-from repro.runtime.runner import available_cores
+from repro.core.lanes import available_cores
 
 REL_ERR_BOUND = 0.25
 MIN_SPEEDUP_4W = 2.0

@@ -26,8 +26,9 @@ Which kernel runs is decided once.  ``ModelConfig.backend`` (or
 model binds the result — with its arena — into every layer, the loss and
 the optimizer (:func:`bind_backend`); no ``forward`` / ``backward``
 chooses again.  Intra-op GEMM parallelism is the BLAS library's thread
-count (``OPENBLAS_NUM_THREADS`` and friends), a deployment setting, not a
-backend.
+count, not a backend: in the top-level process a deployment setting
+(``OPENBLAS_NUM_THREADS`` and friends); a forked worker lowers it to its
+share of the cores (:func:`~repro.core.lanes.take_share`).
 
 A new backend is validated by registration alone: the conformance suite
 parametrizes over :func:`known_backends` and asserts every op against

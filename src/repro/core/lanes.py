@@ -34,7 +34,10 @@ whatever block or lane it lands in, so the split is bit-identical by
 construction and needs no probe.  It is taken only when every lane gets
 :data:`LANE_MIN_BLOCKS` whole blocks.
 
-:func:`lane_count` is the width a pass may use;
+The module owns the process's core budget: :func:`free_cores` is its
+share of the process tree's cores (:func:`take_share`) less those its
+service threads hold (:func:`hold_core`).  :func:`lane_count` — one lane
+per free core — is the width a pass may use;
 :meth:`~repro.core.model.DLRM.bound_lanes` decides it on entry and binds
 the process's one :class:`Lanes` (:data:`LANES`) to a model's embedding
 collection, its interaction, any extra holder (a trainer's optimizer)
@@ -56,6 +59,7 @@ import ctypes
 import os
 import queue
 import threading
+from contextlib import contextmanager
 from functools import cache, partial
 from typing import Callable, Sequence, TypeVar
 
@@ -70,14 +74,18 @@ __all__ = [
     "ROW_ALIGN",
     "THREAD_PREFIX",
     "Lanes",
+    "available_cores",
     "blas_threads",
     "block_run",
     "dot_floor",
+    "free_cores",
+    "hold_core",
     "lane_count",
     "row_block",
     "split_is_exact",
     "spread",
     "stack_floor",
+    "take_share",
 ]
 
 T = TypeVar("T")
@@ -141,25 +149,70 @@ ROW_ALIGN = 64
 THREAD_PREFIX = "lane-"
 
 
-def lane_count(world: int = 1) -> int:
-    """Lanes one pass may use: the cores this process may run on, less
-    those reserved by service threads (the prefetch pipeline's prep
-    thread), shared among the ``world`` replicas on this host."""
-    runner = _runner()
-    return max(1, (runner.available_cores() - runner.reserved_cores()) // world)
+def available_cores() -> int:
+    """CPU cores this process may run on: its affinity set (Linux;
+    containers pin a subset of the host's cores), else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return max(1, len(getaffinity(0)))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
 
 
-@cache
-def _runner():
-    # repro.runtime imports repro.core (through repro.resilience), so it is
-    # imported on first use; looked up once, not on every inference call
-    from ..runtime import runner
+# -- the core budget ----------------------------------------------------------
 
-    return runner
+#: Cores this process was handed by its parent; ``None`` at the top of the
+#: process tree, whose share is :func:`available_cores`.
+_share: int | None = None
+#: One entry per core a running service thread holds (a list: appends and
+#: pops are atomic).
+_held: list[None] = []
+
+
+def free_cores() -> int:
+    """Cores this process may put to work: its share of the process tree's
+    cores (:func:`take_share`; all of :func:`available_cores` at the top)
+    less those held by running service threads (:func:`hold_core`), and
+    never fewer than one."""
+    share = available_cores() if _share is None else _share
+    return max(1, share - len(_held))
+
+
+def take_share(cores: int) -> None:
+    """Make ``cores`` (at least one) of the parent's :func:`free_cores`
+    this process's share, and lower the loaded OpenBLAS's thread count to
+    it.  Called once, first thing in a forked child (the parent's service
+    threads do not exist here); never in the top-level process, whose BLAS
+    thread count is a deployment setting."""
+    global _share
+    _share = max(1, cores)
+    _held.clear()
+    blas = _blas()
+    if blas is not None and blas[0]() > _share:
+        blas[1](_share)
+
+
+@contextmanager
+def hold_core():
+    """Hold one of this process's cores for a service thread that runs
+    beside the compute (the prefetch pipeline's prep thread), for the
+    duration of the block."""
+    _held.append(None)
+    try:
+        yield
+    finally:
+        _held.pop()
+
+
+def lane_count() -> int:
+    """Lanes one pass may use: one per free core (:func:`free_cores`)."""
+    return free_cores()
 
 
 #: What OpenBLAS builds name the thread-count getter (numpy's bundled
-#: ``scipy-openblas`` first).
+#: ``scipy-openblas`` first); the setter beside each is named ``_set_``.
 _BLAS_GETTERS = (
     "scipy_openblas_get_num_threads64_",
     "scipy_openblas_get_num_threads",
@@ -169,10 +222,10 @@ _BLAS_GETTERS = (
 
 
 @cache
-def _blas_getter():
-    """The loaded OpenBLAS's thread-count getter, or ``None``.  The
-    library is found among this process's mapped files (Linux), so this
-    opens nothing numpy has not already loaded."""
+def _blas():
+    """The loaded OpenBLAS's thread-count getter and setter, or ``None``.
+    The library is found among this process's mapped files (Linux), so
+    this opens nothing numpy has not already loaded."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({
@@ -188,9 +241,11 @@ def _blas_getter():
             continue
         for name in _BLAS_GETTERS:
             getter = getattr(lib, name, None)
-            if getter is not None:
+            setter = getattr(lib, name.replace("_get_", "_set_"), None)
+            if getter is not None and setter is not None:
                 getter.restype, getter.argtypes = ctypes.c_int, []
-                return getter
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                return getter, setter
     return None
 
 
@@ -198,8 +253,8 @@ def blas_threads() -> int | None:
     """Threads the loaded OpenBLAS runs a GEMM on, asked of the library
     each call (so a run-time change shows); ``None`` when no OpenBLAS can
     be asked (another BLAS, or no ``/proc``)."""
-    getter = _blas_getter()
-    return None if getter is None else int(getter())
+    blas = _blas()
+    return None if blas is None else int(blas[0]())
 
 
 def stack_floor(rows: int, weights: int, width: int) -> bool:

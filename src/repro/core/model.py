@@ -151,9 +151,9 @@ class DLRM:
         )
 
     @contextmanager
-    def bound_lanes(self, *holders, world: int = 1):
+    def bound_lanes(self, *holders):
         """Bind the process's lanes (:data:`~repro.core.lanes.LANES`) —
-        :func:`~repro.core.lanes.lane_count` ``(world)`` of them — to the
+        :func:`~repro.core.lanes.lane_count` of them — to the
         embedding collection, the interaction, any extra ``holders`` (a
         trainer's optimizer) and, while the BLAS runs a GEMM on one thread
         (:func:`~repro.core.lanes.blas_threads`), both MLP stacks, for the
@@ -161,7 +161,7 @@ class DLRM:
         every one runs on the caller.  At one lane, or while another
         thread has the lanes bound, nothing is bound; a bound holder whose
         work stays under its floor runs its one-lane code."""
-        width = lane_count(world)
+        width = lane_count()
         if width < 2 or not LANES.claim.acquire(blocking=False):
             yield
             return

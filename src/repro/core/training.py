@@ -90,14 +90,14 @@ class Trainer:
     Each step — the tables' lookups, their backward and the optimizer's
     sparse loop, the MLP stacks' training pass, the dot interaction and the
     optimizer's dense loop — runs on the process's lanes as the model binds
-    them (:meth:`~repro.core.model.DLRM.bound_lanes` with ``world``, plus
-    the optimizer): :func:`~repro.core.lanes.lane_count` ``(world)`` of them,
-    decided at the top of every :meth:`train_step` — the cores this
-    process may use, less the prefetch pipeline's, shared among the
-    replicas.  One lane is the serial loop.  The MLP stacks take lanes only
-    while the loaded BLAS reports one thread
-    (:func:`~repro.core.lanes.blas_threads`); otherwise the BLAS's own
-    threads already run each GEMM on the cores.  Inference
+    them (:meth:`~repro.core.model.DLRM.bound_lanes`, plus the optimizer):
+    :func:`~repro.core.lanes.lane_count` of them, decided at the top of
+    every :meth:`train_step` — the process's free cores: its share of the
+    process tree's (a replica's worker process took its share when it
+    started), less the prefetch pipeline's prep thread's.  One lane is the
+    serial loop.  The MLP stacks take lanes only while the loaded BLAS
+    reports one thread (:func:`~repro.core.lanes.blas_threads`); otherwise
+    the BLAS's own threads already run each GEMM on the cores.  Inference
     (:meth:`~repro.core.model.DLRM.predict_proba`) gets the same lanes.
     """
 
@@ -203,7 +203,7 @@ class Trainer:
             "train_step", "iteration",
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
-        ), self.model.bound_lanes(self.optimizer, world=self.world):
+        ), self.model.bound_lanes(self.optimizer):
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):

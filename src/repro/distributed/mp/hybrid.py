@@ -61,6 +61,7 @@ from ...core import DLRM, Adagrad, Batch, Trainer
 from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
 from ...core.embedding import RaggedIndices
+from ...core.lanes import free_cores, take_share
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
@@ -477,6 +478,9 @@ def _worker_main(
     kills: list[KillSpec] | None = None,
     resume: ckpt.ResumeState | None = None,
 ) -> None:
+    # first of all, this rank's share of the parent's free cores: its lanes
+    # and BLAS threads fit in it
+    take_share(free_cores() // world)
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)

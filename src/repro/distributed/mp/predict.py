@@ -40,7 +40,7 @@ import numpy as np
 
 from ...core.config import ModelConfig
 from ...core.embedding import SparseGrad
-from ...runtime.runner import available_cores
+from ...core.lanes import available_cores, free_cores
 from ..simulator import Resource
 from .allreduce import PackedAllreduce
 from .channels import Channel
@@ -172,9 +172,9 @@ def _probe_hop_overhead(trials: int = 3) -> float:
         return elapsed
 
     hops = _HOP_ITERS * 2  # 2(W-1) with W=2
-    # With two cores the ranks compute concurrently (ideal = solo); on one
-    # core they time-share (ideal = 2x solo).
-    share = 2 if available_cores() < 2 else 1
+    # With two free cores the ranks compute concurrently (ideal = solo); on
+    # one (a pool worker's share, beside a prep thread) they time-share.
+    share = 2 if free_cores() < 2 else 1
     estimates = []
     for _ in range(trials):
         solo = min(solo_time(), solo_time())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from ..analysis import render_table
 from ..core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
+from ..core.lanes import available_cores
 from ..core.model import DLRM
 from ..core.optim import Adagrad
 from ..core.training import Trainer
@@ -35,7 +36,7 @@ from ..distributed.mp import (
     probe_comm,
     run_hybrid,
 )
-from ..runtime.runner import available_cores, derive_seed
+from ..runtime.runner import derive_seed
 
 __all__ = [
     "ScalingPoint",

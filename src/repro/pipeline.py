@@ -32,10 +32,10 @@ consumer's :class:`~repro.obs.tracer.Tracer` on a separate Chrome-trace
 thread lane (``tid=1``), so ``python -m repro trace pipeline`` shows the
 two timelines interleaving.
 
-While a pipeline is running it holds one core reservation
-(:func:`repro.runtime.reserve_core`), so
-:func:`repro.runtime.default_workers` won't oversubscribe a small CI
-machine by handing the prep thread's core to a sweep pool.
+While a pipeline is running its prep thread holds one of the process's
+cores (:func:`repro.core.lanes.hold_core`), so the lanes of a train step
+and :func:`repro.runtime.default_workers` size themselves from the cores
+left and do not hand the prep thread's core to a lane or a sweep pool.
 """
 
 from __future__ import annotations
@@ -43,15 +43,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core.embedding import TablePlan
+from .core.lanes import hold_core
 from .core.model import Batch
 from .obs.tracer import NULL_TRACER
-from .runtime.runner import release_core, reserve_core
 
 __all__ = ["PipelineStats", "PreparedBatch", "PrefetchPipeline"]
 
@@ -225,7 +226,7 @@ class PrefetchPipeline:
     batches without planning (generation-only overlap).
 
     Use as a context manager (or call :meth:`close`); the prep thread,
-    core reservation and span drain are all released on exit.  Exceptions
+    its held core and span drain are all released on exit.  Exceptions
     raised by the source iterator or ``plan_fn`` surface on the consumer
     at the position in the stream where they occurred, annotated with the
     pipeline stage.
@@ -250,6 +251,7 @@ class PrefetchPipeline:
         # threads read the same perf_counter clock, so the lanes align.
         self._spans: deque = deque()
         self._thread: threading.Thread | None = None
+        self._core = ExitStack()  # the prep thread's, start() to close()
         self._started = False
         self._closed = False
 
@@ -259,7 +261,7 @@ class PrefetchPipeline:
         if self._started:
             return self
         self._started = True
-        reserve_core()
+        self._core.enter_context(hold_core())
         self._thread = threading.Thread(
             target=self._prep_loop, name=f"pipeline-{self.stage}", daemon=True
         )
@@ -273,8 +275,7 @@ class PrefetchPipeline:
         self._buffer.close()
         if self._thread is not None:
             self._thread.join()
-        if self._started:
-            release_core()
+        self._core.close()
         self._drain_spans()
 
     def __enter__(self) -> "PrefetchPipeline":

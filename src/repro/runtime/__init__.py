@@ -15,17 +15,14 @@ See ``DESIGN.md`` ("repro.runtime") for the cache key scheme and the
 determinism contract (parallel == serial, bit for bit).
 """
 
+from ..core.lanes import available_cores
 from .cache import MISS, ResultCache, canonical, canonical_json, code_token, fingerprint
 from .runner import (
     PointFailure,
     SweepPointError,
     SweepRunner,
-    available_cores,
     default_workers,
     derive_seed,
-    release_core,
-    reserve_core,
-    reserved_cores,
 )
 
 __all__ = [
@@ -41,7 +38,4 @@ __all__ = [
     "default_workers",
     "derive_seed",
     "fingerprint",
-    "release_core",
-    "reserve_core",
-    "reserved_cores",
 ]

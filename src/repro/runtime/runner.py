@@ -15,7 +15,8 @@ invariant pinned by ``tests/test_runtime.py``.
 
 Worker-count selection: ``workers`` <= 1 (the default) runs serially in
 process — zero overhead, full tracer fidelity.  ``workers`` >= 2 forks a
-pool; sensible values are ``min(num_points, os.cpu_count())``, which
+pool whose workers each take their share of this process's free cores;
+sensible values are ``min(num_points, free cores)``, which
 :func:`default_workers` computes.  Functions crossing the process boundary
 must be module-level (picklable); the runner *pre-checks* picklability and
 silently falls back to serial for closures, counting the event in
@@ -24,15 +25,14 @@ silently falls back to serial for closures, counting the event in
 
 from __future__ import annotations
 
-import os
 import pickle
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..core.lanes import free_cores, take_share
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from ..resilience.retry import RetryPolicy
@@ -42,12 +42,8 @@ __all__ = [
     "SweepRunner",
     "SweepPointError",
     "PointFailure",
-    "available_cores",
     "derive_seed",
     "default_workers",
-    "reserve_core",
-    "release_core",
-    "reserved_cores",
 ]
 
 #: Runner-appropriate defaults: a couple of bounded retries with short
@@ -109,74 +105,16 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
     return int(digest[:12], 16)
 
 
-def available_cores() -> int:
-    """CPU cores *this process may actually run on*.
-
-    Containerized CI pins processes to a subset of the host's cores;
-    ``os.cpu_count()`` reports the host total and would oversubscribe the
-    pool.  ``os.sched_getaffinity`` reflects the pinned set (Linux); fall
-    back to ``os.cpu_count()`` where it doesn't exist (macOS, Windows).
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return max(1, len(getaffinity(0)))
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
-
-
-# Cores claimed by service threads that run *concurrently with* compute —
-# the prefetch pipeline's prep thread is the one claimant.  A plain int
-# guarded by the GIL would do, but the lock makes the reserve/release
-# pairing explicit and safe under free-threaded builds.
-_reserved_lock = threading.Lock()
-_reserved_cores = 0
-
-
-def reserve_core() -> None:
-    """Claim one core for a background service thread (the prefetch pipeline's).
-
-    While reserved, :func:`default_workers` hands out one fewer worker so
-    a sweep started mid-pipeline doesn't oversubscribe a small (2-core CI)
-    machine.  Pair every call with :func:`release_core`; the pipeline does
-    so in its start/stop lifecycle.
-    """
-    global _reserved_cores
-    with _reserved_lock:
-        _reserved_cores += 1
-
-
-def release_core() -> None:
-    """Return a core claimed by :func:`reserve_core`."""
-    global _reserved_cores
-    with _reserved_lock:
-        _reserved_cores = max(0, _reserved_cores - 1)
-
-
-def reserved_cores() -> int:
-    """Cores currently claimed by active service threads."""
-    with _reserved_lock:
-        return _reserved_cores
-
-
 def default_workers(num_points: int | None = None) -> int:
-    """A sensible pool size: all *available* cores (respecting CPU
-    affinity, see :func:`available_cores`) minus any cores reserved for
-    active pipeline/comm service threads, but never more than the points
+    """A sensible pool size: this process's free cores (its share of the
+    process tree's, less those held by service threads such as the
+    prefetch pipeline's prep thread, see
+    :func:`~repro.core.lanes.free_cores`), but never more than the points
     and never less than one."""
-    cores = max(1, available_cores() - reserved_cores())
+    cores = free_cores()
     if num_points is None:
         return cores
     return max(1, min(cores, num_points))
-
-
-def _take_share_of_cores(workers: int) -> None:
-    """Pool-worker initializer: reserve the cores of this process's
-    ``workers - 1`` siblings, so what it sizes from the free cores (the
-    train step's sparse lanes, a nested pool) fits in its own share."""
-    for _ in range(available_cores() - max(1, available_cores() // workers)):
-        reserve_core()
 
 
 def _timed_call(fn: Callable[..., Any], kwargs: dict) -> tuple[Any, float]:
@@ -415,7 +353,9 @@ class SweepRunner:
         max_workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
             max_workers=max_workers, mp_context=self._mp_context,
-            initializer=_take_share_of_cores, initargs=(max_workers,),
+            # each worker takes its share of this process's free cores, so
+            # its lanes, BLAS threads and any nested pool fit in it
+            initializer=take_share, initargs=(free_cores() // max_workers,),
         ) as pool:
             futures = [(i, pool.submit(_timed_call, fn, points[i])) for i in pending]
             for i, future in futures:

@@ -17,7 +17,7 @@ from repro.core import (
     ModelConfig,
     uniform_tables,
 )
-from repro.core.lanes import LANES
+from repro.core.lanes import LANES, blas_threads, lane_count
 from repro.data import SyntheticDataGenerator
 
 # Tier-1 is a gate, so its property tests draw the same examples on every
@@ -62,7 +62,9 @@ def no_leaked_mp_resources(request):
     """The multi-process, pipeline and lanes tests must leave the process
     tree, the thread list, the descriptor table and /dev/shm as they found
     them — also after the crash-injection tests, whose parent-side cleanup
-    is the thing at stake."""
+    is the thing at stake — and the test process's core budget too: only
+    a forked worker takes a share of the cores (and lowers its BLAS
+    threads), never the process that forked it."""
     module = request.module.__name__.rpartition(".")[2]
     if not module.startswith(("test_mp", "test_pipeline", "test_lanes")):
         yield
@@ -70,7 +72,9 @@ def no_leaked_mp_resources(request):
     request.getfixturevalue("mp_process_helpers")
     LANES.close()  # the test starts with no helper thread
     fds_before = open_fds()
+    budget = lane_count(), blas_threads()
     yield
+    assert (lane_count(), blas_threads()) == budget
     assert not glob.glob(f"/dev/shm/repro_mp_{os.getpid()}_*")
     assert not multiprocessing.active_children()
     # the process's lanes keep their helpers between passes; no other may

@@ -18,6 +18,7 @@ take lanes only under one) whatever the BLAS the tests run on.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -52,7 +53,6 @@ from repro.core import model as model_mod
 from repro.core.checkpoint import state_arrays
 from repro.core.embedding import EmbeddingBagCollection, SparseGrad
 from repro.data import SyntheticDataGenerator
-from repro.runtime import runner
 from repro.tiering import TieredStoreConfig
 
 STEPS = 4
@@ -68,7 +68,7 @@ def lanes_of(monkeypatch, width: int, blas_threads: int = 1) -> None:
     """``width`` lanes per step and per inference call, under a BLAS that
     reports ``blas_threads`` threads (the stacks take lanes only under
     one): the model decides both (``DLRM.bound_lanes``)."""
-    monkeypatch.setattr(model_mod, "lane_count", lambda world=1: width)
+    monkeypatch.setattr(model_mod, "lane_count", lambda: width)
     monkeypatch.setattr(model_mod, "blas_threads", lambda: blas_threads)
 
 
@@ -375,7 +375,7 @@ def test_inference_below_every_floor_binds_nothing(monkeypatch, floor):
     binding (not even the width is asked); one that reaches any floor —
     a table's lookups, a stack's FLOPs, two whole dot blocks — is bound."""
     asked = []
-    monkeypatch.setattr(model_mod, "lane_count", lambda world=1: asked.append(world) or 2)
+    monkeypatch.setattr(model_mod, "lane_count", lambda: asked.append("width") or 2)
     model = build_model(config("float64"))
     batch = SyntheticDataGenerator(model.config, rng=11).batch(BATCH)
     expected = model.predict_proba(batch).tobytes()
@@ -387,7 +387,7 @@ def test_inference_below_every_floor_binds_nothing(monkeypatch, floor):
     else:
         monkeypatch.setattr(dense_kernels, "_DOT_BLOCK_BYTES", 25 * 8 * BATCH // 2)
     assert model.predict_proba(batch).tobytes() == expected
-    assert asked == [1]
+    assert asked == ["width"]
 
 
 def dot_calls(monkeypatch) -> list[tuple[str, int]]:
@@ -580,23 +580,110 @@ def test_a_helper_exception_waits_for_every_lane():
 
 
 @pytest.mark.parametrize(
-    "cores, world, reserved, expected",
+    "cores, world, held, expected",
     [
         (1, 1, 0, 1), (1, 1, 1, 1), (1, 2, 0, 1), (1, 2, 1, 1),
         (2, 1, 0, 2), (2, 1, 1, 1), (2, 2, 0, 1), (2, 2, 1, 1),
         (4, 1, 0, 4), (4, 1, 1, 3), (4, 2, 0, 2), (4, 2, 1, 1),
+        # the top of the process tree: every core is its share
+        (1, None, 0, 1), (2, None, 1, 1), (4, None, 1, 3), (4, None, 4, 1),
     ],
 )
-def test_lane_count(monkeypatch, cores, world, reserved, expected):
-    monkeypatch.setattr(runner, "available_cores", lambda: cores)
-    monkeypatch.setattr(runner, "reserved_cores", lambda: reserved)
-    assert lanes_mod.lane_count(world) == expected
+def test_lane_count(monkeypatch, cores, world, held, expected):
+    """One lane per free core: the process's share of the cores less the
+    ``held`` cores of its service threads, at least one.  The share is
+    what a worker of ``world`` takes of a ``cores``-core parent
+    (``None``: the top of the process tree, whose share is every core)."""
+    monkeypatch.setattr(lanes_mod, "available_cores", lambda: cores)
+    if world is not None:  # what take_share(cores // world) leaves a worker
+        monkeypatch.setattr(lanes_mod, "_share", max(1, cores // world))
+    with contextlib.ExitStack() as stack:
+        for _ in range(held):
+            stack.enter_context(lanes_mod.hold_core())
+        assert lanes_mod.lane_count() == expected
 
 
-def _train_in_child(trainer, conn):
-    losses, _ = run(trainer, steps=2)
-    conn.send(losses)
+def _reply(conn, fn, args):
+    conn.send(fn(*args))
     conn.close()
+
+
+def in_forked_child(fn, *args):
+    """``fn(*args)`` run in a forked child; what it returned."""
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_reply, args=(child_end, fn, args))
+    child.start()
+    child_end.close()
+    try:
+        assert parent_end.poll(60), "the child hung"
+        result = parent_end.recv()
+    finally:
+        parent_end.close()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    return result
+
+
+def budget() -> tuple[int, int | None]:
+    return lanes_mod.lane_count(), lanes_mod.blas_threads()
+
+
+def _take_share(cores):
+    lanes_mod.take_share(cores)
+    return budget()
+
+
+def test_a_forked_child_takes_its_share():
+    """``take_share(1)`` in a forked child leaves it one lane and a
+    one-thread BLAS; the parent's own readings do not move."""
+    before = budget()
+    lanes, blas = in_forked_child(_take_share, 1)
+    assert lanes == 1
+    if before[1] is not None:  # an OpenBLAS the budget can set
+        assert blas == 1
+    assert budget() == before
+
+
+def _share_of_share(parts):
+    lanes_mod.take_share(lanes_mod.free_cores() // parts)
+    return lanes_mod.lane_count(), in_forked_child(_take_share, lanes_mod.free_cores() // parts)[0]
+
+
+def test_a_share_of_a_share_divides_the_parents_free_cores(monkeypatch):
+    """A worker forked beside a held core takes its share of its parent's
+    free cores, holds none of the parent's service threads, and a worker
+    it forks in turn divides that share, not the host's cores."""
+    monkeypatch.setattr(lanes_mod, "available_cores", lambda: 8)
+    before = budget()
+    with lanes_mod.hold_core():
+        assert in_forked_child(_share_of_share, 2) == ((8 - 1) // 2, (8 - 1) // 2 // 2)
+    assert budget() == before
+    assert before[0] == 8
+
+
+def _predict_in_worker(model, batch, world):
+    lanes_mod.take_share(lanes_mod.free_cores() // world)
+    model.predict_proba(batch)
+    return helper_threads()
+
+
+@pytest.mark.usefixtures("every_table_takes_a_lane")
+def test_inference_in_a_worker_keeps_to_its_share(monkeypatch):
+    """``predict_proba`` in one of four workers forked by a 4-core parent
+    runs on that worker's one core: it starts no lane."""
+    monkeypatch.setattr(lanes_mod, "available_cores", lambda: 4)
+    model = build_model(config("float64"))
+    batch = SyntheticDataGenerator(model.config, rng=11).batch(BATCH)
+    assert model._lane_work(batch)
+    assert in_forked_child(_predict_in_worker, model, batch, 4) == []
+
+
+def _train_in_child(trainer):
+    return run(trainer, steps=2)[0]
 
 
 @pytest.mark.usefixtures("every_table_takes_a_lane")
@@ -607,18 +694,4 @@ def test_trainer_used_before_fork_trains_in_the_child(monkeypatch):
     trainer = make_trainer("float64", PoolingType.SUM, "adagrad", False, False)
     run(trainer, steps=1)
     assert helper_threads()
-    ctx = multiprocessing.get_context("fork")
-    parent_end, child_end = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_train_in_child, args=(trainer, child_end))
-    child.start()
-    child_end.close()
-    try:
-        assert parent_end.poll(60), "the child hung"
-        child_losses = parent_end.recv()
-    finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
-    assert child_losses == run(trainer, steps=2)[0]
+    assert in_forked_child(_train_in_child, trainer) == run(trainer, steps=2)[0]

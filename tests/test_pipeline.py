@@ -5,8 +5,8 @@ generation and lookup planning onto a background thread changes *nothing*
 about training — losses and every parameter bit-identical to the inline
 loop.  These tests pin that property-style (random architectures, dtypes
 and batch shapes), plus the pieces it is built from: plan-ahead coalesce
-kernels, ``touched_rows`` == ``pop_grad`` rows, the stall ledger, core
-reservation, and error propagation with stage attribution.
+kernels, ``touched_rows`` == ``pop_grad`` rows, the stall ledger, the
+prep thread's held core, and error propagation with stage attribution.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from repro.core import (
     TableSpec,
     Trainer,
 )
-from repro.core import kernels
+from repro.core import kernels, lanes
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.data import SyntheticDataGenerator
 from repro.obs import Tracer
 from repro.pipeline import PrefetchPipeline
-from repro.runtime import reserved_cores
 from repro.tiering import TieredStoreConfig
 
 common = settings(
@@ -275,13 +274,29 @@ class TestStallLedger:
 
 
 class TestLifecycle:
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(lanes, "available_cores", lambda: 4)
+
     def test_core_reservation_paired_with_lifetime(self):
-        before = reserved_cores()
+        """The prep thread holds one of the process's cores from start()
+        to close(): a train step beside it gets one lane fewer."""
         pipe = PrefetchPipeline(iter([]))
-        assert reserved_cores() == before  # not started yet
+        assert lanes.lane_count() == 4  # not started yet
         with pipe:
-            assert reserved_cores() == before + 1
-        assert reserved_cores() == before
+            assert lanes.lane_count() == 3
+        assert lanes.lane_count() == 4
+
+    def test_core_comes_back_after_a_source_error(self):
+        def source():
+            yield 1
+            raise RuntimeError("generator exploded")
+
+        with pytest.raises(RuntimeError, match="generator exploded"):
+            with PrefetchPipeline(source()) as pipe:
+                for _ in pipe:
+                    assert lanes.lane_count() == 3
+        assert lanes.lane_count() == 4
 
     def test_yields_source_order_with_seq(self):
         with PrefetchPipeline(iter(range(7))) as pipe:
@@ -294,8 +309,9 @@ class TestLifecycle:
         pipe.start()
         next(pipe)
         pipe.close()
+        assert lanes.lane_count() == 4
         pipe.close()
-        assert reserved_cores() == 0
+        assert lanes.lane_count() == 4
 
     def test_trainer_pipeline_must_be_bool(self):
         with pytest.raises(TypeError, match="pipeline"):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
+from repro.core.lanes import blas_threads, free_cores, lane_count
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import RetryPolicy
 from repro.runtime import (
@@ -26,13 +27,11 @@ from repro.runtime import (
     ResultCache,
     SweepPointError,
     SweepRunner,
-    available_cores,
     canonical_json,
     code_token,
     default_workers,
     derive_seed,
     fingerprint,
-    reserved_cores,
 )
 
 # Fork start method: cheap worker startup and inherited sys.modules, so the
@@ -51,11 +50,10 @@ def noisy_point(x: int, seed: int) -> float:
     return float(x + rng.standard_normal())
 
 
-def lanes_point(x: int) -> int:
-    """The sparse-lane width a train step run by this point would take."""
-    from repro.core.lanes import lane_count
-
-    return lane_count()
+def lanes_point(x: int) -> tuple[int, int | None]:
+    """The lane width a train step run by this point would take, and the
+    threads its BLAS would run a GEMM on."""
+    return lane_count(), blas_threads()
 
 
 def _model() -> ModelConfig:
@@ -259,13 +257,15 @@ class TestSweepRunner:
         assert len(spans) == 1 and spans[0].name == "sweep:m"
 
     def test_pool_workers_size_lanes_from_their_share(self):
-        """Each of a pool's workers keeps to its share of the cores, so a
-        point that trains does not start lanes on its siblings' cores."""
-        assert reserved_cores() == 0
-        share = max(1, available_cores() // 2)
+        """Each of a pool's workers keeps to its share of the cores — its
+        lanes and its BLAS threads — so a point that trains does not run
+        on its siblings' cores; the parent's own readings do not move."""
+        before = lanes_point(0)
+        share = max(1, free_cores() // 2)
+        blas = None if before[1] is None else min(before[1], share)
         runner = SweepRunner(workers=2, mp_context=FORK)
-        assert runner.map_values(lanes_point, [1, 2, 3, 4]) == [share] * 4
-        assert reserved_cores() == 0
+        assert runner.map_values(lanes_point, [1, 2, 3, 4]) == [(share, blas)] * 4
+        assert lanes_point(0) == before
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
