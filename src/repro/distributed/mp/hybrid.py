@@ -61,7 +61,7 @@ from ...core import DLRM, Adagrad, Batch, Trainer
 from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
 from ...core.embedding import RaggedIndices
-from ...core.lanes import free_cores, take_share
+from ...core.lanes import blas_threads, free_cores, lane_count, take_share
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
@@ -218,6 +218,9 @@ class WorkerReport:
     phase_s: dict[str, float]
     comm_s: float
     dense_digest: str
+    #: ``(lane_count(), blas_threads())`` as the rank read them once it
+    #: took its share of the cores.
+    cores: tuple[int, int | None]
     #: stall ledger of the prep pipeline (``PipelineStats.as_dict()``),
     #: ``None`` when the run was not pipelined.
     pipeline: dict[str, float] | None = None
@@ -248,6 +251,9 @@ class HybridResult:
     #: stalls over ranks, min overlap) — ``None`` when unpipelined.
     pipeline: dict[str, float] | None = None
     per_rank_pipeline: list[dict[str, float] | None] = field(default_factory=list)
+    #: each rank's ``(lanes, BLAS threads)`` (:attr:`WorkerReport.cores`);
+    #: empty for the serial reference.
+    per_rank_cores: list[tuple[int, int | None]] = field(default_factory=list)
 
     def state_digest(self) -> str:
         """One digest over all trained state (dense replica + shards)."""
@@ -481,6 +487,7 @@ def _worker_main(
     # first of all, this rank's share of the parent's free cores: its lanes
     # and BLAS threads fit in it
     take_share(free_cores() // world)
+    cores = (lane_count(), blas_threads())
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
@@ -662,6 +669,7 @@ def _worker_main(
             phase_s=phase_s,
             comm_s=phase_s["sparse_exchange"] + phase_s["dense_wait"],
             dense_digest=_dense_digest(model),
+            cores=cores,
             pipeline=source.stats.as_dict() if run.pipeline else None,
         )))
         conn.close()
@@ -993,6 +1001,7 @@ def run_hybrid(
         resumed_from=start,
         pipeline=pipeline_agg,
         per_rank_pipeline=per_rank_pipeline,
+        per_rank_cores=[r.cores for r in reports],
     )
 
 

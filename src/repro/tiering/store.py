@@ -23,7 +23,6 @@ chunk migration into :class:`TierStats`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,6 +71,10 @@ class TieredStoreConfig:
             raise ValueError(f"chunk_rows must be >= 1, got {self.chunk_rows}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if not 0.0 < self.ema_decay <= 1.0:
+            raise ValueError(f"ema_decay must be in (0, 1], got {self.ema_decay}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
 
     def capacity_chunks(self, hash_size: int, bytes_per_row: float) -> int:
         """Whole chunks that fit in the hot tier for a given table."""
@@ -268,57 +271,65 @@ class TieredEmbeddingTable(EmbeddingTable):
     ) -> tuple[int, int]:
         """One stream through "freq" admission; ``(hits, promotions)``.
 
-        Exactly ``PolicyCache("freq")`` driven access by access, at one
-        heap operation per distinct missing chunk.  Scores are frozen for
-        the whole stream (the stats were updated before it), which makes
-        the per-access loop a streaming top-``capacity`` filter: the
-        victim's score never decreases, so a chunk is admitted at most
-        once, evicted at most once, and never re-admitted after being
-        evicted or rejected.  Each touched chunk therefore hits exactly
-        on the accesses strictly between its admission and its eviction.
+        Exactly ``PolicyCache("freq")`` driven access by access, decided
+        by order statistics instead of a per-chunk heap walk.  Scores are
+        frozen for the whole stream (the stats were updated before it),
+        which makes the per-access loop a streaming top-``capacity``
+        filter: the hot set always holds the ``capacity`` highest scores
+        seen so far, so a missing chunk is admitted iff fewer than
+        ``capacity`` of the scores before it (the hot set's on entry and
+        the earlier missing chunks') are >= its own (:func:`_admissions`).
+        The victim's ``(score, chunk)`` only rises, so a chunk is
+        admitted at most once, evicted at most once, never re-admitted,
+        and the victims are the lowest ``(score, chunk)`` pairs of the hot
+        set and the admitted chunks, evicted in ascending order.  Each
+        touched chunk therefore hits exactly on the accesses strictly
+        between its admission and its eviction.
         """
         n = len(order)
         was_hot = self._resident[uniq]
-        # Stream position of the miss that promotes each touched chunk
-        # (-1: hot on entry, n: never) and of the miss that evicts it.
-        admit = np.where(was_hot, -1, n)
-        evict = np.full(len(uniq), n)
+        counts = np.diff(start, append=n)
+        hits = int(counts[was_hot].sum())
         promotions = 0
         missing = np.flatnonzero(~was_hot)
         if len(missing) and self.capacity_chunks:
             score_of = self._chunk_freq.scores
-            hot = np.flatnonzero(self._resident)
-            # (score, chunk) tuples order like the per-access victim scan:
-            # lowest score first, then smallest id.
-            heap = list(zip(score_of(hot).tolist(), hot.tolist()))
+            idle = self._resident.copy()
+            idle[uniq] = False
+            # The hot set: the chunks this stream leaves alone, then the rest.
+            touched_hot = np.flatnonzero(was_hot)
+            hot = np.concatenate([np.flatnonzero(idle), uniq[touched_hot]])
+            hot_scores = score_of(hot)
             walk = missing[np.argsort(order[start[missing]])]  # by first occurrence
             chunks = uniq[walk]
-            entries = zip(walk.tolist(), score_of(chunks).tolist(), chunks.tolist())
-            admitted: list[int] = []  # indices into uniq, in admission order
-            victims: list[int] = []  # chunk ids, one per admission once full
-            free = self.capacity_chunks - len(heap)
-            for j, score, chunk in itertools.islice(entries, free):
-                heap.append((score, chunk))
-                admitted.append(j)
-            heapq.heapify(heap)
-            for j, score, chunk in entries:
-                if score > heap[0][0]:
-                    victims.append(heapq.heapreplace(heap, (score, chunk))[1])
-                    admitted.append(j)
-            promotions = len(admitted)
-            promoted = np.asarray(admitted, dtype=np.int64)
-            gone = np.asarray(victims, dtype=np.int64)
-            admit[promoted] = order[start[promoted]]
-            self._resident[uniq[promoted]] = True
-            self._resident[gone] = False  # after: a victim may be a promotee
-            # Victims this stream touches stop hitting where they left.
-            at = np.minimum(np.searchsorted(uniq, gone), len(uniq) - 1)
-            touched = uniq[at] == gone
-            evict[at[touched]] = admit[promoted[promotions - len(gone) :][touched]]
-        # `order` lists stream positions chunk group by chunk group.
-        group = np.repeat(np.arange(len(uniq)), np.diff(start, append=n))
-        hits = np.count_nonzero((order > admit[group]) & (order < evict[group]))
-        return int(hits), promotions
+            scores = score_of(chunks)
+            taken = _admissions(hot_scores, scores, self.capacity_chunks)
+            promoted = walk[taken]
+            promotions = len(promoted)
+            # A promotee hits on every access after the miss that admits it.
+            hits += int(counts[promoted].sum()) - promotions
+            self._resident[chunks[taken]] = True
+            # Once the hot set is full, every admission evicts the lowest
+            # (score, chunk) left: in turn, the lowest of all that entered.
+            evicting = promotions - (self.capacity_chunks - len(hot))
+            if evicting > 0:
+                pool = np.concatenate([hot, chunks[taken]])
+                # where each pool chunk sits in `uniq` (-1: not in this stream)
+                at = np.concatenate(
+                    [np.full(len(hot) - len(touched_hot), -1), touched_hot, promoted]
+                )
+                pool_scores = np.concatenate([hot_scores, scores[taken]])
+                # lowest score first, then smallest id, as the victim scan
+                out = np.lexsort((pool, pool_scores))[:evicting]
+                self._resident[pool[out]] = False  # after: a victim may be a promotee
+                # Victims this stream touches stop hitting where they left:
+                # at the miss that admits their evictor.
+                gone = at[out]
+                in_stream = gone >= 0
+                left = order[start[promoted[promotions - evicting :][in_stream]]]
+                gone = gone[in_stream]
+                hits -= _accesses_after(order, start[gone], counts[gone], left)
+        return hits, promotions
 
     def plan_forward(
         self, features: list[RaggedIndices], *, training: bool = True
@@ -338,3 +349,60 @@ class TieredEmbeddingTable(EmbeddingTable):
                 self._account(p.values, row_plan)
             plan = replace(plan, tier_delta=self.stats.delta(before))
         return plan
+
+
+def _admissions(
+    hot_scores: np.ndarray, scores: np.ndarray, capacity: int
+) -> np.ndarray:
+    """Which missing chunks of one stream "freq" admission takes.
+
+    ``hot_scores`` are the hot set's scores on entry (at most
+    ``capacity`` of them), ``scores`` the missing chunks' in order of
+    first occurrence.  Entry ``i`` is taken iff fewer than ``capacity`` of
+    ``hot_scores`` and ``scores[:i]`` are >= ``scores[i]``.  A full hot
+    set alone rejects every entry that does not outscore its lowest
+    score.  The rest are "open", and only open entries count against an
+    open one: whatever is >= it is open too.  Two bounds on that count
+    decide nearly every open entry at once: it is taken if fewer than its
+    room are open before it, or are open and >= it anywhere in the
+    stream.  From the first open entry neither bound decides, a heap of
+    the ``capacity`` highest scores so far walks the open entries left.
+    """
+    floor = hot_scores.min() if len(hot_scores) == capacity else -np.inf
+    open_ = np.flatnonzero(scores > floor)
+    scores_open = scores[open_]
+    # Open entry j is taken iff fewer than room[j] open ones before it are >= it.
+    room = capacity - len(hot_scores) + np.searchsorted(
+        np.sort(hot_scores), scores_open
+    )
+    larger = len(open_) - 1 - np.searchsorted(np.sort(scores_open), scores_open)
+    sure = np.minimum(np.arange(len(open_)), larger) < room
+    taken = np.zeros(len(scores), dtype=bool)
+    taken[open_[sure]] = True
+    if not sure.all():
+        k = int(np.argmin(sure))  # the bounds make len(seen) >= capacity
+        seen = np.concatenate([hot_scores, scores_open[:k]])
+        heap = np.partition(seen, len(seen) - capacity)[len(seen) - capacity :]
+        heap = heap.tolist()
+        heapq.heapify(heap)
+        # The heap's minimum only rises: what does not outscore it now never will.
+        rest = np.flatnonzero(scores_open[k:] > heap[0]) + k
+        won = []
+        for j, score in zip(rest.tolist(), scores_open[rest].tolist()):
+            if score > heap[0]:
+                heapq.heapreplace(heap, score)
+                won.append(j)
+        taken[open_[k:]] = False
+        taken[open_[won]] = True
+    return taken
+
+
+def _accesses_after(
+    order: np.ndarray, start: np.ndarray, counts: np.ndarray, pos: np.ndarray
+) -> int:
+    """How many stream positions of the groups ``order[start[i]:][:counts[i]]``
+    come after ``pos[i]``, summed over the groups."""
+    first = np.repeat(start - np.cumsum(counts) + counts, counts)
+    at = first + np.arange(len(first))
+    return int(np.count_nonzero(order[at] > np.repeat(pos, counts)))
+

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import DLRM, Adagrad, Batch, RaggedIndices, Trainer
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
+from repro.core.lanes import free_cores
 from repro.core.loss import BCEWithLogitsLoss
 from repro.data import SyntheticDataGenerator
 from repro.distributed.mp import (
@@ -67,6 +68,10 @@ def assert_matches_serial(config, run) -> None:
     }
     assert all(math.isfinite(v) and v >= 0 for v in got.phase_s.values())
     assert min(got.phase_s[ph] for ph in ("forward", "backward", "optimizer")) > 0
+    # every rank took its share of this process's free cores, BLAS included
+    share = max(1, free_cores() // run.workers)
+    assert [lanes for lanes, _ in got.per_rank_cores] == [share] * run.workers
+    assert all(blas is None or blas <= share for _, blas in got.per_rank_cores)
 
 
 class TestOrderedDeterminism:

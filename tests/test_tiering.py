@@ -21,6 +21,7 @@ from repro.tiering import (
     TierStats,
     policy_hit_rate_pmf,
 )
+from repro.tiering import store
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,9 @@ class TestTieredStoreConfig:
         dict(hot_bytes=-1.0),
         dict(chunk_rows=0),
         dict(policy="mru"),
+        dict(ema_decay=1.5),
+        dict(ema_decay=0.0),
+        dict(window=0),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -414,6 +418,75 @@ class TestBatchedAdmission:
                 hits, misses, promotions, rejected
             )
             assert table.hot_chunks.tolist() == sorted(cache.keys().tolist())
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_admission_rule_is_a_prefix_count(self, data):
+        """An entry is admitted iff fewer than ``capacity`` of the hot set's
+        and the earlier entries' scores are >= its own (halves tie often)."""
+        capacity = data.draw(st.integers(1, 12), label="capacity")
+        score = st.one_of(st.integers(0, 8).map(lambda k: k / 2), st.floats(0, 4))
+        hot = np.array(data.draw(st.lists(score, max_size=capacity), label="hot"))
+        scores = np.array(data.draw(st.lists(score, max_size=40), label="scores"))
+        want = [
+            np.count_nonzero(hot >= s) + np.count_nonzero(scores[:i] >= s) < capacity
+            for i, s in enumerate(scores)
+        ]
+        assert store._admissions(hot, scores, capacity).tolist() == want
+
+    @pytest.mark.parametrize("decay", [1.0, 0.999])
+    def test_long_streams_equal_the_per_access_loop(self, decay, monkeypatch):
+        """Thousands of accesses over many more chunks than the hot tier
+        holds, so the admission bounds leave entries to the heap walk and
+        the hot set rejects: Zipf streams, and ladders whose first
+        occurrences arrive in descending and in ascending score order."""
+        chunk_rows, num_chunks, capacity = 4, 1024, 48
+        table = TieredEmbeddingTable(
+            TableSpec("t", hash_size=num_chunks * chunk_rows, dim=4, mean_lookups=1.0),
+            np.random.default_rng(0),
+            tiering=TieredStoreConfig(
+                hot_fraction=None, hot_bytes=capacity * chunk_rows * 4 * 8,
+                chunk_rows=chunk_rows, policy="freq", ema_decay=decay,
+            ),
+        )
+        assert table.capacity_chunks == capacity
+        rng = np.random.default_rng(11)
+
+        def zipf(n):
+            return (rng.zipf(1.2, n) - 1) % table.hash_size
+
+        def ladder(rungs):
+            # rung r touches its chunks in one fixed order; a chunk on more
+            # rungs is touched more and later, so it scores higher
+            chunks = rng.permutation(num_chunks)[: len(rungs[0])]
+            ids = np.concatenate([chunks[r] for r in rungs])
+            return ids * chunk_rows + rng.integers(0, chunk_rows, len(ids))
+
+        m = 80
+        descending = ladder([np.arange(m - r) for r in range(m)])
+        ascending = ladder([np.arange(r, m) for r in range(m)])
+        streams = [zipf(2000), zipf(4000), descending, zipf(3000), ascending, zipf(2500)]
+        assert all(2000 <= len(rows) <= 4000 for rows in streams)
+
+        walked = []
+        heapreplace = store.heapq.heapreplace
+        monkeypatch.setattr(
+            store.heapq, "heapreplace", lambda h, x: walked.append(x) or heapreplace(h, x)
+        )
+        scores = FreqStats(num_chunks, decay=decay, window=table.tiering.window)
+        cache = PolicyCache(capacity, "freq", scorer=scores.scores)
+        for rows in streams:
+            assert len(np.unique(rows // chunk_rows)) > capacity
+            table.record_accesses(rows)
+            chunks = rows // chunk_rows
+            scores.record(chunks)
+            cache.access(chunks)
+            s = table.stats
+            assert (s.hot_hits, s.cold_misses, s.promotions) == (
+                cache.hits, cache.misses, cache.insertions
+            )
+            assert table.hot_chunks.tolist() == sorted(cache.keys().tolist())
+        assert walked and cache.rejections > 0
 
 
 # ---------------------------------------------------------------------------
