@@ -30,9 +30,8 @@ Subpackages
     utilization telemetry.
 ``repro.obs``
     Observability layer: nestable span tracing with Chrome-trace export,
-    counter/gauge/histogram metrics registry with fleet-wide merging, and
-    ambient profiling hooks.  Off by default (NullTracer) on every hot
-    path.
+    and a counter/gauge/histogram metrics registry with fleet-wide
+    merging.  Off by default (NullTracer) on every hot path.
 ``repro.runtime``
     Experiment runtime: parallel memoized sweep runner with deterministic
     per-point seeding, a content-addressed on-disk result cache, and

@@ -519,13 +519,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             tracer=tracer,
             pipeline=True,
         )
-        trainer.train(iter(lambda: gen.batch(256), None), max_steps=25)
-        stats = trainer.pipeline_stats
+        ledger = trainer.train(iter(lambda: gen.batch(256), None), max_steps=25).pipeline
         print(
-            f"pipeline ledger: prep busy {stats.prep_busy_s * 1e3:.2f} ms, "
-            f"prep stall {stats.prep_stall_s * 1e3:.2f} ms, "
-            f"compute stall {stats.compute_stall_s * 1e3:.2f} ms, "
-            f"overlap {stats.overlap_fraction:.1%}"
+            f"pipeline ledger: prep busy {ledger['prep_busy_s'] * 1e3:.2f} ms, "
+            f"prep stall {ledger['prep_stall_s'] * 1e3:.2f} ms, "
+            f"compute stall {ledger['compute_stall_s'] * 1e3:.2f} ms, "
+            f"overlap {ledger['overlap_fraction']:.1%}"
         )
         print("prep-thread spans are on Chrome-trace lane tid=1; "
               "trainer spans on tid=0")
@@ -669,6 +668,7 @@ def _cmd_mp(args: argparse.Namespace) -> int:
             "checkpoints": result.checkpoints,
             "restarts_used": ft.restarts_used if ft is not None else 0,
             "pipeline": result.pipeline,
+            "per_rank_pipeline": result.per_rank_pipeline,
         }, indent=2))
         return 0
     losses = ", ".join(f"{v:.4f}" for v in result.losses[:8])

@@ -23,12 +23,12 @@ import numpy as np
 from .backends import Backend, get_backend
 from .config import InteractionType, ModelConfig, PoolingType
 from .dense_kernels import Workspace, dot_block_rows
-from .embedding import EmbeddingBagCollection, RaggedIndices
+from .embedding import EmbeddingBagCollection, RaggedIndices, TablePlan
 from .interaction import make_interaction
 from .lanes import LANES, blas_threads, dot_floor, lane_count, stack_floor
 from .mlp import MLP, Linear, Parameter
 
-__all__ = ["Batch", "DLRM"]
+__all__ = ["Batch", "PreparedBatch", "DLRM"]
 
 
 class Batch:
@@ -68,6 +68,48 @@ class Batch:
     def total_lookups(self) -> int:
         """Total embedding lookups this batch triggers (cost driver, §III-A.2)."""
         return sum(r.total_lookups for r in self.sparse.values())
+
+
+class PreparedBatch:
+    """A :class:`Batch` plus its precomputed lookup plans.
+
+    Duck-types the batch surface the model and trainer touch (``dense``,
+    ``sparse``, ``labels``, ``size``, ``total_lookups``) and carries
+    ``plans`` — table name -> :class:`~repro.core.embedding.TablePlan` —
+    which :meth:`DLRM.forward` picks up via ``getattr(batch, "plans",
+    None)``.  ``seq`` is the batch's position in its stream.
+    """
+
+    __slots__ = ("batch", "plans", "seq")
+
+    def __init__(
+        self,
+        batch: Batch,
+        plans: dict[str, TablePlan] | None,
+        seq: int = 0,
+    ) -> None:
+        self.batch = batch
+        self.plans = plans
+        self.seq = seq
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self.batch.dense
+
+    @property
+    def sparse(self) -> dict[str, RaggedIndices]:
+        return self.batch.sparse
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.batch.labels
+
+    @property
+    def size(self) -> int:
+        return self.batch.size
+
+    def total_lookups(self) -> int:
+        return self.batch.total_lookups()
 
 
 class DLRM:
@@ -214,9 +256,9 @@ class DLRM:
         dense_out = self.bottom_mlp.forward(
             batch.dense.astype(self.dtype, copy=False), training=training
         )
-        # Prefetch-pipelined batches (repro.pipeline.PreparedBatch) carry the
-        # precomputed per-table lookup plans; plain batches don't, and the
-        # collection rebuilds them inline from the same code path.
+        # A PreparedBatch (every training step's) carries the precomputed
+        # per-table lookup plans; plain batches don't, and the collection
+        # builds them inline from the same code path.
         pooled = self.embeddings.forward(
             batch.sparse, training=training, plans=getattr(batch, "plans", None)
         )

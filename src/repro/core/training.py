@@ -20,7 +20,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
-from .model import Batch, DLRM
+from .model import Batch, DLRM, PreparedBatch
 
 __all__ = ["TrainResult", "Trainer", "evaluate"]
 
@@ -33,10 +33,11 @@ class TrainResult:
     examples_seen: int
     final_loss: float
     loss_history: list[float] = field(default_factory=list)
-    #: Stall ledger of the prefetch pipeline (``None`` for inline runs):
-    #: ``prep_busy_s`` / ``prep_stall_s`` / ``compute_stall_s`` /
-    #: ``overlap_fraction`` / ``batches`` — see :mod:`repro.pipeline`.
-    pipeline: dict | None = None
+    #: Stall ledger of the run's prefetch pipeline: ``prep_busy_s`` /
+    #: ``prep_stall_s`` / ``compute_stall_s`` / ``overlap_fraction`` /
+    #: ``batches`` — see :mod:`repro.pipeline`.  Inline prep (depth 0)
+    #: reads overlap 0, no prep stall, ``compute_stall_s == prep_busy_s``.
+    pipeline: dict = field(default_factory=dict)
 
     @property
     def smoothed_final_loss(self) -> float:
@@ -142,20 +143,16 @@ class Trainer:
         self._tiered_tables = [
             t for t in model.embedding_tables() if getattr(t, "is_tiered", False)
         ]
-        self._tier_snapshots = {
-            t.spec.name: t.stats.snapshot() for t in self._tiered_tables
-        }
-        #: Opt-in prefetch pipelining: :meth:`train` runs all
-        #: model-state-independent batch preparation on a background thread
-        #: behind a double buffer (:mod:`repro.pipeline`).  Bit-identical to
-        #: inline training — pinned by ``tests/test_pipeline.py``.
+        #: The depth of :meth:`train`'s prefetch pipeline
+        #: (:mod:`repro.pipeline`): ``True`` runs all model-state-independent
+        #: batch preparation on a background thread behind a double buffer,
+        #: ``False`` runs it inline (depth 0).  Bit-identical either way —
+        #: pinned by ``tests/test_pipeline.py``.
         if not isinstance(pipeline, bool):
             raise TypeError(
                 f"pipeline must be a bool, got {type(pipeline).__name__}"
             )
         self.pipeline = pipeline
-        #: Stall ledger of the most recent pipelined :meth:`train` call.
-        self.pipeline_stats = None
         self._step_index = 0
 
     # -- kill-and-restore (see repro.resilience.harness) ---------------------
@@ -194,8 +191,12 @@ class Trainer:
                 raise ValueError("step_index must be >= 0")
             self._step_index = step_index
 
-    def train_step(self, batch: Batch) -> float:
-        """One forward/backward/update; returns the batch loss."""
+    def train_step(self, batch: Batch | PreparedBatch) -> float:
+        """One forward/backward/update; returns the batch loss.
+
+        A raw :class:`Batch` is planned here first (what the prefetch
+        pipeline of :meth:`train` does for its batches), so every step's
+        lookups and tier accounting come from its own plans."""
         tracer = self.tracer
         fused = self.fused
         on_stage = self.on_stage
@@ -204,6 +205,9 @@ class Trainer:
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
         ), self.model.bound_lanes(self.optimizer):
+            if getattr(batch, "plans", None) is None:
+                plans = self.model.embeddings.plan_batch(batch.sparse)
+                batch = PreparedBatch(batch, plans)
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):
@@ -224,11 +228,11 @@ class Trainer:
             with tracer.span("optimizer_step", "compute", fused=fused):
                 self.optimizer.step()
             if self._tiered_tables:
-                self._publish_tier_metrics(getattr(batch, "plans", None))
+                self._publish_tier_metrics(batch.plans)
         self._step_index += 1
         return loss_value
 
-    def _publish_tier_metrics(self, plans=None) -> None:
+    def _publish_tier_metrics(self, plans) -> None:
         """Emit per-table tier counters/gauges and a ``tier`` trace span.
 
         Counters carry the per-step *delta* (so they accumulate correctly
@@ -236,19 +240,14 @@ class Trainer:
         a metrics registry still get the trace span — tier placement is
         part of the step timeline either way.
 
-        Pipelined batches carry their tier accounting in the plan
-        (captured on the prep thread at plan time); the live-stats delta
-        would otherwise blend in whatever future batches the prep thread
-        has already ingested.
+        Every step's batch carries its tier accounting in its plans
+        (captured at plan time, on the prep thread when pipelined); the
+        live-stats delta would blend in whatever future batches the prep
+        thread has already ingested.
         """
         for table in self._tiered_tables:
             name = table.spec.name
-            plan = plans.get(name) if plans is not None else None
-            if plan is not None and plan.tier_delta is not None:
-                delta = plan.tier_delta
-            else:
-                delta = table.stats.delta(self._tier_snapshots[name])
-            self._tier_snapshots[name] = table.stats.snapshot()
+            delta = plans[name].tier_delta
             with self.tracer.span(
                 "tier", "tier",
                 table=name, step=self._step_index,
@@ -281,40 +280,38 @@ class Trainer:
         sizes take proportionally fewer optimizer steps — the mechanism
         behind the accuracy gap the paper reports.
 
-        With ``pipeline=`` enabled on the trainer, batch preparation runs
-        on a prefetch thread (see :mod:`repro.pipeline`): results are
-        bit-identical, but the source iterator is pulled up to three
-        batches ahead of the consuming step (two buffered, one in prep) — callers
-        sharing one iterator across multiple ``train`` calls (checkpoint
-        resume) should account for the lookahead.
+        Batches reach the steps through a prefetch pipeline (see
+        :mod:`repro.pipeline`) whose ledger the result carries.  Inline
+        (depth 0) it prepares each batch when the loop pulls it.  With
+        ``pipeline=`` enabled on the trainer a prefetch thread prepares
+        them: results are bit-identical, but the source iterator is pulled
+        up to three batches ahead of the consuming step (two buffered, one
+        in prep) — callers sharing one iterator across multiple ``train``
+        calls (checkpoint resume) should account for the lookahead.
         """
         if max_examples is None and max_steps is None:
             raise ValueError("provide max_examples and/or max_steps")
-        if self.pipeline:
-            from ..pipeline import PrefetchPipeline
+        from ..pipeline import PrefetchPipeline
 
-            embeddings = self.model.embeddings
+        embeddings = self.model.embeddings
 
-            def plan_fn(batch: Batch):
-                return embeddings.plan_batch(batch.sparse)
+        def plan_fn(batch: Batch):
+            return embeddings.plan_batch(batch.sparse)
 
-            prefetch = PrefetchPipeline(iter(batches), plan_fn, tracer=self.tracer)
-            with prefetch:
-                result = _train_loop(self.train_step, prefetch, max_examples, max_steps)
-            self.pipeline_stats = prefetch.stats
-            result.pipeline = prefetch.stats.as_dict()
-            if self.metrics is not None:
-                m = self.metrics
-                m.counter("pipeline_prep_busy_s").inc(prefetch.stats.prep_busy_s)
-                m.counter("pipeline_prep_stall_s").inc(prefetch.stats.prep_stall_s)
-                m.counter("pipeline_compute_stall_s").inc(
-                    prefetch.stats.compute_stall_s
-                )
-                m.gauge("pipeline_overlap_fraction").set(
-                    prefetch.stats.overlap_fraction
-                )
-            return result
-        return _train_loop(self.train_step, batches, max_examples, max_steps)
+        prefetch = PrefetchPipeline(
+            batches, plan_fn, tracer=self.tracer, threaded=self.pipeline
+        )
+        with prefetch:
+            result = _train_loop(self.train_step, prefetch, max_examples, max_steps)
+        stats = prefetch.stats
+        result.pipeline = stats.as_dict()
+        if self.metrics is not None:
+            m = self.metrics
+            m.counter("pipeline_prep_busy_s").inc(stats.prep_busy_s)
+            m.counter("pipeline_prep_stall_s").inc(stats.prep_stall_s)
+            m.counter("pipeline_compute_stall_s").inc(stats.compute_stall_s)
+            m.gauge("pipeline_overlap_fraction").set(stats.overlap_fraction)
+        return result
 
 
 def _train_loop(

@@ -10,8 +10,8 @@ realized with OS processes instead of an analytic model:
   gradients to owners over pairwise mesh channels.
 * **MLPs are data-parallel.**  Every worker holds an identical replica
   (same seeded init) and trains on its own slice of the global batch; dense
-  gradients are allreduced over ring channels (:mod:`.allreduce`) as one
-  packed bucket per step.
+  gradients are allreduced (:mod:`.allreduce`) as one packed bucket per
+  step, around the ring of each rank's mesh channels to its neighbours.
 
 The training step is not in this module: each worker runs
 :meth:`repro.core.training.Trainer.train_step` and communicates once per
@@ -21,6 +21,11 @@ main thread, the only thread that touches a data socket.  The worker's own
 loop only orders the next-batch pull, checkpoint and barrier around the
 step.  Besides its main thread a worker runs the drain watcher and, under
 ``pipeline=True``, the prep thread.
+
+One socket joins each pair of ranks (the mesh).  The sparse exchange, the
+allreduce (over the channels to ``rank - 1`` and ``rank + 1``) and the
+checkpoint's digest gather all use it, one after another on the main
+thread, over ordered byte streams.
 
 Determinism contract (pinned by ``tests/test_mp.py``): with the
 ``"ordered"`` reduction an N-worker run is **bit-identical** — losses,
@@ -65,7 +70,7 @@ from ...core.lanes import blas_threads, free_cores, lane_count, take_share
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
-from ...pipeline import PrefetchPipeline, PreparedBatch
+from ...pipeline import PrefetchPipeline
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import PackedAllreduce
@@ -111,12 +116,12 @@ class HybridRunConfig:
     ``drain_timeout_s`` — ``collect_timeout_s`` remains only the
     no-progress backstop.
 
-    ``pipeline`` moves the prep stage — batch generation and lookup
-    planning — from the worker's main thread to a prep thread
-    (:class:`~repro.pipeline.PrefetchPipeline`) and reports its stall
-    ledger.  Nothing else depends on it: either way the step and its two
-    gradient exchanges run on the worker's main thread, bit-identical to
-    :func:`run_hybrid_serial`.
+    ``pipeline`` is the depth of the worker's
+    :class:`~repro.pipeline.PrefetchPipeline`: it moves the prep stage —
+    batch generation and lookup planning — from the worker's main thread
+    (depth 0) to a prep thread.  Nothing else depends on it: either way
+    the step and its two gradient exchanges run on the worker's main
+    thread, bit-identical to :func:`run_hybrid_serial`.
     """
 
     workers: int = 2
@@ -145,14 +150,17 @@ class HybridRunConfig:
             )
         if self.reduction not in ("ordered", "ring"):
             raise ValueError(f"unknown reduction {self.reduction!r}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every > 0 requires checkpoint_dir")
-        if self.drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
+        for name in ("barrier_timeout_s", "collect_timeout_s", "drain_timeout_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def local_batch(self) -> int:
@@ -221,9 +229,9 @@ class WorkerReport:
     #: ``(lane_count(), blas_threads())`` as the rank read them once it
     #: took its share of the cores.
     cores: tuple[int, int | None]
-    #: stall ledger of the prep pipeline (``PipelineStats.as_dict()``),
-    #: ``None`` when the run was not pipelined.
-    pipeline: dict[str, float] | None = None
+    #: stall ledger of the rank's prefetch pipeline
+    #: (``PipelineStats.as_dict()``), at depth 0 too.
+    pipeline: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -248,9 +256,12 @@ class HybridResult:
     #: global step this run resumed from (0 = trained from scratch).
     resumed_from: int = 0
     #: aggregated stall ledger of a pipelined run (straggler view: max
-    #: stalls over ranks, min overlap) — ``None`` when unpipelined.
+    #: stalls over ranks, min overlap) — ``None`` when the prep stage ran
+    #: inline (its whole cost is then ``phase_s["prep_wait"]``).
     pipeline: dict[str, float] | None = None
-    per_rank_pipeline: list[dict[str, float] | None] = field(default_factory=list)
+    #: every rank's stall ledger (:attr:`WorkerReport.pipeline`), inline
+    #: runs included; empty for the serial reference.
+    per_rank_pipeline: list[dict[str, float]] = field(default_factory=list)
     #: each rank's ``(lanes, BLAS threads)`` (:attr:`WorkerReport.cores`);
     #: empty for the serial reference.
     per_rank_cores: list[tuple[int, int | None]] = field(default_factory=list)
@@ -306,7 +317,7 @@ class WorkerCrashError(RuntimeError):
 
 
 class _Fabric:
-    """Ring + mesh + control channels and result pipes for ``world`` workers.
+    """Mesh + control channels and result pipes for ``world`` workers.
 
     Built in the parent before ``fork``; each child calls :meth:`isolate`
     to close every endpoint it does not own, and the parent calls
@@ -314,20 +325,14 @@ class _Fabric:
     peers see EOF instead of hanging on a socket the parent still holds.
     The parent keeps one control channel per worker open for the lifetime
     of the run: :meth:`poison` sends the drain frame on it when a
-    casualty is detected.  Ring and mesh endpoints are tagged with their
-    peer rank so channel errors can name the dead neighbor.
+    casualty is detected.  Mesh endpoints are tagged with their peer rank
+    so channel errors can name the dead neighbor.  The allreduce's ring is
+    the mesh too: a rank's left and right are its channels to ``rank - 1``
+    and ``rank + 1`` (one and the same at ``world == 2``).
     """
 
     def __init__(self, world: int, ctx) -> None:
         self.world = world
-        # ring_pairs[i] connects rank i -> rank (i+1) % world:
-        # element 0 is i's RIGHT endpoint, element 1 is (i+1)'s LEFT.
-        self.ring_pairs = (
-            [Channel.pair() for _ in range(world)] if world > 1 else []
-        )
-        for i, (right_end, left_end) in enumerate(self.ring_pairs):
-            right_end.peer = (i + 1) % world
-            left_end.peer = i
         self.mesh_pairs = {
             (i, j): Channel.pair()
             for i in range(world)
@@ -339,12 +344,6 @@ class _Fabric:
         # ctrl_pairs[r]: (parent end, worker end) — the poison path.
         self.ctrl_pairs = [Channel.pair() for _ in range(world)]
         self.pipes = [ctx.Pipe(duplex=False) for _ in range(world)]
-
-    def right(self, rank: int) -> Channel | None:
-        return self.ring_pairs[rank][0] if self.ring_pairs else None
-
-    def left(self, rank: int) -> Channel | None:
-        return self.ring_pairs[(rank - 1) % self.world][1] if self.ring_pairs else None
 
     def mesh(self, rank: int) -> dict[int, Channel]:
         out: dict[int, Channel] = {}
@@ -373,16 +372,10 @@ class _Fabric:
         return self.pipes[rank][1]
 
     def _owned_by(self, rank: int) -> set[Channel]:
-        owned = set(self.mesh(rank).values())
-        if self.ring_pairs:
-            owned.add(self.right(rank))
-            owned.add(self.left(rank))
-        return owned
+        return set(self.mesh(rank).values())
 
     def _all_channels(self) -> list[Channel]:
-        chans = [c for pair in self.ring_pairs for c in pair]
-        chans.extend(c for pair in self.mesh_pairs.values() for c in pair)
-        return chans
+        return [c for pair in self.mesh_pairs.values() for c in pair]
 
     def isolate(self, rank: int) -> None:
         """Close (in a forked child) every endpoint not owned by ``rank``."""
@@ -464,8 +457,6 @@ def _watch_ctrl(ctrl: Channel, barrier, channels, finished, draining) -> None:
     except Exception:  # pragma: no cover - barrier already broken
         pass
     for ch in channels:
-        if ch is None:
-            continue
         try:
             ch.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -516,9 +507,9 @@ def _worker_main(
         restore_arrays(resume.arrays, model, optimizer, tables=owned)
 
     # Every step consumes a PreparedBatch (batch + lookup plans) from one
-    # source.  The ``pipeline`` flag only decides where the prep stage runs
-    # — on a prep thread behind a double buffer, or inline when the loop
-    # pulls the next batch.  batch_stream consumes the rng exactly
+    # prefetch pipeline.  The ``pipeline`` flag is its depth: the prep
+    # stage runs on a prep thread behind a double buffer, or inline when
+    # the loop pulls the next batch.  batch_stream consumes the rng exactly
     # like generating all ``run.steps`` batches and dropping the replayed
     # prefix, so a resumed run sees the uninterrupted run's data order.
     gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", rank))
@@ -527,16 +518,12 @@ def _worker_main(
     def plan_fn(batch):
         return model.embeddings.plan_batch(batch.sparse)
 
-    if run.pipeline:
-        source = PrefetchPipeline(stream, plan_fn)
-    else:
-        source = (PreparedBatch(b, plan_fn(b)) for b in stream)
-
+    source = PrefetchPipeline(stream, plan_fn, threaded=run.pipeline)
+    mesh = fabric.mesh(rank)
     allreduce = PackedAllreduce(
-        rank, world, fabric.left(rank), fabric.right(rank),
+        rank, world, mesh.get((rank - 1) % world), mesh.get((rank + 1) % world),
         [p.grad for p in model.dense_parameters()], mode=run.reduction,
     )
-    mesh = fabric.mesh(rank)
     tables = model.embeddings.tables
     sparse = SparseExchange(
         rank, world, plan, mesh,
@@ -552,10 +539,9 @@ def _worker_main(
 
     finished = threading.Event()
     draining = threading.Event()
-    data_channels = list(mesh.values()) + [fabric.left(rank), fabric.right(rank)]
     watcher = threading.Thread(
         target=_watch_ctrl,
-        args=(ctrl, barrier, data_channels, finished, draining),
+        args=(ctrl, barrier, list(mesh.values()), finished, draining),
         name=f"mp-drain-watch-{rank}",
         daemon=True,
     )
@@ -633,7 +619,7 @@ def _worker_main(
         conn.send(("ckpt", rank, completed, time.perf_counter() - t0))
 
     try:
-        batches = iter(source)  # a prep thread starts here, under the spawn barrier
+        batches = iter(source)  # a prep thread (if any) starts here, under the spawn barrier
         barrier.wait(timeout=run.barrier_timeout_s)
         with tracer.span("prep_wait", "pipeline"):
             batch = next(batches)
@@ -670,7 +656,7 @@ def _worker_main(
             comm_s=phase_s["sparse_exchange"] + phase_s["dense_wait"],
             dense_digest=_dense_digest(model),
             cores=cores,
-            pipeline=source.stats.as_dict() if run.pipeline else None,
+            pipeline=source.stats.as_dict(),
         )))
         conn.close()
     except _DRAIN_EXC as err:
@@ -688,12 +674,9 @@ def _worker_main(
         except OSError:  # pragma: no cover - parent is gone too
             pass
     finally:
-        source.close()  # joins the prep thread; a no-op on the inline generator
+        source.close()  # joins the prep thread, if there is one
         for ch in mesh.values():
             ch.close()
-        if fabric.left(rank) is not None:
-            fabric.left(rank).close()
-            fabric.right(rank).close()
 
 
 # ---------------------------------------------------------------------------
@@ -954,19 +937,16 @@ def run_hybrid(
         ph: max(r.phase_s[ph] for r in reports) for ph in _PHASES
     }
     checkpoints = _committed_checkpoints(ckpt_events)
-    per_rank_pipeline = [r.pipeline for r in reports]
-    pipeline_agg = None
-    ledgers = [p for p in per_rank_pipeline if p is not None]
-    if ledgers:
-        # Straggler view: the worst stall on any rank stalls the step (the
-        # barrier couples them), and the weakest overlap bounds the win.
-        pipeline_agg = {
-            "prep_busy_s": max(p["prep_busy_s"] for p in ledgers),
-            "prep_stall_s": max(p["prep_stall_s"] for p in ledgers),
-            "compute_stall_s": max(p["compute_stall_s"] for p in ledgers),
-            "overlap_fraction": min(p["overlap_fraction"] for p in ledgers),
-            "batches": max(p["batches"] for p in ledgers),
-        }
+    ledgers = [r.pipeline for r in reports]
+    # Straggler view: the worst stall on any rank stalls the step (the
+    # barrier couples them), and the weakest overlap bounds the win.
+    pipeline_agg = {
+        "prep_busy_s": max(p["prep_busy_s"] for p in ledgers),
+        "prep_stall_s": max(p["prep_stall_s"] for p in ledgers),
+        "compute_stall_s": max(p["compute_stall_s"] for p in ledgers),
+        "overlap_fraction": min(p["overlap_fraction"] for p in ledgers),
+        "batches": max(p["batches"] for p in ledgers),
+    }
     for r in reports:
         cursor = 0.0
         for ph in _PHASES:
@@ -999,8 +979,8 @@ def run_hybrid(
         plan=plan,
         checkpoints=checkpoints,
         resumed_from=start,
-        pipeline=pipeline_agg,
-        per_rank_pipeline=per_rank_pipeline,
+        pipeline=pipeline_agg if run.pipeline else None,
+        per_rank_pipeline=ledgers,
         per_rank_cores=[r.cores for r in reports],
     )
 

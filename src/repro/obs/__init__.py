@@ -1,16 +1,14 @@
-"""Observability layer: span tracing, metrics registry, profiling hooks.
+"""Observability layer: span tracing and a metrics registry.
 
 ``repro.obs`` gives the reproduction the internal visibility the paper's
-methodology is built on: per-operator time attribution (:mod:`.tracer`),
-aggregate utilization/latency distributions (:mod:`.registry`), and
-ambient instrumentation hooks (:mod:`.profile`).
+methodology is built on: per-operator time attribution (:mod:`.tracer`)
+and aggregate utilization/latency distributions (:mod:`.registry`).
 
 Everything defaults off via :data:`NULL_TRACER`; see ``DESIGN.md``
 ("Observability layer") for the span taxonomy and how traces relate to the
 paper's figures.
 """
 
-from .profile import current_tracer, profile_block, profiled, use_tracer
 from .registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -19,22 +17,17 @@ from .registry import (
     MetricsRegistry,
     merge_all,
 )
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer, ensure_tracer
+from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "ensure_tracer",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "merge_all",
-    "current_tracer",
-    "use_tracer",
-    "profiled",
-    "profile_block",
 ]

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "ensure_tracer"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 @dataclass
@@ -269,8 +269,3 @@ _NULL_CONTEXT = _NullSpanContext()
 
 #: Shared no-op tracer instance; the default everywhere.
 NULL_TRACER = NullTracer()
-
-
-def ensure_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
-    """Normalize an optional tracer argument to a usable tracer object."""
-    return NULL_TRACER if tracer is None else tracer

@@ -1,4 +1,5 @@
-"""Double-buffered prefetch pipeline for the training data path.
+"""The training data path: every batch reaches a step through a prefetch
+pipeline, run inline (depth 0) or behind a prep thread (depth 2).
 
 The paper's efficiency taxonomy (§IV–V) charges a DLRM step not just for
 its FLOPs but for everything serialized around them: batch materialization,
@@ -8,18 +9,20 @@ that work is a pure function of the *data stream* — it never reads a weight
 — so it can run concurrently with the previous step's compute without
 changing a single bit of the result.
 
-:class:`PrefetchPipeline` does exactly that: a background prep thread pulls
-batches from the source iterator (in order — the stream's rng consumption
-is untouched), builds every table's
-:class:`~repro.core.embedding.TablePlan` via the *same*
-``plan_forward`` code path the inline trainer uses, and hands
-:class:`PreparedBatch` objects to the consumer through a bounded two-slot
-buffer.  Bit-identity with the unpipelined run is therefore by
-construction, not by test alone (though ``tests/test_pipeline.py`` pins it
-property-style anyway).
+:class:`PrefetchPipeline` pulls batches from the source iterator (in
+order — the stream's rng consumption is untouched), builds every table's
+:class:`~repro.core.embedding.TablePlan` and hands
+:class:`~repro.core.model.PreparedBatch` objects to the consumer.  Its
+depth says where that prep runs.  At depth 0 (``threaded=False``) it runs
+on the consumer, inside ``next()``: no thread, no buffer.  At depth
+``_DEPTH`` (``threaded=True``) a background prep thread runs it, ahead of
+the consumer by up to two buffered batches.
+The plans come from the same ``plan_forward`` code path at every depth,
+so bit-identity between the depths is by construction, not by test alone
+(though ``tests/test_pipeline.py`` pins it property-style anyway).
 
 The pipeline also keeps the ledger that makes runs self-diagnosing
-(:class:`PipelineStats`):
+(:class:`PipelineStats`), at every depth:
 
 * ``compute_stall_s`` — time the consumer blocked on an empty buffer: the
   run is **prep-bound** (the paper's "data ingestion dominates" regime);
@@ -27,15 +30,20 @@ The pipeline also keeps the ledger that makes runs self-diagnosing
   is **compute-bound** and prefetch is pure win;
 * ``overlap_fraction`` — the share of prep work hidden behind compute.
 
-Prep-thread activity is recorded as complete spans and drained into the
-consumer's :class:`~repro.obs.tracer.Tracer` on a separate Chrome-trace
-thread lane (``tid=1``), so ``python -m repro trace pipeline`` shows the
-two timelines interleaving.
+At depth 0 the consumer waits for all of the prep, so ``compute_stall_s``
+equals ``prep_busy_s``, ``prep_stall_s`` is 0 and so is the overlap.
+
+Prep activity is recorded as complete spans on the consumer's
+:class:`~repro.obs.tracer.Tracer`: inline on the consumer's lane
+(``tid=0``), from the prep thread on a separate Chrome-trace lane
+(``tid=1``), so ``python -m repro trace pipeline`` shows the two
+timelines interleaving.
 
 While a pipeline is running its prep thread holds one of the process's
 cores (:func:`repro.core.lanes.hold_core`), so the lanes of a train step
 and :func:`repro.runtime.default_workers` size themselves from the cores
 left and do not hand the prep thread's core to a lane or a sweep pool.
+At depth 0 there is no prep thread and no core is held.
 """
 
 from __future__ import annotations
@@ -47,11 +55,9 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .core.embedding import TablePlan
 from .core.lanes import hold_core
-from .core.model import Batch
+from .core.model import Batch, PreparedBatch
 from .obs.tracer import NULL_TRACER
 
 __all__ = ["PipelineStats", "PreparedBatch", "PrefetchPipeline"]
@@ -60,29 +66,30 @@ __all__ = ["PipelineStats", "PreparedBatch", "PrefetchPipeline"]
 PREP_TID = 1
 
 
-#: Slots in the prep -> consumer buffer.  Two is classic double buffering:
-#: one batch being consumed, one being prepared, and the producer blocks
-#: rather than running unboundedly ahead (which would both hoard memory and,
-#: for tiered tables, let frequency stats drift arbitrarily far ahead of the
-#: step consuming them).
+#: Slots in the prep -> consumer buffer of a pipelined (``pipeline=True``)
+#: run.  Two is classic double buffering: one batch being consumed, one
+#: being prepared, and the producer blocks rather than running unboundedly
+#: ahead (which would both hoard memory and, for tiered tables, let
+#: frequency stats drift arbitrarily far ahead of the step consuming them).
 _DEPTH = 2
 
 
 @dataclass
 class PipelineStats:
-    """The stall ledger of one pipelined run.
+    """The stall ledger of one run through a :class:`PrefetchPipeline`.
 
     All times are wall-clock seconds measured with ``time.perf_counter``
     on the thread that experienced the wait.
     """
 
-    #: Seconds the prep thread spent doing useful work (generation + plans).
+    #: Seconds spent preparing batches (generation + plans).
     prep_busy_s: float = 0.0
     #: Seconds the prep thread blocked on a full buffer (compute-bound).
     prep_stall_s: float = 0.0
-    #: Seconds the consumer blocked on an empty buffer (prep-bound).
+    #: Seconds the consumer waited for a batch (prep-bound); at depth 0,
+    #: all of the prep.
     compute_stall_s: float = 0.0
-    #: Batches fully prepared by the prep thread.
+    #: Batches fully prepared.
     batches: int = 0
 
     @property
@@ -103,48 +110,6 @@ class PipelineStats:
             "overlap_fraction": self.overlap_fraction,
             "batches": self.batches,
         }
-
-
-class PreparedBatch:
-    """A :class:`~repro.core.model.Batch` plus its precomputed lookup plans.
-
-    Duck-types the batch surface the model and trainer touch (``dense``,
-    ``sparse``, ``labels``, ``size``, ``total_lookups``) and carries
-    ``plans`` — table name -> :class:`~repro.core.embedding.TablePlan` —
-    which :meth:`repro.core.model.DLRM.forward` picks up via
-    ``getattr(batch, "plans", None)``.
-    """
-
-    __slots__ = ("batch", "plans", "seq")
-
-    def __init__(
-        self,
-        batch: Batch,
-        plans: dict[str, TablePlan] | None,
-        seq: int = 0,
-    ) -> None:
-        self.batch = batch
-        self.plans = plans
-        self.seq = seq
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.batch.dense
-
-    @property
-    def sparse(self):
-        return self.batch.sparse
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.batch.labels
-
-    @property
-    def size(self) -> int:
-        return self.batch.size
-
-    def total_lookups(self) -> int:
-        return self.batch.total_lookups()
 
 
 class _Closed(Exception):
@@ -217,19 +182,21 @@ class _Failure:
 
 
 class PrefetchPipeline:
-    """Background batch preparation behind a bounded two-slot buffer.
+    """Batch preparation, inline (depth 0, ``threaded=False``) or on a
+    background thread behind a bounded two-slot buffer.
 
     Wraps a batch iterator; iterating the pipeline yields
-    :class:`PreparedBatch` objects in exactly the source order.  ``plan_fn``
-    maps a batch to its per-table plans (typically
-    ``lambda b: collection.plan_batch(b.sparse)``); ``None`` prefetches
+    :class:`~repro.core.model.PreparedBatch` objects in exactly the source
+    order.  ``plan_fn`` maps a batch to its per-table plans (typically
+    ``lambda b: collection.plan_batch(b.sparse)``); ``None`` prepares
     batches without planning (generation-only overlap).
 
     Use as a context manager (or call :meth:`close`); the prep thread,
     its held core and span drain are all released on exit.  Exceptions
     raised by the source iterator or ``plan_fn`` surface on the consumer
-    at the position in the stream where they occurred, annotated with the
-    pipeline stage.
+    at the position in the stream where they occurred — from the prep
+    thread annotated with the pipeline stage.  Once the source has ended
+    or raised, every further ``next()`` raises :class:`StopIteration`.
     """
 
     def __init__(
@@ -238,13 +205,16 @@ class PrefetchPipeline:
         plan_fn: Callable[[Batch], dict[str, TablePlan]] | None = None,
         tracer=None,
         stage: str = "prep",
+        threaded: bool = True,
     ) -> None:
         self.stats = PipelineStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stage = stage
+        #: Buffered batches ahead of the consumer; 0 = prepared inline.
+        self.depth = _DEPTH if threaded else 0
         self._source = iter(source)
         self._plan_fn = plan_fn
-        self._buffer = _Buffer(_DEPTH)
+        self._buffer = _Buffer(self.depth)
         # Prep-thread span records; the Tracer is single-threaded (strict
         # nesting stack), so the prep thread logs (name, t0, dur, attrs)
         # tuples and the consumer replays them onto lane PREP_TID.  Both
@@ -254,6 +224,7 @@ class PrefetchPipeline:
         self._core = ExitStack()  # the prep thread's, start() to close()
         self._started = False
         self._closed = False
+        self._exhausted = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -261,6 +232,8 @@ class PrefetchPipeline:
         if self._started:
             return self
         self._started = True
+        if self.depth == 0:
+            return self
         self._core.enter_context(hold_core())
         self._thread = threading.Thread(
             target=self._prep_loop, name=f"pipeline-{self.stage}", daemon=True
@@ -326,8 +299,12 @@ class PrefetchPipeline:
         return self.start()
 
     def __next__(self) -> PreparedBatch:
+        if self._exhausted:
+            raise StopIteration
         if not self._started:
             self.start()
+        if self.depth == 0:
+            return self._prepare()
         try:
             item, waited = self._buffer.get()
         except _Closed:
@@ -341,6 +318,8 @@ class PrefetchPipeline:
                 waited,
             )
         self._drain_spans()
+        if isinstance(item, (_Done, _Failure)):
+            self._exhausted = True  # the prep thread has exited
         if isinstance(item, _Done):
             raise StopIteration
         if isinstance(item, _Failure):
@@ -351,6 +330,25 @@ class PrefetchPipeline:
                 )
             raise exc
         return item
+
+    def _prepare(self) -> PreparedBatch:
+        """Depth 0: pull and plan the next batch here, on the consumer,
+        which waits for all of it."""
+        t0 = time.perf_counter()
+        try:
+            batch = next(self._source)
+            plans = self._plan_fn(batch) if self._plan_fn is not None else None
+        except BaseException:
+            self._exhausted = True
+            raise
+        busy = time.perf_counter() - t0
+        stats = self.stats
+        seq = stats.batches
+        stats.prep_busy_s += busy
+        stats.compute_stall_s += busy
+        stats.batches += 1
+        self.tracer.record(f"pipeline.{self.stage}", "pipeline", t0, busy, seq=seq)
+        return PreparedBatch(batch, plans, seq)
 
     def _drain_spans(self) -> None:
         """Replay prep-thread spans onto the tracer's prep lane."""

@@ -54,6 +54,14 @@ def assert_bit_identical(a, b) -> None:
     assert a.state_digest() == b.state_digest()
 
 
+def assert_inline_ledger(ledger, batches) -> None:
+    """Depth 0: the rank waits for all of its prep, and nothing overlaps."""
+    assert ledger["batches"] == batches
+    assert ledger["overlap_fraction"] == 0.0
+    assert ledger["prep_stall_s"] == 0.0
+    assert ledger["compute_stall_s"] == ledger["prep_busy_s"] > 0.0
+
+
 def assert_matches_serial(config, run) -> None:
     """``pipeline`` only moves the prep stage to a thread: the inline and the
     prefetched run are one step program and both equal the serial reference."""
@@ -61,6 +69,12 @@ def assert_matches_serial(config, run) -> None:
     assert_bit_identical(got, run_hybrid_serial(config, run))
     assert got.phase_s["prep_wait"] > 0  # inline: the whole prep stage
     assert (got.pipeline is not None) == run.pipeline
+    assert len(got.per_rank_pipeline) == run.workers
+    for ledger in got.per_rank_pipeline:
+        if run.pipeline:
+            assert ledger["batches"] == run.steps
+        else:
+            assert_inline_ledger(ledger, run.steps)
     # the phase ledger is span self time folded per step: nine disjoint phases
     assert set(got.phase_s) == {
         "forward", "loss", "backward", "sparse_exchange", "dense_wait",
@@ -139,12 +153,13 @@ class TestOrderedDeterminism:
         piped = run_hybrid(config, HybridRunConfig(**base, pipeline=True))
         plain = run_hybrid(config, HybridRunConfig(**base))
         assert_bit_identical(piped, plain)
-        assert plain.pipeline is None
+        assert plain.pipeline is None  # no prep thread: the cost is prep_wait
+        for ledger in plain.per_rank_pipeline:
+            assert_inline_ledger(ledger, 3)
         assert piped.pipeline is not None
         assert piped.pipeline["batches"] == 3
         assert 0.0 <= piped.pipeline["overlap_fraction"] <= 1.0
-        assert len(piped.per_rank_pipeline) == 2
-        assert all(p is not None for p in piped.per_rank_pipeline)
+        assert [p["batches"] for p in piped.per_rank_pipeline] == [3, 3]
 
     def test_seed_changes_trajectory(self):
         config = small_config()
@@ -264,6 +279,39 @@ class TestValidation:
     def test_unknown_reduction_rejected(self):
         with pytest.raises(ValueError, match="reduction"):
             HybridRunConfig(reduction="tree")
+
+    def test_negative_warmup_rejected(self):
+        # a negative warmup would make the best-step estimator read the
+        # *last* |w| steps instead of skipping the first ones
+        with pytest.raises(ValueError, match="warmup_steps"):
+            HybridRunConfig(warmup_steps=-1)
+
+    @pytest.mark.parametrize("name", ["barrier_timeout_s", "collect_timeout_s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_timeouts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            HybridRunConfig(**{name: value})
+
+
+class TestFabric:
+    @pytest.mark.parametrize("world", [1, 2, 3, 4])
+    def test_one_channel_per_peer(self, world):
+        """The allreduce's ring is the mesh: a rank owns exactly one data
+        channel per peer, tagged with that peer, and nothing else."""
+        import multiprocessing as mp
+
+        from repro.distributed.mp.hybrid import _Fabric
+
+        fabric = _Fabric(world, mp.get_context("fork"))
+        try:
+            for rank in range(world):
+                owned = fabric._owned_by(rank)
+                peers = sorted(ch.peer for ch in owned)
+                assert peers == [r for r in range(world) if r != rank]
+                assert owned == set(fabric.mesh(rank).values())
+            assert len(fabric._all_channels()) == world * (world - 1)
+        finally:
+            fabric.close_all()
 
 
 class TestShardPlan:

@@ -1,8 +1,8 @@
 """Tests for the observability layer (repro.obs) and its integrations.
 
 Covers the tracer (nesting, synthetic timelines, Chrome export), the
-metrics registry (counters/gauges/histograms, labels, merging), ambient
-profiling hooks, the simulator/telemetry integrations, and — critically —
+metrics registry (counters/gauges/histograms, labels, merging), the
+simulator/telemetry integrations, and — critically —
 the overhead guard: instrumented code paths with the default
 :data:`~repro.obs.NULL_TRACER` must be *bit-identical* to uninstrumented
 runs, and enabled tracing must stay cheap.
@@ -29,12 +29,7 @@ from repro.obs import (
     MetricsRegistry,
     NullTracer,
     Tracer,
-    current_tracer,
-    ensure_tracer,
     merge_all,
-    profile_block,
-    profiled,
-    use_tracer,
 )
 from repro.perf.pipeline import cpu_cluster_throughput
 
@@ -148,11 +143,6 @@ class TestNullTracer:
         path = tmp_path / "null.json"
         assert nt.export_chrome(str(path)) == 0
         assert json.loads(path.read_text())["traceEvents"] == []
-
-    def test_ensure_tracer(self):
-        assert ensure_tracer(None) is NULL_TRACER
-        t = Tracer()
-        assert ensure_tracer(t) is t
 
 
 # ---------------------------------------------------------------------------
@@ -284,53 +274,6 @@ class TestMetricsRegistry:
     def test_unknown_metric_rejected(self):
         with pytest.raises(KeyError):
             MetricsRegistry().get("missing")
-
-
-# ---------------------------------------------------------------------------
-# Ambient profiling hooks
-# ---------------------------------------------------------------------------
-
-
-class TestProfileHooks:
-    def test_default_ambient_tracer_is_null(self):
-        assert current_tracer() is NULL_TRACER
-
-    def test_use_tracer_scopes_and_restores(self):
-        t = Tracer()
-        with use_tracer(t):
-            assert current_tracer() is t
-            nested = Tracer()
-            with use_tracer(nested):
-                assert current_tracer() is nested
-            assert current_tracer() is t
-        assert current_tracer() is NULL_TRACER
-
-    def test_profiled_decorator_records_spans(self):
-        @profiled(category="compute")
-        def double(x):
-            return 2 * x
-
-        t = Tracer()
-        with use_tracer(t):
-            assert double(21) == 42
-        (s,) = t.finished()
-        assert "double" in s.name and s.category == "compute"
-
-    def test_profiled_is_inert_without_tracer(self):
-        @profiled()
-        def f():
-            return 1
-
-        assert f() == 1  # no ambient tracer: nothing recorded, no error
-
-    def test_profile_block_records_attrs(self):
-        t = Tracer()
-        with use_tracer(t):
-            with profile_block("pack", "memory", tables=4):
-                pass
-        (s,) = t.finished()
-        assert (s.name, s.category) == ("pack", "memory")
-        assert s.attributes == {"tables": 4}
 
 
 # ---------------------------------------------------------------------------

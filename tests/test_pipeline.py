@@ -5,12 +5,14 @@ generation and lookup planning onto a background thread changes *nothing*
 about training — losses and every parameter bit-identical to the inline
 loop.  These tests pin that property-style (random architectures, dtypes
 and batch shapes), plus the pieces it is built from: plan-ahead coalesce
-kernels, ``touched_rows`` == ``pop_grad`` rows, the stall ledger, the
-prep thread's held core, and error propagation with stage attribution.
+kernels, ``touched_rows`` == ``pop_grad`` rows, the stall ledger at both
+depths (inline prep is the pipeline at depth 0), the prep thread's held
+core, exhaustion, and error propagation with stage attribution.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -29,8 +31,8 @@ from repro.core import (
 from repro.core import kernels, lanes
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.data import SyntheticDataGenerator
-from repro.obs import Tracer
-from repro.pipeline import PrefetchPipeline
+from repro.obs import MetricsRegistry, Tracer
+from repro.pipeline import PREP_TID, PrefetchPipeline
 from repro.tiering import TieredStoreConfig
 
 common = settings(
@@ -198,16 +200,70 @@ class TestTrainerBitIdentity:
         assert tables_i.keys() == tables_p.keys()
         for name in tables_i:
             assert np.array_equal(tables_i[name], tables_p[name])
-        assert inline.pipeline is None
-        assert piped.pipeline is not None
+        assert_inline_ledger(inline.pipeline, steps)
+        assert piped.pipeline["batches"] == steps
         # The prep thread runs ahead, yet each batch reports its own delta.
         assert tier_i == tier_p
         assert len(tier_i) == (steps * len(config.tables) if tiering else 0)
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_raw_train_steps_publish_what_train_does(self, pipeline):
+        """``train_step`` plans a raw batch itself, so stepping batches one
+        by one publishes the same tier counters and ``tier`` span deltas as
+        ``train()`` over the same batches, inline or prefetched."""
+        config = _tiny_config()
+        gen = SyntheticDataGenerator(config, rng=5, seed_teacher=True)
+        batches = [gen.batch(8) for _ in range(4)]
+        tiering = TieredStoreConfig(hot_fraction=0.25, chunk_rows=2)
+
+        def published(drive):
+            metrics, tracer = MetricsRegistry(), Tracer()
+            trainer = _trainer(
+                DLRM(config, rng=0, tiering=tiering),
+                tracer=tracer, metrics=metrics, pipeline=pipeline,
+            )
+            losses = drive(trainer)
+            counters = {
+                name: {k: c.value for k, c in metrics.get(name).children().items()}
+                for name in ("tier_hot_hits", "tier_cold_misses", "tier_promotions",
+                             "tier_rejected", "tier_overhead_s")
+            }
+            spans = [s.attributes for s in tracer.spans if s.name == "tier"]
+            return losses, counters, spans
+
+        stepped = published(lambda t: [t.train_step(b) for b in batches])
+        trained = published(
+            lambda t: t.train(iter(batches), max_steps=len(batches)).loss_history
+        )
+        assert stepped == trained
+        assert len(stepped[2]) == len(batches) * len(config.tables)
+        counters = stepped[1]
+        assert sum(counters["tier_hot_hits"].values()) + sum(
+            counters["tier_cold_misses"].values()
+        ) > 0
 
 
 # ---------------------------------------------------------------------------
 # stall ledger, lifecycle, error propagation
 # ---------------------------------------------------------------------------
+
+
+def assert_inline_ledger(ledger, batches):
+    """Depth 0: the consumer waits for all of the prep, and nothing overlaps."""
+    assert ledger["batches"] == batches
+    assert ledger["overlap_fraction"] == 0.0
+    assert ledger["prep_stall_s"] == 0.0
+    assert ledger["compute_stall_s"] == ledger["prep_busy_s"] > 0.0
+
+
+def _trainer(model, **kwargs):
+    return Trainer(
+        model,
+        lambda m: Adagrad(
+            m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
+        ),
+        **kwargs,
+    )
 
 
 def _tiny_config(dtype="float64"):
@@ -236,8 +292,10 @@ class TestStallLedger:
         )
         result = trainer.train(gen.batches(8, 5), max_steps=5)
         ledger = result.pipeline
-        assert ledger is not None
-        assert ledger == trainer.pipeline_stats.as_dict()
+        assert set(ledger) == {
+            "prep_busy_s", "prep_stall_s", "compute_stall_s", "overlap_fraction",
+            "batches",
+        }
         assert ledger["batches"] == 5
         assert ledger["prep_busy_s"] > 0.0
         assert ledger["prep_stall_s"] >= 0.0
@@ -258,19 +316,27 @@ class TestStallLedger:
             assert [p.batch for p in pipe] == list(range(batches))
         assert pipe.stats.prep_busy_s >= batches * nap
 
-    def test_inline_run_has_no_ledger(self):
+    def test_inline_run_reports_the_depth_0_ledger(self):
         config = _tiny_config()
         gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
-        model = DLRM(config, rng=0)
-        trainer = Trainer(
-            model,
-            lambda m: Adagrad(
-                m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
-            ),
-        )
+        metrics = MetricsRegistry()
+        trainer = _trainer(DLRM(config, rng=0), metrics=metrics)
         result = trainer.train(gen.batches(8, 2), max_steps=2)
-        assert result.pipeline is None
-        assert trainer.pipeline_stats is None
+        assert_inline_ledger(result.pipeline, 2)
+        assert metrics.get("pipeline_prep_stall_s").value == 0.0
+        assert metrics.get("pipeline_overlap_fraction").value == 0.0
+
+    def test_inline_prep_spans_are_on_the_consumer_lane(self):
+        config = _tiny_config()
+        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+        tracer = Tracer()
+        _trainer(DLRM(config, rng=0), tracer=tracer).train(
+            gen.batches(8, 3), max_steps=3
+        )
+        prep = [s for s in tracer.spans if s.name == "pipeline.prep"]
+        assert [s.attributes["seq"] for s in prep] == [0, 1, 2]
+        assert {s.tid for s in prep} == {0}
+        assert not any(s.tid == PREP_TID for s in tracer.spans)
 
 
 class TestLifecycle:
@@ -287,6 +353,23 @@ class TestLifecycle:
             assert lanes.lane_count() == 3
         assert lanes.lane_count() == 4
 
+    def test_inline_trainer_holds_no_core(self):
+        """Depth 0 has no prep thread: every step gets all the lanes."""
+        config = _tiny_config()
+        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+        trainer = _trainer(DLRM(config, rng=0))
+        seen = []
+        step = trainer.train_step
+
+        def counted_step(batch):
+            seen.append(lanes.lane_count())
+            return step(batch)
+
+        trainer.train_step = counted_step
+        trainer.train(gen.batches(8, 3), max_steps=3)
+        assert seen == [4, 4, 4]
+        assert lanes.lane_count() == 4
+
     def test_core_comes_back_after_a_source_error(self):
         def source():
             yield 1
@@ -299,10 +382,44 @@ class TestLifecycle:
         assert lanes.lane_count() == 4
 
     def test_yields_source_order_with_seq(self):
-        with PrefetchPipeline(iter(range(7))) as pipe:
-            got = [(p.seq, p.batch) for p in pipe]
-        assert got == [(i, i) for i in range(7)]
-        assert pipe.stats.batches == 7
+        for threaded in (True, False):
+            with PrefetchPipeline(iter(range(7)), threaded=threaded) as pipe:
+                got = [(p.seq, p.batch) for p in pipe]
+            assert got == [(i, i) for i in range(7)]
+            assert pipe.stats.batches == 7
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_exhausted_pipeline_keeps_stopping(self, threaded):
+        """A ``next()`` after the end of the stream raises StopIteration at
+        once (it once waited on the prep thread's buffer until close())."""
+
+        def source():
+            yield from range(3)
+
+        def broken():
+            yield 1
+            raise RuntimeError("generator exploded")
+
+        outcome = []
+
+        def consume():
+            with PrefetchPipeline(source(), threaded=threaded) as pipe:
+                assert len(list(pipe)) == 3
+                for _ in range(2):
+                    with pytest.raises(StopIteration):
+                        next(pipe)
+            with PrefetchPipeline(broken(), threaded=threaded) as pipe:
+                next(pipe)
+                with pytest.raises(RuntimeError, match="exploded"):
+                    next(pipe)
+                with pytest.raises(StopIteration):
+                    next(pipe)
+            outcome.append("returned")
+
+        worker = threading.Thread(target=consume, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert outcome == ["returned"], "next() on an exhausted pipeline hung or failed"
 
     def test_close_is_idempotent_and_early(self):
         pipe = PrefetchPipeline(iter(range(100)))
@@ -319,6 +436,17 @@ class TestLifecycle:
 
 
 class TestErrorPropagation:
+    def test_inline_source_error_surfaces_in_stream_order(self):
+        def source():
+            yield 1
+            raise RuntimeError("generator exploded")
+
+        with PrefetchPipeline(source(), threaded=False) as pipe:
+            assert next(pipe).batch == 1
+            with pytest.raises(RuntimeError, match="generator exploded"):
+                next(pipe)
+        assert pipe.stats.batches == 1
+
     def test_source_error_surfaces_in_stream_order_with_stage_note(self):
         def source():
             yield 1
