@@ -9,7 +9,8 @@ realized with OS processes instead of an analytic model:
   applies the merged sparse update.  Workers ship their local sparse
   gradients to owners over pairwise mesh channels.
 * **MLPs are data-parallel.**  Every worker holds an identical replica
-  (same seeded init) and trains on its own slice of the global batch; dense
+  (the parent's seeded model, inherited copy-on-write through ``fork``)
+  and trains on its own slice of the global batch; dense
   gradients are allreduced (:mod:`.allreduce`) as one packed bucket per
   step, around the ring of each rank's mesh channels to its neighbours.
 
@@ -143,6 +144,11 @@ class HybridRunConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.batch_size < self.workers:
+            raise ValueError(
+                f"batch_size {self.batch_size} gives each of {self.workers} "
+                f"workers no examples"
+            )
         if self.batch_size % self.workers:
             raise ValueError(
                 f"batch_size {self.batch_size} not divisible by "
@@ -226,6 +232,8 @@ class WorkerReport:
     phase_s: dict[str, float]
     comm_s: float
     dense_digest: str
+    #: sha256 over each table this rank owns, after its last step.
+    table_digests: dict[str, str]
     #: ``(lane_count(), blas_threads())`` as the rank read them once it
     #: took its share of the cores.
     cores: tuple[int, int | None]
@@ -421,7 +429,7 @@ class _Fabric:
 def _dense_digest(model: DLRM) -> str:
     h = hashlib.sha256()
     for p in model.dense_parameters():
-        h.update(np.ascontiguousarray(p.value).tobytes())
+        h.update(np.ascontiguousarray(p.value))
     return h.hexdigest()
 
 
@@ -466,7 +474,7 @@ def _watch_ctrl(ctrl: Channel, barrier, channels, finished, draining) -> None:
 def _worker_main(
     rank: int,
     world: int,
-    config: ModelConfig,
+    model: DLRM,
     run: HybridRunConfig,
     plan: ShardPlan,
     shards: TableShards,
@@ -482,11 +490,11 @@ def _worker_main(
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
-    model = DLRM(config, rng=derive_seed(run.seed, "model"))  # same on every rank
-    # Zero-copy shard adoption: every rank reads all tables straight out of
-    # shared memory; only owned tables are ever written by this rank.
-    for name in (t.name for t in config.tables):
-        model.embeddings.tables[name].adopt_weight(shards.view(name, "weight"))
+    # ``model`` is the parent's seeded model, inherited through fork: every
+    # table is a view of its shared segment, so every rank reads all tables
+    # straight out of shared memory; only owned tables are ever written by
+    # this rank.
+    config = model.config
     owned = plan.owned(rank)
     optimizer = Adagrad(
         model.dense_parameters(),
@@ -655,6 +663,9 @@ def _worker_main(
             phase_s=phase_s,
             comm_s=phase_s["sparse_exchange"] + phase_s["dense_wait"],
             dense_digest=_dense_digest(model),
+            # the final barrier is behind us, but an owned table is written
+            # by no other rank: its digest is final since our last step
+            table_digests={name: shards.digest(name, "weight") for name in owned},
             cores=cores,
             pipeline=source.stats.as_dict(),
         )))
@@ -860,12 +871,16 @@ def run_hybrid(
 ) -> HybridResult:
     """Train ``config`` across ``run.workers`` real OS processes.
 
-    Shards are created, initialized from the seeded model — each worker
-    then overwrites what it owns from a checkpoint's
-    :class:`~repro.distributed.mp.ckpt.ResumeState` when ``resume`` is
-    given — and **always** unlinked by the parent,
-    including when a worker crashes (the partial failure path raises
-    :class:`WorkerCrashError` after cleanup).  ``kills`` injects seeded
+    The parent builds the run's one seeded model, creates the shards from
+    its tables and swaps each table for its shard's view; every rank
+    inherits that model through ``fork`` (its tables shared, its dense
+    replica copy-on-write) and, when ``resume`` is given, overwrites what
+    it owns from the checkpoint's
+    :class:`~repro.distributed.mp.ckpt.ResumeState`.  Each rank hashes the
+    tables it owns; ``table_digests`` is their union in config order.  The
+    shards are **always** unlinked by the parent, including when a worker
+    crashes (the partial failure path raises :class:`WorkerCrashError`
+    after cleanup).  ``kills`` injects seeded
     real-process deaths (see :class:`KillSpec`); restart orchestration
     lives in :func:`repro.distributed.mp.ft.run_hybrid_ft`.
     """
@@ -879,12 +894,11 @@ def run_hybrid(
     if run.checkpoint_dir:
         pathlib.Path(run.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     plan = ShardPlan.greedy(config, world)
-    order = [t.name for t in config.tables]
-    init_model = DLRM(config, rng=derive_seed(run.seed, "model"))
-    shards = TableShards.create(
-        {name: init_model.embeddings.tables[name].weight for name in order}
-    )
-    del init_model
+    model = DLRM(config, rng=derive_seed(run.seed, "model"))  # the one model
+    tables = model.embeddings.tables
+    shards = TableShards.create({name: table.weight for name, table in tables.items()})
+    for name, table in tables.items():
+        table.adopt_weight(shards.view(name, "weight"))
     start = resume.step if resume is not None else 0
     ctx = mp.get_context("fork")
     fabric = _Fabric(world, ctx)
@@ -892,7 +906,7 @@ def run_hybrid(
     procs = [
         ctx.Process(
             target=_worker_main,
-            args=(rank, world, config, run, plan, shards, fabric, barrier,
+            args=(rank, world, model, run, plan, shards, fabric, barrier,
                   kills, resume),
             name=f"mp-worker-{rank}",
         )
@@ -902,15 +916,13 @@ def run_hybrid(
     try:
         for p in procs:
             p.start()
+        del model, tables  # the ranks hold it now: its views must not outlive the shards
         fabric.close_parent_side()
         reports, ckpt_events = _supervise(procs, fabric, run, start)
         for rank, p in enumerate(procs):
             p.join(timeout=timeouts.join_s)
             if p.exitcode not in (0, None):
                 raise WorkerCrashError(rank, p.exitcode)
-        # Reports are in; the final barrier guarantees all shard writes
-        # landed, so digests taken now are the post-training state.
-        table_digests = {name: shards.digest(name, "weight") for name in order}
     finally:
         for p in procs:
             if p.is_alive():
@@ -924,6 +936,8 @@ def run_hybrid(
         fabric.close_all()
         shards.close()
 
+    owned = {name: d for r in reports for name, d in r.table_digests.items()}
+    table_digests = {t.name: owned[t.name] for t in config.tables}
     per_rank = [r.losses for r in reports]  # a resumed rank reports its whole history
     executed = run.steps - start
     # representative step time: per step take the max across ranks (the
@@ -1037,9 +1051,7 @@ def run_hybrid_serial(
         step_s.append(time.perf_counter() - t0)
     effective = step_s[run.warmup_steps:] or step_s
     table_digests = {
-        t.name: hashlib.sha256(
-            model.embeddings.tables[t.name].weight.tobytes()
-        ).hexdigest()
+        t.name: hashlib.sha256(model.embeddings.tables[t.name].weight).hexdigest()
         for t in config.tables
     }
     return HybridResult(

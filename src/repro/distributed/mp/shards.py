@@ -2,11 +2,14 @@
 
 Every embedding table (weights *and* Adagrad accumulator) lives in a
 ``multiprocessing.shared_memory`` segment created — and, crucially,
-unlinked — by the parent process.  Workers inherit the mapping through
-``fork`` and wrap zero-copy ndarray views around it: all ranks read rows
-straight out of shared memory during the forward pass (this is what
-replaces the all-to-all of a message-passing design), while sparse
-updates to a table are applied only by the one rank that owns it.
+unlinked — by the parent process.  The parent builds the run's one seeded
+model, copies its tables into the segments and swaps each table for a
+zero-copy ndarray view of its segment; the workers inherit that model,
+views and all, through ``fork``.  All ranks read rows straight out of
+shared memory during the forward pass (this is what replaces the
+all-to-all of a message-passing design), while sparse updates to a table
+are applied — and its final digest taken — only by the one rank that owns
+it.
 
 Lifecycle contract (pinned by ``tests/test_mp_shm.py``): the parent is the
 sole owner of ``unlink``.  Segments are removed in a ``finally`` whether
@@ -16,6 +19,7 @@ resource-tracker "leaked shared_memory" warnings survive a run.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -77,38 +81,34 @@ class TableShards:
 
     ``create`` builds two segments per table — ``weight`` initialized from
     the seeded model (so every process sees the same init the serial
-    trainer would produce) and ``accum`` zeroed for the Adagrad state —
-    under explicit names carrying the parent pid and a run counter, which
-    the lifecycle tests use to detect leaks.
+    trainer would produce) and ``accum`` for the Adagrad state, zero as
+    every fresh segment is — under explicit names carrying the parent pid
+    and a run counter, which the lifecycle tests use to detect leaks.
     """
 
     def __init__(self) -> None:
         self._segments: dict[tuple[str, str], shared_memory.SharedMemory] = {}
-        self._shapes: dict[str, tuple[int, int]] = {}
-        self._dtype: np.dtype | None = None
+        self._layouts: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
         self._owner_pid = os.getpid()
 
     @classmethod
     def create(cls, weights: dict[str, np.ndarray]) -> "TableShards":
-        """Allocate and initialize segments from ``table name -> weights``;
-        the accumulators start zeroed (a resumed run's workers restore
-        both kinds from the checkpoint, each the tables it owns)."""
+        """Allocate segments and copy in ``table name -> weights``; the
+        accumulators start zeroed — a new POSIX segment reads as zeros —
+        and a resumed run's workers restore both kinds from the checkpoint,
+        each the tables it owns."""
         shards = cls()
         run_id = next(_SEGMENT_COUNTER)
         try:
             for idx, (name, weight) in enumerate(weights.items()):
-                if shards._dtype is None:
-                    shards._dtype = weight.dtype
-                shards._shapes[name] = weight.shape
+                shards._layouts[name] = (weight.shape, weight.dtype)
                 for kind in ("weight", "accum"):
-                    seg = shared_memory.SharedMemory(
+                    shards._segments[(name, kind)] = shared_memory.SharedMemory(
                         create=True,
                         size=weight.nbytes,
                         name=f"repro_mp_{os.getpid()}_{run_id}_{idx}_{kind}",
                     )
-                    shards._segments[(name, kind)] = seg
-                    view = np.ndarray(weight.shape, dtype=weight.dtype, buffer=seg.buf)
-                    view[...] = weight if kind == "weight" else 0.0
+                shards.view(name, "weight")[...] = weight
         except BaseException:
             shards.close()
             raise
@@ -116,14 +116,12 @@ class TableShards:
 
     def view(self, name: str, kind: str = "weight") -> np.ndarray:
         """Zero-copy ndarray over a segment (valid in parent and children)."""
-        seg = self._segments[(name, kind)]
-        return np.ndarray(self._shapes[name], dtype=self._dtype, buffer=seg.buf)
+        shape, dtype = self._layouts[name]
+        return np.ndarray(shape, dtype=dtype, buffer=self._segments[(name, kind)].buf)
 
     def digest(self, name: str, kind: str = "weight") -> str:
-        """sha256 over a segment's current bytes (checkpoint verification)."""
-        import hashlib
-
-        return hashlib.sha256(self.view(name, kind).tobytes()).hexdigest()
+        """sha256 over a segment's current bytes, read in place."""
+        return hashlib.sha256(self.view(name, kind)).hexdigest()
 
     @property
     def segment_names(self) -> list[str]:

@@ -110,9 +110,9 @@ def _state_digest(model: DLRM) -> str:
     """sha256 over every weight tensor (tables in config order + dense)."""
     h = hashlib.sha256()
     for table in model.embedding_tables():
-        h.update(np.ascontiguousarray(table.weight).tobytes())
+        h.update(np.ascontiguousarray(table.weight))
     for p in model.dense_parameters():
-        h.update(np.ascontiguousarray(p.value).tobytes())
+        h.update(np.ascontiguousarray(p.value))
     return h.hexdigest()
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -19,18 +20,24 @@ import pytest
 
 from repro.core import DLRM, Adagrad, Batch, RaggedIndices, Trainer
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
+from repro.core.embedding import EmbeddingTable
 from repro.core.lanes import free_cores
 from repro.core.loss import BCEWithLogitsLoss
 from repro.data import SyntheticDataGenerator
 from repro.distributed.mp import (
     CommProfile,
     HybridRunConfig,
+    KillSpec,
     ShardPlan,
+    WorkerCrashError,
+    build_resume,
     concat_batches,
+    latest_valid_manifest,
     predict_step_time,
     run_hybrid,
     run_hybrid_serial,
 )
+from repro.distributed.mp import hybrid
 from repro.runtime.runner import derive_seed
 
 
@@ -168,6 +175,74 @@ class TestOrderedDeterminism:
         assert a.losses != b.losses
 
 
+class TestOneModelPerRun:
+    """The parent builds the run's one seeded model and the ranks inherit it
+    through fork: no rank draws a table of its own, and each rank hashes
+    exactly the tables it owns."""
+
+    @pytest.fixture
+    def parent_only_tables(self, monkeypatch):
+        """Building an :class:`EmbeddingTable` in any other process raises,
+        so a rank that constructs a model crashes the run."""
+        pid = os.getpid()
+        init = EmbeddingTable.__init__
+
+        def guarded(self, *args, **kwargs):
+            if os.getpid() != pid:
+                raise RuntimeError("an embedding table was built outside the parent")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EmbeddingTable, "__init__", guarded)
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """Every run's worker reports, as the parent collected them."""
+        seen = []
+        supervise = hybrid._supervise
+
+        def recording(*args, **kwargs):
+            got = supervise(*args, **kwargs)
+            seen.append(got[0])
+            return got
+
+        monkeypatch.setattr(hybrid, "_supervise", recording)
+        return seen
+
+    @staticmethod
+    def assert_owners_hashed(config, run, reports) -> None:
+        """The ranks' digest keys are disjoint and together cover every
+        table, each rank's being the tables the plan gives it."""
+        plan = ShardPlan.greedy(config, run.workers)
+        keys = [set(r.table_digests) for r in reports]
+        assert keys == [set(plan.owned(rank)) for rank in range(run.workers)]
+        assert sum(map(len, keys)) == len(set().union(*keys)) == len(config.tables)
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_ranks_build_no_tables(self, parent_only_tables, reports, pipeline):
+        config = small_config(num_tables=7)
+        run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7, pipeline=pipeline)
+        got = run_hybrid(config, run)
+        assert_bit_identical(got, run_hybrid_serial(config, run))
+        assert list(got.table_digests) == [t.name for t in config.tables]
+        [ranks] = reports
+        self.assert_owners_hashed(config, run, ranks)
+
+    def test_resumed_ranks_build_no_tables(self, parent_only_tables, reports, tmp_path):
+        config = small_config()
+        run = HybridRunConfig(
+            workers=2, steps=4, batch_size=32, seed=7,
+            checkpoint_every=2, checkpoint_dir=str(tmp_path),
+        )
+        with pytest.raises(WorkerCrashError):
+            run_hybrid(config, run, kills=[KillSpec(rank=1, step=3)])
+        manifest = latest_valid_manifest(tmp_path, world=2)
+        assert manifest.step == 2
+        resumed = run_hybrid(config, run, resume=build_resume(manifest, tmp_path))
+        assert resumed.resumed_from == 2
+        assert_bit_identical(resumed, run_hybrid_serial(config, run))
+        self.assert_owners_hashed(config, run, reports[-1])
+
+
 class TestRingReduction:
     def test_two_workers_ring_bitwise(self):
         # two-term floating-point sums are order-insensitive, so even the
@@ -285,6 +360,13 @@ class TestValidation:
         # *last* |w| steps instead of skipping the first ones
         with pytest.raises(ValueError, match="warmup_steps"):
             HybridRunConfig(warmup_steps=-1)
+
+    @pytest.mark.parametrize("workers, batch_size", [(2, 0), (2, -2), (1, 0), (3, -3)])
+    def test_batch_smaller_than_workers_rejected(self, workers, batch_size):
+        # each of these passes the divisibility check with a local batch
+        # of 0 or less, which only the forked ranks would have caught
+        with pytest.raises(ValueError, match="batch_size"):
+            HybridRunConfig(workers=workers, batch_size=batch_size)
 
     @pytest.mark.parametrize("name", ["barrier_timeout_s", "collect_timeout_s"])
     @pytest.mark.parametrize("value", [0.0, -1.0])

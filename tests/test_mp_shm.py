@@ -68,6 +68,24 @@ class TestTableShards:
             shards.close()
         assert shm_segments() == before
 
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_each_table_keeps_its_dtype(self, order):
+        """A table is read back with its own dtype, whichever table came
+        first: mixed f64/f32 tables round-trip bit for bit."""
+        arrays = {
+            "a": np.arange(12.0).reshape(4, 3),
+            "b": np.arange(12, dtype=np.float32).reshape(4, 3) / 7,
+        }
+        shards = TableShards.create({name: arrays[name] for name in order})
+        try:
+            for name, want in arrays.items():
+                for kind, expect in (("weight", want), ("accum", np.zeros_like(want))):
+                    got = shards.view(name, kind)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == expect.tobytes(), (name, kind)
+        finally:
+            shards.close()
+
     def test_close_is_idempotent(self):
         shards = TableShards.create({"t": np.zeros((3, 2))})
         shards.close()
