@@ -55,13 +55,6 @@ from .checkpoint import (
     save_checkpoint,
     save_partial_checkpoint,
 )
-from .gradcheck import GradCheckResult, check_gradients
-from .schedule import (
-    ConstantLR,
-    PolynomialDecayLR,
-    ScheduledOptimizer,
-    WarmupLR,
-)
 from .quantization import (
     QuantizedEmbeddingTable,
     dequantize_rows,
@@ -134,10 +127,4 @@ __all__ = [
     "DirtyRowTracker",
     "save_partial_checkpoint",
     "apply_partial_checkpoint",
-    "ConstantLR",
-    "WarmupLR",
-    "PolynomialDecayLR",
-    "ScheduledOptimizer",
-    "GradCheckResult",
-    "check_gradients",
 ]

@@ -193,6 +193,11 @@ class ModelConfig:
             raise ValueError(f"num_dense must be >= 0, got {self.num_dense}")
         if not self.tables:
             raise ValueError("ModelConfig needs at least one embedding table")
+        seen: set[str] = set()
+        for t in self.tables:
+            if t.name in seen:
+                raise ValueError(f"duplicate embedding table name {t.name!r}")
+            seen.add(t.name)
         dims = {t.dim for t in self.tables}
         if len(dims) != 1:
             raise ValueError(

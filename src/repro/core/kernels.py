@@ -52,7 +52,7 @@ themselves are deterministic:
 identical inputs produce identical bits on every run and in every worker
 process, which is what the runtime cache and the parallel-equals-serial
 sweep contract rely on.  The ``naive_*`` reference implementations of the
-replaced code paths are kept here for the equivalence tests.
+replaced code paths live beside the equivalence tests.
 
 Results land where the caller says: :func:`segment_sum`,
 :func:`gather_pool`, :func:`coalesce_apply` and :func:`expand_apply` take
@@ -95,9 +95,6 @@ __all__ = [
     "truncate_ragged",
     "position_in_segment",
     "check_bounds",
-    "naive_segment_sum",
-    "naive_coalesce_rows",
-    "naive_truncate_ragged",
 ]
 
 
@@ -524,50 +521,3 @@ def check_bounds(values: np.ndarray, upper: int, *, what: str = "indices") -> No
     values = np.ascontiguousarray(values, dtype=np.int64)
     if bool(np.any(values.view(np.uint64) >= np.uint64(upper))):
         raise IndexError(f"{what} out of range [0, {upper})")
-
-
-# ---------------------------------------------------------------------------
-# reference (pre-optimization) implementations — what the ``"numpy"``
-# backend pools with and what the equivalence tests compare against; do
-# not use on hot paths.
-# ---------------------------------------------------------------------------
-
-
-def naive_segment_sum(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The original ``np.add.at`` pooling kernel."""
-    data = np.asarray(data)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets)
-    out = np.zeros((len(lengths),) + data.shape[1:], dtype=data.dtype)
-    if data.shape[0]:
-        sample_of = np.repeat(np.arange(len(lengths)), lengths)
-        np.add.at(out, sample_of, data)
-    return out
-
-
-def naive_coalesce_rows(
-    indices: np.ndarray, grads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The original ``np.unique`` + ``np.add.at`` coalesce."""
-    rows, inverse = np.unique(np.asarray(indices, dtype=np.int64), return_inverse=True)
-    grads = np.asarray(grads, dtype=np.float64)
-    summed = np.zeros((len(rows),) + grads.shape[1:], dtype=np.float64)
-    np.add.at(summed, inverse, grads)
-    return rows, summed
-
-
-def naive_truncate_ragged(
-    values: np.ndarray, offsets: np.ndarray, max_per_sample: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The original per-sample Python-loop truncation."""
-    if max_per_sample < 1:
-        raise ValueError("max_per_sample must be >= 1")
-    values = np.asarray(values)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.minimum(np.diff(offsets), max_per_sample)
-    new_offsets = np.concatenate([[0], np.cumsum(lengths)])
-    keep = np.zeros(len(values), dtype=bool)
-    for i in range(len(lengths)):
-        start = offsets[i]
-        keep[start : start + lengths[i]] = True
-    return values[keep], new_offsets

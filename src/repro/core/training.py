@@ -155,7 +155,7 @@ class Trainer:
         self.pipeline = pipeline
         self._step_index = 0
 
-    # -- kill-and-restore (see repro.resilience.harness) ---------------------
+    # -- kill-and-restore ---------------------------------------------------
 
     @property
     def step_index(self) -> int:

@@ -10,6 +10,7 @@ surrogate — no external optimizer dependency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,9 @@ class SearchResult:
 
     @property
     def best(self) -> Trial:
-        return min(self.trials, key=lambda t: t.loss)
+        """The lowest loss, first one on ties; a diverged (non-finite)
+        trial ranks after every finite one."""
+        return min(self.trials, key=lambda t: t.loss if math.isfinite(t.loss) else math.inf)
 
     @property
     def num_trials(self) -> int:
@@ -147,7 +150,8 @@ def bayesian_search(
     """Sequential model-based search: random warm-up then EI maximization.
 
     Operates in log10(lr) space.  This mirrors the AutoML flow the paper
-    uses to re-tune learning rate after changing batch size (§VI-C).
+    uses to re-tune learning rate after changing batch size (§VI-C).  The
+    surrogate sees only the finite losses: a diverged trial has none.
     """
     _validate_bounds(low, high)
     if num < num_init or num_init < 1:
@@ -160,8 +164,13 @@ def bayesian_search(
     length_scale = (hi - lo) / 4.0
     while len(xs) < num:
         candidates = rng.uniform(lo, hi, size=256)
-        ei = _expected_improvement(
-            candidates, np.array(xs), np.array(ys), length_scale
+        finite = np.isfinite(ys)
+        ei = (
+            _expected_improvement(
+                candidates, np.array(xs)[finite], np.array(ys)[finite], length_scale
+            )
+            if finite.any()
+            else np.zeros(len(candidates))
         )
         x_next = float(candidates[int(np.argmax(ei))])
         xs.append(x_next)

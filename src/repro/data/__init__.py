@@ -1,7 +1,6 @@
-"""Synthetic data substrate: feature generators, teacher click model, readers."""
+"""Synthetic data substrate: feature generators, teacher click model, train/eval split."""
 
 from .click_model import ClickModel
-from .dataset import FixedDataset
 from .distributions import (
     power_law_mean_lengths,
     sample_discrete_zipf,
@@ -9,19 +8,11 @@ from .distributions import (
     sample_power_law,
     zipf_probabilities,
 )
-from .preprocessing import (
-    DenseFeature,
-    PreprocessingPipeline,
-    RawEvent,
-    RawLogGenerator,
-    SparseFeature,
-)
-from .reader import BatchReader, train_eval_split
+from .reader import train_eval_split
 from .synthetic import SyntheticDataGenerator, sample_lengths, sample_zipf_indices
 
 __all__ = [
     "ClickModel",
-    "FixedDataset",
     "sample_power_law",
     "sample_lognormal_with_mean",
     "zipf_probabilities",
@@ -30,11 +21,5 @@ __all__ = [
     "SyntheticDataGenerator",
     "sample_lengths",
     "sample_zipf_indices",
-    "BatchReader",
     "train_eval_split",
-    "RawEvent",
-    "RawLogGenerator",
-    "DenseFeature",
-    "SparseFeature",
-    "PreprocessingPipeline",
 ]

@@ -1,64 +1,19 @@
-"""Batch readers: the data-loading side of the training pipeline.
+"""The training stream and its held-out evaluation set.
 
 Facebook decouples *reader servers* from trainers so data loading never
-stalls training (paper §IV-B.2).  Functionally we model a reader as a
-buffered batch source; the timing behaviour of reader servers lives in
-:mod:`repro.distributed`.
+stalls training (paper §IV-B.2).  The timing behaviour of reader servers
+lives in :mod:`repro.distributed`; batch prep on a thread is
+:class:`repro.pipeline.PrefetchPipeline`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 from ..core.model import Batch
 from .synthetic import SyntheticDataGenerator
 
-__all__ = ["BatchReader", "train_eval_split"]
-
-
-class BatchReader:
-    """Prefetching wrapper over a :class:`SyntheticDataGenerator`.
-
-    ``prefetch_depth`` batches are generated ahead of consumption, mimicking
-    the reader-tier buffering that keeps trainers fed.  Purely functional —
-    no threads — but exercises the same buffer/refill logic.
-    """
-
-    def __init__(
-        self,
-        generator: SyntheticDataGenerator,
-        batch_size: int,
-        prefetch_depth: int = 2,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if prefetch_depth < 1:
-            raise ValueError(f"prefetch_depth must be >= 1, got {prefetch_depth}")
-        self.generator = generator
-        self.batch_size = batch_size
-        self.prefetch_depth = prefetch_depth
-        self._buffer: deque[Batch] = deque()
-        self.batches_produced = 0
-
-    def _refill(self) -> None:
-        while len(self._buffer) < self.prefetch_depth:
-            self._buffer.append(self.generator.batch(self.batch_size))
-            self.batches_produced += 1
-
-    def next_batch(self) -> Batch:
-        self._refill()
-        return self._buffer.popleft()
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def stream(self, num_batches: int | None = None) -> Iterator[Batch]:
-        produced = 0
-        while num_batches is None or produced < num_batches:
-            yield self.next_batch()
-            produced += 1
+__all__ = ["train_eval_split"]
 
 
 def train_eval_split(

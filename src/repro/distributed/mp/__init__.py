@@ -35,7 +35,6 @@ from .hybrid import (
     HybridRunConfig,
     KillSpec,
     WorkerCrashError,
-    concat_batches,
     run_hybrid,
     run_hybrid_serial,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "VerifiedManifest",
     "WorkerCrashError",
     "build_resume",
-    "concat_batches",
     "exchange_frames",
     "get_timeouts",
     "kills_from_plan",

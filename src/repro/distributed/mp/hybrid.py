@@ -63,10 +63,9 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from ...core import DLRM, Adagrad, Batch, Trainer
+from ...core import DLRM, Adagrad, Trainer
 from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
-from ...core.embedding import RaggedIndices
 from ...core.lanes import blas_threads, free_cores, lane_count, take_share
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
@@ -87,7 +86,6 @@ __all__ = [
     "WorkerCrashError",
     "run_hybrid",
     "run_hybrid_serial",
-    "concat_batches",
 ]
 
 _PHASES = ("forward", "loss", "backward", "sparse_exchange", "dense_wait",
@@ -1069,30 +1067,3 @@ def run_hybrid_serial(
         table_digests=table_digests,
         plan=None,
     )
-
-
-def concat_batches(batches: list[Batch]) -> Batch:
-    """Concatenate per-rank sub-batches into one full batch (rank order).
-
-    Used to compare the hybrid trajectory against a plain full-batch
-    serial :class:`~repro.core.Trainer` (tolerance-bounded: summed
-    sub-batch GEMMs associate differently than one full-batch GEMM).
-    """
-    dense = np.concatenate([b.dense for b in batches], axis=0)
-    labels = np.concatenate([b.labels for b in batches])
-    sparse: dict[str, RaggedIndices] = {}
-    for name in batches[0].sparse:
-        raggeds = [b.sparse[name] for b in batches]
-        values = np.concatenate([r.values for r in raggeds])
-        offsets = [np.asarray(raggeds[0].offsets)]
-        shift = raggeds[0].offsets[-1]
-        for r in raggeds[1:]:
-            offsets.append(np.asarray(r.offsets[1:]) + shift)
-            shift += r.offsets[-1]
-        # the join is certified only if every part is, by the widest bound
-        bounds = [r.safe_bound for r in raggeds]
-        bound = None if None in bounds else max(bounds)
-        sparse[name] = RaggedIndices(
-            values=values, offsets=np.concatenate(offsets), safe_bound=bound
-        )
-    return Batch(dense=dense, sparse=sparse, labels=labels)

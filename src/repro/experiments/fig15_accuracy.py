@@ -29,7 +29,9 @@ from ..core import (
     InteractionType,
     MLPSpec,
     ModelConfig,
+    SearchResult,
     Trainer,
+    Trial,
     bayesian_search,
     evaluate,
     grid_search,
@@ -253,8 +255,9 @@ def _run_parallel(
     Phase 1 evaluates every (batch, lr, tuning-seed) combination; phase 2
     runs the ``num_seeds`` final trainings at each batch's tuned LR.  The
     LR grid (log-spaced, ``tuning_trials`` points) and the argmin rule
-    (first minimum in LR order, NE meaned over two tuning seeds) replicate
-    the serial :func:`~repro.core.tuning.grid_search` path bit for bit.
+    (:attr:`~repro.core.tuning.SearchResult.best` over the NE meaned over
+    two tuning seeds) replicate the serial
+    :func:`~repro.core.tuning.grid_search` path bit for bit.
     """
     if tuning_trials < 2:
         raise ValueError(f"num must be >= 2, got {tuning_trials}")
@@ -277,13 +280,11 @@ def _run_parallel(
     best_lrs: dict[int, float] = {}
     idx = 0
     for b in batches:
-        best_lr, best_loss = None, None
+        trials = []
         for lr in lrs:
-            loss = float(np.mean([tune_raw[idx]["ne"], tune_raw[idx + 1]["ne"]]))
+            trials.append(Trial(lr, float(np.mean([tune_raw[idx]["ne"], tune_raw[idx + 1]["ne"]]))))
             idx += 2
-            if best_loss is None or loss < best_loss:  # first minimum wins ties
-                best_lr, best_loss = lr, loss
-        best_lrs[b] = best_lr
+        best_lrs[b] = SearchResult(tuple(trials)).best.learning_rate
 
     final_points = [
         {"batch_size": b, "lr": best_lrs[b], "model_seed": seed + 101 + s, **common}

@@ -6,7 +6,6 @@ from .assignment import (
     assign_fleet,
     sample_workload_population,
 )
-from .capacity import CapacityDemand, estimate_fleet_demand, forecast_growth
 from .telemetry import (
     UtilizationSamples,
     aggregate_run_registries,
@@ -35,9 +34,6 @@ __all__ = [
     "collect_utilization_samples",
     "aggregate_run_registries",
     "jitter_model",
-    "CapacityDemand",
-    "estimate_fleet_demand",
-    "forecast_growth",
     "FleetAssignment",
     "WorkloadAssignment",
     "assign_fleet",

@@ -8,7 +8,6 @@ from .pipeline import (
     cpu_cluster_throughput,
     gpu_server_throughput,
 )
-from .fitting import FitResult, fit_calibration, table3_ratio_loss
 from .roofline import OperatorProfile, RooflineReport, roofline_report
 from .setup_optimizer import (
     CandidateSetup,
@@ -27,9 +26,6 @@ __all__ = [
     "OperatorProfile",
     "RooflineReport",
     "roofline_report",
-    "FitResult",
-    "fit_calibration",
-    "table3_ratio_loss",
     "Objective",
     "CandidateSetup",
     "SetupSearchResult",

@@ -31,7 +31,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
 )
-from .harness import KillRestoreReport, kill_and_restore_run, uninterrupted_run
 from .recovery import (
     GoodputLedger,
     checkpoint_write_time_s,
@@ -49,9 +48,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "GoodputLedger",
-    "KillRestoreReport",
-    "kill_and_restore_run",
-    "uninterrupted_run",
     "RetryPolicy",
     "RetriesExhausted",
     "DEFAULT_RETRY_POLICY",

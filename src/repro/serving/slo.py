@@ -12,8 +12,7 @@ the event simulation:
   latency quantiles (the serving analogue of the paper's
   throughput-vs-batch-size trade-off, §V-B);
 * :func:`plan_serving_capacity` — smallest replica pool that serves a
-  target QPS within the SLO, with the fleet-style power bill
-  (:mod:`repro.fleet.capacity` conventions).
+  target QPS within the SLO, with the fleet-style power bill.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The fast sparse kernels of :mod:`repro.core.kernels` claim *bit-identical*
 results vs the historical ``np.add.at`` / Python-loop implementations
-(which live on as ``naive_*`` references inside the kernels module).
+(which live on as the ``naive_*`` references below).
 Hypothesis generates adversarial ragged layouts — empty segments, empty
 batches, duplicate indices — and we assert exact equality (stronger than
 the 1e-12 budget the contract allows).  The embedding tables call these
@@ -17,6 +17,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SparseGrad, kernels
+
+
+# ---------------------------------------------------------------------------
+# naive references: the original (pre-optimization) implementations
+# ---------------------------------------------------------------------------
+
+
+def naive_segment_sum(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The original ``np.add.at`` pooling kernel."""
+    data = np.asarray(data)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    out = np.zeros((len(lengths),) + data.shape[1:], dtype=data.dtype)
+    if data.shape[0]:
+        sample_of = np.repeat(np.arange(len(lengths)), lengths)
+        np.add.at(out, sample_of, data)
+    return out
+
+
+def naive_coalesce_rows(
+    indices: np.ndarray, grads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The original ``np.unique`` + ``np.add.at`` coalesce."""
+    rows, inverse = np.unique(np.asarray(indices, dtype=np.int64), return_inverse=True)
+    grads = np.asarray(grads, dtype=np.float64)
+    summed = np.zeros((len(rows),) + grads.shape[1:], dtype=np.float64)
+    np.add.at(summed, inverse, grads)
+    return rows, summed
+
+
+def naive_truncate_ragged(
+    values: np.ndarray, offsets: np.ndarray, max_per_sample: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The original per-sample Python-loop truncation."""
+    if max_per_sample < 1:
+        raise ValueError("max_per_sample must be >= 1")
+    values = np.asarray(values)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.minimum(np.diff(offsets), max_per_sample)
+    new_offsets = np.concatenate([[0], np.cumsum(lengths)])
+    keep = np.zeros(len(values), dtype=bool)
+    for i in range(len(lengths)):
+        start = offsets[i]
+        keep[start : start + lengths[i]] = True
+    return values[keep], new_offsets
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +112,7 @@ class TestSegmentSumEquivalence:
     def test_segment_sum_matches_add_at_exactly(self, layout):
         data, offsets = layout
         fast = kernels.segment_sum(data, offsets)
-        naive = kernels.naive_segment_sum(data, offsets)
+        naive = naive_segment_sum(data, offsets)
         assert fast.dtype == naive.dtype
         np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-12)
 
@@ -77,7 +122,7 @@ class TestSegmentSumEquivalence:
         data, offsets = layout
         data32 = data.astype(np.float32)
         fast = kernels.segment_sum(data32, offsets)
-        naive = kernels.naive_segment_sum(data32, offsets)
+        naive = naive_segment_sum(data32, offsets)
         assert fast.dtype == np.float32
         np.testing.assert_allclose(fast, naive, rtol=1e-6, atol=1e-6)
 
@@ -88,7 +133,7 @@ class TestCoalesceEquivalence:
     def test_matches_unique_add_at_exactly(self, case):
         indices, grads = case
         rows_f, summed_f = kernels.coalesce_rows(indices, grads)
-        rows_n, summed_n = kernels.naive_coalesce_rows(indices, grads)
+        rows_n, summed_n = naive_coalesce_rows(indices, grads)
         assert np.array_equal(rows_f, rows_n)
         np.testing.assert_allclose(summed_f, summed_n, rtol=1e-12, atol=1e-12)
 
@@ -110,7 +155,7 @@ class TestOutParameterAgainstNaive:
         data = (data * 8).astype(dtype)
         out = np.full((len(offsets) - 1, data.shape[1]), 9, dtype=dtype) if give_out else None
         fast = kernels.segment_sum(data, offsets, out=out)
-        naive = kernels.naive_segment_sum(data, offsets)
+        naive = naive_segment_sum(data, offsets)
         assert fast.dtype == naive.dtype and (out is None or fast is out)
         tol = 1e-6 if dtype is np.float32 else 1e-12
         np.testing.assert_allclose(fast, naive, rtol=tol, atol=tol)
@@ -130,7 +175,7 @@ class TestOutParameterAgainstNaive:
         # integer contributions are summed as float64, as without out=
         out = np.full((plan.num_rows, 3), 9.0) if give_out else None
         summed = kernels.coalesce_apply(plan, grads, out=out)
-        rows_n, summed_n = kernels.naive_coalesce_rows(indices, grads)
+        rows_n, summed_n = naive_coalesce_rows(indices, grads)
         assert np.array_equal(plan.rows, rows_n) and (out is None or summed is out)
         np.testing.assert_allclose(summed, summed_n, rtol=1e-12, atol=1e-12)
 
@@ -153,7 +198,7 @@ class TestGatherPoolEquivalence:
         # bit-identical to the unfused fast kernel and to the naive reference
         np.testing.assert_array_equal(fused, kernels.segment_sum(weight[values], offsets))
         np.testing.assert_array_equal(
-            fused, kernels.naive_segment_sum(weight[values], offsets)
+            fused, naive_segment_sum(weight[values], offsets)
         )
 
 
@@ -171,7 +216,7 @@ class TestExpandCoalesceEquivalence:
         rows_f, summed_f = kernels.expand_coalesce(values, lengths, grad_out)
         per_lookup = np.repeat(grad_out, lengths, axis=0)
         rows_u, summed_u = kernels.coalesce_rows(values, per_lookup)
-        rows_n, summed_n = kernels.naive_coalesce_rows(values, per_lookup)
+        rows_n, summed_n = naive_coalesce_rows(values, per_lookup)
         assert np.array_equal(rows_f, rows_u) and np.array_equal(rows_f, rows_n)
         assert summed_f.dtype == dtype
         if dtype is np.float32:
@@ -189,7 +234,7 @@ class TestTruncateEquivalence:
         data, offsets = layout
         values = np.arange(int(offsets[-1]), dtype=np.int64)
         fast_v, fast_o = kernels.truncate_ragged(values, offsets, cap)
-        naive_v, naive_o = kernels.naive_truncate_ragged(values, offsets, cap)
+        naive_v, naive_o = naive_truncate_ragged(values, offsets, cap)
         assert np.array_equal(fast_v, naive_v)
         assert np.array_equal(fast_o, naive_o)
 
@@ -199,7 +244,7 @@ class TestSparseGradCoalesce:
         indices = np.array([3, 1, 3, 3, 1])
         grads = np.random.default_rng(0).standard_normal((5, 4))
         grad = SparseGrad.coalesce(indices, grads)
-        rows_n, summed_n = kernels.naive_coalesce_rows(indices, grads)
+        rows_n, summed_n = naive_coalesce_rows(indices, grads)
         assert np.array_equal(grad.rows, rows_n)
         np.testing.assert_allclose(grad.values, summed_n, rtol=1e-12, atol=1e-12)
         assert grad.nnz_rows == 2

@@ -194,18 +194,22 @@ def test_round_trip_is_byte_for_byte(kind, dtype, tiny_config, tmp_path):
     assert_same_state(model, optimizer, other.model, other.optimizer)
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_resumed_run_is_bit_identical(kind, dtype, tiny_config):
+@pytest.mark.parametrize("dtype, lost", [
+    pytest.param("float64", 0, id="float64"),
+    pytest.param("float32", 0, id="float32"),
+    # the victim trains past its checkpoint before it dies
+    pytest.param("float64", 2, id="float64-lost-window"),
+])
+def test_resumed_run_is_bit_identical(kind, dtype, lost, tiny_config):
     """3 steps, 3 more (under the tracker, for the partial kind), save,
-    crash; a fresh model restored from the checkpoint and trained on the
-    remaining 3 batches ends where the uninterrupted 9-step run ends —
-    weights, dense parameters and accumulators."""
+    ``lost`` steps more, crash; a fresh model restored from the checkpoint
+    and trained on the remaining 3 batches ends where the uninterrupted
+    9-step run ends — losses, weights, dense parameters and accumulators."""
     config = replace(tiny_config, compute_dtype=dtype)
     gen = SyntheticDataGenerator(config, rng=7)
     batches = [gen.batch(32) for _ in range(9)]
     ref = _trainer(DLRM(config, rng=0))
-    for batch in batches:
-        ref.train_step(batch)
+    ref_losses = [ref.train_step(batch) for batch in batches]
 
     first = _trainer(DLRM(config, rng=0))
     for batch in batches[:3]:
@@ -215,12 +219,13 @@ def test_resumed_run_is_bit_identical(kind, dtype, tiny_config):
         kind.record(batch)
         first.train_step(batch)
     kind.save(first.model, first.optimizer)
+    for batch in batches[6:6 + lost]:
+        first.train_step(batch)
     del first  # the crash
 
     resumed = _trainer(DLRM(config, rng=123))  # wrong init, must not matter
     kind.restore(resumed.model, resumed.optimizer)
-    for batch in batches[6:]:
-        resumed.train_step(batch)
+    assert [resumed.train_step(batch) for batch in batches[6:]] == ref_losses[6:]
     assert_same_state(ref.model, ref.optimizer, resumed.model, resumed.optimizer)
 
 

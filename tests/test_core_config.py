@@ -126,6 +126,13 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig("m", 4, (), MLPSpec((4,)), MLPSpec((4,)))
 
+    def test_duplicate_table_names_rejected(self):
+        """A model keys its tables by name: a repeated name would leave one
+        table for two specs."""
+        tables = (TableSpec("a", 10, dim=4), TableSpec("a", 20, dim=4))
+        with pytest.raises(ValueError, match="duplicate embedding table name 'a'"):
+            ModelConfig("m", 4, tables, MLPSpec((4,)), MLPSpec((4,)))
+
     def test_mlp_parameters_includes_scorer(self):
         cfg = self._config()
         bottom = cfg.bottom_mlp.num_parameters(10)

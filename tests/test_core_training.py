@@ -7,7 +7,9 @@ from repro.core import (
     Adagrad,
     DLRM,
     SGD,
+    SearchResult,
     Trainer,
+    Trial,
     bayesian_search,
     evaluate,
     grid_search,
@@ -201,6 +203,23 @@ class TestSearch:
         bayes = bayesian_search(self._objective, 1e-4, 1.0, num=10, num_init=3, rng=1)
         assert bayes.num_trials == 10
         assert bayes.best.loss < 0.5  # found a near-optimal lr
+
+    def test_diverged_trial_never_wins(self):
+        nan = float("nan")
+        assert SearchResult((Trial(0.9, nan), Trial(0.03, 0.1))).best == Trial(0.03, 0.1)
+        # ties among finite losses still go to the first
+        assert SearchResult((Trial(0.9, 0.1), Trial(0.03, 0.1))).best.learning_rate == 0.9
+
+    def test_bayesian_search_survives_a_diverged_trial(self):
+        """A NaN among the observations must neither win nor blind the
+        surrogate: the search still homes in on the finite bowl."""
+        def objective(lr: float) -> float:
+            return float("nan") if lr > 0.3 else (np.log10(lr) + 1.5) ** 2
+
+        result = bayesian_search(objective, 1e-3, 1.0, num=8, num_init=3, rng=4)
+        assert any(np.isnan(t.loss) for t in result.trials)
+        assert np.isfinite(result.best.loss)
+        assert 0.01 < result.best.learning_rate < 0.1  # the bowl is at 0.03
 
     def test_bayesian_trials_within_bounds(self):
         result = bayesian_search(self._objective, 1e-3, 0.1, num=8, rng=0)

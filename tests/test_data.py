@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    BatchReader,
     ClickModel,
     SyntheticDataGenerator,
     power_law_mean_lengths,
@@ -170,27 +169,7 @@ class TestClickModel:
         assert 0 < teacher.bayes_log_loss() < np.log(2) + 0.2
 
 
-class TestBatchReader:
-    def test_prefetch_buffering(self, tiny_config):
-        gen = SyntheticDataGenerator(tiny_config, rng=0)
-        reader = BatchReader(gen, batch_size=8, prefetch_depth=3)
-        batch = reader.next_batch()
-        assert batch.size == 8
-        assert reader.buffered == 2  # refilled to depth, one consumed
-        assert reader.batches_produced == 3
-
-    def test_stream_count(self, tiny_config):
-        gen = SyntheticDataGenerator(tiny_config, rng=0)
-        reader = BatchReader(gen, batch_size=4)
-        assert len(list(reader.stream(num_batches=7))) == 7
-
-    def test_bad_params_rejected(self, tiny_config):
-        gen = SyntheticDataGenerator(tiny_config, rng=0)
-        with pytest.raises(ValueError):
-            BatchReader(gen, batch_size=0)
-        with pytest.raises(ValueError):
-            BatchReader(gen, batch_size=4, prefetch_depth=0)
-
+class TestTrainEvalSplit:
     def test_train_eval_split(self, tiny_config):
         gen = SyntheticDataGenerator(tiny_config, rng=0)
         stream, eval_batches = train_eval_split(gen, batch_size=16, num_eval_batches=3)

@@ -11,7 +11,7 @@ from repro.core import (
     evaluate,
     grid_search,
 )
-from repro.data import BatchReader, SyntheticDataGenerator
+from repro.data import SyntheticDataGenerator
 from repro.distributed import ClusterConfig, EASGDConfig, EASGDTrainer, simulate_cpu_cluster
 from repro.hardware import BIG_BASIN, DUAL_SOCKET_CPU, ZION, CapacityError
 from repro.perf import cpu_cluster_throughput, gpu_server_throughput
@@ -41,18 +41,6 @@ class TestTrainThenTune:
         result = grid_search(objective, 1e-4, 0.5, num=5)
         worst = max(t.loss for t in result.trials)
         assert result.best.loss < worst - 1e-4
-
-    def test_reader_feeds_trainer(self, tiny_config):
-        gen = SyntheticDataGenerator(tiny_config, rng=0, seed_teacher=True)
-        reader = BatchReader(gen, batch_size=64, prefetch_depth=4)
-        model = DLRM(tiny_config, rng=1)
-        trainer = Trainer(
-            model,
-            lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
-        )
-        result = trainer.train(reader.stream(), max_examples=3_200)
-        assert result.examples_seen == 3_200
-        assert reader.batches_produced >= result.steps
 
 
 class TestPlacementPerfConsistency:

@@ -40,9 +40,7 @@ from repro.core import (
     InteractionType,
     MLPSpec,
     ModelConfig,
-    PolynomialDecayLR,
     PoolingType,
-    ScheduledOptimizer,
     TableSpec,
     Trainer,
     evaluate,
@@ -116,13 +114,10 @@ def make_trainer(dtype, pooling, optimizer, shared, tiered):
     model = build_model(config(dtype), tables, pooling=pooling)
     opt_cls = SGD if optimizer == "sgd" else Adagrad
 
-    def build(m):
-        opt = opt_cls(m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend)
-        if optimizer == "scheduled":
-            return ScheduledOptimizer(opt, PolynomialDecayLR(0.05, total_steps=STEPS))
-        return opt
-
-    return Trainer(model, build)
+    return Trainer(
+        model,
+        lambda m: opt_cls(m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend),
+    )
 
 
 def run(trainer, steps=STEPS):
@@ -144,9 +139,6 @@ CELLS = [
     for pooling in (PoolingType.SUM, PoolingType.MEAN)
     for opt in ("adagrad", "sgd")
     for shared, tiered, tag in ((False, False, ""), (True, False, "-shared"), (False, True, "-tiered"))
-] + [
-    # a wrapped optimizer hands the lanes on to the one it wraps
-    pytest.param("float64", PoolingType.SUM, "scheduled", False, False, id="float64-sum-scheduled"),
 ]
 
 

@@ -31,7 +31,6 @@ from repro.distributed.mp import (
     ShardPlan,
     WorkerCrashError,
     build_resume,
-    concat_batches,
     latest_valid_manifest,
     predict_step_time,
     run_hybrid,
@@ -51,6 +50,33 @@ def small_config(dtype: str = "float64", num_tables: int = 5) -> ModelConfig:
         interaction=InteractionType.DOT,
         compute_dtype=dtype,
     )
+
+
+def concat_batches(batches: list[Batch]) -> Batch:
+    """Concatenate per-rank sub-batches into one full batch (rank order).
+
+    Used to compare the hybrid trajectory against a plain full-batch
+    serial :class:`~repro.core.Trainer` (tolerance-bounded: summed
+    sub-batch GEMMs associate differently than one full-batch GEMM).
+    """
+    dense = np.concatenate([b.dense for b in batches], axis=0)
+    labels = np.concatenate([b.labels for b in batches])
+    sparse: dict[str, RaggedIndices] = {}
+    for name in batches[0].sparse:
+        raggeds = [b.sparse[name] for b in batches]
+        values = np.concatenate([r.values for r in raggeds])
+        offsets = [np.asarray(raggeds[0].offsets)]
+        shift = raggeds[0].offsets[-1]
+        for r in raggeds[1:]:
+            offsets.append(np.asarray(r.offsets[1:]) + shift)
+            shift += r.offsets[-1]
+        # the join is certified only if every part is, by the widest bound
+        bounds = [r.safe_bound for r in raggeds]
+        bound = None if None in bounds else max(bounds)
+        sparse[name] = RaggedIndices(
+            values=values, offsets=np.concatenate(offsets), safe_bound=bound
+        )
+    return Batch(dense=dense, sparse=sparse, labels=labels)
 
 
 def assert_bit_identical(a, b) -> None:

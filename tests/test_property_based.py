@@ -256,58 +256,6 @@ def test_zipf_hit_rate_monotone_in_cache(num_rows, steps):
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
-# -- LR schedule invariants -------------------------------------------------------
-
-
-@common
-@given(
-    st.floats(min_value=1e-4, max_value=10.0),
-    st.integers(min_value=1, max_value=1000),
-    st.integers(min_value=0, max_value=2000),
-)
-def test_warmup_never_exceeds_target(lr, warmup, step):
-    from repro.core import WarmupLR
-
-    value = WarmupLR(lr, warmup).at(step)
-    assert 0 < value <= lr + 1e-12
-
-
-@common
-@given(
-    st.floats(min_value=1e-4, max_value=10.0),
-    st.integers(min_value=1, max_value=1000),
-    st.integers(min_value=0, max_value=2000),
-    st.floats(min_value=0.1, max_value=4.0),
-)
-def test_polynomial_decay_within_bounds(lr, total, step, power):
-    from repro.core import PolynomialDecayLR
-
-    value = PolynomialDecayLR(lr, total, end_lr=0.0, power=power).at(step)
-    assert 0.0 <= value <= lr + 1e-12
-
-
-# -- dataset epoch coverage --------------------------------------------------------
-
-
-@common
-@given(
-    st.integers(min_value=1, max_value=50),
-    st.integers(min_value=1, max_value=17),
-)
-def test_epoch_coverage_exact(num_examples, batch_size):
-    from repro.core import InteractionType, MLPSpec, ModelConfig, uniform_tables
-    from repro.data import FixedDataset, SyntheticDataGenerator
-
-    cfg = ModelConfig(
-        "p", 2, uniform_tables(1, 10, dim=2, mean_lookups=1),
-        MLPSpec((2,)), MLPSpec((2,)), InteractionType.CONCAT,
-    )
-    gen = SyntheticDataGenerator(cfg, rng=0)
-    data = FixedDataset.generate(gen, num_examples=num_examples)
-    total = sum(b.size for b in data.epochs(batch_size, num_epochs=1))
-    assert total == num_examples
-
-
 # -- placement plan invariants ------------------------------------------------
 
 

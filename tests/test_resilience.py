@@ -1,13 +1,13 @@
 """Tests for repro.resilience: faults, retries, recovery economics, and the
-fault-tolerant behavior of the cluster simulation and functional trainers."""
+fault-tolerant behavior of the cluster simulation and functional trainers.
+
+Kill-and-restore of the single-process trainer (a checkpoint, a lost
+window, a bit-identical resume) is ``tests/test_checkpoint.py``."""
 
 import numpy as np
 import pytest
 
 from repro.configs import make_test_model
-from repro.core import MLPSpec, ModelConfig
-from repro.core.config import InteractionType, uniform_tables
-from repro.data import SyntheticDataGenerator
 from repro.distributed import ClusterConfig, SyncMode, simulate_cpu_cluster
 from repro.hardware import DUAL_SOCKET_CPU
 from repro.obs.registry import MetricsRegistry
@@ -21,10 +21,8 @@ from repro.resilience import (
     RetryPolicy,
     checkpoint_write_time_s,
     expected_goodput_fraction,
-    kill_and_restore_run,
     model_checkpoint_bytes,
     restore_time_s,
-    uninterrupted_run,
     young_daly_interval_s,
 )
 
@@ -371,98 +369,6 @@ class TestClusterResilience:
             self._config(sync_mode="bsp")
         with pytest.raises(ValueError):
             self._config(checkpoint_interval_s=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Functional kill-and-restore (bit-identical resume)
-
-
-def _kr_config() -> ModelConfig:
-    return ModelConfig(
-        name="kr",
-        num_dense=6,
-        tables=uniform_tables(2, 40, dim=4, mean_lookups=2.0),
-        bottom_mlp=MLPSpec((8, 4)),
-        top_mlp=MLPSpec((6,)),
-        interaction=InteractionType.DOT,
-    )
-
-
-def _stream_factory(config, batch=32):
-    def factory():
-        gen = SyntheticDataGenerator(config, rng=11, seed_teacher=True)
-        return gen.batches(batch)
-
-    return factory
-
-
-class TestKillRestore:
-    def test_restored_run_is_bit_identical(self, tmp_path):
-        config = _kr_config()
-        factory = _stream_factory(config)
-        ref_model, ref_history = uninterrupted_run(
-            config, factory, total_steps=12, seed=0
-        )
-        model, report = kill_and_restore_run(
-            config,
-            factory,
-            total_steps=12,
-            kill_at_step=8,
-            checkpoint_path=tmp_path / "ckpt.npz",
-            checkpoint_at_step=5,
-            seed=0,
-        )
-        # parameters: dense and embedding state must match exactly
-        for p_ref, p in zip(ref_model.dense_parameters(), model.dense_parameters()):
-            assert np.array_equal(p_ref.value, p.value)
-        for t_ref, t in zip(ref_model.embedding_tables(), model.embedding_tables()):
-            assert np.array_equal(t_ref.weight, t.weight)
-        # the kept loss history equals the reference timeline
-        assert report.loss_history == tuple(ref_history)
-        assert report.final_loss == ref_history[-1]
-
-    def test_report_accounting(self, tmp_path):
-        config = _kr_config()
-        _, report = kill_and_restore_run(
-            config,
-            _stream_factory(config),
-            total_steps=10,
-            kill_at_step=7,
-            checkpoint_path=tmp_path / "c.npz",
-            checkpoint_at_step=4,
-            seed=1,
-        )
-        assert report.lost_steps == 3
-        assert report.executed_steps == 7 + 6  # doomed run + resumed run
-        assert report.recompute_overhead == pytest.approx(0.3)
-        assert report.checkpoint_bytes > 0
-
-    def test_checkpoint_at_kill_step_loses_nothing(self, tmp_path):
-        config = _kr_config()
-        _, report = kill_and_restore_run(
-            config,
-            _stream_factory(config),
-            total_steps=8,
-            kill_at_step=4,
-            checkpoint_path=tmp_path / "c.npz",
-            seed=0,
-        )
-        assert report.lost_steps == 0
-        assert report.recompute_overhead == 0.0
-
-    def test_validation(self, tmp_path):
-        config = _kr_config()
-        factory = _stream_factory(config)
-        with pytest.raises(ValueError):
-            kill_and_restore_run(config, factory, total_steps=0,
-                                 kill_at_step=1, checkpoint_path=tmp_path / "c")
-        with pytest.raises(ValueError):
-            kill_and_restore_run(config, factory, total_steps=5,
-                                 kill_at_step=5, checkpoint_path=tmp_path / "c")
-        with pytest.raises(ValueError):
-            kill_and_restore_run(config, factory, total_steps=5, kill_at_step=3,
-                                 checkpoint_at_step=4,
-                                 checkpoint_path=tmp_path / "c")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Tests for the roofline report and the public gradient checker."""
+"""Tests for the roofline report and the gradient checker the suite uses."""
 
 import numpy as np
 import pytest
 
 from repro.configs import make_test_model
-from repro.core import check_gradients
 from repro.hardware.specs import SKYLAKE_SOCKET, V100_32GB
 from repro.perf import roofline_report
 from repro.perf.roofline import render
+
+from helpers import check_gradients
 
 
 class TestRooflineReport:
