@@ -131,6 +131,8 @@ def run_train(
     exactly like flat ones) and fed the same materialized batch list, so
     any numeric difference whatsoever fails the bit-identity claim.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     from ..data.synthetic import SyntheticDataGenerator
 
     config = default_config(dtype)
@@ -243,6 +245,10 @@ def run_sweep(
     warm-up transient (compulsory fills, initial promotions) is excluded,
     mirroring the serving cross-validation's warm/raw bracket.
     """
+    if measure < 1:
+        raise ValueError(f"measure must be >= 1, got {measure}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     points: list[TierSweepPoint] = []
     for skew in skews:
         rng = np.random.default_rng(seed)

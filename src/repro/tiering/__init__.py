@@ -11,8 +11,9 @@ MTrainS argument.  This package provides:
 * :mod:`~repro.tiering.policy` — the one functional cache
   (:class:`PolicyCache`: lru / lfu / frequency-admission), shared with
   :mod:`repro.serving.cache`;
-* :mod:`~repro.tiering.freq` — per-row access-frequency statistics
-  (segmentation-invariant per-access EMA + sliding window);
+* :mod:`~repro.tiering.freq` — the one decayed access frequency (EMA)
+  per chunk that "freq" admission scores by (segmentation-invariant:
+  decayed per access);
 * :mod:`~repro.tiering.costs` — tier access/migration pricing from
   :class:`repro.hardware.memory.MemoryTierSpec`;
 * :mod:`~repro.tiering.store` — :class:`TieredEmbeddingTable`, the

@@ -1,22 +1,17 @@
-"""Per-row access-frequency statistics gathered during training.
+"""The decayed access frequency that tier admission scores by.
 
-Tier admission (MTrainS-style) needs to know which rows are hot *right
-now*.  :class:`FreqStats` tracks three signals over the row-access stream:
+Tier admission (MTrainS-style) needs to know which chunks are hot *right
+now*.  :class:`FreqStats` keeps one signal over the access stream: an
+exponentially-decayed access frequency (EMA), decayed **per access**
+rather than per batch, so the statistic is a pure function of the global
+access stream and therefore invariant to how the stream is segmented into
+batches (pinned by hypothesis tests in ``tests/test_tiering_freq.py``).
 
-* cumulative access counts,
-* an exponentially-decayed access frequency (EMA) — decayed **per access**
-  rather than per batch, so the statistic is a pure function of the global
-  access stream and therefore invariant to how the stream is segmented
-  into batches (pinned by hypothesis tests in
-  ``tests/test_tiering_freq.py``),
-* a sliding window of the last ``window`` accesses (a circular buffer),
-  giving exact recent-popularity counts.
-
-The EMA uses *lazy decay*: each row stores its value as of its own last
+The EMA uses *lazy decay*: each item stores its value as of its own last
 access position; :meth:`scores` re-references values to the current stream
 position on demand.  Updates are fully vectorized (the stable grouping of
 :func:`repro.core.kernels.coalesce_plan` + segmented reduction), so
-recording a batch costs O(L log L) regardless of how many distinct rows it
+recording a batch costs O(L log L) regardless of how many distinct items it
 touches.
 """
 
@@ -30,33 +25,22 @@ __all__ = ["FreqStats"]
 
 
 class FreqStats:
-    """Frequency statistics over a stream of item accesses in ``[0, n)``."""
+    """Decayed access frequency over a stream of item accesses in ``[0, n)``."""
 
-    def __init__(self, num_items: int, decay: float = 0.999, window: int = 4096) -> None:
+    def __init__(self, num_items: int, decay: float = 0.999) -> None:
         if num_items < 1:
             raise ValueError(f"num_items must be >= 1, got {num_items}")
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.num_items = num_items
         self.decay = float(decay)
-        self.window = int(window)
         #: Total accesses recorded so far (the global stream position).
         self.pos = 0
-        #: Cumulative access counts per item.
-        self.counts = np.zeros(num_items, dtype=np.int64)
-        #: Exact access counts within the trailing ``window`` accesses.
-        self.win_counts = np.zeros(num_items, dtype=np.int64)
         # Lazy-decay EMA state: value as of the item's last access, and
         # that access's (1-based) global position.  Unseen items keep
         # ema == 0, which re-references to 0 for any gap.
         self._ema = np.zeros(num_items, dtype=np.float64)
         self._last = np.zeros(num_items, dtype=np.int64)
-        # Circular buffer of the last `window` accessed item ids (-1 =
-        # slot never written).
-        self._ring = np.full(self.window, -1, dtype=np.int64)
-        self._ring_pos = 0
 
     def record(self, items: np.ndarray) -> None:
         """Fold one batch of accesses (in stream order) into the stats."""
@@ -66,23 +50,21 @@ class FreqStats:
                 f"items must be in [0, {self.num_items}), "
                 f"got range [{items.min()}, {items.max()}]"
             )
-        self.fold(items, coalesce_plan(items))
+        self.fold(coalesce_plan(items))
 
-    def fold(self, items: np.ndarray, plan: CoalescePlan) -> None:
-        """:meth:`record` for an int64 stream known to be in range whose
-        grouping ``plan = coalesce_plan(items)`` the caller already holds
-        (a tiered table's lookup plan carries it), so nothing is sorted
-        here: ``plan.rows`` are the distinct items ascending,
-        ``plan.order`` the batch positions sorted by (item, position)."""
-        n = len(items)
+    def fold(self, plan: CoalescePlan) -> None:
+        """:meth:`record` for an in-range int64 stream whose grouping
+        ``plan = coalesce_plan(items)`` the caller already holds (a tiered
+        table groups its chunk stream once), so nothing is sorted here:
+        ``plan.rows`` are the distinct items ascending, ``plan.order`` the
+        batch positions sorted by (item, position)."""
+        n = len(plan.order)
         if n == 0:
             return
         uniq, order, start = plan.rows, plan.order, plan.indptr[:-1]
         counts = np.diff(plan.indptr)
-        self.counts[uniq] += counts
-
-        # EMA: for item r with in-batch positions q_1 < ... < q_k and
-        # previous state (f, q_old):
+        # For item r with in-batch positions q_1 < ... < q_k and previous
+        # state (f, q_old):
         #   f_new = f * d^(q_k - q_old) + sum_j d^(q_k - q_j)
         # Exponents are taken relative to q_k, so they never overflow;
         # long gaps underflow to 0.0, which is the correct limit.
@@ -94,27 +76,6 @@ class FreqStats:
             gap = (last - self._last[uniq]).astype(np.float64)
             self._ema[uniq] = self._ema[uniq] * self.decay**gap + contrib
         self._last[uniq] = last
-
-        # Sliding window: overwrite the oldest slots of the ring.  A batch
-        # at least `window` long replaces the whole window, so only its
-        # tail matters — both paths leave state identical to feeding the
-        # stream one access at a time.
-        w = self.window
-        if n >= w:
-            tail = items[n - w :]
-            self.win_counts[:] = 0
-            np.add.at(self.win_counts, tail, 1)
-            self._ring[:] = tail
-            self._ring_pos = 0
-        else:
-            idx = (self._ring_pos + np.arange(n)) % w
-            old = self._ring[idx]
-            valid = old >= 0
-            if valid.any():
-                np.add.at(self.win_counts, old[valid], -1)
-            self._ring[idx] = items
-            self.win_counts[uniq] += counts
-            self._ring_pos = (self._ring_pos + n) % w
         self.pos += n
 
     def scores(self, items: np.ndarray | None = None) -> np.ndarray:
@@ -132,14 +93,3 @@ class FreqStats:
             ema, last = self._ema[items], self._last[items]
         with np.errstate(under="ignore"):
             return ema * self.decay ** (self.pos - last).astype(np.float64)
-
-    def topk(self, k: int) -> np.ndarray:
-        """The ``k`` hottest items by decayed frequency.
-
-        Deterministic: ties break toward the smaller item id.
-        """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        scores = self.scores()
-        order = np.lexsort((np.arange(self.num_items), -scores))
-        return order[: min(k, self.num_items)]

@@ -13,11 +13,11 @@ array, so forward/backward/optimizer numerics never change — only the
 *simulated cost* of each access depends on tier placement.  Rows are
 grouped into fixed-size chunks (the migration granule); the semantics of
 :class:`~repro.tiering.policy.PolicyCache` over chunk ids decide which
-chunks are hot — for the default ``"freq"`` policy scored by a per-chunk
-decayed access frequency (:class:`~repro.tiering.freq.FreqStats`) and
-applied to a whole lookup stream in one batched pass; and a
-:class:`~repro.tiering.costs.TierCostModel` prices every hit, miss and
-chunk migration into :class:`TierStats`.
+chunks are hot — for the default ``"freq"`` policy scored by one decayed
+access frequency per chunk (:class:`~repro.tiering.freq.FreqStats`, the
+only access statistic the store keeps) and applied to a whole lookup
+stream in one batched pass; and a :class:`~repro.tiering.costs.TierCostModel`
+prices every hit, miss and chunk migration into :class:`TierStats`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class TieredStoreConfig:
     chunk_rows: int = 8
     policy: str = "freq"
     ema_decay: float = 0.999
-    window: int = 4096
     hot_tier: MemoryTierSpec = DRAM_TIER
     cold_tier: MemoryTierSpec = SCM_TIER
 
@@ -73,17 +72,21 @@ class TieredStoreConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if not 0.0 < self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay must be in (0, 1], got {self.ema_decay}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
     def capacity_chunks(self, hash_size: int, bytes_per_row: float) -> int:
-        """Whole chunks that fit in the hot tier for a given table."""
+        """Whole chunks that fit in the hot tier for a given table.
+
+        A budget that holds every row holds every chunk, a partial last
+        chunk included.
+        """
         if self.hot_bytes is not None:
             hot_rows = int(self.hot_bytes // bytes_per_row) if bytes_per_row else 0
         else:
             hot_rows = int(round(self.hot_fraction * hash_size))
         num_chunks = math.ceil(hash_size / self.chunk_rows)
-        return min(num_chunks, hot_rows // self.chunk_rows)
+        if hot_rows >= hash_size:
+            return num_chunks
+        return hot_rows // self.chunk_rows
 
 
 @dataclass
@@ -173,9 +176,10 @@ class TieredEmbeddingTable(EmbeddingTable):
     The weight array, rng consumption, forward/backward math and saved
     state are exactly the base class's — training with this table is
     bit-identical to the flat table at any ``hot_fraction`` (pinned by
-    ``tests/test_tiering.py``).  On top, every prepared lookup stream is
-    folded into per-row frequency stats and run through the chunk-granular
-    hot-tier cache, charging simulated seconds per access and migration.
+    ``tests/test_tiering.py``).  On top, every prepared lookup stream's
+    chunk ids are folded into one decayed access frequency per chunk and
+    run through the chunk-granular hot-tier cache, charging simulated
+    seconds per access and migration.
     """
 
     #: Duck-type marker so the Trainer can spot tiered tables without
@@ -197,19 +201,13 @@ class TieredEmbeddingTable(EmbeddingTable):
         self.chunk_rows = cfg.chunk_rows
         self.num_chunks = math.ceil(spec.hash_size / cfg.chunk_rows)
         self.capacity_chunks = cfg.capacity_chunks(spec.hash_size, self.bytes_per_row())
-        #: Per-row access-frequency stats (EMA + window), published to the
-        #: Trainer's metrics registry.
-        self.freq = FreqStats(spec.hash_size, decay=cfg.ema_decay, window=cfg.window)
-        # Chunk-granular stats drive admission/eviction scoring; kept
-        # separate so row stats stay exact for observability.
-        self._chunk_freq = FreqStats(
-            self.num_chunks, decay=cfg.ema_decay, window=cfg.window
-        )
         # Hot-tier residency.  "freq" admission is replayed per lookup
-        # stream (see _admit) over a flag per chunk; lru/lfu recency
-        # state is inherently sequential and lives in a PolicyCache.
+        # stream (see _admit) over a flag per chunk, scored by the chunks'
+        # decayed access frequency; lru/lfu recency state is inherently
+        # sequential and lives in a PolicyCache, which keeps no scores.
         freq = cfg.policy == "freq"
         self._resident = np.zeros(self.num_chunks, dtype=bool) if freq else None
+        self._chunk_freq = FreqStats(self.num_chunks, cfg.ema_decay) if freq else None
         self._cache = None if freq else PolicyCache(self.capacity_chunks, cfg.policy)
         self.cost_model = TierCostModel(hot=cfg.hot_tier, cold=cfg.cold_tier)
         row_b = self.bytes_per_row()
@@ -235,9 +233,9 @@ class TieredEmbeddingTable(EmbeddingTable):
         return len(self.hot_chunks) * self.chunk_rows
 
     def record_accesses(self, rows: np.ndarray) -> None:
-        """Fold one prepared lookup stream into stats, cache and pricing.
+        """Fold one prepared lookup stream into scores, cache and pricing.
 
-        This is the whole tiering mechanism: frequency bookkeeping, the
+        This is the whole tiering mechanism: the chunk frequency, the
         chunk-id pass through the hot tier (hits stay hot, misses are
         served cold and considered for promotion), and the simulated
         cost of each outcome.  ``forward_batched`` calls it on the
@@ -245,18 +243,18 @@ class TieredEmbeddingTable(EmbeddingTable):
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         kernels.check_bounds(rows, self.hash_size, what="rows")  # chunks inherit it
-        self._account(rows, kernels.coalesce_plan(rows))
+        self._account(rows)
 
-    def _account(self, rows: np.ndarray, row_plan: kernels.CoalescePlan) -> None:
-        """:meth:`record_accesses` for a checked stream whose coalesce plan
-        the caller holds: rows sort once (that plan), chunks once (here)."""
+    def _account(self, rows: np.ndarray) -> None:
+        """:meth:`record_accesses` for a bounds-checked stream.  Under
+        "freq" its chunk ids sort once, and that grouping feeds both the
+        scores and admission."""
         if len(rows) == 0:
             return
-        self.freq.fold(rows, row_plan)
         chunks = rows // self.chunk_rows
-        plan = kernels.coalesce_plan(chunks)
-        self._chunk_freq.fold(chunks, plan)
         if self._cache is None:
+            plan = kernels.coalesce_plan(chunks)
+            self._chunk_freq.fold(plan)
             hits, promotions = self._admit(plan.rows, plan.indptr[:-1], plan.order)
         else:
             before = self._cache.insertions
@@ -344,9 +342,8 @@ class TieredEmbeddingTable(EmbeddingTable):
         plan = super().plan_forward(features, training=training)
         if training:
             before = self.stats.snapshot()
-            # grad_plans[i] already groups exactly the stream it prices.
-            for p, row_plan in zip(plan.prepared, plan.grad_plans):
-                self._account(p.values, row_plan)
+            for p in plan.prepared:
+                self._account(p.values)
             plan = replace(plan, tier_delta=self.stats.delta(before))
         return plan
 

@@ -141,27 +141,14 @@ class TestPolicyCache:
 
 
 class TestFreqStats:
-    def test_counts_and_window(self):
-        f = FreqStats(8, decay=0.9, window=4)
-        f.record(np.array([0, 1, 1, 2, 3, 3]))
-        np.testing.assert_array_equal(f.counts[:4], [1, 2, 1, 2])
-        # Window holds the last 4 accesses: 1, 2, 3, 3.
-        np.testing.assert_array_equal(f.win_counts[:4], [0, 1, 1, 2])
-        assert f.pos == 6
-
     def test_scores_decay_toward_recent(self):
-        f = FreqStats(4, decay=0.5, window=8)
+        f = FreqStats(4, decay=0.5)
         f.record(np.array([0, 1]))
         s = f.scores()
         # 0 was accessed one step before 1, so its score decayed once more.
         assert s[1] == pytest.approx(1.0)
         assert s[0] == pytest.approx(0.5)
         assert s[2] == 0.0
-
-    def test_topk_breaks_ties_by_id(self):
-        f = FreqStats(4, decay=1.0, window=8)
-        f.record(np.array([3, 1]))  # decay 1.0: both score exactly 1
-        np.testing.assert_array_equal(f.topk(2), [1, 3])
 
     def test_out_of_range_rejected(self):
         f = FreqStats(4)
@@ -214,7 +201,6 @@ class TestTieredStoreConfig:
         dict(policy="mru"),
         dict(ema_decay=1.5),
         dict(ema_decay=0.0),
-        dict(window=0),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -222,8 +208,12 @@ class TestTieredStoreConfig:
 
     def test_capacity_whole_chunks_capped_at_table(self):
         cfg = TieredStoreConfig(hot_fraction=1.0, chunk_rows=8)
-        # 100 rows hold 12 whole 8-row chunks (the budget buys whole chunks).
-        assert cfg.capacity_chunks(100, 64.0) == 12
+        # A budget of every row holds every chunk, the partial 13th too.
+        assert cfg.capacity_chunks(100, 64.0) == 13
+        # Short of the whole table, the budget buys whole chunks only.
+        assert TieredStoreConfig(hot_fraction=0.99, chunk_rows=8).capacity_chunks(
+            100, 64.0
+        ) == 12
         # chunk_rows=1: a full hot fraction covers every chunk exactly.
         assert TieredStoreConfig(hot_fraction=1.0, chunk_rows=1).capacity_chunks(
             100, 64.0
@@ -273,7 +263,48 @@ class TestTieredTable:
         assert table.hot_rows == len(table.hot_chunks) * table.chunk_rows
         assert table.hot_rows <= table.hot_capacity_rows
         assert s.total_time_s > 0 and s.overhead_s >= 0
-        assert table.freq.pos == 500
+
+    @pytest.mark.parametrize("policy", ["freq", "lru"])
+    @pytest.mark.parametrize("budget", [
+        dict(hot_fraction=1.0),
+        dict(hot_fraction=None, hot_bytes=10 * 4 * 8.0),
+    ])
+    def test_whole_table_budget_holds_the_partial_chunk(self, policy, budget):
+        # 10 rows in 4-row chunks: the third chunk holds only rows 8 and 9.
+        spec = TableSpec("t", hash_size=10, dim=4, mean_lookups=1.0)
+        table = TieredEmbeddingTable(
+            spec, np.random.default_rng(0),
+            tiering=TieredStoreConfig(chunk_rows=4, policy=policy, **budget),
+        )
+        assert table.num_chunks == 3
+        table.record_accesses(np.arange(10))  # one warm pass
+        warm = table.stats.snapshot()
+        for _ in range(50):
+            table.record_accesses(np.arange(10))
+        steady = table.stats.delta(warm)
+        assert (steady.hit_rate, steady.promotions) == (1.0, 0)
+
+    @pytest.mark.parametrize("policy", ["freq", "lru"])
+    def test_tier_state_is_chunk_sized(self, policy):
+        """Nothing the tiered table adds over the flat one, nor anything
+        inside what it adds, holds an array longer than its chunk count:
+        per-row bookkeeping would grow with the table, not the granule."""
+        spec = TableSpec("t", hash_size=512, dim=4, mean_lookups=2.0)
+        flat = EmbeddingTable(spec, np.random.default_rng(0))
+        table = TieredEmbeddingTable(
+            spec, np.random.default_rng(0),
+            tiering=TieredStoreConfig(hot_fraction=0.25, chunk_rows=8, policy=policy),
+        )
+        table.record_accesses(np.random.default_rng(1).integers(0, 512, size=2000))
+        sizes = {}
+        for name in set(vars(table)) - set(vars(flat)):
+            value = getattr(table, name)
+            inner = vars(value).items() if hasattr(value, "__dict__") else ()
+            for key, v in [(name, value), *((f"{name}.{k}", v) for k, v in inner)]:
+                if isinstance(v, np.ndarray):
+                    sizes[key] = v.size
+        assert table.num_chunks == 64
+        assert {k: n for k, n in sizes.items() if n > table.num_chunks} == {}
 
     def test_freq_policy_rejections_skip_movement(self):
         spec = TableSpec("t", hash_size=64, dim=4, mean_lookups=2.0)
@@ -397,7 +428,7 @@ class TestBatchedAdmission:
         )
         assert table.capacity_chunks == min(hot_chunks, num_chunks)
 
-        scores = FreqStats(num_chunks, decay=decay, window=table.tiering.window)
+        scores = FreqStats(num_chunks, decay=decay)
         cache = PolicyCache(table.capacity_chunks, "freq", scorer=scores.scores)
         hits = misses = promotions = rejected = 0
         for rows in streams:
@@ -473,7 +504,7 @@ class TestBatchedAdmission:
         monkeypatch.setattr(
             store.heapq, "heapreplace", lambda h, x: walked.append(x) or heapreplace(h, x)
         )
-        scores = FreqStats(num_chunks, decay=decay, window=table.tiering.window)
+        scores = FreqStats(num_chunks, decay=decay)
         cache = PolicyCache(capacity, "freq", scorer=scores.scores)
         for rows in streams:
             assert len(np.unique(rows // chunk_rows)) > capacity
@@ -589,6 +620,18 @@ class TestTierCLI:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert [r["bit_identical"] for r in out] == [True, True]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--measure", "0", "--warmup", "0"],
+        ["sweep", "--measure", "-5"],
+        ["sweep", "--warmup", "-1"],
+        ["train", "--steps", "0"],
+    ])
+    def test_tier_gates_refuse_zero_evidence(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(["tier", *argv, "--json"]) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_tier_sweep_json(self, capsys):
         import json
