@@ -77,11 +77,58 @@ _HASH_SHIFT = np.uint64(16)
 #: block is mmapped afresh and costs what the one-shot draw did.
 _INIT_BLOCK_ELEMS = 1 << 16
 
+#: Bit generators whose ``advance(n)`` skips exactly the ``n`` 64-bit
+#: words that ``n`` elements of ``uniform`` consume (Philox's counter
+#: steps over blocks of four words; MT19937 and SFC64 have no advance).
+_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
 #: Arena keys: the indicator's all-ones vector, shared by every table of a
 #: model (never written after its fill), and the collection's feature-major
 #: pooled-output array.
 _ONES_KEY = "emb.ones"
 _POOLED_KEY = "emb.pooled"
+
+
+def _skipped(state: dict, words: int) -> np.random.Generator:
+    """A generator in the state a bit generator in ``state`` (a
+    :data:`_SKIPPABLE` one) reaches after ``words`` 64-bit words: advanced
+    by them, with the buffered 32-bit half-word that ``advance`` drops put
+    back (drawing doubles neither reads nor writes it)."""
+    bits = getattr(np.random, state["bit_generator"])()
+    bits.state = state
+    bits.advance(words)
+    moved = bits.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = moved
+    return np.random.Generator(bits)
+
+
+def _draw_uniform(weight: np.ndarray, rng: np.random.Generator, scale: float) -> None:
+    """Fill ``weight`` with ``rng.uniform(-scale, scale)``, leaving ``weight``
+    and ``rng`` exactly as one whole-table draw would.
+
+    Rows are drawn block by block into the final-dtype array (no
+    table-sized float64 transient to fault in and unmap), and row ranges
+    go on the lanes (:func:`~repro.core.lanes.on_rows`): ``uniform``
+    consumes one 64-bit word per element, so the lane whose rows start at
+    ``lo`` draws from the caller's stream skipped ahead by ``lo x dim``
+    words (:func:`_skipped`), and the caller's generator is then set to
+    where the whole draw ends.  Lane 0 draws on the caller's generator;
+    at width 1 that is the serial loop.  A bit generator outside
+    :data:`_SKIPPABLE` draws on one lane."""
+    rows, dim = weight.shape
+    bits = rng.bit_generator
+    start = bits.state
+    step = max(1, _INIT_BLOCK_ELEMS // dim)
+
+    def draw(lo: int, hi: int) -> None:
+        gen = rng if lo == 0 else _skipped(start, lo * dim)
+        for a in range(lo, hi, step):
+            block = weight[a : min(a + step, hi)]
+            block[...] = gen.uniform(-scale, scale, size=block.shape)
+
+    if lanes_mod.on_rows(draw, rows, weight.size if type(bits) in _SKIPPABLE else 0) > 1:
+        bits.state = _skipped(start, weight.size).bit_generator.state
 
 
 def hash_raw_ids(raw_ids: np.ndarray, hash_size: int) -> np.ndarray:
@@ -273,14 +320,10 @@ class EmbeddingTable:
         self.spec = spec
         self.pooling = pooling
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(spec.dim)
-        # Drawn block by block into the final-dtype array (no table-sized
-        # float64 transient to fault in and unmap); ``uniform`` consumes the
-        # bit stream per element, so weights and rng state equal one draw.
+        # Weights and rng state equal one ``rng.uniform`` draw of the whole
+        # table, whatever the width it is drawn at (_draw_uniform).
         self.weight = np.empty((spec.hash_size, spec.dim), dtype=dtype)
-        step = max(1, _INIT_BLOCK_ELEMS // spec.dim)
-        for a in range(0, spec.hash_size, step):
-            block = self.weight[a : a + step]
-            block[...] = rng.uniform(-scale, scale, size=block.shape)
+        _draw_uniform(self.weight, rng, scale)
         # A stack of forward contexts: shared tables are looked up once per
         # feature, and the collection walks features in reverse on backward.
         self._saved: list[tuple[RaggedIndices, np.ndarray, kernels.CoalescePlan]] = []

@@ -1,7 +1,7 @@
 """Lanes: a model's forward, backward and update on more than one core.
 
 :class:`Lanes` runs a pass's work on ``width`` threads: the caller is lane
-0, lanes 1.. are helper threads.  Three kinds of work go on them.
+0, lanes 1.. are helper threads.  Four kinds of work go on them.
 
 *Whole tables* (the sparse half).  Every table's pooled lookup, its
 backward and its optimizer update is a loop of independent,
@@ -34,6 +34,16 @@ whatever block or lane it lands in, so the split is bit-identical by
 construction and needs no probe.  It is taken only when every lane gets
 :data:`LANE_MIN_BLOCKS` whole blocks.
 
+*Row ranges of one set-up job* (outside any binding).  A table's seeded
+draw and an optimizer's table-sized state fill are split by rows
+(:func:`on_rows`, one :func:`row_block` per lane).  The fill is
+bit-identical by construction.  The draw is too, because ``uniform``
+consumes one 64-bit word per element: the lane whose rows start at
+``lo`` draws from the caller's stream skipped ahead by ``lo x dim``
+words, and the caller's generator is then left where the whole draw
+ends (:mod:`repro.core.embedding`).  A job is split only from
+:data:`LANE_MIN_ELEMS` elements.
+
 The module owns the process's core budget: :func:`free_cores` is its
 share of the process tree's cores (:func:`take_share`) less those its
 service threads hold (:func:`hold_core`).  :func:`lane_count` — one lane
@@ -43,7 +53,8 @@ the process's one :class:`Lanes` (:data:`LANES`) to a model's embedding
 collection, its interaction, any extra holder (a trainer's optimizer)
 and — under a one-thread BLAS — its two MLP stacks, for the duration of
 one :meth:`~repro.core.training.Trainer.train_step` or one
-:meth:`~repro.core.model.DLRM.predict_proba`.
+:meth:`~repro.core.model.DLRM.predict_proba`; :func:`on_rows` takes the
+lanes the same way for one set-up job.
 
 Rules for code running on a lane: it writes only its own item's state or
 its own rows, draws arena buffers only through
@@ -69,6 +80,7 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "LANE_MIN_BLOCKS",
     "LANE_MIN_BYTES",
+    "LANE_MIN_ELEMS",
     "LANE_MIN_FLOPS",
     "LANES",
     "ROW_ALIGN",
@@ -81,6 +93,7 @@ __all__ = [
     "free_cores",
     "hold_core",
     "lane_count",
+    "on_rows",
     "row_block",
     "split_is_exact",
     "spread",
@@ -141,6 +154,24 @@ LANE_MIN_FLOPS = 16_000_000
 #: handoff, so one block per lane already wins; on a host whose second
 #: core is busy (control <= 1.0x) every size reads 0.83-1.01x.
 LANE_MIN_BLOCKS = 1
+
+#: Elements a row-range job outside a model's binding (:func:`on_rows`:
+#: a table's seeded draw, an optimizer's state fill) must cover before it
+#: is split across the lanes.  One lane -> two, ms per job on a dim-64
+#: table, median of 15 alternating repetitions, 2-core Xeon @ 2.10 GHz;
+#: the seeded draw, then the state fill, elements first:
+#: f32: 2^16 0.30 -> 0.46 / 0.02 -> 0.05; 2^17 1.45 -> 1.05 / 0.29 -> 0.27;
+#: 2^18 1.69 -> 1.49 / 0.49 -> 0.48; 2^19 3.36 -> 2.63 / 0.98 -> 0.87;
+#: 2^20 7.70 -> 4.24 / 1.76 -> 1.26; 2^22 31.8 -> 17.2 / 5.13 -> 3.03;
+#: a second f32 sweep: 2^17 0.61 -> 0.90 / 0.04 -> 0.07;
+#: 2^18 2.12 -> 1.44 / 0.09 -> 0.12; 2^20 7.68 -> 4.47 / 0.35 -> 0.27;
+#: f64: 2^17 0.67 -> 0.84 / 0.54 -> 0.47; 2^18 1.56 -> 1.56 / 1.20 -> 0.93;
+#: 2^19 2.68 -> 2.60 / 1.28 -> 1.09; 2^20 5.54 -> 5.01 / 1.95 -> 1.45;
+#: 2^21 10.8 -> 7.44 / 4.47 -> 2.73.
+#: A handoff costs ~0.1 ms plus a generator skipped ahead per lane, and a
+#: fill of recycled pages is too short to repay it; 1 M elements is the
+#: first size where both jobs win in every sweep.
+LANE_MIN_ELEMS = 1 << 20
 
 #: Row blocks of a split product start at multiples of this many rows.
 ROW_ALIGN = 64
@@ -466,6 +497,35 @@ class Lanes:
 #: helpers are daemon threads, started on first use (again in a forked
 #: child) and left running.
 LANES = Lanes()
+
+
+def on_rows(fn: Callable[[int, int], None], rows: int, elems: int) -> int:
+    """``fn(lo, hi)`` over the ``rows`` rows of a job of ``elems``
+    elements, one :func:`row_block` per lane of :data:`LANES`, outside any
+    model's binding; returns the width it ran at.
+
+    The lanes are taken as :meth:`~repro.core.model.DLRM.bound_lanes`
+    takes them: :func:`lane_count` wide, :attr:`Lanes.claim` acquired
+    without blocking.  Under :data:`LANE_MIN_ELEMS` (``elems=0``: a job
+    that must not split), at one free core, or while another thread holds
+    the claim, it is ``fn(0, rows)`` on the caller: the serial loop.
+    Lanes whose block is empty idle."""
+    width = lane_count() if elems and elems >= LANE_MIN_ELEMS else 1
+    if width < 2 or not LANES.claim.acquire(blocking=False):
+        fn(0, rows)
+        return 1
+    try:
+        LANES.width = width
+        LANES.each(partial(_row_job, fn, rows, width))
+    finally:
+        LANES.claim.release()
+    return width
+
+
+def _row_job(fn: Callable[[int, int], None], rows: int, width: int, lane: int) -> None:
+    lo, hi = row_block(rows, lane, width)
+    if lo < hi:
+        fn(lo, hi)
 
 
 def spread(

@@ -18,10 +18,18 @@ import numpy as np
 from .backends import Backend, get_backend
 from .dense_kernels import Workspace
 from .embedding import EmbeddingTable, SparseGrad
-from .lanes import Lanes, spread
+from .lanes import Lanes, on_rows, spread
 from .mlp import Parameter
 
 __all__ = ["SGD", "Adagrad"]
+
+
+def _full_like(like: np.ndarray, value: float) -> np.ndarray:
+    """``np.full_like(like, value)`` for a table-sized array, its row
+    ranges filled on the lanes (:func:`~repro.core.lanes.on_rows`)."""
+    out = np.empty_like(like)
+    on_rows(lambda lo, hi: out[lo:hi].fill(value), len(out), out.size)
+    return out
 
 
 class _OptimizerBase:
@@ -220,9 +228,7 @@ class Adagrad(_OptimizerBase):
         self._dense_state = [
             np.full_like(p.value, initial_accumulator) for p in self.dense_params
         ]
-        self._table_state = [
-            np.full_like(t.weight, initial_accumulator) for t in self.tables
-        ]
+        self._table_state = [_full_like(t.weight, initial_accumulator) for t in self.tables]
 
     def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         names = [t.spec.name for t in self.tables]

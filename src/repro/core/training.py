@@ -12,6 +12,7 @@ gradient exchanges off the same step through the seam documented on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -284,14 +285,20 @@ class Trainer:
         :mod:`repro.pipeline`) whose ledger the result carries.  Inline
         (depth 0) it prepares each batch when the loop pulls it.  With
         ``pipeline=`` enabled on the trainer a prefetch thread prepares
-        them: results are bit-identical, but the source iterator is pulled
-        up to three batches ahead of the consuming step (two buffered, one
-        in prep) — callers sharing one iterator across multiple ``train``
-        calls (checkpoint resume) should account for the lookahead.
+        them: results are bit-identical.  The source enters the pipeline
+        cut to ``max_steps`` batches, so no batch past a step budget is
+        pulled or planned; under an example budget the prep thread may
+        pull up to three batches past the last step (two buffered, one in
+        prep), and those are planned (tier accounting included) — callers
+        sharing one iterator across multiple ``train`` calls (checkpoint
+        resume) should account for that lookahead.
         """
         if max_examples is None and max_steps is None:
             raise ValueError("provide max_examples and/or max_steps")
         from ..pipeline import PrefetchPipeline
+
+        if max_steps is not None:
+            batches = islice(batches, max(max_steps, 0))
 
         embeddings = self.model.embeddings
 

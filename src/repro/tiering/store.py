@@ -317,8 +317,14 @@ class TieredEmbeddingTable(EmbeddingTable):
                     [np.full(len(hot) - len(touched_hot), -1), touched_hot, promoted]
                 )
                 pool_scores = np.concatenate([hot_scores, scores[taken]])
-                # lowest score first, then smallest id, as the victim scan
-                out = np.lexsort((pool, pool_scores))[:evicting]
+                # Lowest score first, then smallest id, as the victim scan:
+                # the order pairs each victim with its evictor, so ties
+                # among the lowest evicting + 1 scores take the id sort.
+                out = np.argsort(pool_scores)
+                low = pool_scores[out[: evicting + 1]]
+                if (low[1:] == low[:-1]).any():
+                    out = np.lexsort((pool, pool_scores))
+                out = out[:evicting]
                 self._resident[pool[out]] = False  # after: a victim may be a promotee
                 # Victims this stream touches stop hitting where they left:
                 # at the miss that admits their evictor.

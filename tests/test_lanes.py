@@ -49,7 +49,7 @@ from repro.core import dense_kernels
 from repro.core import lanes as lanes_mod
 from repro.core import model as model_mod
 from repro.core.checkpoint import state_arrays
-from repro.core.embedding import EmbeddingBagCollection, SparseGrad
+from repro.core.embedding import EmbeddingBagCollection, EmbeddingTable, SparseGrad
 from repro.data import SyntheticDataGenerator
 from repro.tiering import TieredStoreConfig
 
@@ -687,3 +687,122 @@ def test_trainer_used_before_fork_trains_in_the_child(monkeypatch):
     run(trainer, steps=1)
     assert helper_threads()
     assert in_forked_child(_train_in_child, trainer) == run(trainer, steps=2)[0]
+
+
+# -- the seeded build -----------------------------------------------------------
+
+
+def seed_config(dtype: str) -> ModelConfig:
+    # Rows fewer than any width ("few"), and not divisible by 2, 3 or 4.
+    tables = (
+        TableSpec("few", 3, dim=4),
+        TableSpec("odd", 203, dim=4),
+        TableSpec("rest", 130, dim=4),
+        TableSpec("even", 64, dim=4),
+    )
+    return dataclasses.replace(config(dtype), name="seeded", tables=tables)
+
+
+def seeded_build(monkeypatch, width, dtype, tables, bits, buffered):
+    """A model and its Adagrad built at ``width`` lanes from a caller's
+    ``bits(11)`` generator: every table, accumulator and dense parameter,
+    then the caller's next uint32 and double draws, as bytes."""
+    monkeypatch.setattr(lanes_mod, "lane_count", lambda: width)
+    rng = np.random.Generator(bits(11))
+    if buffered:
+        rng.integers(0, 7, dtype=np.uint32)  # keeps a 32-bit half-word back
+    cfg = seed_config(dtype)
+    tiering = TieredStoreConfig(hot_fraction=0.2, chunk_rows=4) if tables == "tiered" else None
+    model = DLRM(cfg, rng=rng, tiering=tiering)
+    if tables == "shared":
+        model.embeddings = EmbeddingBagCollection(
+            cfg.tables, rng, dtype=model.dtype,
+            feature_to_table={"few": "few", "odd": "odd", "rest": "rest", "even": "odd"},
+        )
+    optimizer = Adagrad(model.dense_parameters(), model.embedding_tables(), initial_accumulator=0.1)
+    arrays = [t.weight for t in model.embedding_tables()]
+    arrays += [p.value for p in model.dense_parameters()]
+    arrays += list(optimizer.slots()[1].values())
+    draws = rng.integers(0, 2**32, dtype=np.uint32), rng.random()
+    return [a.tobytes() for a in arrays] + [np.array(draws[0]).tobytes(), draws[1].hex()]
+
+
+@pytest.mark.parametrize("dtype, tables, bits, buffered", [
+    ("float64", "flat", np.random.PCG64, False),
+    ("float32", "flat", np.random.PCG64, False),
+    ("float64", "tiered", np.random.PCG64, False),
+    ("float32", "tiered", np.random.PCG64, True),
+    ("float64", "shared", np.random.PCG64, False),
+    ("float32", "shared", np.random.PCG64, True),
+    ("float64", "flat", np.random.PCG64, True),
+    ("float32", "flat", np.random.PCG64DXSM, True),
+    ("float64", "flat", np.random.PCG64DXSM, False),
+    ("float64", "flat", np.random.MT19937, False),
+])
+def test_a_seeded_build_is_the_same_at_every_width(monkeypatch, dtype, tables, bits, buffered):
+    """Tables drawn and accumulators filled in row ranges on 2, 3 or 4
+    lanes are the serial build's bytes, and the caller's generator ends
+    where the serial draw leaves it, buffered half-word included; a
+    generator that cannot skip ahead (MT19937) draws on one lane."""
+    monkeypatch.setattr(lanes_mod, "LANE_MIN_ELEMS", 0)
+    serial = seeded_build(monkeypatch, 1, dtype, tables, bits, buffered)
+    for width in (2, 3, 4):
+        assert seeded_build(monkeypatch, width, dtype, tables, bits, buffered) == serial, width
+
+
+def row_jobs(monkeypatch) -> list[tuple[str, int, int]]:
+    """``(thread, lo, hi)`` of every row block a split job runs."""
+    seen = []
+    row_block = lanes_mod.row_block
+
+    def spy(rows, lane, width):
+        block = row_block(rows, lane, width)
+        seen.append((threading.current_thread().name, *block))
+        return block
+
+    monkeypatch.setattr(lanes_mod, "row_block", spy)
+    return seen
+
+
+def test_a_table_at_the_floor_draws_and_fills_on_a_helper(monkeypatch):
+    """At :data:`LANE_MIN_ELEMS` elements the draw and the accumulator
+    fill each hand the second half of the rows to a helper; one row less
+    stays on the caller."""
+    monkeypatch.setattr(lanes_mod, "lane_count", lambda: 2)
+    seen = row_jobs(monkeypatch)
+    dim = 64
+    rows = lanes_mod.LANE_MIN_ELEMS // dim
+    below = EmbeddingTable(TableSpec("below", rows - 1, dim=dim), np.random.default_rng(0))
+    Adagrad([], [below])
+    assert seen == [] and helper_threads() == []
+    at = EmbeddingTable(TableSpec("at", rows, dim=dim), np.random.default_rng(0))
+    Adagrad([], [at])
+    me, helper = threading.current_thread().name, lanes_mod.THREAD_PREFIX + "1"
+    assert sorted(seen) == sorted([(me, 0, rows // 2), (helper, rows // 2, rows)] * 2)
+
+
+def test_claimed_lanes_leave_the_build_on_one_lane(monkeypatch):
+    """While another thread holds the lanes, a build above the floor runs
+    on the caller, and draws what it draws unclaimed."""
+    monkeypatch.setattr(lanes_mod, "LANE_MIN_ELEMS", 0)
+    monkeypatch.setattr(lanes_mod, "lane_count", lambda: 2)
+    seen = row_jobs(monkeypatch)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lanes_mod.LANES.claim:
+            held.set()
+            release.wait()
+
+    other = threading.Thread(target=hold)
+    other.start()
+    held.wait()
+    try:
+        claimed = EmbeddingTable(TableSpec("t", 301, dim=8), np.random.default_rng(2))
+    finally:
+        release.set()
+        other.join()
+    assert seen == [] and helper_threads() == []
+    free = EmbeddingTable(TableSpec("t", 301, dim=8), np.random.default_rng(2))
+    assert len(seen) == 2
+    assert claimed.weight.tobytes() == free.weight.tobytes()

@@ -242,6 +242,32 @@ class TestTrainerBitIdentity:
             counters["tier_cold_misses"].values()
         ) > 0
 
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["depth0", "depth2"])
+    def test_step_budget_plans_no_batch_past_it(self, pipeline):
+        """``train(max_steps=n)`` pulls and plans exactly ``n`` batches at
+        every depth: the live tier stats and hot sets are those of ``n``
+        raw steps, the ledger counts ``n`` batches, and a shared source
+        resumes at batch ``n``."""
+        config = _tiny_config()
+        gen = SyntheticDataGenerator(config, rng=7, seed_teacher=True)
+        batches = [gen.batch(8) for _ in range(10)]
+        tiering = TieredStoreConfig(hot_fraction=0.25, chunk_rows=2)
+        steps = 4
+
+        stepped = _trainer(DLRM(config, rng=0, tiering=tiering))
+        for batch in batches[:steps]:
+            stepped.train_step(batch)
+        trainer = _trainer(DLRM(config, rng=0, tiering=tiering), pipeline=pipeline)
+        source = iter(batches)
+        result = trainer.train(source, max_steps=steps)
+
+        assert result.pipeline["batches"] == steps
+        assert next(source) is batches[steps]
+        pairs = zip(trainer.model.embedding_tables(), stepped.model.embedding_tables())
+        for table, ref in pairs:
+            assert table.stats == ref.stats
+            assert table.hot_chunks.tolist() == ref.hot_chunks.tolist()
+
 
 # ---------------------------------------------------------------------------
 # stall ledger, lifecycle, error propagation

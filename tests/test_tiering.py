@@ -519,6 +519,42 @@ class TestBatchedAdmission:
             assert table.hot_chunks.tolist() == sorted(cache.keys().tolist())
         assert walked and cache.rejections > 0
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_eviction_order_with_and_without_ties(self, tied, monkeypatch):
+        """Victims leave lowest score first, then smallest id, each paired
+        with its evictor.  Scores that tie at the victim boundary (whole
+        counts under ``ema_decay=1.0``: four chunks seen once each) take
+        the id sort; distinct ones (seen 1, 2, 3 and 4 times) do not."""
+        capacity = 4
+        table = TieredEmbeddingTable(
+            TableSpec("t", hash_size=16, dim=4, mean_lookups=1.0),
+            np.random.default_rng(0),
+            tiering=TieredStoreConfig(
+                hot_fraction=None, hot_bytes=capacity * 4 * 8,
+                chunk_rows=1, policy="freq", ema_decay=1.0,
+            ),
+        )
+        fill = [0, 1, 2, 3] if tied else [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+        streams = [np.array(fill), np.array([4] * 5 + [5] * 6 + [0, 1, 2, 3])]
+
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        scores = FreqStats(16, decay=1.0)
+        cache = PolicyCache(capacity, "freq", scorer=scores.scores)
+        for rows in streams:
+            table.record_accesses(rows)
+            tie_sorts, sorts[:] = len(sorts), []  # the table's alone
+            scores.record(rows)
+            cache.access(rows)
+            s = table.stats
+            assert (s.hot_hits, s.cold_misses, s.promotions) == (
+                cache.hits, cache.misses, cache.insertions
+            )
+            assert table.hot_chunks.tolist() == sorted(cache.keys().tolist())
+        assert cache.insertions == 6 and table.hot_chunks.tolist() == [2, 3, 4, 5]
+        assert tie_sorts == int(tied)
+
 
 # ---------------------------------------------------------------------------
 # Trainer integration: tier metrics + spans
