@@ -316,13 +316,23 @@ class EmbeddingTable:
         pooling: PoolingType = PoolingType.SUM,
         init_scale: float | None = None,
         dtype: np.dtype | type = np.float64,
+        storage: np.ndarray | None = None,
     ) -> None:
         self.spec = spec
         self.pooling = pooling
         scale = init_scale if init_scale is not None else 1.0 / np.sqrt(spec.dim)
-        # Weights and rng state equal one ``rng.uniform`` draw of the whole
-        # table, whatever the width it is drawn at (_draw_uniform).
-        self.weight = np.empty((spec.hash_size, spec.dim), dtype=dtype)
+        shape, dtype = (spec.hash_size, spec.dim), np.dtype(dtype)
+        if storage is None:
+            storage = np.empty(shape, dtype=dtype)
+        elif storage.shape != shape or storage.dtype != dtype:
+            raise ValueError(
+                f"storage is {storage.shape} {storage.dtype}, the table {shape} {dtype}"
+            )
+        # The weights are ``storage`` when given — externally-owned memory,
+        # such as the hybrid trainer's shared segments — and equal one
+        # ``rng.uniform`` draw of the whole table, as does the rng state,
+        # whatever the width it is drawn at (_draw_uniform).
+        self.weight = storage
         _draw_uniform(self.weight, rng, scale)
         # A stack of forward contexts: shared tables are looked up once per
         # feature, and the collection walks features in reverse on backward.
@@ -526,27 +536,6 @@ class EmbeddingTable:
         )
         self.sparse_grads.append(SparseGrad(rows=gplan.rows, values=summed))
 
-    def adopt_weight(self, storage: np.ndarray) -> None:
-        """Swap the table's weight for externally-owned storage (zero copy).
-
-        The hybrid-parallel trainer (:mod:`repro.distributed.mp`) backs
-        every table with a ``multiprocessing.shared_memory`` segment: all
-        worker processes read rows straight out of the shared mapping, and
-        the shard's owner writes sparse updates into it.  ``storage`` must
-        match the existing weight's shape and dtype exactly — values are
-        *not* copied, the caller is responsible for initializing them.
-        """
-        storage = np.asarray(storage)
-        if storage.shape != self.weight.shape:
-            raise ValueError(
-                f"adopted storage shape {storage.shape} != {self.weight.shape}"
-            )
-        if storage.dtype != self.weight.dtype:
-            raise ValueError(
-                f"adopted storage dtype {storage.dtype} != {self.weight.dtype}"
-            )
-        self.weight = storage
-
     def zero_grad(self) -> None:
         self.sparse_grads.clear()
 
@@ -588,6 +577,10 @@ class EmbeddingBagCollection:
     store — and must accept the same ``(spec, rng, pooling=, dtype=)``
     signature and consume rng identically (any drop-in subclass of
     :class:`EmbeddingTable` does).
+
+    ``storage`` (table name -> array of the table's shape and dtype) gives
+    each table the memory its weights are drawn into; the factory is then
+    called with ``storage=`` too.
     """
 
     def __init__(
@@ -598,6 +591,7 @@ class EmbeddingBagCollection:
         feature_to_table: dict[str, str] | None = None,
         dtype: np.dtype | type = np.float64,
         table_factory=None,
+        storage: dict[str, np.ndarray] | None = None,
     ) -> None:
         if feature_to_table is None:
             feature_to_table = {s.name: s.name for s in specs}
@@ -615,7 +609,10 @@ class EmbeddingBagCollection:
         self.specs = specs
         self.feature_to_table = dict(feature_to_table)
         self.tables: dict[str, EmbeddingTable] = {
-            s.name: table_factory(s, rng, pooling=pooling, dtype=dtype) for s in specs
+            s.name: table_factory(s, rng, pooling=pooling, dtype=dtype)
+            if storage is None
+            else table_factory(s, rng, pooling=pooling, dtype=dtype, storage=storage[s.name])
+            for s in specs
         }
         self.feature_names = list(feature_to_table.keys())
         # Features grouped by physical table, preserving feature order within

@@ -126,6 +126,7 @@ class DLRM:
         pooling: PoolingType = PoolingType.SUM,
         backend: Backend | str | None = None,
         tiering=None,
+        storage: dict[str, np.ndarray] | None = None,
     ) -> None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
@@ -151,9 +152,11 @@ class DLRM:
                     spec, table_rng, pooling=pooling, dtype=dtype, tiering=tiering
                 )
 
+        # ``storage`` (table name -> array) is where each table's weights are
+        # drawn: the hybrid trainer's shared segments.
         self.embeddings = EmbeddingBagCollection(
             config.tables, rng, pooling=pooling, dtype=self.dtype,
-            table_factory=table_factory,
+            table_factory=table_factory, storage=storage,
         )
         self.interaction = make_interaction(
             config.interaction, config.num_sparse, config.embedding_dim

@@ -218,6 +218,7 @@ class Adagrad(_OptimizerBase):
         eps: float = 1e-10,
         initial_accumulator: float = 0.0,
         backend: Backend | str = "fused",
+        accumulators: list[np.ndarray] | None = None,
     ) -> None:
         super().__init__(dense_params, tables, lr, backend=backend)
         if eps <= 0:
@@ -228,7 +229,16 @@ class Adagrad(_OptimizerBase):
         self._dense_state = [
             np.full_like(p.value, initial_accumulator) for p in self.dense_params
         ]
-        self._table_state = [_full_like(t.weight, initial_accumulator) for t in self.tables]
+        # ``accumulators``: externally-owned table state, one array per table
+        # taken as it is (the hybrid trainer's shared segments); otherwise
+        # each table's accumulator is filled with ``initial_accumulator``.
+        if accumulators is None:
+            accumulators = [_full_like(t.weight, initial_accumulator) for t in self.tables]
+        if len(accumulators) != len(self.tables):
+            raise ValueError(
+                f"{len(accumulators)} accumulators for {len(self.tables)} tables"
+            )
+        self._table_state = [self._adoptable(i, a) for i, a in enumerate(accumulators)]
 
     def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         names = [t.spec.name for t in self.tables]
@@ -237,20 +247,21 @@ class Adagrad(_OptimizerBase):
     def adopt_accumulator(self, idx: int, state: np.ndarray) -> None:
         """Swap table ``idx``'s accumulator for externally-owned storage.
 
-        Mirror of :meth:`EmbeddingTable.adopt_weight` for the optimizer
-        state: the mp shard owner keeps each table's Adagrad accumulator in
-        the same shared-memory segment family as its weights, so a restarted
-        or co-located process sees one consistent (weight, accumulator)
-        pair; EASGD's workers all adopt the one accumulator per shared
-        table.  Shape/dtype must match; values are not copied.
+        EASGD's workers (:mod:`repro.distributed.sync`) all adopt the one
+        accumulator per shared table, as trainers on one sparse parameter
+        server would.  Shape/dtype must match the table's; values are not
+        copied.
         """
+        self._table_state[idx] = self._adoptable(idx, state)
+
+    def _adoptable(self, idx: int, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state)
-        current = self._table_state[idx]
-        if state.shape != current.shape:
-            raise ValueError(f"adopted state shape {state.shape} != {current.shape}")
-        if state.dtype != current.dtype:
-            raise ValueError(f"adopted state dtype {state.dtype} != {current.dtype}")
-        self._table_state[idx] = state
+        like = self.tables[idx].weight
+        if state.shape != like.shape:
+            raise ValueError(f"adopted state shape {state.shape} != {like.shape}")
+        if state.dtype != like.dtype:
+            raise ValueError(f"adopted state dtype {state.dtype} != {like.dtype}")
+        return state
 
     def _dense_step(self, idx: int, p: Parameter, ws: Workspace | None) -> None:
         self.backend.adagrad_dense_step(

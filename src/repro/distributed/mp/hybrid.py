@@ -50,6 +50,7 @@ survivors **drain** within ``drain_timeout_s`` instead of hanging out
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import multiprocessing as mp
 import os
@@ -339,17 +340,21 @@ class _Fabric:
 
     def __init__(self, world: int, ctx) -> None:
         self.world = world
-        self.mesh_pairs = {
-            (i, j): Channel.pair()
-            for i in range(world)
-            for j in range(i + 1, world)
-        }
-        for (i, j), (a, b) in self.mesh_pairs.items():
-            a.peer = j
-            b.peer = i
+        self.mesh_pairs: dict[tuple[int, int], tuple[Channel, Channel]] = {}
         # ctrl_pairs[r]: (parent end, worker end) — the poison path.
-        self.ctrl_pairs = [Channel.pair() for _ in range(world)]
-        self.pipes = [ctx.Pipe(duplex=False) for _ in range(world)]
+        self.ctrl_pairs: list[tuple[Channel, Channel]] = []
+        self.pipes = []
+        try:
+            for i in range(world):
+                for j in range(i + 1, world):
+                    a, b = self.mesh_pairs[(i, j)] = Channel.pair()
+                    a.peer, b.peer = j, i
+            for _ in range(world):
+                self.ctrl_pairs.append(Channel.pair())
+                self.pipes.append(ctx.Pipe(duplex=False))
+        except BaseException:
+            self.close_all()  # the endpoints made so far
+            raise
 
     def mesh(self, rank: int) -> dict[int, Channel]:
         out: dict[int, Channel] = {}
@@ -424,6 +429,31 @@ class _Fabric:
 # ---------------------------------------------------------------------------
 
 
+#: glibc's own ceiling for its dynamic mmap threshold (64-bit).
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _heap_serves(nbytes: int) -> None:
+    """Serve this process's allocations of up to ``nbytes`` from the heap
+    and keep twice that free in it (glibc ``mallopt``; elsewhere a no-op).
+
+    A rank's sparse exchange builds fresh buffers every step — received
+    frames, concatenations, merged gradients — of up to about a table's
+    bytes (a coalesced gradient has at most a table's rows).  At glibc's
+    starting threshold (128 KiB, raised only by freeing a larger mapped
+    block) each is a new mapping, page-faulted in and unmapped again
+    every step: 3x a rank's minor faults on ``hybrid_w2``
+    (docs/perf_notes.md, "One copy of every table")."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # pragma: no cover - not glibc
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, nbytes)
+    mallopt(m_trim_threshold, 2 * nbytes)
+
+
 def _dense_digest(model: DLRM) -> str:
     h = hashlib.sha256()
     for p in model.dense_parameters():
@@ -485,6 +515,11 @@ def _worker_main(
     # and BLAS threads fit in it
     take_share(free_cores() // world)
     cores = (lane_count(), blas_threads())
+    config = model.config
+    _heap_serves(min(
+        _MMAP_THRESHOLD_MAX,
+        max(t.hash_size * t.dim for t in config.tables) * model.dtype.itemsize,
+    ))
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
@@ -492,16 +527,14 @@ def _worker_main(
     # table is a view of its shared segment, so every rank reads all tables
     # straight out of shared memory; only owned tables are ever written by
     # this rank.
-    config = model.config
     owned = plan.owned(rank)
     optimizer = Adagrad(
         model.dense_parameters(),
         [model.embeddings.tables[n] for n in owned],
         lr=run.lr,
         backend=model.backend,
+        accumulators=[shards.view(n, "accum") for n in owned],
     )
-    for i, name in enumerate(owned):
-        optimizer.adopt_accumulator(i, shards.view(name, "accum"))
 
     start = 0
     losses: list[float] = []
@@ -869,16 +902,18 @@ def run_hybrid(
 ) -> HybridResult:
     """Train ``config`` across ``run.workers`` real OS processes.
 
-    The parent builds the run's one seeded model, creates the shards from
-    its tables and swaps each table for its shard's view; every rank
-    inherits that model through ``fork`` (its tables shared, its dense
-    replica copy-on-write) and, when ``resume`` is given, overwrites what
-    it owns from the checkpoint's
+    The parent allocates the shards from the config's table layouts and
+    builds the run's one seeded model on them, each table drawn straight
+    into its weight segment; every rank inherits that model through
+    ``fork`` (its tables shared, its dense replica copy-on-write), builds
+    its ``Adagrad`` on the accumulator segments of the tables it owns and,
+    when ``resume`` is given, overwrites what it owns from the checkpoint's
     :class:`~repro.distributed.mp.ckpt.ResumeState`.  Each rank hashes the
     tables it owns; ``table_digests`` is their union in config order.  The
-    shards are **always** unlinked by the parent, including when a worker
-    crashes (the partial failure path raises :class:`WorkerCrashError`
-    after cleanup).  ``kills`` injects seeded
+    shards and the channels are **always** released by the parent,
+    including when the set-up fails or a worker crashes (the partial
+    failure path raises :class:`WorkerCrashError` after cleanup).
+    ``kills`` injects seeded
     real-process deaths (see :class:`KillSpec`); restart orchestration
     lives in :func:`repro.distributed.mp.ft.run_hybrid_ft`.
     """
@@ -892,29 +927,34 @@ def run_hybrid(
     if run.checkpoint_dir:
         pathlib.Path(run.checkpoint_dir).mkdir(parents=True, exist_ok=True)
     plan = ShardPlan.greedy(config, world)
-    model = DLRM(config, rng=derive_seed(run.seed, "model"))  # the one model
-    tables = model.embeddings.tables
-    shards = TableShards.create({name: table.weight for name, table in tables.items()})
-    for name, table in tables.items():
-        table.adopt_weight(shards.view(name, "weight"))
+    shards = TableShards.allocate(
+        {t.name: ((t.hash_size, t.dim), config.np_dtype) for t in config.tables}
+    )
     start = resume.step if resume is not None else 0
     ctx = mp.get_context("fork")
-    fabric = _Fabric(world, ctx)
-    barrier = ctx.Barrier(world)
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(rank, world, model, run, plan, shards, fabric, barrier,
-                  kills, resume),
-            name=f"mp-worker-{rank}",
-        )
-        for rank in range(world)
-    ]
+    fabric: _Fabric | None = None
+    procs = []
     timeouts = get_timeouts()
     try:
+        # the one model, each table drawn straight into its weight segment
+        model = DLRM(
+            config, rng=derive_seed(run.seed, "model"),
+            storage={t.name: shards.view(t.name, "weight") for t in config.tables},
+        )
+        fabric = _Fabric(world, ctx)
+        barrier = ctx.Barrier(world)
+        procs = [
+            ctx.Process(
+                target=_worker_main,
+                args=(rank, world, model, run, plan, shards, fabric, barrier,
+                      kills, resume),
+                name=f"mp-worker-{rank}",
+            )
+            for rank in range(world)
+        ]
         for p in procs:
             p.start()
-        del model, tables  # the ranks hold it now: its views must not outlive the shards
+        del model  # the ranks hold it now: its views must not outlive the shards
         fabric.close_parent_side()
         reports, ckpt_events = _supervise(procs, fabric, run, start)
         for rank, p in enumerate(procs):
@@ -931,7 +971,8 @@ def run_hybrid(
                 # its sentinel pipes now: a crash's traceback keeps `procs`
                 # (and so the descriptors) alive for as long as it is held
                 p.close()
-        fabric.close_all()
+        if fabric is not None:
+            fabric.close_all()
         shards.close()
 
     owned = {name: d for r in reports for name, d in r.table_digests.items()}

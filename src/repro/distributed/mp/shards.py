@@ -2,14 +2,15 @@
 
 Every embedding table (weights *and* Adagrad accumulator) lives in a
 ``multiprocessing.shared_memory`` segment created — and, crucially,
-unlinked — by the parent process.  The parent builds the run's one seeded
-model, copies its tables into the segments and swaps each table for a
-zero-copy ndarray view of its segment; the workers inherit that model,
-views and all, through ``fork``.  All ranks read rows straight out of
-shared memory during the forward pass (this is what replaces the
-all-to-all of a message-passing design), while sparse updates to a table
-are applied — and its final digest taken — only by the one rank that owns
-it.
+unlinked — by the parent process.  The parent allocates the segments
+from the config's table layouts and builds the run's one seeded model on
+them, each table drawn straight into a zero-copy ndarray view of its
+weight segment; the workers inherit that model, views and all, through
+``fork``, and each owner builds its Adagrad on its tables' accumulator
+views.  All ranks read rows straight out of shared memory during the
+forward pass (this is what replaces the all-to-all of a message-passing
+design), while sparse updates to a table are applied — and its final
+digest taken — only by the one rank that owns it.
 
 Lifecycle contract (pinned by ``tests/test_mp_shm.py``): the parent is the
 sole owner of ``unlink``.  Segments are removed in a ``finally`` whether
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -79,11 +81,12 @@ class ShardPlan:
 class TableShards:
     """All embedding shards of one hybrid run, in named shared memory.
 
-    ``create`` builds two segments per table — ``weight`` initialized from
-    the seeded model (so every process sees the same init the serial
-    trainer would produce) and ``accum`` for the Adagrad state, zero as
-    every fresh segment is — under explicit names carrying the parent pid
-    and a run counter, which the lifecycle tests use to detect leaks.
+    ``allocate`` builds two segments per table — ``weight``, which the
+    seeded model draws into (so every process sees the same init the
+    serial trainer would produce), and ``accum`` for the Adagrad state,
+    zero as every fresh segment is — under explicit names carrying the
+    parent pid and a run counter, which the lifecycle tests use to detect
+    leaks.
     """
 
     def __init__(self) -> None:
@@ -92,26 +95,37 @@ class TableShards:
         self._owner_pid = os.getpid()
 
     @classmethod
-    def create(cls, weights: dict[str, np.ndarray]) -> "TableShards":
-        """Allocate segments and copy in ``table name -> weights``; the
-        accumulators start zeroed — a new POSIX segment reads as zeros —
-        and a resumed run's workers restore both kinds from the checkpoint,
-        each the tables it owns."""
+    def allocate(
+        cls, layouts: dict[str, tuple[tuple[int, ...], np.dtype]]
+    ) -> "TableShards":
+        """Allocate both segments of every ``table name -> (shape, dtype)``;
+        each reads as zeros, as a new POSIX segment does, until the model
+        draws its weights — or a resumed run's workers restore both kinds
+        from the checkpoint, each the tables it owns."""
         shards = cls()
         run_id = next(_SEGMENT_COUNTER)
         try:
-            for idx, (name, weight) in enumerate(weights.items()):
-                shards._layouts[name] = (weight.shape, weight.dtype)
+            for idx, (name, (shape, dtype)) in enumerate(layouts.items()):
+                shape, dtype = tuple(shape), np.dtype(dtype)
+                shards._layouts[name] = (shape, dtype)
                 for kind in ("weight", "accum"):
                     shards._segments[(name, kind)] = shared_memory.SharedMemory(
                         create=True,
-                        size=weight.nbytes,
+                        size=math.prod(shape) * dtype.itemsize,
                         name=f"repro_mp_{os.getpid()}_{run_id}_{idx}_{kind}",
                     )
-                shards.view(name, "weight")[...] = weight
         except BaseException:
             shards.close()
             raise
+        return shards
+
+    @classmethod
+    def create(cls, weights: dict[str, np.ndarray]) -> "TableShards":
+        """:meth:`allocate` the layouts of ``table name -> weights`` and copy
+        the weights in."""
+        shards = cls.allocate({name: (w.shape, w.dtype) for name, w in weights.items()})
+        for name, weight in weights.items():
+            shards.view(name, "weight")[...] = weight
         return shards
 
     def view(self, name: str, kind: str = "weight") -> np.ndarray:

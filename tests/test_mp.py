@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import platform
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,8 @@ import pytest
 
 from repro.core import DLRM, Adagrad, Batch, RaggedIndices, Trainer
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
+from repro.core import embedding as embedding_mod
+from repro.core import optim as optim_mod
 from repro.core.embedding import EmbeddingTable
 from repro.core.lanes import free_cores
 from repro.core.loss import BCEWithLogitsLoss
@@ -50,6 +54,20 @@ def small_config(dtype: str = "float64", num_tables: int = 5) -> ModelConfig:
         interaction=InteractionType.DOT,
         compute_dtype=dtype,
     )
+
+
+def shm_segment_of(array: np.ndarray) -> str | None:
+    """The name of the ``repro_mp_<pid>_*`` shared-memory segment of this
+    process that ``array``'s first byte lies in, or ``None``."""
+    address = array.__array_interface__["data"][0]
+    prefix = f"/dev/shm/repro_mp_{os.getpid()}_"
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            fields = line.split()
+            lo, hi = (int(x, 16) for x in fields[0].split("-"))
+            if lo <= address < hi and len(fields) > 5 and fields[5].startswith(prefix):
+                return fields[5]
+    return None
 
 
 def concat_batches(batches: list[Batch]) -> Batch:
@@ -234,6 +252,31 @@ class TestOneModelPerRun:
         monkeypatch.setattr(hybrid, "_supervise", recording)
         return seen
 
+    @pytest.fixture
+    def one_copy_per_table(self, monkeypatch):
+        """Every table draw in the parent records whether it wrote a shard
+        segment of this process (read off ``/proc/self/maps``); a rank that
+        fills a table-sized accumulator (``optim._full_like``) raises,
+        which crashes the run."""
+        pid = os.getpid()
+        draws = []
+        draw = embedding_mod._draw_uniform
+
+        def recording(weight, rng, scale):
+            draws.append(shm_segment_of(weight))
+            draw(weight, rng, scale)
+
+        full_like = optim_mod._full_like
+
+        def parent_only(like, value):
+            if os.getpid() != pid:
+                raise RuntimeError("a rank filled a table-sized accumulator")
+            return full_like(like, value)
+
+        monkeypatch.setattr(embedding_mod, "_draw_uniform", recording)
+        monkeypatch.setattr(optim_mod, "_full_like", parent_only)
+        return draws
+
     @staticmethod
     def assert_owners_hashed(config, run, reports) -> None:
         """The ranks' digest keys are disjoint and together cover every
@@ -267,6 +310,64 @@ class TestOneModelPerRun:
         assert resumed.resumed_from == 2
         assert_bit_identical(resumed, run_hybrid_serial(config, run))
         self.assert_owners_hashed(config, run, reports[-1])
+
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", ["inline", "pipeline", "resumed"])
+    def test_every_table_has_one_copy(
+        self, parent_only_tables, one_copy_per_table, reports, tmp_path, dtype, mode
+    ):
+        """The parent draws each table straight into its weight segment and
+        each owner's Adagrad runs on its accumulator segments: nothing
+        table-sized is built twice, and the run still equals the serial
+        reference."""
+        config = small_config(dtype, num_tables=6)
+        run = HybridRunConfig(
+            workers=2, steps=4, batch_size=32, seed=11, pipeline=mode == "pipeline",
+            checkpoint_every=2 if mode == "resumed" else 0,
+            checkpoint_dir=str(tmp_path) if mode == "resumed" else None,
+        )
+        draws = one_copy_per_table
+        if mode == "resumed":
+            with pytest.raises(WorkerCrashError):
+                run_hybrid(config, run, kills=[KillSpec(rank=1, step=3)])
+            got = run_hybrid(
+                config, run, resume=build_resume(latest_valid_manifest(tmp_path, 2), tmp_path)
+            )
+            assert got.resumed_from == 2
+        else:
+            got = run_hybrid(config, run)
+        launches = 2 if mode == "resumed" else 1
+        assert len(draws) == launches * len(config.tables)
+        assert all(seg is not None for seg in draws), draws
+        assert len(set(draws)) == len(draws)  # one segment per table and launch
+        assert_bit_identical(got, run_hybrid_serial(config, run))
+        self.assert_owners_hashed(config, run, reports[-1])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds")
+def test_ranks_keep_step_buffers_on_the_heap():
+    """A rank's sparse exchange builds buffers of up to a table's bytes
+    every step (here ~0.2 MB, over glibc's 128 KiB starting threshold);
+    they come from the heap, not from a fresh mapping each step, so a
+    steady-state step faults in a few pages, not hundreds."""
+    config = ModelConfig(
+        name="mp-heap",
+        num_dense=8,
+        tables=uniform_tables(4, hash_size=10_000, dim=32, mean_lookups=16.0),
+        bottom_mlp=MLPSpec((32, 32)),
+        top_mlp=MLPSpec((32,)),
+        interaction=InteractionType.DOT,
+        compute_dtype="float32",
+    )
+
+    def rank_faults(steps: int) -> int:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_hybrid(config, HybridRunConfig(workers=2, steps=steps, batch_size=512))
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    per_rank_step = (rank_faults(12) - rank_faults(4)) / (8 * 2)
+    assert per_rank_step < 100  # ~10 on the heap, ~340 mapped afresh
 
 
 class TestRingReduction:

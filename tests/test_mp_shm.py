@@ -11,6 +11,7 @@ SIGKILL (no atexit, no finally blocks in the child) — or a real SIGKILL.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core import embedding as embedding_mod
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.distributed.mp import (
     HybridRunConfig,
@@ -27,6 +29,7 @@ from repro.distributed.mp import (
     WorkerCrashError,
     run_hybrid,
 )
+from repro.distributed.mp.channels import Channel
 
 SHM_DIR = pathlib.Path("/dev/shm")
 
@@ -145,6 +148,48 @@ class TestHybridLifecycle:
         assert err.exitcode == -signal.SIGKILL
         assert (1, -signal.SIGKILL) in err.dead
         assert shm_segments() == before
+
+
+class TestFailedSetup:
+    """A set-up that fails after the shards exist releases them, and every
+    channel the fabric had made, before the exception propagates."""
+
+    @staticmethod
+    def open_fds() -> set[str]:
+        return set(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.parametrize("where", ["channel", "draw"])
+    def test_nothing_outlives_a_failed_setup(self, monkeypatch, where):
+        calls = itertools.count()
+        if where == "channel":
+            # the second socketpair of the fabric
+            pair = Channel.pair
+
+            def failing():
+                if next(calls) == 1:
+                    raise OSError("injected socketpair failure")
+                return pair()
+
+            monkeypatch.setattr(Channel, "pair", failing)
+            expected = OSError
+        else:
+            # the third table of the seeded model, drawn into its segment
+            draw = embedding_mod._draw_uniform
+
+            def failing(weight, rng, scale):
+                if next(calls) == 2:
+                    raise MemoryError("injected draw failure")
+                draw(weight, rng, scale)
+
+            monkeypatch.setattr(embedding_mod, "_draw_uniform", failing)
+            expected = MemoryError
+        before, fds = shm_segments(), self.open_fds()
+        # ``raised`` keeps the traceback's frames alive: what is released
+        # below, run_hybrid released, not the frames' collection
+        with pytest.raises(expected, match="injected") as raised:
+            run_hybrid(small_config(), HybridRunConfig(workers=3, steps=2, batch_size=24))
+        assert shm_segments() == before
+        assert self.open_fds() == fds
 
 
 class TestResourceTracker:
