@@ -8,7 +8,7 @@ so dense embedding updates are never materialized.
 SGD and Adagrad are provided (Adagrad is the de-facto standard for sparse
 embedding training); EASGD's elastic update lives in
 :mod:`repro.distributed.sync` since it couples multiple workers, whose
-Adagrads share each table's accumulator (:meth:`Adagrad.adopt_accumulator`).
+Adagrads share each table's accumulator (``Adagrad(..., accumulators=)``).
 """
 
 from __future__ import annotations
@@ -230,38 +230,28 @@ class Adagrad(_OptimizerBase):
             np.full_like(p.value, initial_accumulator) for p in self.dense_params
         ]
         # ``accumulators``: externally-owned table state, one array per table
-        # taken as it is (the hybrid trainer's shared segments); otherwise
-        # each table's accumulator is filled with ``initial_accumulator``.
+        # taken as it is, values not copied (the hybrid trainer's shared
+        # segments; EASGD's workers all share the one accumulator per table,
+        # as trainers on one sparse parameter server would).  Otherwise each
+        # table's accumulator is filled with ``initial_accumulator``.
         if accumulators is None:
             accumulators = [_full_like(t.weight, initial_accumulator) for t in self.tables]
         if len(accumulators) != len(self.tables):
             raise ValueError(
                 f"{len(accumulators)} accumulators for {len(self.tables)} tables"
             )
-        self._table_state = [self._adoptable(i, a) for i, a in enumerate(accumulators)]
+        self._table_state = []
+        for t, state in zip(self.tables, accumulators):
+            state = np.asarray(state)
+            if state.shape != t.weight.shape:
+                raise ValueError(f"accumulator shape {state.shape} != {t.weight.shape}")
+            if state.dtype != t.weight.dtype:
+                raise ValueError(f"accumulator dtype {state.dtype} != {t.weight.dtype}")
+            self._table_state.append(state)
 
     def slots(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
         names = [t.spec.name for t in self.tables]
         return self._dense_state, dict(zip(names, self._table_state))
-
-    def adopt_accumulator(self, idx: int, state: np.ndarray) -> None:
-        """Swap table ``idx``'s accumulator for externally-owned storage.
-
-        EASGD's workers (:mod:`repro.distributed.sync`) all adopt the one
-        accumulator per shared table, as trainers on one sparse parameter
-        server would.  Shape/dtype must match the table's; values are not
-        copied.
-        """
-        self._table_state[idx] = self._adoptable(idx, state)
-
-    def _adoptable(self, idx: int, state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state)
-        like = self.tables[idx].weight
-        if state.shape != like.shape:
-            raise ValueError(f"adopted state shape {state.shape} != {like.shape}")
-        if state.dtype != like.dtype:
-            raise ValueError(f"adopted state dtype {state.dtype} != {like.dtype}")
-        return state
 
     def _dense_step(self, idx: int, p: Parameter, ws: Workspace | None) -> None:
         self.backend.adagrad_dense_step(

@@ -59,6 +59,7 @@ import signal
 import socket
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
@@ -429,29 +430,28 @@ class _Fabric:
 # ---------------------------------------------------------------------------
 
 
-#: glibc's own ceiling for its dynamic mmap threshold (64-bit).
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
 def _heap_serves(nbytes: int) -> None:
-    """Serve this process's allocations of up to ``nbytes`` from the heap
-    and keep twice that free in it (glibc ``mallopt``; elsewhere a no-op).
+    """Raise glibc's dynamic mmap threshold to ``nbytes`` (its trim
+    threshold to twice that) the way glibc itself does: by freeing one
+    mapped block of that size.  Elsewhere, or under glibc's starting
+    threshold (128 KiB), it changes nothing.
 
     A rank's sparse exchange builds fresh buffers every step — received
     frames, concatenations, merged gradients — of up to about a table's
     bytes (a coalesced gradient has at most a table's rows).  At glibc's
-    starting threshold (128 KiB, raised only by freeing a larger mapped
-    block) each is a new mapping, page-faulted in and unmapped again
-    every step: 3x a rank's minor faults on ``hybrid_w2``
-    (docs/perf_notes.md, "One copy of every table")."""
+    starting threshold each is a new mapping, page-faulted in and
+    unmapped again every step: 3x a rank's minor faults on ``hybrid_w2``
+    (docs/perf_notes.md, "One copy of every table").  ``mallopt`` would
+    pin both thresholds (for small tables, under 128 KiB); this leaves
+    glibc raising them to larger freed blocks as before."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # pragma: no cover - not glibc
+        libc = ctypes.CDLL(None)
+        malloc, free = libc.malloc, libc.free
+    except (OSError, AttributeError):  # pragma: no cover - no C allocator
         return
-    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, nbytes)
-    mallopt(m_trim_threshold, 2 * nbytes)
+    malloc.restype, malloc.argtypes = ctypes.c_void_p, [ctypes.c_size_t]
+    free.restype, free.argtypes = None, [ctypes.c_void_p]
+    free(malloc(nbytes))  # mapped, never touched: no page faulted in
 
 
 def _dense_digest(model: DLRM) -> str:
@@ -516,10 +516,7 @@ def _worker_main(
     take_share(free_cores() // world)
     cores = (lane_count(), blas_threads())
     config = model.config
-    _heap_serves(min(
-        _MMAP_THRESHOLD_MAX,
-        max(t.hash_size * t.dim for t in config.tables) * model.dtype.itemsize,
-    ))
+    _heap_serves(max(t.hash_size * t.dim for t in config.tables) * model.dtype.itemsize)
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
@@ -961,6 +958,12 @@ def run_hybrid(
             p.join(timeout=timeouts.join_s)
             if p.exitcode not in (0, None):
                 raise WorkerCrashError(rank, p.exitcode)
+    except BaseException as exc:
+        # the frames it unwound may hold views of the segments (a half-drawn
+        # model, its storage): a held traceback must not reach them once the
+        # segments are closed below
+        traceback.clear_frames(exc.__traceback__)
+        raise
     finally:
         for p in procs:
             if p.is_alive():
@@ -973,6 +976,9 @@ def run_hybrid(
                 p.close()
         if fabric is not None:
             fabric.close_all()
+        # nor may this frame, which that traceback keeps alive too: not the
+        # model, nor an unstarted process's arguments (which hold it)
+        model = procs = None
         shards.close()
 
     owned = {name: d for r in reports for name, d in r.table_digests.items()}

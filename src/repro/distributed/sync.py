@@ -64,7 +64,7 @@ class EASGDTrainer:
     worker's sparse gradients are applied directly — the Hogwild analogue
     for the sparse half.  Each worker steps through its own
     :class:`~repro.core.training.Trainer`, whose Adagrad holds the worker's
-    dense state and adopts the one shared accumulator per table.
+    dense state and is built on the one shared accumulator per table.
     """
 
     def __init__(
@@ -112,10 +112,11 @@ class EASGDTrainer:
     def _trainer(self, worker: DLRM) -> Trainer:
         """A worker's trainer: fresh dense Adagrad state, shared table state."""
         optimizer = Adagrad(
-            worker.dense_parameters(), worker.embedding_tables(), lr=self._lr
+            worker.dense_parameters(),
+            worker.embedding_tables(),
+            lr=self._lr,
+            accumulators=self.accumulators,
         )
-        for i, accumulator in enumerate(self.accumulators):
-            optimizer.adopt_accumulator(i, accumulator)
         return Trainer(worker, lambda _: optimizer)
 
     # -- membership (worker dropout / rejoin, paper §III-A.6) ----------------

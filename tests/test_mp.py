@@ -346,6 +346,17 @@ class TestOneModelPerRun:
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds")
+def _rank_step_faults(config: ModelConfig, batch_size: int) -> float:
+    """Minor page faults per rank per steady-state step of a W=2 run."""
+
+    def rank_faults(steps: int) -> int:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_hybrid(config, HybridRunConfig(workers=2, steps=steps, batch_size=batch_size))
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    return (rank_faults(12) - rank_faults(4)) / (8 * 2)
+
+
 def test_ranks_keep_step_buffers_on_the_heap():
     """A rank's sparse exchange builds buffers of up to a table's bytes
     every step (here ~0.2 MB, over glibc's 128 KiB starting threshold);
@@ -360,14 +371,25 @@ def test_ranks_keep_step_buffers_on_the_heap():
         interaction=InteractionType.DOT,
         compute_dtype="float32",
     )
+    assert _rank_step_faults(config, 512) < 100  # ~10 on the heap, ~340 mapped afresh
 
-    def rank_faults(steps: int) -> int:
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        run_hybrid(config, HybridRunConfig(workers=2, steps=steps, batch_size=512))
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
-    per_rank_step = (rank_faults(12) - rank_faults(4)) / (8 * 2)
-    assert per_rank_step < 100  # ~10 on the heap, ~340 mapped afresh
+def test_small_tables_leave_the_heap_as_it_was():
+    """Tables far under glibc's 128 KiB starting threshold (8 KiB here)
+    must not pull it down: the step's larger dense buffers (~0.5 MB
+    activations) stay on the heap once glibc has raised its threshold to
+    them, as in a process that never touched it."""
+    config = ModelConfig(
+        name="mp-heap-small",
+        num_dense=64,
+        tables=uniform_tables(4, hash_size=64, dim=16, mean_lookups=4.0),
+        bottom_mlp=MLPSpec((128, 16)),
+        top_mlp=MLPSpec((128,)),
+        interaction=InteractionType.DOT,
+        compute_dtype="float64",
+    )
+    # ~3 as glibc left it; ~50-65 with both thresholds pinned at 8 KiB
+    assert _rank_step_faults(config, 512) < 20
 
 
 class TestRingReduction:

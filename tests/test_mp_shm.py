@@ -16,11 +16,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
 
+from repro.core import DLRM
 from repro.core import embedding as embedding_mod
+from repro.core.embedding import EmbeddingBagCollection, EmbeddingTable
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.distributed.mp import (
     HybridRunConfig,
@@ -158,6 +161,39 @@ class TestFailedSetup:
     def open_fds() -> set[str]:
         return set(os.listdir("/proc/self/fd"))
 
+    @staticmethod
+    def unmapped_views(tb) -> list[str]:
+        """The frame locals along ``tb`` that reach an array whose memory
+        is no longer mapped (a view of a closed segment: reading it, as a
+        debugger or ``pytest -l`` would, faults)."""
+        with open("/proc/self/maps") as maps:
+            spans = [[int(x, 16) for x in line.split()[0].split("-")] for line in maps]
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, EmbeddingTable):
+                yield value.weight
+            elif isinstance(value, DLRM):  # perhaps half built
+                yield from arrays(getattr(value, "embeddings", None))
+            elif isinstance(value, EmbeddingBagCollection):
+                yield from arrays(getattr(value, "tables", None))
+            elif isinstance(value, dict):
+                for v in value.values():
+                    yield from arrays(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from arrays(v)
+
+        found = []
+        for frame, _ in traceback.walk_tb(tb):
+            for name, value in frame.f_locals.items():
+                for a in arrays(value):
+                    address = a.__array_interface__["data"][0]
+                    if a.size and not any(lo <= address < hi for lo, hi in spans):
+                        found.append(f"{frame.f_code.co_name}: {name}")
+        return found
+
     @pytest.mark.parametrize("where", ["channel", "draw"])
     def test_nothing_outlives_a_failed_setup(self, monkeypatch, where):
         calls = itertools.count()
@@ -190,6 +226,7 @@ class TestFailedSetup:
             run_hybrid(small_config(), HybridRunConfig(workers=3, steps=2, batch_size=24))
         assert shm_segments() == before
         assert self.open_fds() == fds
+        assert self.unmapped_views(raised.tb) == []
 
 
 class TestResourceTracker:
