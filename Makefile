@@ -37,12 +37,10 @@ alloc-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/alloc_smoke.py
 
 # 2-worker hybrid-parallel run, bitwise-verified against the serial
-# trainer, with the prep stage inline and on its prefetch thread; then 3
-# workers (two mesh rounds per rank: a round-order mistake hangs) and
+# trainer; then 3 workers (two mesh rounds per rank: a round-order mistake hangs) and
 # world 1 through the same worker path.
 mp-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify
-	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify --pipeline
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 3 --steps 3 --batch 96 --verify
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 1 --steps 3 --batch 64 --verify
 

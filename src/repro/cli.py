@@ -452,7 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 #: ``repro trace <experiment>`` targets: name -> tracing driver.
 TRACE_EXPERIMENTS = (
-    "fig11", "fig14", "table3", "cpu_sim", "gpu_sim", "train", "pipeline"
+    "fig11", "fig14", "table3", "cpu_sim", "gpu_sim", "train"
 )
 
 
@@ -505,29 +505,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             tracer=tracer,
         )
         trainer.train(iter(lambda: gen.batch(256), None), max_steps=25)
-    elif name == "pipeline":
-        from .core import Adagrad, DLRM, Trainer
-
-        from .data import SyntheticDataGenerator
-
-        model_cfg = resolve_model(args.model if args.model else "test:32x8")
-        gen = SyntheticDataGenerator(model_cfg, rng=args.seed, seed_teacher=True)
-        model = DLRM(model_cfg, rng=args.seed + 1)
-        trainer = Trainer(
-            model,
-            lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
-            tracer=tracer,
-            pipeline=True,
-        )
-        ledger = trainer.train(iter(lambda: gen.batch(256), None), max_steps=25).pipeline
-        print(
-            f"pipeline ledger: prep busy {ledger['prep_busy_s'] * 1e3:.2f} ms, "
-            f"prep stall {ledger['prep_stall_s'] * 1e3:.2f} ms, "
-            f"compute stall {ledger['compute_stall_s'] * 1e3:.2f} ms, "
-            f"overlap {ledger['overlap_fraction']:.1%}"
-        )
-        print("prep-thread spans are on Chrome-trace lane tid=1; "
-              "trainer spans on tid=0")
     else:  # pragma: no cover - argparse choices guard this
         print(f"unknown trace experiment {name!r}", file=sys.stderr)
         return 2
@@ -627,7 +604,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
             reduction=args.reduction,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=ckpt_dir,
-            pipeline=args.pipeline,
         )
         if args.checkpoint_every:
             from .distributed.mp import RestartPolicy, run_hybrid_ft
@@ -667,8 +643,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
             "verified_bitwise": verified,
             "checkpoints": result.checkpoints,
             "restarts_used": ft.restarts_used if ft is not None else 0,
-            "pipeline": result.pipeline,
-            "per_rank_pipeline": result.per_rank_pipeline,
         }, indent=2))
         return 0
     losses = ", ".join(f"{v:.4f}" for v in result.losses[:8])
@@ -685,14 +659,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
     if result.plan is not None:
         mb = [f"{b / 1e6:.1f}MB" for b in result.plan.owner_bytes(config)]
         print(f"shard balance: {' / '.join(mb)}")
-    if result.pipeline is not None:
-        pl = result.pipeline
-        print(
-            f"pipeline: prep busy {pl['prep_busy_s'] * 1e3:.2f} ms, "
-            f"prep stall {pl['prep_stall_s'] * 1e3:.2f} ms, "
-            f"compute stall {pl['compute_stall_s'] * 1e3:.2f} ms, "
-            f"overlap {pl['overlap_fraction']:.1%}"
-        )
     if result.checkpoints:
         steps = ", ".join(str(s) for s, _ in result.checkpoints)
         print(f"checkpoints committed at steps: {steps}"
@@ -915,9 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'ring' is bandwidth-optimal")
     p.add_argument("--verify", action="store_true",
                    help="train: also run the serial reference and compare")
-    p.add_argument("--pipeline", action="store_true",
-                   help="train: batch prep (generation + lookup planning) "
-                        "on a background thread (bit-identical result)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    dest="checkpoint_every",

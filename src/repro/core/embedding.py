@@ -258,8 +258,8 @@ class TablePlan:
     :meth:`EmbeddingTable.backward` need that does *not* depend on the
     weights: the prepared (truncated, bounds-checked) index streams, the
     fused multi-feature CSR layout, per-sample lengths, and the per-feature
-    backward :class:`~repro.core.kernels.CoalescePlan`.  A plan built on a
-    prefetch thread and applied later produces bit-identical results to the
+    backward :class:`~repro.core.kernels.CoalescePlan`.  A plan built ahead
+    of the step and applied later produces bit-identical results to the
     inline path, because the inline path *is* ``plan_forward`` + apply —
     one implementation, not two.
     """
@@ -412,8 +412,8 @@ class EmbeddingTable:
 
         Truncation, bounds validation, the fused multi-feature CSR layout,
         per-sample lengths and the backward coalesce plans are all pure
-        functions of the *indices* — this is the work the prefetch pipeline
-        (:mod:`repro.pipeline`) moves off the critical path.  An inference
+        functions of the *indices* — this is the work the data path
+        (:mod:`repro.pipeline`) does before the step.  An inference
         plan (``training=False``) skips the coalesce plans, a sort per
         feature that only :meth:`backward` reads; stat-keeping subclasses
         (the tiered store) account training streams only.
@@ -471,9 +471,9 @@ class EmbeddingTable:
         order by the collection) pops them correctly.
 
         ``plan`` supplies the index-side precompute from an earlier
-        :meth:`plan_forward` (the pipelined path); without one, the plan is
-        built inline — the two paths share every instruction that touches
-        data, so pipelined and unpipelined runs are bit-identical.
+        :meth:`plan_forward` (the data path's); without one, the plan is
+        built here — the two share every instruction that touches data, so
+        the results are bit-identical.
 
         ``training=False`` (the inference fast path) skips pushing forward
         contexts entirely: nothing is saved, nothing needs discarding, and
@@ -649,7 +649,7 @@ class EmbeddingBagCollection:
         """Precompute every table's :class:`TablePlan` for one batch.
 
         Walks the table groups in the same order as :meth:`forward`, so a
-        plan built ahead of time (on the prefetch thread) touches streams
+        plan built ahead of time (by the data path) touches streams
         and stat-keeping subclass state in exactly the inline order.
         Returns table name -> plan.
         """
@@ -675,7 +675,7 @@ class EmbeddingBagCollection:
         slabs of one feature-major array (:class:`PooledFeatures`).
 
         ``plans`` (from an earlier :meth:`plan_batch`) skips the per-table
-        index precompute — the pipelined path.  Under :attr:`lanes` the
+        index precompute — the data path's.  Under :attr:`lanes` the
         tables gather on several threads once one table's lookups reach
         the floor; their plans are then all built first, here, on the
         caller (tiered tables keep per-stream state).

@@ -309,8 +309,8 @@ class CoalescePlan:
 
     The sort/group half of :func:`coalesce_rows` depends only on the
     *indices* — not on the gradients — so it can be computed ahead of time
-    (e.g. on a prefetch thread, while the previous batch is still in its
-    backward pass) and applied to gradients later with
+    (when the batch is prepared, before its step) and applied to gradients
+    later with
     :func:`coalesce_apply` / :func:`expand_apply`.  ``rows`` are the unique
     row ids sorted ascending; ``order`` is the stable argsort of the input
     stream; ``indptr[k]:indptr[k+1]`` delimits the occurrence positions
@@ -443,7 +443,7 @@ def coalesce_rows(indices: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, n
     within ~1 ULP (see the module docstring's numerical contract).
 
     Implemented as :func:`coalesce_plan` + :func:`coalesce_apply`, so the
-    inline path and any plan-ahead caller (the prefetch pipeline) share
+    inline path and any plan-ahead caller (:mod:`repro.pipeline`) share
     one implementation — equality is by construction, not by parallel
     maintenance.
     """

@@ -45,9 +45,8 @@ ends (:mod:`repro.core.embedding`).  A job is split only from
 :data:`LANE_MIN_ELEMS` elements.
 
 The module owns the process's core budget: :func:`free_cores` is its
-share of the process tree's cores (:func:`take_share`) less those its
-service threads hold (:func:`hold_core`).  :func:`lane_count` — one lane
-per free core — is the width a pass may use;
+share of the process tree's cores (:func:`take_share`).
+:func:`lane_count` — one lane per free core — is the width a pass may use;
 :meth:`~repro.core.model.DLRM.bound_lanes` decides it on entry and binds
 the process's one :class:`Lanes` (:data:`LANES`) to a model's embedding
 collection, its interaction, any extra holder (a trainer's optimizer)
@@ -70,7 +69,6 @@ import ctypes
 import os
 import queue
 import threading
-from contextlib import contextmanager
 from functools import cache, partial
 from typing import Callable, Sequence, TypeVar
 
@@ -91,7 +89,6 @@ __all__ = [
     "block_run",
     "dot_floor",
     "free_cores",
-    "hold_core",
     "lane_count",
     "on_rows",
     "row_block",
@@ -197,44 +194,24 @@ def available_cores() -> int:
 #: Cores this process was handed by its parent; ``None`` at the top of the
 #: process tree, whose share is :func:`available_cores`.
 _share: int | None = None
-#: One entry per core a running service thread holds (a list: appends and
-#: pops are atomic).
-_held: list[None] = []
 
 
 def free_cores() -> int:
     """Cores this process may put to work: its share of the process tree's
-    cores (:func:`take_share`; all of :func:`available_cores` at the top)
-    less those held by running service threads (:func:`hold_core`), and
-    never fewer than one."""
-    share = available_cores() if _share is None else _share
-    return max(1, share - len(_held))
+    cores (:func:`take_share`; all of :func:`available_cores` at the top)."""
+    return available_cores() if _share is None else _share
 
 
 def take_share(cores: int) -> None:
     """Make ``cores`` (at least one) of the parent's :func:`free_cores`
     this process's share, and lower the loaded OpenBLAS's thread count to
-    it.  Called once, first thing in a forked child (the parent's service
-    threads do not exist here); never in the top-level process, whose BLAS
-    thread count is a deployment setting."""
+    it.  Called once, first thing in a forked child; never in the
+    top-level process, whose BLAS thread count is a deployment setting."""
     global _share
     _share = max(1, cores)
-    _held.clear()
     blas = _blas()
     if blas is not None and blas[0]() > _share:
         blas[1](_share)
-
-
-@contextmanager
-def hold_core():
-    """Hold one of this process's cores for a service thread that runs
-    beside the compute (the prefetch pipeline's prep thread), for the
-    duration of the block."""
-    _held.append(None)
-    try:
-        yield
-    finally:
-        _held.pop()
 
 
 def lane_count() -> int:

@@ -12,7 +12,6 @@ gradient exchanges off the same step through the seam documented on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -34,10 +33,9 @@ class TrainResult:
     examples_seen: int
     final_loss: float
     loss_history: list[float] = field(default_factory=list)
-    #: Stall ledger of the run's prefetch pipeline: ``prep_busy_s`` /
-    #: ``prep_stall_s`` / ``compute_stall_s`` / ``overlap_fraction`` /
-    #: ``batches`` — see :mod:`repro.pipeline`.  Inline prep (depth 0)
-    #: reads overlap 0, no prep stall, ``compute_stall_s == prep_busy_s``.
+    #: Prep ledger of the run's data path (``PipelineStats.as_dict()``,
+    #: see :mod:`repro.pipeline`): ``prep_busy_s`` and ``batches``, with
+    #: overlap 0, no prep stall and ``compute_stall_s == prep_busy_s``.
     pipeline: dict = field(default_factory=dict)
 
     @property
@@ -96,10 +94,10 @@ class Trainer:
     :func:`~repro.core.lanes.lane_count` of them, decided at the top of
     every :meth:`train_step` — the process's free cores: its share of the
     process tree's (a replica's worker process took its share when it
-    started), less the prefetch pipeline's prep thread's.  One lane is the
-    serial loop.  The MLP stacks take lanes only while the loaded BLAS
-    reports one thread (:func:`~repro.core.lanes.blas_threads`); otherwise
-    the BLAS's own threads already run each GEMM on the cores.  Inference
+    started).  One lane is the serial loop.  The MLP stacks take lanes
+    only while the loaded BLAS reports one thread
+    (:func:`~repro.core.lanes.blas_threads`); otherwise the BLAS's own
+    threads already run each GEMM on the cores.  Inference
     (:meth:`~repro.core.model.DLRM.predict_proba`) gets the same lanes.
     """
 
@@ -144,16 +142,13 @@ class Trainer:
         self._tiered_tables = [
             t for t in model.embedding_tables() if getattr(t, "is_tiered", False)
         ]
-        #: The depth of :meth:`train`'s prefetch pipeline
-        #: (:mod:`repro.pipeline`): ``True`` runs all model-state-independent
-        #: batch preparation on a background thread behind a double buffer,
-        #: ``False`` runs it inline (depth 0).  Bit-identical either way —
-        #: pinned by ``tests/test_pipeline.py``.
+        # ``pipeline`` is accepted for the callers that still pass it and
+        # moves no work: :meth:`train` prepares every batch inline
+        # (:mod:`repro.pipeline`).
         if not isinstance(pipeline, bool):
             raise TypeError(
                 f"pipeline must be a bool, got {type(pipeline).__name__}"
             )
-        self.pipeline = pipeline
         self._step_index = 0
 
     # -- kill-and-restore ---------------------------------------------------
@@ -195,8 +190,8 @@ class Trainer:
     def train_step(self, batch: Batch | PreparedBatch) -> float:
         """One forward/backward/update; returns the batch loss.
 
-        A raw :class:`Batch` is planned here first (what the prefetch
-        pipeline of :meth:`train` does for its batches), so every step's
+        A raw :class:`Batch` is planned here first (what :meth:`train`'s
+        data path does for its batches), so every step's
         lookups and tier accounting come from its own plans."""
         tracer = self.tracer
         fused = self.fused
@@ -242,9 +237,8 @@ class Trainer:
         part of the step timeline either way.
 
         Every step's batch carries its tier accounting in its plans
-        (captured at plan time, on the prep thread when pipelined); the
-        live-stats delta would blend in whatever future batches the prep
-        thread has already ingested.
+        (captured at plan time), so the step publishes its own batch's
+        delta and not the live stats.
         """
         for table in self._tiered_tables:
             name = table.spec.name
@@ -281,43 +275,26 @@ class Trainer:
         sizes take proportionally fewer optimizer steps — the mechanism
         behind the accuracy gap the paper reports.
 
-        Batches reach the steps through a prefetch pipeline (see
-        :mod:`repro.pipeline`) whose ledger the result carries.  Inline
-        (depth 0) it prepares each batch when the loop pulls it.  With
-        ``pipeline=`` enabled on the trainer a prefetch thread prepares
-        them: results are bit-identical.  The source enters the pipeline
-        cut to ``max_steps`` batches, so no batch past a step budget is
-        pulled or planned; under an example budget the prep thread may
-        pull up to three batches past the last step (two buffered, one in
-        prep), and those are planned (tier accounting included) — callers
-        sharing one iterator across multiple ``train`` calls (checkpoint
-        resume) should account for that lookahead.
+        Batches reach the steps through
+        :class:`~repro.pipeline.PrefetchPipeline`, which prepares each one
+        when the loop pulls it and whose ledger the result carries.  The loop pulls exactly the batches it steps, under
+        a step or an example budget, so one iterator can be shared across
+        several ``train`` calls (checkpoint resume).
         """
         if max_examples is None and max_steps is None:
             raise ValueError("provide max_examples and/or max_steps")
         from ..pipeline import PrefetchPipeline
-
-        if max_steps is not None:
-            batches = islice(batches, max(max_steps, 0))
 
         embeddings = self.model.embeddings
 
         def plan_fn(batch: Batch):
             return embeddings.plan_batch(batch.sparse)
 
-        prefetch = PrefetchPipeline(
-            batches, plan_fn, tracer=self.tracer, threaded=self.pipeline
-        )
-        with prefetch:
-            result = _train_loop(self.train_step, prefetch, max_examples, max_steps)
-        stats = prefetch.stats
-        result.pipeline = stats.as_dict()
+        prepared = PrefetchPipeline(batches, plan_fn, tracer=self.tracer)
+        result = _train_loop(self.train_step, prepared, max_examples, max_steps)
+        result.pipeline = prepared.stats.as_dict()
         if self.metrics is not None:
-            m = self.metrics
-            m.counter("pipeline_prep_busy_s").inc(stats.prep_busy_s)
-            m.counter("pipeline_prep_stall_s").inc(stats.prep_stall_s)
-            m.counter("pipeline_compute_stall_s").inc(stats.compute_stall_s)
-            m.gauge("pipeline_overlap_fraction").set(stats.overlap_fraction)
+            self.metrics.counter("pipeline_prep_busy_s").inc(prepared.stats.prep_busy_s)
         return result
 
 

@@ -2,7 +2,7 @@
 
 Facebook decouples *reader servers* from trainers so data loading never
 stalls training (paper §IV-B.2).  The timing behaviour of reader servers
-lives in :mod:`repro.distributed`; batch prep on a thread is
+lives in :mod:`repro.distributed`; a trainer's own batch prep is
 :class:`repro.pipeline.PrefetchPipeline`.
 """
 

@@ -157,9 +157,8 @@ class SyntheticDataGenerator:
         skipped prefix is still generated, in order, to burn the exact
         same random draws — each batch's draw count depends on its own
         Poisson lengths, so there is no cheaper rng-faithful skip.  Unlike
-        the eager list this holds one batch at a time, which is what lets
-        the prefetch pipeline overlap generation with training instead of
-        paying for the whole run's data up front.
+        the eager list this holds one batch at a time, so a run does not
+        pay for its whole data up front.
         """
         if skip < 0:
             raise ValueError(f"skip must be >= 0, got {skip}")

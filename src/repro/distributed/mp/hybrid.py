@@ -19,9 +19,9 @@ The training step is not in this module: each worker runs
 step, at the ``"grads"`` stage right before the optimizer — the sparse
 exchange, then the dense allreduce, both blocking calls on the worker's
 main thread, the only thread that touches a data socket.  The worker's own
-loop only orders the next-batch pull, checkpoint and barrier around the
-step.  Besides its main thread a worker runs the drain watcher and, under
-``pipeline=True``, the prep thread.
+loop only orders the next-batch pull (and its prep), checkpoint and
+barrier around the step.  Besides its main thread a worker runs only the
+drain watcher.
 
 One socket joins each pair of ranks (the mesh).  The sparse exchange, the
 allreduce (over the channels to ``rank - 1`` and ``rank + 1``) and the
@@ -72,7 +72,7 @@ from ...core.lanes import blas_threads, free_cores, lane_count, take_share
 from ...core.loss import BCEWithLogitsLoss
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
-from ...pipeline import PrefetchPipeline
+from ...pipeline import PipelineStats, PrefetchPipeline
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import PackedAllreduce
@@ -117,12 +117,9 @@ class HybridRunConfig:
     ``drain_timeout_s`` — ``collect_timeout_s`` remains only the
     no-progress backstop.
 
-    ``pipeline`` is the depth of the worker's
-    :class:`~repro.pipeline.PrefetchPipeline`: it moves the prep stage —
-    batch generation and lookup planning — from the worker's main thread
-    (depth 0) to a prep thread.  Nothing else depends on it: either way
-    the step and its two gradient exchanges run on the worker's main
-    thread, bit-identical to :func:`run_hybrid_serial`.
+    ``pipeline`` moves no work: every worker prepares its batches inline
+    (:class:`~repro.pipeline.PrefetchPipeline`), on its main thread.  It
+    only asks for :attr:`HybridResult.pipeline`, the run's prep ledger.
     """
 
     workers: int = 2
@@ -237,9 +234,6 @@ class WorkerReport:
     #: ``(lane_count(), blas_threads())`` as the rank read them once it
     #: took its share of the cores.
     cores: tuple[int, int | None]
-    #: stall ledger of the rank's prefetch pipeline
-    #: (``PipelineStats.as_dict()``), at depth 0 too.
-    pipeline: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -263,13 +257,10 @@ class HybridResult:
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     #: global step this run resumed from (0 = trained from scratch).
     resumed_from: int = 0
-    #: aggregated stall ledger of a pipelined run (straggler view: max
-    #: stalls over ranks, min overlap) — ``None`` when the prep stage ran
-    #: inline (its whole cost is then ``phase_s["prep_wait"]``).
+    #: prep ledger (``PipelineStats.as_dict()``) of a run with
+    #: ``pipeline=True``: the slowest rank's ``phase_s["prep_wait"]`` over
+    #: the executed steps; ``None`` otherwise.
     pipeline: dict[str, float] | None = None
-    #: every rank's stall ledger (:attr:`WorkerReport.pipeline`), inline
-    #: runs included; empty for the serial reference.
-    per_rank_pipeline: list[dict[str, float]] = field(default_factory=list)
     #: each rank's ``(lanes, BLAS threads)`` (:attr:`WorkerReport.cores`);
     #: empty for the serial reference.
     per_rank_cores: list[tuple[int, int | None]] = field(default_factory=list)
@@ -542,10 +533,8 @@ def _worker_main(
         losses = list(resume.per_rank_losses[rank])  # one entry per resumed step
         restore_arrays(resume.arrays, model, optimizer, tables=owned)
 
-    # Every step consumes a PreparedBatch (batch + lookup plans) from one
-    # prefetch pipeline.  The ``pipeline`` flag is its depth: the prep
-    # stage runs on a prep thread behind a double buffer, or inline when
-    # the loop pulls the next batch.  batch_stream consumes the rng exactly
+    # Every step consumes a PreparedBatch (batch + lookup plans), prepared
+    # inline when the loop pulls it.  batch_stream consumes the rng exactly
     # like generating all ``run.steps`` batches and dropping the replayed
     # prefix, so a resumed run sees the uninterrupted run's data order.
     gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", rank))
@@ -554,7 +543,7 @@ def _worker_main(
     def plan_fn(batch):
         return model.embeddings.plan_batch(batch.sparse)
 
-    source = PrefetchPipeline(stream, plan_fn, threaded=run.pipeline)
+    batches = PrefetchPipeline(stream, plan_fn)
     mesh = fabric.mesh(rank)
     allreduce = PackedAllreduce(
         rank, world, mesh.get((rank - 1) % world), mesh.get((rank + 1) % world),
@@ -655,7 +644,6 @@ def _worker_main(
         conn.send(("ckpt", rank, completed, time.perf_counter() - t0))
 
     try:
-        batches = iter(source)  # a prep thread (if any) starts here, under the spawn barrier
         barrier.wait(timeout=run.barrier_timeout_s)
         with tracer.span("prep_wait", "pipeline"):
             batch = next(batches)
@@ -671,11 +659,9 @@ def _worker_main(
                 with tracer.span("checkpoint", "io"):
                     commit_checkpoint(gstep + 1, my_kills.get((gstep, "checkpoint")))
             if gstep + 1 < run.steps:
-                # Pull the next prepared batch before the barrier, so a
+                # Pull and prep the next batch before the barrier, so a
                 # rank that is ahead preps while it would otherwise wait
-                # (prep_wait is this rank's data stall: the whole prep stage
-                # when it runs inline, the residual wait on the prep thread
-                # otherwise).
+                # (prep_wait is this rank's whole prep stage).
                 with tracer.span("prep_wait", "pipeline"):
                     batch = next(batches)
             # All shard writes must land before any rank's next forward.
@@ -695,7 +681,6 @@ def _worker_main(
             # by no other rank: its digest is final since our last step
             table_digests={name: shards.digest(name, "weight") for name in owned},
             cores=cores,
-            pipeline=source.stats.as_dict(),
         )))
         conn.close()
     except _DRAIN_EXC as err:
@@ -713,7 +698,6 @@ def _worker_main(
         except OSError:  # pragma: no cover - parent is gone too
             pass
     finally:
-        source.close()  # joins the prep thread, if there is one
         for ch in mesh.values():
             ch.close()
 
@@ -996,16 +980,6 @@ def run_hybrid(
         ph: max(r.phase_s[ph] for r in reports) for ph in _PHASES
     }
     checkpoints = _committed_checkpoints(ckpt_events)
-    ledgers = [r.pipeline for r in reports]
-    # Straggler view: the worst stall on any rank stalls the step (the
-    # barrier couples them), and the weakest overlap bounds the win.
-    pipeline_agg = {
-        "prep_busy_s": max(p["prep_busy_s"] for p in ledgers),
-        "prep_stall_s": max(p["prep_stall_s"] for p in ledgers),
-        "compute_stall_s": max(p["compute_stall_s"] for p in ledgers),
-        "overlap_fraction": min(p["overlap_fraction"] for p in ledgers),
-        "batches": max(p["batches"] for p in ledgers),
-    }
     for r in reports:
         cursor = 0.0
         for ph in _PHASES:
@@ -1038,8 +1012,10 @@ def run_hybrid(
         plan=plan,
         checkpoints=checkpoints,
         resumed_from=start,
-        pipeline=pipeline_agg if run.pipeline else None,
-        per_rank_pipeline=ledgers,
+        pipeline=(
+            PipelineStats(phase_max["prep_wait"], executed).as_dict()
+            if run.pipeline else None
+        ),
         per_rank_cores=[r.cores for r in reports],
     )
 

@@ -173,7 +173,7 @@ def _probe_hop_overhead(trials: int = 3) -> float:
 
     hops = _HOP_ITERS * 2  # 2(W-1) with W=2
     # With two free cores the ranks compute concurrently (ideal = solo); on
-    # one (a pool worker's share, beside a prep thread) they time-share.
+    # one (e.g. a pool worker's share) they time-share.
     share = 2 if free_cores() < 2 else 1
     estimates = []
     for _ in range(trials):

@@ -107,10 +107,8 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
 
 def default_workers(num_points: int | None = None) -> int:
     """A sensible pool size: this process's free cores (its share of the
-    process tree's, less those held by service threads such as the
-    prefetch pipeline's prep thread, see
-    :func:`~repro.core.lanes.free_cores`), but never more than the points
-    and never less than one."""
+    process tree's, see :func:`~repro.core.lanes.free_cores`), but never
+    more than the points and never less than one."""
     cores = free_cores()
     if num_points is None:
         return cores

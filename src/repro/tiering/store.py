@@ -340,11 +340,9 @@ class TieredEmbeddingTable(EmbeddingTable):
     ) -> TablePlan:
         # Account on the *prepared* (truncated, bounds-checked) stream so
         # priced lookups match what the kernel actually gathers.  Accounting
-        # happens at *plan* time: inline forwards build their plan right
-        # here (same stream order as before), while the prefetch pipeline
-        # builds plans ahead on its prep thread — the captured per-batch
-        # ``tier_delta`` lets the Trainer publish stats for the batch it is
-        # actually stepping, not whatever the prep thread touched since.
+        # happens at *plan* time, once per batch, in stream order — the
+        # captured per-batch ``tier_delta`` lets the Trainer publish stats
+        # for the batch it is stepping.
         plan = super().plan_forward(features, training=training)
         if training:
             before = self.stats.snapshot()

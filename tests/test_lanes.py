@@ -18,7 +18,6 @@ take lanes only under one) whatever the BLAS the tests run on.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
 import gc
@@ -572,27 +571,22 @@ def test_a_helper_exception_waits_for_every_lane():
 
 
 @pytest.mark.parametrize(
-    "cores, world, held, expected",
+    "cores, world, expected",
     [
-        (1, 1, 0, 1), (1, 1, 1, 1), (1, 2, 0, 1), (1, 2, 1, 1),
-        (2, 1, 0, 2), (2, 1, 1, 1), (2, 2, 0, 1), (2, 2, 1, 1),
-        (4, 1, 0, 4), (4, 1, 1, 3), (4, 2, 0, 2), (4, 2, 1, 1),
+        (1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (4, 1, 4), (4, 2, 2),
         # the top of the process tree: every core is its share
-        (1, None, 0, 1), (2, None, 1, 1), (4, None, 1, 3), (4, None, 4, 1),
+        (1, None, 1), (2, None, 2), (4, None, 4),
     ],
 )
-def test_lane_count(monkeypatch, cores, world, held, expected):
-    """One lane per free core: the process's share of the cores less the
-    ``held`` cores of its service threads, at least one.  The share is
-    what a worker of ``world`` takes of a ``cores``-core parent
-    (``None``: the top of the process tree, whose share is every core)."""
+def test_lane_count(monkeypatch, cores, world, expected):
+    """One lane per free core: the process's share of the cores, at least
+    one.  The share is what a worker of ``world`` takes of a ``cores``-core
+    parent (``None``: the top of the process tree, whose share is every
+    core)."""
     monkeypatch.setattr(lanes_mod, "available_cores", lambda: cores)
     if world is not None:  # what take_share(cores // world) leaves a worker
         monkeypatch.setattr(lanes_mod, "_share", max(1, cores // world))
-    with contextlib.ExitStack() as stack:
-        for _ in range(held):
-            stack.enter_context(lanes_mod.hold_core())
-        assert lanes_mod.lane_count() == expected
+    assert lanes_mod.lane_count() == expected
 
 
 def _reply(conn, fn, args):
@@ -646,13 +640,11 @@ def _share_of_share(parts):
 
 
 def test_a_share_of_a_share_divides_the_parents_free_cores(monkeypatch):
-    """A worker forked beside a held core takes its share of its parent's
-    free cores, holds none of the parent's service threads, and a worker
-    it forks in turn divides that share, not the host's cores."""
+    """A worker takes its share of its parent's free cores, and a worker it
+    forks in turn divides that share, not the host's cores."""
     monkeypatch.setattr(lanes_mod, "available_cores", lambda: 8)
     before = budget()
-    with lanes_mod.hold_core():
-        assert in_forked_child(_share_of_share, 2) == ((8 - 1) // 2, (8 - 1) // 2 // 2)
+    assert in_forked_child(_share_of_share, 2) == (8 // 2, 8 // 2 // 2)
     assert budget() == before
     assert before[0] == 8
 

@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import resource
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from repro.distributed.mp import (
     run_hybrid_serial,
 )
 from repro.distributed.mp import hybrid
+from repro.pipeline import PipelineStats
 from repro.runtime.runner import derive_seed
 
 
@@ -105,27 +105,16 @@ def assert_bit_identical(a, b) -> None:
     assert a.state_digest() == b.state_digest()
 
 
-def assert_inline_ledger(ledger, batches) -> None:
-    """Depth 0: the rank waits for all of its prep, and nothing overlaps."""
-    assert ledger["batches"] == batches
-    assert ledger["overlap_fraction"] == 0.0
-    assert ledger["prep_stall_s"] == 0.0
-    assert ledger["compute_stall_s"] == ledger["prep_busy_s"] > 0.0
-
-
 def assert_matches_serial(config, run) -> None:
-    """``pipeline`` only moves the prep stage to a thread: the inline and the
-    prefetched run are one step program and both equal the serial reference."""
+    """The run equals the serial reference; ``pipeline`` only asks for the
+    prep ledger, which is the slowest rank's ``prep_wait``."""
     got = run_hybrid(config, run)
     assert_bit_identical(got, run_hybrid_serial(config, run))
-    assert got.phase_s["prep_wait"] > 0  # inline: the whole prep stage
-    assert (got.pipeline is not None) == run.pipeline
-    assert len(got.per_rank_pipeline) == run.workers
-    for ledger in got.per_rank_pipeline:
-        if run.pipeline:
-            assert ledger["batches"] == run.steps
-        else:
-            assert_inline_ledger(ledger, run.steps)
+    assert got.phase_s["prep_wait"] > 0  # the whole prep stage
+    if run.pipeline:
+        assert got.pipeline == PipelineStats(got.phase_s["prep_wait"], run.steps).as_dict()
+    else:
+        assert got.pipeline is None
     # the phase ledger is span self time folded per step: nine disjoint phases
     assert set(got.phase_s) == {
         "forward", "loss", "backward", "sparse_exchange", "dense_wait",
@@ -149,12 +138,12 @@ class TestOrderedDeterminism:
     def test_four_workers_bitwise_vs_serial(self, dtype):
         run = HybridRunConfig(workers=4, steps=2, batch_size=32, seed=3)
         assert_matches_serial(small_config(dtype), run)
-        assert_matches_serial(small_config(dtype), replace(run, pipeline=True))
 
     def test_three_workers_checkpointing_pipelined_bitwise_vs_serial(self, tmp_path):
         """Two mesh rounds per rank, and the checkpoint's digest gather uses
         the same mesh sockets as the sparse exchange — both from the
-        worker's main thread, so they cannot interleave."""
+        worker's main thread, so they cannot interleave.  ``pipeline=True``
+        asks for the prep ledger, which ``assert_matches_serial`` checks."""
         run = HybridRunConfig(
             workers=3, steps=4, batch_size=48, seed=9, pipeline=True,
             checkpoint_every=2, checkpoint_dir=str(tmp_path),
@@ -164,15 +153,13 @@ class TestOrderedDeterminism:
     def test_single_worker_degenerate(self):
         run = HybridRunConfig(workers=1, steps=2, batch_size=16)
         assert_matches_serial(small_config(), run)
-        assert_matches_serial(small_config(), replace(run, pipeline=True))
 
-    @pytest.mark.parametrize("pipeline", [False, True])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_single_worker_is_the_plain_trainer(self, dtype, pipeline):
+    def test_single_worker_is_the_plain_trainer(self, dtype):
         """Serial = world 1: one worker process is bit-identical to the plain
         :class:`Trainer` on the same seeds — it runs the same ``train_step``."""
         config = small_config(dtype)
-        run = HybridRunConfig(workers=1, steps=3, batch_size=16, seed=11, pipeline=pipeline)
+        run = HybridRunConfig(workers=1, steps=3, batch_size=16, seed=11)
         got = run_hybrid(config, run)
         trainer = Trainer(
             model := DLRM(config, rng=derive_seed(run.seed, "model")),
@@ -191,26 +178,6 @@ class TestOrderedDeterminism:
             name: hashlib.sha256(table.weight.tobytes()).hexdigest()
             for name, table in model.embeddings.tables.items()
         }
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_two_workers_pipelined_bitwise_vs_serial(self, dtype):
-        run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7, pipeline=True)
-        assert_matches_serial(small_config(dtype), run)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_pipelined_equals_unpipelined_multiprocess(self, dtype):
-        config = small_config(dtype)
-        base = dict(workers=2, steps=3, batch_size=32, seed=5)
-        piped = run_hybrid(config, HybridRunConfig(**base, pipeline=True))
-        plain = run_hybrid(config, HybridRunConfig(**base))
-        assert_bit_identical(piped, plain)
-        assert plain.pipeline is None  # no prep thread: the cost is prep_wait
-        for ledger in plain.per_rank_pipeline:
-            assert_inline_ledger(ledger, 3)
-        assert piped.pipeline is not None
-        assert piped.pipeline["batches"] == 3
-        assert 0.0 <= piped.pipeline["overlap_fraction"] <= 1.0
-        assert [p["batches"] for p in piped.per_rank_pipeline] == [3, 3]
 
     def test_seed_changes_trajectory(self):
         config = small_config()
@@ -286,10 +253,9 @@ class TestOneModelPerRun:
         assert keys == [set(plan.owned(rank)) for rank in range(run.workers)]
         assert sum(map(len, keys)) == len(set().union(*keys)) == len(config.tables)
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_ranks_build_no_tables(self, parent_only_tables, reports, pipeline):
+    def test_ranks_build_no_tables(self, parent_only_tables, reports):
         config = small_config(num_tables=7)
-        run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7, pipeline=pipeline)
+        run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7)
         got = run_hybrid(config, run)
         assert_bit_identical(got, run_hybrid_serial(config, run))
         assert list(got.table_digests) == [t.name for t in config.tables]
@@ -313,7 +279,7 @@ class TestOneModelPerRun:
 
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("mode", ["inline", "pipeline", "resumed"])
+    @pytest.mark.parametrize("mode", ["inline", "resumed"])
     def test_every_table_has_one_copy(
         self, parent_only_tables, one_copy_per_table, reports, tmp_path, dtype, mode
     ):
@@ -323,7 +289,7 @@ class TestOneModelPerRun:
         reference."""
         config = small_config(dtype, num_tables=6)
         run = HybridRunConfig(
-            workers=2, steps=4, batch_size=32, seed=11, pipeline=mode == "pipeline",
+            workers=2, steps=4, batch_size=32, seed=11,
             checkpoint_every=2 if mode == "resumed" else 0,
             checkpoint_dir=str(tmp_path) if mode == "resumed" else None,
         )
