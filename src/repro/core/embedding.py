@@ -412,11 +412,11 @@ class EmbeddingTable:
 
         Truncation, bounds validation, the fused multi-feature CSR layout,
         per-sample lengths and the backward coalesce plans are all pure
-        functions of the *indices* — this is the work the data path
-        (:mod:`repro.pipeline`) does before the step.  An inference
-        plan (``training=False``) skips the coalesce plans, a sort per
-        feature that only :meth:`backward` reads; stat-keeping subclasses
-        (the tiered store) account training streams only.
+        functions of the *indices* — this is the work the training loop
+        (:meth:`~repro.core.training.Trainer.train`) does before the step.
+        An inference plan (``training=False``) skips the coalesce plans, a
+        sort per feature that only :meth:`backward` reads; stat-keeping
+        subclasses (the tiered store) account training streams only.
         """
         # _prepare validates bounds (or accepts the safe_bound certificate),
         # so the pooled product may skip its own check.

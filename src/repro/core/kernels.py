@@ -443,7 +443,7 @@ def coalesce_rows(indices: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, n
     within ~1 ULP (see the module docstring's numerical contract).
 
     Implemented as :func:`coalesce_plan` + :func:`coalesce_apply`, so the
-    inline path and any plan-ahead caller (:mod:`repro.pipeline`) share
+    inline path and any plan-ahead caller (the training loop) share
     one implementation — equality is by construction, not by parallel
     maintenance.
     """

@@ -28,7 +28,7 @@ from .interaction import make_interaction
 from .lanes import LANES, blas_threads, dot_floor, lane_count, stack_floor
 from .mlp import MLP, Linear, Parameter
 
-__all__ = ["Batch", "PreparedBatch", "DLRM"]
+__all__ = ["Batch", "DLRM"]
 
 
 class Batch:
@@ -68,48 +68,6 @@ class Batch:
     def total_lookups(self) -> int:
         """Total embedding lookups this batch triggers (cost driver, §III-A.2)."""
         return sum(r.total_lookups for r in self.sparse.values())
-
-
-class PreparedBatch:
-    """A :class:`Batch` plus its precomputed lookup plans.
-
-    Duck-types the batch surface the model and trainer touch (``dense``,
-    ``sparse``, ``labels``, ``size``, ``total_lookups``) and carries
-    ``plans`` — table name -> :class:`~repro.core.embedding.TablePlan` —
-    which :meth:`DLRM.forward` picks up via ``getattr(batch, "plans",
-    None)``.  ``seq`` is the batch's position in its stream.
-    """
-
-    __slots__ = ("batch", "plans", "seq")
-
-    def __init__(
-        self,
-        batch: Batch,
-        plans: dict[str, TablePlan] | None,
-        seq: int = 0,
-    ) -> None:
-        self.batch = batch
-        self.plans = plans
-        self.seq = seq
-
-    @property
-    def dense(self) -> np.ndarray:
-        return self.batch.dense
-
-    @property
-    def sparse(self) -> dict[str, RaggedIndices]:
-        return self.batch.sparse
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.batch.labels
-
-    @property
-    def size(self) -> int:
-        return self.batch.size
-
-    def total_lookups(self) -> int:
-        return self.batch.total_lookups()
 
 
 class DLRM:
@@ -240,7 +198,13 @@ class DLRM:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, batch: Batch, *, training: bool = True) -> np.ndarray:
+    def forward(
+        self,
+        batch: Batch,
+        *,
+        training: bool = True,
+        plans: dict[str, TablePlan] | None = None,
+    ) -> np.ndarray:
         """Compute click logits for a batch; returns shape ``(batch,)``.
 
         ``training=False`` is the inference fast path: no activations are
@@ -250,6 +214,11 @@ class DLRM:
         serving replicas (:mod:`repro.serving.replica`) and
         :meth:`predict_proba` use it.  ``backward`` after an
         inference-only forward raises.
+
+        ``plans`` (table name -> :class:`TablePlan`, from
+        ``self.embeddings.plan_batch(batch.sparse)``) are the batch's lookup
+        plans when the caller built them already (every training step);
+        without them the collection plans inline, by the same code.
         """
         if batch.dense.shape[1] != self.config.num_dense:
             raise ValueError(
@@ -259,12 +228,7 @@ class DLRM:
         dense_out = self.bottom_mlp.forward(
             batch.dense.astype(self.dtype, copy=False), training=training
         )
-        # A PreparedBatch (every training step's) carries the precomputed
-        # per-table lookup plans; plain batches don't, and the collection
-        # builds them inline from the same code path.
-        pooled = self.embeddings.forward(
-            batch.sparse, training=training, plans=getattr(batch, "plans", None)
-        )
+        pooled = self.embeddings.forward(batch.sparse, training=training, plans=plans)
         # The collection's features are the config's tables, in order, so
         # its feature-major array goes to the interaction as it is.
         interacted = self.interaction.forward(dense_out, pooled.array, training=training)

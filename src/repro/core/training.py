@@ -11,6 +11,7 @@ gradient exchanges off the same step through the seam documented on
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -20,7 +21,8 @@ from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
-from .model import Batch, DLRM, PreparedBatch
+from .embedding import TablePlan
+from .model import Batch, DLRM
 
 __all__ = ["TrainResult", "Trainer", "evaluate"]
 
@@ -33,9 +35,8 @@ class TrainResult:
     examples_seen: int
     final_loss: float
     loss_history: list[float] = field(default_factory=list)
-    #: Prep ledger of the run's data path (``PipelineStats.as_dict()``,
-    #: see :mod:`repro.pipeline`): ``prep_busy_s`` and ``batches``, with
-    #: overlap 0, no prep stall and ``compute_stall_s == prep_busy_s``.
+    #: The run's prep ledger (:func:`prep_ledger`): the seconds
+    #: :meth:`Trainer.train` spent pulling and planning its batches.
     pipeline: dict = field(default_factory=dict)
 
     @property
@@ -43,6 +44,20 @@ class TrainResult:
         """Mean of the last 10% of steps — less noisy than the last batch."""
         tail = max(1, len(self.loss_history) // 10)
         return float(np.mean(self.loss_history[-tail:]))
+
+
+def prep_ledger(prep_busy_s: float, batches: int) -> dict[str, float]:
+    """The prep ledger of ``batches`` batches prepared inline in
+    ``prep_busy_s`` seconds, under the stall vocabulary its readers share:
+    nothing waits on a full buffer (``prep_stall_s`` 0), the step loop
+    stalls for all of the prep and none of it is hidden."""
+    return {
+        "prep_busy_s": prep_busy_s,
+        "prep_stall_s": 0.0,
+        "compute_stall_s": prep_busy_s,
+        "overlap_fraction": 0.0,
+        "batches": batches,
+    }
 
 
 def evaluate(model: DLRM, batches: Iterable[Batch]) -> dict[str, float]:
@@ -143,8 +158,7 @@ class Trainer:
             t for t in model.embedding_tables() if getattr(t, "is_tiered", False)
         ]
         # ``pipeline`` is accepted for the callers that still pass it and
-        # moves no work: :meth:`train` prepares every batch inline
-        # (:mod:`repro.pipeline`).
+        # moves no work: :meth:`train` prepares every batch inline.
         if not isinstance(pipeline, bool):
             raise TypeError(
                 f"pipeline must be a bool, got {type(pipeline).__name__}"
@@ -187,12 +201,16 @@ class Trainer:
                 raise ValueError("step_index must be >= 0")
             self._step_index = step_index
 
-    def train_step(self, batch: Batch | PreparedBatch) -> float:
+    def train_step(
+        self, batch: Batch, plans: dict[str, TablePlan] | None = None
+    ) -> float:
         """One forward/backward/update; returns the batch loss.
 
-        A raw :class:`Batch` is planned here first (what :meth:`train`'s
-        data path does for its batches), so every step's
-        lookups and tier accounting come from its own plans."""
+        ``plans`` are the batch's lookup plans
+        (``model.embeddings.plan_batch(batch.sparse)``, what :meth:`train`
+        builds for its batches); without them the batch is planned here
+        first, so every step's lookups and tier accounting come from its
+        own plans."""
         tracer = self.tracer
         fused = self.fused
         on_stage = self.on_stage
@@ -201,13 +219,12 @@ class Trainer:
             step=self._step_index, batch=batch.size, fused=fused,
             backend=self.backend.name,
         ), self.model.bound_lanes(self.optimizer):
-            if getattr(batch, "plans", None) is None:
+            if plans is None:
                 plans = self.model.embeddings.plan_batch(batch.sparse)
-                batch = PreparedBatch(batch, plans)
             self.optimizer.zero_grad()
             with tracer.span("forward", "compute", fused=fused):
                 with tracer.span("model_forward", "compute"):
-                    logits = self.model.forward(batch)
+                    logits = self.model.forward(batch, plans=plans)
                 with tracer.span("loss_forward", "compute"):
                     loss_value = self.loss.forward(logits, batch.labels)
                 if on_stage is not None:
@@ -224,7 +241,7 @@ class Trainer:
             with tracer.span("optimizer_step", "compute", fused=fused):
                 self.optimizer.step()
             if self._tiered_tables:
-                self._publish_tier_metrics(batch.plans)
+                self._publish_tier_metrics(plans)
         self._step_index += 1
         return loss_value
 
@@ -275,73 +292,62 @@ class Trainer:
         sizes take proportionally fewer optimizer steps — the mechanism
         behind the accuracy gap the paper reports.
 
-        Batches reach the steps through
-        :class:`~repro.pipeline.PrefetchPipeline`, which prepares each one
-        when the loop pulls it and whose ledger the result carries.  The loop pulls exactly the batches it steps, under
-        a step or an example budget, so one iterator can be shared across
-        several ``train`` calls (checkpoint resume).
+        The loop prepares each batch when it pulls it: the pull (the
+        batch's generation) and its lookup plans are timed, recorded as a
+        ``pipeline.prep`` span on the trainer's tracer and summed into
+        :attr:`TrainResult.pipeline`.  It pulls exactly the batches it
+        steps, under a step or an example budget, so one iterator can be
+        shared across several ``train`` calls (checkpoint resume).
         """
         if max_examples is None and max_steps is None:
             raise ValueError("provide max_examples and/or max_steps")
-        from ..pipeline import PrefetchPipeline
-
-        embeddings = self.model.embeddings
-
-        def plan_fn(batch: Batch):
-            return embeddings.plan_batch(batch.sparse)
-
-        prepared = PrefetchPipeline(batches, plan_fn, tracer=self.tracer)
-        result = _train_loop(self.train_step, prepared, max_examples, max_steps)
-        result.pipeline = prepared.stats.as_dict()
-        if self.metrics is not None:
-            self.metrics.counter("pipeline_prep_busy_s").inc(prepared.stats.prep_busy_s)
-        return result
-
-
-def _train_loop(
-    step: Callable[[Batch], float],
-    batches: Iterator[Batch],
-    max_examples: int | None,
-    max_steps: int | None,
-) -> TrainResult:
-    """The one budget loop: feed ``batches`` to ``step`` until a budget is met."""
-    budget = f"max_examples={max_examples}, max_steps={max_steps}"
-    history: list[float] = []
-    examples = 0
-    batches = iter(batches)
-    # Check budgets *before* pulling from the stream: the iterator may
-    # be shared (e.g. resuming after a checkpoint restore), and pulling
-    # a batch that is then discarded would silently skip data.
-    while True:
-        if max_steps is not None and len(history) >= max_steps:
-            break
-        if max_examples is not None and examples >= max_examples:
-            break
-        try:
-            batch = next(batches)
-        except StopIteration:
-            # The stream is only pulled while every budget is still open, so
-            # it ran dry early; silently returning would misreport the run
-            # as having consumed its budget.
-            if not history:
+        budget = f"max_examples={max_examples}, max_steps={max_steps}"
+        plan_batch = self.model.embeddings.plan_batch
+        history: list[float] = []
+        examples = 0
+        prep_s = 0.0
+        batches = iter(batches)
+        # Check budgets *before* pulling from the stream: the iterator may
+        # be shared (e.g. resuming after a checkpoint restore), and pulling
+        # a batch that is then discarded would silently skip data.
+        while True:
+            if max_steps is not None and len(history) >= max_steps:
+                break
+            if max_examples is not None and examples >= max_examples:
+                break
+            # t0 is taken before the pull: generating the batch is prep
+            # time, like planning it
+            t0 = time.perf_counter()
+            try:
+                batch = next(batches)
+            except StopIteration:
+                # The stream is only pulled while every budget is still
+                # open, so it ran dry early; silently returning would
+                # misreport the run as having consumed its budget.
+                if not history:
+                    raise ValueError(
+                        f"batch stream was empty before the first step (budget: {budget})"
+                    ) from None
                 raise ValueError(
-                    f"batch stream was empty before the first step (budget: {budget})"
+                    f"batch stream ended after {examples} examples ({len(history)} steps), "
+                    f"short of the training budget ({budget})"
                 ) from None
-            raise ValueError(
-                f"batch stream ended after {examples} examples ({len(history)} steps), "
-                f"short of the training budget ({budget})"
-            ) from None
-        history.append(step(batch))
-        # The final batch may overshoot the example budget; every one of
-        # its examples contributed to the last gradient, so all of them
-        # count toward ``examples_seen`` (it can exceed ``max_examples``
-        # by at most one batch).
-        examples += batch.size
-    if not history:
-        raise ValueError(f"budget permits no training steps (budget: {budget})")
-    return TrainResult(
-        steps=len(history),
-        examples_seen=examples,
-        final_loss=history[-1],
-        loss_history=history,
-    )
+            plans = plan_batch(batch.sparse)
+            busy = time.perf_counter() - t0
+            self.tracer.record("pipeline.prep", "pipeline", t0, busy, seq=len(history))
+            prep_s += busy
+            history.append(self.train_step(batch, plans))
+            # The final batch may overshoot the example budget; every one of
+            # its examples contributed to the last gradient, so all of them
+            # count toward ``examples_seen`` (it can exceed ``max_examples``
+            # by at most one batch).
+            examples += batch.size
+        if not history:
+            raise ValueError(f"budget permits no training steps (budget: {budget})")
+        return TrainResult(
+            steps=len(history),
+            examples_seen=examples,
+            final_loss=history[-1],
+            loss_history=history,
+            pipeline=prep_ledger(prep_s, len(history)),
+        )

@@ -2,8 +2,8 @@
 
 Facebook decouples *reader servers* from trainers so data loading never
 stalls training (paper §IV-B.2).  The timing behaviour of reader servers
-lives in :mod:`repro.distributed`; a trainer's own batch prep is
-:class:`repro.pipeline.PrefetchPipeline`.
+lives in :mod:`repro.distributed`; a trainer's own batch prep is timed
+inside :meth:`repro.core.training.Trainer.train`.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...core.config import ModelConfig
-from ...obs.tracer import NULL_TRACER
 from ...resilience.faults import ComponentKind, FaultInjector, FaultPlan
 from ...resilience.recovery import GoodputLedger
 from ...resilience.retry import RetriesExhausted, RetryPolicy
@@ -197,8 +196,6 @@ def run_hybrid_ft(
     *,
     policy: RestartPolicy | None = None,
     kills: list[KillSpec] | None = None,
-    tracer=None,
-    registry=None,
 ) -> FtResult:
     """Train to completion across real worker deaths, restarting from the
     newest valid checkpoint under ``policy``.
@@ -215,7 +212,6 @@ def run_hybrid_ft(
     ``run.drain_timeout_s``), never by hanging out ``collect_timeout_s``.
     """
     policy = policy or RestartPolicy()
-    tracer = tracer if tracer is not None else NULL_TRACER
     kills = list(kills or [])
     rng = np.random.default_rng(derive_seed(run.seed, "ft-backoff"))
     ledger = GoodputLedger()
@@ -228,9 +224,7 @@ def run_hybrid_ft(
         attempt_kills = [k for k in kills if k.attempt == attempt]
         start = resume.step if resume is not None else 0
         try:
-            result = run_hybrid(
-                config, run, tracer, kills=attempt_kills, resume=resume
-            )
+            result = run_hybrid(config, run, kills=attempt_kills, resume=resume)
         except WorkerCrashError as err:
             ledger.crashes += 1
             at_step = max(err.progress.values(), default=start)
@@ -252,8 +246,6 @@ def run_hybrid_ft(
             scan_s = time.perf_counter() - t_scan
             resumed_step = manifest.step if manifest is not None else -1
             if attempt >= policy.max_restarts:
-                if registry is not None:
-                    _publish(registry, ledger, len(crashes) + 1, attempt)
                 raise RetriesExhausted(
                     "mp worker set", attempt + 1, last_error=str(err)
                 ) from err
@@ -281,16 +273,6 @@ def run_hybrid_ft(
                     restore_s=restore_s,
                 )
             )
-            tracer.record(
-                "mp.ft.restore",
-                "io",
-                0.0,
-                restore_s,
-                tid=0,
-                attempt=attempt,
-                rank=err.rank,
-                resumed_step=resumed_step,
-            )
             attempt += 1
             continue
         break
@@ -300,8 +282,6 @@ def run_hybrid_ft(
         ledger, run, start, run.steps, set(all_checkpoints), all_checkpoints
     )
     wall_s = time.perf_counter() - t0
-    if registry is not None:
-        _publish(registry, ledger, len(crashes), attempt)
     return FtResult(
         result=result,
         ledger=ledger,
@@ -310,12 +290,3 @@ def run_hybrid_ft(
         checkpoints=sorted(all_checkpoints.items()),
         wall_s=wall_s,
     )
-
-
-def _publish(registry, ledger: GoodputLedger, crashes: int, restarts: int) -> None:
-    registry.counter("mp.ft.crashes").inc(crashes)
-    registry.counter("mp.ft.restarts").inc(restarts)
-    registry.counter("mp.ft.checkpoints").inc(ledger.checkpoints_taken)
-    registry.counter("mp.ft.lost_examples").inc(ledger.lost_examples)
-    registry.gauge("mp.ft.checkpoint_time_s").set(ledger.checkpoint_time_s)
-    registry.gauge("mp.ft.recovery_time_s").set(ledger.recovery_time_s)

@@ -70,9 +70,9 @@ from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
 from ...core.lanes import blas_threads, free_cores, lane_count, take_share
 from ...core.loss import BCEWithLogitsLoss
+from ...core.training import prep_ledger
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
-from ...pipeline import PipelineStats, PrefetchPipeline
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import PackedAllreduce
@@ -117,9 +117,9 @@ class HybridRunConfig:
     ``drain_timeout_s`` — ``collect_timeout_s`` remains only the
     no-progress backstop.
 
-    ``pipeline`` moves no work: every worker prepares its batches inline
-    (:class:`~repro.pipeline.PrefetchPipeline`), on its main thread.  It
-    only asks for :attr:`HybridResult.pipeline`, the run's prep ledger.
+    ``pipeline`` moves no work: every worker pulls and plans its batches
+    inline, on its main thread.  It only asks for
+    :attr:`HybridResult.pipeline`, the run's prep ledger.
     """
 
     workers: int = 2
@@ -227,7 +227,6 @@ class WorkerReport:
     losses: list[float]
     step_s: list[float]
     phase_s: dict[str, float]
-    comm_s: float
     dense_digest: str
     #: sha256 over each table this rank owns, after its last step.
     table_digests: dict[str, str]
@@ -249,7 +248,7 @@ class HybridResult:
     step_time_s: float  # best post-warmup step wall time
     mean_step_s: float
     phase_s: dict[str, float]  # max over ranks, per phase
-    comm_s: float
+    comm_s: float  # max over ranks of sparse_exchange + dense_wait
     dense_digest: str  # sha256 over the dense parameters (rank 0 replica)
     table_digests: dict[str, str]  # sha256 over each embedding shard
     plan: ShardPlan | None = None
@@ -257,7 +256,7 @@ class HybridResult:
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     #: global step this run resumed from (0 = trained from scratch).
     resumed_from: int = 0
-    #: prep ledger (``PipelineStats.as_dict()``) of a run with
+    #: prep ledger (:func:`~repro.core.training.prep_ledger`) of a run with
     #: ``pipeline=True``: the slowest rank's ``phase_s["prep_wait"]`` over
     #: the executed steps; ``None`` otherwise.
     pipeline: dict[str, float] | None = None
@@ -533,17 +532,13 @@ def _worker_main(
         losses = list(resume.per_rank_losses[rank])  # one entry per resumed step
         restore_arrays(resume.arrays, model, optimizer, tables=owned)
 
-    # Every step consumes a PreparedBatch (batch + lookup plans), prepared
-    # inline when the loop pulls it.  batch_stream consumes the rng exactly
-    # like generating all ``run.steps`` batches and dropping the replayed
-    # prefix, so a resumed run sees the uninterrupted run's data order.
+    # Every step takes a batch and its lookup plans, pulled and planned
+    # inline.  batch_stream consumes the rng exactly like generating all
+    # ``run.steps`` batches and dropping the replayed prefix, so a resumed
+    # run sees the uninterrupted run's data order.
     gen = SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", rank))
     stream = gen.batch_stream(run.local_batch, run.steps, skip=start)
-
-    def plan_fn(batch):
-        return model.embeddings.plan_batch(batch.sparse)
-
-    batches = PrefetchPipeline(stream, plan_fn)
+    plan_batch = model.embeddings.plan_batch
     mesh = fabric.mesh(rank)
     allreduce = PackedAllreduce(
         rank, world, mesh.get((rank - 1) % world), mesh.get((rank + 1) % world),
@@ -646,10 +641,11 @@ def _worker_main(
     try:
         barrier.wait(timeout=run.barrier_timeout_s)
         with tracer.span("prep_wait", "pipeline"):
-            batch = next(batches)
+            batch = next(stream)
+            plans = plan_batch(batch.sparse)
         for gstep in range(start, run.steps):
             t_step = time.perf_counter()
-            loss_val = trainer.train_step(batch)
+            loss_val = trainer.train_step(batch, plans)
             losses.append(loss_val)
             conn.send(("step", rank, gstep + 1, loss_val))
             if run.checkpoint_every and (gstep + 1) % run.checkpoint_every == 0:
@@ -663,7 +659,8 @@ def _worker_main(
                 # rank that is ahead preps while it would otherwise wait
                 # (prep_wait is this rank's whole prep stage).
                 with tracer.span("prep_wait", "pipeline"):
-                    batch = next(batches)
+                    batch = next(stream)
+                    plans = plan_batch(batch.sparse)
             # All shard writes must land before any rank's next forward.
             with tracer.span("barrier", "comm"):
                 barrier.wait(run.barrier_timeout_s)
@@ -675,7 +672,6 @@ def _worker_main(
             losses=losses,
             step_s=step_s,
             phase_s=phase_s,
-            comm_s=phase_s["sparse_exchange"] + phase_s["dense_wait"],
             dense_digest=_dense_digest(model),
             # the final barrier is behind us, but an owned table is written
             # by no other rank: its digest is final since our last step
@@ -1006,16 +1002,15 @@ def run_hybrid(
         step_time_s=min(effective),
         mean_step_s=sum(effective) / len(effective),
         phase_s=phase_max,
-        comm_s=max(r.comm_s for r in reports),
+        comm_s=max(
+            r.phase_s["sparse_exchange"] + r.phase_s["dense_wait"] for r in reports
+        ),
         dense_digest=reports[0].dense_digest,
         table_digests=table_digests,
         plan=plan,
         checkpoints=checkpoints,
         resumed_from=start,
-        pipeline=(
-            PipelineStats(phase_max["prep_wait"], executed).as_dict()
-            if run.pipeline else None
-        ),
+        pipeline=prep_ledger(phase_max["prep_wait"], executed) if run.pipeline else None,
         per_rank_cores=[r.cores for r in reports],
     )
 

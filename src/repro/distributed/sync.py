@@ -14,6 +14,7 @@ are updated Hogwild-style by every worker).  Each worker's local step is
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -92,13 +93,12 @@ class EASGDTrainer:
         ]
         self.workers: list[DLRM] = []
         self.trainers: list[Trainer] = []
+        center = self.center_model
         for _ in range(easgd.num_workers):
-            worker = DLRM(config, rng=rng)
-            # Share the embedding tables physically: all workers look up and
-            # update the same arrays, like trainers hitting one sparse PS.
-            worker.embeddings = self.center_model.embeddings
-            worker._feature_order = self.center_model._feature_order
-            worker.set_dense_state(self.center_state)
+            # A copy of the center that shares its embedding collection: all
+            # workers look up and update the same arrays, like trainers
+            # hitting one sparse PS, and draw no tables of their own.
+            worker = copy.deepcopy(center, memo={id(center.embeddings): center.embeddings})
             self.workers.append(worker)
             self.trainers.append(self._trainer(worker))
         self.steps = 0

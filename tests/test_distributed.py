@@ -7,6 +7,7 @@ import pytest
 
 from repro.configs import make_test_model
 from repro.core import DLRM, Adagrad, Trainer, evaluate
+from repro.core import embedding as embedding_mod
 from repro.data import SyntheticDataGenerator
 from repro.distributed import (
     ClusterConfig,
@@ -189,6 +190,17 @@ class TestEASGD:
         t0 = trainer.workers[0].embedding_tables()[0]
         t1 = trainer.workers[1].embedding_tables()[0]
         assert t0 is t1
+
+    def test_workers_draw_no_tables(self, tiny_config, monkeypatch):
+        """Only the center draws its tables: the workers share them."""
+        draws = []
+        draw = embedding_mod._draw_uniform
+        monkeypatch.setattr(
+            embedding_mod, "_draw_uniform",
+            lambda weight, *args: (draws.append(weight.shape), draw(weight, *args)),
+        )
+        EASGDTrainer(tiny_config, EASGDConfig(num_workers=4), rng=0)
+        assert len(draws) == len(tiny_config.tables)
 
     def test_round_requires_matching_batches(self, tiny_config, tiny_generator):
         trainer = EASGDTrainer(tiny_config, EASGDConfig(num_workers=2), rng=0)

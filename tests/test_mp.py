@@ -26,6 +26,7 @@ from repro.core import optim as optim_mod
 from repro.core.embedding import EmbeddingTable
 from repro.core.lanes import free_cores
 from repro.core.loss import BCEWithLogitsLoss
+from repro.core.training import prep_ledger
 from repro.data import SyntheticDataGenerator
 from repro.distributed.mp import (
     CommProfile,
@@ -40,7 +41,6 @@ from repro.distributed.mp import (
     run_hybrid_serial,
 )
 from repro.distributed.mp import hybrid
-from repro.pipeline import PipelineStats
 from repro.runtime.runner import derive_seed
 
 
@@ -112,7 +112,7 @@ def assert_matches_serial(config, run) -> None:
     assert_bit_identical(got, run_hybrid_serial(config, run))
     assert got.phase_s["prep_wait"] > 0  # the whole prep stage
     if run.pipeline:
-        assert got.pipeline == PipelineStats(got.phase_s["prep_wait"], run.steps).as_dict()
+        assert got.pipeline == prep_ledger(got.phase_s["prep_wait"], run.steps)
     else:
         assert got.pipeline is None
     # the phase ledger is span self time folded per step: nine disjoint phases

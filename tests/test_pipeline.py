@@ -1,7 +1,7 @@
-"""The training data path (:mod:`repro.pipeline`) and the pieces it is
-built from: plan-ahead coalesce kernels, ``touched_rows`` == ``pop_grad``
-rows, the prep ledger, the step budget, stream order, exhaustion and error
-propagation, and the lanes a step keeps (no prep thread holds a core).
+"""The training data path (the loop of :meth:`Trainer.train`) and the
+pieces it is built from: plan-ahead coalesce kernels, ``touched_rows`` ==
+``pop_grad`` rows, the prep ledger, the step budget, error propagation,
+and the lanes a step keeps (no prep thread holds a core).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.core import kernels, lanes
 from repro.core.config import InteractionType, MLPSpec, ModelConfig, uniform_tables
 from repro.data import SyntheticDataGenerator
 from repro.obs import MetricsRegistry, Tracer
-from repro.pipeline import PrefetchPipeline
 from repro.tiering import TieredStoreConfig
 
 common = settings(
@@ -186,6 +185,22 @@ class TestTrainerBitIdentity:
             assert table.stats == ref.stats
             assert table.hot_chunks.tolist() == ref.hot_chunks.tolist()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_step_plans_as_its_caller_does(self, dtype):
+        """``train_step(batch)`` plans the batch itself, bit for bit what
+        ``train_step(batch, plans)`` does with the caller's plans."""
+        (model, gen), (twin, _) = _tiny(dtype), _tiny(dtype)
+        raw, planned = _trainer(model), _trainer(twin)
+        for batch in gen.batches(8, 3):
+            plans = twin.embeddings.plan_batch(batch.sparse)
+            assert raw.train_step(batch) == planned.train_step(batch, plans)
+
+        def state(m):
+            tables = [t.weight for t in m.embedding_tables()]
+            return [a.tobytes() for a in m.get_dense_state() + tables]
+
+        assert state(model) == state(twin)
+
 
 # ---------------------------------------------------------------------------
 # prep ledger, lanes, stream order, error propagation
@@ -210,6 +225,12 @@ def _trainer(model, **kwargs):
     )
 
 
+def _tiny(dtype="float64"):
+    """A tiny model and a seeded batch source over its config."""
+    config = _tiny_config(dtype)
+    return DLRM(config, rng=0), SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+
+
 def _tiny_config(dtype="float64"):
     return ModelConfig(
         name="pipe-tiny",
@@ -224,18 +245,8 @@ def _tiny_config(dtype="float64"):
 
 class TestStallLedger:
     def test_ledger_shape_and_bounds(self):
-        config = _tiny_config()
-        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
-        model = DLRM(config, rng=0)
-        trainer = Trainer(
-            model,
-            lambda m: Adagrad(
-                m.dense_parameters(), m.embedding_tables(), lr=0.05, backend=m.backend
-            ),
-            pipeline=True,
-        )
-        result = trainer.train(gen.batches(8, 5), max_steps=5)
-        ledger = result.pipeline
+        model, gen = _tiny()
+        ledger = _trainer(model, pipeline=True).train(gen.batches(8, 5), max_steps=5).pipeline
         assert set(ledger) == {
             "prep_busy_s", "prep_stall_s", "compute_stall_s", "overlap_fraction",
             "batches",
@@ -245,33 +256,27 @@ class TestStallLedger:
     def test_batch_generation_counts_as_prep_work(self):
         """Pulling a batch from the source is generation, which the ledger
         counts as busy time, not only the plans built after it."""
-        nap, batches = 0.02, 4
+        model, gen = _tiny()
+        nap, steps = 0.02, 4
 
         def slow_source():
-            for i in range(batches):
+            for batch in gen.batches(8, steps):
                 time.sleep(nap)
-                yield i
+                yield batch
 
-        pipe = PrefetchPipeline(slow_source())
-        assert [p.batch for p in pipe] == list(range(batches))
-        assert pipe.stats.prep_busy_s >= batches * nap
+        result = _trainer(model).train(slow_source(), max_steps=steps)
+        assert_inline_ledger(result.pipeline, steps)
+        assert result.pipeline["prep_busy_s"] >= steps * nap
 
     def test_inline_run_reports_the_depth_0_ledger(self):
-        config = _tiny_config()
-        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
-        metrics = MetricsRegistry()
-        trainer = _trainer(DLRM(config, rng=0), metrics=metrics)
-        result = trainer.train(gen.batches(8, 2), max_steps=2)
+        model, gen = _tiny()
+        result = _trainer(model).train(gen.batches(8, 2), max_steps=2)
         assert_inline_ledger(result.pipeline, 2)
-        assert metrics.get("pipeline_prep_busy_s").value == result.pipeline["prep_busy_s"]
 
     def test_inline_prep_spans_are_on_the_consumer_lane(self):
-        config = _tiny_config()
-        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+        model, gen = _tiny()
         tracer = Tracer()
-        _trainer(DLRM(config, rng=0), tracer=tracer).train(
-            gen.batches(8, 3), max_steps=3
-        )
+        _trainer(model, tracer=tracer).train(gen.batches(8, 3), max_steps=3)
         prep = [s for s in tracer.spans if s.name == "pipeline.prep"]
         assert [s.attributes["seq"] for s in prep] == [0, 1, 2]
         assert {s.tid for s in prep} == {0}
@@ -284,15 +289,14 @@ class TestLifecycle:
 
     def test_inline_trainer_holds_no_core(self):
         """No prep thread: every step gets all the lanes."""
-        config = _tiny_config()
-        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
-        trainer = _trainer(DLRM(config, rng=0))
+        model, gen = _tiny()
+        trainer = _trainer(model)
         seen = []
         step = trainer.train_step
 
-        def counted_step(batch):
+        def counted_step(batch, plans):
             seen.append(lanes.lane_count())
-            return step(batch)
+            return step(batch, plans)
 
         trainer.train_step = counted_step
         trainer.train(gen.batches(8, 3), max_steps=3)
@@ -310,60 +314,31 @@ class TestLifecycle:
                 prep = [t for t in threading.enumerate() if t.name.startswith("pipeline-")]
                 seen.append((lanes.lane_count(), len(prep)))
 
-        config = _tiny_config()
-        gen = SyntheticDataGenerator(config, rng=3, seed_teacher=True)
+        model, gen = _tiny()
         trainer = Watched(
-            DLRM(config, rng=0),
+            model,
             lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05),
             pipeline=True,
         )
         trainer.train(gen.batches(8, 3), max_steps=3)
         assert seen == [(2, 0)] * 6  # "loss" and "grads", three steps
 
-    def test_yields_source_order_with_seq(self):
-        pipe = PrefetchPipeline(iter(range(7)))
-        assert [(p.seq, p.batch) for p in pipe] == [(i, i) for i in range(7)]
-        assert pipe.stats.batches == 7
-
-    def test_a_dropped_pipeline_frees_its_last_batch_at_once(self):
-        """Nothing refers back to the pipeline, so dropping it frees the
-        batch it last yielded and its source without the cyclic collector:
-        a cycle kept a batch, its plans and the source per ``train`` call
-        alive (24 MB more peak RSS on perfbench's ``train_dot``)."""
-
-        class Item:
-            pass
-
-        first = Item()
-        freed = weakref.ref(first)
-        pipe = PrefetchPipeline(iter([first, Item()]))
-        assert next(pipe).batch is first
+    def test_a_finished_run_frees_its_last_batch_at_once(self):
+        """Nothing outlives ``train`` that refers to its batches, so the
+        last one (and its plans) is freed without the cyclic collector: a
+        cycle that kept a batch, its plans and the source per ``train``
+        call read +9.6 % peak RSS on perfbench's ``train_dot``."""
+        model, gen = _tiny()
+        trainer = _trainer(model)
+        last = gen.batch(8)
+        freed = weakref.ref(last)
         gc.disable()
         try:
-            del first, pipe
+            trainer.train(iter([gen.batch(8), last]), max_steps=2)
+            del last
             assert freed() is None
         finally:
             gc.enable()
-
-    def test_exhausted_pipeline_keeps_stopping(self):
-        """A ``next()`` after the end of the stream, or after the source
-        raised, raises StopIteration."""
-
-        def broken():
-            yield 1
-            raise RuntimeError("generator exploded")
-
-        pipe = PrefetchPipeline(iter(range(3)))
-        assert len(list(pipe)) == 3
-        for _ in range(2):
-            with pytest.raises(StopIteration):
-                next(pipe)
-        pipe = PrefetchPipeline(broken())
-        next(pipe)
-        with pytest.raises(RuntimeError, match="exploded"):
-            next(pipe)
-        with pytest.raises(StopIteration):
-            next(pipe)
 
     def test_trainer_pipeline_must_be_bool(self):
         with pytest.raises(TypeError, match="pipeline"):
@@ -372,23 +347,30 @@ class TestLifecycle:
 
 class TestErrorPropagation:
     def test_inline_source_error_surfaces_in_stream_order(self):
+        """A source that raises after two batches: ``train`` raises its
+        error after two steps."""
+        model, gen = _tiny()
+
         def source():
-            yield 1
+            yield from gen.batches(8, 2)
             raise RuntimeError("generator exploded")
 
-        pipe = PrefetchPipeline(source())
-        assert next(pipe).batch == 1
+        trainer = _trainer(model)
         with pytest.raises(RuntimeError, match="generator exploded"):
-            next(pipe)
-        assert pipe.stats.batches == 1
+            trainer.train(source(), max_steps=5)
+        assert trainer.step_index == 2
 
     def test_plan_fn_error_surfaces(self):
-        def bad_plan(_batch):
-            raise ValueError("bad plan")
-
-        pipe = PrefetchPipeline(iter([1]), plan_fn=bad_plan)
-        with pytest.raises(ValueError, match="bad plan"):
-            next(pipe)
+        """An index out of its table's range raises while the batch is
+        planned, before its step."""
+        model, gen = _tiny()
+        good, bad = gen.batch(4), gen.batch(4)
+        table = model.config.tables[0]
+        bad.sparse[table.name] = RaggedIndices.from_lists([[table.hash_size]] * 4)
+        trainer = _trainer(model)
+        with pytest.raises(IndexError, match="out of range"):
+            trainer.train(iter([good, bad]), max_steps=2)
+        assert trainer.step_index == 1
 
 
 # ---------------------------------------------------------------------------
