@@ -15,7 +15,7 @@ from .allreduce import (
     ring_ordered_sum,
     tree_sum,
 )
-from .channels import Channel, ChannelClosed, exchange_frames, transfer
+from .channels import Channel, ChannelClosed, transfer
 from .ckpt import (
     Manifest,
     ResumeState,
@@ -62,7 +62,6 @@ __all__ = [
     "VerifiedManifest",
     "WorkerCrashError",
     "build_resume",
-    "exchange_frames",
     "get_timeouts",
     "kills_from_plan",
     "latest_valid_manifest",

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["Channel", "ChannelClosed", "transfer", "exchange_frames"]
+__all__ = ["Channel", "ChannelClosed", "transfer"]
 
 _LEN = struct.Struct("<Q")
 
@@ -108,43 +108,78 @@ class Channel:
         return buf
 
 
+#: Most bytes one send hands the kernel, and most buffers one sendmsg or
+#: recvmsg_into names (Linux's IOV_MAX is 1024).
+_CHUNK = 1 << 20
+_IOV = 64
+
+
+def _views(payload, send: bool) -> list[memoryview]:
+    """The non-empty byte views of one buffer or of a list of buffers.  A
+    strided array is copied to be sent; one to receive into raises."""
+    views = []
+    for part in payload if isinstance(payload, list) else [payload]:
+        if send and isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part)
+        view = memoryview(part).cast("B")
+        if len(view):
+            views.append(view)
+    return views
+
+
+def _consume(views: list[memoryview], n: int) -> None:
+    """Drop the first ``n`` bytes of ``views``, in place."""
+    while n:
+        k = len(views[0])
+        if n < k:
+            views[0] = views[0][n:]
+            return
+        del views[0]
+        n -= k
+
+
 class _SendState:
-    __slots__ = ("channel", "view", "done")
+    __slots__ = ("channel", "views", "done")
 
     def __init__(self, channel: Channel, payload) -> None:
         self.channel = channel
-        self.view = memoryview(payload).cast("B")
-        self.done = len(self.view) == 0
+        self.views = _views(payload, send=True)
+        self.done = not self.views
 
     def pump(self) -> None:
+        head, room = [], _CHUNK
+        for view in self.views[:_IOV]:
+            head.append(view[:room])
+            room -= len(head[-1])
+            if not room:
+                break
         try:
-            sent = self.channel.sock.send(self.view[: 1 << 20])
+            sent = self.channel.sock.sendmsg(head)
         except BlockingIOError:  # spurious writability — next select round
             return
-        self.view = self.view[sent:]
-        self.done = len(self.view) == 0
+        _consume(self.views, sent)
+        self.done = not self.views
 
 
 class _RecvState:
-    __slots__ = ("channel", "view", "got", "done")
+    __slots__ = ("channel", "views", "done")
 
     def __init__(self, channel: Channel, buffer) -> None:
         self.channel = channel
-        self.view = memoryview(buffer).cast("B")
-        self.got = 0
-        self.done = len(self.view) == 0
+        self.views = _views(buffer, send=False)
+        self.done = not self.views
 
     def pump(self) -> None:
         try:
-            n = self.channel.sock.recv_into(self.view[self.got :])
+            n = self.channel.sock.recvmsg_into(self.views[:_IOV])[0]
         except BlockingIOError:  # spurious readability — next select round
             return
         if n == 0:
             raise ChannelClosed(
                 "peer closed during transfer", peer=self.channel.peer
             )
-        self.got += n
-        self.done = self.got == len(self.view)
+        _consume(self.views, n)
+        self.done = not self.views
 
 
 def transfer(
@@ -154,15 +189,14 @@ def transfer(
     """Complete all fixed-size sends and receives concurrently.
 
     ``sends``/``recvs`` pair a channel with a contiguous buffer (ndarray,
-    bytes, memoryview); both sides must agree on sizes out of band.  The
+    bytes, memoryview) or a list of them, which travel back to back as
+    one stream: a sender's list need not split where the receiver's does.
+    Both sides must agree on the total size out of band.  The
     select loop writes whatever the kernel will take and reads whatever has
     arrived, so simultaneous exchanges between ring neighbors cannot
     deadlock regardless of payload size relative to socket buffers.
     """
-    send_states = [
-        _SendState(ch, np.ascontiguousarray(p) if isinstance(p, np.ndarray) else p)
-        for ch, p in sends
-    ]
+    send_states = [_SendState(ch, p) for ch, p in sends]
     recv_states = [_RecvState(ch, b) for ch, b in recvs]
     pending_s = [s for s in send_states if not s.done]
     pending_r = [r for r in recv_states if not r.done]
@@ -198,29 +232,3 @@ def transfer(
             except OSError:  # pragma: no cover - socket died mid-transfer
                 pass
 
-
-def exchange_frames(
-    sends: list[tuple[Channel, bytes]],
-    recvs: list[Channel],
-) -> list[bytearray]:
-    """Concurrently send framed messages and receive one frame per channel.
-
-    Used for variable-size payloads (sparse-exchange frames).  Two
-    rounds: first every side exchanges fixed 8-byte size headers (too small
-    to fill any socket buffer, so the round always completes), then one
-    :func:`transfer` moves all payloads with both sides knowing every size
-    — keeping the no-deadlock guarantee for arbitrarily large frames.
-    Returns received payloads in ``recvs`` order.
-    """
-    headers = [bytearray(_LEN.size) for _ in recvs]
-    transfer(
-        [(ch, _LEN.pack(len(p))) for ch, p in sends],
-        list(zip(recvs, headers)),
-    )
-    sizes = [_LEN.unpack(bytes(h))[0] for h in headers]
-    payloads = [bytearray(n) for n in sizes]
-    transfer(
-        [(ch, p) for ch, p in sends if len(p)],
-        [(ch, p) for ch, p in zip(recvs, payloads) if len(p)],
-    )
-    return payloads

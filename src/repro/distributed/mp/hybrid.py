@@ -50,7 +50,6 @@ survivors **drain** within ``drain_timeout_s`` instead of hanging out
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import multiprocessing as mp
 import os
@@ -76,7 +75,7 @@ from ...obs.tracer import NULL_TRACER, Tracer
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import PackedAllreduce
-from .channels import Channel, exchange_frames
+from .channels import Channel, transfer
 from .shards import ShardPlan, TableShards
 from .sparse_exchange import SparseExchange
 from .timeouts import get_timeouts
@@ -420,30 +419,6 @@ class _Fabric:
 # ---------------------------------------------------------------------------
 
 
-def _heap_serves(nbytes: int) -> None:
-    """Raise glibc's dynamic mmap threshold to ``nbytes`` (its trim
-    threshold to twice that) the way glibc itself does: by freeing one
-    mapped block of that size.  Elsewhere, or under glibc's starting
-    threshold (128 KiB), it changes nothing.
-
-    A rank's sparse exchange builds fresh buffers every step — received
-    frames, concatenations, merged gradients — of up to about a table's
-    bytes (a coalesced gradient has at most a table's rows).  At glibc's
-    starting threshold each is a new mapping, page-faulted in and
-    unmapped again every step: 3x a rank's minor faults on ``hybrid_w2``
-    (docs/perf_notes.md, "One copy of every table").  ``mallopt`` would
-    pin both thresholds (for small tables, under 128 KiB); this leaves
-    glibc raising them to larger freed blocks as before."""
-    try:
-        libc = ctypes.CDLL(None)
-        malloc, free = libc.malloc, libc.free
-    except (OSError, AttributeError):  # pragma: no cover - no C allocator
-        return
-    malloc.restype, malloc.argtypes = ctypes.c_void_p, [ctypes.c_size_t]
-    free.restype, free.argtypes = None, [ctypes.c_void_p]
-    free(malloc(nbytes))  # mapped, never touched: no page faulted in
-
-
 def _dense_digest(model: DLRM) -> str:
     h = hashlib.sha256()
     for p in model.dense_parameters():
@@ -506,7 +481,6 @@ def _worker_main(
     take_share(free_cores() // world)
     cores = (lane_count(), blas_threads())
     config = model.config
-    _heap_serves(max(t.hash_size * t.dim for t in config.tables) * model.dtype.itemsize)
     conn = fabric.child_conn(rank)
     ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
@@ -610,10 +584,12 @@ def _worker_main(
             kill_hook=None if rank == 0 else hook, sha256=True,
         )
         if rank == 0:
-            # every peer reports the digest of the shard it renamed; file
-            # names and owned tables follow from the rank
-            peers = exchange_frames([], [mesh[r] for r in range(1, world)])
-            digests = [sha] + [bytes(blob).decode() for blob in peers]
+            # every peer reports the digest of the shard it renamed (hex,
+            # as long as this one); file names and owned tables follow
+            # from the rank
+            peers = [bytearray(len(sha)) for _ in range(1, world)]
+            transfer([], [(mesh[r], blob) for r, blob in enumerate(peers, 1)])
+            digests = [sha] + [blob.decode() for blob in peers]
             manifest = ckpt.Manifest(
                 step=completed,
                 world=world,
@@ -632,7 +608,7 @@ def _worker_main(
             )
             ckpt.write_manifest(ckpt_dir, manifest, kill_hook=hook)
         else:
-            exchange_frames([(mesh[0], sha.encode())], [])
+            transfer([(mesh[0], sha.encode())], [])
         # The "ckpt" heartbeat doubles as the commit record: rank 0 sends
         # only after the manifest rename, so the parent counts a
         # checkpoint exactly when it became restorable.

@@ -8,8 +8,8 @@ primitive the cluster simulator is built from:
 
 * **Compute** — ``world`` sub-batch jobs on ``min(world, cores)`` core
   resources.  Each job costs the *measured* single-process step time at
-  the local batch size **plus** that rank's communication CPU (sparse
-  gradient framing is real compute: encode, decode, coalesce), because on
+  the local batch size **plus** that rank's communication CPU (each
+  sparse-exchange round's own code is real compute), because on
   an oversubscribed host comm CPU serializes with model compute instead of
   hiding behind it.  ``cores < world`` then degenerates to time-sharing —
   exactly what the OS scheduler does to the worker processes.
@@ -19,14 +19,15 @@ primitive the cluster simulator is built from:
   :class:`~repro.distributed.mp.allreduce.PackedAllreduce` called after a
   compute block, as the trainer calls it (scheduler wakeups dominate idle
   wire latency on a busy host).
-* **Sparse exchange & barrier** — framed-round costs and the measured
-  barrier wakeup, scaled by the round/waiter counts.
+* **Sparse exchange & barrier** — a header round and a payload round per
+  peer, and the measured barrier wakeup, scaled by the round/waiter
+  counts.
 
 The phases add: every exchange blocks the worker's main thread, so the
 model credits no overlap of communication with compute.
 
 Every parameter is measured, none fitted: socketpair latency/bandwidth,
-contended hop overhead, frame serialization cost (fixed + per-byte), and
+contended hop overhead, a sparse round's CPU cost (fixed + per-byte), and
 barrier cost all come from :func:`probe_comm` on the host being predicted.
 """
 
@@ -44,7 +45,8 @@ from ...core.lanes import available_cores, free_cores
 from ..simulator import Resource
 from .allreduce import PackedAllreduce
 from .channels import Channel
-from .sparse_exchange import decode_ids, decode_values, encode_ids, encode_values
+from .shards import ShardPlan
+from .sparse_exchange import SparseExchange
 from .timeouts import get_timeouts
 
 __all__ = ["CommProfile", "StepPrediction", "probe_comm", "predict_step_time"]
@@ -59,9 +61,9 @@ class CommProfile:
     ``latency_s``/``bandwidth_bps`` describe an idle socketpair;
     ``hop_overhead_s`` is the cost of one allreduce hop measured between
     two ranks that each compute, then allreduce (the trainer's actual
-    structure); ``frame_fixed_s``/``frame_byte_s`` model
-    encoding + decoding one sparse-exchange round (id frame and value
-    frame); ``barrier_s`` is one two-process barrier wait.
+    structure); ``frame_fixed_s``/``frame_byte_s`` model the CPU of one
+    sparse-exchange round outside the wire (its header, payload and
+    slots); ``barrier_s`` is one two-process barrier wait.
     """
 
     latency_s: float
@@ -183,26 +185,33 @@ def _probe_hop_overhead(trials: int = 3) -> float:
 
 
 def _probe_frame_cost() -> tuple[float, float]:
-    """Fixed + per-byte CPU cost of one sparse exchange round: encoding and
-    decoding an id frame and a value frame (:mod:`.sparse_exchange`)."""
+    """Fixed + per-byte CPU cost of one sparse-exchange round outside the
+    wire: :class:`.sparse_exchange.SparseExchange`'s own header, payload
+    and slots code, for rank 0 of two.  The payload is the gradients' own
+    arrays, received in place, so the per-byte cost is about zero."""
     names = [f"table_{i}" for i in range(4)]
+    plan = ShardPlan(owners={name: i % 2 for i, name in enumerate(names)}, world=2)
     dtype = np.dtype(np.float32)
 
     def cost(rows: int, dim: int, reps: int = 30) -> tuple[float, int]:
         rng = np.random.default_rng(0)
-        ids = {name: rng.integers(0, 10_000, size=rows) for name in names}
         grads = {
-            name: SparseGrad(ids[name], rng.standard_normal((rows, dim)).astype(dtype))
+            name: SparseGrad(
+                rng.integers(0, 10_000, size=rows),
+                rng.standard_normal((rows, dim)).astype(dtype),
+            )
             for name in names
         }
-        dims = dict.fromkeys(names, dim)
+        sx = SparseExchange(0, 2, plan, {}, dict.fromkeys(names, dim), dtype)
+        sx.counts[:] = rows  # both ranks' headers read
+        sx.reserve()
         t0 = time.perf_counter()
         for _ in range(reps):
-            id_frame = encode_ids(ids, names)
-            value_frame = encode_values(grads, names)
-            decode_values(value_frame, decode_ids(id_frame), dims, dtype)
+            sx.header(grads, 1)
+            sx.payload(grads, 1)
+            sx.slots(1)
         elapsed = (time.perf_counter() - t0) / reps
-        return elapsed, len(id_frame) + len(value_frame)
+        return elapsed, sum(a.nbytes for a in sx.payload(grads, 1))
 
     small_s, small_b = cost(8, 16)
     large_s, large_b = cost(1024, 16)
@@ -313,9 +322,8 @@ def predict_step_time(
         if world > 1
         else 0.0
     )
-    # Sparse-exchange CPU per rank: each of the W-1 rounds encodes one
-    # outbound and decodes one inbound id + value frame (the probe measures
-    # the encode+decode pair), and the owner merges the received parts.
+    # Sparse-exchange CPU per rank: the code of each of the W-1 peer
+    # rounds, as the probe times it (the owner's merge is not timed).
     sparse_cpu_rank = (world - 1) * (
         comm.frame_fixed_s + round_bytes * comm.frame_byte_s
     )
@@ -347,9 +355,9 @@ def predict_step_time(
         link = Resource("sparse-link", rate=comm.bandwidth_bps)
         now = 0.0
         for _ in range(world - 1):
-            # exchange_frames: a size-header round then the payload round,
-            # each one synchronization point (the frame CPU is already on
-            # the core resources).
+            # SparseExchange: a counts-header round then the payload round
+            # per peer, each one synchronization point (the round CPU is
+            # already on the core resources).
             now = link.submit(now, 8.0, extra_latency=hop_sync)
             now = link.submit(now, round_bytes, extra_latency=hop_sync)
         sparse_comm_s = now

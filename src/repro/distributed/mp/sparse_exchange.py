@@ -6,85 +6,45 @@ Every worker ships each table's local sparse gradient to the table's
 ``EmbeddingTable.pop_grad`` uses for several contributions — so the
 owner's update is bit-identical to the serial trainer's.
 
-Two frames per peer, always in the destination owner's fixed table order
-(:meth:`~.shards.ShardPlan.owned`):
+Rank r meets each peer twice, in W-1 rounds each: in round ``off`` it
+sends to ``(r+off) % W`` and receives from ``(r-off) % W`` — a
+permutation per round, so no two ranks ever block on each other.
 
-* the **id frame** (:func:`encode_ids`) — the row ids of each table's
-  gradient (none for a table this rank did not touch);
-* the **value frame** (:func:`encode_values`) — the gradient matrices of
-  the tables that have any row, back to back with no header: both sides
-  know every size from the id frame.
+* The **header** rounds come first: one int64 row count per table the
+  destination owns, in its fixed table order
+  (:meth:`~.shards.ShardPlan.owned`).  Both ends know its length, so it
+  has no length prefix.
+* Then the **payload** rounds: the row ids, then the gradient matrices,
+  of those tables that have any row, sent straight from the gradients'
+  own arrays.  Knowing every rank's counts, the owner receives each
+  peer's part into its rank-order slot of one rows buffer and one values
+  buffer per owned table, which the exchange keeps and grows on demand;
+  its own part is copied into its slot, so each merge coalesces one
+  contiguous run with no concatenation.
 
-In round ``off`` of W-1, rank r sends to ``(r+off) % W`` and receives
-from ``(r-off) % W`` — a permutation per round, so no two ranks ever
-block on each other.  This module is the only place that knows the frame
-layout; :mod:`.predict` times these same functions for its cost model.
+This module is the only place that knows the frame layout; :mod:`.predict`
+times a round's own code (:meth:`SparseExchange.header`, ``payload``,
+``slots``) for its cost model.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 
 from ...core.embedding import SparseGrad
-from .channels import Channel, exchange_frames
+from .channels import Channel, transfer
 from .shards import ShardPlan
 
-__all__ = [
-    "SparseExchange", "decode_ids", "decode_values", "encode_ids", "encode_values",
-]
-
-
-def encode_ids(rows: dict[str, np.ndarray], names: list[str]) -> bytes:
-    return pickle.dumps(
-        {name: rows[name] for name in names}, protocol=pickle.HIGHEST_PROTOCOL
-    )
-
-
-def decode_ids(payload) -> dict[str, np.ndarray]:
-    return pickle.loads(payload)
-
-
-def encode_values(local: dict[str, SparseGrad | None], names: list[str]) -> bytes:
-    return b"".join(
-        memoryview(np.ascontiguousarray(local[name].values)).cast("B")
-        for name in names
-        if local[name] is not None
-    )
-
-
-def decode_values(
-    payload, ids: dict[str, np.ndarray], dims: dict[str, int], dtype: np.dtype
-) -> dict[str, np.ndarray]:
-    """Split a value frame into per-table matrices (views of ``payload``).
-
-    ``ids`` is the sender's decoded id frame of the same step: it fixes
-    the table order and every matrix's row count; a table with no rows
-    has no bytes in the frame.
-    """
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, rows in ids.items():
-        if not len(rows):
-            continue
-        count = len(rows) * dims[name]
-        out[name] = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(len(rows), dims[name])
-        offset += count * dtype.itemsize
-    return out
-
-
-_NO_ROWS = np.empty(0, dtype=np.int64)
+__all__ = ["SparseExchange"]
 
 
 class SparseExchange:
     """One worker's end of the exchange, for the tables it owns.
 
-    Stateless between steps: :meth:`exchange` is one blocking collective,
-    called by every rank once per step from the thread that owns the mesh
-    channels.
+    :meth:`exchange` is one blocking collective, called by every rank once
+    per step from the thread that owns the mesh channels.  The receive
+    buffers are kept between steps, so a merged gradient may be a view of
+    them: it is valid until the next :meth:`exchange`.
     """
 
     def __init__(
@@ -100,8 +60,50 @@ class SparseExchange:
         self.world = world
         self.plan = plan
         self.mesh = mesh
-        self.table_dims = table_dims
-        self.dtype = np.dtype(dtype)
+        self.owned = plan.owned(rank)
+        # counts[q, i]: rows rank q ships for owned table i this step
+        self.counts = np.zeros((world, len(self.owned)), dtype=np.int64)
+        self.rows = {name: np.empty(0, dtype=np.int64) for name in self.owned}
+        self.values = {
+            name: np.empty((0, table_dims[name]), dtype=dtype) for name in self.owned
+        }
+
+    def header(self, local: dict[str, SparseGrad | None], dst: int) -> np.ndarray:
+        """The row count of each table ``dst`` owns, in its order."""
+        grads = [local[name] for name in self.plan.owned(dst)]
+        return np.array([0 if g is None else len(g.rows) for g in grads], np.int64)
+
+    def payload(
+        self, local: dict[str, SparseGrad | None], dst: int
+    ) -> list[np.ndarray]:
+        """The row ids, then the values, of each table ``dst`` owns that
+        has any row: the gradients' own arrays."""
+        grads = [local[name] for name in self.plan.owned(dst)]
+        sent = [g for g in grads if g is not None and len(g.rows)]
+        return [g.rows for g in sent] + [g.values for g in sent]
+
+    def slots(self, src: int) -> list[np.ndarray]:
+        """Where ``src``'s payload lands: its rank-order slot of each kept
+        buffer, laid out as :meth:`payload` sends (every count known)."""
+        parts = [
+            (name, lo, lo + n)
+            for name, lo, n in zip(
+                self.owned, self.counts[:src].sum(axis=0), self.counts[src]
+            )
+            if n
+        ]
+        return [self.rows[name][lo:hi] for name, lo, hi in parts] + [
+            self.values[name][lo:hi] for name, lo, hi in parts
+        ]
+
+    def reserve(self) -> None:
+        """Grow every kept buffer too small for this step's counts."""
+        for name, total in zip(self.owned, self.counts.sum(axis=0)):
+            if total > len(self.rows[name]):
+                cap = max(total, 2 * len(self.rows[name]))
+                values = self.values[name]
+                self.rows[name] = np.empty(cap, dtype=np.int64)
+                self.values[name] = np.empty((cap, values.shape[1]), values.dtype)
 
     def exchange(
         self, local: dict[str, SparseGrad | None]
@@ -109,38 +111,44 @@ class SparseExchange:
         """Ship this rank's gradient of every table to the table's owner;
         return the rank-order merge of all ranks' gradients for each table
         this rank owns (``None`` where no rank touched the table)."""
-        ids: list[dict[str, np.ndarray] | None] = [None] * self.world
-        values: list[dict[str, np.ndarray] | None] = [None] * self.world
-        ids[self.rank] = {
-            name: _NO_ROWS if g is None else g.rows for name, g in local.items()
-        }
-        values[self.rank] = {
-            name: g.values for name, g in local.items() if g is not None
-        }
-        for off in range(1, self.world):
-            dst, src = (self.rank + off) % self.world, (self.rank - off) % self.world
-            owned = self.plan.owned(dst)
-            (payload,) = exchange_frames(
-                [(self.mesh[dst], encode_ids(ids[self.rank], owned))], [self.mesh[src]]
+        counts = self.counts
+        counts[self.rank] = self.header(local, self.rank)
+        rounds = [
+            ((self.rank + off) % self.world, (self.rank - off) % self.world)
+            for off in range(1, self.world)
+        ]
+        for dst, src in rounds:
+            transfer(
+                [(self.mesh[dst], self.header(local, dst))],
+                [(self.mesh[src], counts[src])],
             )
-            ids[src] = decode_ids(payload)
-            (payload,) = exchange_frames(
-                [(self.mesh[dst], encode_values(local, owned))], [self.mesh[src]]
+        self.reserve()
+        for dst, src in rounds:
+            transfer(
+                [(self.mesh[dst], self.payload(local, dst))],
+                [(self.mesh[src], self.slots(src))],
             )
-            values[src] = decode_values(payload, ids[src], self.table_dims, self.dtype)
+
         merged: dict[str, SparseGrad | None] = {}
-        for name in self.plan.owned(self.rank):
-            present = [r for r in range(self.world) if len(ids[r][name])]
-            if not present:
+        starts = counts[: self.rank].sum(axis=0)
+        for i, (name, lo) in enumerate(zip(self.owned, starts)):
+            grad = local[name]
+            present = np.flatnonzero(counts[:, i])
+            total = int(counts[:, i].sum())
+            if not total:
                 merged[name] = None
-            elif len(present) == 1:
+            elif len(present) == 1 and present[0] == self.rank:
+                merged[name] = grad
+            else:
+                rows, values = self.rows[name][:total], self.values[name][:total]
+                if grad is not None:
+                    rows[lo : lo + len(grad.rows)] = grad.rows
+                    values[lo : lo + len(grad.rows)] = grad.values
                 # a single contribution passes through uncoalesced, as in
                 # EmbeddingTable.pop_grad
-                q = present[0]
-                merged[name] = SparseGrad(rows=ids[q][name], values=values[q][name])
-            else:
-                merged[name] = SparseGrad.coalesce(
-                    np.concatenate([ids[q][name] for q in present]),
-                    np.concatenate([values[q][name] for q in present]),
+                merged[name] = (
+                    SparseGrad(rows=rows, values=values)
+                    if len(present) == 1
+                    else SparseGrad.coalesce(rows, values)
                 )
         return merged
