@@ -182,6 +182,7 @@ class FusedBackend(Backend):
         scratch = [
             (
                 ws.get(_lane_key(key, "stack", k), (block, n_vec, dim), dt),
+                ws.get(_lane_key(key, "stack_t", k), (block, dim, n_vec), dt),
                 ws.get(_lane_key(key, "rows", k), (block, dim + n_vec * n_vec), dt),
             )
             for k in range(width)

@@ -64,7 +64,9 @@ class NumpyBackend(Backend):
 
     def dot_forward(self, dense, embs, tril, out_map, ws, key, *, training=True, lanes=None):
         stack = np.stack([dense] + list(embs), axis=1)  # (B, n+1, d)
-        gram = stack @ stack.transpose(0, 2, 1)
+        # A copied transpose: numpy hands an array times its own transposed
+        # view to BLAS syrk, whose bits differ from the GEMM's on some shapes.
+        gram = stack @ np.ascontiguousarray(stack.transpose(0, 2, 1))
         pairs = gram[:, tril[0], tril[1]]
         # The gather is F-ordered, and at dim 1 so is the concatenation;
         # one C order at every dim gives the top stack's one-wide products

@@ -253,7 +253,7 @@ def test_dot_kernels_do_not_depend_on_the_block(shape, dtype):
             return np.full((block, *width), np.nan, dtype=dtype)
 
         out = dense_kernels.dot_forward(
-            dense, pooled, out_map, buf(n_vec, dim), buf(dim + n_vec * n_vec),
+            dense, pooled, out_map, buf(n_vec, dim), buf(dim, n_vec), buf(dim + n_vec * n_vec),
             np.full((batch, dim + num_pairs), np.nan, dtype=dtype),
         )
         np.testing.assert_array_equal(out, out_ref, err_msg=f"block {block}")

@@ -467,7 +467,7 @@ class TestDotFootprint:
         assert not oversized
         rows = dense_kernels.dot_block_rows(n_vec, np.float32)
         assert 3 * rows <= self.BATCH  # the batch does span several blocks
-        for name in ("stack", "rows", "gram", "pairs_ext", "gstack"):
+        for name in ("stack", "stack_t", "rows", "gram", "pairs_ext", "gstack"):
             shapes = [
                 buf.shape for (key, *_), buf in model.workspace._buffers.items()
                 if key == ("interaction", name)

@@ -11,6 +11,7 @@ internal to the fused path itself:
   pickling),
 * the zero-steady-state-allocation contract (workspace counters +
   ``tracemalloc``),
+* the DOT gram's BLAS route (a GEMM on a copied transpose, never SYRK),
 * the blocked dense optimizer steps' argument contract (contiguity and
   shape are verified, not assumed) and the optimizer arena's footprint.
 """
@@ -34,6 +35,7 @@ from repro.core import (
     Trainer,
     Workspace,
     dense_kernels,
+    get_backend,
     stable_sigmoid,
     uniform_tables,
 )
@@ -228,6 +230,53 @@ def test_steady_state_allocations_tracemalloc():
     # temporary per step; the fused path's remaining allocations are the
     # logits copy and the shared sparse-path bookkeeping.
     assert fused_peak < naive_peak / 3, (fused_peak, naive_peak)
+
+
+# ---------------------------------------------------------------------------
+# the DOT interaction's gram route
+# ---------------------------------------------------------------------------
+
+
+def _dot_inputs(batch: int, n_vec: int, dim: int, dtype):
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((batch, dim)).astype(dtype)
+    embs = [rng.standard_normal((batch, dim)).astype(dtype) for _ in range(n_vec - 1)]
+    tril = np.tril_indices(n_vec, k=-1)
+    return dense, embs, tril, dense_kernels.dot_out_map(dim, n_vec, tril)
+
+
+def test_fused_dot_gram_operands_share_no_memory(monkeypatch):
+    """numpy hands ``stack @ stack.transpose(0, 2, 1)`` (one buffer times
+    its own transposed view) to BLAS ``?syrk`` and mirrors the triangle;
+    the fused forward multiplies by a copied transpose, so every gram is a
+    ``?gemm``."""
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append(np.shares_memory(a, b))
+        return matmul(a, b, *args, **kwargs)
+
+    dense, embs, tril, out_map = _dot_inputs(7, 61, 16, np.float32)  # train_dot
+    monkeypatch.setattr(np, "matmul", spy)
+    get_backend("fused").dot_forward(dense, embs, tril, out_map, Workspace(), "d")
+    assert calls and not any(calls)
+
+
+@pytest.mark.parametrize("spec", ["numpy", "fused"])
+def test_dot_gram_is_the_gemm_of_a_copied_transpose(spec):
+    """Both backends' grams equal a per-sample ``s @ contiguous(s.T)``
+    loop bit for bit.  At f64, 27 vectors x dim 16 OpenBLAS's ``?syrk``
+    and ``?gemm`` disagree in the last bits on x86-64, so a backend that
+    went back to the transposed view fails here."""
+    dense, embs, tril, out_map = _dot_inputs(5, 27, 16, np.float64)
+    stack = np.stack([dense, *embs], axis=1)
+    gram = np.stack([s @ np.ascontiguousarray(s.T) for s in stack])
+    expected = np.concatenate([dense, gram[:, tril[0], tril[1]]], axis=1)
+    be = get_backend(spec)
+    ws = Workspace() if be.uses_workspace else None
+    out, _ = be.dot_forward(dense, embs, tril, out_map, ws, "d")
+    np.testing.assert_array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
