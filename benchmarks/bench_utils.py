@@ -8,33 +8,9 @@ output capturing.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Set ``REPRO_BENCH_WORKERS`` to parallelize the figure sweeps during the
-#: benchmark run; ``REPRO_CACHE_DIR`` (plus ``REPRO_BENCH_CACHE=1``) memoizes
-#: grid points across benchmark invocations.
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
-CACHE_ENV = "REPRO_BENCH_CACHE"
-
-
-def make_runner():
-    """A SweepRunner configured from the environment, or ``None``.
-
-    Benchmarks stay pure-serial (and cache-free — timings must measure real
-    work) unless explicitly asked otherwise, so default wall-clock numbers
-    remain comparable across commits.
-    """
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    use_cache = os.environ.get(CACHE_ENV, "") not in ("", "0")
-    if workers <= 1 and not use_cache:
-        return None
-    from repro.runtime import ResultCache, SweepRunner
-
-    cache = ResultCache() if use_cache else None
-    return SweepRunner(workers=workers, cache=cache)
 
 
 def record(name: str, text: str) -> None:

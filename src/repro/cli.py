@@ -7,7 +7,7 @@
 * ``optimize`` — rank all feasible setups for a model (the §I selection
   problem);
 * ``figures`` — regenerate paper figures/tables to stdout (``--workers`` /
-  ``--cache-dir`` route the sweeps through ``repro.runtime``);
+  ``--cache-dir`` size the sweeps' ``repro.runtime`` pool and cache);
 * ``cache`` — inspect or clear the on-disk sweep result cache;
 * ``fleet`` — fleet characterization report;
 * ``train`` — quick functional training run on synthetic data;
@@ -140,18 +140,16 @@ _FIGURES = {
 
 
 def _make_runner(args: argparse.Namespace):
-    """Build a SweepRunner from ``--workers/--cache-dir/--no-cache`` flags.
+    """Build the figures' SweepRunner from ``--workers/--cache-dir/--no-cache``.
 
-    Returns ``None`` (pure serial path, no cache files touched) unless the
-    user opted into parallelism or caching.
+    The default (``--workers 1``, no ``--cache-dir``) is one in-process
+    worker that touches no cache files.
     """
-    want = args.workers != 1 or args.cache_dir is not None
-    if not want:
-        return None
     from .runtime import ResultCache, SweepRunner, default_workers
 
     workers = args.workers if args.workers > 0 else default_workers()
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cached = (args.workers != 1 or args.cache_dir is not None) and not args.no_cache
+    cache = ResultCache(args.cache_dir) if cached else None
     return SweepRunner(workers=workers, cache=cache)
 
 
@@ -175,11 +173,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         seen.add(module_name)
         module = importlib.import_module(f"repro.experiments.{module_name}")
         kwargs = {}
-        if runner is not None and "runner" in inspect.signature(module.run).parameters:
+        if "runner" in inspect.signature(module.run).parameters:
             kwargs["runner"] = runner
         print(module.render(module.run(**kwargs)))
         print()
-    if runner is not None and runner.cache is not None:
+    if runner.cache is not None:
         stats = runner.cache.stats()
         print(
             f"[runtime] workers={runner.workers} cache: "
@@ -782,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", nargs="*", metavar="FIG",
                    help=f"subset of {sorted(_FIGURES)}")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel sweep workers (0 = one per core; default 1 = serial)")
+                   help="parallel sweep workers (0 = one per core; default 1 = in process)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="memoize grid points under DIR (default $REPRO_CACHE_DIR"
                         " or .repro-cache when --workers enables the runner)")

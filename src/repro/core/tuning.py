@@ -52,43 +52,18 @@ def _validate_bounds(low: float, high: float) -> None:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
 
 
-def _evaluate_grid(
-    objective: Objective, lrs: list[float], runner, namespace: str
-) -> tuple[Trial, ...]:
-    """Evaluate a known-upfront LR grid, optionally through a SweepRunner.
-
-    All candidate points are independent, so a runner can fan them out
-    across processes; results come back in input order (the runner's
-    determinism contract), keeping trial order — and therefore tie-breaks
-    in :attr:`SearchResult.best` — identical to serial execution.
-    """
-    if runner is None:
-        losses = [float(objective(lr)) for lr in lrs]
-    else:
-        losses = [
-            float(v) for v in runner.map_values(objective, lrs, namespace=namespace)
-        ]
-    return tuple(Trial(lr, loss) for lr, loss in zip(lrs, losses))
-
-
 def grid_search(
     objective: Objective,
     low: float,
     high: float,
     num: int = 8,
-    runner=None,
 ) -> SearchResult:
-    """Log-spaced grid over ``[low, high]`` (learning rates live on a log scale).
-
-    Pass a :class:`~repro.runtime.SweepRunner` to evaluate the grid points
-    in parallel (the objective must be picklable to actually fan out;
-    closures fall back to serial execution inside the runner).
-    """
+    """Log-spaced grid over ``[low, high]`` (learning rates live on a log scale)."""
     _validate_bounds(low, high)
     if num < 2:
         raise ValueError(f"num must be >= 2, got {num}")
     lrs = [float(lr) for lr in np.logspace(np.log10(low), np.log10(high), num)]
-    return SearchResult(_evaluate_grid(objective, lrs, runner, "tuning.grid"))
+    return SearchResult(tuple(Trial(lr, float(objective(lr))) for lr in lrs))
 
 
 def random_search(
@@ -97,20 +72,15 @@ def random_search(
     high: float,
     num: int = 8,
     rng: np.random.Generator | int | None = None,
-    runner=None,
 ) -> SearchResult:
-    """Log-uniform random sampling over ``[low, high]``.
-
-    The candidate set is drawn upfront, so like :func:`grid_search` it can
-    be fanned out over a :class:`~repro.runtime.SweepRunner`.
-    """
+    """Log-uniform random sampling over ``[low, high]``."""
     _validate_bounds(low, high)
     if num < 1:
         raise ValueError(f"num must be >= 1, got {num}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     lrs = [float(lr) for lr in 10 ** rng.uniform(np.log10(low), np.log10(high), size=num)]
-    return SearchResult(_evaluate_grid(objective, lrs, runner, "tuning.random"))
+    return SearchResult(tuple(Trial(lr, float(objective(lr))) for lr in lrs))
 
 
 def _expected_improvement(

@@ -13,7 +13,6 @@ from .allreduce import (
     ring_allreduce,
     ring_chunks,
     ring_ordered_sum,
-    tree_sum,
 )
 from .channels import Channel, ChannelClosed, transfer
 from .ckpt import (
@@ -77,5 +76,4 @@ __all__ = [
     "run_hybrid_serial",
     "set_timeouts",
     "transfer",
-    "tree_sum",
 ]

@@ -33,7 +33,6 @@ import numpy as np
 from .channels import Channel, transfer
 
 __all__ = [
-    "tree_sum",
     "ordered_sum",
     "ring_ordered_sum",
     "ring_chunks",
@@ -61,19 +60,6 @@ def ordered_sum(arrays: list[np.ndarray]) -> np.ndarray:
     for a in arrays[1:]:
         acc += a
     return acc
-
-
-def tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    """Balanced-tree (pairwise) sum — the classic reduction-tree order.
-
-    Provided as the reference for tree-structured reducers; agrees with
-    :func:`ordered_sum` bit-for-bit up to three operands and within
-    accumulation tolerance beyond.
-    """
-    if len(arrays) == 1:
-        return arrays[0].copy()
-    mid = (len(arrays) + 1) // 2
-    return tree_sum(arrays[:mid]) + tree_sum(arrays[mid:])
 
 
 def ring_chunks(n: int, world: int) -> list[slice]:

@@ -38,6 +38,7 @@ from ..resilience import (
     restore_time_s,
     young_daly_interval_s,
 )
+from ..runtime import SweepRunner
 
 __all__ = [
     "IntervalPoint",
@@ -110,12 +111,8 @@ class FaultToleranceResult:
 # -- grid-point functions (module-level: picklable for SweepRunner) ----------
 
 
-def _model_from_spec(spec: dict) -> ModelConfig:
-    return make_test_model(**spec)
-
-
 def interval_point(
-    model_spec: dict,
+    model: ModelConfig,
     num_trainers: int,
     num_sparse_ps: int,
     num_dense_ps: int,
@@ -130,7 +127,6 @@ def interval_point(
     Returns the JSON-friendly resilience summary so the point is cacheable
     by :class:`~repro.runtime.ResultCache`.
     """
-    model = _model_from_spec(model_spec)
     cfg = ClusterConfig(
         num_trainers=num_trainers,
         num_sparse_ps=num_sparse_ps,
@@ -145,7 +141,7 @@ def interval_point(
 
 
 def mode_point(
-    model_spec: dict,
+    model: ModelConfig,
     num_trainers: int,
     num_sparse_ps: int,
     num_dense_ps: int,
@@ -157,7 +153,6 @@ def mode_point(
     seed: int,
 ) -> dict:
     """One sync-mode grid point under a single scheduled sparse-PS crash."""
-    model = _model_from_spec(model_spec)
     plan = FaultPlan(
         scheduled_crashes=(
             FaultEvent(kind=ComponentKind.SPARSE_PS, index=1, time_s=crash_time_s),
@@ -178,7 +173,6 @@ def mode_point(
 
 
 def run(
-    model: ModelConfig | None = None,
     num_trainers: int = 8,
     num_sparse_ps: int = 4,
     num_dense_ps: int = 1,
@@ -187,21 +181,19 @@ def run(
     mtbf_s: float = 2.0,
     intervals: tuple[float, ...] = INTERVAL_SWEEP,
     seed: int = 0,
-    runner=None,
+    runner: SweepRunner | None = None,
 ) -> FaultToleranceResult:
-    """Measure both curves; ``runner`` parallelizes/caches the grid points.
+    """Measure both curves; their grid points go through ``runner``
+    (default: one in-process worker).
 
     ``mtbf_s`` is the per-sparse-PS mean time between failures; the
     cluster-level MTBF used for the Young/Daly prediction is
     ``mtbf_s / num_sparse_ps`` (any-of failure rate).
     """
-    if model is None:
-        model = default_model()
-        model_spec = {"num_dense": 128, "num_sparse": 8, "mlp": "128^2",
-                      "hash_size": 200_000, "dim": 32}
-    else:
-        model_spec = None  # serial path only; model objects don't cache
+    model = default_model()
+    runner = runner or SweepRunner()
     common = dict(
+        model=model,
         num_trainers=num_trainers,
         num_sparse_ps=num_sparse_ps,
         num_dense_ps=num_dense_ps,
@@ -232,19 +224,11 @@ def run(
     yd = young_daly_interval_s(cluster_mtbf, ckpt_cost)
 
     # -- curve 1: goodput vs checkpoint interval (async, random crashes) ----
-    grid = [dict(common, model_spec=model_spec, mtbf_s=mtbf_s, interval_s=tau)
-            for tau in intervals]
-    if runner is not None and model_spec is not None:
-        summaries = runner.map(interval_point, grid, namespace="ext_faults.interval")
-    elif model_spec is not None:
-        summaries = [interval_point(**p) for p in grid]
-    else:
-        summaries = [
-            _interval_point_model(
-                model, **{k: v for k, v in p.items() if k != "model_spec"}
-            )
-            for p in grid
-        ]
+    summaries = runner.map(
+        interval_point,
+        [dict(common, mtbf_s=mtbf_s, interval_s=tau) for tau in intervals],
+        namespace="ext_faults.interval",
+    )
     points = tuple(
         IntervalPoint(
             interval_s=tau,
@@ -262,29 +246,30 @@ def run(
     )
 
     # -- curve 2: sync vs async under one scheduled sparse-PS crash ---------
-    crash_t = 0.5 * horizon_s
-    mode_interval = 0.125 * horizon_s
-    outcomes = []
-    for mode in (SyncMode.ASYNC, SyncMode.SYNC):
-        kwargs = dict(common, sync_mode=mode, crash_time_s=crash_t,
-                      interval_s=mode_interval)
-        if model_spec is not None:
-            s = mode_point(model_spec=model_spec, **kwargs)
-        else:
-            s = _mode_point_model(model, **kwargs)
-        outcomes.append(
-            ModeOutcome(
-                sync_mode=mode,
-                goodput=s["goodput"],
-                throughput=s["throughput"],
-                availability=s["availability"],
-                goodput_fraction=s["goodput"] / base_goodput if base_goodput else 0.0,
-                lost_examples=int(s["lost_examples"]),
-                crashes=int(s["crashes"]),
-                stall_time_s=s["stall_time_s"],
-                recovery_time_s=s["recovery_time_s"],
-            )
+    modes = (SyncMode.ASYNC, SyncMode.SYNC)
+    summaries = runner.map(
+        mode_point,
+        [
+            dict(common, sync_mode=mode, crash_time_s=0.5 * horizon_s,
+                 interval_s=0.125 * horizon_s)
+            for mode in modes
+        ],
+        namespace="ext_faults.mode",
+    )
+    outcomes = tuple(
+        ModeOutcome(
+            sync_mode=mode,
+            goodput=s["goodput"],
+            throughput=s["throughput"],
+            availability=s["availability"],
+            goodput_fraction=s["goodput"] / base_goodput if base_goodput else 0.0,
+            lost_examples=int(s["lost_examples"]),
+            crashes=int(s["crashes"]),
+            stall_time_s=s["stall_time_s"],
+            recovery_time_s=s["recovery_time_s"],
         )
+        for mode, s in zip(modes, summaries)
+    )
 
     return FaultToleranceResult(
         failure_free_goodput=base_goodput,
@@ -292,38 +277,8 @@ def run(
         cluster_mtbf_s=cluster_mtbf,
         young_daly_s=yd,
         interval_points=points,
-        mode_outcomes=tuple(outcomes),
+        mode_outcomes=outcomes,
     )
-
-
-def _interval_point_model(model: ModelConfig, *, mtbf_s, interval_s, horizon_s,
-                          seed, **cluster_kw) -> dict:
-    cfg = ClusterConfig(
-        sync_mode=SyncMode.ASYNC,
-        fault_plan=FaultPlan(sparse_ps_mtbf_s=mtbf_s, seed=seed),
-        checkpoint_interval_s=interval_s,
-        seed=seed,
-        **cluster_kw,
-    )
-    return simulate_cpu_cluster(model, cfg, horizon_s=horizon_s).resilience_summary()
-
-
-def _mode_point_model(model: ModelConfig, *, sync_mode, crash_time_s, interval_s,
-                      horizon_s, seed, **cluster_kw) -> dict:
-    plan = FaultPlan(
-        scheduled_crashes=(
-            FaultEvent(kind=ComponentKind.SPARSE_PS, index=1, time_s=crash_time_s),
-        ),
-        seed=seed,
-    )
-    cfg = ClusterConfig(
-        sync_mode=sync_mode,
-        fault_plan=plan,
-        checkpoint_interval_s=interval_s,
-        seed=seed,
-        **cluster_kw,
-    )
-    return simulate_cpu_cluster(model, cfg, horizon_s=horizon_s).resilience_summary()
 
 
 def render(result: FaultToleranceResult) -> str:

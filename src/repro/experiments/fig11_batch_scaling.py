@@ -15,7 +15,8 @@ from ..core.config import ModelConfig
 from ..hardware import BIG_BASIN
 from ..obs.tracer import NullTracer, Tracer
 from ..perf import cpu_cluster_throughput, gpu_server_throughput
-from ..placement import PlacementStrategy, plan_placement
+from ..placement import PlacementPlan, PlacementStrategy, plan_placement
+from ..runtime import SweepRunner
 
 __all__ = ["Fig11Result", "run", "render", "cpu_point", "gpu_point"]
 
@@ -42,15 +43,21 @@ def default_model() -> ModelConfig:
     return make_test_model(1024, 64, name="fig11")
 
 
-def cpu_point(model: ModelConfig, batch: int) -> float:
+def cpu_point(
+    model: ModelConfig, batch: int, tracer: Tracer | NullTracer | None = None
+) -> float:
     """One CPU grid point (module-level: picklable and cache-keyable)."""
-    return cpu_cluster_throughput(model, batch, 1, 1, 1).throughput
+    return cpu_cluster_throughput(model, batch, 1, 1, 1, tracer=tracer).throughput
 
 
-def gpu_point(model: ModelConfig, batch: int) -> float:
-    """One GPU grid point (re-plans placement; deterministic per params)."""
-    plan = plan_placement(model, BIG_BASIN, PlacementStrategy.GPU_MEMORY)
-    return gpu_server_throughput(model, batch, BIG_BASIN, plan).throughput
+def gpu_point(
+    model: ModelConfig,
+    batch: int,
+    plan: PlacementPlan,
+    tracer: Tracer | NullTracer | None = None,
+) -> float:
+    """One GPU grid point under the sweep's one placement ``plan``."""
+    return gpu_server_throughput(model, batch, BIG_BASIN, plan, tracer=tracer).throughput
 
 
 def run(
@@ -58,36 +65,30 @@ def run(
     cpu_batches: tuple[int, ...] = BATCH_SWEEP_CPU,
     gpu_batches: tuple[int, ...] = BATCH_SWEEP_GPU,
     tracer: Tracer | NullTracer | None = None,
-    runner=None,
+    runner: SweepRunner | None = None,
 ) -> Fig11Result:
-    """Sweep batch sizes; with a :class:`~repro.runtime.SweepRunner` the grid
-    points execute in parallel and/or hit the on-disk result cache (the
-    serial ``runner=None`` path is unchanged and keeps per-point tracing)."""
+    """Sweep batch sizes through ``runner`` (default: one in-process worker,
+    no cache).  ``tracer`` reaches every point, so it records spans only
+    when the points run in this process."""
     model = model or default_model()
-    if runner is not None:
-        cpu = tuple(
-            runner.map(
-                cpu_point,
-                [{"model": model, "batch": b} for b in cpu_batches],
-                namespace="fig11.cpu",
-            )
-        )
-        gpu = tuple(
-            runner.map(
-                gpu_point,
-                [{"model": model, "batch": b} for b in gpu_batches],
-                namespace="fig11.gpu",
-            )
-        )
-        return Fig11Result(cpu_batches, cpu, gpu_batches, gpu)
+    runner = runner or SweepRunner()
     cpu = tuple(
-        cpu_cluster_throughput(model, b, 1, 1, 1, tracer=tracer).throughput
-        for b in cpu_batches
+        runner.map(
+            cpu_point,
+            [{"model": model, "batch": b, "tracer": tracer} for b in cpu_batches],
+            namespace="fig11.cpu",
+        )
     )
     plan = plan_placement(model, BIG_BASIN, PlacementStrategy.GPU_MEMORY)
     gpu = tuple(
-        gpu_server_throughput(model, b, BIG_BASIN, plan, tracer=tracer).throughput
-        for b in gpu_batches
+        runner.map(
+            gpu_point,
+            [
+                {"model": model, "batch": b, "plan": plan, "tracer": tracer}
+                for b in gpu_batches
+            ],
+            namespace="fig11.gpu",
+        )
     )
     return Fig11Result(cpu_batches, cpu, gpu_batches, gpu)
 

@@ -15,6 +15,7 @@ from ..configs import DEFAULT_CPU_BATCH, DEFAULT_GPU_BATCH, HASH_SWEEP, make_tes
 from ..hardware import BIG_BASIN, CapacityError
 from ..perf import cpu_cluster_throughput, gpu_server_throughput
 from ..placement import LocationKind, auto_plan
+from ..runtime import SweepRunner
 
 __all__ = ["HashPoint", "Fig12Result", "run", "render", "hash_point"]
 
@@ -87,25 +88,18 @@ def run(
     hash_sweep: tuple[int, ...] = HASH_SWEEP,
     num_dense: int = 1024,
     num_sparse: int = 64,
-    runner=None,
+    runner: SweepRunner | None = None,
 ) -> Fig12Result:
-    """Sweep hash sizes; pass a :class:`~repro.runtime.SweepRunner` to
-    parallelize/memoize the grid points."""
-    if runner is not None:
-        raw = runner.map(
-            hash_point,
-            [
-                {"hash_size": h, "num_dense": num_dense, "num_sparse": num_sparse}
-                for h in hash_sweep
-            ],
-            namespace="fig12.hash",
-        )
-        return Fig12Result(tuple(HashPoint(**d) for d in raw))
-    return Fig12Result(
-        tuple(
-            HashPoint(**hash_point(h, num_dense, num_sparse)) for h in hash_sweep
-        )
+    """Sweep hash sizes through ``runner`` (default: one in-process worker)."""
+    raw = (runner or SweepRunner()).map(
+        hash_point,
+        [
+            {"hash_size": h, "num_dense": num_dense, "num_sparse": num_sparse}
+            for h in hash_sweep
+        ],
+        namespace="fig12.hash",
     )
+    return Fig12Result(tuple(HashPoint(**d) for d in raw))
 
 
 def render(result: Fig12Result) -> str:

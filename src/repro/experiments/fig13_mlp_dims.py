@@ -14,6 +14,7 @@ from ..configs import DEFAULT_CPU_BATCH, DEFAULT_GPU_BATCH, MLP_SWEEP, make_test
 from ..hardware import BIG_BASIN
 from ..perf import cpu_cluster_throughput, gpu_server_throughput
 from ..placement import PlacementStrategy, plan_placement
+from ..runtime import SweepRunner
 
 __all__ = ["MlpPoint", "Fig13Result", "run", "render", "mlp_point"]
 
@@ -52,23 +53,18 @@ def run(
     mlp_sweep: tuple[str, ...] = MLP_SWEEP,
     num_dense: int = 512,
     num_sparse: int = 64,
-    runner=None,
+    runner: SweepRunner | None = None,
 ) -> Fig13Result:
-    """Sweep MLP stacks; pass a :class:`~repro.runtime.SweepRunner` to
-    parallelize/memoize the grid points."""
-    if runner is not None:
-        raw = runner.map(
-            mlp_point,
-            [
-                {"mlp": m, "num_dense": num_dense, "num_sparse": num_sparse}
-                for m in mlp_sweep
-            ],
-            namespace="fig13.mlp",
-        )
-        return Fig13Result(tuple(MlpPoint(**d) for d in raw))
-    return Fig13Result(
-        tuple(MlpPoint(**mlp_point(m, num_dense, num_sparse)) for m in mlp_sweep)
+    """Sweep MLP stacks through ``runner`` (default: one in-process worker)."""
+    raw = (runner or SweepRunner()).map(
+        mlp_point,
+        [
+            {"mlp": m, "num_dense": num_dense, "num_sparse": num_sparse}
+            for m in mlp_sweep
+        ],
+        namespace="fig13.mlp",
     )
+    return Fig13Result(tuple(MlpPoint(**d) for d in raw))
 
 
 def render(result: Fig13Result) -> str:

@@ -5,8 +5,10 @@ teacher-labeled click data.  The paper's protocol is followed:
 
 * a fixed example budget (larger batches therefore take proportionally
   fewer optimizer steps — the mechanism behind big-batch quality loss);
-* the learning rate is re-tuned per batch size ("manual tuning" is a
-  log-grid sweep; the AutoML variant uses the Bayesian strategy);
+* the learning rate is re-tuned per batch size by a log-grid sweep (the
+  paper's "manual tuning"; its AutoML variant, the Bayesian strategy, is
+  :func:`~repro.core.tuning.bayesian_search`, compared in
+  ``benchmarks/test_ablation_automl_tuning.py``);
 * quality is normalized entropy on one shared held-out set;
 * the reported number is the percent NE gap vs the small-batch baseline,
   which the paper finds grows with batch size even after tuning.
@@ -32,14 +34,13 @@ from ..core import (
     SearchResult,
     Trainer,
     Trial,
-    bayesian_search,
     evaluate,
-    grid_search,
     ne_gap_percent,
     uniform_tables,
 )
 from ..data import SyntheticDataGenerator
 from ..distributed import EASGDConfig, EASGDTrainer
+from ..runtime import SweepRunner
 
 __all__ = [
     "BatchPoint",
@@ -92,27 +93,6 @@ class Fig15Result:
         return ups / (len(gaps) - 1)
 
 
-def _train_and_eval(
-    config: ModelConfig,
-    batch_size: int,
-    lr: float,
-    example_budget: int,
-    eval_batches: list,
-    teacher,
-    data_seed: int,
-    model_seed: int,
-) -> tuple[float, int]:
-    gen = SyntheticDataGenerator(config, rng=data_seed, teacher=teacher)
-    model = DLRM(config, rng=model_seed)
-    trainer = Trainer(
-        model,
-        lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=lr),
-    )
-    result = trainer.train(gen.batches(batch_size), max_examples=example_budget)
-    ne = evaluate(model, eval_batches)["normalized_entropy"]
-    return ne, result.steps
-
-
 def train_eval_point(
     batch_size: int,
     lr: float,
@@ -137,11 +117,15 @@ def train_eval_point(
     teacher = ClickModel(config, rng=teacher_seed)
     eval_gen = SyntheticDataGenerator(config, rng=eval_seed, teacher=teacher)
     eval_batches = [eval_gen.batch(eval_batch_size) for _ in range(num_eval_batches)]
-    ne, steps = _train_and_eval(
-        config, batch_size, lr, example_budget, eval_batches, teacher,
-        data_seed, model_seed,
+    gen = SyntheticDataGenerator(config, rng=data_seed, teacher=teacher)
+    model = DLRM(config, rng=model_seed)
+    trainer = Trainer(
+        model,
+        lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=lr),
     )
-    return {"ne": float(ne), "steps": int(steps)}
+    result = trainer.train(gen.batches(batch_size), max_examples=example_budget)
+    ne = evaluate(model, eval_batches)["normalized_entropy"]
+    return {"ne": float(ne), "steps": int(result.steps)}
 
 
 def run(
@@ -151,8 +135,7 @@ def run(
     tuning_trials: int = 5,
     num_seeds: int = 3,
     seed: int = 0,
-    use_bayesian: bool = False,
-    runner=None,
+    runner: SweepRunner | None = None,
 ) -> Fig15Result:
     """Tune LR per batch size, train on the shared budget, report NE gaps.
 
@@ -161,109 +144,28 @@ def run(
     so the gap is measured on the seed-averaged quality (the paper
     similarly trains on "high volumes of data" to resolve ~0.1% gaps).
 
-    With a :class:`~repro.runtime.SweepRunner` (and ``use_bayesian=False``)
-    every (batch, lr, seed) training run becomes an independent grid point
-    executed in parallel and/or served from the result cache; the point
-    grid and the best-LR selection replicate :func:`grid_search` exactly,
-    so the parallel path is numerically identical to the serial one
-    (Bayesian search is inherently sequential and stays serial).
+    Two flat sweeps of :func:`train_eval_point` go through ``runner``
+    (default: one in-process worker).  Phase 1 evaluates every (batch, lr,
+    tuning-seed) combination over a log-spaced LR grid of
+    ``tuning_trials`` points and picks each batch's LR by
+    :attr:`~repro.core.tuning.SearchResult.best` over the NE meaned over
+    two tuning seeds; phase 2 runs the ``num_seeds`` final trainings at
+    each batch's tuned LR.
     """
     if example_budget < baseline_batch:
         raise ValueError("example_budget must cover at least one baseline batch")
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
-    if runner is not None and not use_bayesian:
-        return _run_parallel(
-            baseline_batch, gpu_batches, example_budget, tuning_trials,
-            num_seeds, seed, runner,
-        )
-    config = accuracy_model()
-    # One shared teacher; the held-out evaluation stream uses a *different*
-    # RNG than the training streams (same distribution, disjoint examples —
-    # sharing the raw stream would let large-batch arms train on the exact
-    # eval batches).
-    from ..data import ClickModel
-
-    teacher = ClickModel(config, rng=seed + 999)
-    eval_gen = SyntheticDataGenerator(config, rng=seed + 5000, teacher=teacher)
-    eval_batches = [eval_gen.batch(2048) for _ in range(3)]
-    data_seed = seed  # identical training stream family for every arm
-
-    search = bayesian_search if use_bayesian else grid_search
-    results: dict[int, tuple[float, float, int]] = {}
-    for batch in (baseline_batch, *gpu_batches):
-
-        def objective(lr: float, batch=batch) -> float:
-            # Tune on the real budget, averaged over two seeds for stability.
-            nes = [
-                _train_and_eval(
-                    config, batch, lr, example_budget, eval_batches, teacher,
-                    data_seed, seed + 1 + s,
-                )[0]
-                for s in range(2)
-            ]
-            return float(np.mean(nes))
-
-        kwargs = {"num": tuning_trials}
-        if use_bayesian:
-            kwargs["rng"] = seed
-        best = search(objective, 5e-3, 0.5, **kwargs).best
-        nes, steps = [], 0
-        for s in range(num_seeds):
-            ne, steps = _train_and_eval(
-                config, batch, best.learning_rate, example_budget, eval_batches,
-                teacher, data_seed, seed + 101 + s,
-            )
-            nes.append(ne)
-        results[batch] = (best.learning_rate, float(np.mean(nes)), steps)
-
-    return _assemble(baseline_batch, gpu_batches, results)
-
-
-def _assemble(
-    baseline_batch: int,
-    gpu_batches: tuple[int, ...],
-    results: dict[int, tuple[float, float, int]],
-) -> Fig15Result:
-    baseline_ne = results[baseline_batch][1]
-    points = tuple(
-        BatchPoint(
-            batch_size=batch,
-            tuned_lr=results[batch][0],
-            normalized_entropy=results[batch][1],
-            ne_gap_percent=ne_gap_percent(results[batch][1], baseline_ne),
-            steps_taken=results[batch][2],
-        )
-        for batch in gpu_batches
-    )
-    return Fig15Result(
-        baseline_batch=baseline_batch, baseline_ne=baseline_ne, points=points
-    )
-
-
-def _run_parallel(
-    baseline_batch: int,
-    gpu_batches: tuple[int, ...],
-    example_budget: int,
-    tuning_trials: int,
-    num_seeds: int,
-    seed: int,
-    runner,
-) -> Fig15Result:
-    """Grid-search Fig 15 as two flat point sweeps over a SweepRunner.
-
-    Phase 1 evaluates every (batch, lr, tuning-seed) combination; phase 2
-    runs the ``num_seeds`` final trainings at each batch's tuned LR.  The
-    LR grid (log-spaced, ``tuning_trials`` points) and the argmin rule
-    (:attr:`~repro.core.tuning.SearchResult.best` over the NE meaned over
-    two tuning seeds) replicate the serial
-    :func:`~repro.core.tuning.grid_search` path bit for bit.
-    """
     if tuning_trials < 2:
         raise ValueError(f"num must be >= 2, got {tuning_trials}")
+    runner = runner or SweepRunner()
+    # One shared teacher (rebuilt per point from its seed); the held-out
+    # evaluation stream uses a *different* RNG than the training streams
+    # (same distribution, disjoint examples — sharing the raw stream would
+    # let large-batch arms train on the exact eval batches).
     common = {
         "example_budget": example_budget,
-        "data_seed": seed,
+        "data_seed": seed,  # identical training stream family for every arm
         "teacher_seed": seed + 999,
         "eval_seed": seed + 5000,
     }
@@ -303,7 +205,20 @@ def _run_parallel(
             float(np.mean([r["ne"] for r in chunk])),
             chunk[-1]["steps"],
         )
-    return _assemble(baseline_batch, gpu_batches, results)
+    baseline_ne = results[baseline_batch][1]
+    points = tuple(
+        BatchPoint(
+            batch_size=batch,
+            tuned_lr=results[batch][0],
+            normalized_entropy=results[batch][1],
+            ne_gap_percent=ne_gap_percent(results[batch][1], baseline_ne),
+            steps_taken=results[batch][2],
+        )
+        for batch in gpu_batches
+    )
+    return Fig15Result(
+        baseline_batch=baseline_batch, baseline_ne=baseline_ne, points=points
+    )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Parallel, memoized execution of independent experiment grid points.
 
-The figure sweeps (Fig 11/12/13/15) and tuning trials are embarrassingly
-parallel: every grid point is a pure function of its parameters (all seeds
-included).  :class:`SweepRunner` executes such points across a
-``ProcessPoolExecutor``, consults the content-addressed
+The figure sweeps (Fig 11/12/13/15 and the fault-tolerance extension) are
+embarrassingly parallel: every grid point is a pure function of its
+parameters (all seeds included).  :class:`SweepRunner` executes such points
+across a ``ProcessPoolExecutor``, consults the content-addressed
 :class:`~repro.runtime.cache.ResultCache` before computing anything, and
 reports cache hits/misses, point latencies and worker utilization through
 the shared :class:`~repro.obs.registry.MetricsRegistry` / span tracer.
@@ -13,10 +13,11 @@ point carries its own explicit seeds (see :func:`derive_seed`), so
 ``workers=8`` produces bit-identical results to serial execution — an
 invariant pinned by ``tests/test_runtime.py``.
 
-Worker-count selection: ``workers`` <= 1 (the default) runs serially in
-process — zero overhead, full tracer fidelity.  ``workers`` >= 2 forks a
-pool whose workers each take their share of this process's free cores;
-sensible values are ``min(num_points, free cores)``, which
+Worker-count selection: ``workers`` <= 1 (the default) runs the points in
+process, in order — a serial sweep is this one-worker runner, with the
+same retries and :class:`SweepPointError` as a pool.  ``workers`` >= 2
+forks a pool whose workers each take their share of this process's free
+cores; sensible values are ``min(num_points, free cores)``, which
 :func:`default_workers` computes.  Functions crossing the process boundary
 must be module-level (picklable); the runner *pre-checks* picklability and
 silently falls back to serial for closures, counting the event in
@@ -120,25 +121,6 @@ def _timed_call(fn: Callable[..., Any], kwargs: dict) -> tuple[Any, float]:
     t0 = time.perf_counter()
     value = fn(**kwargs)
     return value, time.perf_counter() - t0
-
-
-class _UnaryCall:
-    """Adapter turning ``fn(value)`` into a kwargs-style point callable.
-
-    Module-level class so instances pickle whenever ``fn`` does.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-        # Delegate identity to the wrapped function so cache namespaces and
-        # code tokens are stable across processes and invocations (an
-        # instance repr would embed a memory address).
-        self.__qualname__ = f"unary:{getattr(fn, '__qualname__', type(fn).__name__)}"
-        self.__module__ = getattr(fn, "__module__", "?")
-        self.__code_token__ = code_token(fn)
-
-    def __call__(self, *, arg: Any) -> Any:
-        return self.fn(arg)
 
 
 class SweepRunner:
@@ -249,26 +231,6 @@ class SweepRunner:
             )
             self.metrics.gauge("runtime.sweep.workers").set(effective)
         return results
-
-    def map_values(
-        self,
-        fn: Callable[[Any], Any],
-        values: Sequence[Any],
-        namespace: str | None = None,
-        use_cache: bool = False,
-    ) -> list[Any]:
-        """Like :meth:`map` for single-argument functions.
-
-        Caching defaults off here because ad-hoc unary objectives (tuning
-        closures) rarely have stable source to key on.
-        """
-        ns = namespace or f"{fn.__module__}.{getattr(fn, '__qualname__', repr(fn))}"
-        return self.map(
-            _UnaryCall(fn),
-            [{"arg": v} for v in values],
-            namespace=ns,
-            use_cache=use_cache,
-        )
 
     # -- execution ----------------------------------------------------------
 

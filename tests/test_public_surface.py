@@ -14,9 +14,9 @@ tests, or, if the tests measure against it, move it under ``tests/``.
 :data:`ALLOWLIST` holds the exceptions, each with its documented role.
 
 A reference is an identifier: a name that is read, an attribute, or an
-imported name.  So a class whose own module names it — a ``classmethod``
-that builds ``Cls(...)`` spelled out, a method returning another instance —
-counts as used and slips past this rule.
+imported name.  A definition's references to its own name — a recursive
+call, a ``classmethod`` that builds ``Cls(...)`` spelled out — are not
+uses; a reference from elsewhere in its module is.
 """
 
 from __future__ import annotations
@@ -75,18 +75,27 @@ def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references(tree: ast.Module, imports: bool = True) -> set[str]:
-    """Identifiers ``tree`` reads, as names or attributes, and (with
-    ``imports``) the names it imports."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(
+    node: ast.AST, imports: bool = True, inside: frozenset[str] = frozenset()
+) -> set[str]:
+    """Identifiers ``node`` reads, as names or attributes, and (with
+    ``imports``) the names it imports — except a definition's references
+    to its own name (``inside`` holds the enclosing definitions')."""
     names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif imports and isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+    if isinstance(node, _DEFS):
+        inside = inside | {node.name}
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif imports and isinstance(node, ast.ImportFrom):
+        names.update(alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, imports, inside)
+    return names - inside
 
 
 def _exports(tree: ast.Module) -> list[str]:

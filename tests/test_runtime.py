@@ -211,7 +211,7 @@ class TestSweepRunner:
         registry = MetricsRegistry()
         runner = SweepRunner(workers=4, metrics=registry, mp_context=FORK)
         y = 10
-        out = runner.map_values(lambda x: x + y, [1, 2, 3])
+        out = runner.map(lambda x: x + y, [{"x": x} for x in (1, 2, 3)])
         assert out == [11, 12, 13]
         assert registry.get("runtime.sweep.serial_fallback").value == 1
 
@@ -264,7 +264,8 @@ class TestSweepRunner:
         share = max(1, free_cores() // 2)
         blas = None if before[1] is None else min(before[1], share)
         runner = SweepRunner(workers=2, mp_context=FORK)
-        assert runner.map_values(lanes_point, [1, 2, 3, 4]) == [(share, blas)] * 4
+        points = [{"x": x} for x in range(4)]
+        assert runner.map(lanes_point, points) == [(share, blas)] * 4
         assert lanes_point(0) == before
 
     def test_negative_workers_rejected(self):
@@ -282,48 +283,28 @@ class TestSweepRunner:
 # ---------------------------------------------------------------------------
 
 
-class TestFigureParity:
-    def test_fig11_runner_matches_serial(self, tmp_path):
-        from repro.experiments import fig11_batch_scaling as f11
+#: (module, small run() kwargs) for every sweep that goes through a runner
+FIGURE_SWEEPS = [
+    ("fig11_batch_scaling", {}),
+    ("fig12_hash_scaling", {}),
+    ("fig13_mlp_dims", {}),
+    ("fig15_accuracy", dict(baseline_batch=64, gpu_batches=(128,), example_budget=1536,
+                            tuning_trials=2, num_seeds=1)),
+    ("ext_fault_tolerance", dict(horizon_s=0.5, mtbf_s=1.0, intervals=(0.05, 0.2))),
+]
 
-        serial = f11.run()
-        runner = SweepRunner(workers=2, cache=ResultCache(tmp_path), mp_context=FORK)
-        cold = f11.run(runner=runner)
-        warm = f11.run(runner=runner)
-        assert serial == cold == warm
 
-    def test_fig13_runner_matches_serial(self, tmp_path):
-        from repro.experiments import fig13_mlp_dims as f13
+@pytest.mark.parametrize("name,kw", FIGURE_SWEEPS, ids=[n for n, _ in FIGURE_SWEEPS])
+def test_figure_sweep_parity(name, kw, tmp_path):
+    """One in-process worker == a two-worker pool, cold and warm cache."""
+    import importlib
 
-        serial = f13.run()
-        runner = SweepRunner(workers=2, cache=ResultCache(tmp_path), mp_context=FORK)
-        assert serial == f13.run(runner=runner) == f13.run(runner=runner)
-
-    def test_fig15_micro_parity(self, tmp_path):
-        from repro.experiments import fig15_accuracy as f15
-
-        kw = dict(
-            baseline_batch=64,
-            gpu_batches=(128,),
-            example_budget=1536,
-            tuning_trials=2,
-            num_seeds=1,
-            seed=0,
-        )
-        serial = f15.run(**kw)
-        runner = SweepRunner(workers=2, cache=ResultCache(tmp_path), mp_context=FORK)
-        cold = f15.run(**kw, runner=runner)
-        warm = f15.run(**kw, runner=runner)
-        assert serial == cold == warm
-
-    def test_tuning_runner_parity(self):
-        from repro.core.tuning import grid_search
-
-        serial = grid_search(square_point, 1e-2, 1.0, num=5)
-        parallel = grid_search(
-            square_point, 1e-2, 1.0, num=5, runner=SweepRunner(workers=2, mp_context=FORK)
-        )
-        assert serial == parallel
+    module = importlib.import_module(f"repro.experiments.{name}")
+    serial = module.run(**kw)
+    runner = SweepRunner(workers=2, cache=ResultCache(tmp_path), mp_context=FORK)
+    cold = module.run(**kw, runner=runner)
+    warm = module.run(**kw, runner=runner)
+    assert serial == cold == warm
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +409,9 @@ class TestSweepCrashRecovery:
         assert registry.get("runtime.sweep.pool_restarts").value >= 1
         assert registry.get("runtime.sweep.point_retries").value >= 1
 
-    def test_permanent_failure_raises_named_error(self):
-        runner = SweepRunner(workers=2, mp_context=FORK, retry=FAST_RETRY)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_permanent_failure_raises_named_error(self, workers):
+        runner = SweepRunner(workers=workers, mp_context=FORK, retry=FAST_RETRY)
         with pytest.raises(SweepPointError) as err:
             runner.map(
                 always_failing_point, [{"x": i} for i in range(4)], use_cache=False
@@ -439,6 +421,7 @@ class TestSweepCrashRecovery:
         assert failure.index == 2
         assert failure.attempts == FAST_RETRY.max_attempts
         assert failure.error_type == "ValueError"
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_partial_mode_keeps_successes(self):
         registry = MetricsRegistry()
