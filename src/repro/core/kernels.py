@@ -65,17 +65,57 @@ without a fresh result per call; ``None`` allocates, as before.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
-try:  # scipy is a normal dependency (repro.core.tuning uses scipy.special),
-    # but the kernels degrade gracefully to pure-numpy without it — and
-    # without the private module the routine lives in (the differential
-    # tests in tests/test_kernels.py pin it against the public product).
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _csr_matvecs = None
+
+def _load_csr_matvecs():
+    """SciPy's compiled ``csr_matvecs``, or ``None`` (the numpy path).
+
+    The routine lives in the extension module ``scipy.sparse._sparsetools``,
+    which needs nothing of scipy but numpy's C API.  Importing it by name
+    runs ``scipy/sparse/__init__.py`` first — about 325 modules and ~20 MB
+    of RSS, of which the step calls nothing — so the extension file is
+    loaded by itself from scipy's package directory
+    (``find_spec("scipy")`` locates it without importing scipy) and then
+    taken out of ``sys.modules`` again, so a later ``import scipy.sparse``
+    loads and binds it as it always did.  When the file is not where a
+    scipy wheel puts it, the regular import is tried; without scipy (or
+    without the private module — the differential tests in
+    ``tests/test_kernels.py`` pin it against the public product) the
+    kernels fall back to numpy.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is already imported
+        return getattr(sys.modules[name], "csr_matvecs", None)
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")
+        roots = scipy_spec.submodule_search_locations if scipy_spec else None
+        for root in roots or ():
+            finder = FileFinder(
+                os.path.join(root, "sparse"), (ExtensionFileLoader, EXTENSION_SUFFIXES)
+            )
+            spec = finder.find_spec(name)
+            if spec is not None:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules.pop(name, None)
+                return module.csr_matvecs
+    except (ImportError, OSError, AttributeError):
+        pass
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        return None
+    return csr_matvecs
+
+
+_csr_matvecs = _load_csr_matvecs()
 
 #: Dtypes routed through the sparse-matmul fast path; anything else falls
 #: back to ``np.add.reduceat``.

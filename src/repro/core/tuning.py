@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = ["Trial", "SearchResult", "grid_search", "random_search", "bayesian_search"]
 
@@ -105,6 +104,10 @@ def _expected_improvement(
     z = (best - mean) / sigma
     # Gaussian EI: sigma * (z * Phi(z) + phi(z))
     phi = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
+    # Imported on first use: a process that never runs a Bayesian search
+    # should not map scipy.special (~26 MB and 315 modules on its own).
+    from scipy.special import erf
+
     big_phi = 0.5 * (1.0 + erf(z / np.sqrt(2)))
     return sigma * (z * big_phi + phi)
 

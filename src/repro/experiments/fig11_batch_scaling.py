@@ -69,9 +69,19 @@ def run(
 ) -> Fig11Result:
     """Sweep batch sizes through ``runner`` (default: one in-process worker,
     no cache).  ``tracer`` reaches every point, so it records spans only
-    when the points run in this process."""
+    when the points run in this process: a recording tracer with a runner
+    that forks workers or serves points from a cache would come back
+    empty, and raises ``ValueError`` instead."""
     model = model or default_model()
     runner = runner or SweepRunner()
+    if tracer is not None and not tracer.enabled:
+        tracer = None  # a no-op tracer is no point parameter (nor cache key)
+    if tracer is not None and (runner.workers >= 2 or runner.cache is not None):
+        raise ValueError(
+            "a recording tracer sees only points computed in this process: "
+            f"pass a runner with workers <= 1 and no cache (got workers="
+            f"{runner.workers}, cache={runner.cache!r})"
+        )
     cpu = tuple(
         runner.map(
             cpu_point,

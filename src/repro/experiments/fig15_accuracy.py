@@ -21,12 +21,14 @@ quality than the asynchronous many-worker CPU setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..analysis import render_table
 from ..core import (
     Adagrad,
+    Batch,
     DLRM,
     InteractionType,
     MLPSpec,
@@ -38,7 +40,7 @@ from ..core import (
     ne_gap_percent,
     uniform_tables,
 )
-from ..data import SyntheticDataGenerator
+from ..data import ClickModel, SyntheticDataGenerator
 from ..distributed import EASGDConfig, EASGDTrainer
 from ..runtime import SweepRunner
 
@@ -93,6 +95,35 @@ class Fig15Result:
         return ups / (len(gaps) - 1)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@lru_cache(maxsize=4)
+def _held_out(
+    teacher_seed: int, eval_seed: int, num_eval_batches: int, eval_batch_size: int
+) -> tuple[ClickModel, tuple[Batch, ...]]:
+    """The ``ClickModel`` teacher and its held-out evaluation batches, built
+    once per process for each key (every point of a :func:`run` shares one).
+
+    The teacher is pure after ``__init__`` (label draws come from the
+    *generator's* RNG), so sharing it is bit-identical to rebuilding it per
+    point.  Every array of both is made read-only: a point that wrote into
+    what the next one reads raises instead.
+    """
+    config = accuracy_model()
+    teacher = ClickModel(config, rng=teacher_seed)
+    eval_gen = SyntheticDataGenerator(config, rng=eval_seed, teacher=teacher)
+    batches = tuple(eval_gen.batch(eval_batch_size) for _ in range(num_eval_batches))
+    _read_only(teacher.dense_weights, *teacher.table_latents.values())
+    for batch in batches:
+        _read_only(batch.dense, batch.labels)
+        for ragged in batch.sparse.values():
+            _read_only(ragged.values, ragged.offsets)
+    return teacher, batches
+
+
 def train_eval_point(
     batch_size: int,
     lr: float,
@@ -106,17 +137,14 @@ def train_eval_point(
 ) -> dict:
     """One fully self-contained Fig 15 training run (picklable, cacheable).
 
-    Rebuilds the teacher and the held-out evaluation batches from their
-    seeds; :class:`~repro.data.ClickModel` is pure after ``__init__`` (label
-    draws come from the *generator's* RNG), so a reconstructed teacher is
-    bit-identical to one shared in-process.
+    The teacher and the held-out evaluation batches are functions of their
+    seeds and sizes alone (:func:`_held_out`), so the point depends only on
+    its arguments wherever and in whatever order it runs.
     """
-    from ..data import ClickModel
-
     config = accuracy_model()
-    teacher = ClickModel(config, rng=teacher_seed)
-    eval_gen = SyntheticDataGenerator(config, rng=eval_seed, teacher=teacher)
-    eval_batches = [eval_gen.batch(eval_batch_size) for _ in range(num_eval_batches)]
+    teacher, eval_batches = _held_out(
+        teacher_seed, eval_seed, num_eval_batches, eval_batch_size
+    )
     gen = SyntheticDataGenerator(config, rng=data_seed, teacher=teacher)
     model = DLRM(config, rng=model_seed)
     trainer = Trainer(
@@ -241,8 +269,6 @@ def run_sync_mode_comparison(
     lr: float = 0.05,
     seed: int = 0,
 ) -> SyncModeResult:
-    from ..data import ClickModel
-
     config = accuracy_model()
     teacher = ClickModel(config, rng=seed + 999)
     eval_gen = SyntheticDataGenerator(config, rng=seed + 5000, teacher=teacher)

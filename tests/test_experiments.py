@@ -78,6 +78,35 @@ class TestFigureDrivers:
         assert len(result.cpu_throughput) == 3
         assert result.gpu_throughput[1] > result.gpu_throughput[0]
 
+    def test_fig11_tracer_records_every_in_process_point(self):
+        from repro.obs.tracer import Tracer
+        from repro.runtime import SweepRunner
+
+        kw = dict(cpu_batches=(100, 200), gpu_batches=(400, 800))
+        default, explicit = Tracer(), Tracer()
+        fig11_batch_scaling.run(tracer=default, **kw)
+        fig11_batch_scaling.run(tracer=explicit, runner=SweepRunner(workers=1), **kw)
+        assert len(default.finished()) == len(explicit.finished()) > 0
+
+    def test_fig11_tracer_refuses_a_runner_it_cannot_see_into(self, tmp_path):
+        """Points computed in forked workers or served from a cache record
+        no span here; a recording tracer with such a runner is an error,
+        not an empty trace."""
+        from repro.obs.tracer import NULL_TRACER, Tracer
+        from repro.runtime import ResultCache, SweepRunner
+
+        kw = dict(cpu_batches=(100, 200), gpu_batches=(400, 800))
+        for runner in (
+            SweepRunner(workers=2),
+            SweepRunner(workers=1, cache=ResultCache(tmp_path)),
+        ):
+            tracer = Tracer()
+            with pytest.raises(ValueError, match="recording tracer"):
+                fig11_batch_scaling.run(tracer=tracer, runner=runner, **kw)
+            assert tracer.finished() == []
+            # nothing to lose without a recording tracer
+            assert fig11_batch_scaling.run(tracer=NULL_TRACER, runner=runner, **kw)
+
     def test_fig12_small_sweep(self):
         result = fig12_hash_scaling.run(hash_sweep=(100_000, 1_000_000))
         assert result.cpu_flatness() < 1.05
@@ -110,6 +139,34 @@ class TestFig15Fast:
         assert len(result.points) == 2
         assert result.points[0].steps_taken > result.points[1].steps_taken
         assert "Figure 15" in fig15_accuracy.render(result)
+
+    def test_held_out_is_built_once_and_read_only(self):
+        """Every point of a run shares one teacher and one set of eval
+        batches; nothing a point does writes to them."""
+        import hashlib
+        import pickle
+
+        point = dict(
+            batch_size=64, lr=0.05, example_budget=640, data_seed=0,
+            model_seed=1, teacher_seed=999, eval_seed=5000,
+            num_eval_batches=2, eval_batch_size=256,
+        )
+        key = (999, 5000, 2, 256)
+        teacher, batches = fig15_accuracy._held_out(*key)
+        digest = hashlib.sha256(pickle.dumps((teacher, batches))).hexdigest()
+        first = fig15_accuracy.train_eval_point(**point)
+        second = fig15_accuracy.train_eval_point(**point)
+        assert first == second
+        again = fig15_accuracy._held_out(*key)
+        assert again[0] is teacher and again[1] is batches
+        assert hashlib.sha256(pickle.dumps(again)).hexdigest() == digest
+        arrays = [teacher.dense_weights, *teacher.table_latents.values()]
+        for batch in batches:
+            arrays += [batch.dense, batch.labels]
+            arrays += [a for r in batch.sparse.values() for a in (r.values, r.offsets)]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            batches[0].dense[0, 0] = 1.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
