@@ -72,7 +72,8 @@ perfbench-smoke:
 
 # N alternating parent/change perfbench pairs and the per-pair table a
 # perf claim rests on: make perf-pairs PARENT=<checkout> WORKLOAD=<name> N=10
-# (no WORKLOAD: the full suite per run).
+# (no WORKLOAD: every workload, one process per workload and side, the
+# suite's order rotated each pair).
 N ?= 10
 perf-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) -n $(N) $(if $(WORKLOAD),--workload $(WORKLOAD))

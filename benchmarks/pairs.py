@@ -9,7 +9,9 @@ per-pair table (value, B/A, each run's segment min-max, digests equal) and
 the reading by the rule of the ``choosing-metrics`` guide §8: a gain needs
 the change to win at least nine tenths of the pairs *and* the two medians to
 be further apart than the parent's own quartiles.  Without ``--workload``
-every pair is the full suite.
+every pair is the full suite, one ``run.py`` process per workload and side:
+a workload's two sides run back to back, and the suite's order rotates by
+one workload each pair, so no workload always runs first.
 
 It only calls perfbench.  The one thing it touches in a checkout is
 perfbench's own output directory: a result is normalised by the fastest
@@ -47,11 +49,9 @@ def share_host_ceiling(checkouts: list[pathlib.Path]) -> None:
             f.write_text(json.dumps(best))
 
 
-def run_once(checkout: pathlib.Path, workload: str | None, seed: int, out: pathlib.Path) -> dict:
+def run_once(checkout: pathlib.Path, workload: str, seed: int, out: pathlib.Path) -> dict:
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"),
-            "--seed", str(seed), "--out", str(out)]
-    if workload:
-        argv += ["--workload", workload]
+            "--workload", workload, "--seed", str(seed), "--out", str(out)]
     done = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if not out.exists():
         raise SystemExit(f"{' '.join(argv)} exited {done.returncode} without a result:\n{done.stdout[-2000:]}")
@@ -109,18 +109,23 @@ def main() -> int:
     out_dir = (args.out_dir or sides[1] / "perfbench" / "results" / "pairs").resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    spec = json.loads((sides[1] / "BENCHMARK.json").read_text())
+    suite = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     pairs: list[tuple[dict, dict]] = []
     for i in range(args.pairs):
-        results = {}
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            share_host_ceiling(sides)
-            out = out_dir / f"pair{i:02d}_{'AB'[side]}.json"
-            results[side] = run_once(sides[side], args.workload, args.seed0 + i, out)
-            print(f"pair {i} {'AB'[side]} done -> {out}", flush=True)
+        shift = i % len(suite)
+        results: dict[int, dict] = {}
+        for workload in suite[shift:] + suite[:shift]:
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                share_host_ceiling(sides)
+                out = out_dir / f"pair{i:02d}_{workload}_{'AB'[side]}.json"
+                result = run_once(sides[side], workload, args.seed0 + i, out)
+                # a side's first result collects the rest of its workloads
+                results.setdefault(side, result)["workloads"].update(result["workloads"])
+                print(f"pair {i} {workload} {'AB'[side]} done -> {out}", flush=True)
         pairs.append((results[0], results[1]))
 
-    spec = json.loads((sides[1] / "BENCHMARK.json").read_text())
-    for workload in pairs[0][0]["workloads"]:
+    for workload in suite:
         for m in spec["end_to_end"]:
             report(workload, m["name"], m["better"], pairs)
     return 0

@@ -15,11 +15,7 @@
   ``chrome://tracing`` / Perfetto JSON trace (see ``repro.obs``);
 * ``faults`` — fault-injection scenarios against the cluster simulation
   (goodput, availability, retry/recovery telemetry; see
-  ``repro.resilience`` and ``docs/resilience.md``);
-* ``serve`` — online inference serving experiments (throughput-latency
-  curves, SLO-constrained capacity planning, hot-row cache
-  cross-validation, checkpoint-refresh staleness; see ``repro.serving``
-  and ``docs/serving.md``).
+  ``repro.resilience`` and ``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -391,60 +387,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             )
         )
         print()
-    return 0
-
-
-#: ``repro serve <action>`` choices.
-SERVE_ACTIONS = ("curve", "slo", "cache", "staleness")
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from .experiments import ext_serving
-    from .serving import SLO
-
-    model = resolve_model(args.model) if args.model else None
-    if args.action == "curve":
-        result = ext_serving.run_curve(
-            model=model,
-            num_replicas=args.replicas,
-            platform=args.platform,
-            cache_rows=args.cache_rows,
-            policy=args.policy,
-            requests_per_point=args.requests,
-            slo=SLO(p99_ms=args.slo_p99 if args.slo_p99 else 25.0),
-            seed=args.seed,
-        )
-        rendered = ext_serving.render_curve(result)
-    elif args.action == "slo":
-        result = ext_serving.run_slo(
-            model=model,
-            platform=args.platform,
-            cache_rows=args.cache_rows,
-            policy=args.policy,
-            slo=SLO(p99_ms=args.slo_p99 if args.slo_p99 else 5.0),
-            requests_per_point=args.requests,
-            seed=args.seed,
-        )
-        rendered = ext_serving.render_slo(result)
-    elif args.action == "cache":
-        result = ext_serving.run_cache(
-            model=model,
-            platform=args.platform,
-            num_requests=args.requests,
-            seed=args.seed,
-        )
-        rendered = ext_serving.render_cache(result)
-    else:  # staleness
-        result = ext_serving.run_staleness(
-            model=model, num_replicas=args.replicas, seed=args.seed
-        )
-        rendered = ext_serving.render_staleness(result)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(rendered)
     return 0
 
 
@@ -838,25 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_faults)
-
-    p = sub.add_parser("serve", help="online inference serving experiments")
-    p.add_argument("action", choices=SERVE_ACTIONS)
-    p.add_argument("--model", default=None,
-                   help="model spec (default: the serving test model)")
-    p.add_argument("--platform", default="cpu",
-                   choices=["cpu", "BigBasin", "BigBasin-16GB", "Zion"])
-    p.add_argument("--replicas", type=int, default=2)
-    p.add_argument("--policy", default="lru", choices=["lru", "lfu"],
-                   help="hot-row cache eviction policy (curve/slo)")
-    p.add_argument("--cache-rows", type=int, default=4096,
-                   help="cached rows per embedding table (curve/slo)")
-    p.add_argument("--requests", type=int, default=2000,
-                   help="requests per measured point")
-    p.add_argument("--slo-p99", type=float, default=None,
-                   help="p99 bound in ms (default 25 for curve, 5 for slo)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "mp", help="multi-process hybrid-parallel training (shared-memory shards)"

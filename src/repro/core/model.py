@@ -210,9 +210,8 @@ class DLRM:
         ``training=False`` is the inference fast path: no activations are
         cached anywhere in the stack (MLP inputs, ReLU masks, interaction
         stacks, embedding forward contexts), so inference-only forwards
-        allocate less, run faster, and leave no state to discard — the
-        serving replicas (:mod:`repro.serving.replica`) and
-        :meth:`predict_proba` use it.  ``backward`` after an
+        allocate less, run faster, and leave no state to discard —
+        :meth:`predict_proba` uses it.  ``backward`` after an
         inference-only forward raises.
 
         ``plans`` (table name -> :class:`TablePlan`, from

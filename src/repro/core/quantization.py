@@ -112,11 +112,7 @@ class QuantizedEmbeddingTable:
         return float(self.row_bytes)
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
-        """Dequantize the given row indices; returns ``(len(rows), dim)``.
-
-        The serving hot-row cache (:mod:`repro.serving.cache`) fills cache
-        lines through this when quantized backing storage is enabled.
-        """
+        """Dequantize the given row indices; returns ``(len(rows), dim)``."""
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) and (rows.min() < 0 or rows.max() >= self.spec.hash_size):
             raise IndexError(f"rows out of range for table {self.spec.name}")

@@ -109,9 +109,9 @@ def sample_discrete_zipf(
     discrete pmf and inverts its CDF with ``searchsorted`` — O(num_items)
     memory but *statistically exact*, so measured cache hit rates line up
     with the analytic :func:`repro.placement.cache.zipf_hit_rate` /
-    :func:`repro.placement.cache.lru_hit_rate` predictions.  The online
-    serving path (:mod:`repro.serving.traffic`) uses it because inference
-    caches are validated against those predictions.
+    :func:`repro.placement.cache.lru_hit_rate` predictions; the tiering
+    sweep (:mod:`repro.experiments.ext_tiering`) and the hit-rate
+    cross-validation in ``tests/test_tiering.py`` draw from it.
 
     ``mix`` maps rank -> row id through the same multiplicative-hash mixing
     as the training sampler, so popular rows are spread across the table

@@ -13,8 +13,8 @@ Two claims about :mod:`repro.tiering` are checked end to end:
   match the closed-form prediction (chunk-granular popularity pmf through
   :mod:`repro.tiering.analytic`, priced by
   :class:`~repro.tiering.costs.TierCostModel`) within a per-point relative
-  error — the same cross-validation discipline the serving cache uses for
-  its hit rates, extended to cost.
+  error — the cross-validation ``tests/test_tiering.py`` applies to the
+  cache's hit rates, extended to cost.
 
 ``python -m repro tier {train,sweep}`` drives both.
 """
@@ -242,8 +242,7 @@ def run_sweep(
 
     The cache warms for ``warmup`` accesses, then ``measure`` accesses are
     accounted — the analytic models describe the steady state, so the
-    warm-up transient (compulsory fills, initial promotions) is excluded,
-    mirroring the serving cross-validation's warm/raw bracket.
+    warm-up transient (cold fills, initial promotions) is excluded.
     """
     if measure < 1:
         raise ValueError(f"measure must be >= 1, got {measure}")

@@ -25,7 +25,6 @@ __all__ = [
     "interaction_cost",
     "embedding_lookup_cost",
     "embedding_update_cost",
-    "inference_dense_cost",
     "dense_optimizer_cost",
     "dense_param_bytes",
     "pooled_embedding_bytes",
@@ -141,24 +140,6 @@ def embedding_update_cost(model: ModelConfig, batch: int) -> OpCost:
         bytes=row_bytes * SPARSE_OPTIMIZER_TOUCHES * EMB_RANDOM_ACCESS_PENALTY / 2.0,
         kernels=model.num_sparse,
     )
-
-
-def inference_dense_cost(model: ModelConfig, batch: int) -> OpCost:
-    """Forward-only dense work of one inference batch: bottom MLP +
-    interaction + top MLP (no backward, no optimizer).
-
-    The online serving engine (:mod:`repro.serving`) prices per-batch
-    service time as this plus the cache-discounted
-    :func:`embedding_lookup_cost` — inference is the forward slice of the
-    training cost catalog, which is what makes the training and serving
-    models consistent with each other.
-    """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    cost = mlp_cost(model.num_dense, model.bottom_mlp, batch, backward=False)
-    cost = cost + interaction_cost(model, batch, backward=False)
-    cost = cost + mlp_cost(model.interaction_features, model.top_mlp, batch, backward=False)
-    return cost
 
 
 def dense_param_bytes(model: ModelConfig) -> float:

@@ -6,17 +6,15 @@ the capacity-planning side of that what-if:
 
 * :func:`zipf_hit_rate` / :func:`lru_hit_rate` — re-exported from
   :mod:`repro.tiering.analytic`, the repo's single home for the analytic
-  hit-rate math (historically these lived here; the tiered embedding
-  store and the serving caches now share one implementation);
+  hit-rate math;
 * :class:`CachePlan` — sizing a per-table HBM cache under a byte budget and
   reporting the fraction of lookup traffic it absorbs.
 
 :func:`cached_system_memory_throughput` in :mod:`repro.perf.whatif` uses
 the absorbed fraction to discount host-memory traffic for system-memory
-placements — the optimization the paper sketches for Big Basin.  The
-online serving cache (:mod:`repro.serving.cache`) measures its hit rate
-functionally and cross-validates against both predictions
-(``tests/test_serving_cache.py``).
+placements — the optimization the paper sketches for Big Basin.  Both
+predictions are cross-validated against the functional
+:class:`repro.tiering.policy.PolicyCache` in ``tests/test_tiering.py``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ MTrainS argument.  This package provides:
   cache/tier hit-rate models (Che LRU approximation, top-k Zipf mass,
   and their pmf-general forms);
 * :mod:`~repro.tiering.policy` — the one functional cache
-  (:class:`PolicyCache`: lru / lfu / frequency-admission), shared with
-  :mod:`repro.serving.cache`;
+  (:class:`PolicyCache`: lru / lfu / frequency-admission);
 * :mod:`~repro.tiering.freq` — the one decayed access frequency (EMA)
   per chunk that "freq" admission scores by (segmentation-invariant:
   decayed per access);

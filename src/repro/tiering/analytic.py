@@ -1,9 +1,7 @@
 """Analytic cache/tier hit-rate models, written once for the whole repo.
 
-Historically :mod:`repro.placement.cache` (capacity planning) and
-:mod:`repro.serving.cache` (online serving) each carried their own copy of
-the hit-rate math.  This module is now the single home; both old locations
-re-export from here for compatibility.
+This is the single home of the hit-rate math; :mod:`repro.placement.cache`
+(capacity planning) re-exports the rank forms.
 
 Two families of predictors, each available in a *rank* form (Zipf
 popularity over ``num_rows`` ranks) and a *pmf* form (arbitrary access
@@ -17,9 +15,9 @@ chunks, the :mod:`repro.tiering.store` case):
   independent-reference model via Che's characteristic-time approximation
   (strictly below the top-k mass on skewed traffic).
 
-Both are cross-validated against the *functional* caches built on
-:mod:`repro.tiering.policy` — by ``tests/test_serving_cache.py`` (serving
-hot-row caches) and ``tests/test_tiering.py`` (chunked embedding tiers).
+Both are cross-validated against the *functional* cache,
+:class:`repro.tiering.policy.PolicyCache`, by ``tests/test_tiering.py``
+(row-level steady-state hit rates and chunked embedding tiers).
 """
 
 from __future__ import annotations
@@ -188,8 +186,8 @@ def lru_hit_rate(num_rows: int, cached_rows: int, skew: float = 1.05) -> float:
     Che's approximation: the characteristic time ``T`` solves
     ``sum_i (1 - exp(-p_i T)) = C`` and the hit rate is
     ``sum_i p_i (1 - exp(-p_i T))``.  Accurate to ~1% against the
-    functional LRU cache in :mod:`repro.serving.cache` on discrete-Zipf
-    traffic (pinned by ``tests/test_serving_cache.py``).
+    functional LRU :class:`~repro.tiering.policy.PolicyCache` on
+    discrete-Zipf traffic (pinned by ``tests/test_tiering.py``).
     """
     _validate_cache_args(num_rows, cached_rows, skew)
     c = min(cached_rows, num_rows)

@@ -1,11 +1,10 @@
 """Generic keyed cache with pluggable admission/eviction policies.
 
-This is the one functional cache implementation in the repo.  The serving
-hot-row caches (:class:`repro.serving.cache.HotRowCache`) and the tiered
+This is the one functional cache implementation in the repo.  The tiered
 embedding store's hot tier (:class:`repro.tiering.store.TieredEmbeddingTable`)
-are both built on :class:`PolicyCache`, so eviction semantics, hit/miss
-accounting, and the warm/raw hit-rate bracket are written (and
-cross-validated against :mod:`repro.tiering.analytic`) exactly once.
+is built on :class:`PolicyCache`, and ``tests/test_tiering.py``
+cross-validates its steady-state hit rates against
+:mod:`repro.tiering.analytic`.
 (For ``"freq"`` the store replays a whole lookup stream in one batched
 pass instead of calling in per access; this per-access implementation is
 the reference ``tests/test_tiering.py`` holds that pass equal to.)
@@ -40,7 +39,7 @@ POLICIES = ("lru", "lfu", "freq")
 
 
 class PolicyCache:
-    """A capacity-bounded key -> payload cache with a measured hit rate.
+    """A capacity-bounded key cache with a measured hit rate.
 
     ``touch(key)`` records one access (hit bookkeeping only); ``insert``
     admits a missing key, possibly evicting — the two-step split lets
@@ -65,11 +64,6 @@ class PolicyCache:
         self.scorer = scorer
         self.hits = 0
         self.misses = 0
-        #: Misses on keys never seen before (cold-start fills).  A finite
-        #: window cannot avoid these, but the steady-state analytics
-        #: (:mod:`repro.tiering.analytic`) assume a warmed cache — so
-        #: cross-validation compares against :attr:`warm_hit_rate`.
-        self.compulsory_misses = 0
         #: Admissions that actually landed (each one is a tier movement).
         self.insertions = 0
         #: "freq"-policy misses whose key did not outscore the coldest
@@ -77,8 +71,7 @@ class PolicyCache:
         #: movement (the churn-avoidance that makes the policy cheap).
         self.rejections = 0
         self.evictions = 0
-        self._seen: set[int] = set()
-        self._store: OrderedDict[int, object] = OrderedDict()
+        self._store: OrderedDict[int, None] = OrderedDict()
         # LFU state: key -> access count, plus a lazy min-heap of
         # (count, seq, key) candidates.
         self._freq: dict[int, int] = {}
@@ -102,30 +95,6 @@ class PolicyCache:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def warm_hit_rate(self) -> float:
-        """Hit rate with cold-start (first-touch) misses excluded.
-
-        An *optimistic* estimator: in steady state rare keys would still
-        miss on most accesses, but here their first touch is simply
-        dropped.  Together with the pessimistic raw :attr:`hit_rate`
-        (which charges every cold fill) the pair brackets the
-        steady-state hit rate over a finite window:
-        ``hit_rate <= steady_state <= warm_hit_rate``.
-        """
-        warm = self.accesses - self.compulsory_misses
-        return self.hits / warm if warm else 0.0
-
-    def invalidate(self) -> None:
-        """Drop all entries (checkpoint refresh / replica cold start).
-
-        Hit/miss counters survive — measured hit rates deliberately
-        include the cold re-warm cost of invalidations.
-        """
-        self._store.clear()
-        self._freq.clear()
-        self._heap.clear()
 
     # -- internals ----------------------------------------------------------
 
@@ -173,12 +142,9 @@ class PolicyCache:
             # "freq": recency/count state lives in the external scorer.
         else:
             self.misses += 1
-            if key not in self._seen:
-                self.compulsory_misses += 1
-                self._seen.add(key)
         return hit
 
-    def insert(self, key: int, payload: object = None) -> tuple[bool, int | None]:
+    def insert(self, key: int) -> tuple[bool, int | None]:
         """Admit a (missing) key; returns ``(inserted, evicted_key)``.
 
         LRU/LFU always admit (insert-on-miss); "freq" only admits when the
@@ -199,30 +165,22 @@ class PolicyCache:
             else:
                 evicted = self._evict_one()
             self.evictions += 1
-        self._store[key] = payload
+        self._store[key] = None
         if self.policy == "lfu":
             self._freq[key] = self._freq.get(key, 0) + 1
             self._lfu_push(key)
         self.insertions += 1
         return True, evicted
 
-    def get(self, key: int) -> object:
-        """Payload of a cached key (KeyError when absent)."""
-        return self._store[key]
-
     # -- fused loop ----------------------------------------------------------
 
     def access(self, keys: np.ndarray) -> int:
-        """Bookkeeping-only pass over an access stream; returns hits.
-
-        Misses insert a ``None`` payload (the pricing path): cache state
-        and hit statistics evolve exactly as the functional path, but no
-        data moves.
-        """
+        """One pass over an access stream (touch, insert on miss); returns
+        hits."""
         batch_hits = 0
         for key in keys.tolist():
             if self.touch(key):
                 batch_hits += 1
             else:
-                self.insert(key, None)
+                self.insert(key)
         return batch_hits

@@ -490,7 +490,7 @@ class TestFullCheckpoint:
         assert_same_state(ref, ref_tr.optimizer, resumed_tr.model, resumed_tr.optimizer)
 
     def test_loads_without_the_optimizer_it_was_saved_with(self, tiny_config, tmp_path):
-        """The serving refresh: weights only, from a trainer's checkpoint."""
+        """An inference model loads weights only from a trainer's checkpoint."""
         trainer = _trainer(DLRM(tiny_config, rng=0))
         trainer.train_step(SyntheticDataGenerator(tiny_config, rng=7).batch(32))
         trainer.save_checkpoint(tmp_path / "c.npz")

@@ -85,6 +85,8 @@ class TestCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "curve"])
 
 
 class TestCommandsExtra:
@@ -146,43 +148,6 @@ class TestTraceCommand:
         # sub-spans are parented into the step structure
         assert any(e["args"].get("parent") == "forward"
                    for e in events if e["name"] == "model_forward")
-
-
-class TestServeCommand:
-    def test_serve_curve_json(self, capsys):
-        import json
-
-        code = main([
-            "serve", "curve", "--model", "test:64x8:2000",
-            "--requests", "300", "--json",
-        ])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["points"]) == 5
-        for pt in doc["points"]:
-            assert pt["p99_ms"] > 0 and pt["offered_qps"] > 0
-
-    def test_serve_curve_table(self, capsys):
-        code = main([
-            "serve", "curve", "--model", "test:64x8:2000",
-            "--requests", "300",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "throughput-latency" in out and "p99 ms" in out
-
-    def test_serve_slo(self, capsys):
-        code = main([
-            "serve", "slo", "--model", "test:64x8:2000",
-            "--requests", "400", "--slo-p99", "10",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "SLO-constrained capacity" in out and "replicas" in out
-
-    def test_serve_rejects_unknown_action(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "bogus"])
 
 
 class TestMpCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EmbeddingTable,
@@ -75,6 +77,24 @@ class TestQuantizedEmbeddingTable:
         approx = q.forward(ragged)
         rel = np.abs(approx - exact).max() / (np.abs(exact).max() + 1e-12)
         assert rel < 0.02
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([2, 4, 8]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_gather_roundtrip_within_half_step(self, rows, dim, bits, seed):
+        """QuantizedEmbeddingTable.gather reconstructs every row within
+        half a quantization step of the original weights."""
+        spec = TableSpec(name="t", hash_size=rows, dim=dim, mean_lookups=1.0)
+        table = EmbeddingTable(spec, np.random.default_rng(seed))
+        q = QuantizedEmbeddingTable(table, bits=bits)
+        recon = q.gather(np.arange(rows, dtype=np.int64))
+        step = q.scales[:, None]
+        assert np.all(np.abs(recon - table.weight) <= 0.5 * step + 1e-12)
 
     def test_storage_smaller(self, rng):
         spec = TableSpec("t", hash_size=1000, dim=64)

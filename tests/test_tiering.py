@@ -10,6 +10,7 @@ from repro.core.config import InteractionType, TableSpec
 from repro.core.embedding import EmbeddingTable
 from repro.core.quantization import QuantizedEmbeddingTable
 from repro.data import SyntheticDataGenerator
+from repro.data.distributions import sample_discrete_zipf
 from repro.hardware import DRAM_TIER, NVME_TIER, SCM_TIER, MemoryTierSpec
 from repro.obs import MetricsRegistry
 from repro.tiering import (
@@ -19,7 +20,9 @@ from repro.tiering import (
     TieredEmbeddingTable,
     TieredStoreConfig,
     TierStats,
+    lru_hit_rate,
     policy_hit_rate_pmf,
+    zipf_hit_rate,
 )
 from repro.tiering import store
 
@@ -111,20 +114,12 @@ class TestPolicyCache:
         hits = c.access(np.array([1, 1, 1]))
         assert hits == 0 and len(c) == 0 and c.misses == 3
 
-    def test_hit_rate_bracket(self):
+    def test_hit_rate_counts_cold_fills(self):
         c = PolicyCache(4, "lru")
         c.access(np.array([1, 2, 3, 1, 2, 3, 1, 2, 3]))
-        # 3 compulsory cold fills, 6 warm hits.
-        assert c.hits == 6 and c.compulsory_misses == 3
+        # 3 cold fills, 6 hits.
+        assert c.hits == 6 and c.misses == 3
         assert c.hit_rate == pytest.approx(6 / 9)
-        assert c.warm_hit_rate == pytest.approx(1.0)
-        assert c.hit_rate <= c.warm_hit_rate
-
-    def test_invalidate_keeps_counters(self):
-        c = PolicyCache(2, "lru")
-        c.access(np.array([1, 1]))
-        c.invalidate()
-        assert len(c) == 0 and c.hits == 1 and c.misses == 1
 
     def test_freq_requires_scorer(self):
         with pytest.raises(ValueError, match="scorer"):
@@ -607,7 +602,43 @@ class TestTrainerTierMetrics:
 # ---------------------------------------------------------------------------
 
 
+def steady_state_hit_rate(policy, num_rows, capacity, skew=1.05,
+                          accesses=120_000, seed=0):
+    """Hit rate of a :class:`PolicyCache` over the second half of a
+    discrete-Zipf stream: the first half warms it, as the analytic
+    formulas assume a warmed cache."""
+    stream = sample_discrete_zipf(np.random.default_rng(seed), accesses,
+                                  num_rows, skew=skew)
+    cache = PolicyCache(min(capacity, num_rows), policy)
+    cut = len(stream) // 2
+    cache.access(stream[:cut])
+    return cache.access(stream[cut:]) / (len(stream) - cut)
+
+
 class TestMeasuredVsAnalytic:
+    def test_lru_matches_che_approximation(self):
+        """Measured steady-state LRU hit rate vs the Che characteristic-time
+        prediction, across capacity ratios."""
+        for n, c in ((2000, 100), (2000, 400), (20_000, 2000)):
+            measured = steady_state_hit_rate("lru", n, c, seed=1)
+            assert measured == pytest.approx(lru_hit_rate(n, c, 1.05), abs=0.02), (n, c)
+
+    def test_lfu_matches_topk_mass(self):
+        """Measured steady-state LFU hit rate vs the top-k Zipf mass.  LFU
+        converges to caching exactly the most popular rows, but finite
+        windows keep it slightly below the ideal: top-k is an upper
+        bound."""
+        for n, c in ((2000, 200), (20_000, 2000)):
+            measured = steady_state_hit_rate("lfu", n, c, seed=1)
+            predicted = zipf_hit_rate(n, c, 1.05)
+            assert measured <= predicted + 0.01, (n, c)
+            assert measured == pytest.approx(predicted, abs=0.04), (n, c)
+
+    def test_lfu_beats_lru_on_skewed_traffic(self):
+        lru = steady_state_hit_rate("lru", 5000, 500, accesses=100_000, seed=2)
+        lfu = steady_state_hit_rate("lfu", 5000, 500, accesses=100_000, seed=2)
+        assert lfu > lru
+
     def test_sweep_point_within_gate(self):
         from repro.experiments.ext_tiering import run_sweep
 
