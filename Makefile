@@ -37,12 +37,13 @@ alloc-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/alloc_smoke.py
 
 # 2-worker hybrid-parallel run, bitwise-verified against the serial
-# trainer; then 3 workers (two mesh rounds per rank: a round-order mistake hangs) and
-# world 1 through the same worker path.
+# trainer; then 3 workers (two mesh rounds per rank: a round-order mistake hangs),
+# world 1 through the same worker path, and the float64 model (--dtype).
 mp-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --verify
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 3 --steps 3 --batch 96 --verify
 	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 1 --steps 3 --batch 64 --verify
+	PYTHONPATH=src $(PYTHON) -m repro mp train --workers-n 2 --steps 3 --batch 64 --dtype float64 --verify
 
 # Measured multi-process scaling curve vs the simulator's prediction.
 mp-scaling:

@@ -21,6 +21,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .analysis import render_table
@@ -480,7 +481,7 @@ def _cmd_mp(args: argparse.Namespace) -> int:
             kill_phase=args.kill_phase,
             restarts=args.restarts,
             seed=args.seed,
-            dtype=args.dtype,
+            dtype=args.dtype or "float64",
             checkpoint_dir=args.checkpoint_dir,
         )
         if args.json:
@@ -521,6 +522,8 @@ def _cmd_mp(args: argparse.Namespace) -> int:
         if args.model is None
         else resolve_model(args.model)
     )
+    if args.dtype is not None:
+        config = dataclasses.replace(config, compute_dtype=args.dtype)
     if config.embedding_parameters > 50_000_000:
         print("model too large for a CLI mp demo; use a test:<...> spec",
               file=sys.stderr)
@@ -819,9 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kill-phase", default="loss", dest="kill_phase",
                    choices=["loss", "allreduce", "checkpoint"],
                    help="faults: where inside the step the kill lands")
-    p.add_argument("--dtype", default="float64",
+    p.add_argument("--dtype", default=None,
                    choices=["float64", "float32"],
-                   help="faults: compute dtype for the bit-identity gate")
+                   help="compute dtype (train: default the model's; faults: float64)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_mp)
 

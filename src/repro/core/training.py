@@ -4,16 +4,16 @@
 forward -> loss -> backward -> optimizer: the accuracy experiments (Figure
 15) drive it over synthetic click data for a fixed example budget, EASGD's
 workers (:mod:`repro.distributed.sync`) take their local steps through it,
-and the hybrid-parallel workers of :mod:`repro.distributed.mp` hang their
+the hybrid-parallel workers of :mod:`repro.distributed.mp` hang their
 gradient exchanges off the same step through the seam documented on
-:class:`Trainer`.
+:class:`Trainer`, and their serial reference steps all ranks' batches.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
 from .loss import BCEWithLogitsLoss, sigmoid
 from .metrics import auc, normalized_entropy
-from .embedding import TablePlan
 from .model import Batch, DLRM
 
 __all__ = ["TrainResult", "Trainer", "evaluate"]
@@ -94,11 +93,12 @@ class Trainer:
 
     The seam for a model that is one of ``world`` replicas sharing each step
     (the :mod:`repro.distributed.mp` worker) is a subclass setting two
-    members.  ``world``: the loss gradient is scaled by ``1 / world`` — the
-    same constant on every replica, so the summed gradients are the
-    global-batch gradient with identical rounding on every path.
-    ``on_stage(self, stage)``: fired at ``"loss"`` (loss forward done) and
-    at ``"grads"`` (backward done, right before ``optimizer.step()``: the
+    members.  ``world``: the loss gradient is scaled by ``1 / world`` (by
+    ``1 / (world * W)`` over W micro-batches) — the same constant on every
+    replica, so the summed gradients are the global-batch gradient with
+    identical rounding on every path.  ``on_stage(self, stage)``: fired at
+    ``"loss"`` (each loss forward done) and once at ``"grads"`` (backward
+    done, right before ``optimizer.step()``: the
     gradients it is to apply must be in place on return — where a replica
     exchanges them).  The base has no callback and ``world = 1``.
 
@@ -201,49 +201,60 @@ class Trainer:
                 raise ValueError("step_index must be >= 0")
             self._step_index = step_index
 
-    def train_step(
-        self, batch: Batch, plans: dict[str, TablePlan] | None = None
-    ) -> float:
+    def train_step(self, batch: Batch | Sequence[Batch], plans=None) -> float | list[float]:
         """One forward/backward/update; returns the batch loss.
 
         ``plans`` are the batch's lookup plans
         (``model.embeddings.plan_batch(batch.sparse)``, what :meth:`train`
         builds for its batches); without them the batch is planned here
         first, so every step's lookups and tier accounting come from its
-        own plans."""
+        own plans.  A sequence of W micro-batches (and of their plans) is
+        stepped as one — their backwards accumulate in order, the loss
+        gradient scaled by ``1 / (world * W)`` — and returns their losses:
+        the hybrid trainer's serial reference (``run_hybrid_serial``)."""
+        single = isinstance(batch, Batch)
+        batches = (batch,) if single else tuple(batch)
+        if plans is not None:
+            plans = (plans,) if single else tuple(plans)
+        if not batches or len(batches) != len(plans or batches):
+            raise ValueError(f"got {len(batches)} micro-batches and {len(plans or ())} plans")
+        scale = self.world * len(batches)  # 1: no multiply
         tracer = self.tracer
         fused = self.fused
         on_stage = self.on_stage
+        losses = []
         with tracer.span(
             "train_step", "iteration",
-            step=self._step_index, batch=batch.size, fused=fused,
+            step=self._step_index, batch=sum(b.size for b in batches), fused=fused,
             backend=self.backend.name,
         ), self.model.bound_lanes(self.optimizer):
             if plans is None:
-                plans = self.model.embeddings.plan_batch(batch.sparse)
+                plans = [self.model.embeddings.plan_batch(b.sparse) for b in batches]
             self.optimizer.zero_grad()
-            with tracer.span("forward", "compute", fused=fused):
-                with tracer.span("model_forward", "compute"):
-                    logits = self.model.forward(batch, plans=plans)
-                with tracer.span("loss_forward", "compute"):
-                    loss_value = self.loss.forward(logits, batch.labels)
-                if on_stage is not None:
-                    on_stage("loss")
-            with tracer.span("backward", "compute", fused=fused):
-                with tracer.span("loss_backward", "compute"):
-                    grad = self.loss.backward()
-                    if self.world > 1:
-                        grad *= 1.0 / self.world
-                with tracer.span("model_backward", "compute"):
-                    self.model.backward(grad)
+            for micro, micro_plans in zip(batches, plans):
+                with tracer.span("forward", "compute", fused=fused):
+                    with tracer.span("model_forward", "compute"):
+                        logits = self.model.forward(micro, plans=micro_plans)
+                    with tracer.span("loss_forward", "compute"):
+                        losses.append(self.loss.forward(logits, micro.labels))
+                    if on_stage is not None:
+                        on_stage("loss")
+                with tracer.span("backward", "compute", fused=fused):
+                    with tracer.span("loss_backward", "compute"):
+                        grad = self.loss.backward()
+                        if scale > 1:
+                            grad *= 1.0 / scale
+                    with tracer.span("model_backward", "compute"):
+                        self.model.backward(grad)
             if on_stage is not None:
                 on_stage("grads")
             with tracer.span("optimizer_step", "compute", fused=fused):
                 self.optimizer.step()
             if self._tiered_tables:
-                self._publish_tier_metrics(plans)
+                for micro_plans in plans:
+                    self._publish_tier_metrics(micro_plans)
         self._step_index += 1
-        return loss_value
+        return losses[0] if single else losses
 
     def _publish_tier_metrics(self, plans) -> None:
         """Emit per-table tier counters/gauges and a ``tier`` trace span.

@@ -30,10 +30,10 @@ thread, over ordered byte streams.
 
 Determinism contract (pinned by ``tests/test_mp.py``): with the
 ``"ordered"`` reduction an N-worker run is **bit-identical** — losses,
-dense parameters, and embedding shards — to :func:`run_hybrid_serial`,
-the single-process reference walking the same fixed partition and seeded
-per-rank data split, in float64 *and* float32 — and at one worker to the
-plain :class:`~repro.core.training.Trainer` itself.  Against a plain
+dense parameters, and embedding shards — to :func:`run_hybrid_serial`:
+the plain :class:`~repro.core.training.Trainer` in one process, stepping
+the seeded per-rank sub-batches as micro-batches, in float64 *and*
+float32.  Against a plain
 full-batch serial trainer the match is tolerance-bounded (chunked
 sub-batch GEMMs sum in a different order than one full-batch GEMM).
 
@@ -68,7 +68,6 @@ from ...core import DLRM, Adagrad, Trainer
 from ...core.checkpoint import restore_arrays, state_arrays, write_checkpoint
 from ...core.config import ModelConfig
 from ...core.lanes import blas_threads, free_cores, lane_count, take_share
-from ...core.loss import BCEWithLogitsLoss
 from ...core.training import prep_ledger
 from ...data import SyntheticDataGenerator
 from ...obs.tracer import NULL_TRACER, Tracer
@@ -1001,53 +1000,39 @@ def run_hybrid_serial(
 ) -> HybridResult:
     """Single-process reference executing the *same fixed partition*.
 
-    One model, one optimizer; each step walks the W per-rank sub-batches
-    sequentially (gradients accumulate left-associatively in rank order —
-    exactly the ``"ordered"`` allreduce association) and applies one
-    optimizer step.  ``run_hybrid`` with ``reduction="ordered"`` matches
-    this bit-for-bit in f64 and f32; ``"ring"`` matches at W=2 and is
-    tolerance-bounded beyond.
+    A plain :class:`~repro.core.training.Trainer` (Adagrad over every
+    table) whose every step takes the W ranks' sub-batches, from the
+    streams the workers pull, as micro-batches: gradients accumulate in
+    rank order, exactly the ``"ordered"`` allreduce association.
+    ``run_hybrid`` with ``reduction="ordered"`` matches this bit-for-bit
+    in f64 and f32; ``"ring"`` matches at W=2 and is tolerance-bounded
+    beyond.
     """
     run = run or HybridRunConfig()
-    world = run.workers
     model = DLRM(config, rng=derive_seed(run.seed, "model"))
-    loss_fn = BCEWithLogitsLoss(workspace=model.workspace, backend=model.backend)
-    optimizer = Adagrad(
-        model.dense_parameters(),
-        model.embedding_tables(),
-        lr=run.lr,
-        backend=model.backend,
-    )
-    gens = [
+    trainer = Trainer(model, lambda m: Adagrad(
+        m.dense_parameters(), m.embedding_tables(), lr=run.lr, backend=m.backend
+    ))
+    streams = [
         SyntheticDataGenerator(config, rng=derive_seed(run.seed, "data", r))
-        for r in range(world)
+        .batch_stream(run.local_batch, run.steps)
+        for r in range(run.workers)
     ]
-    rank_batches = [
-        [g.batch(run.local_batch) for _ in range(run.steps)] for g in gens
-    ]
-    inv_world = 1.0 / world
-    per_rank: list[list[float]] = [[] for _ in range(world)]
+    step_losses: list[list[float]] = []
     step_s: list[float] = []
-    for step in range(run.steps):
+    for _ in range(run.steps):
+        micro = [next(s) for s in streams]
         t0 = time.perf_counter()
-        model.zero_grad()
-        optimizer.zero_grad()
-        for r in range(world):
-            batch = rank_batches[r][step]
-            logits = model.forward(batch)
-            per_rank[r].append(loss_fn.forward(logits, batch.labels))
-            grad = loss_fn.backward()
-            grad *= inv_world
-            model.backward(grad)
-        optimizer.step()
+        step_losses.append(trainer.train_step(micro))
         step_s.append(time.perf_counter() - t0)
+    per_rank = [list(losses) for losses in zip(*step_losses)]
     effective = step_s[run.warmup_steps:] or step_s
     table_digests = {
         t.name: hashlib.sha256(model.embeddings.tables[t.name].weight).hexdigest()
         for t in config.tables
     }
     return HybridResult(
-        workers=world,
+        workers=run.workers,
         steps=run.steps,
         batch_size=run.batch_size,
         reduction="serial",

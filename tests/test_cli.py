@@ -184,6 +184,27 @@ class TestMpCommand:
         assert code == 0
         assert "2 workers" in capsys.readouterr().out
 
+    def test_mp_train_applies_dtype(self, capsys):
+        """``--dtype`` reaches the trained model: each run is its dtype's
+        serial reference, and no flag trains the model's own float32."""
+        import dataclasses
+        import json
+
+        from repro.distributed.mp import HybridRunConfig, run_hybrid_serial
+        from repro.experiments.ext_mp_scaling import default_config
+
+        run = HybridRunConfig(workers=2, steps=2, batch_size=32, lr=0.01, seed=0)
+        for flag, dtype in ((["--dtype", "float64"], "float64"), ([], "float32")):
+            code = main([
+                "mp", "train", "--workers-n", "2", "--steps", "2",
+                "--batch", "32", "--verify", "--json", *flag,
+            ])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["verified_bitwise"] is True
+            config = dataclasses.replace(default_config(), compute_dtype=dtype)
+            assert payload["losses"] == run_hybrid_serial(config, run).losses
+
     def test_mp_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mp", "bogus"])

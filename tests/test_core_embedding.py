@@ -291,7 +291,7 @@ class TestArenaLifetime:
 
     @pytest.mark.parametrize("pooling", [PoolingType.SUM, PoolingType.MEAN])
     def test_two_backwards_before_one_step(self, pooling):
-        """The ``run_hybrid_serial`` shape: K sub-batches, one update."""
+        """A micro-batch ``Trainer.train_step``: K sub-batches, one update."""
         plain, arena = self._pair(pooling=pooling)
         for seed in (0, 1, 2):
             indices, grad = self._stream(seed)

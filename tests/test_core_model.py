@@ -302,7 +302,7 @@ class TestFeatureMajorHandOff:
         rounds(big[0])
         out.append(model.predict_proba(small))  # inference between two steps
         rounds(small)
-        rounds(big[1], small)  # run_hybrid_serial: two backwards, one step
+        rounds(big[1], small)  # a micro-batch train_step: two backwards, one step
         out.append(model.predict_proba(big[0]))
         rounds(big[2])  # two batch sizes interleaved
         out += [p.value for p in model.dense_parameters()]

@@ -1,5 +1,7 @@
 """Tests for repro.core.training and repro.core.tuning."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from repro.core import (
     grid_search,
     random_search,
 )
+from repro.core.checkpoint import state_arrays
+from repro.core.config import InteractionType
+from repro.core.loss import BCEWithLogitsLoss
+from repro.data import SyntheticDataGenerator
 from repro.obs import Tracer
+from repro.tiering import TieredStoreConfig
 
 
 def _trainer(config, lr=0.05, rng=0):
@@ -114,6 +121,112 @@ class TestStageContract:
             assert recording.seen == ["loss", "grads"]
             assert recording.state_at_grads == before  # optimizer not yet run
             assert _state_bytes(recording.model) == _state_bytes(base.model) != before
+
+
+def _micro_setup(tiny_config, dtype, backend, interaction=InteractionType.DOT, tiered=False):
+    config = dataclasses.replace(
+        tiny_config, compute_dtype=dtype, backend=backend, interaction=interaction
+    )
+    tiering = TieredStoreConfig(hot_fraction=0.25, chunk_rows=4) if tiered else None
+
+    def build(tracer=None):
+        return Trainer(
+            DLRM(config, rng=0, tiering=tiering),
+            lambda m: Adagrad(m.dense_parameters(), m.embedding_tables(), lr=0.05,
+                              backend=m.backend),
+            tracer=tracer,
+        )
+
+    return config, build
+
+
+def _full_state(trainer):
+    return {k: v.tobytes() for k, v in state_arrays(trainer.model, trainer.optimizer).items()}
+
+
+def _hand_written_step(trainer, batches):
+    """The serial hybrid reference's step as it was written out by hand:
+    one zero-grad, each micro-batch's forward/loss/backward with the loss
+    gradient scaled by 1/W, one optimizer step."""
+    model, optimizer = trainer.model, trainer.optimizer
+    loss_fn = BCEWithLogitsLoss(workspace=model.workspace, backend=model.backend)
+    inv_world = 1.0 / len(batches)
+    model.zero_grad()
+    optimizer.zero_grad()
+    losses = []
+    for batch in batches:
+        logits = model.forward(batch)
+        losses.append(loss_fn.forward(logits, batch.labels))
+        grad = loss_fn.backward()
+        grad *= inv_world
+        model.backward(grad)
+    optimizer.step()
+    return losses
+
+
+@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+class TestMicroBatchStep:
+    """``train_step`` over a sequence of micro-batches: the serial reference
+    of the hybrid trainer, and a one-batch sequence is the plain step."""
+
+    def test_one_micro_batch_is_the_plain_step(self, tiny_config, dtype, backend):
+        config, build = _micro_setup(tiny_config, dtype, backend)
+        gen = SyntheticDataGenerator(config, rng=7, seed_teacher=True)
+        plain, micro = build(), build()
+        for batch in [gen.batch(16) for _ in range(3)]:
+            loss = plain.train_step(batch)
+            assert isinstance(loss, float)
+            assert micro.train_step([batch]) == [loss]
+            assert _full_state(micro) == _full_state(plain)
+        assert micro.step_index == plain.step_index == 3
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["flat", "tiered"])
+    @pytest.mark.parametrize(
+        "interaction", [InteractionType.DOT, InteractionType.CONCAT], ids=["dot", "concat"]
+    )
+    def test_micro_batches_match_the_hand_written_step(
+        self, tiny_config, dtype, backend, interaction, tiered
+    ):
+        config, build = _micro_setup(tiny_config, dtype, backend, interaction, tiered)
+        gens = [SyntheticDataGenerator(config, rng=r, seed_teacher=True) for r in (3, 4)]
+        tracer = Tracer()
+        trainer, oracle = build(tracer), build()
+        for _ in range(3):
+            batches = [g.batch(12) for g in gens]
+            assert trainer.train_step(batches) == _hand_written_step(oracle, batches)
+            assert _full_state(trainer) == _full_state(oracle)
+        tier_spans = [s for s in tracer.spans if s.name == "tier"]
+        assert len(tier_spans) == (3 * 2 * len(config.tables) if tiered else 0)
+        for table in trainer.model.embedding_tables() if tiered else ():
+            hits = sum(
+                s.attributes["hits"] for s in tier_spans
+                if s.attributes["table"] == table.spec.name
+            )
+            assert hits == table.stats.hot_hits > 0
+
+    def test_stages_fire_per_micro_batch_then_once(self, tiny_config, dtype, backend):
+        config, build = _micro_setup(tiny_config, dtype, backend)
+        gen = SyntheticDataGenerator(config, rng=7, seed_teacher=True)
+        trainer = build()
+        seen = []
+        trainer.on_stage = seen.append
+        losses = trainer.train_step([gen.batch(8) for _ in range(3)])
+        assert len(losses) == 3
+        assert seen == ["loss", "loss", "loss", "grads"]
+        assert trainer.step_index == 1
+
+    def test_bad_sequences_rejected(self, tiny_config, dtype, backend):
+        config, build = _micro_setup(tiny_config, dtype, backend)
+        gen = SyntheticDataGenerator(config, rng=7, seed_teacher=True)
+        trainer = build()
+        with pytest.raises(ValueError, match="got 0 micro-batches"):
+            trainer.train_step([])
+        batches = [gen.batch(8), gen.batch(8)]
+        plans = [trainer.model.embeddings.plan_batch(batches[0].sparse)]
+        with pytest.raises(ValueError, match="got 2 micro-batches and 1 plans"):
+            trainer.train_step(batches, plans)
+        assert trainer.step_index == 0
 
 
 class TestTrainerBudgetAccounting:

@@ -10,6 +10,7 @@ ground truth for that claim, in both float64 and float32.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -130,9 +131,18 @@ def assert_matches_serial(config, run) -> None:
 
 class TestOrderedDeterminism:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_two_workers_bitwise_vs_serial(self, dtype):
+    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    @pytest.mark.parametrize(
+        "interaction", [InteractionType.DOT, InteractionType.CONCAT], ids=["dot", "concat"]
+    )
+    def test_two_workers_bitwise_vs_serial(self, interaction, backend, dtype):
+        """The ``workers`` cells of the bit-identity lattice: two ranks
+        against the one-process ``Trainer`` over their micro-batches."""
+        config = dataclasses.replace(
+            small_config(dtype), interaction=interaction, backend=backend
+        )
         run = HybridRunConfig(workers=2, steps=3, batch_size=32, seed=7)
-        assert_matches_serial(small_config(dtype), run)
+        assert_matches_serial(config, run)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_four_workers_bitwise_vs_serial(self, dtype):
