@@ -30,9 +30,10 @@ conformance:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Fresh interpreter, reduced train_emb shape: minor page faults per
-# steady-state step must stay under a bound that per-call result
-# allocation in the embedding kernels misses by 10x (Linux only).
+# One fresh interpreter per shape (reduced train_emb and train_dot, and
+# hybrid_w2's ranks): minor page faults per steady-state step must stay
+# under a bound that a per-step result allocation misses by 4-10x
+# (Linux only).
 alloc-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/alloc_smoke.py
 

@@ -6,8 +6,8 @@ which lifts glibc's mmap threshold past every per-step result — so neither
 sees what a user's fresh process pays when a kernel allocates its result on
 every call: an ``mmap``, a minor page fault per 4 KB of it, an ``munmap``.
 This script counts exactly that (``ru_minflt``) over steady-state steps of
-two reduced perfbench shapes and fails if either exceeds :data:`MAX_FAULTS`
-per step:
+three perfbench shapes and fails if any exceeds :data:`MAX_FAULTS` per
+step:
 
 * ``emb`` — ``train_emb``: per-table gradients (~1 MB) far above the
   threshold.  With the embedding tables writing into the model's arena the
@@ -29,6 +29,14 @@ per step:
   with the threshold pinned at its initial 128 KiB
   (``MALLOC_MMAP_THRESHOLD_``), under which ``emb`` would read ~300 from
   index temporaries that gate was never about.
+* ``mp`` — ``hybrid_w2`` itself: two ranks, each owner merging the ranks'
+  sparse gradients of its tables.  Counted over the ranks
+  (``RUSAGE_CHILDREN``) as the difference of two run lengths, per rank per
+  step, so set-up cancels.  With the merge summing into a buffer the
+  exchange keeps, a rank step reads ~30; with a fresh ~4 MB sum per step
+  (commit 173c302, the last to allocate it) it reads ~1 140.  perfbench's
+  own hybrid ranks fork from a worker whose heap thresholds are already
+  raised and never see this.
 
 Run as ``make alloc-smoke``.  Each shape is measured in an interpreter of its
 own (the count depends on the allocator's state, and a freed model lifts the
@@ -45,6 +53,7 @@ import sys
 SHAPES = {
     "emb": (6, 50_000, 64, 20, 512, "CONCAT", (64, 64), (128, 64)),
     "dot": (40, 2_000, 16, 1, 1024, "DOT", (32, 16), (64,)),
+    "mp": (8, 50_000, 32, 16, 1024, "DOT", (128, 64, 32), (256, 128)),
 }
 #: Environment added to a shape's interpreter (see the module docstring).
 SHAPE_ENV = {"dot": {"MALLOC_MMAP_THRESHOLD_": str(128 * 1024)}}
@@ -72,6 +81,8 @@ def faults_per_step(name: str, shape: tuple) -> float:
         compute_dtype="float32",
         backend="fused",
     )
+    if name == "mp":
+        return rank_faults_per_step(config, batch_size)
     trainer = Trainer(
         DLRM(config, rng=0),
         lambda m: Adagrad(
@@ -88,6 +99,21 @@ def faults_per_step(name: str, shape: tuple) -> float:
         trainer.train_step(batch)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     return (after - before) / TIMED_STEPS
+
+
+def rank_faults_per_step(config, batch_size: int) -> float:
+    """Minor faults per rank per steady-state step of a two-rank run."""
+    import resource
+
+    from repro.distributed.mp import HybridRunConfig, run_hybrid
+
+    def rank_faults(steps: int) -> int:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_hybrid(config, HybridRunConfig(workers=2, steps=steps, batch_size=batch_size))
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    timed = rank_faults(WARM_STEPS + TIMED_STEPS) - rank_faults(WARM_STEPS)
+    return timed / (TIMED_STEPS * 2)
 
 
 def main(argv: list[str]) -> int:

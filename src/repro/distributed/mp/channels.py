@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["Channel", "ChannelClosed", "transfer"]
+__all__ = ["Channel", "ChannelClosed", "barrier", "transfer"]
 
 _LEN = struct.Struct("<Q")
 
@@ -106,6 +106,17 @@ class Channel:
                 raise ChannelClosed("peer closed during recv", peer=self.peer)
             got += k
         return buf
+
+
+def barrier(channels) -> None:
+    """Return once every process at the far end of ``channels`` has called
+    this too: one byte each way over each channel.  The channels must be
+    idle: a one-byte send then never blocks, so every caller reaches its
+    receives."""
+    for ch in channels:
+        ch.sock.sendall(b"\0")
+    for ch in channels:
+        ch._recv_exact(1)
 
 
 #: Most bytes one send hands the kernel, and most buffers one sendmsg or

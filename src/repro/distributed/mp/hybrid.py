@@ -24,9 +24,12 @@ barrier around the step.  Besides its main thread a worker runs only the
 drain watcher.
 
 One socket joins each pair of ranks (the mesh).  The sparse exchange, the
-allreduce (over the channels to ``rank - 1`` and ``rank + 1``) and the
-checkpoint's digest gather all use it, one after another on the main
-thread, over ordered byte streams.
+allreduce (over the channels to ``rank - 1`` and ``rank + 1``), the
+checkpoint's digest gather and the step barrier
+(:func:`~.channels.barrier`) all use it, one after another on the main
+thread, over ordered byte streams.  Besides the mesh, each rank has one
+link to the parent: reports and heartbeats go up it, the poison comes
+down it.  Every blocking wait of a worker is a socket wait.
 
 Determinism contract (pinned by ``tests/test_mp.py``): with the
 ``"ordered"`` reduction an N-worker run is **bit-identical** — losses,
@@ -41,11 +44,12 @@ Fault tolerance (``tests/test_mp_ft.py``): with ``checkpoint_every`` set,
 each rank writes its owned shards (plus rank 0's dense replica) to
 per-rank files and rank 0 atomically commits a manifest (:mod:`.ckpt`);
 a run resumed from that manifest (``resume=``) extends the bit-identity
-contract across a real SIGKILL.  On any worker death the parent poisons
-the survivors over dedicated control channels; a watcher thread in each
-worker aborts the step barrier and shuts down the data sockets, so
-survivors **drain** within ``drain_timeout_s`` instead of hanging out
-``collect_timeout_s``.  :mod:`.ft` builds capped elastic restarts on top.
+contract across a real SIGKILL.  A dead peer is seen at once as EOF on
+its mesh channel.  On any worker death the parent also poisons the
+survivors over their links; a watcher thread in each worker, blocked on
+its link, shuts down the mesh sockets, so survivors **drain** within
+``drain_timeout_s``.  A hung peer is caught by ``collect_timeout_s``, like
+every other hang.  :mod:`.ft` builds capped elastic restarts on top.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from ...obs.tracer import NULL_TRACER, Tracer
 from ...runtime.runner import derive_seed
 from . import ckpt
 from .allreduce import PackedAllreduce
-from .channels import Channel, transfer
+from .channels import Channel, barrier, transfer
 from .shards import ShardPlan, TableShards
 from .sparse_exchange import SparseExchange
 from .timeouts import get_timeouts
@@ -95,12 +99,6 @@ _SPAN_PHASE = dict(model_forward="forward", loss_forward="loss",
                    loss_backward="backward", model_backward="backward",
                    optimizer_step="optimizer")
 
-#: What a worker's main thread treats as "a peer is gone — drain":
-#: channel EOFs (ChannelClosed is a ConnectionError), socket errors from
-#: the watcher's shutdown, and the aborted step barrier.
-_DRAIN_EXC = (ConnectionError, OSError, threading.BrokenBarrierError)
-
-
 @dataclass(frozen=True)
 class HybridRunConfig:
     """One hybrid-parallel training run.
@@ -112,8 +110,8 @@ class HybridRunConfig:
     ``checkpoint_every`` > 0 writes a sharded checkpoint after every N
     global steps into ``checkpoint_dir`` (required then); on a worker
     death, survivors are poisoned and must drain within
-    ``drain_timeout_s`` — ``collect_timeout_s`` remains only the
-    no-progress backstop.
+    ``drain_timeout_s``.  ``collect_timeout_s`` is the no-progress
+    backstop: the one bound on a worker that hangs without dying.
 
     ``pipeline`` moves no work: every worker pulls and plans its batches
     inline, on its main thread.  It only asks for
@@ -127,7 +125,6 @@ class HybridRunConfig:
     seed: int = 0
     reduction: str = "ordered"  # "ordered" (bit-deterministic) | "ring"
     warmup_steps: int = 1
-    barrier_timeout_s: float = 120.0
     collect_timeout_s: float = 600.0
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
@@ -159,7 +156,7 @@ class HybridRunConfig:
             )
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every > 0 requires checkpoint_dir")
-        for name in ("barrier_timeout_s", "collect_timeout_s", "drain_timeout_s"):
+        for name in ("collect_timeout_s", "drain_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -219,7 +216,7 @@ def _execute_kill(spec: KillSpec | None) -> None:
 
 @dataclass
 class WorkerReport:
-    """What one worker sends back to the parent over its result pipe."""
+    """What one worker sends back to the parent over its link."""
 
     rank: int
     losses: list[float]
@@ -313,34 +310,32 @@ class WorkerCrashError(RuntimeError):
 
 
 class _Fabric:
-    """Mesh + control channels and result pipes for ``world`` workers.
+    """Mesh channels and one link per rank for ``world`` workers.
 
     Built in the parent before ``fork``; each child calls :meth:`isolate`
     to close every endpoint it does not own, and the parent calls
     :meth:`close_parent_side` right after spawning — so a dead worker's
     peers see EOF instead of hanging on a socket the parent still holds.
-    The parent keeps one control channel per worker open for the lifetime
-    of the run: :meth:`poison` sends the drain frame on it when a
-    casualty is detected.  Mesh endpoints are tagged with their peer rank
-    so channel errors can name the dead neighbor.  The allreduce's ring is
-    the mesh too: a rank's left and right are its channels to ``rank - 1``
-    and ``rank + 1`` (one and the same at ``world == 2``).
+    A rank's link is one duplex pipe: its reports and heartbeats go up,
+    and :meth:`poison` sends the drain frame down when a casualty is
+    detected.  Mesh endpoints are tagged with their peer rank so channel
+    errors can name the dead neighbor.  The allreduce's ring is the mesh
+    too: a rank's left and right are its channels to ``rank - 1`` and
+    ``rank + 1`` (one and the same at ``world == 2``).
     """
 
     def __init__(self, world: int, ctx) -> None:
         self.world = world
         self.mesh_pairs: dict[tuple[int, int], tuple[Channel, Channel]] = {}
-        # ctrl_pairs[r]: (parent end, worker end) — the poison path.
-        self.ctrl_pairs: list[tuple[Channel, Channel]] = []
-        self.pipes = []
+        # links[r]: (parent end, rank end)
+        self.links = []
         try:
             for i in range(world):
                 for j in range(i + 1, world):
                     a, b = self.mesh_pairs[(i, j)] = Channel.pair()
                     a.peer, b.peer = j, i
             for _ in range(world):
-                self.ctrl_pairs.append(Channel.pair())
-                self.pipes.append(ctx.Pipe(duplex=False))
+                self.links.append(ctx.Pipe())
         except BaseException:
             self.close_all()  # the endpoints made so far
             raise
@@ -354,22 +349,18 @@ class _Fabric:
                 out[i] = b
         return out
 
-    def ctrl(self, rank: int) -> Channel:
-        """The worker-side control endpoint (drain frames arrive here)."""
-        return self.ctrl_pairs[rank][1]
-
     def poison(self, rank: int) -> None:
-        """Tell ``rank`` (from the parent) to abort its barrier and drain."""
+        """Tell ``rank`` (from the parent) to drain."""
         try:
-            self.ctrl_pairs[rank][0].send_bytes(b"drain")
+            self.parent_conn(rank).send_bytes(b"drain")
         except OSError:
             pass  # already dead — nothing to poison
 
     def parent_conn(self, rank: int):
-        return self.pipes[rank][0]
+        return self.links[rank][0]
 
     def child_conn(self, rank: int):
-        return self.pipes[rank][1]
+        return self.links[rank][1]
 
     def _owned_by(self, rank: int) -> set[Channel]:
         return set(self.mesh(rank).values())
@@ -383,34 +374,23 @@ class _Fabric:
         for ch in self._all_channels():
             if ch not in owned:
                 ch.close()
-        for r, (parent_end, worker_end) in enumerate(self.ctrl_pairs):
-            parent_end.close()
-            if r != rank:
-                worker_end.close()
-        for r, (parent_end, child_end) in enumerate(self.pipes):
+        for r, (parent_end, child_end) in enumerate(self.links):
             parent_end.close()
             if r != rank:
                 child_end.close()
 
     def close_parent_side(self) -> None:
-        """Close (in the parent) all data channels and the children's pipe
-        and control ends — but keep the parent control ends for poison."""
+        """Close (in the parent) the mesh and the ranks' link ends — but
+        keep the parent's link ends for reports and poison."""
         for ch in self._all_channels():
             ch.close()
-        for _, worker_end in self.ctrl_pairs:
-            worker_end.close()
-        for _, child_end in self.pipes:
+        for _, child_end in self.links:
             child_end.close()
 
     def close_all(self) -> None:
         self.close_parent_side()
-        for parent_end, _ in self.ctrl_pairs:
+        for parent_end, _ in self.links:
             parent_end.close()
-        for parent_end, _ in self.pipes:
-            try:
-                parent_end.close()
-            except OSError:  # pragma: no cover
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +421,16 @@ def _fold_spans(tracer: Tracer, phase_s: dict[str, float]) -> None:
     spans.clear()
 
 
-def _watch_ctrl(ctrl: Channel, barrier, channels, finished, draining) -> None:
-    """Worker watcher thread: block on the control channel; on a poison
-    frame (or parent death), abort the step barrier and shut down every
-    data socket so the main thread unwedges wherever it is blocked."""
+def _watch_link(conn, channels, finished) -> None:
+    """Worker watcher thread: block on the rank's link; on a poison frame
+    (or parent death), shut down every mesh socket so the main thread
+    unwedges wherever it is blocked."""
     try:
-        ctrl.recv_bytes()
-    except (ConnectionError, OSError):
-        pass  # parent closed the channel (run over) or died
+        conn.recv_bytes()
+    except (EOFError, OSError):
+        pass  # parent closed the link (run over) or died
     if finished.is_set():
         return
-    draining.set()
-    try:
-        barrier.abort()
-    except Exception:  # pragma: no cover - barrier already broken
-        pass
     for ch in channels:
         try:
             ch.sock.shutdown(socket.SHUT_RDWR)
@@ -471,7 +446,6 @@ def _worker_main(
     plan: ShardPlan,
     shards: TableShards,
     fabric: _Fabric,
-    barrier,
     kills: list[KillSpec] | None = None,
     resume: ckpt.ResumeState | None = None,
 ) -> None:
@@ -481,7 +455,6 @@ def _worker_main(
     cores = (lane_count(), blas_threads())
     config = model.config
     conn = fabric.child_conn(rank)
-    ctrl = fabric.ctrl(rank)
     fabric.isolate(rank)
     # ``model`` is the parent's seeded model, inherited through fork: every
     # table is a view of its shared segment, so every rank reads all tables
@@ -499,7 +472,7 @@ def _worker_main(
     start = 0
     losses: list[float] = []
     if resume is not None:
-        # Before the spawn barrier every rank restores what it holds: its dense
+        # Before the spawn rendezvous every rank restores what it holds: its dense
         # replica and slots, and the shared segments of the tables it owns.
         start = resume.step
         losses = list(resume.per_rank_losses[rank])  # one entry per resumed step
@@ -531,10 +504,9 @@ def _worker_main(
     phase_s = dict.fromkeys(_PHASES, 0.0)
 
     finished = threading.Event()
-    draining = threading.Event()
     watcher = threading.Thread(
-        target=_watch_ctrl,
-        args=(ctrl, barrier, list(mesh.values()), finished, draining),
+        target=_watch_link,
+        args=(conn, list(mesh.values()), finished),
         name=f"mp-drain-watch-{rank}",
         daemon=True,
     )
@@ -614,7 +586,7 @@ def _worker_main(
         conn.send(("ckpt", rank, completed, time.perf_counter() - t0))
 
     try:
-        barrier.wait(timeout=run.barrier_timeout_s)
+        barrier(mesh.values())  # the spawn rendezvous
         with tracer.span("prep_wait", "pipeline"):
             batch = next(stream)
             plans = plan_batch(batch.sparse)
@@ -638,7 +610,7 @@ def _worker_main(
                     plans = plan_batch(batch.sparse)
             # All shard writes must land before any rank's next forward.
             with tracer.span("barrier", "comm"):
-                barrier.wait(run.barrier_timeout_s)
+                barrier(mesh.values())
             _fold_spans(tracer, phase_s)
             step_s.append(time.perf_counter() - t_step)
         finished.set()
@@ -653,22 +625,22 @@ def _worker_main(
             table_digests={name: shards.digest(name, "weight") for name in owned},
             cores=cores,
         )))
-        conn.close()
-    except _DRAIN_EXC as err:
-        # A peer died (or the parent poisoned us): report what completed
-        # and exit cleanly instead of hanging in a blocked recv/barrier.
+    except OSError as err:
+        # A peer died (a channel EOF: ChannelClosed is an OSError) or the
+        # parent poisoned us (a socket error from the watcher's shutdown):
+        # report what completed and exit cleanly.
         finished.set()
-        draining.set()
         suspect = getattr(err, "peer", None)
         try:
             conn.send(
                 ("drained", rank, len(losses), list(losses),
                  suspect, repr(err))
             )
-            conn.close()
         except OSError:  # pragma: no cover - parent is gone too
             pass
     finally:
+        # The link stays open until the process exits: the watcher may
+        # still be reading it.
         for ch in mesh.values():
             ch.close()
 
@@ -753,7 +725,7 @@ def _crash_error(
 
 def _find_casualty(procs, reports, drained, fabric: _Fabric, open_conns):
     """First rank that is dead (or spontaneously drained) without having
-    delivered a report — with its pipe fully drained, so buffered final
+    delivered a report — with its link fully drained, so buffered final
     messages are never mistaken for a death."""
     for rank, p in enumerate(procs):
         if rank in reports:
@@ -894,12 +866,11 @@ def run_hybrid(
             storage={t.name: shards.view(t.name, "weight") for t in config.tables},
         )
         fabric = _Fabric(world, ctx)
-        barrier = ctx.Barrier(world)
         procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(rank, world, model, run, plan, shards, fabric, barrier,
-                      kills, resume),
+                args=(rank, world, model, run, plan, shards, fabric, kills,
+                      resume),
                 name=f"mp-worker-{rank}",
             )
             for rank in range(world)

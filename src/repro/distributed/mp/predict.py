@@ -20,8 +20,8 @@ primitive the cluster simulator is built from:
   compute block, as the trainer calls it (scheduler wakeups dominate idle
   wire latency on a busy host).
 * **Sparse exchange & barrier** — a header round and a payload round per
-  peer, and the measured barrier wakeup, scaled by the round/waiter
-  counts.
+  peer, and the measured step barrier (one byte each way over each mesh
+  channel), scaled by the round/waiter counts.
 
 The phases add: every exchange blocks the worker's main thread, so the
 model credits no overlap of communication with compute.
@@ -44,7 +44,7 @@ from ...core.embedding import SparseGrad
 from ...core.lanes import available_cores, free_cores
 from ..simulator import Resource
 from .allreduce import PackedAllreduce
-from .channels import Channel
+from .channels import Channel, barrier
 from .shards import ShardPlan
 from .sparse_exchange import SparseExchange
 from .timeouts import get_timeouts
@@ -63,7 +63,9 @@ class CommProfile:
     two ranks that each compute, then allreduce (the trainer's actual
     structure); ``frame_fixed_s``/``frame_byte_s`` model the CPU of one
     sparse-exchange round outside the wire (its header, payload and
-    slots); ``barrier_s`` is one two-process barrier wait.
+    slots); ``barrier_s`` is one two-process
+    :func:`~repro.distributed.mp.channels.barrier`, the trainer's step
+    barrier.
     """
 
     latency_s: float
@@ -95,8 +97,7 @@ class StepPrediction:
 # ---------------------------------------------------------------------------
 
 
-def _latency_child(chan: Channel, pings: int, payload: int, reps: int, barrier, waits: int) -> None:
-    probe_s = get_timeouts().probe_s
+def _latency_child(chan: Channel, pings: int, payload: int, reps: int, waits: int) -> None:
     for _ in range(pings):
         chan.send_bytes(chan.recv_bytes())
     buf = np.empty(payload, dtype=np.uint8)
@@ -104,7 +105,7 @@ def _latency_child(chan: Channel, pings: int, payload: int, reps: int, barrier, 
         chan.recv_into(buf)
     chan.send_bytes(b"ok")
     for _ in range(waits):
-        barrier.wait(timeout=probe_s)
+        barrier([chan])
 
 
 _HOP_ITERS = 20
@@ -228,16 +229,16 @@ def probe_comm(
 ) -> CommProfile:
     """Measure every communication parameter of this host.
 
-    One forked child measures idle latency/bandwidth/barrier; a second
-    two-process probe measures the contended per-hop overhead with the
-    real allreduce; the frame cost is measured in-process.
+    One forked child measures idle latency/bandwidth and the mesh
+    barrier; a second two-process probe measures the contended per-hop
+    overhead with the real allreduce; the frame cost is measured
+    in-process.
     """
     ctx = mp.get_context("fork")
     parent, child = Channel.pair()
-    barrier = ctx.Barrier(2)
     proc = ctx.Process(
         target=_latency_child,
-        args=(child, pings, payload_bytes, payload_reps, barrier, barrier_waits),
+        args=(child, pings, payload_bytes, payload_reps, barrier_waits),
         name="mp-comm-probe",
     )
     proc.start()
@@ -262,7 +263,7 @@ def probe_comm(
 
         t0 = time.perf_counter()
         for _ in range(barrier_waits):
-            barrier.wait(timeout=get_timeouts().probe_s)
+            barrier([parent])
         barrier_s = (time.perf_counter() - t0) / barrier_waits
     finally:
         parent.close()

@@ -20,7 +20,7 @@ permutation per round, so no two ranks ever block on each other.
   peer's part into its rank-order slot of one rows buffer and one values
   buffer per owned table, which the exchange keeps and grows on demand;
   its own part is copied into its slot, so each merge coalesces one
-  contiguous run with no concatenation.
+  contiguous run with no concatenation, into a third kept buffer.
 
 This module is the only place that knows the frame layout; :mod:`.predict`
 times a round's own code (:meth:`SparseExchange.header`, ``payload``,
@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.embedding import SparseGrad
+from ...core.kernels import coalesce_apply, coalesce_plan
 from .channels import Channel, transfer
 from .shards import ShardPlan
 
@@ -67,6 +68,8 @@ class SparseExchange:
         self.values = {
             name: np.empty((0, table_dims[name]), dtype=dtype) for name in self.owned
         }
+        # sums[name]: the coalesced rows of a merge with several contributors
+        self.sums = dict(self.values)
 
     def header(self, local: dict[str, SparseGrad | None], dst: int) -> np.ndarray:
         """The row count of each table ``dst`` owns, in its order."""
@@ -104,6 +107,7 @@ class SparseExchange:
                 values = self.values[name]
                 self.rows[name] = np.empty(cap, dtype=np.int64)
                 self.values[name] = np.empty((cap, values.shape[1]), values.dtype)
+                self.sums[name] = np.empty_like(self.values[name])
 
     def exchange(
         self, local: dict[str, SparseGrad | None]
@@ -145,10 +149,14 @@ class SparseExchange:
                     rows[lo : lo + len(grad.rows)] = grad.rows
                     values[lo : lo + len(grad.rows)] = grad.values
                 # a single contribution passes through uncoalesced, as in
-                # EmbeddingTable.pop_grad
-                merged[name] = (
-                    SparseGrad(rows=rows, values=values)
-                    if len(present) == 1
-                    else SparseGrad.coalesce(rows, values)
-                )
+                # EmbeddingTable.pop_grad; several sum as SparseGrad.coalesce
+                # does, into the kept sums buffer
+                if len(present) == 1:
+                    merged[name] = SparseGrad(rows=rows, values=values)
+                else:
+                    plan = coalesce_plan(rows)
+                    sums = self.sums[name][: plan.num_rows]
+                    merged[name] = SparseGrad(
+                        plan.rows, coalesce_apply(plan, values, out=sums)
+                    )
         return merged

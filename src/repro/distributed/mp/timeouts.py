@@ -1,7 +1,7 @@
 """One knob for every supervisory timeout in the mp package.
 
-The hybrid trainer and its probes use joins, barrier waits and queue gets
-purely as *wedge detection* — on a healthy host they never fire, but a
+The hybrid trainer and its probes use joins and queue gets purely as
+*wedge detection* — on a healthy host they never fire, but a
 slow or oversubscribed CI box can trip them spuriously.  Instead of
 hardcoded ``timeout=30.0``/``60.0`` literals scattered across the
 package, every such wait draws from one :class:`MpTimeouts` value, and the
@@ -33,8 +33,8 @@ class MpTimeouts:
     Attributes:
         join_s: process join waits on healthy shutdown paths (worker
             joins after reports, probe child joins).
-        probe_s: blocking waits inside the comm probes — barrier waits in
-            the probe children and queue gets in the parent.
+        probe_s: the parent's queue gets in the comm probes (each probe
+            child's measured time).
         reap_s: post-crash joins, where the process is already believed
             dead and the join only collects the exit code.
     """

@@ -500,7 +500,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch_size"):
             HybridRunConfig(workers=workers, batch_size=batch_size)
 
-    @pytest.mark.parametrize("name", ["barrier_timeout_s", "collect_timeout_s"])
+    @pytest.mark.parametrize("name", ["drain_timeout_s", "collect_timeout_s"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_timeouts_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -524,6 +524,43 @@ class TestFabric:
                 assert peers == [r for r in range(world) if r != rank]
                 assert owned == set(fabric.mesh(rank).values())
             assert len(fabric._all_channels()) == world * (world - 1)
+        finally:
+            fabric.close_all()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    @pytest.mark.parametrize("world", [1, 2, 3])
+    def test_each_side_holds_only_its_ends(self, world):
+        """After ``isolate(rank)`` a rank holds exactly its mesh channels
+        and its end of one link; after ``close_parent_side()`` the parent
+        holds exactly one link end per rank, which carries both the
+        rank's reports and its poison."""
+        import multiprocessing as mp
+
+        from repro.distributed.mp.hybrid import _Fabric
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        ctx = mp.get_context("fork")
+        for rank in range(world):
+            base = open_fds()
+            fabric = _Fabric(world, ctx)
+            try:
+                fabric.isolate(rank)
+                held = {ch for ch in fabric._all_channels() if ch.sock.fileno() != -1}
+                assert held == set(fabric.mesh(rank).values())
+                assert not fabric.child_conn(rank).closed
+                assert open_fds() - base == len(held) + 1
+            finally:
+                fabric.close_all()
+        base = open_fds()
+        fabric = _Fabric(world, ctx)
+        try:
+            fabric.close_parent_side()
+            assert all(not fabric.parent_conn(r).closed for r in range(world))
+            assert open_fds() - base == world
         finally:
             fabric.close_all()
 

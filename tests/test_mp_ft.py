@@ -16,7 +16,9 @@ The contracts under test, in rough order of appearance:
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import os
 import pathlib
 import time
 
@@ -331,6 +333,31 @@ class TestDrain:
         err = exc_info.value
         assert err.progress[0] >= 2  # survivor got at least to the kill step
         assert err.checkpoints == [(2, err.checkpoints[0][1])]
+
+    def test_rank_dead_before_its_first_step(self, monkeypatch):
+        """A rank that dies while it sets up, before the spawn rendezvous,
+        is named, and its peer drains within ``drain_timeout_s`` and
+        leaves no shared segment behind."""
+        from repro.distributed.mp.sparse_exchange import SparseExchange
+
+        init = SparseExchange.__init__
+
+        def dying_init(self, rank, *args, **kwargs):
+            if rank == 1:
+                os._exit(43)
+            init(self, rank, *args, **kwargs)
+
+        # fork: the ranks inherit the patch
+        monkeypatch.setattr(SparseExchange, "__init__", dying_init)
+        before = set(glob.glob("/dev/shm/repro_mp_*"))
+        rc = run_config(None, collect_timeout_s=600.0, drain_timeout_s=20.0)
+        with pytest.raises(WorkerCrashError) as exc_info:
+            run_hybrid(small_config(), rc)
+        err = exc_info.value
+        assert (err.rank, err.exitcode) == (1, 43)
+        assert err.drained == [0]
+        assert err.drain_s < rc.drain_timeout_s
+        assert set(glob.glob("/dev/shm/repro_mp_*")) == before
 
 
 # ---------------------------------------------------------------------------
